@@ -18,12 +18,7 @@ from __future__ import annotations
 import os
 import random
 
-from repro.chain import (
-    Blockchain,
-    CheckpointContract,
-    CheckpointStatus,
-    Transaction,
-)
+from repro.chain import Blockchain, CheckpointContract, CheckpointStatus
 from repro.core import ProtocolParams
 from repro.da import (
     DEFAULT_SAMPLE_BUDGET,
@@ -35,7 +30,12 @@ from repro.da import (
 )
 from repro.obs import MetricsRegistry
 from repro.randomness import HashChainBeacon
-from repro.rollup import Checkpoint, RoundRecord, build_checkpoint
+from repro.rollup import (
+    Checkpoint,
+    CheckpointClient,
+    RoundRecord,
+    build_checkpoint,
+)
 
 QUICK = os.environ.get("BENCH_QUICK", "") == "1"
 
@@ -192,33 +192,18 @@ def test_da_reconstruction_slashes_forged_counts():
         fraud_window=500.0,
     )
     address = chain.deploy(contract, deployer=aggregator)
-    receipt = chain.transact(
-        Transaction(
-            sender=aggregator, to=address, method="post_checkpoint",
-            args=(forged.to_bytes(),), value=contract.posting_bond_wei,
-        )
-    )
+    client = CheckpointClient(chain.transact, address, contract)
+    receipt = client.post_checkpoint(aggregator, forged)
     assert receipt.success, receipt.error
     checkpoint_id = receipt.return_value
-    receipt = chain.transact(
-        Transaction(
-            sender=aggregator, to=address, method="post_da_root",
-            args=(checkpoint_id, da_bundle.commitment.to_bytes()),
-        )
-    )
+    receipt = client.post_da_root(aggregator, checkpoint_id, da_bundle.commitment)
     assert receipt.success, receipt.error
     # The challenger never sees the aggregator's leaf set: only chunks.
     bundle_served = bundle_fetch({(0, epoch): da_bundle})
     sampler = DaSampler(bundle_served, registry=MetricsRegistry())
     reconstruction = sampler.reconstruct(da_bundle.commitment, b"\x09" * 8)
-    leaves = reconstruction.counts_challenge_leaves()
-    challenge = chain.transact(
-        Transaction(
-            sender=challenger, to=address, method="challenge_counts",
-            args=(checkpoint_id, leaves),
-            value=contract.challenge_bond_wei,
-        ),
-        payload_bytes=sum(len(leaf) for leaf in leaves),
+    challenge = client.challenge_counts(
+        challenger, checkpoint_id, reconstruction.counts_challenge_leaves()
     )
     assert challenge.success, challenge.error
     entry = contract.checkpoints[checkpoint_id]

@@ -26,15 +26,15 @@ import os
 import random
 import time
 
-from repro.core import DataOwner, ProtocolParams
+from repro.core import ProtocolParams
 from repro.crypto.bn254 import G1Point
 from repro.crypto.bn254.msm import _multi_scalar_mul, multi_scalar_mul
-from repro.engine import AuditExecutor, AuditInstance
+from repro.engine import AuditExecutor
 from repro.engine.scheduler import EpochScheduler
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.hotpath import HOTPATH
 from repro.randomness import HashChainBeacon
-from repro.sim.workloads import archive_file
+from repro.scenarios import build_fleet
 
 QUICK = os.environ.get("BENCH_QUICK", "") == "1"
 
@@ -90,17 +90,10 @@ def test_observability_overhead(report):
 
     # -- 2. instrumented epoch pipeline ----------------------------------
     params = ProtocolParams(s=3, k=2)
-    owner = DataOwner(params, rng=random.Random(9))
-    instances = [
-        AuditInstance.from_package(
-            owner.prepare(
-                archive_file(400, tag=f"obs-bench-{i}").data,
-                fresh_keypair=i == 0,
-            ),
-            owner_id="obs-bench",
-        )
-        for i in range(FLEET)
-    ]
+    instances = build_fleet(
+        params, random.Random(9), size=400, files=FLEET,
+        tag="obs-bench-{file}", owner_id="obs-bench",
+    )
     breakdown = {}
     with AuditExecutor(instances, workers=1) as executor:
         beacon = HashChainBeacon(b"obs-bench")

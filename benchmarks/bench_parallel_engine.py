@@ -33,13 +33,13 @@ import os
 import random
 import time
 
-from repro.core import DataOwner, ProtocolParams, Verifier
+from repro.core import ProtocolParams, Verifier
 from repro.core.prover import ProveReport
 from repro.core.verifier import VerifyReport
-from repro.engine import AuditExecutor, AuditInstance, EpochScheduler
+from repro.engine import AuditExecutor, EpochScheduler
 from repro.engine.tasks import ProveTask
 from repro.randomness import HashChainBeacon
-from repro.sim.workloads import archive_file
+from repro.scenarios import build_fleet
 
 #: BENCH_QUICK=1 (the CI smoke job) shrinks the fleet so the bench
 #: exercises every code path under a tight timeout; the >= 2x speedup
@@ -53,19 +53,11 @@ SALT = b"engine-epoch"  # EpochScheduler's default task salt
 BEACON = HashChainBeacon(b"bench-parallel-engine")
 
 
-def _build_fleet(rng) -> list[AuditInstance]:
-    instances = []
-    for owner_index in range(OWNERS):
-        owner = DataOwner(PARAMS, rng=rng)
-        for file_index in range(FILES_PER_OWNER):
-            data = archive_file(
-                FILE_BYTES, tag=f"engine-o{owner_index}f{file_index}"
-            ).data
-            package = owner.prepare(data, fresh_keypair=file_index == 0)
-            instances.append(
-                AuditInstance.from_package(package, owner_id=f"owner-{owner_index}")
-            )
-    return instances
+def _build_fleet(rng):
+    return build_fleet(
+        PARAMS, rng, size=FILE_BYTES, files=FILES_PER_OWNER, owners=OWNERS,
+        tag="engine-o{owner}f{file}",
+    )
 
 
 def _sequential_epoch(instances, epoch: int):

@@ -1,8 +1,8 @@
 """RPC audit service — audits per chain-second vs concurrent lane workers.
 
 The service-hosted settlement stack end to end: a ``ShardedChainFabric``
-with one worker thread per lane (``CrossShardAggregator(concurrent_lanes)``)
-behind the JSON-RPC service, settling an adversarial audit fleet while a
+with one worker thread per lane (``repro.scenarios.audit_service`` over a
+concurrent fabric) behind the JSON-RPC service, settling an adversarial audit fleet while a
 live client reads checkpoints and proofs over the wire.
 
 Metric: **audits settled per chain-second** — each lane's recorded
@@ -31,12 +31,9 @@ import time
 from repro.adversary import make_prover
 from repro.chain import ShardedChainFabric
 from repro.chain.mempool import MempoolConfig
-from repro.core import DataOwner
-from repro.engine import AuditExecutor, AuditInstance
 from repro.randomness import HashChainBeacon
-from repro.rollup import CrossShardAggregator
 from repro.rpc import RpcClient, RpcClientError, RpcDispatcher, RpcTcpServer, ServiceNode
-from repro.sim.workloads import archive_file
+from repro.scenarios import audit_service, build_fleet
 
 QUICK = os.environ.get("BENCH_QUICK", "") == "1"
 
@@ -49,91 +46,64 @@ SUBMIT_BURST = 60 if QUICK else 240
 
 
 def _prepare_fleet(params):
-    """Audit instances plus replay provers for the misbehaving minority."""
-    rng = random.Random(0x59C)
-    owner = DataOwner(params, rng=rng)
-    instances, packages = [], []
-    for index in range(FLEET):
-        package = owner.prepare(
-            archive_file(FILE_BYTES, tag=f"rpc-bench-{index}").data,
-            fresh_keypair=index == 0,
-        )
-        instances.append(AuditInstance.from_package(package, owner_id="bench"))
-        packages.append(package)
-    return instances, packages
+    """Audit instances; the first MISBEHAVING get replay provers."""
+    return build_fleet(
+        params, random.Random(0x59C), size=FILE_BYTES, files=FLEET,
+        tag="rpc-bench-{file}", owner_id="bench",
+    )
 
 
-def _overrides(packages):
+def _overrides(instances):
     overrides = {}
-    for serial, package in enumerate(packages[:MISBEHAVING]):
-        prover = make_prover("replay", package, rng=random.Random(0xBAD + serial))
-        overrides[package.name] = (
+    for serial, instance in enumerate(instances[:MISBEHAVING]):
+        prover = make_prover("replay", instance, rng=random.Random(0xBAD + serial))
+        overrides[instance.name] = (
             lambda challenge, epoch, prover=prover: prover.respond_private(challenge)
         )
     return overrides
 
 
-def _settle_behind_service(params, instances, packages, lanes):
+def _settle_behind_service(params, instances, lanes):
     """Run EPOCHS of settlement with a live RPC client reading alongside.
 
     Returns (verdict_trace, chain_seconds, wall_seconds, read_calls_per_s).
     """
-    fabric = ShardedChainFabric(
-        num_lanes=lanes, mempool=MempoolConfig(), concurrent=lanes > 1
-    )
-    try:
-        with AuditExecutor(instances, workers=1) as executor:
-            aggregator = CrossShardAggregator(
-                fabric,
-                executor,
-                params,
-                HashChainBeacon(b"bench-rpc-service"),
-                rng=random.Random(7),
-                deterministic=True,
-                concurrent_lanes=lanes > 1,
+    with audit_service(
+        instances, params, HashChainBeacon(b"bench-rpc-service"),
+        random.Random(7), lanes=lanes, concurrent=lanes > 1, deterministic=True,
+    ) as service:
+        aggregator = service.aggregator
+        for name, override in _overrides(instances).items():
+            aggregator.set_override(name, override)
+        t0 = time.perf_counter()
+        settlements = aggregator.run(EPOCHS)
+        wall = time.perf_counter() - t0
+
+        # Read the settlement back through the wire: status, every
+        # checkpoint, one membership proof — the audit-read family.
+        with RpcClient(service.host, service.port) as client:
+            r0 = time.perf_counter()
+            status = client.call("audit_status")
+            assert status["epochs_settled"] == EPOCHS
+            for epoch in range(EPOCHS):
+                checkpoint = client.call("checkpoint_get", {"epoch": epoch})
+                assert checkpoint["num_lanes"] == lanes
+            proof = client.call(
+                "fabric_proof_get", {"name": str(instances[-1].name)}
             )
-            node = ServiceNode(fabric, aggregator=aggregator)
-            dispatcher = RpcDispatcher()
-            node.register_on(dispatcher)
-            server = RpcTcpServer(dispatcher)
-            host, port = server.serve_in_thread()
-            try:
-                for name, override in _overrides(packages).items():
-                    aggregator.set_override(name, override)
-                t0 = time.perf_counter()
-                settlements = aggregator.run(EPOCHS)
-                wall = time.perf_counter() - t0
+            assert proof["verified"] is True
+            reads = 2 + EPOCHS
+            read_rate = reads / (time.perf_counter() - r0)
 
-                # Read the settlement back through the wire: status, every
-                # checkpoint, one membership proof — the audit-read family.
-                with RpcClient(host, port) as client:
-                    r0 = time.perf_counter()
-                    status = client.call("audit_status")
-                    assert status["epochs_settled"] == EPOCHS
-                    for epoch in range(EPOCHS):
-                        checkpoint = client.call("checkpoint_get", {"epoch": epoch})
-                        assert checkpoint["num_lanes"] == lanes
-                    proof = client.call(
-                        "fabric_proof_get", {"name": str(packages[-1].name)}
-                    )
-                    assert proof["verified"] is True
-                    reads = 2 + EPOCHS
-                    read_rate = reads / (time.perf_counter() - r0)
-
-                trace = [
-                    (
-                        settlement.epoch,
-                        frozenset(settlement.accepted_names()),
-                        frozenset(settlement.rejected_names()),
-                    )
-                    for settlement in settlements
-                ]
-                return trace, fabric.settlement_chain_seconds(), wall, read_rate
-            finally:
-                server.close()
-                aggregator.close()
-    finally:
-        fabric.close()
+        trace = [
+            (
+                settlement.epoch,
+                frozenset(settlement.accepted_names()),
+                frozenset(settlement.rejected_names()),
+            )
+            for settlement in settlements
+        ]
+        return trace, service.fabric.settlement_chain_seconds(), wall, read_rate
 
 
 def _wire_burst(lanes):
@@ -192,7 +162,7 @@ def _wire_burst(lanes):
 
 def test_rpc_service_scaling(benchmark, report, params):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)  # report-only entry
-    instances, packages = _prepare_fleet(params)
+    instances = _prepare_fleet(params)
     lines = [
         f"RPC audit service: {FLEET} audit instances x {EPOCHS} epoch(s) "
         f"(s={params.s}, k={params.k}, {MISBEHAVING} replay provers), "
@@ -205,7 +175,7 @@ def test_rpc_service_scaling(benchmark, report, params):
     traces, throughput = {}, {}
     for lanes in LANES:
         trace, chain_seconds, wall, read_rate = _settle_behind_service(
-            params, instances, packages, lanes
+            params, instances, lanes
         )
         traces[lanes] = trace
         throughput[lanes] = FLEET * EPOCHS / chain_seconds
@@ -221,7 +191,7 @@ def test_rpc_service_scaling(benchmark, report, params):
     # to replay yet), so the reject set is asserted on the final epoch.
     for lanes in LANES[1:]:
         assert traces[lanes] == traces[1], f"verdicts diverged at {lanes} lanes"
-    replay_names = frozenset(package.name for package in packages[:MISBEHAVING])
+    replay_names = frozenset(instance.name for instance in instances[:MISBEHAVING])
     final_rejects = traces[1][-1][2]
     if EPOCHS > 1:
         assert final_rejects == replay_names, "reject set must match the replay fleet"

@@ -29,15 +29,14 @@ import random
 import time
 
 from repro.chain import (
-    Blockchain,
     ContractTerms,
     ShardedChainFabric,
     deploy_audit_contract,
     run_contracts_to_completion,
 )
-from repro.chain.explorer import ChainExplorer
-from repro.core import DataOwner, ProtocolParams, StorageProvider
+from repro.core import ProtocolParams, StorageProvider
 from repro.randomness import HashChainBeacon
+from repro.scenarios import build_fleet
 from repro.sim.throughput import ShardedChainCapacityModel
 
 QUICK = os.environ.get("BENCH_QUICK", "") == "1"
@@ -55,13 +54,10 @@ FILE_BYTES = 700
 def _prepare_fleet():
     """Packages + providers, shared by every lane configuration."""
     rng = random.Random(0x5AFE)
-    owner = DataOwner(PARAMS, rng=rng)
     fleet = []
-    for index in range(FLEET):
-        package = owner.prepare(
-            bytes(rng.randrange(256) for _ in range(FILE_BYTES)),
-            fresh_keypair=index == 0,
-        )
+    for package in build_fleet(
+        PARAMS, rng, size=FILE_BYTES, files=FLEET, tag="shard-bench-{file}"
+    ):
         provider = StorageProvider(rng=rng)
         provider.accept(package)
         fleet.append((package, provider))
@@ -98,17 +94,13 @@ def test_sharded_fabric_settlement_throughput(benchmark, report):
     verdicts_by_lanes = {}
     throughput = {}
     for lanes in LANES:
-        chain = Blockchain() if lanes == 1 else ShardedChainFabric(num_lanes=lanes)
+        chain = ShardedChainFabric(num_lanes=lanes)
         t0 = time.perf_counter()
         verdicts = _settle(chain, fleet)
         wall = time.perf_counter() - t0
         verdicts_by_lanes[lanes] = verdicts
-        if lanes == 1:
-            settlement_seconds = chain.congestion_seconds()
-            total_gas = sum(block.gas_used for block in chain.blocks)
-        else:
-            settlement_seconds = chain.settlement_chain_seconds()
-            total_gas = chain.total_gas_used()
+        settlement_seconds = chain.settlement_chain_seconds()
+        total_gas = chain.total_gas_used()
         throughput[lanes] = FLEET / settlement_seconds
         lines.append(
             f"{lanes:>5} {wall:>8.1f} {total_gas:>13,} "

@@ -13,6 +13,9 @@ The story this demo tells (docs/PROTOCOL.md section 9):
    challenger opens that one leaf on chain; the contract re-verifies the
    round from the leaf's own bytes and slashes the poster's bond.
 
+It is ``repro.scenarios.run_settlement`` on a one-lane fabric — what
+``repro checkpoint --fraud`` runs — told step by step.
+
 Run me:  PYTHONPATH=src python examples/checkpoint_rollup.py
 """
 
@@ -20,158 +23,65 @@ from __future__ import annotations
 
 import random
 
-from repro.chain import (
-    Blockchain,
-    ChainExplorer,
-    CheckpointContract,
-    CheckpointLightClient,
-    CheckpointStatus,
-    Transaction,
-    audit_the_auditor_checkpoints,
-    checkpoint_amortization,
-)
-from repro.core import DataOwner, ProtocolParams
-from repro.engine import AuditExecutor, AuditInstance, EpochScheduler
-from repro.randomness import HashChainBeacon
-from repro.rollup import CheckpointPipeline, build_checkpoint
-from repro.sim.workloads import archive_file
+from repro.core import ProtocolParams
+from repro.scenarios import build_fleet, run_settlement
 
 OWNERS = 8
 FILES_PER_OWNER = 8
 PARAMS = ProtocolParams(s=6, k=4)  # demo-scale; the paper uses s=50, k=300
 
 
-def main() -> int:
-    rng = random.Random(0xCDE0)
-    print("=" * 72)
-    print("1) Fleet setup: 8 owners x 8 files on one storage provider")
-    print("=" * 72)
-    instances = []
-    for owner_index in range(OWNERS):
-        owner = DataOwner(PARAMS, rng=rng)
-        for file_index in range(FILES_PER_OWNER):
-            package = owner.prepare(
-                archive_file(1_000, tag=f"o{owner_index}f{file_index}").data,
-                fresh_keypair=file_index == 0,
-            )
-            instances.append(
-                AuditInstance.from_package(package, owner_id=f"owner-{owner_index}")
-            )
-    print(f"   {len(instances)} audit instances prepared (s={PARAMS.s}, "
-          f"k={PARAMS.k})")
-
-    beacon = HashChainBeacon(b"checkpoint-rollup-demo")
-    chain = Blockchain(block_time=15.0)
-    aggregator = chain.create_account(10.0, label="aggregator")
-    challenger = chain.create_account(1.0, label="watchtower")
-    contract = CheckpointContract(beacon, PARAMS, fraud_window=600.0)
-    address = chain.deploy(contract, deployer=aggregator)
-
-    with AuditExecutor(instances, workers=1) as executor:
-        scheduler = EpochScheduler(
-            executor, PARAMS, beacon, rng=rng, checkpoint_mode=True
-        )
-        pipeline = CheckpointPipeline(scheduler, chain, address, aggregator)
-        pipeline.register_fleet()
-
-        print()
-        print("=" * 72)
-        print("2) One epoch, one commitment: 64 audits -> 85 on-chain bytes")
-        print("=" * 72)
-        settled = pipeline.settle_epoch(0)
-        commitment = settled.bundle.checkpoint
-        print(f"   epoch 0: {commitment.num_leaves} audits "
-              f"({commitment.accepted} accepted, {commitment.rejected} "
-              f"rejected)")
-        print(f"   commitment: root {commitment.root.hex()[:16]}..., "
-              f"{commitment.byte_size()} bytes, gas "
-              f"{settled.receipt.gas_used:,}")
-        amortized = checkpoint_amortization(chain.schedule, len(instances))
-        print(f"   vs per-round postings: {amortized.per_round_trail_bytes:,} "
-              f"trail bytes and {amortized.per_round_gas:,} gas "
-              f"({amortized.bytes_reduction:,.0f}x bytes, "
-              f"{amortized.gas_reduction:,.0f}x gas saved)")
-
-        print()
-        print("=" * 72)
-        print("3) Light client: per-file inclusion proof against the root")
-        print("=" * 72)
-        client = CheckpointLightClient(
-            contract.export_instance_registry(), PARAMS, beacon
-        )
-        sample = instances[17].name
-        proof = settled.bundle.prove(sample)
-        outcome = client.verify_inclusion(commitment, proof)
-        print(f"   file {sample:#x}: opened leaf {proof.leaf_index} with "
-              f"{len(proof.siblings)} siblings -> "
-              f"{'VERIFIED' if outcome.ok else outcome.reason}")
-        replay = audit_the_auditor_checkpoints(contract, pipeline)
-        print(f"   full replay of every settled checkpoint: "
-              f"{replay.rounds_checked} rounds, "
-              f"{'consistent' if replay.consistent else 'INCONSISTENT'}")
-
-        print()
-        print("=" * 72)
-        print("4) Fraud proof: a verdict-flipped checkpoint gets slashed")
-        print("=" * 72)
-        result = scheduler.run_epoch(1)
-        records = list(result.checkpoint.records)
-        victim = records[5]
-        records[5] = victim.flipped()
-        forged = build_checkpoint(1, tuple(records))
-        print(f"   lying aggregator commits epoch 1 with file "
-              f"{victim.name:#x}'s verdict flipped "
-              f"({'pass' if victim.verdict else 'fail'} -> "
-              f"{'pass' if records[5].verdict else 'fail'})")
-        receipt = chain.transact(
-            Transaction(
-                sender=aggregator,
-                to=address,
-                method="post_checkpoint",
-                args=(forged.checkpoint.to_bytes(),),
-                value=contract.posting_bond_wei,
-            ),
-            payload_bytes=forged.checkpoint.byte_size(),
-        )
-        checkpoint_id = receipt.return_value
-        opening = forged.prove(victim.name)
-        before = chain.balance_of(challenger)
-        challenge_receipt = chain.transact(
-            Transaction(
-                sender=challenger,
-                to=address,
-                method="challenge_leaf",
-                args=(
-                    checkpoint_id,
-                    opening.leaf_data,
-                    opening.leaf_index,
-                    opening.siblings,
-                    opening.directions,
-                ),
-                value=contract.challenge_bond_wei,
-            ),
-            payload_bytes=len(opening.leaf_data) + 32 * len(opening.siblings),
-        )
-        entry = contract.checkpoints[checkpoint_id]
-        print(f"   watchtower opens that single leaf on chain...")
-        print(f"   contract re-verifies the round: {entry.fraud_reason}")
-        print(f"   checkpoint status: {entry.status.value}; watchtower "
-              f"bounty: {chain.balance_of(challenger) - before:,} wei")
-
+def _heading(title: str) -> None:
     print()
     print("=" * 72)
-    print("5) Explorer: the on-chain checkpoint log")
+    print(title)
     print("=" * 72)
-    explorer = ChainExplorer(chain)
-    for event in explorer.checkpoint_log():
+
+
+def main() -> int:
+    rng = random.Random(0xCDE0)
+    _heading("1) Fleet setup: 8 owners x 8 files on one storage provider")
+    instances = build_fleet(
+        PARAMS, rng, size=1_000, files=FILES_PER_OWNER, owners=OWNERS
+    )
+    print(f"   {len(instances)} audit instances prepared (s={PARAMS.s}, "
+          f"k={PARAMS.k})")
+    report = run_settlement(
+        instances, PARAMS, rng, lanes=1, epochs=1, workers=1, fraud=True
+    )
+
+    _heading("2) One epoch, one commitment: 64 audits -> 85 on-chain bytes")
+    settled = report.settlements[0].lanes[0]
+    commitment = settled.bundle.checkpoint
+    print(f"   epoch 0: {commitment.num_leaves} audits "
+          f"({commitment.accepted} accepted, {commitment.rejected} rejected)")
+    print(f"   commitment: root {commitment.root.hex()[:16]}..., "
+          f"{commitment.byte_size()} bytes, gas {settled.receipt.gas_used:,}")
+    amortized = report.amortization
+    print(f"   vs per-round postings: {amortized.per_round_trail_bytes:,} "
+          f"trail bytes and {amortized.per_round_gas:,} gas "
+          f"({amortized.bytes_reduction:,.0f}x bytes, "
+          f"{amortized.gas_reduction:,.0f}x gas saved)")
+
+    _heading("3) Light client: per-file inclusion proof against the root")
+    print(f"   file {report.sample_name:#x}: leaf -> lane root -> fabric root "
+          f"-> {'VERIFIED' if report.inclusion.ok else report.inclusion.reason}")
+    print(f"   full replay of every settled checkpoint: "
+          f"{report.replay.rounds_checked} rounds, "
+          f"{'consistent' if report.replay.consistent else 'INCONSISTENT'}")
+
+    _heading("4) Fraud proof: a verdict-flipped checkpoint gets slashed")
+    fraud = report.fraud
+    print("   lying aggregator commits epoch 1 with one verdict flipped;")
+    print("   a watchtower opens that single leaf on chain...")
+    print(f"   contract re-verifies the round: {fraud.reason or 'NOT slashed'}")
+    print(f"   watchtower bounty: {fraud.slashed_wei:,} wei")
+
+    _heading("5) Explorer: the on-chain checkpoint log")
+    for event in report.checkpoint_log:
         print(f"   {event['name']}: {event['payload']}")
 
-    ok = (
-        replay.consistent
-        and outcome.ok
-        and entry.status is CheckpointStatus.SLASHED
-        and challenge_receipt.success
-    )
+    ok = report.ok and report.inclusion.ok
     print()
     print("rollup demo:", "OK" if ok else "FAILED")
     return 0 if ok else 1

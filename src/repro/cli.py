@@ -32,18 +32,16 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import time
 
-from .chain import (
-    Blockchain,
-    ContractTerms,
-    CostModel,
-    deploy_audit_contract,
-    run_contract_to_completion,
-)
-from .core import DataOwner, ProtocolParams, StorageProvider, generate_keypair
+from . import scenarios
+from .core import DataOwner, ProtocolParams, generate_keypair
+from .obs.top import render_top
 from .randomness import HashChainBeacon
 from .sim.economics import one_time_storage_cost, usd_per_audit
 from .sim.throughput import ChainCapacityModel, ProviderLoadModel
+
+GWEI = 10**9
 
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
@@ -72,455 +70,160 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    rng = random.Random(args.seed)
-    params = ProtocolParams(s=args.s, k=args.k)
-    owner = DataOwner(params, rng=rng)
-    package = owner.prepare(bytes(rng.randrange(256) for _ in range(args.size)))
-    provider = StorageProvider(rng=rng)
-    if not provider.accept(package):
+    audit = scenarios.run_contract_audit(
+        size=args.size, rounds=args.rounds, s=args.s, k=args.k, seed=args.seed,
+        drop_after=args.drop_after,
+    )
+    contract = audit.contract
+    if contract is None:
         print("provider rejected the package", file=sys.stderr)
         return 1
-    chain = Blockchain()
-    terms = ContractTerms(
-        num_audits=args.rounds, audit_interval=60.0, response_window=20.0
-    )
-    deployment = deploy_audit_contract(
-        chain, package, provider, terms, HashChainBeacon(b"cli"), params
-    )
-    if args.drop_after is not None:
-        deployment.provider_agent.misbehave_after_round = args.drop_after
-    contract = run_contract_to_completion(chain, deployment)
-    cost = CostModel()
     print(f"contract closed: {contract.passes} passes, {contract.fails} fails")
     for record in contract.rounds:
         reason = f" [{record.reject_reason}]" if record.reject_reason else ""
         print(
             f"  round {record.round_id}: {'PASS' if record.passed else 'FAIL'}"
             f"{reason} gas={record.gas_used:,} "
-            f"(${cost.gas_to_usd(record.gas_used):.2f})"
+            f"(${audit.cost.gas_to_usd(record.gas_used):.2f})"
         )
-    return 0 if contract.fails == (0 if args.drop_after is None else contract.fails) else 1
+    # A provider told to drop data is expected to fail its later rounds.
+    return 0 if args.drop_after is not None or contract.fails == 0 else 1
+
+
+def _owners_by_files_fleet(args: argparse.Namespace, rng, params):
+    print(f"fleet: {args.owners} owners x {args.files} files "
+          f"({args.owners * args.files} audit instances), s={args.s}, k={args.k}")
+    return scenarios.build_fleet(
+        params, rng, size=args.size, files=args.files, owners=args.owners
+    )
 
 
 def _cmd_engine(args: argparse.Namespace) -> int:
     """Run the parallel audit engine over an owners x files fleet."""
-    import time
-
-    from .engine import AuditExecutor, AuditInstance, EpochScheduler
-    from .sim.workloads import archive_file
-
     rng = random.Random(args.seed)
     params = ProtocolParams(s=args.s, k=args.k)
-    print(
-        f"fleet: {args.owners} owners x {args.files} files "
-        f"({args.owners * args.files} audit instances), s={args.s}, k={args.k}"
-    )
     t0 = time.perf_counter()
-    instances = []
-    for owner_index in range(args.owners):
-        owner = DataOwner(params, rng=rng)
-        for file_index in range(args.files):
-            package = owner.prepare(
-                archive_file(args.size, tag=f"o{owner_index}f{file_index}").data,
-                fresh_keypair=file_index == 0,
-            )
-            instances.append(
-                AuditInstance.from_package(package, owner_id=f"owner-{owner_index}")
-            )
+    instances = _owners_by_files_fleet(args, rng, params)
     print(f"fleet prepared in {time.perf_counter() - t0:.1f} s")
-    with AuditExecutor(
-        instances, workers=args.workers, cache_dir=args.crypto_cache
-    ) as executor:
-        beacon = HashChainBeacon(b"cli-engine")
-        if args.lanes > 1:
-            # One scheduler per fabric lane over the shared process pool:
-            # each drives its deterministic slice of the fleet.
-            from .chain.fabric import lane_index_for_key
-
-            slices: dict[int, set[int]] = {}
-            for instance in instances:
-                lane = lane_index_for_key(instance.name, args.lanes)
-                slices.setdefault(lane, set()).add(instance.name)
-            schedulers = {
-                lane: EpochScheduler(
-                    executor, params, beacon, rng=rng, names=names
-                )
-                for lane, names in sorted(slices.items())
-            }
-            print(f"workers: {executor.workers}, lanes: {args.lanes} "
-                  f"({', '.join(str(len(s)) for s in slices.values())} audits)")
-            ok = True
-            for epoch in range(args.epochs):
-                for lane, scheduler in schedulers.items():
-                    result = scheduler.run_epoch(epoch)
-                    ok = ok and bool(result.batch_ok)
-                    print(
-                        f"epoch {epoch} lane {lane}: {result.num_audits} audits, "
-                        f"prove {result.prove_seconds:.2f} s + "
-                        f"batch-verify {result.verify_seconds:.2f} s, "
-                        f"batch {'OK' if result.batch_ok else 'FAILED'}"
-                    )
-            return 0 if ok else 1
-        scheduler = EpochScheduler(executor, params, beacon, rng=rng)
-        print(f"workers: {executor.workers}")
-        for result in scheduler.run(args.epochs):
-            print(
-                f"epoch {result.epoch}: {result.num_audits} audits, "
-                f"prove {result.prove_seconds:.2f} s + "
-                f"batch-verify {result.verify_seconds:.2f} s "
-                f"-> {result.audits_per_second:.1f} audits/s, "
-                f"batch {'OK' if result.batch_ok else 'FAILED'}"
-            )
-    return 0 if all(r.batch_ok for r in scheduler.history) else 1
-
-
-def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    """Epoch rollup: settle a fleet's audits as one commitment per epoch."""
-    from .chain import (
-        ChainExplorer,
-        CheckpointContract,
-        CheckpointLightClient,
-        audit_the_auditor_checkpoints,
-        checkpoint_amortization,
+    report = scenarios.run_engine(
+        instances, params, rng, lanes=args.lanes, epochs=args.epochs,
+        workers=args.workers, crypto_cache=args.crypto_cache,
     )
-    from .engine import AuditExecutor, AuditInstance, EpochScheduler
-    from .rollup import CheckpointPipeline
-    from .sim.workloads import archive_file
-
-    if args.epochs < 1 or args.owners < 1 or args.files < 1:
-        print("checkpoint: --epochs, --owners and --files must be >= 1",
-              file=sys.stderr)
-        return 2
-    rng = random.Random(args.seed)
-    params = ProtocolParams(s=args.s, k=args.k)
-    instances = []
-    for owner_index in range(args.owners):
-        owner = DataOwner(params, rng=rng)
-        for file_index in range(args.files):
-            package = owner.prepare(
-                archive_file(args.size, tag=f"o{owner_index}f{file_index}").data,
-                fresh_keypair=file_index == 0,
-            )
-            instances.append(
-                AuditInstance.from_package(package, owner_id=f"owner-{owner_index}")
-            )
-    fleet = len(instances)
-    if args.lanes > 1:
-        # Sharded rollup: settle the same fleet across fabric lanes with
-        # per-lane commitments plus the cross-shard super-commitment.
-        return _run_sharded_settlement(
-            instances,
-            params,
-            lanes=args.lanes,
-            epochs=args.epochs,
-            workers=args.workers,
-            rng=rng,
-            persist=None,
-            fraud=args.fraud,
-        )
-    print(f"fleet: {args.owners} owners x {args.files} files "
-          f"({fleet} audit instances), s={args.s}, k={args.k}")
-
-    beacon = HashChainBeacon(b"cli-checkpoint")
-    chain = Blockchain(block_time=15.0)
-    aggregator = chain.create_account(10.0, label="aggregator")
-    contract = CheckpointContract(beacon, params, fraud_window=1000.0)
-    address = chain.deploy(contract, deployer=aggregator)
-
-    with AuditExecutor(instances, workers=args.workers) as executor:
-        scheduler = EpochScheduler(
-            executor, params, beacon, rng=rng, checkpoint_mode=True
-        )
-        pipeline = CheckpointPipeline(scheduler, chain, address, aggregator)
-        pipeline.register_fleet()
-        for settled in pipeline.run(args.epochs):
-            commitment = settled.bundle.checkpoint
-            print(
-                f"epoch {settled.epoch}: {commitment.num_leaves} audits -> "
-                f"1 checkpoint tx ({commitment.byte_size()} B on chain, "
-                f"{commitment.accepted} accepted / {commitment.rejected} "
-                f"rejected, gas {settled.receipt.gas_used:,})"
-            )
-
-        # Any third party can verify per-file inclusion from raw bytes.
-        client = CheckpointLightClient(
-            contract.export_instance_registry(), params, beacon
-        )
-        sample = instances[0].name
-        bundle = pipeline.settled[0].bundle
-        outcome = client.verify_inclusion(bundle.checkpoint, bundle.prove(sample))
-        print(f"light client: inclusion of file {sample:#x} in epoch 0 -> "
-              f"{'OK' if outcome.ok else outcome.reason}")
-        replay = audit_the_auditor_checkpoints(contract, pipeline)
-        print(f"light client: replayed {replay.checkpoints_checked} checkpoints "
-              f"({replay.rounds_checked} rounds) -> "
-              f"{'consistent' if replay.consistent else 'INCONSISTENT'}")
-
-        amortized = checkpoint_amortization(chain.schedule, fleet)
+    sizes = ", ".join(str(size) for size in report.lane_sizes.values())
+    print(f"workers: {report.workers}, lanes: {args.lanes} ({sizes} audits)")
+    for lane, result in report.results:
         print(
-            f"per-round path: {amortized.per_round_trail_bytes:,} trail B, "
-            f"{amortized.per_round_gas:,} gas per epoch; checkpointed: "
-            f"{amortized.checkpoint_trail_bytes} B, "
-            f"{amortized.checkpoint_gas:,} gas "
-            f"({amortized.bytes_reduction:,.0f}x bytes, "
-            f"{amortized.gas_reduction:,.0f}x gas)"
+            f"epoch {result.epoch} lane {lane}: {result.num_audits} audits, "
+            f"prove {result.prove_seconds:.2f} s + "
+            f"batch-verify {result.verify_seconds:.2f} s "
+            f"-> {result.audits_per_second:.1f} audits/s, "
+            f"batch {'OK' if result.batch_ok else 'FAILED'}"
         )
+    return 0 if report.ok else 1
 
-        fraud_caught = True
-        if args.fraud:
-            # A lying aggregator flips one verdict; anyone holding the
-            # leaves opens that leaf on chain and takes the bond.
-            fraud_caught, slashed = _slash_forged_checkpoint(
-                chain, address, aggregator, scheduler, args.epochs
-            )
-            print(f"fraud proof: forged checkpoint (flipped verdict) "
-                  f"{'slashed' if fraud_caught else 'NOT slashed'}"
-                  + (f", bounty {slashed[0].payload['slashed_wei']:,} wei"
-                     if slashed else ""))
 
-    explorer = ChainExplorer(chain)
+def _print_settlement(report) -> int:
+    """One settlement report, as ``repro checkpoint`` and ``repro shard`` show it."""
+    for settlement in report.settlements:
+        commitment = settlement.fabric.checkpoint
+        lane_parts = ", ".join(
+            f"lane {lane_id}: {settled.bundle.checkpoint.num_leaves} audits"
+            f"/{settled.receipt.gas_used:,} gas"
+            for lane_id, settled in sorted(settlement.lanes.items())
+        )
+        print(f"epoch {settlement.epoch}: {commitment.num_leaves} audits -> "
+              f"{len(settlement.lanes)} checkpoint tx, one per lane "
+              f"commitment ({lane_parts})")
+        print(f"  fabric super-commitment: {commitment.byte_size()} B, "
+              f"root {commitment.fabric_root.hex()[:16]}…, "
+              f"{commitment.accepted} accepted / {commitment.rejected} rejected")
+    # Any third party verifies one round from the 87-byte commitment.
+    print(f"light client: leaf->lane->fabric inclusion of file "
+          f"{report.sample_name:#x} -> "
+          f"{'OK' if report.inclusion.ok else report.inclusion.reason}")
+    replay = report.replay
+    print(f"light client: replayed {replay.checkpoints_checked} lane "
+          f"checkpoints ({replay.rounds_checked} rounds) -> "
+          f"{'consistent' if replay.consistent else 'INCONSISTENT'}")
+    amortized = report.amortization
+    print(
+        f"per-round path: {amortized.per_round_trail_bytes:,} trail B, "
+        f"{amortized.per_round_gas:,} gas per epoch; checkpointed: "
+        f"{amortized.checkpoint_trail_bytes} B, "
+        f"{amortized.checkpoint_gas:,} gas per lane "
+        f"({amortized.bytes_reduction:,.0f}x bytes, "
+        f"{amortized.gas_reduction:,.0f}x gas)"
+    )
+    fraud = report.fraud
+    if fraud is not None:
+        print(f"fraud proof (lane {fraud.lane_id}): forged checkpoint "
+              f"(flipped verdict) "
+              + (f"slashed, bounty {fraud.slashed_wei:,} wei" if fraud.caught
+                 else "NOT slashed"))
     print("checkpoint log:")
-    for event in explorer.checkpoint_log():
+    for event in report.checkpoint_log:
         print(f"  {event['name']}: {event['payload']}")
-    ok = replay.consistent and fraud_caught and all(
-        s.receipt.success for s in pipeline.settled
-    )
-    return 0 if ok else 1
-
-
-def _slash_forged_checkpoint(chain, contract_address, poster, scheduler, epoch):
-    """Fraud-proof demo shared by ``checkpoint --fraud`` and ``shard --fraud``.
-
-    Runs one extra engine epoch, flips a verdict in its record set, posts
-    the forged commitment under bond, and opens the flipped leaf on chain
-    as a challenger.  Returns ``(slashed_ok, slashed_events)``.
-    """
-    from .chain import Transaction
-    from .rollup import build_checkpoint
-
-    contract = chain.contract_at(contract_address)
-    result = scheduler.run_epoch(epoch)
-    records = list(result.checkpoint.records)
-    records[0] = records[0].flipped()
-    forged = build_checkpoint(epoch, tuple(records))
-    receipt = chain.transact(
-        Transaction(
-            sender=poster,
-            to=contract_address,
-            method="post_checkpoint",
-            args=(forged.checkpoint.to_bytes(),),
-            value=contract.posting_bond_wei,
-        ),
-        payload_bytes=forged.checkpoint.byte_size(),
-    )
-    challenger = chain.create_account(1.0, label="challenger")
-    opening = forged.prove(records[0].name)
-    challenge_receipt = chain.transact(
-        Transaction(
-            sender=challenger,
-            to=contract_address,
-            method="challenge_leaf",
-            args=(
-                receipt.return_value,
-                opening.leaf_data,
-                opening.leaf_index,
-                opening.siblings,
-                opening.directions,
-            ),
-            value=contract.challenge_bond_wei,
-        ),
-        payload_bytes=len(opening.leaf_data) + 32 * len(opening.siblings),
-    )
-    slashed = [
-        e for e in challenge_receipt.events if e.name == "checkpoint_slashed"
-    ]
-    return bool(challenge_receipt.success and slashed), slashed
-
-
-def _run_sharded_settlement(
-    instances,
-    params,
-    lanes: int,
-    epochs: int,
-    workers: int,
-    rng,
-    persist: str | None,
-    fraud: bool = False,
-) -> int:
-    """Settle a fleet's epochs across a sharded chain fabric.
-
-    Shared core of ``repro shard`` and ``repro checkpoint --lanes N``:
-    builds the fabric (WAL-persisted under ``persist`` when given), runs a
-    :class:`~repro.rollup.CrossShardAggregator` over one shared executor,
-    verifies a leaf → lane-root → fabric-root inclusion proof plus a full
-    fabric replay with the light client, and reports per-lane gas.
-    """
-    from .chain import (
-        ChainExplorer,
-        CheckpointLightClient,
-        ShardedChainFabric,
-        audit_the_auditor_fabric,
-    )
-    from .engine import AuditExecutor
-    from .randomness import HashChainBeacon
-    from .rollup import CrossShardAggregator
-
-    beacon = HashChainBeacon(b"cli-shard")
-    fabric = ShardedChainFabric(num_lanes=lanes, persist_dir=persist)
-    print(f"fabric: {lanes} lanes, fleet {len(instances)}"
-          + (f", persisted under {persist}" if persist else " (in-memory)"))
-    with AuditExecutor(instances, workers=workers) as executor:
-        aggregator = CrossShardAggregator(fabric, executor, params, beacon, rng=rng)
-        for settlement in aggregator.run(epochs):
-            fabric_ckpt = settlement.fabric.checkpoint
-            lane_parts = ", ".join(
-                f"lane {lane_id}: {settled.bundle.checkpoint.num_leaves} audits"
-                f"/{settled.receipt.gas_used:,} gas"
-                for lane_id, settled in sorted(settlement.lanes.items())
-            )
-            print(f"epoch {settlement.epoch}: {fabric_ckpt.num_leaves} audits -> "
-                  f"{len(settlement.lanes)} lane commitments ({lane_parts})")
-            print(f"  fabric super-commitment: {fabric_ckpt.byte_size()} B, "
-                  f"root {fabric_ckpt.fabric_root.hex()[:16]}…, "
-                  f"{fabric_ckpt.accepted} accepted / {fabric_ckpt.rejected} rejected")
-
-        # Any third party verifies one round from the 87-byte commitment.
-        client = CheckpointLightClient(
-            aggregator.export_instance_registry(), params, beacon
-        )
-        sample = instances[0].name
-        first = aggregator.settled[0]
-        outcome = client.verify_fabric_inclusion(
-            first.fabric.checkpoint, first.fabric.prove(sample)
-        )
-        print(f"light client: leaf->lane->fabric inclusion of file "
-              f"{sample:#x} -> {'OK' if outcome.ok else outcome.reason}")
-        replay = audit_the_auditor_fabric(aggregator)
-        print(f"light client: replayed {replay.checkpoints_checked} lane "
-              f"checkpoints ({replay.rounds_checked} rounds) -> "
-              f"{'consistent' if replay.consistent else 'INCONSISTENT'}")
-
-        fraud_caught = True
-        if fraud:
-            # A lying lane aggregator flips one verdict; the fraud proof on
-            # that lane's bonded contract slashes it (soundness per lane).
-            lane_id = min(aggregator.pipelines)
-            pipeline = aggregator.pipelines[lane_id]
-            fraud_caught, _ = _slash_forged_checkpoint(
-                fabric.lane(lane_id),
-                pipeline.contract_address,
-                pipeline.aggregator,
-                aggregator.schedulers[lane_id],
-                epochs,
-            )
-            print(f"fraud proof (lane {lane_id}): forged lane checkpoint "
-                  f"{'slashed' if fraud_caught else 'NOT slashed'}")
-
-    explorer = ChainExplorer(fabric)
     print("per-lane gas totals:")
-    for summary in explorer.lane_summaries():
+    for summary in report.lane_summaries:
         print(f"  lane {summary.lane}: {summary.gas_used:,} gas over "
               f"{summary.transactions} txs, {summary.chain_bytes:,} chain B, "
               f"congestion {summary.congestion_seconds:.0f} s")
     print(f"fabric settlement chain-time (slowest lane): "
-          f"{fabric.settlement_chain_seconds():.0f} s")
-
-    persisted_ok = True
-    if persist:
-        expected = fabric.state_hash()
-        fabric.snapshot()
-        fabric.close()
-        reopened = ShardedChainFabric(num_lanes=lanes, persist_dir=persist)
-        persisted_ok = reopened.state_hash() == expected
-        reopened.close()
+          f"{report.settlement_chain_seconds:.0f} s")
+    if report.state_hash is not None:
+        matches = report.state_hash == report.reopened_state_hash
         print(f"state store: snapshot + reopen state_hash "
-              f"{'MATCHES' if persisted_ok else 'DIVERGED'} "
-              f"({expected[:16]}…)")
+              f"{'MATCHES' if matches else 'DIVERGED'} "
+              f"({report.state_hash[:16]}…)")
+    return 0 if report.ok else 1
 
-    ok = (
-        replay.consistent
-        and fraud_caught
-        and persisted_ok
-        and all(
-            settled.receipt.success
-            for settlement in aggregator.settled
-            for settled in settlement.lanes.values()
-        )
-    )
-    return 0 if ok else 1
+
+def _cmd_checkpoint(args: argparse.Namespace) -> int:
+    """Epoch rollup: settle an owners x files fleet, one commitment per lane-epoch."""
+    if args.epochs < 1 or args.owners < 1 or args.files < 1 or args.lanes < 1:
+        print("checkpoint: --epochs, --owners, --files and --lanes must be >= 1",
+              file=sys.stderr)
+        return 2
+    rng = random.Random(args.seed)
+    params = ProtocolParams(s=args.s, k=args.k)
+    instances = _owners_by_files_fleet(args, rng, params)
+    return _print_settlement(scenarios.run_settlement(
+        instances, params, rng, lanes=args.lanes, epochs=args.epochs,
+        workers=args.workers, fraud=args.fraud,
+    ))
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:
-    """Sharded chain fabric: lane-partitioned settlement + super-commitment."""
-    from .engine import AuditInstance
-    from .sim.workloads import archive_file
-
+    """Sharded chain fabric: one key's fleet hashed across lanes, optionally WAL-backed."""
     if args.lanes < 1 or args.fleet < 1 or args.epochs < 1:
         print("shard: --lanes, --fleet and --epochs must be >= 1",
               file=sys.stderr)
         return 2
     rng = random.Random(args.seed)
     params = ProtocolParams(s=args.s, k=args.k)
-    owner = DataOwner(params, rng=rng)
-    instances = []
-    for index in range(args.fleet):
-        package = owner.prepare(
-            archive_file(args.size, tag=f"shard-{index}").data,
-            fresh_keypair=index == 0,
-        )
-        instances.append(AuditInstance.from_package(package, owner_id="fleet"))
-    return _run_sharded_settlement(
-        instances,
-        params,
-        lanes=args.lanes,
-        epochs=args.epochs,
-        workers=args.workers,
-        rng=rng,
-        persist=args.persist or None,
-        fraud=args.fraud,
+    instances = scenarios.build_fleet(
+        params, rng, size=args.size, files=args.fleet,
+        tag="shard-{file}", owner_id="fleet",
     )
+    persist = args.persist or None
+    print(f"fabric: {args.lanes} lanes, fleet {len(instances)}"
+          + (f", persisted under {persist}" if persist else " (in-memory)"))
+    return _print_settlement(scenarios.run_settlement(
+        instances, params, rng, lanes=args.lanes, epochs=args.epochs,
+        workers=args.workers, persist=persist, fraud=args.fraud,
+    ))
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
     """Adversary entry point: privacy attack or byzantine-provider scenarios."""
     if args.strategy != "privacy":
         return _cmd_attack_byzantine(args)
-    from .core import (
-        EclipseChallengeFactory,
-        InterpolationAttacker,
-        transcript_from_plain,
-        transcripts_needed,
-    )
-
-    rng = random.Random(args.seed)
-    params = ProtocolParams(s=args.s, k=args.k)
-    owner = DataOwner(params, rng=rng)
-    package = owner.prepare(bytes(rng.randrange(256) for _ in range(args.s * 31 * 12)))
-    provider = StorageProvider(rng=rng)
-    provider.accept(package)
-    prover = provider.prover_for(package.name)
-    factory = EclipseChallengeFactory(params, rng=rng)
-    attacker = InterpolationAttacker(params, package.num_chunks)
-    pinned_c1, _ = factory.fresh_set_seeds()
-    target = None
-    for _ in range(params.k):
-        _, c2 = factory.fresh_set_seeds()
-        for _ in range(params.s):
-            challenge = factory.challenge(pinned_c1, c2)
-            proof = prover.respond_plain(challenge)
-            attacker.observe(transcript_from_plain(challenge, proof))
-            if target is None:
-                target = challenge.expand(package.num_chunks).indices
-    recovered = attacker.recover_blocks(target)
-    hits = 0
-    if recovered:
-        hits = sum(
-            list(package.chunked.chunks[i]) == recovered[i] for i in target
-        )
+    report = scenarios.run_privacy_attack(s=args.s, k=args.k, seed=args.seed)
     print(
-        f"observed {attacker.transcripts_seen} transcripts "
-        f"(s*u = {transcripts_needed(params, params.k)}); "
-        f"recovered {hits}/{len(target)} chunks from NON-PRIVATE proofs"
+        f"observed {report.transcripts_seen} transcripts "
+        f"(s*u = {report.transcripts_needed}); "
+        f"recovered {report.chunks_recovered}/{report.chunks_targeted} chunks "
+        f"from NON-PRIVATE proofs"
     )
     print("(re-run your deployment with private proofs: recovery drops to 0)")
     return 0
@@ -528,28 +231,17 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 def _cmd_attack_byzantine(args: argparse.Namespace) -> int:
     """Run the adversarial strategy library (docs/SCENARIOS.md)."""
-    from .adversary import (
-        STRATEGY_KINDS,
-        ScenarioRunner,
-        StrategySpec,
-        measured_detection_rate,
-        run_onchain_dispute,
-    )
-    from .core import ProtocolParams
-
-    params = ProtocolParams(s=args.s, k=args.k)
-
     if args.onchain:
         if args.strategy == "all":
             print(
                 "--onchain drives one strategy per contract; running "
                 "'replay' (pass --strategy <kind> for another)\n"
             )
-        result = run_onchain_dispute(
+        result = scenarios.run_onchain_dispute(
             strategy=args.strategy if args.strategy != "all" else "replay",
             rho=args.rho,
             rounds=args.rounds,
-            params=params,
+            params=ProtocolParams(s=args.s, k=args.k),
             seed=args.seed,
         )
         print("\n".join(result.summary_lines()))
@@ -561,30 +253,22 @@ def _cmd_attack_byzantine(args: argparse.Namespace) -> int:
         )
         return 0 if result.fails > 0 and slashed > 0 else 1
 
-    kinds = (
-        [k for k in STRATEGY_KINDS if k != "honest"]
-        if args.strategy == "all"
-        else [args.strategy]
+    fleet = scenarios.run_byzantine_fleet(
+        strategy=args.strategy, rho=args.rho, epochs=args.epochs,
+        trials=args.trials, s=args.s, k=args.k, seed=args.seed,
     )
-    specs = [StrategySpec("honest", count=2)]
-    specs += [StrategySpec(kind, rho=args.rho) for kind in kinds]
-    runner = ScenarioRunner(specs, params=params, seed=args.seed)
-    report = runner.run(epochs=args.epochs)
+    report = fleet.report
     print("\n".join(report.summary_lines()))
-    if args.strategy in ("selective", "all"):
-        chunks = runner.instances[0].num_chunks
-        measured, predicted = measured_detection_rate(
-            max(chunks, 40), args.rho, params, trials=args.trials, seed=args.seed
-        )
+    if fleet.sampling is not None:
+        measured, predicted = fleet.sampling
         print(
             f"\nselective-storage sampling over {args.trials} trials: "
             f"measured {measured:.3f} vs 1-(1-rho)^c = {predicted:.3f} "
             f"(|delta| = {abs(measured - predicted):.3f})"
         )
-    ok = report.zero_false_accepts and report.zero_false_rejects
     print(f"\nzero false accepts: {report.zero_false_accepts}; "
           f"zero false rejects: {report.zero_false_rejects}")
-    return 0 if ok else 1
+    return 0 if fleet.ok else 1
 
 
 def _cmd_lifecycle(args: argparse.Namespace) -> int:
@@ -683,252 +367,96 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
 
 def _cmd_congest(args: argparse.Namespace) -> int:
     """Fee-market congestion run: storm pooled lanes, report the market."""
-    from .adversary import FeeGriefer, detect_fee_griefers
-    from .chain.fabric import ShardedChainFabric
-    from .chain.mempool import (
-        GasSinkContract,
-        MempoolConfig,
-        MempoolRejection,
-        StormTraffic,
-    )
-    from .sim import CongestionPricingModel
-
     if args.lanes < 1 or args.blocks < 1 or args.senders < 1:
         print("congest: --lanes, --blocks and --senders must be positive",
               file=sys.stderr)
         return 2
-    load = args.load
-    if args.storm:
-        load = max(load, 2.0)  # the acceptance regime: >= 2x gas target
-    config = MempoolConfig()
-    market = config.fee_market
-    fabric = ShardedChainFabric(num_lanes=args.lanes, mempool=config)
-    sinks, storms = [], []
-    for lane_id, lane in enumerate(fabric.lanes):
-        deployer = lane.create_account(10.0, label=f"congest-deploy-{lane_id}")
-        sink = lane.deploy(GasSinkContract(), deployer=deployer)
-        senders = [
-            lane.create_account(100.0, label=f"congest-sender-{lane_id}-{i}")
-            for i in range(args.senders)
-        ]
-        sinks.append(sink)
-        storms.append(
-            StormTraffic(sink, senders, seed=args.seed * 1000 + lane_id)
-        )
-    griefer = None
-    if args.griefer:
-        lane = fabric.lanes[0]
-        account = lane.create_account(50_000.0, label="congest-griefer")
-        griefer = FeeGriefer(
-            lane, account, sinks[0], gas_share=0.5, aggression=4.0
-        )
-    gas_target = market.gas_target(fabric.lanes[0].block_gas_limit)
-    offered = int(load * gas_target)
-    print(f"congestion: {args.lanes} lane(s), offered load {load:g}x gas "
-          f"target ({offered:,} gas/block/lane), {args.blocks} storm blocks"
-          + (", fee griefer on lane 0" if griefer else ""))
-
-    peaks = [0] * args.lanes
-    pool_peak = 0
-    pending_integral = 0
-    for _ in range(args.blocks):
-        if griefer is not None:
-            griefer.on_block()
-        for lane, storm in zip(fabric.lanes, storms):
-            max_fee_gwei, tip_gwei = lane.pool.suggest_fees(args.tip)
-            for tx in storm.txs_for_block(
-                offered,
-                max_fee_gwei=max_fee_gwei,
-                priority_fee_gwei=tip_gwei,
-                jitter_gwei=args.tip / 2,
-            ):
-                try:
-                    lane.submit(tx)
-                except MempoolRejection:
-                    pass  # counted in the pool's rejection telemetry
-        pool_peak = max(pool_peak, max(len(l.pool) for l in fabric.lanes))
-        pending_integral += fabric.pending_total()
-        fabric.mine_block()
-        peaks = [
-            max(peak, lane.base_fee_wei)
-            for peak, lane in zip(peaks, fabric.lanes)
-        ]
-
-    drain_blocks = fabric.mine_until_pools_drain()
-    floor = market.base_fee_floor_wei
-    decay_blocks = drain_blocks
-    while (
-        any(lane.base_fee_wei > floor for lane in fabric.lanes)
-        and decay_blocks < 1000
-    ):
-        fabric.mine_block()
-        decay_blocks += 1
-
-    gwei = 10**9
-    total_drained = 0
+    report = scenarios.run_congestion(
+        lanes=args.lanes, blocks=args.blocks, load=args.load, storm=args.storm,
+        griefer=args.griefer, senders=args.senders, tip=args.tip, seed=args.seed,
+    )
+    fabric = report.fabric
+    print(f"congestion: {args.lanes} lane(s), offered load {report.load:g}x gas "
+          f"target ({report.offered_gas:,} gas/block/lane), "
+          f"{args.blocks} storm blocks"
+          + (", fee griefer on lane 0" if report.griefer else ""))
     for lane_id, lane in enumerate(fabric.lanes):
         pool = lane.pool
-        total_drained += pool.stats["drained"]
-        print(f"lane {lane_id}: peak base fee {peaks[lane_id] / gwei:.3f} "
-              f"gwei, burned {lane.burned:,} wei, drained "
-              f"{pool.stats['drained']}, evicted {pool.stats['evicted']}, "
-              f"rejections {pool.rejection_total()} "
+        print(f"lane {lane_id}: peak base fee "
+              f"{report.peak_base_fees_wei[lane_id] / GWEI:.3f} gwei, burned "
+              f"{lane.burned:,} wei, drained {pool.stats['drained']}, evicted "
+              f"{pool.stats['evicted']}, rejections {pool.rejection_total()} "
               f"{dict(sorted(pool.rejections.items()))}")
-    inversions = sum(lane.pool.priority_inversions for lane in fabric.lanes)
-    held = pool_peak <= config.high_watermark
-    print(f"priority inversions: {inversions}")
-    print(f"pool peak {pool_peak} (high watermark {config.high_watermark}); "
-          f"watermark held: {held}")
-    print(f"base fee decayed to floor after {decay_blocks} post-storm "
-          f"blocks: {all(l.base_fee_wei <= floor for l in fabric.lanes)}")
-    if total_drained:
-        # Little's law over the storm window: mean pending / drain rate.
-        latency = pending_integral / total_drained + 1.0
+    print(f"priority inversions: {report.priority_inversions}")
+    print(f"pool peak {report.pool_peak} (high watermark "
+          f"{report.high_watermark}); watermark held: {report.watermark_held}")
+    print(f"base fee decayed to floor after {report.decay_blocks} post-storm "
+          f"blocks: {report.decayed_to_floor}")
+    if report.inclusion_latency_blocks is not None:
         print(f"inclusion latency (Little's law estimate): "
-              f"{latency:.2f} blocks")
+              f"{report.inclusion_latency_blocks:.2f} blocks")
     if args.lanes > 1:
-        fees = ", ".join(f"{fee / gwei:.3f}" for fee in fabric.lane_base_fees())
+        fees = ", ".join(f"{fee / GWEI:.3f}" for fee in fabric.lane_base_fees())
         print(f"lane base fees (gwei): [{fees}]; congestion premium "
               f"{fabric.congestion_premium():.3f}x (hottest/coolest lane)")
-
-    model = CongestionPricingModel.for_market(
-        market, fabric.lanes[0].block_gas_limit, lanes=args.lanes,
-    )
-    growth = model.base_fee_growth_per_block(offered * args.lanes)
-    print(f"model: base-fee growth {growth:.4f}x/block at this load, "
-          f"decay from peak in "
-          f"{model.decay_blocks_from_multiplier(max(peaks) / floor):.1f} "
-          f"empty blocks")
-
-    ok = held and inversions == 0
-    if griefer is not None:
-        reports = detect_fee_griefers(fabric.lanes[0])
-        flagged = [r for r in reports if r.flagged]
-        caught = any(r.sender == griefer.account for r in flagged)
-        for report in flagged:
-            print(f"fee-griefer detection: {report.sender[:10]} flagged "
-                  f"(gas share {report.gas_share:.0%}, mean tip "
-                  f"{report.mean_tip_wei / gwei:.2f} gwei)")
-        print(f"griefer caught: {caught} "
-              f"({len(flagged)} sender(s) flagged, griefer submitted "
-              f"{griefer.submitted}, rejected {griefer.rejected})")
-        ok = ok and caught
-    return 0 if ok else 1
+    print(f"model: base-fee growth {report.model_growth_per_block:.4f}x/block "
+          f"at this load, decay from peak in "
+          f"{report.model_decay_blocks:.1f} empty blocks")
+    if report.griefer is not None:
+        for flagged in report.flagged:
+            print(f"fee-griefer detection: {flagged.sender[:10]} flagged "
+                  f"(gas share {flagged.gas_share:.0%}, mean tip "
+                  f"{flagged.mean_tip_wei / GWEI:.2f} gwei)")
+        print(f"griefer caught: {report.griefer_caught} "
+              f"({len(report.flagged)} sender(s) flagged, griefer submitted "
+              f"{report.griefer.submitted}, rejected {report.griefer.rejected})")
+    return 0 if report.ok else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Host the long-lived JSON-RPC audit service over a sharded fabric."""
-    import time
-
-    from .chain.fabric import ShardedChainFabric
-    from .chain.mempool import MempoolConfig
-    from .engine import AuditExecutor, AuditInstance
-    from .obs import (
-        MetricsHttpServer,
-        Tracer,
-        get_registry,
-        register_core_instruments,
-    )
-    from .randomness import HashChainBeacon
-    from .rollup import CrossShardAggregator
-    from .rpc import RpcClient, RpcDispatcher, RpcTcpServer, ServiceNode
-    from .sim.workloads import archive_file
-
     if args.lanes < 1 or args.fleet < 1 or args.epochs < 0:
         print("serve: --lanes and --fleet must be >= 1, --epochs >= 0",
               file=sys.stderr)
         return 2
     rng = random.Random(args.seed)
     params = ProtocolParams(s=args.s, k=args.k)
-    # Observability: the service hosts the process-wide registry (every
-    # layer below — mempool, fabric, engine — records into it by default)
-    # plus an epoch-pipeline tracer for trace_get.  Spans are only
-    # collected on the sequential settlement walk; see CrossShardAggregator.
-    registry = get_registry()
-    register_core_instruments(registry)
-    tracer = Tracer()
-    fabric = ShardedChainFabric(
-        num_lanes=args.lanes,
-        mempool=MempoolConfig(),
-        concurrent=args.concurrent,
+    instances = scenarios.build_fleet(
+        params, rng, size=args.size, files=args.fleet,
+        tag="serve-{file}", owner_id="serve",
     )
-    fabric.attach_gauges(registry)
-    owner = DataOwner(params, rng=rng)
-    instances = []
-    for index in range(args.fleet):
-        package = owner.prepare(
-            archive_file(args.size, tag=f"serve-{index}").data,
-            fresh_keypair=index == 0,
-        )
-        instances.append(AuditInstance.from_package(package, owner_id="serve"))
-    executor = AuditExecutor(
-        instances, workers=args.workers, cache_dir=args.crypto_cache
-    )
-    aggregator = CrossShardAggregator(
-        fabric, executor, params, HashChainBeacon(b"cli-serve"), rng=rng,
-        concurrent_lanes=args.concurrent, pooled_verify=args.workers != 1,
-        tracer=tracer,
-    )
-    node = ServiceNode(fabric, aggregator=aggregator)
-    dispatcher = RpcDispatcher(registry=registry, tracer=aggregator.tracer)
-    node.register_on(dispatcher)
-    server = RpcTcpServer(dispatcher, host=args.host, port=args.port)
-    metrics_server = None
-    if args.metrics_port >= 0:
-        metrics_server = MetricsHttpServer(
-            registry, host=args.host, port=args.metrics_port
-        )
-        metrics_server.start()
-    try:
-        settlements = aggregator.run(args.epochs)
-        host, port = server.serve_in_thread()
-        print(f"audit service on {host}:{port} — {args.lanes} lanes"
-              f"{' (concurrent)' if args.concurrent else ''}, "
+    with scenarios.audit_service(
+        instances, params, HashChainBeacon(b"cli-serve"), rng,
+        lanes=args.lanes, concurrent=args.concurrent, workers=args.workers,
+        crypto_cache=args.crypto_cache, host=args.host, port=args.port,
+        metrics_port=args.metrics_port,
+    ) as service:
+        settlements = service.aggregator.run(args.epochs)
+        print(f"audit service on {service.host}:{service.port} — "
+              f"{args.lanes} lanes{' (concurrent)' if args.concurrent else ''}, "
               f"{len(instances)} audit instances, "
               f"{len(settlements)} epochs pre-settled, "
-              f"{len(dispatcher.methods())} methods")
-        if metrics_server is not None:
-            print(f"prometheus metrics on http://{metrics_server.host}:"
-                  f"{metrics_server.port}/metrics")
+              f"{len(service.dispatcher.methods())} methods")
+        if service.metrics_url is not None:
+            print(f"prometheus metrics on {service.metrics_url}")
         if args.mine_interval > 0:
-            node.start_auto_mine(args.mine_interval)
+            service.node.start_auto_mine(args.mine_interval)
         if args.probe:
-            # CI smoke: exercise the service through a real socket
-            # client (and the Prometheus endpoint when enabled), then
+            # CI smoke: read the service back through a real socket, then
             # shut down cleanly.
-            with RpcClient(host, port) as client:
-                status = client.call("node_status")
-                print(f"probe node_status: lanes={status['num_lanes']} "
-                      f"height={status['height']}")
-                suggestion = client.call("fee_suggest", {"tip_gwei": 1.0})
-                print(f"probe fee_suggest: max_fee="
-                      f"{suggestion['max_fee_gwei']:g} gwei")
-                checkpoint = client.call("checkpoint_get")
-                print(f"probe checkpoint_get: epoch {checkpoint['epoch']}, "
-                      f"root {checkpoint['fabric_root'][:16]}…")
-                snapshot = client.call("metrics_get")
-                layers = {name.split("_")[0] for name in snapshot}
-                print(f"probe metrics_get: {len(snapshot)} instruments, "
-                      f"layers {sorted(layers)}")
-                ok = (
-                    status["num_lanes"] == args.lanes
-                    and suggestion["max_fee_gwei"] > 0
-                    and checkpoint["num_lanes"] == args.lanes
-                    and {"rpc", "mempool", "fabric", "engine",
-                         "lifecycle"} <= layers
-                )
-            if metrics_server is not None:
-                from urllib.request import urlopen
-
-                url = (f"http://{metrics_server.host}:"
-                       f"{metrics_server.port}/metrics")
-                with urlopen(url) as response:
-                    text = response.read().decode("utf-8")
-                exposed = ok and "engine_epochs_total" in text
-                print(f"probe /metrics: {len(text.splitlines())} lines")
-                ok = exposed
-            print(f"probe: {'OK' if ok else 'FAILED'}; shutting down")
-            return 0 if ok else 1
+            probe = scenarios.probe_service(service)
+            print(f"probe node_status: lanes={probe.status['num_lanes']} "
+                  f"height={probe.status['height']}")
+            print(f"probe fee_suggest: max_fee="
+                  f"{probe.fee_suggestion['max_fee_gwei']:g} gwei")
+            print(f"probe checkpoint_get: epoch {probe.checkpoint['epoch']}, "
+                  f"root {probe.checkpoint['fabric_root'][:16]}…")
+            print(f"probe metrics_get: {probe.instruments} instruments, "
+                  f"layers {probe.layers}")
+            if probe.metrics_lines is not None:
+                print(f"probe /metrics: {probe.metrics_lines} lines")
+            print(f"probe: {'OK' if probe.ok else 'FAILED'}; shutting down")
+            return 0 if probe.ok else 1
         deadline = time.time() + args.duration if args.duration > 0 else None
         try:
             while deadline is None or time.time() < deadline:
@@ -936,175 +464,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except KeyboardInterrupt:
             print("interrupted; shutting down")
         return 0
-    finally:
-        node.stop_auto_mine()
-        server.close()
-        if metrics_server is not None:
-            metrics_server.stop()
-        aggregator.close()
-        executor.close()
-        fabric.close()
-
-
-def _metric_total(snapshot: dict, name: str) -> float:
-    """Sum a counter/gauge family's series from a metrics_get snapshot."""
-    family = snapshot.get(name) or {}
-    return sum(point.get("value", 0) for point in family.get("series", ()))
-
-
-def _metric_histogram(snapshot: dict, name: str) -> dict:
-    """First (unlabelled) histogram series of a family, or an empty one."""
-    family = snapshot.get(name) or {}
-    for point in family.get("series", ()):
-        return point
-    return {"count": 0, "sum": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-
-
-def _render_top(status: dict, snapshot: dict, lanes: list) -> str:
-    """One ``repro top`` frame from node_status + metrics_get + lanes."""
-    uptime = max(status.get("uptime_seconds", 0.0), 1e-9)
-    epochs = _metric_total(snapshot, "engine_epochs_total")
-    audits = _metric_total(snapshot, "engine_audits_total")
-    depth = _metric_total(snapshot, "mempool_depth")
-    verify = _metric_histogram(snapshot, "engine_verify_seconds")
-    fees = {
-        point["labels"].get("lane", "?"): point["value"]
-        for point in (snapshot.get("fabric_lane_base_fee_wei") or {}).get(
-            "series", ()
-        )
-    }
-    total_txs = sum(summary.get("transactions", 0) for summary in lanes)
-    lane_bits = []
-    for summary in lanes:
-        lane_id = summary.get("lane", "?")
-        txs = summary.get("transactions", 0)
-        share = 100.0 * txs / total_txs if total_txs else 0.0
-        fee_gwei = fees.get(str(lane_id), 0) / 1e9
-        lane_bits.append(
-            f"lane{lane_id} {share:3.0f}% ({txs} txs, {fee_gwei:g} gwei)"
-        )
-    lines = [
-        f"up {uptime:8.1f}s   height {status.get('height', 0):>6}   "
-        f"lanes {status.get('num_lanes', 0)}"
-        f"{' (concurrent)' if status.get('concurrent') else ''}   "
-        f"auto-mine {'on' if status.get('auto_mine') else 'off'}",
-        f"epochs  {epochs:10.0f} total  {epochs / uptime:8.2f}/s   "
-        f"audits {audits:10.0f} total  {audits / uptime:8.2f}/s",
-        f"mempool depth {depth:6.0f}   blocks mined "
-        f"{_metric_total(snapshot, 'fabric_blocks_mined_total'):6.0f}   "
-        f"txs settled "
-        f"{_metric_total(snapshot, 'fabric_txs_settled_total'):6.0f}",
-        "lanes   " + "   ".join(lane_bits),
-        f"verify  p50 {verify['p50'] * 1e3:8.2f} ms   "
-        f"p99 {verify['p99'] * 1e3:8.2f} ms   "
-        f"over {verify['count']} epochs",
-    ]
-    return "\n".join(lines)
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
     """Live service telemetry snapshots over the metrics_get RPC."""
-    import time
-
-    from .rpc import RpcClient
-
     if args.iterations < 1 or args.interval < 0:
         print("top: --iterations must be >= 1, --interval >= 0",
               file=sys.stderr)
         return 2
 
     def frames(host: str, port: int) -> int:
-        with RpcClient(host, port) as client:
-            for frame in range(args.iterations):
-                if frame:
-                    time.sleep(args.interval)
-                status = client.call("node_status")
-                snapshot = client.call("metrics_get")
-                lanes = client.call("explorer_lanes")
-                print(f"-- repro top @ {host}:{port} "
-                      f"[{frame + 1}/{args.iterations}] --")
-                print(_render_top(status, snapshot, lanes))
+        polled = scenarios.top_frames(host, port, args.iterations, args.interval)
+        for index, (status, snapshot, lanes) in enumerate(polled, start=1):
+            print(f"-- repro top @ {host}:{port} [{index}/{args.iterations}] --")
+            print(render_top(status, snapshot, lanes))
         return 0
 
     if not args.demo:
         return frames(args.host, args.port)
-
-    # Self-hosted demo: stand up a tiny two-lane service in-process (the
-    # same wiring as ``repro serve``), settle one epoch, then read it back
-    # through the real socket — used by the CLI smoke tests.
-    from .chain.fabric import ShardedChainFabric
-    from .chain.mempool import MempoolConfig
-    from .engine import AuditExecutor, AuditInstance
-    from .obs import Tracer, get_registry, register_core_instruments
-    from .randomness import HashChainBeacon
-    from .rollup import CrossShardAggregator
-    from .rpc import RpcDispatcher, RpcTcpServer, ServiceNode
-    from .sim.workloads import archive_file
-
-    registry = get_registry()
-    register_core_instruments(registry)
-    rng = random.Random(0)
-    params = ProtocolParams(s=3, k=2)
-    fabric = ShardedChainFabric(num_lanes=2, mempool=MempoolConfig())
-    fabric.attach_gauges(registry)
-    owner = DataOwner(params, rng=rng)
-    instances = [
-        AuditInstance.from_package(
-            owner.prepare(
-                archive_file(400, tag=f"top-{index}").data,
-                fresh_keypair=index == 0,
-            ),
-            owner_id="top",
-        )
-        for index in range(2)
-    ]
-    executor = AuditExecutor(instances, workers=1)
-    aggregator = CrossShardAggregator(
-        fabric, executor, params, HashChainBeacon(b"cli-top"), rng=rng,
-        tracer=Tracer(),
-    )
-    node = ServiceNode(fabric, aggregator=aggregator)
-    dispatcher = RpcDispatcher(registry=registry, tracer=aggregator.tracer)
-    node.register_on(dispatcher)
-    server = RpcTcpServer(dispatcher, host="127.0.0.1", port=0)
-    try:
-        aggregator.run(1)
-        host, port = server.serve_in_thread()
+    # Self-hosted demo: the same wiring as ``repro serve`` at toy size, read
+    # back through the real socket — used by the CLI smoke tests.
+    with scenarios.top_demo_service() as (host, port):
         return frames(host, port)
-    finally:
-        server.close()
-        aggregator.close()
-        executor.close()
-        fabric.close()
 
 
 def _cmd_da_sample(args: argparse.Namespace) -> int:
-    """Data-availability sampling demo over a live RPC service.
-
-    Stands up the same sharded service as ``repro serve`` with DA enabled,
-    settles epochs, then plays a sampling light client over the real
-    socket: happy-path sampling (O(samples) download), a withholding
-    aggregator caught by the same schedule, and k-of-n reconstruction
-    driving an on-chain ``challenge_counts`` slash with ``--fraud``.
-    """
-    from .chain import CheckpointLightClient, Transaction
-    from .chain.fabric import ShardedChainFabric
-    from .chain.mempool import MempoolConfig
-    from .da import (
-        DaParams,
-        DaSampler,
-        DaWithholdingDetected,
-        NmtProof,
-        build_da_bundle,
-        bundle_fetch,
-        detection_probability,
-    )
-    from .engine import AuditExecutor, AuditInstance
-    from .obs import get_registry, register_core_instruments
-    from .rollup import Checkpoint, CrossShardAggregator
-    from .rpc import RpcClient, RpcDispatcher, RpcTcpServer, ServiceNode
-    from .sim.workloads import archive_file
-
+    """Data-availability sampling demo over a live RPC service."""
     if not 1 <= args.data_chunks < args.chunks <= 255:
         print("da-sample: need 1 <= --data-chunks < --chunks <= 255",
               file=sys.stderr)
@@ -1112,197 +497,42 @@ def _cmd_da_sample(args: argparse.Namespace) -> int:
     if not 0.0 <= args.withhold <= 1.0:
         print("da-sample: --withhold must be in [0, 1]", file=sys.stderr)
         return 2
-
-    rng = random.Random(args.seed)
-    params = ProtocolParams(s=args.s, k=args.k)
-    da_params = DaParams(n=args.chunks, k=args.data_chunks)
-    registry = get_registry()
-    register_core_instruments(registry)
-    fabric = ShardedChainFabric(num_lanes=args.lanes, mempool=MempoolConfig())
-    owner = DataOwner(params, rng=rng)
-    instances = [
-        AuditInstance.from_package(
-            owner.prepare(
-                archive_file(args.size, tag=f"da-{index}").data,
-                fresh_keypair=index == 0,
-            ),
-            owner_id="da",
-        )
-        for index in range(args.fleet)
-    ]
-    executor = AuditExecutor(instances, workers=1)
-    beacon = HashChainBeacon(b"cli-da-sample")
-    aggregator = CrossShardAggregator(
-        fabric, executor, params, beacon, rng=rng, da_params=da_params
+    report = scenarios.run_da_sampling(
+        lanes=args.lanes, fleet=args.fleet, epochs=args.epochs,
+        samples=args.samples, chunks=args.chunks, data_chunks=args.data_chunks,
+        withhold=args.withhold, fraud=args.fraud, size=args.size,
+        s=args.s, k=args.k, seed=args.seed,
     )
-    node = ServiceNode(fabric, aggregator=aggregator)
-    dispatcher = RpcDispatcher(registry=registry)
-    node.register_on(dispatcher)
-    server = RpcTcpServer(dispatcher, host="127.0.0.1", port=0)
-    ok = True
-    try:
-        aggregator.run(args.epochs)
-        host, port = server.serve_in_thread()
-        with RpcClient(host, port) as client:
-
-            def rpc_fetch(lane_id, epoch, indices):
-                reply = client.call(
-                    "da_sample_get",
-                    {"epoch": epoch, "lane": lane_id, "indices": list(indices)},
-                )
-                responses = {}
-                for row in reply["chunks"]:
-                    responses[row["index"]] = (
-                        (bytes.fromhex(row["data"]),
-                         NmtProof.from_object(row["proof"]))
-                        if row["available"]
-                        else None
-                    )
-                return responses
-
-            sampler = DaSampler(rpc_fetch, registry=registry)
-            epoch = args.epochs - 1
-            listing = client.call("da_commitment_get", {"epoch": epoch})
-            print(f"DA commitments for epoch {epoch}: "
-                  f"{len(listing['lanes'])} lanes, (n, k) = "
-                  f"({da_params.n}, {da_params.k})")
-
-            from .da import DaCommitment
-
-            seed = args.seed.to_bytes(8, "big", signed=True)
-            commitments = {
-                row["lane"]: DaCommitment.from_bytes(
-                    bytes.fromhex(row["commitment"])
-                )
-                for row in listing["lanes"]
-            }
-            for lane_id, commitment in sorted(commitments.items()):
-                report = sampler.sample(commitment, seed, budget=args.samples)
-                settled = aggregator.settlement_for_epoch(epoch).lanes[lane_id]
-                full = settled.da.chunk_payload_bytes()
-                print(f"  lane {lane_id}: sampled {len(report.outcomes)} of "
-                      f"{commitment.n} chunks -> "
-                      f"{'available' if report.available else 'WITHHELD'}; "
-                      f"downloaded {report.downloaded_bytes:,} B "
-                      f"(full chunk set {full:,} B)")
-                ok = ok and report.available
-
-            if args.withhold > 0:
-                lane_id = min(commitments)
-                commitment = commitments[lane_id]
-                hidden = max(1, round(args.withhold * commitment.n))
-                settled = aggregator.settlement_for_epoch(epoch).lanes[lane_id]
-                settled.da.withhold(range(hidden))
-                analytic = detection_probability(
-                    hidden / commitment.n, args.samples
-                )
-                report = sampler.sample(commitment, seed, budget=args.samples)
-                try:
-                    report.raise_if_withheld()
-                    caught = False
-                except DaWithholdingDetected as exc:
-                    caught = True
-                    print(f"withholding: lane {lane_id} hiding {hidden}/"
-                          f"{commitment.n} chunks -> DETECTED "
-                          f"({len(exc.failures)} failed samples; analytic "
-                          f"P = {analytic:.4f})")
-                if not caught:
-                    print(f"withholding: lane {lane_id} hiding {hidden}/"
-                          f"{commitment.n} chunks -> missed this run "
-                          f"(analytic P = {analytic:.4f})")
-                # Escalation: the surviving chunks still reconstruct the
-                # epoch (withheld fraction is below the code's n-k slack),
-                # proving the leaf set without trusting the aggregator.
-                reconstruction = sampler.reconstruct(commitment, seed)
-                contract = aggregator.pipelines[lane_id].contract
-                light = CheckpointLightClient(
-                    contract.export_instance_registry(), params, beacon
-                )
-                replay = light.replay_reconstructed(
-                    settled.bundle.checkpoint, reconstruction
-                )
-                print(f"reconstruction: {len(reconstruction.records)} records "
-                      f"from {reconstruction.chunks_used} chunks; light-client "
-                      f"replay -> "
-                      f"{'consistent' if replay.consistent else 'INCONSISTENT'}")
-                ok = ok and replay.consistent
-
-            if args.fraud:
-                # A lying aggregator posts an honest root with swapped
-                # accepted/rejected counts, plus the DA commitment its
-                # obligation demands.  A light client reconstructs the
-                # leaf set from sampled chunks alone and slashes the
-                # counts forgery on chain.
-                lane_id = min(aggregator.pipelines)
-                pipeline = aggregator.pipelines[lane_id]
-                lane = fabric.lane(lane_id)
-                contract = pipeline.contract
-                extra = args.epochs
-                result = pipeline.scheduler.run_epoch(extra)
-                honest = result.checkpoint
-                forged = Checkpoint(
-                    epoch=extra,
-                    root=honest.checkpoint.root,
-                    accepted=honest.checkpoint.rejected,
-                    rejected=honest.checkpoint.accepted,
-                    num_leaves=honest.checkpoint.num_leaves,
-                    proof_digest=honest.checkpoint.proof_digest,
-                )
-                receipt = lane.transact(
-                    Transaction(
-                        sender=pipeline.aggregator,
-                        to=pipeline.contract_address,
-                        method="post_checkpoint",
-                        args=(forged.to_bytes(),),
-                        value=contract.posting_bond_wei,
-                    ),
-                    payload_bytes=forged.byte_size(),
-                )
-                da_bundle = build_da_bundle(lane_id, extra, honest, da_params)
-                lane.transact(
-                    Transaction(
-                        sender=pipeline.aggregator,
-                        to=pipeline.contract_address,
-                        method="post_da_root",
-                        args=(receipt.return_value,
-                              da_bundle.commitment.to_bytes()),
-                    ),
-                    payload_bytes=da_bundle.commitment.byte_size(),
-                )
-                local = DaSampler(
-                    bundle_fetch({(lane_id, extra): da_bundle}),
-                    registry=registry,
-                )
-                reconstruction = local.reconstruct(da_bundle.commitment, seed)
-                challenger = lane.create_account(1.0, label="da-challenger")
-                leaves = reconstruction.counts_challenge_leaves()
-                challenge = lane.transact(
-                    Transaction(
-                        sender=challenger,
-                        to=pipeline.contract_address,
-                        method="challenge_counts",
-                        args=(receipt.return_value, leaves),
-                        value=contract.challenge_bond_wei,
-                    ),
-                    payload_bytes=sum(len(leaf) for leaf in leaves),
-                )
-                slashed = [
-                    e for e in challenge.events
-                    if e.name == "checkpoint_slashed"
-                ]
-                caught = bool(challenge.success and slashed)
-                print(f"fraud proof: counts-forged checkpoint challenged from "
-                      f"{reconstruction.chunks_used} reconstructed chunks -> "
-                      f"{'slashed' if caught else 'NOT slashed'}"
-                      + (f" ({slashed[0].payload['reason']})" if slashed
-                         else ""))
-                ok = ok and caught
-    finally:
-        server.close()
-        aggregator.close()
-        executor.close()
-        fabric.close()
-    return 0 if ok else 1
+    print(f"DA commitments for epoch {report.epoch}: "
+          f"{len(report.samples)} lanes, (n, k) = "
+          f"({report.da_params.n}, {report.da_params.k})")
+    for lane_id, sample in report.samples.items():
+        print(f"  lane {lane_id}: sampled {len(sample.outcomes)} of "
+              f"{sample.commitment.n} chunks -> "
+              f"{'available' if sample.available else 'WITHHELD'}; "
+              f"downloaded {sample.downloaded_bytes:,} B "
+              f"(full chunk set {report.full_chunk_bytes[lane_id]:,} B)")
+    hiding = report.withholding
+    if hiding is not None:
+        sampled = hiding.sampled
+        verdict = (
+            f"missed this run (analytic P = {hiding.analytic_probability:.4f})"
+            if sampled.available
+            else f"DETECTED ({len(sampled.failures)} failed samples; analytic "
+                 f"P = {hiding.analytic_probability:.4f})"
+        )
+        print(f"withholding: lane {hiding.lane} hiding {hiding.hidden}/"
+              f"{sampled.commitment.n} chunks -> {verdict}")
+        print(f"reconstruction: {len(hiding.reconstruction.records)} records "
+              f"from {hiding.reconstruction.chunks_used} chunks; light-client "
+              f"replay -> "
+              f"{'consistent' if hiding.replay.consistent else 'INCONSISTENT'}")
+    if report.fraud is not None:
+        print(f"fraud proof: counts-forged checkpoint challenged from "
+              f"{report.fraud.chunks_used} reconstructed chunks -> "
+              + (f"slashed ({report.fraud.reason})" if report.fraud.caught
+                 else "NOT slashed"))
+    return 0 if report.ok else 1
 
 
 def _cmd_models(args: argparse.Namespace) -> int:
@@ -1318,6 +548,29 @@ def _cmd_models(args: argparse.Namespace) -> int:
           f"{per_provider} users/provider, "
           f"{load.proving_time_for_all(per_provider):.1f} s to prove all")
     return 0
+
+
+def _add_protocol_args(parser, *, s: int, k: int, size: int | None = None,
+                       size_help: str | None = None) -> None:
+    """--s / --k / --seed (and --size): the knobs every auditing command takes."""
+    if size is not None:
+        parser.add_argument("--size", type=int, default=size, help=size_help)
+    parser.add_argument("--s", type=int, default=s)
+    parser.add_argument("--k", type=int, default=k)
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_pool_args(parser, *, workers: int, crypto_cache: bool = False) -> None:
+    """--workers (and --crypto-cache): the audit executor's process pool."""
+    parser.add_argument("--workers", type=int, default=workers,
+                        help="audit executor process-pool size "
+                        "(0 = one per CPU core)")
+    if crypto_cache:
+        parser.add_argument(
+            "--crypto-cache", metavar="DIR", default=None,
+            help="persist BN254 precompute tables (wNAF/fixed-base/GT "
+            "windows, prepared Miller lines) under DIR so restarts begin at "
+            "warm-cache speed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1340,11 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     prepare.set_defaults(func=_cmd_prepare)
 
     audit = sub.add_parser("audit", help="simulate a full audit contract")
-    audit.add_argument("--size", type=int, default=10_000)
+    _add_protocol_args(audit, s=8, k=5, size=10_000)
     audit.add_argument("--rounds", type=int, default=3)
-    audit.add_argument("--s", type=int, default=8)
-    audit.add_argument("--k", type=int, default=5)
-    audit.add_argument("--seed", type=int, default=0)
     audit.add_argument("--drop-after", type=int, default=None,
                        help="provider drops data after this round")
     audit.set_defaults(func=_cmd_audit)
@@ -1356,14 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument("--files", type=int, default=4,
                         help="files per owner (same owner key, distinct names)")
     engine.add_argument("--epochs", type=int, default=2)
-    engine.add_argument("--workers", type=int, default=0,
-                        help="process-pool size (0 = one per CPU core)")
-    engine.add_argument("--size", type=int, default=4_000)
-    engine.add_argument("--s", type=int, default=10)
-    engine.add_argument("--k", type=int, default=8)
-    engine.add_argument("--seed", type=int, default=0)
-    engine.add_argument("--crypto-cache", metavar="DIR", default=None,
-                        help="""persist BN254 precompute tables (wNAF/fixed-base/GT windows, prepared Miller lines) under DIR so restarts begin at warm-cache speed""")
+    _add_protocol_args(engine, s=10, k=8, size=4_000)
+    _add_pool_args(engine, workers=0, crypto_cache=True)
     engine.add_argument("--lanes", type=int, default=1,
                         help="run one scheduler per fabric lane over the "
                         "shared process pool (1 = unsharded)")
@@ -1378,12 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
     checkpoint.add_argument("--files", type=int, default=4,
                             help="files per owner (same key, distinct names)")
     checkpoint.add_argument("--epochs", type=int, default=2)
-    checkpoint.add_argument("--workers", type=int, default=1,
-                            help="process-pool size (0 = one per CPU core)")
-    checkpoint.add_argument("--size", type=int, default=1_500)
-    checkpoint.add_argument("--s", type=int, default=6)
-    checkpoint.add_argument("--k", type=int, default=4)
-    checkpoint.add_argument("--seed", type=int, default=0)
+    _add_protocol_args(checkpoint, s=6, k=4, size=1_500)
+    _add_pool_args(checkpoint, workers=1)
     checkpoint.add_argument("--fraud", action="store_true",
                             help="also post a forged (verdict-flipped) "
                             "checkpoint and slash it via the fraud proof")
@@ -1406,12 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for per-lane WAL + snapshot state "
                        "stores (reopened runs recover bit-identically)")
     shard.add_argument("--epochs", type=int, default=2)
-    shard.add_argument("--workers", type=int, default=1,
-                       help="process-pool size (0 = one per CPU core)")
-    shard.add_argument("--size", type=int, default=1_500)
-    shard.add_argument("--s", type=int, default=6)
-    shard.add_argument("--k", type=int, default=4)
-    shard.add_argument("--seed", type=int, default=0)
+    _add_protocol_args(shard, s=6, k=4, size=1_500)
+    _add_pool_args(shard, workers=1)
     shard.add_argument("--fraud", action="store_true",
                        help="post a forged lane checkpoint and slash it via "
                        "that lane's fraud proof")
@@ -1430,9 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="'privacy' = interpolation attack on plain proofs; anything "
         "else runs the byzantine provider library",
     )
-    attack.add_argument("--s", type=int, default=6)
-    attack.add_argument("--k", type=int, default=4)
-    attack.add_argument("--seed", type=int, default=0)
+    _add_protocol_args(attack, s=6, k=4)
     attack.add_argument("--rho", type=float, default=0.25,
                         help="strategy intensity: discard fraction / "
                         "corruption probability / offline probability")
@@ -1464,8 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="time compression: audit epochs per "
                            "simulated year")
     lifecycle.add_argument("--files", type=int, default=2)
-    lifecycle.add_argument("--size", type=int, default=900,
-                           help="bytes per stored file")
     lifecycle.add_argument("--shards", type=int, default=4,
                            help="erasure shards per file (RS n)")
     lifecycle.add_argument("--needed", type=int, default=2,
@@ -1484,13 +716,9 @@ def build_parser() -> argparse.ArgumentParser:
     lifecycle.add_argument("--resume", action="store_true",
                            help="reopen the run persisted under --persist "
                            "at its last epoch boundary")
-    lifecycle.add_argument("--seed", type=int, default=0)
-    lifecycle.add_argument("--s", type=int, default=4)
-    lifecycle.add_argument("--k", type=int, default=3)
-    lifecycle.add_argument("--workers", type=int, default=1,
-                           help="process-pool size (0 = one per CPU core)")
-    lifecycle.add_argument("--crypto-cache", metavar="DIR", default=None,
-                           help="""persist BN254 precompute tables (wNAF/fixed-base/GT windows, prepared Miller lines) under DIR so restarts begin at warm-cache speed""")
+    _add_protocol_args(lifecycle, s=4, k=3, size=900,
+                       size_help="bytes per stored file")
+    _add_pool_args(lifecycle, workers=1, crypto_cache=True)
     lifecycle.set_defaults(func=_cmd_lifecycle)
 
     congest = sub.add_parser(
@@ -1538,8 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--epochs", type=int, default=1,
                        help="audit epochs settled before serving (gives "
                        "checkpoint_get/fabric_proof_get real data)")
-    serve.add_argument("--size", type=int, default=500,
-                       help="bytes per preloaded file")
     serve.add_argument("--mine-interval", type=float, default=0.5,
                        help="auto-mine period in seconds (0 = only "
                        "explicit 'mine' calls)")
@@ -1553,14 +779,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CI smoke: start, call the service through "
                        "a socket client (and /metrics when enabled), "
                        "shut down cleanly")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--s", type=int, default=4)
-    serve.add_argument("--k", type=int, default=3)
-    serve.add_argument("--workers", type=int, default=1,
-                       help="audit executor process-pool size "
-                       "(0 = one per CPU core)")
-    serve.add_argument("--crypto-cache", metavar="DIR", default=None,
-                       help="""persist BN254 precompute tables (wNAF/fixed-base/GT windows, prepared Miller lines) under DIR so restarts begin at warm-cache speed""")
+    _add_protocol_args(serve, s=4, k=3, size=500,
+                       size_help="bytes per preloaded file")
+    _add_pool_args(serve, workers=1, crypto_cache=True)
     serve.set_defaults(func=_cmd_serve)
 
     top = sub.add_parser(
@@ -1603,10 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
     da_sample.add_argument("--fraud", action="store_true",
                            help="also post a counts-forged checkpoint and "
                            "slash it from DA-reconstructed leaves")
-    da_sample.add_argument("--size", type=int, default=1_500)
-    da_sample.add_argument("--s", type=int, default=6)
-    da_sample.add_argument("--k", type=int, default=4)
-    da_sample.add_argument("--seed", type=int, default=0)
+    _add_protocol_args(da_sample, s=6, k=4, size=1_500)
     da_sample.set_defaults(func=_cmd_da_sample)
 
     models = sub.add_parser("models", help="print the Section VII-D models")

@@ -87,15 +87,23 @@ class Prover:
         self._precompute = precompute
         self._gt_table: GTFixedBase | None = None
 
+    @property
+    def num_chunks(self) -> int:
+        return self.chunked.num_chunks
+
     # -- internals ----------------------------------------------------------
+
+    def _combine(self, expanded: ExpandedChallenge) -> list[int]:
+        """P_k = sum_t c_t * M_{i_t}: the one step that reads the file."""
+        challenged = [self.chunked.chunks[i] for i in expanded.indices]
+        return linear_combination(challenged, list(expanded.coefficients))
 
     def _aggregate(
         self, expanded: ExpandedChallenge, report: ProveReport | None
     ) -> tuple[G1Point, list[int], int, G1Point]:
         """Shared pipeline: returns (sigma, P_k coefficients, y, psi)."""
         t0 = time.perf_counter()
-        challenged = [self.chunked.chunks[i] for i in expanded.indices]
-        combined = linear_combination(challenged, list(expanded.coefficients))
+        combined = self._combine(expanded)
         y = evaluate(combined, expanded.point)
         quotient = quotient_by_linear(combined, expanded.point)
         t1 = time.perf_counter()
@@ -158,7 +166,7 @@ class Prover:
         Exposed for the baselines and the Section V-C attack demonstration;
         production deployments should always use :meth:`respond_private`.
         """
-        expanded = challenge.expand(self.chunked.num_chunks)
+        expanded = challenge.expand(self.num_chunks)
         sigma, _, y, psi = self._aggregate(expanded, report)
         return PlainProof(sigma=sigma, y=y, psi=psi)
 
@@ -166,7 +174,7 @@ class Prover:
         self, challenge: Challenge, report: ProveReport | None = None
     ) -> PrivateProof:
         """The paper's secure audit response (sigma, y', psi, R)."""
-        expanded = challenge.expand(self.chunked.num_chunks)
+        expanded = challenge.expand(self.num_chunks)
         sigma, _, y, psi = self._aggregate(expanded, report)
         z, commitment = self._sigma_commitment(report)
         t0 = time.perf_counter()
@@ -185,7 +193,7 @@ class Prover:
         """Authenticator storage the provider carries (1/s of data size)."""
         from .authenticator import authenticator_storage_bytes
 
-        return authenticator_storage_bytes(self.chunked.num_chunks)
+        return authenticator_storage_bytes(self.num_chunks)
 
 
 class CheatingProver(Prover):

@@ -12,27 +12,17 @@ incremental hash ties the stream to the same ``ChunkedFile`` layout.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from ..crypto.bn254 import (
-    G1Point,
-    GTFixedBase,
-    PrecomputeCache,
-    hash_gt_to_scalar,
-    multi_scalar_mul,
-)
+from ..crypto.bn254 import G1Point, PrecomputeCache
 from ..crypto.bn254.constants import CURVE_ORDER as R
 from ..crypto.bn254.msm import FixedBaseMul
-from ..crypto.field import BLOCK_BYTES, random_scalar
+from ..crypto.field import BLOCK_BYTES
 from .authenticator import block_digest_point
-from .challenge import Challenge
 from .keys import KeyPair, PublicKey
 from .params import ProtocolParams
-from .polynomial import evaluate, quotient_by_linear
-from .proof import PlainProof, PrivateProof
-from .prover import ProveReport
+from .prover import Prover
 
 
 @dataclass
@@ -95,16 +85,16 @@ def stream_authenticators(
         yield chunk_index, (g1_table.mul(accumulator) + digest) * x
 
 
-class StreamingProver:
+class StreamingProver(Prover):
     """Answer audit challenges from a byte *stream* in O(s) working memory.
 
     The in-memory :class:`~repro.core.prover.Prover` holds every chunk of
     the file; archives larger than RAM cannot.  This prover instead walks
     the stream once per challenge, accumulating the challenged linear
     combination ``P_k = Σ c_t · M_{i_t}`` chunk by chunk — at any moment it
-    holds one chunk's coefficients plus the s-vector accumulator — and then
-    finishes exactly like the in-memory pipeline (evaluate, synthetic
-    division, MSMs, Sigma masking).
+    holds one chunk's coefficients plus the s-vector accumulator.  That
+    one pass (:meth:`_combine`) is the whole difference: evaluation,
+    synthetic division, the MSMs and the Sigma masking are ``Prover``'s.
 
     Differential guarantee (asserted by
     ``tests/core/test_streaming_prover_differential.py``): for the same
@@ -135,7 +125,7 @@ class StreamingProver:
         self.params = params
         self._rng = rng
         self._precompute = precompute
-        self._gt_table: GTFixedBase | None = None
+        self._gt_table = None
 
     @property
     def num_chunks(self) -> int:
@@ -143,7 +133,7 @@ class StreamingProver:
 
     # -- streaming aggregation ----------------------------------------------
 
-    def _combine_streaming(self, expanded) -> list[int]:
+    def _combine(self, expanded) -> list[int]:
         """One pass over the stream: Σ c_t · M_{i_t} in O(s) memory."""
         coefficient_of: dict[int, int] = {}
         for index, coefficient in zip(expanded.indices, expanded.coefficients):
@@ -174,67 +164,6 @@ class StreamingProver:
         # Mirror the in-memory path's trailing-zero shape: linear_combination
         # returns exactly s coefficients (padded chunks), as we do here.
         return combined
-
-    def _aggregate(self, expanded, report: ProveReport | None):
-        t0 = time.perf_counter()
-        combined = self._combine_streaming(expanded)
-        y = evaluate(combined, expanded.point)
-        quotient = quotient_by_linear(combined, expanded.point)
-        t1 = time.perf_counter()
-        sigma = multi_scalar_mul(
-            [self.authenticators[i] for i in expanded.indices],
-            list(expanded.coefficients),
-        )
-        if self._precompute is not None:
-            psi = self._precompute.wnaf_msm(
-                list(self.public.powers[: len(quotient)]),
-                quotient,
-                identity=G1Point.infinity(),
-            )
-        else:
-            psi = multi_scalar_mul(
-                list(self.public.powers[: len(quotient)]),
-                quotient,
-                identity=G1Point.infinity(),
-            )
-        t2 = time.perf_counter()
-        if report is not None:
-            report.zp_seconds += t1 - t0
-            report.ecc_seconds += t2 - t1
-        return sigma, y, psi
-
-    # -- public API -----------------------------------------------------------
-
-    def respond_plain(
-        self, challenge: Challenge, report: ProveReport | None = None
-    ) -> PlainProof:
-        expanded = challenge.expand(self.num_chunks)
-        sigma, y, psi = self._aggregate(expanded, report)
-        return PlainProof(sigma=sigma, y=y, psi=psi)
-
-    def respond_private(
-        self, challenge: Challenge, report: ProveReport | None = None
-    ) -> PrivateProof:
-        expanded = challenge.expand(self.num_chunks)
-        sigma, y, psi = self._aggregate(expanded, report)
-        t0 = time.perf_counter()
-        z = random_scalar(self._rng)
-        if self.public.pairing_base is None:
-            raise ValueError(
-                "public key lacks e(g1, epsilon); regenerate with privacy "
-                "support to produce private proofs"
-            )
-        if self._gt_table is None:
-            self._gt_table = self.public.gt_table(self._precompute)
-        commitment = self._gt_table.pow(z)
-        zeta = hash_gt_to_scalar(commitment)
-        y_masked = (zeta * y + z) % R
-        t1 = time.perf_counter()
-        if report is not None:
-            report.privacy_seconds += t1 - t0
-        return PrivateProof(
-            sigma=sigma, y_masked=y_masked, psi=psi, commitment=commitment
-        )
 
 
 def stream_summary(

@@ -37,7 +37,7 @@ from .msm import (
     multi_scalar_mul_tables,
     wnaf_table_g1,
 )
-from .precompute import CacheStats, FixedBaseMSM, PrecomputeCache
+from .precompute import CacheStats, PrecomputeCache
 from .store import PrecomputeStore
 from .pairing import (
     G2Prepared,
@@ -76,7 +76,6 @@ __all__ = [
     "GT_UNCOMPRESSED_BYTES",
     "CacheStats",
     "DeserializationError",
-    "FixedBaseMSM",
     "FixedBaseMul",
     "Fp2",
     "Fp6",

@@ -20,13 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .constants import CURVE_ORDER
 from .curve import G1Point, G2Point
 from .fields import Fp12
 from .gt import GTFixedBase
 from .msm import (
     FixedBaseMul,
-    PointT,
     multi_scalar_mul_tables,
     wnaf_table_g1,
 )
@@ -37,46 +35,6 @@ from .serialization import (
     gt_to_bytes_uncompressed,
 )
 from .store import PrecomputeStore
-
-
-class FixedBaseMSM:
-    """MSM over a *fixed* tuple of bases with per-base window tables.
-
-    Aimed at the KZG-witness MSM ``psi = g1^{Q_k(alpha)}``: the bases (the
-    public powers of alpha) never change for a given contract, so after the
-    table build each audit costs only ~64 group additions per nonzero
-    scalar, with zero doublings.  Tables are built lazily per base, so a
-    quotient of degree ``d`` never pays for tables beyond base ``d``.
-    """
-
-    def __init__(self, bases: Sequence[PointT], window: int = 4):
-        if not bases:
-            raise ValueError("FixedBaseMSM needs at least one base")
-        self.bases = tuple(bases)
-        self.window = window
-        self._identity = type(bases[0]).infinity()
-        self._tables: list[FixedBaseMul | None] = [None] * len(self.bases)
-        self.builds = 0
-
-    def _table(self, index: int) -> FixedBaseMul:
-        table = self._tables[index]
-        if table is None:
-            table = FixedBaseMul(self.bases[index], window=self.window)
-            self._tables[index] = table
-            self.builds += 1
-        return table
-
-    def msm(self, scalars: Sequence[int]) -> PointT:
-        """sum_i scalars[i] * bases[i] (scalars may be shorter than bases)."""
-        if len(scalars) > len(self.bases):
-            raise ValueError(
-                f"{len(scalars)} scalars for {len(self.bases)} fixed bases"
-            )
-        result = self._identity
-        for index, scalar in enumerate(scalars):
-            if scalar % CURVE_ORDER:
-                result = result + self._table(index).mul(scalar)
-        return result
 
 
 @dataclass
@@ -126,7 +84,6 @@ class PrecomputeCache:
     _gt: dict[Fp12, GTFixedBase] = field(default_factory=dict)
     _g1: dict[G1Point, FixedBaseMul] = field(default_factory=dict)
     _g2: dict[G2Point, FixedBaseMul] = field(default_factory=dict)
-    _msm: dict[tuple, FixedBaseMSM] = field(default_factory=dict)
     _digests: dict[tuple[int, int], G1Point] = field(default_factory=dict)
     _prepared: dict[G2Point, G2Prepared] = field(default_factory=dict)
     _wnaf: dict[G1Point, list[tuple[int, int]]] = field(default_factory=dict)
@@ -255,23 +212,6 @@ class PrecomputeCache:
                 for p, use in zip(points, cacheable)
             ]
         return multi_scalar_mul_tables(points, scalars, tables, identity)
-
-    # -- multi-base tables (the powers-of-alpha MSM) ------------------------
-
-    def powers_msm(self, bases: Sequence[PointT]) -> FixedBaseMSM:
-        """Fixed-base MSM context for a tuple of bases (keyed by value)."""
-        key = tuple(bases)
-        table = self._msm.get(key)
-        if table is None:
-            self.stats.misses += 1
-            window = (
-                self.g1_window if isinstance(key[0], G1Point) else self.window
-            )
-            table = FixedBaseMSM(key, window=window)
-            self._msm[key] = table
-        else:
-            self.stats.hits += 1
-        return table
 
     # -- per-file digest points --------------------------------------------
 

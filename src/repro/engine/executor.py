@@ -49,24 +49,27 @@ class _AuditRuntime:
     ):
         store = PrecomputeStore(cache_dir) if cache_dir else None
         self.cache = PrecomputeCache(window=window, store=store)
-        self.instances: dict[int, AuditInstance] = {
-            instance.name: instance for instance in instances
-        }
+        self.instances: dict[int, AuditInstance] = {}
         self.provers: dict[int, Prover] = {}
         self.verifiers: dict[int, Verifier] = {}
         for instance in instances:
-            self.provers[instance.name] = Prover(
-                instance.chunked,
-                instance.public,
-                list(instance.authenticators),
-                precompute=self.cache,
-            )
-            self.verifiers[instance.name] = Verifier(
-                instance.public,
-                instance.name,
-                instance.num_chunks,
-                precompute=self.cache,
-            )
+            self.add(instance)
+
+    def add(self, instance: AuditInstance) -> None:
+        """Register one instance's prover and verifier over the shared cache."""
+        self.instances[instance.name] = instance
+        self.provers[instance.name] = Prover(
+            instance.chunked,
+            instance.public,
+            list(instance.authenticators),
+            precompute=self.cache,
+        )
+        self.verifiers[instance.name] = Verifier(
+            instance.public,
+            instance.name,
+            instance.num_chunks,
+            precompute=self.cache,
+        )
 
     def prove(self, task: ProveTask) -> ProveOutcome:
         from ..core.prover import ProveReport
@@ -206,19 +209,7 @@ class AuditExecutor:
             raise ValueError(f"duplicate audit instance {instance.name}")
         self.instances[instance.name] = instance
         if self._inline is not None:
-            self._inline.instances[instance.name] = instance
-            self._inline.provers[instance.name] = Prover(
-                instance.chunked,
-                instance.public,
-                list(instance.authenticators),
-                precompute=self._inline.cache,
-            )
-            self._inline.verifiers[instance.name] = Verifier(
-                instance.public,
-                instance.name,
-                instance.num_chunks,
-                precompute=self._inline.cache,
-            )
+            self._inline.add(instance)
         self._invalidate_pool()
 
     def unregister(self, name: int) -> None:

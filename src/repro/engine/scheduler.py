@@ -60,9 +60,6 @@ class EpochResult:
     outcomes: list[ProveOutcome] = field(repr=False)
     challenges: dict[int, Challenge] = field(repr=False)
     withheld: tuple[int, ...] = ()  # files whose response never arrived
-    #: Filled in checkpoint mode: the epoch's Merkle verdict tree plus its
-    #: 85-byte on-chain commitment (a rollup CheckpointBundle).
-    checkpoint: "object | None" = field(default=None, repr=False)
 
     @property
     def total_seconds(self) -> float:
@@ -94,7 +91,6 @@ class EpochScheduler:
         rng=None,
         keep_history: bool = True,
         overrides: "dict[int, ProofOverride] | None" = None,
-        checkpoint_mode: bool = False,
         names=None,
         cache: PrecomputeCache | None = None,
         pooled_verify: bool = False,
@@ -138,10 +134,6 @@ class EpochScheduler:
         # should disable history retention: every EpochResult holds all of
         # its epoch's proofs and challenges.
         self.keep_history = keep_history
-        # Checkpoint mode: every epoch additionally canonicalizes its
-        # outcome into a rollup verdict tree (result.checkpoint), batching
-        # the whole epoch behind one on-chain commitment before settlement.
-        self.checkpoint_mode = checkpoint_mode
         self._rng = rng  # blinds the batch-verification exponents
         # Pooled verification ships the whole epoch batch to an executor
         # worker process instead of verifying inline in the parent — the
@@ -178,7 +170,7 @@ class EpochScheduler:
         self.overrides[name] = override
 
     def _verify_items(self, items: list[BatchItem]) -> BatchVerifyOutcome:
-        """Grouped batch check: inline, or in a pool worker (pooled_verify)."""
+        """Grouped batch check: inline, or in an executor pool worker."""
         if not (self.pooled_verify and items):
             return verify_batch_grouped(items, rng=self._rng, precompute=self.cache)
         task = BatchVerifyTask(
@@ -281,16 +273,10 @@ class EpochScheduler:
             challenges=challenges,
             withheld=tuple(withheld),
         )
-        if self.checkpoint_mode:
-            # Imported lazily: the engine layer stays importable without
-            # the rollup package on the path of every caller.
-            from ..rollup.checkpoint import build_epoch_checkpoint
-
-            with self.tracer.span("checkpoint_build", epoch=epoch):
-                result.checkpoint = build_epoch_checkpoint(
-                    result, precompute=self.cache
-                )
-        rejected = len(result.rejected_names())
+        # Pinpoint over the shared cache: the pass is memoized on the
+        # outcome, so whoever reads the verdicts next (record building,
+        # settlement) reuses it instead of re-verifying uncached.
+        rejected = len(result.withheld) + len(batch_ok.pinpoint(self.cache))
         self._m_epochs.inc()
         self._m_audits.labels("accepted").inc(result.num_audits - rejected)
         if rejected:

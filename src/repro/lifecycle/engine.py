@@ -54,10 +54,16 @@ from ..obs.registry import get_registry
 from ..obs.tracing import NULL_TRACER, Tracer
 from ..randomness import HashChainBeacon
 from ..rollup.checkpoint import build_checkpoint
+from ..rollup.client import CheckpointClient
 from ..rollup.fabric import build_fabric_checkpoint
 from ..rollup.records import records_from_epoch
 from ..sim.workloads import archive_file
-from ..storage import DsnCluster, ReputationWeightedPlacement, SimulatedNetwork
+from ..storage import (
+    DataLoss,
+    DsnCluster,
+    ReputationWeightedPlacement,
+    SimulatedNetwork,
+)
 from .events import EventTrail
 from .hazard import ChurnModel, HazardConfig
 
@@ -384,9 +390,14 @@ class LifecycleEngine:
     # ------------------------------------------------------------------ #
 
     def _transact(self, sender, to, method, args=(), value=0, payload_bytes=0):
-        tx = Transaction(
-            sender=sender, to=to, method=method, args=tuple(args), value=value
+        return self._send(
+            Transaction(
+                sender=sender, to=to, method=method, args=tuple(args), value=value
+            ),
+            payload_bytes,
         )
+
+    def _send(self, tx: Transaction, payload_bytes: int = 0):
         if not self.config.mempool:
             return self.fabric.transact(tx, payload_bytes=payload_bytes)
         # Mempool mode: the engine behaves like any other fee-paying user —
@@ -408,12 +419,19 @@ class LifecycleEngine:
         # transaction to the next — empty — block.
         for _ in range(3):
             lane.mine_block()
-            receipt = pool.last_drained.get((sender, entry.tx.nonce))
+            receipt = pool.last_drained.get((tx.sender, entry.tx.nonce))
             if receipt is not None:
                 return receipt
         raise RuntimeError(
-            f"pooled transaction {method} was not drained into a block"
+            f"pooled transaction {tx.method} was not drained into a block"
         )
+
+    def _checkpoint_client(self, lane_id: int) -> CheckpointClient:
+        """The lane's checkpoint contract, driven through :meth:`_send`."""
+        _, address = self.lane_settlement[lane_id]
+        contract = self.fabric.lane(lane_id).contract_at(address)
+        assert isinstance(contract, CheckpointContract)
+        return CheckpointClient(self._send, address, contract)
 
     def _score_of(self, provider: str) -> float:
         return float(
@@ -606,23 +624,14 @@ class LifecycleEngine:
         lane_bundles = []
         gas = 0
         for lane_id in sorted(by_lane):
-            account, address = self.lane_settlement[lane_id]
+            account, _ = self.lane_settlement[lane_id]
+            client = self._checkpoint_client(lane_id)
             for record in by_lane[lane_id]:
-                gas += self._register_instance(lane_id, record.name)
+                gas += self._register_instance(client, account, record.name)
             with self.tracer.span("checkpoint_build", epoch=epoch, lane=lane_id):
                 bundle = build_checkpoint(epoch, tuple(by_lane[lane_id]))
-            commitment_bytes = bundle.checkpoint.to_bytes()
-            contract = self.fabric.lane(lane_id).contract_at(address)
-            assert isinstance(contract, CheckpointContract)
             with self.tracer.span("post", epoch=epoch, lane=lane_id):
-                receipt = self._transact(
-                    account,
-                    address,
-                    "post_checkpoint",
-                    (commitment_bytes,),
-                    value=contract.posting_bond_wei,
-                    payload_bytes=len(commitment_bytes),
-                )
+                receipt = client.post_checkpoint(account, bundle.checkpoint)
             if not receipt.success:
                 raise RuntimeError(
                     f"lane {lane_id} checkpoint failed: {receipt.error}"
@@ -642,19 +651,18 @@ class LifecycleEngine:
         )
         return gas
 
-    def _register_instance(self, lane_id: int, name: int) -> int:
+    def _register_instance(
+        self, client: CheckpointClient, account: str, name: int
+    ) -> int:
         if name in self._registered:
             return 0
         _, audit = self._shards[name]
         assert audit.package is not None
-        account, address = self.lane_settlement[lane_id]
-        pk_bytes = audit.package.public.to_bytes()
-        receipt = self._transact(
+        receipt = client.register_instance(
             account,
-            address,
-            "register_instance",
-            (name, pk_bytes, audit.package.num_chunks),
-            payload_bytes=len(pk_bytes) + 36,
+            name,
+            audit.package.public.to_bytes(),
+            audit.package.num_chunks,
         )
         if not receipt.success:
             raise RuntimeError(f"instance registration failed: {receipt.error}")
@@ -694,6 +702,15 @@ class LifecycleEngine:
         audited = self.dsn.files[file_id]
         try:
             self.dsn._repair(file_id, audited, audit)
+        except DataLoss as exc:
+            # Below k healthy shards no later epoch can repair the file:
+            # say so once, and let outcome() report files_intact=False.
+            if not any(e.subject == file_id for e in self.trail.of_kind("lost")):
+                self.trail.emit(
+                    epoch, "lost", file_id,
+                    healthy=exc.healthy, needed=exc.needed,
+                )
+            return False
         except RuntimeError as exc:
             self.trail.emit(
                 epoch, "deferred", file_id,
@@ -795,19 +812,16 @@ class LifecycleEngine:
     # -- phase 7: finalize + bookkeeping ------------------------------------ #
 
     def _finalize_step(self) -> None:
-        for lane_id, (account, address) in sorted(self.lane_settlement.items()):
+        for lane_id, (account, _) in sorted(self.lane_settlement.items()):
             lane = self.fabric.lane(lane_id)
-            contract = lane.contract_at(address)
-            assert isinstance(contract, CheckpointContract)
+            client = self._checkpoint_client(lane_id)
+            contract = client.contract
             for entry in contract.checkpoints:
                 if (
                     entry.status is CheckpointStatus.OPEN
                     and lane.time > entry.posted_at + contract.fraud_window
                 ):
-                    self._transact(
-                        account, address, "finalize_checkpoint",
-                        (entry.checkpoint_id,),
-                    )
+                    client.finalize_checkpoint(account, entry.checkpoint_id)
 
     def min_healthy_shards(self) -> int:
         """The weakest file's live shard count (durability floor)."""

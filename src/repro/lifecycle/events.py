@@ -30,6 +30,7 @@ EVENT_KINDS = (
     "repaired",    # one shard regenerated onto a fresh provider
     "rekeyed",     # a migrated shard got a fresh audit keypair + contract
     "deferred",    # a repair could not be placed this epoch (retried later)
+    "lost",        # a file fell below k healthy shards; no repair can help
     "evicted",     # audit/dispute record fell below threshold; removed
     "slashed",     # on-chain stake slash recorded for a provider
     "settled",     # one epoch committed through the checkpoint rollup

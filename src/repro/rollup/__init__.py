@@ -3,7 +3,8 @@
 The paper's chain layer records one on-chain round per (file, epoch); this
 package amortizes that to a single committed verdict tree per epoch —
 records (:mod:`~repro.rollup.records`), commitments and inclusion proofs
-(:mod:`~repro.rollup.checkpoint`), and chain settlement
+(:mod:`~repro.rollup.checkpoint`), the contract's calldata
+(:mod:`~repro.rollup.client`), and chain settlement
 (:mod:`~repro.rollup.pipeline`).  Over a sharded chain fabric, per-lane
 commitments are additionally Merkle-rolled into one cross-shard
 super-commitment (:mod:`~repro.rollup.fabric`).  The fraud-proof
@@ -19,6 +20,7 @@ from .checkpoint import (
     build_checkpoint,
     build_epoch_checkpoint,
 )
+from .client import CheckpointClient
 from .fabric import (
     FABRIC_COMMITMENT_BYTES,
     CrossShardAggregator,
@@ -37,6 +39,7 @@ __all__ = [
     "CHECKPOINT_COMMITMENT_BYTES",
     "Checkpoint",
     "CheckpointBundle",
+    "CheckpointClient",
     "CheckpointPipeline",
     "CrossShardAggregator",
     "FABRIC_COMMITMENT_BYTES",

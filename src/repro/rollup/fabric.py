@@ -269,8 +269,6 @@ class CrossShardAggregator:
         fraud_window: float = 24 * 3600.0,
         aggregator_funds_eth: float = 10.0,
         contract_kwargs: dict | None = None,
-        concurrent_lanes: bool = False,
-        pooled_verify: bool = False,
         tracer=None,
         da_params=None,
     ):
@@ -283,26 +281,29 @@ class CrossShardAggregator:
         self.executor = executor
         self.params = params
         self.beacon = beacon
-        # Concurrent mode: one worker thread per lane drives the whole
-        # prove → verify → post pipeline, meeting at an epoch barrier only
-        # for the fabric checkpoint roll-up.  Lane settlement is entirely
-        # lane-local (scheduler, pipeline, chain, contract), so the
-        # per-lane op sequence — and the accept/reject sets — match the
-        # sequential walk exactly (differential-tested).
-        self.concurrent_lanes = bool(concurrent_lanes)
+        # Execution policy follows the fabric: on a concurrent fabric one
+        # worker thread per lane drives the whole prove → verify → post
+        # pipeline, meeting at an epoch barrier only for the fabric
+        # checkpoint roll-up.  Lane settlement is entirely lane-local
+        # (scheduler, pipeline, chain, contract), so the per-lane op
+        # sequence — and the accept/reject sets — match the lockstep walk
+        # exactly (differential-tested).
+        self.concurrent = fabric.concurrent
         # A Tracer is single-threaded by design, so span collection is only
-        # honoured on the sequential walk; concurrent lane threads would
+        # honoured on the lockstep walk; concurrent lane threads would
         # interleave their enter/exit stacks into one garbled tree.
-        self.tracer = None if self.concurrent_lanes else tracer
+        self.tracer = None if self.concurrent else tracer
+        # Batch verification moves into the executor's process pool only
+        # where it buys a core: lane threads that would otherwise verify
+        # one after another under the GIL, and a pool to send them to.  The
+        # lockstep walk verifies in the parent, over its warm cache.
+        pooled = self.concurrent and executor.workers > 1
         self._lane_workers: ThreadPoolExecutor | None = None
         self.da_params = da_params
         self.settled: list[FabricSettlement] = []
         self._settled_by_epoch: dict[int, int] = {}
         self.lane_names: dict[int, frozenset[int]] = {}
         self.pipelines: dict[int, CheckpointPipeline] = {}
-        self.schedulers: dict[int, "EpochScheduler"] = {}
-        self.accounts: dict[int, str] = {}
-        self.contract_addresses: dict[int, str] = {}
 
         placement: dict[int, set[int]] = {}
         for name in executor.instances:
@@ -334,9 +335,8 @@ class CrossShardAggregator:
                 salt=salt,
                 deterministic=deterministic,
                 rng=lane_rng,
-                checkpoint_mode=True,
                 names=names,
-                pooled_verify=pooled_verify,
+                pooled_verify=pooled,
                 tracer=self.tracer,
             )
             pipeline = CheckpointPipeline(
@@ -349,10 +349,7 @@ class CrossShardAggregator:
             )
             pipeline.register_fleet()
             self.lane_names[lane_id] = names
-            self.schedulers[lane_id] = scheduler
             self.pipelines[lane_id] = pipeline
-            self.accounts[lane_id] = account
-            self.contract_addresses[lane_id] = address
 
     def lane_of(self, name: int) -> int:
         """The lane that settles (and would arbitrate) one file's audits."""
@@ -360,7 +357,7 @@ class CrossShardAggregator:
 
     def set_override(self, name: int, override) -> None:
         """Route one file's proofs through an adversary-strategy callable."""
-        self.schedulers[self.lane_of(name)].set_override(name, override)
+        self.pipelines[self.lane_of(name)].scheduler.set_override(name, override)
 
     def _workers(self) -> ThreadPoolExecutor:
         if self._lane_workers is None:
@@ -377,13 +374,13 @@ class CrossShardAggregator:
     def settle_epoch(self, epoch: int) -> FabricSettlement:
         """Run one epoch on every lane and roll the commitments up.
 
-        In ``concurrent_lanes`` mode every lane settles on its own worker
+        On a concurrent fabric every lane settles on its own worker
         thread; collecting the futures IS the epoch barrier — the fabric
         checkpoint is built only after the slowest lane posts.
         """
         lane_ids = sorted(self.pipelines)
         lanes: dict[int, SettledEpoch] = {}
-        if self.concurrent_lanes and len(lane_ids) > 1:
+        if self.concurrent and len(lane_ids) > 1:
             futures = {
                 lane_id: self._workers().submit(
                     self.pipelines[lane_id].settle_epoch, epoch

@@ -2,13 +2,13 @@
 
 Glue between the three layers the rollup spans:
 
-* the **engine** (:class:`~repro.engine.scheduler.EpochScheduler` in
-  checkpoint mode) produces an epoch's proofs and the grouped batch
-  verdict off chain,
+* the **engine** (:class:`~repro.engine.scheduler.EpochScheduler`)
+  produces an epoch's proofs and the grouped batch verdict off chain,
 * the **rollup** (:mod:`~repro.rollup.checkpoint`) canonicalizes the
   outcome into a verdict tree and an 85-byte commitment,
-* the **chain** (:class:`~repro.chain.contracts.checkpoint_contract.CheckpointContract`)
-  records the commitment under a bonded fraud-proof window.
+* the **chain** (:class:`~repro.chain.contracts.checkpoint_contract.CheckpointContract`,
+  reached through :class:`~repro.rollup.client.CheckpointClient`) records
+  the commitment under a bonded fraud-proof window.
 
 The pipeline plays the *aggregator* role: it posts commitments from its
 own funded account, retains every epoch's
@@ -30,7 +30,9 @@ from dataclasses import dataclass, field
 
 from ..chain.blockchain import Blockchain
 from ..chain.transaction import Receipt, Transaction
+from . import checkpoint as checkpoint_module
 from .checkpoint import CheckpointBundle
+from .client import CheckpointClient
 
 
 class EpochNotSettled(KeyError):
@@ -78,10 +80,6 @@ class CheckpointPipeline:
         da_params=None,
         lane_id: int = 0,
     ):
-        if not getattr(scheduler, "checkpoint_mode", False):
-            raise ValueError(
-                "scheduler must be constructed with checkpoint_mode=True"
-            )
         self.scheduler = scheduler
         self.chain = chain
         self.contract_address = contract_address
@@ -93,6 +91,9 @@ class CheckpointPipeline:
         # `settled` and leak bare KeyErrors; the index keeps serving O(1)
         # as histories grow and the structured error names the miss.
         self._by_epoch: dict[int, int] = {}
+        self.client = CheckpointClient(
+            self._transact, contract_address, self.contract
+        )
 
     @property
     def contract(self):
@@ -103,6 +104,11 @@ class CheckpointPipeline:
         contract = self.chain.contract_at(self.contract_address)
         assert isinstance(contract, CheckpointContract)
         return contract
+
+    def _transact(self, tx: Transaction, payload_bytes: int) -> Receipt:
+        # Looked up per call, not bound once: a wrapper installed on
+        # ``Blockchain.transact`` after construction still sees every post.
+        return self.chain.transact(tx, payload_bytes=payload_bytes)
 
     def register_fleet(self) -> None:
         """Push every scheduled instance's metadata into the on-chain registry.
@@ -116,37 +122,36 @@ class CheckpointPipeline:
                 continue
             if instance.name in self.contract.instances:
                 continue
-            pk_bytes = instance.public.to_bytes()
-            receipt = self.chain.transact(
-                Transaction(
-                    sender=self.aggregator,
-                    to=self.contract_address,
-                    method="register_instance",
-                    args=(instance.name, pk_bytes, instance.num_chunks),
-                ),
-                payload_bytes=len(pk_bytes) + 36,
+            receipt = self.client.register_instance(
+                self.aggregator,
+                instance.name,
+                instance.public.to_bytes(),
+                instance.num_chunks,
             )
             if not receipt.success:
                 raise RuntimeError(
                     f"instance registration failed: {receipt.error}"
                 )
 
+    def audit_epoch(self, epoch: int) -> tuple[object, CheckpointBundle]:
+        """Run one engine epoch off chain: its result and verdict bundle.
+
+        The first half of :meth:`settle_epoch`; nothing is posted, so this
+        is also what a forging aggregator starts from.
+        """
+        result = self.scheduler.run_epoch(epoch)
+        with self.scheduler.tracer.span("checkpoint_build", epoch=epoch):
+            # Through the module, so a wrapper installed on
+            # ``rollup.checkpoint.build_epoch_checkpoint`` sees the call.
+            bundle = checkpoint_module.build_epoch_checkpoint(
+                result, precompute=self.scheduler.cache
+            )
+        return result, bundle
+
     def settle_epoch(self, epoch: int) -> SettledEpoch:
         """Run one engine epoch and post its commitment on chain."""
-        result = self.scheduler.run_epoch(epoch)
-        bundle = result.checkpoint
-        assert bundle is not None, "checkpoint_mode scheduler returns a bundle"
-        commitment_bytes = bundle.checkpoint.to_bytes()
-        receipt = self.chain.transact(
-            Transaction(
-                sender=self.aggregator,
-                to=self.contract_address,
-                method="post_checkpoint",
-                args=(commitment_bytes,),
-                value=self.contract.posting_bond_wei,
-            ),
-            payload_bytes=len(commitment_bytes),
-        )
+        result, bundle = self.audit_epoch(epoch)
+        receipt = self.client.post_checkpoint(self.aggregator, bundle.checkpoint)
         if not receipt.success:
             raise RuntimeError(f"checkpoint posting failed: {receipt.error}")
         checkpoint_id = receipt.return_value
@@ -158,15 +163,8 @@ class CheckpointPipeline:
             da_bundle = build_da_bundle(
                 self.lane_id, epoch, bundle, self.da_params
             )
-            da_bytes = da_bundle.commitment.to_bytes()
-            da_receipt = self.chain.transact(
-                Transaction(
-                    sender=self.aggregator,
-                    to=self.contract_address,
-                    method="post_da_root",
-                    args=(checkpoint_id, da_bytes),
-                ),
-                payload_bytes=len(da_bytes),
+            da_receipt = self.client.post_da_root(
+                self.aggregator, checkpoint_id, da_bundle.commitment
             )
             if not da_receipt.success:
                 raise RuntimeError(

@@ -14,7 +14,7 @@ from .encryption import EncryptedFile, decrypt_file, encrypt_file, generate_key
 from .erasure import ReedSolomonCode, Shard
 from .manifest import FileManifest, ShardLocation
 from .network import NetworkError, NetworkStats, SimulatedNetwork
-from .node import DsnClient, DsnCluster, StorageNode
+from .node import DataLoss, DsnClient, DsnCluster, StorageNode
 from .placement import (
     CapacityAwarePlacement,
     LatencyAwarePlacement,
@@ -29,6 +29,7 @@ __all__ = [
     "CapacityAwarePlacement",
     "ChordNode",
     "ChordRing",
+    "DataLoss",
     "DsnClient",
     "LatencyAwarePlacement",
     "PlacementStrategy",

@@ -27,6 +27,24 @@ def _checksum(data: bytes) -> bytes:
     return hashlib.sha256(b"SHARD" + data).digest()[:16]
 
 
+class DataLoss(RuntimeError):
+    """Fewer than k healthy shards of a file survive anywhere.
+
+    Unlike a shortfall of replacement providers or of repair sources (a
+    plain :class:`RuntimeError`, worth retrying once other shards have
+    been regenerated) this does not heal; callers record the loss.
+    """
+
+    def __init__(self, file_id: str, healthy: int, needed: int):
+        super().__init__(
+            f"{file_id} is lost: {healthy} healthy shards survive, "
+            f"need {needed} to decode"
+        )
+        self.file_id = file_id
+        self.healthy = healthy
+        self.needed = needed
+
+
 @dataclass
 class StorageNode:
     """One storage provider's disk + network identity."""
@@ -207,13 +225,26 @@ class DsnClient:
         """
         code = ReedSolomonCode(manifest.erasure_n, manifest.erasure_k)
         survivors: list[Shard] = []
+        held_by_failed = 0
         for location in manifest.shards:
-            if location.provider == provider:
-                continue
             node = self.cluster.nodes.get(location.provider)
             data = node.get(manifest.file_id, location.shard_index) if node else None
-            if data is not None and _checksum(data) == location.checksum:
+            if data is None or _checksum(data) != location.checksum:
+                continue
+            if location.provider == provider:
+                # Never a repair source, but the file is still retrievable
+                # through it (a flaky provider fails audits, not reads).
+                held_by_failed += 1
+            else:
                 survivors.append(Shard(index=location.shard_index, data=data))
+        if len(survivors) < manifest.erasure_k:
+            readable = len(survivors) + held_by_failed
+            if readable < manifest.erasure_k:
+                raise DataLoss(manifest.file_id, readable, manifest.erasure_k)
+            raise RuntimeError(
+                f"only {len(survivors)} healthy shards of {manifest.file_id} "
+                f"outside {provider}, need {manifest.erasure_k} to regenerate"
+            )
         lost = [loc for loc in manifest.shards if loc.provider == provider]
         healthy = [loc for loc in manifest.shards if loc.provider != provider]
         ciphertext = code.decode(survivors, manifest.ciphertext_length)

@@ -4,55 +4,16 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.crypto.bn254 import (
     CURVE_ORDER,
-    FixedBaseMSM,
     G1Point,
     G2Point,
     PrecomputeCache,
-    multi_scalar_mul_naive,
     pairing,
 )
 
 G1 = G1Point.generator()
 G2 = G2Point.generator()
-
-
-class TestFixedBaseMSM:
-    def test_matches_naive_on_random_scalars(self):
-        rng = random.Random(11)
-        bases = [G1 * (i + 2) for i in range(6)]
-        table = FixedBaseMSM(bases)
-        for _ in range(3):
-            scalars = [rng.randrange(CURVE_ORDER) for _ in range(6)]
-            assert table.msm(scalars) == multi_scalar_mul_naive(bases, scalars)
-
-    def test_short_scalar_vector_uses_prefix(self):
-        bases = [G1, G1 * 2, G1 * 3]
-        table = FixedBaseMSM(bases)
-        assert table.msm([5, 7]) == G1 * (5 + 14)
-        # Only the touched bases get tables (lazy build).
-        assert table.builds == 2
-
-    def test_zero_scalars_skip_table_builds(self):
-        table = FixedBaseMSM([G1, G1 * 2])
-        assert table.msm([0, 0]).is_infinity()
-        assert table.builds == 0
-
-    def test_too_many_scalars_rejected(self):
-        with pytest.raises(ValueError):
-            FixedBaseMSM([G1]).msm([1, 2])
-
-    def test_empty_bases_rejected(self):
-        with pytest.raises(ValueError):
-            FixedBaseMSM([])
-
-    def test_g2_bases(self):
-        bases = [G2, G2 * 5]
-        table = FixedBaseMSM(bases)
-        assert table.msm([3, 2]) == G2 * 13
 
 
 class TestPrecomputeCache:
@@ -74,15 +35,6 @@ class TestPrecomputeCache:
         base_file_a = pairing(G1, epsilon)
         base_file_b = pairing(G1, epsilon)
         assert cache.gt_context(base_file_a) is cache.gt_context(base_file_b)
-
-    def test_powers_msm_cached_by_value(self):
-        cache = PrecomputeCache()
-        powers = tuple(G1 * (3**j) for j in range(4))
-        assert cache.powers_msm(powers) is cache.powers_msm(tuple(powers))
-        scalars = [7, 0, 5, 1]
-        assert cache.powers_msm(powers).msm(scalars) == multi_scalar_mul_naive(
-            list(powers), scalars
-        )
 
     def test_g1_and_g2_tables(self):
         cache = PrecomputeCache()

@@ -66,7 +66,7 @@ def da_env(params):
     address = chain.deploy(contract, deployer=aggregator)
     with AuditExecutor(instances, workers=1) as executor:
         scheduler = EpochScheduler(
-            executor, params, beacon, rng=rng, checkpoint_mode=True
+            executor, params, beacon, rng=rng
         )
         pipeline = CheckpointPipeline(
             scheduler, chain, address, aggregator,
@@ -80,7 +80,7 @@ def da_env(params):
         plain_settled = plain.settle_epoch(2)
         # One more engine epoch, kept OFF chain: the counts-fraud test
         # posts a forged commitment for it (epochs are unique on chain).
-        fraud_bundle = scheduler.run_epoch(3).checkpoint
+        _, fraud_bundle = pipeline.audit_epoch(3)
     return {
         "fraud_bundle": fraud_bundle,
         "params": params,

@@ -22,7 +22,7 @@ from repro.chain import (
 from repro.core import DataOwner
 from repro.engine import AuditExecutor, AuditInstance, EpochScheduler
 from repro.randomness import HashChainBeacon
-from repro.rollup import RoundRecord, build_checkpoint
+from repro.rollup import RoundRecord, build_checkpoint, build_epoch_checkpoint
 from repro.sim.workloads import archive_file
 
 WINDOW = 500.0
@@ -48,15 +48,15 @@ def rollup_env(params):
     beacon = HashChainBeacon(b"checkpoint-contract-test")
     with AuditExecutor(instances, workers=1) as executor:
         scheduler = EpochScheduler(
-            executor, params, beacon, rng=rng, checkpoint_mode=True
+            executor, params, beacon, rng=rng
         )
         bundles = {
-            0: scheduler.run_epoch(0).checkpoint,
-            1: scheduler.run_epoch(1).checkpoint,
+            0: build_epoch_checkpoint(scheduler.run_epoch(0)),
+            1: build_epoch_checkpoint(scheduler.run_epoch(1)),
         }
         withheld_name = instances[-1].name
         scheduler.set_override(withheld_name, lambda challenge, epoch: None)
-        bundles[2] = scheduler.run_epoch(2).checkpoint
+        bundles[2] = build_epoch_checkpoint(scheduler.run_epoch(2))
     return {
         "params": params,
         "beacon": beacon,

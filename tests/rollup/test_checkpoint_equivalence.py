@@ -24,7 +24,7 @@ from repro.core import DataOwner, ProtocolParams, Verifier
 from repro.core.challenge import Challenge
 from repro.engine import AuditExecutor, AuditInstance, EpochScheduler
 from repro.randomness import HashChainBeacon
-from repro.rollup import build_checkpoint
+from repro.rollup import build_checkpoint, build_epoch_checkpoint
 from repro.sim.workloads import archive_file
 
 EPOCHS = 2
@@ -65,7 +65,7 @@ def adversarial_run(params):
             serial += 1
     with AuditExecutor(instances, workers=1) as executor:
         scheduler = EpochScheduler(
-            executor, params, beacon, rng=rng, checkpoint_mode=True
+            executor, params, beacon, rng=rng
         )
         for name, kind in kinds.items():
             if kind != "honest":
@@ -78,6 +78,7 @@ def adversarial_run(params):
                 )
         results = [scheduler.run_epoch(epoch) for epoch in range(EPOCHS)]
     return {
+        "bundles": [build_epoch_checkpoint(result) for result in results],
         "params": params,
         "beacon": beacon,
         "instances": instances,
@@ -105,9 +106,10 @@ def _per_round_verdicts(run, result) -> dict[int, bool]:
 class TestVerdictEquivalence:
     def test_checkpoint_verdicts_match_per_round_path(self, adversarial_run):
         saw_reject = saw_accept = False
-        for result in adversarial_run["results"]:
+        for result, bundle in zip(
+            adversarial_run["results"], adversarial_run["bundles"]
+        ):
             expected = _per_round_verdicts(adversarial_run, result)
-            bundle = result.checkpoint
             committed = {r.name: r.verdict for r in bundle.records}
             assert committed == expected, (
                 f"epoch {result.epoch}: checkpointed verdicts diverge from "
@@ -125,8 +127,8 @@ class TestVerdictEquivalence:
 
     def test_forge_and_offline_always_rejected(self, adversarial_run):
         kinds = adversarial_run["kinds"]
-        for result in adversarial_run["results"]:
-            for record in result.checkpoint.records:
+        for bundle in adversarial_run["bundles"]:
+            for record in bundle.records:
                 kind = kinds[record.name]
                 if kind == "forge":
                     assert not record.verdict
@@ -139,8 +141,8 @@ class TestVerdictEquivalence:
     def test_replay_rejected_after_first_epoch(self, adversarial_run):
         kinds = adversarial_run["kinds"]
         replayer = next(n for n, k in kinds.items() if k == "replay")
-        first = adversarial_run["results"][0].checkpoint.record_for(replayer)
-        second = adversarial_run["results"][1].checkpoint.record_for(replayer)
+        first = adversarial_run["bundles"][0].record_for(replayer)
+        second = adversarial_run["bundles"][1].record_for(replayer)
         assert first.verdict          # honest answer in its first epoch
         assert not second.verdict     # stale proof against a fresh challenge
 
@@ -154,8 +156,7 @@ class TestLightClientInclusion:
         client = CheckpointLightClient(
             registry, adversarial_run["params"], adversarial_run["beacon"]
         )
-        for result in adversarial_run["results"]:
-            bundle = result.checkpoint
+        for bundle in adversarial_run["bundles"]:
             for record in bundle.records:
                 outcome = client.verify_inclusion(
                     bundle.checkpoint, bundle.prove(record.name)
@@ -170,7 +171,7 @@ class TestLightClientInclusion:
         client = CheckpointLightClient(
             registry, adversarial_run["params"], adversarial_run["beacon"]
         )
-        bundle = adversarial_run["results"][0].checkpoint
+        bundle = adversarial_run["bundles"][0]
         # Honest replay: consistent.
         clean = client.replay_checkpoint(bundle.checkpoint, bundle.records)
         assert clean.consistent
@@ -194,7 +195,7 @@ class TestLightClientInclusion:
         client = CheckpointLightClient(
             registry, adversarial_run["params"], adversarial_run["beacon"]
         )
-        bundle = adversarial_run["results"][0].checkpoint
+        bundle = adversarial_run["bundles"][0]
         records = list(bundle.records)
         records[0] = records[0].flipped()
         forged = build_checkpoint(bundle.checkpoint.epoch, tuple(records))

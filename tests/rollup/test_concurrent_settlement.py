@@ -1,6 +1,7 @@
 """Differential: concurrent lane settlement is bit-identical to sequential.
 
-``CrossShardAggregator(concurrent_lanes=True)`` runs each lane's full
+Over a ``ShardedChainFabric(concurrent=True)`` the ``CrossShardAggregator``
+runs each lane's full
 prove → verify → post pipeline on its own worker thread, with the epoch
 barrier only at fabric-checkpoint aggregation.  Each lane owns a derived
 rng (split from the shared seed in lane order at construction), so the
@@ -9,7 +10,8 @@ adversarial fleet the settlement must match the sequential run *byte for
 byte* — same accept/reject sets, same lane roots, same fabric
 super-commitment, same lane-chain ``state_hash``.
 
-``pooled_verify=True`` moves batch verification into the audit executor's
+With lane threads *and* a process pool (``workers > 1``) the aggregator
+moves batch verification into the audit executor's
 process pool.  The verification rho stream differs there (workers draw
 from a shipped seed), so the contract is verdict equivalence, not byte
 equality: blinding exponents never move an accept/reject verdict.
@@ -75,7 +77,9 @@ def _overrides(specs):
 def _settle(params, instances, specs, **aggregator_kwargs):
     """One full settlement run; returns (settlements, state_hash)."""
     workers = aggregator_kwargs.pop("workers", 1)
-    fabric = ShardedChainFabric(num_lanes=LANES)
+    fabric = ShardedChainFabric(
+        num_lanes=LANES, concurrent=aggregator_kwargs.pop("concurrent", False)
+    )
     try:
         with AuditExecutor(instances, workers=workers) as executor:
             aggregator = CrossShardAggregator(
@@ -121,7 +125,7 @@ def test_concurrent_lanes_settle_bit_identically(params, fleet):
     instances, specs = fleet
     sequential, hash_seq = _settle(params, instances, specs, deterministic=True)
     concurrent, hash_conc = _settle(
-        params, instances, specs, concurrent_lanes=True, deterministic=True
+        params, instances, specs, concurrent=True, deterministic=True
     )
     assert _verdict_trace(sequential) == _verdict_trace(concurrent)
     for left, right in zip(sequential, concurrent):
@@ -140,9 +144,11 @@ def test_concurrent_lanes_settle_bit_identically(params, fleet):
 
 
 def test_pooled_verify_preserves_verdicts(params, fleet):
+    # Same lane threads on both sides; only the pool (and with it where the
+    # batch is verified) differs.
     instances, specs = fleet
-    inline, _ = _settle(params, instances, specs)
-    pooled, _ = _settle(params, instances, specs, pooled_verify=True)
+    inline, _ = _settle(params, instances, specs, concurrent=True)
+    pooled, _ = _settle(params, instances, specs, concurrent=True, workers=2)
     assert _verdict_trace(inline) == _verdict_trace(pooled)
 
 
@@ -154,8 +160,7 @@ def test_concurrent_pooled_process_workers_preserve_verdicts(params, fleet):
         params,
         instances,
         specs,
-        concurrent_lanes=True,
-        pooled_verify=True,
+        concurrent=True,
         workers=2,
     )
     assert _verdict_trace(baseline) == _verdict_trace(served)

@@ -32,6 +32,7 @@ from repro.rollup import (
     FabricCheckpoint,
     CrossShardAggregator,
     build_checkpoint,
+    build_epoch_checkpoint,
     build_fabric_checkpoint,
 )
 from repro.sim.workloads import archive_file
@@ -96,11 +97,14 @@ def equivalence_run(params):
 
     with AuditExecutor(instances, workers=1) as executor:
         scheduler = EpochScheduler(
-            executor, params, beacon, rng=random.Random(1), checkpoint_mode=True
+            executor, params, beacon, rng=random.Random(1)
         )
         for name, override in _overrides(specs).items():
             scheduler.set_override(name, override)
-        single = [scheduler.run_epoch(epoch) for epoch in range(EPOCHS)]
+        single = [
+            build_epoch_checkpoint(scheduler.run_epoch(epoch))
+            for epoch in range(EPOCHS)
+        ]
 
     with AuditExecutor(instances, workers=1) as executor:
         fabric = ShardedChainFabric(num_lanes=LANES)
@@ -126,10 +130,9 @@ def equivalence_run(params):
 class TestVerdictEquivalence:
     def test_accept_reject_sets_match_single_lane_run(self, equivalence_run):
         saw_accept = saw_reject = False
-        for single_result, settlement in zip(
+        for single_bundle, settlement in zip(
             equivalence_run["single"], equivalence_run["sharded"]
         ):
-            single_bundle = single_result.checkpoint
             assert set(settlement.accepted_names()) == set(
                 single_bundle.accepted_names()
             ), f"epoch {settlement.epoch}: accepted sets diverge under sharding"
@@ -316,8 +319,8 @@ class TestPerLaneFraudGrounds:
         lane_id = min(aggregator.pipelines)
         pipeline = aggregator.pipelines[lane_id]
         lane = fabric.lane(lane_id)
-        result = aggregator.schedulers[lane_id].run_epoch(EPOCHS)
-        records = list(result.checkpoint.records)
+        _, honest = pipeline.audit_epoch(EPOCHS)
+        records = list(honest.records)
         records[0] = records[0].flipped()
         forged = build_checkpoint(EPOCHS, tuple(records))
         receipt = lane.transact(

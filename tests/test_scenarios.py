@@ -1,0 +1,201 @@
+"""``repro.scenarios`` driven directly: assertions on results, not stdout.
+
+The CLI smoke suite checks that each subcommand prints what a user looks
+for; this suite checks what the scenario functions *return*, at the same
+toy sizes, and guards the property that keeps them reachable: ``cli.py``
+parses and prints, and imports none of the layers a scenario composes.
+"""
+
+from __future__ import annotations
+
+import ast
+import random
+from pathlib import Path
+
+import pytest
+
+import repro.cli
+from repro import scenarios
+from repro.core import ProtocolParams
+from repro.lifecycle import LifecycleConfig, LifecycleEngine
+from repro.randomness import HashChainBeacon
+
+PARAMS = ProtocolParams(s=4, k=3)
+
+
+def _fleet(rng, files=2):
+    return scenarios.build_fleet(
+        PARAMS, rng, size=500, files=files, tag="scn-{file}", owner_id="scn"
+    )
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_settlement_audits_the_auditor_and_slashes_a_forgery(lanes, tmp_path):
+    rng = random.Random(lanes)
+    report = scenarios.run_settlement(
+        _fleet(rng, files=3), PARAMS, rng, lanes=lanes, epochs=2, workers=1,
+        persist=str(tmp_path / "chainstate"), fraud=True,
+    )
+    assert [s.epoch for s in report.settlements] == [0, 1]
+    assert all(
+        s.fabric.checkpoint.num_leaves == 3 and s.fabric.checkpoint.rejected == 0
+        for s in report.settlements
+    )
+    assert report.inclusion.ok
+    # Every lane checkpoint of both honest epochs replays; the forged one
+    # was slashed on chain, so the replay skips it.
+    lanes_used = len(report.settlements[0].lanes)
+    assert 1 <= lanes_used <= lanes
+    assert report.replay.consistent
+    assert report.replay.checkpoints_checked == 2 * lanes_used
+    assert report.replay.rounds_checked == 2 * 3
+    assert report.fraud.caught and report.fraud.slashed_wei > 0
+    assert "verdict-flipped" in report.fraud.reason
+    assert [e["name"] for e in report.checkpoint_log].count("checkpoint_slashed") == 1
+    assert report.state_hash is not None
+    assert report.reopened_state_hash == report.state_hash
+    assert report.ok
+
+
+def test_one_lane_and_two_lane_settlement_agree_on_verdicts():
+    reports = []
+    for lanes in (1, 2):
+        rng = random.Random(7)
+        reports.append(scenarios.run_settlement(
+            _fleet(rng, files=3), PARAMS, rng, lanes=lanes, epochs=1, workers=1,
+        ))
+    one, two = (r.settlements[0] for r in reports)
+    assert set(one.accepted_names()) == set(two.accepted_names())
+    assert set(one.rejected_names()) == set(two.rejected_names())
+    assert reports[0].state_hash is None and reports[0].fraud is None
+
+
+def test_da_sampling_catches_withholding_and_swapped_counts():
+    report = scenarios.run_da_sampling(
+        lanes=2, fleet=2, epochs=1, samples=12, chunks=16, data_chunks=4,
+        withhold=0.25, fraud=True, size=500, s=4, k=3, seed=0,
+    )
+    assert report.epoch == 0
+    assert report.samples and all(s.available for s in report.samples.values())
+    for lane, sample in report.samples.items():
+        # O(samples) chunks, not all of them (at toy size the NMT proofs
+        # outweigh the chunks, so compare the chunk payload alone).
+        assert sample.chunk_bytes < report.full_chunk_bytes[lane]
+    hiding = report.withholding
+    assert hiding.hidden == 4
+    assert not hiding.sampled.available and hiding.sampled.failures
+    assert hiding.analytic_probability > 0.95
+    assert 4 <= hiding.reconstruction.chunks_used <= 12   # k of the n - hidden left
+    assert hiding.replay.consistent
+    assert report.fraud.caught and "count-mismatch" in report.fraud.reason
+    assert report.fraud.chunks_used >= 4
+    assert report.ok
+
+
+def test_congestion_storm_holds_the_watermark_and_flags_the_griefer():
+    report = scenarios.run_congestion(
+        lanes=2, blocks=4, load=1.5, storm=True, griefer=True, senders=4,
+        tip=1.0, seed=1,
+    )
+    assert report.load == 2.0              # --storm lifts the load to 2x
+    assert report.watermark_held and report.priority_inversions == 0
+    assert report.decayed_to_floor
+    assert max(report.peak_base_fees_wei) > 10**9
+    assert report.inclusion_latency_blocks >= 1.0
+    assert report.griefer_caught
+    assert report.griefer.account in {row.sender for row in report.flagged}
+    assert report.ok
+
+
+def test_audit_service_serves_a_settled_epoch_and_tears_down():
+    rng = random.Random(3)
+    with scenarios.audit_service(
+        _fleet(rng, files=4), PARAMS, HashChainBeacon(b"scn"), rng, lanes=2,
+        metrics_port=0,
+    ) as service:
+        service.aggregator.run(1)
+        probe = scenarios.probe_service(service)
+        assert probe.ok and probe.metrics_lines > 0
+        assert probe.checkpoint["epoch"] == 0
+        frames = list(scenarios.top_frames(service.host, service.port, 1, 0.0))
+        assert frames[0][0]["num_lanes"] == 2
+    with pytest.raises(OSError):
+        list(scenarios.top_frames(service.host, service.port, 1, 0.0))
+
+
+def test_lifecycle_survives_the_world_seed_that_used_to_crash_it():
+    """Regression (benchmarks/e2e LifecycleYear, world_seed=3).
+
+    At epoch 38 a provider that fails its audits still holds one of a
+    file's last two healthy shards, so repairing that shard finds a single
+    source outside it.  That raised ``ValueError`` out of
+    ``ReedSolomonCode.decode`` and killed the run.  It is a deferral: the
+    file is still readable (k = 2), and later epochs repair it.
+    """
+    engine = LifecycleEngine(LifecycleConfig(
+        years=4.0, epochs_per_year=12, files=2, file_bytes=500, erasure_n=4,
+        erasure_k=2, providers=9, churn=0.4, flake_rate=0.3, lanes=2, seed=3,
+        s=4, k=3,
+    ))
+    try:
+        while engine.next_epoch <= 41:
+            engine.run_epoch()
+        outcome = engine.outcome()
+    finally:
+        engine.close()
+    short = [
+        e for e in outcome.trail.of_kind("deferred")
+        if dict(e.detail).get("why", "").startswith("only 1 healthy shards")
+    ]
+    assert short and min(e.epoch for e in short) == 38
+    assert not outcome.trail.of_kind("lost")
+    assert outcome.files_intact
+
+
+def test_lifecycle_records_real_data_loss_and_finishes():
+    """Below k healthy shards anywhere: a ``lost`` event, not a traceback."""
+    engine = LifecycleEngine(LifecycleConfig(
+        years=0.5, epochs_per_year=4, files=1, file_bytes=400, erasure_n=3,
+        erasure_k=2, providers=6, churn=0.0, flake_rate=0.0, lanes=1, seed=5,
+        s=3, k=2,
+    ))
+    try:
+        holders = [audit.provider for _, audit in engine._shards.values()]
+        for name in holders[:2]:           # 1 of 3 shards left, k = 2
+            state = engine.providers[name]
+            state.dead, state.alive = True, False
+            engine.dsn.cluster.remove_node(name)
+        outcome = engine.run()
+    finally:
+        engine.close()
+    lost = outcome.trail.of_kind("lost")
+    assert [e.subject for e in lost] == ["archive-00"]      # said once
+    assert dict(lost[0].detail) == {"healthy": "1", "needed": "2"}
+    assert outcome.epochs_run == 2
+    assert not outcome.files_intact
+
+
+def test_cli_imports_no_layer_a_scenario_composes():
+    """``cli.py`` is ``build_parser`` + call, print, exit code."""
+    banned = {"chain", "engine", "rollup", "rpc", "da"}
+    tree = ast.parse(Path(repro.cli.__file__).read_text())
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:             # relative: from .chain import ...
+                package = module.split(".")[0]
+                names = [package] if package else [a.name for a in node.names]
+            else:
+                parts = module.split(".")
+                names = parts[1:2] if parts[0] == "repro" else []
+        elif isinstance(node, ast.Import):
+            names = [
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("repro.")
+            ]
+        else:
+            continue
+        offenders += [(node.lineno, name) for name in names if name in banned]
+    assert not offenders

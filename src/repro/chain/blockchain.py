@@ -191,10 +191,6 @@ class Blockchain:
     def time(self) -> float:
         return self.store.time
 
-    @time.setter
-    def time(self, value: float) -> None:
-        self.store.time = value
-
     @property
     def blocks(self) -> list[Block]:
         return self.store.blocks
@@ -210,14 +206,6 @@ class Blockchain:
     @fee_sink.setter
     def fee_sink(self, value: int) -> None:
         self.store.fee_sink = value
-
-    @property
-    def _balances(self) -> dict[str, int]:
-        return self.store.balances
-
-    @_balances.setter
-    def _balances(self, value: dict[str, int]) -> None:
-        self.store.balances = value
 
     @property
     def _contracts(self) -> dict[str, Contract]:
@@ -480,7 +468,7 @@ class Blockchain:
             if tx.sender in self.store.nonces:
                 self.store.nonces[tx.sender] += 1
         contract = None
-        snapshot = dict(self.store.balances)
+        mark = self.store.savepoint()
         try:
             if tx.value:
                 self._debit(tx.sender, tx.value)
@@ -508,7 +496,7 @@ class Blockchain:
                     return_value = method(ctx, *tx.args)
             success, error = True, None
         except (RevertError, OutOfGasError, AssertionError) as exc:
-            self.store.balances = snapshot  # revert state changes
+            self.store.rollback(mark)  # revert state changes
             if contract is not None:
                 contract._pending_events.clear()
             success, error, return_value = False, str(exc), None

@@ -30,17 +30,22 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import io
+import operator
 import os
 import pickle
 import struct
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
+
+from .. import durable
+from ..durable import WalCorruption
 
 __all__ = [
     "MemoryStateStore",
     "StateStore",
+    "WalCorruption",
     "WalStateStore",
     "canonical_state_digest",
 ]
@@ -154,21 +159,84 @@ def canonical_state_digest(value: Any) -> bytes:
 # --------------------------------------------------------------------------- #
 
 
+#: Journal marker for "the key was absent".
+_MISSING = object()
+
+
+class _JournaledDict(dict):
+    """One of the store's keyed maps: writes inside an open scope are journaled.
+
+    Every mutator appends ``((map name, key), map, previous value)`` to the
+    owning store's journal — the one record that reverts
+    (:meth:`StateStore.rollback`) and WAL patches (:meth:`StateStore.delta`)
+    are both derived from, at a cost proportional to what a scope wrote, not
+    to how many accounts exist.  Reads are the builtin's.  Pickles as a
+    plain dict, so nothing persisted ever carries a back-reference to its
+    store.
+    """
+
+    __slots__ = ("_store", "name", "same")
+
+    def __init__(self, store: "StateStore", name: str, same=operator.eq) -> None:
+        self._store = store
+        self.name = name
+        #: Whether two values of this map count as unchanged (see ``delta``).
+        self.same = same
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+    def _note(self, key) -> None:
+        store = self._store
+        if store._tx_depth:
+            # Keyed by (name, key) up front so that ``delta`` can pick each
+            # key's first entry with one C-level dict build.
+            store._journal.append(
+                ((self.name, key), self, dict.get(self, key, _MISSING))
+            )
+
+    def __setitem__(self, key, value) -> None:
+        self._note(key)
+        dict.__setitem__(self, key, value)
+
+    def __delitem__(self, key) -> None:
+        self._note(key)
+        dict.__delitem__(self, key)
+
+    def pop(self, key, *default):
+        self._note(key)
+        return dict.pop(self, key, *default)
+
+    # The builtin's other mutators write without calling the three above;
+    # the abstract mixins are the same operations spelled through them.
+    popitem = MutableMapping.popitem
+    clear = MutableMapping.clear
+    update = MutableMapping.update
+    setdefault = MutableMapping.setdefault
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+
 class StateStore:
-    """All mutable chain state, behind commit hooks the backends can log.
+    """All mutable chain state, behind a commit hook the backends can log.
 
     The base class *is* the in-memory representation; subclasses override
-    the ``begin_*`` / ``commit_*`` hooks to add durability.  The owning
+    ``_commit_hook`` to add durability.  The owning
     :class:`~repro.chain.blockchain.Blockchain` brackets every mutating
     entry point (account creation, deploy, transact, block seal) with one
     ``begin()`` / ``commit(kind, ...)`` pair; reads go straight at the
     attributes.
     """
 
+    #: The keyed maps whose writes are journaled while a scope is open.
+    _KEYED_MAPS = ("balances", "nonces", "signer_keys", "mined_nonces", "pool")
+
     def __init__(self) -> None:
         self.time: float = 0.0
         self.blocks: list = []
-        self.balances: dict[str, int] = {}
+        self.balances: dict[str, int] = _JournaledDict(self, "balances")
         self.contracts: dict[str, Any] = {}
         self.scheduled: list = []
         self.schedule_seq: int = 0
@@ -176,8 +244,8 @@ class StateStore:
         self.fee_sink: int = 0
         self.account_seq: int = 0
         self.tx_seq: int = 0
-        self.signer_keys: dict[str, bytes] = {}
-        self.nonces: dict[str, int] = {}
+        self.signer_keys: dict[str, bytes] = _JournaledDict(self, "signer_keys")
+        self.nonces: dict[str, int] = _JournaledDict(self, "nonces")
         # Fee-market / mempool state (zero until a Mempool is attached).
         # ``base_fee_wei`` and ``burned`` are ledger state (hashed); the
         # pending pool itself is admission-queue state, fingerprinted
@@ -185,12 +253,17 @@ class StateStore:
         # be compared hash-for-hash against a direct-transact chain.
         self.base_fee_wei: int = 0
         self.burned: int = 0
-        self.pool: dict = {}              # (sender, nonce) -> PendingEntry
+        # (sender, nonce) -> PendingEntry.  Entries are frozen, so identity
+        # is an exact change detector (covers replace-by-fee rewrites).
+        self.pool: dict = _JournaledDict(self, "pool", same=operator.is_)
         self.pool_seq: int = 0
-        self.mined_nonces: dict[str, int] = {}
-        # Commit bookkeeping (used by logging backends).
+        self.mined_nonces: dict[str, int] = _JournaledDict(self, "mined_nonces")
+        # Commit bookkeeping: the open scope's write-set journal, the
+        # contracts it touched and where its events start.
         self._tx_depth = 0
+        self._journal: list[tuple[tuple[str, Any], _JournaledDict, Any]] = []
         self._touched: set[str] = set()
+        self._events_mark = 0
 
     # -- commit protocol ----------------------------------------------------
 
@@ -199,7 +272,8 @@ class StateStore:
         self._tx_depth += 1
         if self._tx_depth == 1:
             self._touched = set()
-            self._begin_hook()
+            self._journal.clear()
+            self._events_mark = len(self.events)
 
     def touch_contract(self, address: str) -> None:
         """Mark a contract as possibly mutated inside the open scope."""
@@ -213,9 +287,38 @@ class StateStore:
         if self._tx_depth == 0:
             self._commit_hook(kind, payload, frozenset(self._touched))
             self._touched = set()
+            self._journal.clear()
 
-    def _begin_hook(self) -> None:  # pragma: no cover - trivial
-        pass
+    def savepoint(self) -> int:
+        """A mark in the open scope's journal that :meth:`rollback` returns to."""
+        return len(self._journal)
+
+    def rollback(self, mark: int) -> None:
+        """Undo every keyed-map write made since ``savepoint()`` gave ``mark``."""
+        journal = self._journal
+        while len(journal) > mark:
+            (_, key), target, previous = journal.pop()
+            if previous is _MISSING:
+                dict.pop(target, key, None)
+            else:
+                dict.__setitem__(target, key, previous)
+
+    def delta(self) -> tuple[dict[str, dict], dict[str, list]]:
+        """What the open scope did to the keyed maps, read off its journal:
+        ``{map name: {key: value now}}`` for the keys it left holding something
+        other than before it opened, and ``{map name: [keys it removed]}``."""
+        now: dict[str, dict] = {}
+        gone: dict[str, list] = {}
+        # Read backwards, so that each key keeps its *first* entry: the one
+        # holding the value it had before the scope opened.
+        first = {entry[0]: entry for entry in reversed(self._journal)}
+        for (name, key), target, previous in first.values():
+            if key not in target:
+                if previous is not _MISSING:
+                    gone.setdefault(name, []).append(key)
+            elif not target.same(target[key], previous):
+                now.setdefault(name, {})[key] = target[key]
+        return now, gone
 
     def _commit_hook(
         self, kind: str, payload: dict, touched: frozenset
@@ -340,22 +443,33 @@ class _WalRecord:
     pool_remove: list = field(default_factory=list)  # keys dropped
 
 
+#: Seal of ``snapshot.pkl`` (see :mod:`repro.durable`).
+_SNAPSHOT_MAGIC = b"CHAINSNP"
+
+#: The counters every record carries whole (absolute values, not deltas).
+_RECORD_SCALARS = (
+    "fee_sink", "account_seq", "schedule_seq", "tx_seq",
+    "base_fee_wei", "burned", "pool_seq",
+)
+
+
 class WalStateStore(StateStore):
     """Append-only write-ahead log + snapshots under one directory.
 
-    Layout::
+    Layout (both in the :mod:`repro.durable` formats)::
 
-        <dir>/snapshot.pkl   full-state snapshot (optional)
-        <dir>/wal.log        length-prefixed pickled _WalRecord frames
+        <dir>/snapshot.pkl   sealed full-state snapshot (optional)
+        <dir>/wal.log        frame log, one pickled _WalRecord per frame
 
     ``WalStateStore(path)`` recovers whatever the directory holds: the
-    snapshot (if any) is loaded, then every complete WAL frame is applied
-    in order.  A torn final frame (crash mid-append) is ignored, exactly
-    like a database would.  ``snapshot()`` folds the log into a fresh
+    snapshot (if any) is loaded, then every complete WAL frame numbered
+    after it is applied in order.  A torn final frame (crash mid-append) is
+    ignored, exactly like a database would; a complete frame or snapshot
+    that fails its checksum, version or sequence raises
+    :class:`WalCorruption`.  ``snapshot()`` folds the log into a fresh
     snapshot and truncates it.
     """
 
-    _FRAME_HEADER = struct.Struct(">I")
     _SNAPSHOT_NAME = "snapshot.pkl"
     _WAL_NAME = "wal.log"
 
@@ -364,50 +478,36 @@ class WalStateStore(StateStore):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
-        self._pre: dict[str, Any] = {}
         self.replayed_records = 0
-        self._valid_wal_bytes = 0
-        self._recover()
-        wal_path = self.directory / self._WAL_NAME
-        if wal_path.exists() and wal_path.stat().st_size > self._valid_wal_bytes:
-            # Drop a torn tail frame (crash mid-append) before appending:
-            # otherwise new records would land *behind* the garbage and be
-            # unreachable to every future recovery.
-            with open(wal_path, "r+b") as handle:
-                handle.truncate(self._valid_wal_bytes)
-        self._wal = open(wal_path, "ab")
+        #: Sequence number of the last frame written, replayed or folded.
+        self._seq = 0
+        # Drop a torn tail frame (crash mid-append) before appending:
+        # otherwise new records would land *behind* the garbage and be
+        # unreachable to every future recovery.
+        self.truncate_wal(self.directory, self._recover())
+        self._wal = open(self.wal_path, "ab")
 
-    # -- commit hooks ---------------------------------------------------------
-
-    def _begin_hook(self) -> None:
-        self._pre = {
-            "balances": dict(self.balances),
-            "nonces": dict(self.nonces),
-            "signer_keys": dict(self.signer_keys),
-            "events_len": len(self.events),
-            "mined_nonces": dict(self.mined_nonces),
-            "pool": dict(self.pool),
-        }
+    # -- commit hook ----------------------------------------------------------
 
     def _commit_hook(self, kind: str, payload: dict, touched: frozenset) -> None:
-        pre = self._pre
+        now, gone = self.delta()
+        contracts = {}
+        if touched:  # a plain transfer touches none
+            contracts = {
+                address: _contract_state(self.contracts[address])
+                for address in sorted(touched)
+                if address in self.contracts
+            }
+        # Spelled out, not ``**``-unpacked from ``_RECORD_SCALARS``: this runs
+        # once per transaction and a starred call takes the slow call path.
         record = _WalRecord(
             kind=kind,
-            balances={
-                addr: wei
-                for addr, wei in self.balances.items()
-                if pre["balances"].get(addr) != wei
-            },
-            nonces={
-                addr: nonce
-                for addr, nonce in self.nonces.items()
-                if pre["nonces"].get(addr) != nonce
-            },
-            signer_keys={
-                addr: key
-                for addr, key in self.signer_keys.items()
-                if pre["signer_keys"].get(addr) != key
-            },
+            balances=now.get("balances", {}),
+            nonces=now.get("nonces", {}),
+            signer_keys=now.get("signer_keys", {}),
+            mined_nonces=now.get("mined_nonces", {}),
+            pool_add=now.get("pool", {}),
+            pool_remove=gone.get("pool", []),
             fee_sink=self.fee_sink,
             account_seq=self.account_seq,
             schedule_seq=self.schedule_seq,
@@ -415,90 +515,72 @@ class WalStateStore(StateStore):
             base_fee_wei=self.base_fee_wei,
             burned=self.burned,
             pool_seq=self.pool_seq,
-            mined_nonces={
-                addr: nonce
-                for addr, nonce in self.mined_nonces.items()
-                if pre["mined_nonces"].get(addr) != nonce
-            },
-            # PendingEntry objects are frozen, so identity comparison is
-            # an exact change detector (covers replace-by-fee rewrites).
-            pool_add={
-                key: entry
-                for key, entry in self.pool.items()
-                if pre["pool"].get(key) is not entry
-            },
-            pool_remove=[key for key in pre["pool"] if key not in self.pool],
             scheduled=list(self.scheduled),
-            events_tail=list(self.events[pre["events_len"] :]),
-            contracts={
-                address: _contract_state(self.contracts[address])
-                for address in sorted(touched)
-                if address in self.contracts
-            },
+            events_tail=self.events[self._events_mark :],
+            contracts=contracts,
             payload=payload,
         )
-        frame = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        self._wal.write(self._FRAME_HEADER.pack(len(frame)) + frame)
+        self._seq += 1
+        self._wal.write(
+            durable.frame(
+                self._seq, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+            )
+        )
         self._wal.flush()
         if self.fsync:
             os.fsync(self._wal.fileno())
 
     # -- recovery -------------------------------------------------------------
 
-    def _recover(self) -> None:
+    def _recover(self) -> int:
+        """Load snapshot + log; returns the log's length up to its last whole frame."""
         snapshot_path = self.directory / self._SNAPSHOT_NAME
         if snapshot_path.exists():
-            with open(snapshot_path, "rb") as handle:
-                state = pickle.load(handle)
+            state = pickle.loads(durable.read_sealed(snapshot_path, _SNAPSHOT_MAGIC))
+            self._seq = state["wal_seq"]
             for name, value in state["scalars"].items():
-                setattr(self, name, value)
+                if name in self._KEYED_MAPS:
+                    dict.update(getattr(self, name), value)
+                else:
+                    setattr(self, name, value)
             self.contracts = {
                 address: _restore_contract(cls, attrs)
                 for address, (cls, attrs) in state["contracts"].items()
             }
-        for record in self._read_wal():
-            self._apply(record)
-            self.replayed_records += 1
-
-    def _read_wal(self) -> Iterator[_WalRecord]:
-        wal_path = self.directory / self._WAL_NAME
-        if not wal_path.exists():
-            return
-        data = wal_path.read_bytes()
-        stream = io.BytesIO(data)
-        while True:
-            header = stream.read(self._FRAME_HEADER.size)
-            if len(header) < self._FRAME_HEADER.size:
-                return  # clean end (or torn length prefix)
-            (length,) = self._FRAME_HEADER.unpack(header)
-            frame = stream.read(length)
-            if len(frame) < length:
-                return  # torn frame: the crash interrupted this append
-            record = pickle.loads(frame)
-            self._valid_wal_bytes = stream.tell()
-            yield record
+        valid = 0
+        if self.wal_path.exists():
+            log = self.wal_path.read_bytes()
+            for sequence, payload, valid in durable.frames(log, after=self._seq):
+                # A frame at or below the snapshot's sequence was folded
+                # into it: the crash fell between publishing the snapshot
+                # and cutting the log, and replaying it would double-apply.
+                if sequence > self._seq:
+                    self._apply(pickle.loads(payload))
+                    self._seq = sequence
+                    self.replayed_records += 1
+        return valid
 
     def _apply(self, record: _WalRecord) -> None:
-        self.balances.update(record.balances)
-        self.nonces.update(record.nonces)
-        self.signer_keys.update(record.signer_keys)
-        self.fee_sink = record.fee_sink
-        self.account_seq = record.account_seq
-        self.schedule_seq = record.schedule_seq
-        self.tx_seq = record.tx_seq
+        # Replay runs outside any scope, so there is nothing to journal:
+        # keyed-map writes go straight to the builtin (thousands per reopen).
+        merge = dict.update
+        merge(self.balances, record.balances)
+        merge(self.nonces, record.nonces)
+        merge(self.signer_keys, record.signer_keys)
         # Fee-market fields arrived after the WAL format shipped; frames
         # pickled by older code lack them entirely (dataclass defaults are
         # not stored in the instance), so read via the pickled __dict__
         # and leave the current value untouched when a frame predates the
         # field — an old frame cannot have changed what it never knew.
         patch = vars(record)
-        self.base_fee_wei = patch.get("base_fee_wei", self.base_fee_wei)
-        self.burned = patch.get("burned", self.burned)
-        self.pool_seq = patch.get("pool_seq", self.pool_seq)
-        self.mined_nonces.update(patch.get("mined_nonces", {}))
+        state = vars(self)
+        for name in _RECORD_SCALARS:
+            if name in patch:
+                state[name] = patch[name]
+        merge(self.mined_nonces, patch.get("mined_nonces", {}))
         for key in patch.get("pool_remove", ()):
-            self.pool.pop(key, None)
-        self.pool.update(patch.get("pool_add", {}))
+            dict.pop(self.pool, key, None)
+        merge(self.pool, patch.get("pool_add", {}))
         self.scheduled = list(record.scheduled)
         self.events.extend(record.events_tail)
         for address, (cls, attrs) in record.contracts.items():
@@ -525,42 +607,34 @@ class WalStateStore(StateStore):
 
     def snapshot(self) -> None:
         """Fold the log into a fresh snapshot and truncate the WAL."""
-        scalars = {
-            name: getattr(self, name)
-            for name in (
-                "time",
-                "blocks",
-                "balances",
-                "scheduled",
-                "schedule_seq",
-                "events",
-                "fee_sink",
-                "account_seq",
-                "tx_seq",
-                "signer_keys",
-                "nonces",
-                "base_fee_wei",
-                "burned",
-                "pool",
-                "pool_seq",
-                "mined_nonces",
-            )
-        }
         state = {
-            "scalars": scalars,
+            "wal_seq": self._seq,
+            "scalars": {
+                name: getattr(self, name)
+                for name in (
+                    "time",
+                    "blocks",
+                    "scheduled",
+                    "events",
+                    *_RECORD_SCALARS,
+                    *self._KEYED_MAPS,
+                )
+            },
             "contracts": {
                 address: _contract_state(contract)
                 for address, contract in self.contracts.items()
             },
         }
-        tmp_path = self.directory / (self._SNAPSHOT_NAME + ".tmp")
-        with open(tmp_path, "wb") as handle:
-            pickle.dump(state, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            handle.flush()
-            os.fsync(handle.fileno())
-        tmp_path.replace(self.directory / self._SNAPSHOT_NAME)
+        durable.publish(
+            self.directory / self._SNAPSHOT_NAME,
+            _SNAPSHOT_MAGIC,
+            pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL),
+        )
+        # Cut the log only after the snapshot is durable.  A crash in
+        # between leaves frames the snapshot already holds; recovery skips
+        # them by the ``wal_seq`` recorded above.
         self._wal.close()
-        self._wal = open(self.directory / self._WAL_NAME, "wb")
+        self._wal = open(self.wal_path, "wb")
 
     def close(self) -> None:
         if not self._wal.closed:

@@ -273,7 +273,7 @@ def _cmd_attack_byzantine(args: argparse.Namespace) -> int:
 
 def _cmd_lifecycle(args: argparse.Namespace) -> int:
     """Long-horizon lifecycle simulation: years of churn, repair, eviction."""
-    from .lifecycle import LifecycleConfig, LifecycleEngine
+    from .lifecycle import LifecycleConfig, LifecycleEngine, LifecycleResumeError
     from .sim.throughput import LifecycleCapacityModel
 
     if args.years <= 0 or args.epochs_per_year < 1:
@@ -288,7 +288,12 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
         overrides = {"workers": args.workers}
         if args.crypto_cache:
             overrides["crypto_cache_dir"] = args.crypto_cache
-        engine = LifecycleEngine.open(persist, **overrides)
+        try:
+            engine = LifecycleEngine.open(persist, **overrides)
+        except (LifecycleResumeError, OSError) as exc:
+            print(f"lifecycle: cannot resume from {persist}: "
+                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
         print(f"resumed from {persist} at epoch {engine.next_epoch}/"
               f"{engine.config.total_epochs}")
     else:

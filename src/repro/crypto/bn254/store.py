@@ -11,30 +11,25 @@ warm-cache throughput instead of re-deriving every table.
 Layout: one file per table under the cache directory, named
 ``<kind>-<sha256(key)[:32]>.bin`` where the key bytes are the canonical
 serialization of the group element plus the table parameters.  Each file is
-
-    MAGIC (8 bytes) || FORMAT_VERSION (2 bytes BE) || sha256(payload) ||
-    payload (pickled pure-int structure)
-
-written atomically (temp file + ``os.replace``).  :meth:`PrecomputeStore.load`
-returns ``None`` — never raises — for missing, truncated, corrupted,
-checksum-mismatched or version-mismatched files, so a bad cache directory
-degrades to a cold start instead of an outage.  Payloads are pickled, but
-the checksum is verified *before* unpickling, so only payloads this process
-(or another honest auditor run) wrote are ever deserialized.
+a :mod:`repro.durable` sealed file (magic, format version, checksum, then
+the pickled pure-int structure), published atomically.
+:meth:`PrecomputeStore.load` returns ``None`` — never raises — for missing,
+truncated, corrupted, checksum-mismatched or version-mismatched files, so a
+bad cache directory degrades to a cold start instead of an outage.  Payloads
+are pickled, but the checksum is verified *before* unpickling, so only
+payloads this process (or another honest auditor run) wrote are ever
+deserialized.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
-import tempfile
 from pathlib import Path
 
-MAGIC = b"BN254PC\x00"
-FORMAT_VERSION = 1
+from ... import durable
 
-_HEADER_LEN = len(MAGIC) + 2 + 32
+MAGIC = b"BN254PC\x00"
 
 
 class PrecomputeStore:
@@ -60,24 +55,10 @@ class PrecomputeStore:
     def load(self, kind: str, key: bytes):
         """The stored object for ``(kind, key)``, or ``None`` on any miss."""
         try:
-            blob = self._path(kind, key).read_bytes()
+            value = pickle.loads(durable.read_sealed(self._path(kind, key), MAGIC))
         except OSError:
             return None
-        if len(blob) < _HEADER_LEN or not blob.startswith(MAGIC):
-            self.rejects += 1
-            return None
-        version = int.from_bytes(blob[len(MAGIC) : len(MAGIC) + 2], "big")
-        if version != FORMAT_VERSION:
-            self.rejects += 1
-            return None
-        checksum = blob[len(MAGIC) + 2 : _HEADER_LEN]
-        payload = blob[_HEADER_LEN:]
-        if hashlib.sha256(payload).digest() != checksum:
-            self.rejects += 1
-            return None
-        try:
-            value = pickle.loads(payload)
-        except Exception:
+        except Exception:  # WalCorruption, or a sealed payload that is no pickle
             self.rejects += 1
             return None
         self.loads += 1
@@ -86,27 +67,8 @@ class PrecomputeStore:
     def save(self, kind: str, key: bytes, value) -> None:
         """Atomically persist ``value``; failures leave no partial file."""
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = (
-            MAGIC
-            + FORMAT_VERSION.to_bytes(2, "big")
-            + hashlib.sha256(payload).digest()
-            + payload
-        )
-        path = self._path(kind, key)
         try:
-            fd, tmp = tempfile.mkstemp(
-                prefix=path.name, suffix=".tmp", dir=self.directory
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            durable.publish(self._path(kind, key), MAGIC, payload)
         except OSError:
             return
         self.saves += 1

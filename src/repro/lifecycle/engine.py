@@ -40,11 +40,13 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 from ..chain import ContractTerms, Transaction
 from ..chain.contracts.checkpoint_contract import CheckpointContract, CheckpointStatus
 from ..chain.contracts.reputation import ReputationRegistry
 from ..chain.fabric import ShardedChainFabric
+from ..chain.mempool import MempoolConfig
 from ..core import ProtocolParams
 from ..core.prover import ResponseWithheld
 from ..crypto.bn254 import PrecomputeCache
@@ -66,6 +68,7 @@ from ..storage import (
 )
 from .events import EventTrail
 from .hazard import ChurnModel, HazardConfig
+from .persist import ENGINE_SNAPSHOT, load_engine, save_engine
 
 #: Per-shard audit contracts deployed by the DSN are *dormant* during a
 #: lifecycle run: their scheduled challenges sit beyond the simulated
@@ -257,46 +260,16 @@ class LifecycleEngine:
     # World construction                                                  #
     # ------------------------------------------------------------------ #
 
-    def _lanes_dir(self):
-        from pathlib import Path
-
-        assert self.config.persist_dir is not None
-        return Path(self.config.persist_dir) / "lanes"
-
-    def _build_world(self) -> None:
+    def _open_world(self, cluster: DsnCluster, reputation) -> None:
+        """Open the fabric and wire the DSN over it (fresh build and reopen)."""
         config = self.config
+        lanes_dir = None
         if config.persist_dir:
-            # A fresh run must never build on top of a previous run's WALs:
-            # WalStateStore replays whatever the directory holds, which
-            # would silently break the same-seed determinism contract.
-            from pathlib import Path
-
-            existing = Path(config.persist_dir) / "engine.pkl"
-            if existing.exists():
-                raise ValueError(
-                    f"{config.persist_dir} already holds a persisted "
-                    "lifecycle run; reopen it with LifecycleEngine.open / "
-                    "--resume, or point --persist at a fresh directory"
-                )
-        persist = str(self._lanes_dir()) if config.persist_dir else None
-        mempool = None
-        if config.mempool:
-            from ..chain.mempool import MempoolConfig
-
-            mempool = MempoolConfig()
+            lanes_dir = str(Path(config.persist_dir) / "lanes")
         self.fabric = ShardedChainFabric(
-            num_lanes=config.lanes, persist_dir=persist, mempool=mempool
-        )
-        cluster = DsnCluster(
-            network=SimulatedNetwork(
-                rng=random.Random(_sub_seed(config.seed, "network"))
-            )
-        )
-        registry = ReputationRegistry(
-            min_stake_wei=int(config.stake_eth * 10**18)
-        )
-        placement = ReputationWeightedPlacement(
-            score_of=self._score_of, minimum_score=config.min_placement_score
+            num_lanes=config.lanes,
+            persist_dir=lanes_dir,
+            mempool=MempoolConfig() if config.mempool else None,
         )
         self.dsn = AuditedDsn(
             cluster,
@@ -308,11 +281,44 @@ class LifecycleEngine:
                 audit_interval=DORMANT_INTERVAL,
                 response_window=DORMANT_INTERVAL / 10,
             ),
-            reputation=registry,
+            reputation=reputation,
             rng=self._owner_rng,
-            placement=placement,
+            placement=ReputationWeightedPlacement(
+                score_of=self._score_of, minimum_score=config.min_placement_score
+            ),
             validate_packages=config.validate_packages,
             key_mode="convergent",
+        )
+
+    def _build_executor(self) -> None:
+        self.executor = AuditExecutor(
+            [
+                AuditInstance.from_package(audit.package, owner_id=file_id)
+                for file_id, audit in self._shards.values()
+            ],
+            workers=self.config.workers,
+            cache_dir=self.config.crypto_cache_dir,
+        )
+
+    def _build_world(self) -> None:
+        config = self.config
+        if config.persist_dir:
+            # A fresh run must never build on top of a previous run's WALs:
+            # WalStateStore replays whatever the directory holds, which
+            # would silently break the same-seed determinism contract.
+            if (Path(config.persist_dir) / ENGINE_SNAPSHOT).exists():
+                raise ValueError(
+                    f"{config.persist_dir} already holds a persisted "
+                    "lifecycle run; reopen it with LifecycleEngine.open / "
+                    "--resume, or point --persist at a fresh directory"
+                )
+        self._open_world(
+            DsnCluster(
+                network=SimulatedNetwork(
+                    rng=random.Random(_sub_seed(config.seed, "network"))
+                )
+            ),
+            ReputationRegistry(min_stake_wei=int(config.stake_eth * 10**18)),
         )
         assert self.dsn._reputation_address is not None
         self.registry_address = self.dsn._reputation_address
@@ -349,14 +355,7 @@ class LifecycleEngine:
                 shards=config.erasure_n, needed=config.erasure_k,
                 bytes=len(payload),
             )
-        self.executor = AuditExecutor(
-            [
-                AuditInstance.from_package(audit.package, owner_id=file_id)
-                for file_id, audit in self._shards.values()
-            ],
-            workers=config.workers,
-            cache_dir=config.crypto_cache_dir,
-        )
+        self._build_executor()
         if config.persist_dir:
             self.checkpoint_state()
 
@@ -888,8 +887,6 @@ class LifecycleEngine:
     # ------------------------------------------------------------------ #
 
     def checkpoint_state(self) -> None:
-        from .persist import save_engine
-
         save_engine(self)
 
     @classmethod
@@ -901,8 +898,6 @@ class LifecycleEngine:
         engine's own state, and verifies the reopened fabric's
         ``state_hash`` matches the snapshot before handing the engine back.
         """
-        from .persist import load_engine
-
         return load_engine(persist_dir, **overrides)
 
     def close(self) -> None:

@@ -6,10 +6,10 @@ writes a :class:`~repro.chain.state.WalStateStore`); this module makes the
 the event trail — equally durable, and knits the two together so a crash
 at **any** point resumes bit-identically:
 
-* After every epoch the engine writes one atomic snapshot
-  (``<dir>/engine.pkl``, tmp + rename) that records, along with its own
-  state, each lane's WAL size at that boundary and the fabric's canonical
-  ``state_hash``.
+* After every epoch the engine publishes one atomic snapshot
+  (``<dir>/engine.pkl``, a :mod:`repro.durable` sealed file) that records,
+  along with its own state, each lane's WAL size at that boundary and the
+  fabric's canonical ``state_hash``.
 * :func:`load_engine` truncates every lane WAL back to the recorded size —
   every commit is one whole frame, so the cut lands on a frame boundary
   and discards exactly the partial epoch a crash may have written — then
@@ -26,13 +26,22 @@ are identical to an uninterrupted run (asserted by
 from __future__ import annotations
 
 import dataclasses
-import os
 import pickle
 import random
 from pathlib import Path
 
+from .. import durable
+
 ENGINE_SNAPSHOT = "engine.pkl"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+_MAGIC = b"LIFECYCL"
+
+#: Engine attributes that are plain picklable values, saved and restored as-is.
+_PLAIN_FIELDS = (
+    "next_epoch", "node_seq", "summaries", "providers", "payloads",
+    "total_commitment_gas", "total_repairs", "total_evictions", "wall_seconds",
+    "registry_address", "oracle", "lane_settlement", "_registered",
+)
 
 
 def _shard_audit_state(shard_audit) -> dict:
@@ -67,46 +76,30 @@ def save_engine(engine) -> Path:
     state = {
         "version": SNAPSHOT_VERSION,
         "config": config,
-        "next_epoch": engine.next_epoch,
-        "node_seq": engine.node_seq,
+        "plain": {name: getattr(engine, name) for name in _PLAIN_FIELDS},
         "trail_lines": engine.trail.to_lines(),
-        "summaries": engine.summaries,
-        "totals": (
-            engine.total_commitment_gas,
-            engine.total_repairs,
-            engine.total_evictions,
-            engine.wall_seconds,
-        ),
         "churn_rng": engine._churn.rng.getstate(),
         "batch_rng": engine._batch_rng.getstate(),
         "owner_rng": engine._owner_rng.getstate(),
         "cluster": engine.dsn.cluster,
-        "payloads": engine.payloads,
         "client_keys": {
             file_id: (client.owner_name, dict(client.keys))
             for file_id, client in engine.dsn._clients.items()
         },
         "files": files_state,
-        "providers": engine.providers,
-        "registry_address": engine.registry_address,
-        "oracle": engine.oracle,
-        "lane_settlement": engine.lane_settlement,
-        "registered": set(engine._registered),
         "wal_sizes": wal_sizes,
         "fabric_state_hash": engine.fabric.state_hash(),
     }
-    tmp_path = directory / (ENGINE_SNAPSHOT + ".tmp")
-    with open(tmp_path, "wb") as handle:
-        pickle.dump(state, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        handle.flush()
-        os.fsync(handle.fileno())
     final_path = directory / ENGINE_SNAPSHOT
-    tmp_path.replace(final_path)
+    durable.publish(
+        final_path, _MAGIC, pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    )
     return final_path
 
 
 class LifecycleResumeError(RuntimeError):
-    """The persisted chain state does not match the engine snapshot."""
+    """The persisted run is damaged, or its chain state does not match
+    the engine snapshot."""
 
 
 def load_engine(persist_dir: str, **overrides):
@@ -115,17 +108,14 @@ def load_engine(persist_dir: str, **overrides):
     ``overrides`` may adjust pure *execution* knobs (currently only
     ``workers``); anything that feeds the determinism domain is refused.
     """
-    from ..chain.fabric import ShardedChainFabric
-    from ..chain.state import WalStateStore
-    from ..chain import ContractTerms
     from ..chain.agents import AuditDeployment, ProviderAgent
+    from ..chain.state import WalStateStore
     from ..core import ProtocolParams, StorageProvider
     from ..crypto.bn254 import PrecomputeCache
-    from ..dsn import AuditedDsn, AuditedFile, ShardAudit
-    from ..engine import AuditExecutor, AuditInstance
+    from ..dsn import AuditedFile, ShardAudit
     from ..randomness import HashChainBeacon
-    from ..storage import DsnClient, ReputationWeightedPlacement
-    from .engine import DORMANT_INTERVAL, LifecycleEngine
+    from ..storage import DsnClient
+    from .engine import LifecycleEngine
     from .events import EventTrail
     from .hazard import ChurnModel
 
@@ -136,9 +126,10 @@ def load_engine(persist_dir: str, **overrides):
             f"cannot override determinism-relevant fields on resume: {refused}"
         )
     directory = Path(persist_dir)
-    snapshot_path = directory / ENGINE_SNAPSHOT
-    with open(snapshot_path, "rb") as handle:
-        state = pickle.load(handle)
+    try:
+        state = pickle.loads(durable.read_sealed(directory / ENGINE_SNAPSHOT, _MAGIC))
+    except durable.WalCorruption as exc:
+        raise LifecycleResumeError(f"{ENGINE_SNAPSHOT}: {exc}") from exc
     if state["version"] != SNAPSHOT_VERSION:
         raise LifecycleResumeError(
             f"unsupported engine snapshot version {state['version']}"
@@ -147,49 +138,16 @@ def load_engine(persist_dir: str, **overrides):
         state["config"], persist_dir=str(directory), **overrides
     )
 
-    # Rewind each lane's WAL to the recorded boundary, then reopen.
-    lanes_dir = directory / "lanes"
-    for index, size in enumerate(state["wal_sizes"]):
-        WalStateStore.truncate_wal(lanes_dir / f"lane-{index:03d}", size)
-    mempool = None
-    if getattr(config, "mempool", False):
-        from ..chain.mempool import MempoolConfig
-
-        mempool = MempoolConfig()
-    fabric = ShardedChainFabric(
-        num_lanes=config.lanes, persist_dir=str(lanes_dir), mempool=mempool
-    )
-    if fabric.state_hash() != state["fabric_state_hash"]:
-        fabric.close()
-        raise LifecycleResumeError(
-            "reopened fabric state does not match the engine snapshot"
-        )
-
     engine = LifecycleEngine.__new__(LifecycleEngine)
     engine.config = config
     # The tracer and registry handles are never pickled (spans are run
     # artifacts, not state); a reopened engine starts untraced.
     engine._init_observability(None)
-    engine.fabric = fabric
     engine.params = ProtocolParams(s=config.s, k=config.k)
     engine.beacon = HashChainBeacon(f"lifecycle-{config.seed}".encode())
     engine._cache = PrecomputeCache()
     engine.trail = EventTrail.from_lines(state["trail_lines"])
-    engine.summaries = state["summaries"]
-    (
-        engine.total_commitment_gas,
-        engine.total_repairs,
-        engine.total_evictions,
-        engine.wall_seconds,
-    ) = state["totals"]
-    engine.next_epoch = state["next_epoch"]
-    engine.node_seq = state["node_seq"]
-    engine.providers = state["providers"]
-    engine.payloads = state["payloads"]
-    engine.registry_address = state["registry_address"]
-    engine.oracle = state["oracle"]
-    engine.lane_settlement = state["lane_settlement"]
-    engine._registered = set(state["registered"])
+    vars(engine).update(state["plain"])
 
     engine._churn = ChurnModel(config.hazard_config(), rng=random.Random())
     engine._churn.rng.setstate(state["churn_rng"])
@@ -198,29 +156,22 @@ def load_engine(persist_dir: str, **overrides):
     engine._owner_rng = random.Random()
     engine._owner_rng.setstate(state["owner_rng"])
 
+    # Rewind each lane's WAL to the recorded boundary, then reopen.
+    for index, size in enumerate(state["wal_sizes"]):
+        WalStateStore.truncate_wal(directory / "lanes" / f"lane-{index:03d}", size)
     cluster = state["cluster"]
-    placement = ReputationWeightedPlacement(
-        score_of=engine._score_of, minimum_score=config.min_placement_score
-    )
-    dsn = AuditedDsn(
-        cluster,
-        fabric,
-        engine.beacon,
-        params=engine.params,
-        terms=ContractTerms(
-            num_audits=1,
-            audit_interval=DORMANT_INTERVAL,
-            response_window=DORMANT_INTERVAL / 10,
-        ),
-        reputation=None,
-        rng=engine._owner_rng,
-        placement=placement,
-        validate_packages=config.validate_packages,
-        key_mode="convergent",
-    )
+    try:
+        engine._open_world(cluster, None)
+    except durable.WalCorruption as exc:
+        raise LifecycleResumeError(f"lane state: {exc}") from exc
+    fabric, dsn = engine.fabric, engine.dsn
+    if fabric.state_hash() != state["fabric_state_hash"]:
+        fabric.close()
+        raise LifecycleResumeError(
+            "reopened fabric state does not match the engine snapshot"
+        )
     dsn.reputation = engine.registry  # type: ignore[assignment]
     dsn._reputation_address = engine.registry_address
-    engine.dsn = dsn
     engine._registry_lane = fabric.lane(
         fabric.lane_index_of_contract(engine.registry_address)
     )
@@ -263,12 +214,5 @@ def load_engine(persist_dir: str, **overrides):
         client.keys = dict(keys)
         dsn._clients[file_id] = client
 
-    engine.executor = AuditExecutor(
-        [
-            AuditInstance.from_package(audit.package, owner_id=file_id)
-            for file_id, audit in engine._shards.values()
-        ],
-        workers=config.workers,
-        cache_dir=getattr(config, "crypto_cache_dir", None),
-    )
+    engine._build_executor()
     return engine

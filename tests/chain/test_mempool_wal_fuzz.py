@@ -14,13 +14,13 @@ samples mid-frame offsets instead of visiting every byte.
 from __future__ import annotations
 
 import shutil
-import struct
 
 import pytest
 
 from repro.chain import Blockchain, Transaction
 from repro.chain.mempool import GasSinkContract, MempoolConfig, MempoolRejection
 from repro.chain.state import WalStateStore
+from repro.durable import frames
 
 POOL = dict(
     high_watermark=8, low_watermark=4, max_per_sender=8, max_age_seconds=30.0
@@ -82,15 +82,7 @@ def _build_reference(directory) -> Blockchain:
 
 def _frame_boundaries(wal_bytes: bytes) -> list[int]:
     """Byte offsets after each complete frame (0 = empty prefix)."""
-    header = struct.Struct(">I")
-    boundaries = [0]
-    offset = 0
-    while offset + header.size <= len(wal_bytes):
-        (length,) = header.unpack_from(wal_bytes, offset)
-        if offset + header.size + length > len(wal_bytes):
-            break
-        offset += header.size + length
-        boundaries.append(offset)
+    boundaries = [0] + [end for _sequence, _payload, end in frames(wal_bytes)]
     assert boundaries[-1] == len(wal_bytes), "reference WAL must be untorn"
     return boundaries
 

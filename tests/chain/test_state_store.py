@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import pickle
 import random
-import struct
 
 import pytest
 
@@ -42,6 +41,7 @@ class Pinger(Contract):
         self.pings += 1
 from repro.chain.contracts.audit_contract import State
 from repro.chain.state import canonical_state_digest
+from repro.durable import frame, frames
 from repro.core import DataOwner, ProtocolParams, StorageProvider
 from repro.randomness import HashChainBeacon
 
@@ -190,22 +190,17 @@ class TestWalRoundTrip:
         committed_hash = chain.state_hash()
         chain.close()
         # Rewrite every frame as the previous build would have pickled it.
-        header = struct.Struct(">I")
         wal_path = tmp_path / "chain" / "wal.log"
-        data = wal_path.read_bytes()
-        frames = []
-        offset = 0
-        while offset < len(data):
-            (length,) = header.unpack_from(data, offset)
-            offset += header.size
-            record = pickle.loads(data[offset : offset + length])
-            offset += length
+        rewritten = []
+        for sequence, payload, _end in frames(wal_path.read_bytes()):
+            record = pickle.loads(payload)
             for name in ("base_fee_wei", "burned", "pool_seq",
                          "mined_nonces", "pool_add", "pool_remove"):
                 record.__dict__.pop(name, None)
-            frame = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-            frames.append(header.pack(len(frame)) + frame)
-        wal_path.write_bytes(b"".join(frames))
+            rewritten.append(
+                frame(sequence, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+            )
+        wal_path.write_bytes(b"".join(rewritten))
         recovered = Blockchain.open(tmp_path / "chain")
         assert recovered.state_hash() == committed_hash
 

@@ -11,13 +11,13 @@ land where recovery can see them).
 from __future__ import annotations
 
 import shutil
-import struct
 
 import pytest
 
 from repro.chain import Blockchain, Transaction
 from repro.chain.contracts.reputation import ReputationRegistry
 from repro.chain.state import WalStateStore
+from repro.durable import frames
 
 
 def _build_reference(directory) -> Blockchain:
@@ -43,15 +43,7 @@ def _build_reference(directory) -> Blockchain:
 
 def _frame_boundaries(wal_bytes: bytes) -> list[int]:
     """Byte offsets after each complete frame (0 = empty prefix)."""
-    header = struct.Struct(">I")
-    boundaries = [0]
-    offset = 0
-    while offset + header.size <= len(wal_bytes):
-        (length,) = header.unpack_from(wal_bytes, offset)
-        if offset + header.size + length > len(wal_bytes):
-            break
-        offset += header.size + length
-        boundaries.append(offset)
+    boundaries = [0] + [end for _sequence, _payload, end in frames(wal_bytes)]
     assert boundaries[-1] == len(wal_bytes), "reference WAL must be untorn"
     return boundaries
 

@@ -9,7 +9,6 @@ group-element outputs across a fresh process-simulating cache reload.
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 import pytest
@@ -24,7 +23,8 @@ from repro.crypto.bn254 import (
     pairing,
 )
 from repro.crypto.bn254.fields import Fp12
-from repro.crypto.bn254.store import FORMAT_VERSION, MAGIC, _HEADER_LEN
+from repro.crypto.bn254.store import MAGIC
+from repro.durable import FORMAT_VERSION, HEADER_LEN, publish
 
 G1 = G1Point.generator()
 G2 = G2Point.generator()
@@ -89,7 +89,7 @@ class TestStoreRejection:
         store = PrecomputeStore(tmp_path)
         store.save("wnaf", b"k", [(1, 2)])
         path = self._file(store)
-        path.write_bytes(path.read_bytes()[: _HEADER_LEN - 5])
+        path.write_bytes(path.read_bytes()[: HEADER_LEN - 5])
         assert store.load("wnaf", b"k") is None
         assert store.rejects == 1
 
@@ -106,14 +106,7 @@ class TestStoreRejection:
         # failure itself must read as a miss.
         store = PrecomputeStore(tmp_path)
         payload = b"\x00not a pickle"
-        blob = (
-            MAGIC
-            + FORMAT_VERSION.to_bytes(2, "big")
-            + hashlib.sha256(payload).digest()
-            + payload
-        )
-        path = store._path("wnaf", b"k")
-        path.write_bytes(blob)
+        publish(store._path("wnaf", b"k"), MAGIC, payload)
         assert store.load("wnaf", b"k") is None
 
     def test_corrupted_store_degrades_to_cold_start(self, tmp_path):

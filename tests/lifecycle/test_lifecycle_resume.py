@@ -160,5 +160,5 @@ def test_corrupted_chain_state_is_refused(tmp_path):
     assert data, "fixture needs a non-empty WAL"
     data[len(data) // 2] ^= 0xFF
     wal.write_bytes(bytes(data))
-    with pytest.raises((LifecycleResumeError, Exception)):
+    with pytest.raises(LifecycleResumeError, match="lane state: corrupt at byte"):
         LifecycleEngine.open(config.persist_dir)

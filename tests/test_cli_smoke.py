@@ -183,6 +183,29 @@ def test_lifecycle_persist_and_resume(tmp_path, capsys):
     assert grab(first, "event trail") == grab(second, "event trail")
 
 
+def test_lifecycle_resume_on_a_damaged_directory_is_one_line_and_nonzero(
+    tmp_path, capsys
+):
+    persist = tmp_path / "state"
+    assert main(["lifecycle", "--years", "0.5", "--epochs-per-year", "2",
+                 "--files", "1", "--size", "400", "--shards", "3", "--needed", "2",
+                 "--providers", "6", "--lanes", "2", "--s", "3", "--k", "2",
+                 "--persist", str(persist)]) == 0
+    wal = persist / "lanes" / "lane-000" / "wal.log"
+    data = bytearray(wal.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    wal.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["lifecycle", "--persist", str(persist), "--resume"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "LifecycleResumeError" in line and "corrupt at byte" in line
+    # Nothing to resume from at all is the same one-line refusal.
+    assert main(["lifecycle", "--persist", str(tmp_path / "absent"), "--resume"]) == 1
+    assert "FileNotFoundError" in capsys.readouterr().err
+
+
 def test_every_documented_subcommand_is_smoked():
     """The parser's command set and this suite must stay in sync."""
     parser = build_parser()

@@ -26,7 +26,7 @@ from repro.core import (
     ProtocolParams,
     StorageProvider,
     random_challenge,
-    verify_batch,
+    verify_batch_grouped,
     verify_sequential,
 )
 from repro.randomness import HashChainBeacon
@@ -81,7 +81,7 @@ def main() -> None:
     assert verify_sequential(items)
     sequential_s = time.perf_counter() - start
     start = time.perf_counter()
-    assert verify_batch(items, rng=rng)
+    assert verify_batch_grouped(items, rng=rng)
     batch_s = time.perf_counter() - start
     print(f"sequential verification: {sequential_s*1000:.0f} ms; "
           f"batched: {batch_s*1000:.0f} ms "

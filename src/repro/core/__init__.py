@@ -31,7 +31,6 @@ from .batch import (
     BatchItem,
     BatchVerifyOutcome,
     ItemRejection,
-    verify_batch,
     verify_batch_grouped,
     verify_sequential,
 )
@@ -147,7 +146,6 @@ __all__ = [
     "validate_public_key",
     "validate_public_key_batched",
     "verify_extraction",
-    "verify_batch",
     "verify_batch_grouped",
     "verify_sequential",
 ]

@@ -12,35 +12,30 @@ the combined check
 
 (with E_u the Eq.-2 product of user u) holds iff every E_u == 1 except with
 probability ~2^-128.  Scaling each user's G1 inputs by rho_u pushes the
-exponent inside the Miller loops, so U proofs cost 3U Miller loops + U-1
-short GT exponentiations + **one** hard final exponentiation instead of U.
-128 bits suffice for the soundness bound and halve the scaling cost
-(`bench_ablation_batch_auditing` quantifies the win).
+exponent inside the Miller loops, so U proofs cost ``1 + 2*owners`` Miller
+loops + U-1 short GT exponentiations + **one** hard final exponentiation
+instead of U.  128 bits suffice for the soundness bound and halve the
+scaling cost (`bench_ablation_batch_auditing` quantifies the win).
+
+The product itself lives in :func:`repro.core.verifier.pairing_product_check`;
+this module draws the blinders and localizes failures.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
-from ..crypto.bn254 import (
-    CURVE_ORDER,
-    G1Point,
-    G2Point,
-    PrecomputeCache,
-    final_exponentiation,
-    gt_multi_pow,
-    hash_gt_to_scalar,
-    miller_loop_product,
-    multi_scalar_mul,
-)
-from ..crypto.bn254.fields import Fp12
-from ..crypto.field import random_scalar
-from .authenticator import block_digest_point
+from ..crypto.bn254 import PrecomputeCache
 from .challenge import Challenge
 from .keys import PublicKey
 from .proof import PrivateProof
-from .verifier import RejectionReason, Verifier, VerifyOutcome, VerifyReport
+from .verifier import (
+    RejectionReason,
+    Statement,
+    Verifier,
+    VerifyReport,
+    pairing_product_check,
+)
 
 
 @dataclass(frozen=True)
@@ -81,7 +76,7 @@ class BatchVerifyOutcome:
 
     ok: bool
     checked: int
-    mode: str  # "grouped" | "flat" | "sequential"
+    mode: str  # "grouped" | "sequential"
     items: tuple[BatchItem, ...] = field(default=(), repr=False)
     _failures: tuple[ItemRejection, ...] | None = field(default=None, repr=False)
 
@@ -136,164 +131,36 @@ def _small_exponent(rng) -> int:
     return rng.getrandbits(128) | 1
 
 
-def verify_batch(
-    items: list[BatchItem],
-    rng=None,
-    report: VerifyReport | None = None,
-) -> BatchVerifyOutcome:
-    """Check all items at once; truthy iff every individual proof is valid."""
-    if not items:
-        return BatchVerifyOutcome(ok=True, checked=0, mode="flat")
-    g1 = G1Point.generator()
-    g2 = G2Point.generator()
-    pairs: list[tuple[G1Point, G2Point]] = []
-    gt_items: list[tuple[Fp12, int]] = []
-    for index, item in enumerate(items):
-        rho = 1 if index == 0 else _small_exponent(rng)
-        verifier = Verifier(item.public, item.name, item.num_chunks)
-        expanded = item.challenge.expand(item.num_chunks)
-        chi = verifier.compute_chi(expanded, report)
-        zeta = hash_gt_to_scalar(item.proof.commitment)
-        t0 = time.perf_counter()
-        scaled_zeta = zeta * rho
-        pairs.append((item.proof.sigma * scaled_zeta, g2))
-        pairs.append(
-            (-(g1 * (item.proof.y_masked * rho)) - chi * scaled_zeta, item.public.epsilon)
-        )
-        twisted = item.public.delta - item.public.epsilon * expanded.point
-        pairs.append((-(item.proof.psi * scaled_zeta), twisted))
-        gt_items.append((item.proof.commitment, rho))
-        t1 = time.perf_counter()
-        if report is not None:
-            report.msm_seconds += t1 - t0
-    t0 = time.perf_counter()
-    # One shared squaring chain for all rho-blinded commitments (exact
-    # arithmetic: same element as multiplying per-item gt_pow results).
-    gt_accumulator = gt_multi_pow(gt_items)
-    product = final_exponentiation(miller_loop_product(pairs))
-    ok = (product * gt_accumulator).is_one()
-    t1 = time.perf_counter()
-    if report is not None:
-        report.pairing_seconds += t1 - t0
-    # Items are retained only on failure — that is the only path where
-    # pinpoint() needs them, and accepted epochs would otherwise pin every
-    # decoded proof in long-running scheduler histories.
-    return BatchVerifyOutcome(
-        ok=ok, checked=len(items), mode="flat", items=() if ok else tuple(items)
-    )
-
-
 def verify_batch_grouped(
     items: list[BatchItem],
     rng=None,
     report: VerifyReport | None = None,
     precompute: PrecomputeCache | None = None,
 ) -> BatchVerifyOutcome:
-    """Batch verification with pair-merging and per-group Pippenger MSMs.
+    """Check all items at once; truthy iff every individual proof is valid.
 
-    The parallel audit engine's verification back end.  Same soundness as
-    :func:`verify_batch` (small-exponent blinding, one final exponentiation),
-    plus two structural optimizations enabled by pairing bilinearity:
-
-    * **G2 grouping** — all pairs sharing a G2 point collapse into one
-      Miller loop via ``prod_u e(A_u, Q) == e(sum_u A_u, Q)``.  The sigma
-      pairs all share ``g2``; the chi/y'/r*psi pairs share each owner's
-      ``epsilon``; the psi pairs share each owner's ``delta`` (the
-      ``delta - r*epsilon`` leg is split over the two fixed points by
-      bilinearity, so grouping never depends on a shared evaluation
-      point).  3U Miller loops become ``1 + 2*owners``, all against
-      G2 points whose prepared lines persist across epochs.
-    * **Deferred MSMs** — each group's G1 side is accumulated as (base,
-      scalar) pairs — chi is never materialized per item; its digest points
-      go straight into the owner's group — and reduced with one Pippenger
-      MSM per group, amortizing window overhead across the whole batch.
+    The parallel audit engine's verification back end: every item becomes a
+    rho-blinded statement of the one pairing product (rho_0 = 1), which
+    merges all inputs per fixed G2 point and pays one final exponentiation
+    for the whole batch.
     """
-    if not items:
-        return BatchVerifyOutcome(ok=True, checked=0, mode="grouped")
-    g1 = G1Point.generator()
-    g2 = G2Point.generator()
-    gt_items: list[tuple[Fp12, int]] = []
-    groups: dict[G2Point, tuple[list[G1Point], list[int], list[bool]]] = {}
-    # Every file of an owner contributes g1^{-y' rho} to the same epsilon
-    # group; folding those into one scalar drops U-per-owner points from the
-    # group MSMs (the group element is unchanged — same linear combination).
-    g1_scalars: dict[G2Point, int] = {}
-
-    def contribute(
-        base: G1Point, scalar: int, g2_point: G2Point, fixed: bool = False
-    ) -> None:
-        """``fixed`` marks epoch-recurring bases (digests, g1) whose wNAF
-        tables are worth keeping in the precompute cache."""
-        bases, scalars, cacheable = groups.setdefault(g2_point, ([], [], []))
-        bases.append(base)
-        scalars.append(scalar % CURVE_ORDER)
-        cacheable.append(fixed)
-
-    for index, item in enumerate(items):
-        rho = 1 if index == 0 else _small_exponent(rng)
-        expanded = item.challenge.expand(item.num_chunks)
-        zeta = hash_gt_to_scalar(item.proof.commitment)
-        scaled_zeta = zeta * rho % CURVE_ORDER
-        t0 = time.perf_counter()
-        if precompute is not None:
-            digests = [
-                precompute.block_digest(item.name, i) for i in expanded.indices
-            ]
-        else:
-            digests = [block_digest_point(item.name, i) for i in expanded.indices]
-        t1 = time.perf_counter()
-        # Eq. (2), rho-blinded:  R^rho * e(sigma^{zeta rho}, g2)
-        #   * e(g1^{-y' rho} * chi^{-zeta rho} * psi^{r zeta rho}, epsilon)
-        #   * e(psi^{-zeta rho}, delta)  == 1
-        contribute(item.proof.sigma, scaled_zeta, g2)
-        g1_scalars[item.public.epsilon] = (
-            g1_scalars.get(item.public.epsilon, 0) - item.proof.y_masked * rho
-        ) % CURVE_ORDER
-        for digest, coefficient in zip(digests, expanded.coefficients):
-            contribute(
-                digest,
-                -(coefficient * scaled_zeta),
-                item.public.epsilon,
-                fixed=True,
-            )
-        # e(psi^{-zeta rho}, delta - r*epsilon) splits by bilinearity into
-        # e(psi^{-zeta rho}, delta) * e(psi^{r zeta rho}, epsilon), so the
-        # psi legs land on the *fixed* per-owner G2 points instead of a
-        # fresh delta - r*epsilon combination per challenge point — no
-        # per-epoch G2 arithmetic or Miller-line preparation at all.
-        contribute(item.proof.psi, -scaled_zeta, item.public.delta)
-        contribute(
-            item.proof.psi, expanded.point * scaled_zeta, item.public.epsilon
+    statements = [
+        Statement(
+            item.public,
+            item.name,
+            item.challenge.expand(item.num_chunks),
+            item.proof.sigma,
+            item.proof.y_masked,
+            item.proof.psi,
+            item.proof.commitment,
+            rho=1 if index == 0 else _small_exponent(rng),
         )
-        gt_items.append((item.proof.commitment, rho))
-        t2 = time.perf_counter()
-        if report is not None:
-            report.hash_seconds += t1 - t0
-            report.msm_seconds += t2 - t1
-    for g2_point, scalar in g1_scalars.items():
-        contribute(g1, scalar, g2_point, fixed=True)
-    t0 = time.perf_counter()
-    # All rho-blinded commitments ride one shared cyclotomic squaring chain
-    # (bit-identical to the old per-item gt_pow product, ~U times fewer
-    # squarings); the G2 sides reuse cached Miller-loop lines when a
-    # precompute cache is attached.
-    gt_accumulator = gt_multi_pow(gt_items)
-    pairs = []
-    for g2_point, (bases, scalars, cacheable) in groups.items():
-        if precompute is not None:
-            merged = precompute.wnaf_msm(bases, scalars, cacheable)
-            g2_arg = precompute.prepared_g2(g2_point)
-        else:
-            merged = multi_scalar_mul(bases, scalars)
-            g2_arg = g2_point
-        pairs.append((merged, g2_arg))
-    t1 = time.perf_counter()
-    product = final_exponentiation(miller_loop_product(pairs))
-    ok = (product * gt_accumulator).is_one()
-    t2 = time.perf_counter()
-    if report is not None:
-        report.msm_seconds += t1 - t0
-        report.pairing_seconds += t2 - t1
+        for index, item in enumerate(items)
+    ]
+    ok, _ = pairing_product_check(statements, precompute, report)
+    # Items are retained only on failure — that is the only path where
+    # pinpoint() needs them, and accepted epochs would otherwise pin every
+    # decoded proof in long-running scheduler histories.
     return BatchVerifyOutcome(
         ok=ok, checked=len(items), mode="grouped", items=() if ok else tuple(items)
     )

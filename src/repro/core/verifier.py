@@ -1,4 +1,4 @@
-"""On-chain proof verification (paper Eq. (1) and Eq. (2)).
+"""On-chain proof verification (paper Eq. (1) and Eq. (2)), written once.
 
 The verifier (smart contract) recomputes the challenge expansion, derives
 
@@ -13,7 +13,12 @@ For the private proof the check is Eq. (2):
 which we fold into  ``R * e(zeta*sigma, g2) * e(-y'*g1 - zeta*chi +
 r*zeta*psi, epsilon) * e(-zeta*psi, delta) == 1`` — the psi leg is split
 over delta and epsilon by bilinearity so every pairing argument is a
-*fixed* G2 point whose Miller-loop lines can be prepared once.
+*fixed* G2 point whose Miller-loop lines can be prepared once.  Eq. (1) is
+the same product with ``zeta = 1`` and no ``R``; batch auditing (Section
+VII-D) is the same product over many statements, each raised to a random
+exponent ``rho``.  :func:`pairing_product_check` is that one product;
+:meth:`Verifier.verify_plain`, :meth:`Verifier.verify_private` and
+:func:`repro.core.batch.verify_batch_grouped` only build its statements.
 
 Verification cost is *constant* in the file size — the paper's headline
 on-chain efficiency property — and the measured wall time feeds the Fig. 5
@@ -35,14 +40,17 @@ import time
 from dataclasses import dataclass
 
 from ..crypto.bn254 import (
+    CURVE_ORDER,
     G1Point,
     G2Point,
     PrecomputeCache,
+    gt_multi_pow,
     hash_gt_to_scalar,
     miller_loop_product,
     final_exponentiation,
     multi_scalar_mul,
 )
+from ..crypto.bn254.fields import Fp12
 from .authenticator import block_digest_point
 from .challenge import Challenge, ExpandedChallenge
 from .keys import PublicKey
@@ -171,6 +179,138 @@ class VerifyReport:
         return self.hash_seconds + self.msm_seconds + self.pairing_seconds
 
 
+@dataclass(frozen=True)
+class Statement:
+    """One audit response as the equation sees it.
+
+    ``commitment`` is the Sigma commitment ``R`` of Eq. (2), or ``None`` for
+    Eq. (1), where ``zeta = 1`` and there is no ``R``.  ``rho`` is the
+    small-exponent batching blinder (1 for a lone statement).
+    """
+
+    public: PublicKey
+    name: int
+    expanded: ExpandedChallenge
+    sigma: G1Point
+    y: int
+    psi: G1Point
+    commitment: Fp12 | None = None
+    rho: int = 1
+
+
+# The three fixed G2 points a statement's G1 inputs are paired with.
+_G2, _EPSILON, _DELTA = range(3)
+
+# (equation, detail, one label per leg above) of the rejection diagnostics.
+_EQ1 = (
+    "Eq.1",
+    "product of pairings != 1",
+    ("sigma*g2", "(y,chi,r*psi)*epsilon", "psi*delta"),
+)
+_EQ2 = (
+    "Eq.2",
+    "product of pairings * R != 1",
+    ("zeta*sigma*g2", "(y',chi,r*psi)*epsilon", "zeta*psi*delta"),
+)
+
+
+def pairing_product_check(
+    statements: list[Statement],
+    precompute: PrecomputeCache | None = None,
+    report: VerifyReport | None = None,
+) -> tuple[bool, list[tuple[G1Point, object]]]:
+    """``prod_u [R_u * e(..,g2) * e(..,epsilon_u) * e(..,delta_u)]^{rho_u} == 1``.
+
+    Returns the verdict and the merged ``(G1, G2)`` legs in first-use order
+    (``g2``, then each owner's ``epsilon`` and ``delta``) — for one statement,
+    exactly the three pairing arguments its rejection diagnostics fingerprint.
+
+    Two structural optimizations, both pairing bilinearity:
+
+    * **G2 grouping** — all inputs paired with the same G2 point collapse
+      into one Miller loop via ``prod_u e(A_u, Q) == e(sum_u A_u, Q)``.  The
+      sigma inputs all share ``g2``; the chi/y'/r*psi inputs share each
+      owner's ``epsilon``; the psi inputs share each owner's ``delta``.  3U
+      Miller loops become ``1 + 2*owners``, all against G2 points whose
+      prepared lines persist across epochs in ``precompute``.
+    * **Deferred MSMs** — each leg's G1 side is accumulated as (base, scalar)
+      pairs — chi is never materialized; its digest points go straight into
+      the owner's epsilon leg — and reduced with one MSM per leg.
+    """
+    if not statements:
+        return True, []
+    g1 = G1Point.generator()
+    g2 = G2Point.generator()
+    digest = block_digest_point if precompute is None else precompute.block_digest
+    gt_items: list[tuple[Fp12, int]] = []
+    # Keyed by (role, point) so a degenerate key (delta == epsilon) still
+    # yields the three legs the diagnostics label.
+    legs: dict[tuple[int, G2Point], tuple[list[G1Point], list[int], list[bool]]] = {}
+    # Every file of an owner contributes g1^{-y' rho} to the same epsilon
+    # leg; folding those into one scalar drops U-per-owner points from the
+    # MSMs (the group element is unchanged — same linear combination).
+    g1_scalars: dict[tuple[int, G2Point], int] = {}
+
+    def contribute(
+        leg: tuple[int, G2Point], base: G1Point, scalar: int, fixed: bool = False
+    ) -> None:
+        """``fixed`` marks epoch-recurring bases (digests, g1) whose wNAF
+        tables are worth keeping in the precompute cache."""
+        bases, scalars, cacheable = legs.setdefault(leg, ([], [], []))
+        bases.append(base)
+        scalars.append(scalar % CURVE_ORDER)
+        cacheable.append(fixed)
+
+    for st in statements:
+        epsilon = (_EPSILON, st.public.epsilon)
+        zeta = 1 if st.commitment is None else hash_gt_to_scalar(st.commitment)
+        scaled_zeta = zeta * st.rho % CURVE_ORDER
+        t0 = time.perf_counter()
+        digests = [digest(st.name, i) for i in st.expanded.indices]
+        t1 = time.perf_counter()
+        contribute((_G2, g2), st.sigma, scaled_zeta)
+        g1_scalars[epsilon] = g1_scalars.get(epsilon, 0) - st.y * st.rho
+        for point, coefficient in zip(digests, st.expanded.coefficients):
+            contribute(epsilon, point, -(coefficient * scaled_zeta), True)
+        # e(psi^{-zeta rho}, delta - r*epsilon) splits by bilinearity into
+        # e(psi^{-zeta rho}, delta) * e(psi^{r zeta rho}, epsilon), so the
+        # psi legs land on the *fixed* per-owner G2 points instead of a
+        # fresh delta - r*epsilon combination per challenge point — no
+        # per-epoch G2 arithmetic or Miller-line preparation at all.
+        contribute((_DELTA, st.public.delta), st.psi, -scaled_zeta)
+        contribute(epsilon, st.psi, st.expanded.point * scaled_zeta)
+        if st.commitment is not None:
+            gt_items.append((st.commitment, st.rho))
+        t2 = time.perf_counter()
+        if report is not None:
+            report.hash_seconds += t1 - t0
+            report.msm_seconds += t2 - t1
+    for epsilon, scalar in g1_scalars.items():
+        contribute(epsilon, g1, scalar, True)
+    t0 = time.perf_counter()
+    pairs = []
+    for (_, g2_point), (bases, scalars, cacheable) in legs.items():
+        if precompute is None:
+            pairs.append((multi_scalar_mul(bases, scalars), g2_point))
+        else:
+            # Cached wNAF tables for the fixed bases, cached Miller-loop
+            # lines for the fixed G2 points.
+            pairs.append((
+                precompute.wnaf_msm(bases, scalars, cacheable),
+                precompute.prepared_g2(g2_point),
+            ))
+    t1 = time.perf_counter()
+    # All rho-blinded commitments ride one shared cyclotomic squaring chain
+    # (bit-identical to a per-item gt_pow product, ~U times fewer squarings).
+    product = final_exponentiation(miller_loop_product(pairs))
+    ok = (product * gt_multi_pow(gt_items)).is_one()
+    t2 = time.perf_counter()
+    if report is not None:
+        report.msm_seconds += t1 - t0
+        report.pairing_seconds += t2 - t1
+    return ok, pairs
+
+
 class Verifier:
     """Stateless audit verification bound to one (public key, file) pair."""
 
@@ -187,40 +327,42 @@ class Verifier:
         self.name = name
         self.num_chunks = num_chunks
         # Optional shared cache: memoizes the per-file digest points H(name||i)
-        # that the seed verifier re-hashed on every round.
+        # that the seed verifier re-hashed on every round, their wNAF tables
+        # and the prepared Miller-loop lines of the fixed G2 arguments.
         self._precompute = precompute
 
-    def _digest(self, index: int) -> G1Point:
-        if self._precompute is not None:
-            return self._precompute.block_digest(self.name, index)
-        return block_digest_point(self.name, index)
-
-    def _g2_arg(self, point: G2Point):
-        """Prepared Miller-loop lines when a cache is attached (the G2
-        arguments are fixed per key/epoch, so the lines amortize)."""
-        if self._precompute is not None:
-            return self._precompute.prepared_g2(point)
-        return point
-
-    def compute_chi(
-        self, expanded: ExpandedChallenge, report: VerifyReport | None = None
-    ) -> G1Point:
-        """chi = prod H(name||i)^{c_i} over the challenged set."""
-        t0 = time.perf_counter()
-        digests = [self._digest(i) for i in expanded.indices]
-        t1 = time.perf_counter()
-        if self._precompute is not None:
-            # Digest points are fixed per file; reuse their wNAF tables.
-            chi = self._precompute.wnaf_msm(
-                digests, list(expanded.coefficients)
-            )
-        else:
-            chi = multi_scalar_mul(digests, list(expanded.coefficients))
-        t2 = time.perf_counter()
-        if report is not None:
-            report.hash_seconds += t1 - t0
-            report.msm_seconds += t2 - t1
-        return chi
+    def _check(
+        self,
+        challenge: Challenge,
+        sigma: G1Point,
+        y: int,
+        psi: G1Point,
+        commitment: Fp12 | None,
+        report: VerifyReport | None,
+    ) -> VerifyOutcome:
+        statement = Statement(
+            self.public,
+            self.name,
+            challenge.expand(self.num_chunks),
+            sigma,
+            y,
+            psi,
+            commitment,
+        )
+        ok, legs = pairing_product_check([statement], self._precompute, report)
+        if ok:
+            return VerifyOutcome.accept()
+        private = commitment is not None
+        equation, detail, labels = _EQ2 if private else _EQ1
+        return VerifyOutcome.reject(
+            code="pairing-mismatch",
+            equation=equation,
+            pairing_groups=_pairing_group_residuals(
+                list(zip(labels, legs)),
+                extra=(("commitment-R", commitment),) if private else (),
+            ),
+            detail=detail,
+        )
 
     def verify_plain(
         self,
@@ -229,44 +371,7 @@ class Verifier:
         report: VerifyReport | None = None,
     ) -> VerifyOutcome:
         """Paper Eq. (1): the non-private check (used by baselines/attack demo)."""
-        expanded = challenge.expand(self.num_chunks)
-        chi = self.compute_chi(expanded, report)
-        t0 = time.perf_counter()
-        g1 = G1Point.generator()
-        g2 = G2Point.generator()
-        # Split e(-psi, delta - r*epsilon) = e(-psi, delta) * e(r*psi, epsilon)
-        # so every pairing leg lands on a *fixed* G2 point: one cheap G1
-        # scalar mult replaces a G2 scalar mult plus fresh Miller lines, and
-        # cached prepared lines cover the whole check.  Final exponentiation
-        # of the product is the identical GT element (bilinearity).
-        scaled_psi = -proof.psi
-        left_g1 = -(g1 * proof.y) - chi - scaled_psi * expanded.point
-        t1 = time.perf_counter()
-        pairs = [
-            (proof.sigma, self._g2_arg(g2)),
-            (left_g1, self._g2_arg(self.public.epsilon)),
-            (scaled_psi, self._g2_arg(self.public.delta)),
-        ]
-        product = final_exponentiation(miller_loop_product(pairs))
-        ok = product.is_one()
-        t2 = time.perf_counter()
-        if report is not None:
-            report.msm_seconds += t1 - t0
-            report.pairing_seconds += t2 - t1
-        if ok:
-            return VerifyOutcome.accept()
-        return VerifyOutcome.reject(
-            code="pairing-mismatch",
-            equation="Eq.1",
-            pairing_groups=_pairing_group_residuals(
-                [
-                    ("sigma*g2", pairs[0]),
-                    ("(y,chi,r*psi)*epsilon", pairs[1]),
-                    ("psi*delta", pairs[2]),
-                ]
-            ),
-            detail="product of pairings != 1",
-        )
+        return self._check(challenge, proof.sigma, proof.y, proof.psi, None, report)
 
     def verify_private(
         self,
@@ -275,43 +380,11 @@ class Verifier:
         report: VerifyReport | None = None,
     ) -> VerifyOutcome:
         """Paper Eq. (2): the Sigma-masked on-chain check."""
-        expanded = challenge.expand(self.num_chunks)
-        chi = self.compute_chi(expanded, report)
-        t0 = time.perf_counter()
-        zeta = hash_gt_to_scalar(proof.commitment)
-        g1 = G1Point.generator()
-        g2 = G2Point.generator()
-        scaled_sigma = proof.sigma * zeta
-        # Same delta/epsilon split as the plain check: all three G2
-        # arguments are fixed per key, so the prepared lines amortize.
-        scaled_psi = -(proof.psi * zeta)
-        left_g1 = (
-            -(g1 * proof.y_masked) - chi * zeta - scaled_psi * expanded.point
-        )
-        t1 = time.perf_counter()
-        pairs = [
-            (scaled_sigma, self._g2_arg(g2)),
-            (left_g1, self._g2_arg(self.public.epsilon)),
-            (scaled_psi, self._g2_arg(self.public.delta)),
-        ]
-        product = final_exponentiation(miller_loop_product(pairs))
-        ok = (product * proof.commitment).is_one()
-        t2 = time.perf_counter()
-        if report is not None:
-            report.msm_seconds += t1 - t0
-            report.pairing_seconds += t2 - t1
-        if ok:
-            return VerifyOutcome.accept()
-        return VerifyOutcome.reject(
-            code="pairing-mismatch",
-            equation="Eq.2",
-            pairing_groups=_pairing_group_residuals(
-                [
-                    ("zeta*sigma*g2", pairs[0]),
-                    ("(y',chi,r*psi)*epsilon", pairs[1]),
-                    ("zeta*psi*delta", pairs[2]),
-                ],
-                extra=(("commitment-R", proof.commitment),),
-            ),
-            detail="product of pairings * R != 1",
+        return self._check(
+            challenge,
+            proof.sigma,
+            proof.y_masked,
+            proof.psi,
+            proof.commitment,
+            report,
         )

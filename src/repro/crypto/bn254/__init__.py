@@ -34,7 +34,6 @@ from .msm import (
     FixedBaseMul,
     multi_scalar_mul,
     multi_scalar_mul_naive,
-    multi_scalar_mul_tables,
     wnaf_table_g1,
 )
 from .precompute import CacheStats, PrecomputeCache
@@ -108,7 +107,6 @@ __all__ = [
     "miller_loop_product",
     "multi_scalar_mul",
     "multi_scalar_mul_naive",
-    "multi_scalar_mul_tables",
     "pairing",
     "pairing_check",
     "pairing_product",

@@ -248,10 +248,22 @@ def _wnaf(scalar: int, width: int) -> list[int]:
     return digits
 
 
+def _timed_msm(impl, *args):
+    """The one ``bn254.msm`` profiling gate: a single attribute read when
+    off (``tests/obs/test_overhead.py`` holds it to the 3 % budget)."""
+    if HOTPATH.enabled:
+        t0 = perf_counter()
+        result = impl(*args)
+        HOTPATH.add("bn254.msm", perf_counter() - t0)
+        return result
+    return impl(*args)
+
+
 def multi_scalar_mul(
     points: Sequence[PointT],
     scalars: Sequence[int],
     identity: PointT | None = None,
+    tables: Sequence[list[tuple[int, int]] | None] | None = None,
 ) -> PointT:
     """Compute sum_i scalars[i] * points[i].
 
@@ -259,74 +271,24 @@ def multi_scalar_mul(
     aggregating in by passing ``identity`` (the group's infinity point),
     which is then returned.  The old behaviour of silently returning *G1*
     infinity was a footgun for G2 callers.
+
+    ``tables`` (G1 only) reuses precomputed per-point wNAF tables:
+    ``tables[i]`` is the affine odd-multiple table of ``points[i]`` (from
+    :func:`wnaf_table_g1`) or ``None`` to build one on the fly.  The result
+    is the exact same group element either way — only table reuse differs.
     """
-    if HOTPATH.enabled:
-        t0 = perf_counter()
-        result = _multi_scalar_mul(points, scalars, identity)
-        HOTPATH.add("bn254.msm", perf_counter() - t0)
-        return result
-    return _multi_scalar_mul(points, scalars, identity)
+    return _timed_msm(_multi_scalar_mul, points, scalars, identity, tables)
 
 
 def _multi_scalar_mul(
     points: Sequence[PointT],
     scalars: Sequence[int],
     identity: PointT | None = None,
+    tables: Sequence[list[tuple[int, int]] | None] | None = None,
 ) -> PointT:
     if len(points) != len(scalars):
         raise ValueError("points and scalars must have the same length")
-    if not points:
-        if identity is None:
-            raise ValueError(_EMPTY_MSM_MESSAGE)
-        return identity
-    infinity = type(points[0]).infinity()
-    reduced = [s % CURVE_ORDER for s in scalars]
-    pairs = [(p, s) for p, s in zip(points, reduced) if s and not p.is_infinity()]
-    if not pairs:
-        return infinity
-    if len(pairs) == 1:
-        point, scalar = pairs[0]
-        return point * scalar
-    is_g1 = isinstance(pairs[0][0], G1Point)
-    if len(pairs) < WNAF_CUTOFF:
-        # Width 5 pays for its doubled tables once enough streams share the
-        # doubling chain (measured crossover ~16 points).
-        width = 5 if len(pairs) >= 16 else 4
-        if is_g1:
-            return _msm_wnaf_g1(pairs, width=width)
-        return _msm_wnaf(pairs, width=width)
-    if is_g1:
-        return _msm_g1_signed(pairs)
-    return _msm_signed_jacobian(pairs)
-
-
-def multi_scalar_mul_tables(
-    points: Sequence[G1Point],
-    scalars: Sequence[int],
-    tables: Sequence[list[tuple[int, int]] | None],
-    identity: G1Point | None = None,
-) -> G1Point:
-    """G1 MSM reusing precomputed per-point wNAF tables where provided.
-
-    ``tables[i]`` is the affine odd-multiple table of ``points[i]`` (from
-    :func:`wnaf_table_g1`) or ``None`` to build one on the fly.  Exact same
-    group element as :func:`multi_scalar_mul` — only table reuse differs.
-    """
-    if HOTPATH.enabled:
-        t0 = perf_counter()
-        result = _multi_scalar_mul_tables(points, scalars, tables, identity)
-        HOTPATH.add("bn254.msm", perf_counter() - t0)
-        return result
-    return _multi_scalar_mul_tables(points, scalars, tables, identity)
-
-
-def _multi_scalar_mul_tables(
-    points: Sequence[G1Point],
-    scalars: Sequence[int],
-    tables: Sequence[list[tuple[int, int]] | None],
-    identity: G1Point | None = None,
-) -> G1Point:
-    if not (len(points) == len(scalars) == len(tables)):
+    if tables is not None and len(tables) != len(points):
         raise ValueError("points, scalars and tables must have equal length")
     if not points:
         if identity is None:
@@ -335,16 +297,27 @@ def _multi_scalar_mul_tables(
     reduced = [s % CURVE_ORDER for s in scalars]
     kept = [
         (p, s, t)
-        for p, s, t in zip(points, reduced, tables)
+        for p, s, t in zip(points, reduced, tables or [None] * len(points))
         if s and not p.is_infinity()
     ]
     if not kept:
-        return G1Point.infinity()
+        return type(points[0]).infinity()
     pairs = [(p, s) for p, s, _ in kept]
-    if len(pairs) >= WNAF_CUTOFF:
+    is_g1 = isinstance(pairs[0][0], G1Point)
+    if len(pairs) == 1 and not is_g1:
+        # A lone G1 term stays on the GLV wNAF path below (0.9 ms against
+        # 1.6 ms for ``point * scalar``, and its table may be cached).
+        return pairs[0][0] * pairs[0][1]
+    if len(pairs) < WNAF_CUTOFF:
+        # Width 5 pays for its doubled tables once enough streams share the
+        # doubling chain (measured crossover ~16 points).
+        width = 5 if len(pairs) >= 16 else 4
+        if is_g1:
+            return _msm_wnaf_g1(pairs, width=width, tables=[t for _, _, t in kept])
+        return _msm_wnaf(pairs, width=width)
+    if is_g1:
         return _msm_g1_signed(pairs)
-    width = 5 if len(pairs) >= 16 else 4
-    return _msm_wnaf_g1(pairs, width=width, tables=[t for _, _, t in kept])
+    return _msm_signed_jacobian(pairs)
 
 
 def _msm_wnaf(pairs: list[tuple[PointT, int]], width: int = 4) -> PointT:
@@ -398,13 +371,13 @@ def wnaf_table_g1(point: G1Point, width: int) -> list[tuple[int, int]]:
 
 def _msm_wnaf_g1(
     pairs: list[tuple[G1Point, int]],
-    width: int = 4,
-    tables: list[list[tuple[int, int]] | None] | None = None,
+    width: int,
+    tables: list[list[tuple[int, int]] | None],
 ) -> G1Point:
     """G1 interleaved wNAF: GLV-split scalars on a half-length shared
     doubling chain, raw-int Jacobian kernels, batch-normalized tables.
 
-    ``tables`` may supply precomputed odd-multiple tables for a subset of
+    ``tables`` supplies precomputed odd-multiple tables for a subset of
     the points (entry ``None`` = build here).  Cached tables may be wider
     than ``width``; each digit stream uses its own table's width.
     """
@@ -412,7 +385,7 @@ def _msm_wnaf_g1(
     flat: list[tuple[int, int, int]] = []
     build_indices: list[int] = []
     for j, (point, _) in enumerate(pairs):
-        if tables is not None and tables[j] is not None:
+        if tables[j] is not None:
             continue
         build_indices.append(j)
         entry = (point.x, point.y, point.z)
@@ -430,9 +403,7 @@ def _msm_wnaf_g1(
     # one Fp mult per entry (x -> beta*x), so k2 rides the same chain.
     streams: list[tuple[list[tuple[int, int]], bool, list[int]]] = []
     for j, (_, scalar) in enumerate(pairs):
-        base_tab = built.get(j)
-        if base_tab is None:
-            base_tab = tables[j]  # type: ignore[index]
+        base_tab = built.get(j) or tables[j]
         w = len(base_tab).bit_length() + 1  # 2^(w-2) entries -> width w
         k1, k2 = _glv_split(scalar)
         if k1:
@@ -626,8 +597,7 @@ class FixedBaseMul:
 
     Authenticator generation performs one ``g1 * M_i(alpha)`` per chunk with
     the *same* base; amortising the precomputation brings the per-chunk cost
-    from ~256 doublings down to ~64 mixed additions.  Also used by the
-    verifier for ``g1^(-y')``.
+    from ~256 doublings down to ~64 mixed additions.
 
     The table is built with Jacobian adds, then normalized to affine in one
     Montgomery simultaneous inversion (``to_affine_batch``), so every lookup
@@ -671,25 +641,8 @@ class FixedBaseMul:
             affine = type(base).to_affine_batch(flat)
         self._table = [affine[r * size : (r + 1) * size] for r in range(rows)]
 
-    @classmethod
-    def _from_table(
-        cls, base: PointT, window: int, table: list[list[tuple]]
-    ) -> "FixedBaseMul":
-        """Rebuild from a persisted affine table (G1 only — the rows are
-        plain ``(x, y)`` int pairs)."""
-        ctx = cls.__new__(cls)
-        ctx.base = base
-        ctx.window = window
-        ctx._table = table
-        return ctx
-
     def mul(self, scalar: int) -> PointT:
-        if HOTPATH.enabled:
-            t0 = perf_counter()
-            result = self._mul(scalar)
-            HOTPATH.add("bn254.msm", perf_counter() - t0)
-            return result
-        return self._mul(scalar)
+        return _timed_msm(self._mul, scalar)
 
     def _mul(self, scalar: int) -> PointT:
         scalar %= CURVE_ORDER

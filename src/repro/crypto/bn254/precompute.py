@@ -23,11 +23,7 @@ from typing import Sequence
 from .curve import G1Point, G2Point
 from .fields import Fp12
 from .gt import GTFixedBase
-from .msm import (
-    FixedBaseMul,
-    multi_scalar_mul_tables,
-    wnaf_table_g1,
-)
+from .msm import multi_scalar_mul, wnaf_table_g1
 from .pairing import G2Prepared
 from .serialization import (
     g1_to_bytes,
@@ -63,11 +59,6 @@ class PrecomputeCache:
     transparently share one table.
     """
 
-    window: int = 4
-    #: G1 fixed-base tables take a wider window than GT/G2: raw-int mixed
-    #: adds make the per-digit cost tiny, so the (64 -> 51 rows) saving on
-    #: the hot psi/authenticator path outweighs the bigger lazy build.
-    g1_window: int = 5
     #: Width of cached per-point wNAF tables (authenticators, digests):
     #: with the build amortized away, wider digits keep winning until the
     #: phi-table map and NAF sparsity flatten out around width 6.
@@ -82,8 +73,6 @@ class PrecomputeCache:
     store: PrecomputeStore | None = None
     stats: CacheStats = field(default_factory=CacheStats)
     _gt: dict[Fp12, GTFixedBase] = field(default_factory=dict)
-    _g1: dict[G1Point, FixedBaseMul] = field(default_factory=dict)
-    _g2: dict[G2Point, FixedBaseMul] = field(default_factory=dict)
     _digests: dict[tuple[int, int], G1Point] = field(default_factory=dict)
     _prepared: dict[G2Point, G2Prepared] = field(default_factory=dict)
     _wnaf: dict[G1Point, list[tuple[int, int]]] = field(default_factory=dict)
@@ -112,36 +101,6 @@ class PrecomputeCache:
                 table = GTFixedBase(base, window=self.gt_window)
                 self._store_save("gt", key, table._table)
             self._gt[base] = table
-        else:
-            self.stats.hits += 1
-        return table
-
-    # -- single fixed-base tables ------------------------------------------
-
-    def g1_table(self, point: G1Point) -> FixedBaseMul:
-        table = self._g1.get(point)
-        if table is None:
-            self.stats.misses += 1
-            key = g1_to_bytes(point) + bytes([self.g1_window])
-            persisted = self._store_load("g1fb", key)
-            if persisted is not None:
-                table = FixedBaseMul._from_table(
-                    point, self.g1_window, persisted
-                )
-            else:
-                table = FixedBaseMul(point, window=self.g1_window)
-                self._store_save("g1fb", key, table._table)
-            self._g1[point] = table
-        else:
-            self.stats.hits += 1
-        return table
-
-    def g2_table(self, point: G2Point) -> FixedBaseMul:
-        table = self._g2.get(point)
-        if table is None:
-            self.stats.misses += 1
-            table = FixedBaseMul(point, window=self.window)
-            self._g2[point] = table
         else:
             self.stats.hits += 1
         return table
@@ -211,7 +170,7 @@ class PrecomputeCache:
                 self.g1_wnaf_table(p) if use and not p.is_infinity() else None
                 for p, use in zip(points, cacheable)
             ]
-        return multi_scalar_mul_tables(points, scalars, tables, identity)
+        return multi_scalar_mul(points, scalars, identity, tables)
 
     # -- per-file digest points --------------------------------------------
 

@@ -23,7 +23,6 @@ from .tasks import (
     BatchVerifyTask,
     ProveOutcome,
     ProveTask,
-    VerifyTask,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "EpochScheduler",
     "ProveOutcome",
     "ProveTask",
-    "VerifyTask",
 ]

@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 
 from ..core.batch import BatchItem, verify_batch_grouped
 from ..core.prover import Prover
-from ..core.verifier import Verifier, VerifyOutcome
 from ..crypto.bn254 import PrecomputeCache, PrecomputeStore
 from .tasks import (
     AuditInstance,
@@ -31,12 +30,11 @@ from .tasks import (
     BatchVerifyTask,
     ProveOutcome,
     ProveTask,
-    VerifyTask,
 )
 
 
 class _AuditRuntime:
-    """Provers/verifiers for the registered instances over one shared cache.
+    """Provers for the registered instances over one shared cache.
 
     Built once per worker process (and once in the parent for inline mode).
     """
@@ -44,30 +42,22 @@ class _AuditRuntime:
     def __init__(
         self,
         instances: Sequence[AuditInstance],
-        window: int = 4,
         cache_dir: str | None = None,
     ):
         store = PrecomputeStore(cache_dir) if cache_dir else None
-        self.cache = PrecomputeCache(window=window, store=store)
+        self.cache = PrecomputeCache(store=store)
         self.instances: dict[int, AuditInstance] = {}
         self.provers: dict[int, Prover] = {}
-        self.verifiers: dict[int, Verifier] = {}
         for instance in instances:
             self.add(instance)
 
     def add(self, instance: AuditInstance) -> None:
-        """Register one instance's prover and verifier over the shared cache."""
+        """Register one instance's prover over the shared cache."""
         self.instances[instance.name] = instance
         self.provers[instance.name] = Prover(
             instance.chunked,
             instance.public,
             list(instance.authenticators),
-            precompute=self.cache,
-        )
-        self.verifiers[instance.name] = Verifier(
-            instance.public,
-            instance.name,
-            instance.num_chunks,
             precompute=self.cache,
         )
 
@@ -87,12 +77,6 @@ class _AuditRuntime:
             ecc_seconds=report.ecc_seconds,
             privacy_seconds=report.privacy_seconds,
         )
-
-    def verify(self, task: VerifyTask) -> VerifyOutcome:
-        verifier = self.verifiers.get(task.name)
-        if verifier is None:
-            raise KeyError(f"no audit instance registered for file {task.name}")
-        return verifier.verify_private(task.challenge(), task.proof())
 
     def verify_batch(self, task: BatchVerifyTask) -> BatchVerifyResult:
         """Run one whole-batch check; pinpoint in place when it fails."""
@@ -127,21 +111,14 @@ class _AuditRuntime:
 _RUNTIME: _AuditRuntime | None = None
 
 
-def _init_worker(
-    instances: list[AuditInstance], window: int, cache_dir: str | None
-) -> None:
+def _init_worker(instances: list[AuditInstance], cache_dir: str | None) -> None:
     global _RUNTIME
-    _RUNTIME = _AuditRuntime(instances, window=window, cache_dir=cache_dir)
+    _RUNTIME = _AuditRuntime(instances, cache_dir=cache_dir)
 
 
 def _prove_in_worker(task: ProveTask) -> ProveOutcome:
     assert _RUNTIME is not None, "worker initializer did not run"
     return _RUNTIME.prove(task)
-
-
-def _verify_in_worker(task: VerifyTask) -> VerifyOutcome:
-    assert _RUNTIME is not None, "worker initializer did not run"
-    return _RUNTIME.verify(task)
 
 
 def _verify_batch_in_worker(task: BatchVerifyTask) -> BatchVerifyResult:
@@ -161,7 +138,6 @@ class AuditExecutor:
         self,
         instances: Iterable[AuditInstance],
         workers: int = 0,
-        window: int = 4,
         cache_dir: str | None = None,
     ):
         self.instances: dict[int, AuditInstance] = {}
@@ -172,7 +148,6 @@ class AuditExecutor:
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = one per CPU core)")
         self.workers = workers or os.cpu_count() or 1
-        self.window = window
         # Optional persistent precompute directory: every runtime (inline
         # and each pool worker) loads tables from — and writes fresh builds
         # to — the same store, so table work is shared across processes and
@@ -201,7 +176,7 @@ class AuditExecutor:
     def register(self, instance: AuditInstance) -> None:
         """Add one audit instance to a live executor.
 
-        The inline runtime gains its prover/verifier immediately; a warm
+        The inline runtime gains its prover immediately; a warm
         process pool is torn down so the next fan-out call re-primes the
         workers with the updated fleet.
         """
@@ -220,7 +195,6 @@ class AuditExecutor:
         if self._inline is not None:
             self._inline.instances.pop(name, None)
             self._inline.provers.pop(name, None)
-            self._inline.verifiers.pop(name, None)
         self._invalidate_pool()
 
     def _invalidate_pool(self) -> None:
@@ -234,9 +208,7 @@ class AuditExecutor:
         """The parent-process runtime (inline mode's state, lazily built)."""
         if self._inline is None:
             self._inline = _AuditRuntime(
-                list(self.instances.values()),
-                window=self.window,
-                cache_dir=self.cache_dir,
+                list(self.instances.values()), cache_dir=self.cache_dir
             )
         return self._inline
 
@@ -246,11 +218,7 @@ class AuditExecutor:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=_init_worker,
-                    initargs=(
-                        list(self.instances.values()),
-                        self.window,
-                        self.cache_dir,
-                    ),
+                    initargs=(list(self.instances.values()), self.cache_dir),
                 )
             return self._pool
 
@@ -266,22 +234,6 @@ class AuditExecutor:
         pool = self._ensure_pool()
         return list(
             pool.map(_prove_in_worker, tasks, chunksize=self._chunksize(len(tasks)))
-        )
-
-    def verify(self, tasks: Sequence[VerifyTask]) -> list[VerifyOutcome]:
-        """Run individual Eq.-(2) checks, order-preserving.
-
-        The epoch scheduler prefers
-        :func:`~repro.core.batch.verify_batch_grouped` (one final
-        exponentiation for the whole batch); this fan-out path exists for
-        callers that need per-proof verdicts, e.g. to pinpoint which
-        provider failed after a batch mismatch.
-        """
-        if self.workers == 1:
-            return [self.runtime.verify(task) for task in tasks]
-        pool = self._ensure_pool()
-        return list(
-            pool.map(_verify_in_worker, tasks, chunksize=self._chunksize(len(tasks)))
         )
 
     def verify_batch(self, task: BatchVerifyTask) -> BatchVerifyResult:

@@ -164,22 +164,3 @@ class BatchVerifyResult:
     checked: int
     mode: str
     failures: tuple = ()
-
-
-@dataclass(frozen=True)
-class VerifyTask:
-    """One individual Eq.-(2) check (the fan-out alternative to batching)."""
-
-    name: int
-    challenge_bytes: bytes
-    k: int
-    proof_bytes: bytes
-    seed_bytes: int = 16
-
-    def challenge(self) -> Challenge:
-        return Challenge.from_bytes(
-            self.challenge_bytes, k=self.k, seed_bytes=self.seed_bytes
-        )
-
-    def proof(self) -> PrivateProof:
-        return PrivateProof.from_bytes(self.proof_bytes)

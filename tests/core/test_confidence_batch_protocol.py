@@ -17,7 +17,7 @@ from repro.core import (
     figure9_k_schedule,
     random_challenge,
     required_challenges,
-    verify_batch,
+    verify_batch_grouped,
     verify_sequential,
 )
 from repro.core.params import ProtocolParams
@@ -85,7 +85,7 @@ class TestBatchAuditing:
         return items
 
     def test_batch_accepts_valid(self, batch_items, rng):
-        assert verify_batch(batch_items, rng=rng)
+        assert verify_batch_grouped(batch_items, rng=rng)
 
     def test_sequential_agrees(self, batch_items):
         assert verify_sequential(batch_items)
@@ -99,11 +99,11 @@ class TestBatchAuditing:
             dataclasses.replace(batch_items[1], proof=bad_proof),
             batch_items[2],
         ]
-        assert not verify_batch(tampered, rng=rng)
+        assert not verify_batch_grouped(tampered, rng=rng)
         assert not verify_sequential(tampered)
 
     def test_empty_batch(self, rng):
-        assert verify_batch([], rng=rng)
+        assert verify_batch_grouped([], rng=rng)
 
     def test_multi_user_batch(self, params, rng):
         """Different owners, different keys, one combined check."""
@@ -123,7 +123,7 @@ class TestBatchAuditing:
                     proof=provider.respond(package.name, challenge),
                 )
             )
-        assert verify_batch(items, rng=rng)
+        assert verify_batch_grouped(items, rng=rng)
 
 
 class TestProtocolRoles:

@@ -22,7 +22,6 @@ from repro.crypto.bn254 import (
     PrecomputeCache,
     multi_scalar_mul,
     multi_scalar_mul_naive,
-    multi_scalar_mul_tables,
     pairing,
     pairing_check,
     wnaf_table_g1,
@@ -89,7 +88,7 @@ class TestMSMDifferential:
 
 
 class TestCachedWnafTables:
-    """multi_scalar_mul_tables with precomputed wNAF tables == naive."""
+    """multi_scalar_mul(tables=...) with precomputed wNAF tables == naive."""
 
     @pytest.mark.parametrize("width", [2, 4, 6])
     def test_tables_match_naive(self, width):
@@ -97,8 +96,8 @@ class TestCachedWnafTables:
         points = [G1 * rng.randrange(1, CURVE_ORDER) for _ in range(7)]
         scalars = _random_scalars(rng, 7)
         tables = [wnaf_table_g1(p, width) for p in points]
-        assert multi_scalar_mul_tables(
-            points, scalars, tables
+        assert multi_scalar_mul(
+            points, scalars, tables=tables
         ) == multi_scalar_mul_naive(points, scalars)
 
     def test_mixed_cached_and_uncached(self):
@@ -109,9 +108,36 @@ class TestCachedWnafTables:
             wnaf_table_g1(p, 6) if i % 2 == 0 else None
             for i, p in enumerate(points)
         ]
-        assert multi_scalar_mul_tables(
-            points, scalars, tables
+        assert multi_scalar_mul(
+            points, scalars, tables=tables
         ) == multi_scalar_mul_naive(points, scalars)
+
+    def test_tables_with_infinity_zero_scalar_and_lone_survivor(self):
+        """Mixed ``None``/table entries next to a point at infinity and a
+        zero scalar; dropping those can leave one term, with or without
+        its table."""
+        points = [G1 * 11, G1Point.infinity(), G1 * 13, G1 * 17]
+        tables = [wnaf_table_g1(points[0], 6), None, None, wnaf_table_g1(points[3], 4)]
+        for scalars in (
+            [CURVE_ORDER - 2, 9, 0, 2**130 + 1],
+            [5, 9, 0, 0],          # lone survivor has a table
+            [0, 9, 2**200, 0],     # lone survivor has none
+            [0, 9, 0, 0],          # nothing survives
+        ):
+            assert multi_scalar_mul(
+                points, scalars, tables=tables
+            ) == multi_scalar_mul_naive(points, scalars)
+
+    def test_tables_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            multi_scalar_mul([G1, G1 * 2], [1, 2], tables=[None])
+
+    def test_empty_input_with_tables_follows_identity_contract(self):
+        with pytest.raises(ValueError):
+            multi_scalar_mul([], [], tables=[])
+        assert multi_scalar_mul(
+            [], [], identity=G1Point.infinity(), tables=[]
+        ).is_infinity()
 
     def test_cache_wnaf_msm_matches(self):
         cache = PrecomputeCache()

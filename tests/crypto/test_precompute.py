@@ -36,12 +36,6 @@ class TestPrecomputeCache:
         base_file_b = pairing(G1, epsilon)
         assert cache.gt_context(base_file_a) is cache.gt_context(base_file_b)
 
-    def test_g1_and_g2_tables(self):
-        cache = PrecomputeCache()
-        assert cache.g1_table(G1) is cache.g1_table(G1)
-        assert cache.g1_table(G1).mul(42) == G1 * 42
-        assert cache.g2_table(G2).mul(17) == G2 * 17
-
     def test_block_digest_memoized(self):
         from repro.core.authenticator import block_digest_point
 

@@ -22,7 +22,6 @@ from repro.engine import (
     AuditInstance,
     EpochScheduler,
     ProveTask,
-    VerifyTask,
 )
 from repro.randomness import HashChainBeacon
 
@@ -174,20 +173,6 @@ class TestGroupedBatchVerify:
 
 
 class TestExecutor:
-    def test_individual_verify_fanout(self, fleet):
-        result = _run_epoch(fleet, workers=1)
-        tasks = [
-            VerifyTask(
-                name=instance.name,
-                challenge_bytes=result.challenges[instance.name].to_bytes(),
-                k=result.challenges[instance.name].k,
-                proof_bytes=outcome.proof_bytes,
-            )
-            for instance, outcome in zip(fleet, result.outcomes)
-        ]
-        with AuditExecutor(fleet, workers=1) as executor:
-            assert executor.verify(tasks) == [True] * len(tasks)
-
     def test_unknown_file_rejected(self, fleet):
         with AuditExecutor(fleet, workers=1) as executor:
             task = ProveTask(name=0xDEAD, challenge_bytes=b"\x00" * 48, k=3)

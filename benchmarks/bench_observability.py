@@ -107,7 +107,6 @@ def test_observability_overhead(report):
                     params,
                     beacon,
                     deterministic=True,
-                    keep_history=False,
                     tracer=tracer,
                 )
                 scheduler.run(EPOCHS)

@@ -109,8 +109,6 @@ class ScenarioRunner:
         params: ProtocolParams | None = None,
         file_bytes: int = 2500,
         seed: int = 2026,
-        workers: int = 1,
-        beacon_tag: bytes = b"adversary-scenario",
     ):
         # Accept plain (kind, count) pairs too — the shape
         # sim.workloads.adversarial_fleet_mix produces.
@@ -124,9 +122,8 @@ class ScenarioRunner:
         if len(kinds) != len(set(kinds)):
             raise ValueError("one spec per strategy kind (stats are per kind)")
         self.params = params or ProtocolParams(s=6, k=4)
-        self.workers = workers
         self._rng = random.Random(seed)
-        self._beacon = HashChainBeacon(beacon_tag)
+        self._beacon = HashChainBeacon(b"adversary-scenario")
         owner = DataOwner(self.params, rng=self._rng)
         self.instances: list[AuditInstance] = []
         self.provers: dict[int, Prover] = {}
@@ -159,7 +156,7 @@ class ScenarioRunner:
             k=self.params.k,
             stats=stats,
         )
-        with AuditExecutor(self.instances, workers=self.workers) as executor:
+        with AuditExecutor(self.instances, workers=1) as executor:
             scheduler = EpochScheduler(
                 executor, self.params, self._beacon, rng=self._rng
             )

@@ -232,7 +232,6 @@ def run_contracts_to_completion(
     chain,
     deployments: list[AuditDeployment],
     max_blocks: int = 100_000,
-    executor=None,
 ) -> list[AuditContract]:
     """Drive many concurrent contracts until all close.
 
@@ -245,12 +244,6 @@ def run_contracts_to_completion(
     All provider agents get to react after every block — necessary because
     contracts share the chain clock: running them one at a time would let
     the others' response windows lapse.
-
-    With an :class:`~repro.engine.executor.AuditExecutor` (whose registered
-    instances must cover the deployments' files), each block's open
-    challenges are proven as one fan-out batch across the executor's
-    workers instead of serially inside each agent — the engine's chain-
-    facing integration.
     """
     contracts = []
     for deployment in deployments:
@@ -261,51 +254,7 @@ def run_contracts_to_completion(
         if all(c.state is State.CLOSED for c in contracts):
             return contracts
         chain.mine_block()
-        if executor is None:
-            for deployment in deployments:
-                deployment.provider_agent.on_block()
-            continue
-        _answer_challenges_parallel(deployments, executor)
+        for deployment in deployments:
+            deployment.provider_agent.on_block()
     raise RuntimeError("contracts did not close within the block budget")
 
-
-def _answer_challenges_parallel(
-    deployments: list[AuditDeployment], executor
-) -> None:
-    """Collect every open challenge and prove them through the engine.
-
-    The executor proves from its own registered copy of each file, so a
-    provider whose stored prover has been *replaced* (e.g. a
-    :class:`~repro.core.prover.CheatingProver` in an attack simulation)
-    would silently be proven honest; such agents fall back to in-agent
-    proving so simulations keep their meaning.
-    """
-    from ..core.prover import Prover
-    from ..engine.tasks import ProveTask
-
-    waiting: list[ProviderAgent] = []
-    tasks: list[ProveTask] = []
-    for deployment in deployments:
-        agent = deployment.provider_agent
-        challenge = agent.pending_challenge()
-        if challenge is None:
-            continue
-        if type(agent.provider.prover_for(agent.file_name)) is not Prover:
-            agent.on_block()  # customized prover: keep its behaviour
-            continue
-        instance = executor.instances.get(agent.file_name)
-        if instance is None:
-            raise KeyError(
-                f"file {agent.file_name} not registered with the executor"
-            )
-        waiting.append(agent)
-        tasks.append(ProveTask.for_round(instance, challenge))
-    if not tasks:
-        return
-    for agent, outcome in zip(waiting, executor.prove(tasks)):
-        report = ProveReport(
-            zp_seconds=outcome.zp_seconds,
-            ecc_seconds=outcome.ecc_seconds,
-            privacy_seconds=outcome.privacy_seconds,
-        )
-        agent.submit(outcome.proof(), report)

@@ -170,10 +170,9 @@ class Blockchain:
         if mempool is not None:
             from .mempool import Mempool, MempoolConfig
 
-            if not isinstance(mempool, (Mempool, MempoolConfig)):
+            if not isinstance(mempool, MempoolConfig):
                 raise TypeError("mempool must be a MempoolConfig")
-            config = mempool if isinstance(mempool, MempoolConfig) else mempool.config
-            self.pool = Mempool(self, config)
+            self.pool = Mempool(self, mempool)
 
     @classmethod
     def open(cls, directory, **kwargs) -> "Blockchain":

@@ -127,7 +127,6 @@ class AuditContract(Contract):
         beacon: RandomnessBeacon,
         params: ProtocolParams,
         native_verify_ms: float = PAPER_VERIFY_MS,
-        gas_schedule: GasSchedule | None = None,
         registry_address: str | None = None,
     ):
         super().__init__()
@@ -141,7 +140,7 @@ class AuditContract(Contract):
         # authorized reporter), every round outcome is reported inline and
         # dispute-confirmed cheats slash the provider's registry stake.
         self.registry_address = registry_address
-        self.gas_model = AuditPrecompileModel(gas_schedule or GasSchedule.istanbul())
+        self.gas_model = AuditPrecompileModel(GasSchedule.istanbul())
         self.state = State.NEGOTIATING
         self.cnt = 0
         self.public_key: PublicKey | None = None
@@ -530,11 +529,6 @@ class AuditContract(Contract):
         self.emit("reserve_released", refunded_wei=remaining)
 
     # -- views -----------------------------------------------------------
-
-    def current_challenge(self, ctx: CallContext) -> Challenge | None:
-        if self.state is not State.PROVE:
-            return None
-        return self.rounds[self.cnt].challenge
 
     def status(self, ctx: CallContext) -> dict:
         return {

@@ -87,21 +87,17 @@ class CheckpointContract(Contract):
         self,
         beacon: RandomnessBeacon,
         params: ProtocolParams,
-        posting_bond_wei: int = 5 * 10**16,
-        challenge_bond_wei: int = 10**15,
         fraud_window: float = 24 * 3600.0,
-        native_verify_ms: float = PAPER_VERIFY_MS,
-        gas_schedule: GasSchedule | None = None,
         registry_address: str | None = None,
     ):
         super().__init__()
         self.beacon = beacon
         self.params = params
-        self.posting_bond_wei = posting_bond_wei
-        self.challenge_bond_wei = challenge_bond_wei
+        self.posting_bond_wei = 5 * 10**16
+        self.challenge_bond_wei = 10**15
         self.fraud_window = fraud_window
-        self.native_verify_ms = native_verify_ms
-        self.gas_model = AuditPrecompileModel(gas_schedule or GasSchedule.istanbul())
+        self.native_verify_ms = PAPER_VERIFY_MS
+        self.gas_model = AuditPrecompileModel(GasSchedule.istanbul())
         self.registry_address = registry_address
         self.instances: dict[int, RegisteredInstance] = {}
         self.checkpoints: list[CheckpointEntry] = []
@@ -582,9 +578,6 @@ class CheckpointContract(Contract):
                 1 for e in self.checkpoints if e.status is CheckpointStatus.SLASHED
             ),
         }
-
-    def total_checkpoint_gas(self) -> int:
-        return sum(entry.gas_used for entry in self.checkpoints)
 
     def total_commitment_bytes(self) -> int:
         """On-chain audit-trail bytes (the Fig. 10 chain-growth quantity)."""

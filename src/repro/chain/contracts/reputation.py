@@ -55,17 +55,14 @@ class ReputationRegistry(Contract):
     def __init__(
         self,
         min_stake_wei: int = 10**18,
-        learning_rate: float = 0.1,
-        rejection_penalty: float = 0.15,
         decay_half_life: float = 30 * 24 * 3600.0,
-        ban_threshold: float = 0.15,
     ):
         super().__init__()
         self.min_stake_wei = min_stake_wei
-        self.learning_rate = learning_rate
-        self.rejection_penalty = rejection_penalty
+        self.learning_rate = 0.1
+        self.rejection_penalty = 0.15
         self.decay_half_life = decay_half_life
-        self.ban_threshold = ban_threshold
+        self.ban_threshold = 0.15
         self.providers: dict[str, ProviderRecord] = {}
         self.reporters: set[str] = set()  # audit contracts allowed to report
 

@@ -218,9 +218,6 @@ class ChainExplorer:
                 )
         return out
 
-    def audit_trail_bytes(self) -> int:
-        return sum(summary.trail_bytes for summary in self.audit_contracts())
-
     def total_audit_gas(self) -> int:
         return sum(summary.total_gas for summary in self.audit_contracts())
 

@@ -32,9 +32,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator
 
-from ..obs.registry import MetricsRegistry, get_registry
+from ..obs.registry import get_registry
 from .blockchain import Block, Blockchain, Contract
-from .gas import GasSchedule
 from .state import MemoryStateStore, StateStore, WalStateStore
 from .transaction import Event, Receipt, Transaction
 
@@ -59,19 +58,12 @@ class ShardedChainFabric:
     def __init__(
         self,
         num_lanes: int = 4,
-        schedule: GasSchedule | None = None,
-        block_time: float = 15.0,
-        block_gas_limit: int = 10_000_000,
-        base_block_bytes: int = 600,
-        require_signatures: bool = False,
         persist_dir=None,
         mempool=None,
         concurrent: bool = False,
     ):
         if num_lanes < 1:
             raise ValueError("a fabric needs at least one lane")
-        self.persist_dir = persist_dir
-        self.mempool_config = mempool
         # Concurrent mode drives one worker thread per lane through
         # mine_block(); each lane serializes on its own Blockchain.lock,
         # so the per-lane op sequence — and therefore state_hash — is
@@ -87,16 +79,7 @@ class ShardedChainFabric:
             return WalStateStore(Path(persist_dir) / f"lane-{index:03d}")
 
         self.lanes: list[Blockchain] = [
-            Blockchain(
-                schedule=schedule,
-                block_time=block_time,
-                block_gas_limit=block_gas_limit,
-                base_block_bytes=base_block_bytes,
-                require_signatures=require_signatures,
-                store=_store(index),
-                chain_id=index,
-                mempool=mempool,
-            )
+            Blockchain(store=_store(index), chain_id=index, mempool=mempool)
             for index in range(num_lanes)
         ]
         # Lazy routing caches: deploys may go straight at a lane (e.g.
@@ -353,7 +336,7 @@ class ShardedChainFabric:
         """
         return max(lane.congestion_seconds() for lane in self.lanes)
 
-    def attach_gauges(self, registry: MetricsRegistry | None = None) -> None:
+    def attach_gauges(self) -> None:
         """Bind this fabric's live values to pull-style registry gauges.
 
         Registers a collect hook that refreshes ``mempool_depth``,
@@ -364,15 +347,7 @@ class ShardedChainFabric:
         """
         if self._gauge_hook is not None:
             return
-        registry = registry if registry is not None else self._registry
-        if registry is not self._registry:
-            self._registry = registry
-            self._m_blocks = registry.counter(
-                "fabric_blocks_mined_total", "blocks mined across all lanes"
-            )
-            self._m_txs = registry.counter(
-                "fabric_txs_settled_total", "transactions settled across all lanes"
-            )
+        registry = self._registry
         depth = registry.gauge("mempool_depth", "pending transactions across all lanes")
         base_fee = registry.gauge(
             "fabric_lane_base_fee_wei", "current base fee per lane", ("lane",)

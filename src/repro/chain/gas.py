@@ -134,9 +134,6 @@ class AuditPrecompileModel:
     def private_audit_gas(self, verify_ms: float = PAPER_VERIFY_MS) -> int:
         return self.verification_gas(PRIVATE_PROOF_BYTES, verify_ms)
 
-    def plain_audit_gas(self, verify_ms: float) -> int:
-        return self.verification_gas(PLAIN_PROOF_BYTES, verify_ms)
-
 
 def vanilla_evm_verification_gas(
     schedule: GasSchedule, k: int, private: bool = True

@@ -298,6 +298,25 @@ class CheckpointLightClient:
                 )
         return self.check_record(lane_commitment, record)
 
+    @staticmethod
+    def verify_fabric_rollup(served, lane_commitments) -> bool:
+        """Whether a served super-commitment is the roll-up of the lanes' own.
+
+        ``lane_commitments`` are the epoch's live commitments as read from
+        the bonded lane contracts, in ascending lane order.  Inclusion
+        proofs open ``fabric_root`` only; recomputing
+        :func:`~repro.rollup.fabric.roll_up` covers the rest of ``served`` —
+        lane count, the three counts and ``lanes_digest``.  A lane left
+        out, or one whose commitment was slashed (void), fails it.
+        """
+        from ..rollup.fabric import roll_up
+
+        try:
+            expected, _ = roll_up(served.epoch, lane_commitments)
+        except ValueError:
+            return False
+        return expected == served
+
     def replay_checkpoint(
         self,
         commitment: Checkpoint,
@@ -407,9 +426,23 @@ def audit_the_auditor_fabric(aggregator) -> CheckpointReplayReport:
     :class:`~repro.rollup.fabric.CrossShardAggregator`; each lane's
     bonded contract is replayed against that lane's published leaf sets
     (the per-lane data-availability obligation) into one merged report.
+    A settled epoch whose served super-commitment is not the roll-up of
+    what the lane contracts hold for it lands in ``root_mismatches``.
     """
     report = CheckpointReplayReport()
-    for lane_id, pipeline in sorted(aggregator.pipelines.items()):
+    lanes = sorted(aggregator.pipelines.items())
+    for settlement in aggregator.settled:
+        on_chain = [
+            pipeline.chain.call(
+                pipeline.contract_address, "checkpoint_for_epoch", settlement.epoch
+            )
+            for _, pipeline in lanes
+        ]
+        if not CheckpointLightClient.verify_fabric_rollup(
+            settlement.fabric.checkpoint, [c for c in on_chain if c is not None]
+        ):
+            report.root_mismatches.append(settlement.epoch)
+    for _, pipeline in lanes:
         lane_report = audit_the_auditor_checkpoints(
             pipeline.contract, pipeline, params=aggregator.params
         )

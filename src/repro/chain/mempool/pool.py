@@ -40,7 +40,7 @@ import dataclasses
 import heapq
 from dataclasses import dataclass, field
 
-from ...obs.registry import MetricsRegistry, get_registry
+from ...obs.registry import get_registry
 from ..transaction import Receipt, Transaction
 from .fee_market import (
     FeeMarketConfig,
@@ -150,7 +150,6 @@ class Mempool:
         self,
         chain,
         config: MempoolConfig | None = None,
-        registry: MetricsRegistry | None = None,
     ):
         self.chain = chain
         self.config = config or MempoolConfig()
@@ -180,14 +179,13 @@ class Mempool:
         }
         self.rejections: dict[str, int] = {}
         self.priority_inversions = 0
-        self.last_drained: dict[tuple[str, int], Receipt] = {}
         self.drained_gas_by_sender: dict[str, int] = {}
         self.eviction_series: list[tuple[float, str, int]] = []
         self.block_tips: dict[int, list[int]] = {}  # block number -> tips (wei/gas)
         self.drained_tips: dict[tuple[str, int], int] = {}  # (sender, nonce) -> tip
         # Process-wide registry mirror (aggregated across lanes; the
         # per-pool dicts above stay the per-lane source of truth).
-        registry = registry if registry is not None else get_registry()
+        registry = get_registry()
         self._m_stats = {
             stat: registry.counter(
                 f"mempool_{stat}_total", f"transactions {stat} (all lanes)"
@@ -223,12 +221,6 @@ class Mempool:
     def pending_count(self, sender: str) -> int:
         return self._pending_count.get(sender, 0)
 
-    def next_nonce(self, sender: str) -> int:
-        return self.store.mined_nonces.get(sender, 0) + self.pending_count(sender)
-
-    def pending_entries(self) -> list[PendingEntry]:
-        return sorted(self.store.pool.values(), key=lambda entry: entry.seq)
-
     def tip_floor_wei(self) -> int:
         """The cheapest resident effective tip (admission floor when full)."""
         base = self.store.base_fee_wei
@@ -236,27 +228,6 @@ class Mempool:
             (entry.effective_tip(base) for entry in self.store.pool.values()),
             default=0,
         )
-
-    def telemetry_snapshot(self) -> dict:
-        """One read-only view of this pool's cumulative telemetry.
-
-        Every counter here is **cumulative over the pool's lifetime** and is
-        never reset by reads (PROTOCOL.md §11): ``stats``, ``rejections``
-        and ``priority_inversions`` only ever grow, and ``block_tips`` keys
-        every mined block number to the tips (wei/gas) its drained
-        transactions paid, in drain order.  Callers get copies, so mutating
-        the snapshot never perturbs the live telemetry.
-        """
-        return {
-            "depth": len(self.store.pool),
-            "base_fee_wei": self.store.base_fee_wei,
-            "stats": dict(self.stats),
-            "rejections": dict(self.rejections),
-            "priority_inversions": self.priority_inversions,
-            "block_tips": {
-                number: list(tips) for number, tips in self.block_tips.items()
-            },
-        }
 
     def suggest_fees(self, tip_gwei: float = 1.0) -> tuple[float, float]:
         """Default tip policy against the live base fee, in gwei."""
@@ -584,7 +555,6 @@ class Mempool:
             pending_bytes=pending_block.byte_size,
         )
         self._bump("drained")
-        self.last_drained[(sender, nonce)] = receipt
         self.drained_gas_by_sender[sender] = (
             self.drained_gas_by_sender.get(sender, 0) + receipt.gas_used
         )
@@ -605,9 +575,3 @@ class Mempool:
         store.base_fee_wei = self.config.fee_market.next_base_fee(
             store.base_fee_wei, sealed.gas_used, self.chain.block_gas_limit
         )
-
-    # -- fingerprint ----------------------------------------------------------
-
-    def pool_fingerprint(self) -> str:
-        """Delegates to ``StateStore.pool_hash`` (crash-recovery identity)."""
-        return self.store.pool_hash()

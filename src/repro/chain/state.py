@@ -35,7 +35,7 @@ import os
 import pickle
 import struct
 from collections.abc import MutableMapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -431,16 +431,16 @@ class _WalRecord:
     schedule_seq: int
     scheduled: list               # full pending schedule (small)
     events_tail: list             # events appended in this scope
-    contracts: dict[str, tuple[type, dict]] = field(default_factory=dict)
-    payload: dict = field(default_factory=dict)
-    tx_seq: int = 0
+    contracts: dict[str, tuple[type, dict]]
+    payload: dict
+    tx_seq: int
     # Fee-market / mempool patch (all deltas vs. the pre-scope state).
-    base_fee_wei: int = 0
-    burned: int = 0
-    pool_seq: int = 0
-    mined_nonces: dict = field(default_factory=dict)
-    pool_add: dict = field(default_factory=dict)    # key -> PendingEntry
-    pool_remove: list = field(default_factory=list)  # keys dropped
+    base_fee_wei: int
+    burned: int
+    pool_seq: int
+    mined_nonces: dict
+    pool_add: dict    # key -> PendingEntry
+    pool_remove: list  # keys dropped
 
 
 #: Seal of ``snapshot.pkl`` (see :mod:`repro.durable`).
@@ -567,20 +567,15 @@ class WalStateStore(StateStore):
         merge(self.balances, record.balances)
         merge(self.nonces, record.nonces)
         merge(self.signer_keys, record.signer_keys)
-        # Fee-market fields arrived after the WAL format shipped; frames
-        # pickled by older code lack them entirely (dataclass defaults are
-        # not stored in the instance), so read via the pickled __dict__
-        # and leave the current value untouched when a frame predates the
-        # field — an old frame cannot have changed what it never knew.
-        patch = vars(record)
-        state = vars(self)
+        # Every record carries every field (``_commit_hook`` sets them all,
+        # and ``durable.frames`` refuses frames from other formats), so a
+        # missing one is a damaged record: fail on it, never skip it.
         for name in _RECORD_SCALARS:
-            if name in patch:
-                state[name] = patch[name]
-        merge(self.mined_nonces, patch.get("mined_nonces", {}))
-        for key in patch.get("pool_remove", ()):
+            setattr(self, name, getattr(record, name))
+        merge(self.mined_nonces, record.mined_nonces)
+        for key in record.pool_remove:
             dict.pop(self.pool, key, None)
-        merge(self.pool, patch.get("pool_add", {}))
+        merge(self.pool, record.pool_add)
         self.scheduled = list(record.scheduled)
         self.events.extend(record.events_tail)
         for address, (cls, attrs) in record.contracts.items():

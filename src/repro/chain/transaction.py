@@ -76,10 +76,6 @@ class Receipt:
     error: str | None = None
     block_number: int = -1
 
-    @property
-    def fee_wei(self) -> int:
-        return self.gas_used  # scaled by gas price at the chain layer
-
 
 class OutOfGasError(RuntimeError):
     pass

@@ -168,13 +168,6 @@ def interpolate_sequential(values: Sequence[int]) -> list[int]:
     return result
 
 
-def vanishing_quotient_check(
-    polynomial: Sequence[int], root: int, value: int
-) -> bool:
-    """Sanity helper: P(root) == value and division is exact."""
-    return evaluate(polynomial, root) == value % R
-
-
 def solve_linear_system(
     matrix: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> list[int]:

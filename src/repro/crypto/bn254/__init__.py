@@ -27,7 +27,7 @@ from .constants import (
     GT_UNCOMPRESSED_BYTES,
 )
 from .curve import G1Point, G2Point, TWIST_B
-from .fields import Fp2, Fp6, Fp12, fp_inv, fp_sqrt
+from .fields import Fp2, Fp6, Fp12, fp_sqrt
 from .gt import GTFixedBase, gt_multi_pow, gt_pow
 from .hash_to_curve import hash_gt_to_scalar, hash_to_g1, hash_to_scalar
 from .msm import (
@@ -87,7 +87,6 @@ __all__ = [
     "PrecomputeStore",
     "TWIST_B",
     "final_exponentiation",
-    "fp_inv",
     "fp_sqrt",
     "g1_from_bytes",
     "g1_to_bytes",

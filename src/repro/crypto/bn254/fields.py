@@ -186,13 +186,6 @@ def _f12conj(a):
 # --------------------------------------------------------------------------
 
 
-def fp_inv(a: int) -> int:
-    """Inverse in Fp; raises ZeroDivisionError on zero."""
-    if a % P == 0:
-        raise ZeroDivisionError("zero has no inverse in Fp")
-    return pow(a, -1, P)
-
-
 def fp_sqrt(a: int) -> int | None:
     """Square root in Fp (p = 3 mod 4), or None if ``a`` is a non-residue."""
     a %= P

@@ -49,6 +49,12 @@ class CacheStats:
         return self.hits / self.total if self.total else 0.0
 
 
+#: GT commitment window: one step wider than the seed's 4 — the flat
+#: Fp12 kernels made table builds cheap enough that the warm-path win
+#: (64 -> 51 multiplications per exponentiation) dominates.
+GT_WINDOW = 5
+
+
 @dataclass
 class PrecomputeCache:
     """Process-local registry of fixed-base tables and digest points.
@@ -63,10 +69,6 @@ class PrecomputeCache:
     #: with the build amortized away, wider digits keep winning until the
     #: phi-table map and NAF sparsity flatten out around width 6.
     wnaf_width: int = 6
-    #: GT commitment window: one step wider than the seed's 4 — the flat
-    #: Fp12 kernels made table builds cheap enough that the warm-path win
-    #: (64 -> 51 multiplications per exponentiation) dominates.
-    gt_window: int = 5
     #: Optional on-disk backing store (:class:`PrecomputeStore`): table
     #: misses consult it before building, and fresh builds are written
     #: back, so a restarted process (or a new pool worker) starts warm.
@@ -93,12 +95,12 @@ class PrecomputeCache:
         table = self._gt.get(base)
         if table is None:
             self.stats.misses += 1
-            key = gt_to_bytes_uncompressed(base) + bytes([self.gt_window])
+            key = gt_to_bytes_uncompressed(base) + bytes([GT_WINDOW])
             persisted = self._store_load("gt", key)
             if persisted is not None:
-                table = GTFixedBase._from_table(base, self.gt_window, persisted)
+                table = GTFixedBase._from_table(base, GT_WINDOW, persisted)
             else:
-                table = GTFixedBase(base, window=self.gt_window)
+                table = GTFixedBase(base, window=GT_WINDOW)
                 self._store_save("gt", key, table._table)
             self._gt[base] = table
         else:

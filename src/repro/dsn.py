@@ -42,12 +42,6 @@ class AuditedFile:
     manifest: FileManifest
     shard_audits: list[ShardAudit] = field(default_factory=list)
 
-    def audit_for(self, provider: str) -> ShardAudit | None:
-        for audit in self.shard_audits:
-            if audit.provider == provider and not audit.replaced:
-                return audit
-        return None
-
 
 class AuditedDsn:
     """A decentralized storage deployment with full on-chain auditing.

@@ -36,7 +36,7 @@ from ..core.params import ProtocolParams
 from ..core.proof import PrivateProof
 from ..core.prover import ResponseWithheld
 from ..crypto.bn254 import PrecomputeCache, PrecomputeStore
-from ..obs.registry import MetricsRegistry, get_registry
+from ..obs.registry import get_registry
 from ..obs.tracing import NULL_TRACER, Tracer
 from ..randomness.beacon import RandomnessBeacon
 from .executor import AuditExecutor
@@ -89,13 +89,11 @@ class EpochScheduler:
         salt: bytes = b"engine-epoch",
         deterministic: bool = False,
         rng=None,
-        keep_history: bool = True,
         overrides: "dict[int, ProofOverride] | None" = None,
         names=None,
         cache: PrecomputeCache | None = None,
         pooled_verify: bool = False,
         tracer: Tracer | None = None,
-        registry: MetricsRegistry | None = None,
     ):
         self.executor = executor
         # Observability: spans around the challenge/prove/verify phases
@@ -103,7 +101,7 @@ class EpochScheduler:
         # registry instruments.  Neither touches challenges, nonces or
         # verdicts, so deterministic runs are unaffected.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        registry = registry if registry is not None else get_registry()
+        registry = get_registry()
         self._m_epochs = registry.counter("engine_epochs_total", "audit epochs executed")
         self._m_audits = registry.counter(
             "engine_audits_total", "audits judged, by verdict", ("verdict",)
@@ -130,10 +128,6 @@ class EpochScheduler:
                     f"names not registered with the executor: {sorted(unknown)[:4]}"
                 )
         self.names: "frozenset[int] | None" = names
-        # Long-running services auditing thousands of instances per epoch
-        # should disable history retention: every EpochResult holds all of
-        # its epoch's proofs and challenges.
-        self.keep_history = keep_history
         self._rng = rng  # blinds the batch-verification exponents
         # Pooled verification ships the whole epoch batch to an executor
         # worker process instead of verifying inline in the parent — the
@@ -153,7 +147,6 @@ class EpochScheduler:
             )
             cache = PrecomputeCache(store=store)
         self.cache = cache
-        self.history: list[EpochResult] = []
         # Adversary harness hook: files whose proofs come from a strategy
         # callable instead of the engine's honest prover (the batch verifier
         # treats both identically — that is the point of the exercise).
@@ -283,8 +276,6 @@ class EpochScheduler:
             self._m_audits.labels("rejected").inc(rejected)
         self._m_prove.observe(result.prove_seconds)
         self._m_verify.observe(result.verify_seconds)
-        if self.keep_history:
-            self.history.append(result)
         return result
 
     def run(self, epochs: int, start_epoch: int = 0) -> list[EpochResult]:

@@ -35,7 +35,6 @@ boundary and continues to the *same* final hashes.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
 import time
@@ -46,7 +45,6 @@ from ..chain import ContractTerms, Transaction
 from ..chain.contracts.checkpoint_contract import CheckpointContract, CheckpointStatus
 from ..chain.contracts.reputation import ReputationRegistry
 from ..chain.fabric import ShardedChainFabric
-from ..chain.mempool import MempoolConfig
 from ..core import ProtocolParams
 from ..core.prover import ResponseWithheld
 from ..crypto.bn254 import PrecomputeCache
@@ -108,12 +106,6 @@ class LifecycleConfig:
     #: directory for the persistent BN254 precompute store (``--crypto-cache``):
     #: pure derived tables, so it lives outside the determinism domain.
     crypto_cache_dir: str | None = None
-    validate_packages: bool = False
-    #: route the engine's settlement/report/stake transactions through each
-    #: lane's fee-market mempool (submit at the wallet-suggested tip, mine,
-    #: read the receipt back from the drain) instead of direct transact().
-    mempool: bool = False
-    mempool_tip_gwei: float = 1.0
 
     def __post_init__(self) -> None:
         if self.years <= 0 or self.epochs_per_year < 1:
@@ -267,9 +259,7 @@ class LifecycleEngine:
         if config.persist_dir:
             lanes_dir = str(Path(config.persist_dir) / "lanes")
         self.fabric = ShardedChainFabric(
-            num_lanes=config.lanes,
-            persist_dir=lanes_dir,
-            mempool=MempoolConfig() if config.mempool else None,
+            num_lanes=config.lanes, persist_dir=lanes_dir
         )
         self.dsn = AuditedDsn(
             cluster,
@@ -286,7 +276,7 @@ class LifecycleEngine:
             placement=ReputationWeightedPlacement(
                 score_of=self._score_of, minimum_score=config.min_placement_score
             ),
-            validate_packages=config.validate_packages,
+            validate_packages=False,
             key_mode="convergent",
         )
 
@@ -388,49 +378,18 @@ class LifecycleEngine:
     # Chain helpers                                                       #
     # ------------------------------------------------------------------ #
 
-    def _transact(self, sender, to, method, args=(), value=0, payload_bytes=0):
-        return self._send(
+    def _transact(self, sender, to, method, args=(), value=0):
+        return self.fabric.transact(
             Transaction(
                 sender=sender, to=to, method=method, args=tuple(args), value=value
-            ),
-            payload_bytes,
-        )
-
-    def _send(self, tx: Transaction, payload_bytes: int = 0):
-        if not self.config.mempool:
-            return self.fabric.transact(tx, payload_bytes=payload_bytes)
-        # Mempool mode: the engine behaves like any other fee-paying user —
-        # escrow at the wallet-suggested fees, wait for the drain, and read
-        # the execution receipt back out of the pool telemetry.
-        lane = self.fabric.lanes[self.fabric.lane_index_for_tx(tx)]
-        pool = lane.pool
-        assert pool is not None, "mempool mode requires pooled lanes"
-        max_fee_gwei, tip_gwei = pool.suggest_fees(self.config.mempool_tip_gwei)
-        entry = lane.submit(
-            dataclasses.replace(
-                tx, max_fee_gwei=max_fee_gwei, priority_fee_gwei=tip_gwei
-            ),
-            payload_bytes=payload_bytes,
-        )
-        # The current pending block may be partly filled by direct
-        # transact() traffic (the DSN store/repair path); if the fee
-        # budget's gas reservation does not fit, the drain defers the
-        # transaction to the next — empty — block.
-        for _ in range(3):
-            lane.mine_block()
-            receipt = pool.last_drained.get((tx.sender, entry.tx.nonce))
-            if receipt is not None:
-                return receipt
-        raise RuntimeError(
-            f"pooled transaction {tx.method} was not drained into a block"
+            )
         )
 
     def _checkpoint_client(self, lane_id: int) -> CheckpointClient:
-        """The lane's checkpoint contract, driven through :meth:`_send`."""
         _, address = self.lane_settlement[lane_id]
         contract = self.fabric.lane(lane_id).contract_at(address)
         assert isinstance(contract, CheckpointContract)
-        return CheckpointClient(self._send, address, contract)
+        return CheckpointClient(self.fabric.transact, address, contract)
 
     def _score_of(self, provider: str) -> float:
         return float(
@@ -603,7 +562,6 @@ class LifecycleEngine:
             self.beacon,
             deterministic=True,
             rng=self._batch_rng,
-            keep_history=False,
             overrides=overrides,
             cache=self._cache,
             tracer=self.tracer,
@@ -864,23 +822,6 @@ class LifecycleEngine:
             total_evictions=self.total_evictions,
             wall_seconds=self.wall_seconds,
         )
-
-    # ------------------------------------------------------------------ #
-    # Service hosting                                                      #
-    # ------------------------------------------------------------------ #
-
-    def service_node(self):
-        """Host this engine behind the JSON-RPC audit service.
-
-        Returns a :class:`~repro.rpc.node.ServiceNode` wrapping the
-        engine's own fabric with the engine mounted, so ``audit_status``
-        reports lifecycle progress and ``state_get`` resolves provider
-        reputation.  Callers drive epochs (:meth:`run_epoch`) while the
-        service answers reads; both serialize on the lanes' chain locks.
-        """
-        from ..rpc import ServiceNode
-
-        return ServiceNode(self.fabric, lifecycle=self)
 
     # ------------------------------------------------------------------ #
     # Durability (crash + reopen)                                          #

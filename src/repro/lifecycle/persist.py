@@ -33,7 +33,7 @@ from pathlib import Path
 from .. import durable
 
 ENGINE_SNAPSHOT = "engine.pkl"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 _MAGIC = b"LIFECYCL"
 
 #: Engine attributes that are plain picklable values, saved and restored as-is.

@@ -15,7 +15,9 @@ Merkle-rolls the per-lane commitments into one fixed-size
 A light client holding only the 87-byte fabric commitment verifies any
 single round anywhere in the fleet through a two-stage inclusion proof —
 leaf → lane root → fabric root (:class:`FabricInclusionProof`, checked by
-:meth:`repro.chain.light_client.CheckpointLightClient.verify_fabric_inclusion`).
+:meth:`repro.chain.light_client.CheckpointLightClient.verify_fabric_inclusion`),
+and checks the commitment itself — root, counts, digest — by recomputing
+:func:`roll_up` over the lane commitments it reads from the lane contracts.
 Fraud-proof soundness is inherited per lane: the fabric commitment binds
 exactly the lane commitments that sit on chain under bonds, so a lying
 lane is slashed by the ordinary :meth:`challenge_leaf` path and the
@@ -187,17 +189,20 @@ class FabricCheckpointBundle:
         )
 
 
-def build_fabric_checkpoint(
-    epoch: int, lane_bundles: Sequence[tuple[int, CheckpointBundle]]
-) -> FabricCheckpointBundle:
-    """Merkle-roll per-lane checkpoints into one fabric commitment."""
-    if not lane_bundles:
+def roll_up(
+    epoch: int, commitments: Sequence[Checkpoint]
+) -> tuple[FabricCheckpoint, MerkleTree]:
+    """The fabric roll-up rule: one epoch's lane commitments → super-commitment.
+
+    ``commitments`` come in ascending lane order.  Their 85-byte encodings
+    are the leaves of ``fabric_root``, their counts sum, and
+    :func:`lanes_digest` binds the ordered set.  The aggregator builds what
+    it serves with this function and a light client recomputes it from the
+    commitments bonded on the lane contracts, so counts and digest are
+    checked by the rule that made them.
+    """
+    if not commitments:
         raise ValueError("cannot build a fabric checkpoint with no lanes")
-    ordered = tuple(sorted(lane_bundles, key=lambda pair: pair[0]))
-    lane_ids = [lane_id for lane_id, _ in ordered]
-    if len(lane_ids) != len(set(lane_ids)):
-        raise ValueError("duplicate lane id in fabric checkpoint")
-    commitments = [bundle.checkpoint for _, bundle in ordered]
     if any(commitment.epoch != epoch for commitment in commitments):
         raise ValueError("all lane checkpoints must belong to the fabric epoch")
     tree = MerkleTree([commitment.to_bytes() for commitment in commitments])
@@ -210,6 +215,18 @@ def build_fabric_checkpoint(
         num_leaves=sum(c.num_leaves for c in commitments),
         lanes_digest=lanes_digest(commitments),
     )
+    return checkpoint, tree
+
+
+def build_fabric_checkpoint(
+    epoch: int, lane_bundles: Sequence[tuple[int, CheckpointBundle]]
+) -> FabricCheckpointBundle:
+    """Merkle-roll per-lane checkpoints into one fabric commitment."""
+    ordered = tuple(sorted(lane_bundles, key=lambda pair: pair[0]))
+    lane_ids = [lane_id for lane_id, _ in ordered]
+    if len(lane_ids) != len(set(lane_ids)):
+        raise ValueError("duplicate lane id in fabric checkpoint")
+    checkpoint, tree = roll_up(epoch, [bundle.checkpoint for _, bundle in ordered])
     return FabricCheckpointBundle(checkpoint=checkpoint, lanes=ordered, tree=tree)
 
 
@@ -235,14 +252,6 @@ class FabricSettlement:
     def total_commitment_gas(self) -> int:
         return sum(settled.receipt.gas_used for settled in self.lanes.values())
 
-    def da_commitments(self) -> dict[int, object]:
-        """Per-lane DA commitments for this epoch (empty without DA)."""
-        return {
-            lane_id: settled.da.commitment
-            for lane_id, settled in self.lanes.items()
-            if settled.da is not None
-        }
-
 
 class CrossShardAggregator:
     """Settles engine epochs across every fabric lane and rolls them up.
@@ -265,10 +274,6 @@ class CrossShardAggregator:
         beacon,
         rng=None,
         deterministic: bool = False,
-        salt: bytes = b"engine-epoch",
-        fraud_window: float = 24 * 3600.0,
-        aggregator_funds_eth: float = 10.0,
-        contract_kwargs: dict | None = None,
         tracer=None,
         da_params=None,
     ):
@@ -313,13 +318,8 @@ class CrossShardAggregator:
         for lane_id in sorted(placement):
             names = frozenset(placement[lane_id])
             lane = fabric.lane(lane_id)
-            account = lane.create_account(
-                aggregator_funds_eth, label=f"aggregator-{lane_id}"
-            )
-            contract = CheckpointContract(
-                beacon, params, fraud_window=fraud_window,
-                **(contract_kwargs or {}),
-            )
+            account = lane.create_account(10.0, label=f"aggregator-{lane_id}")
+            contract = CheckpointContract(beacon, params)
             address = lane.deploy(contract, deployer=account)
             # Each lane's scheduler gets its own blinding rng, derived in
             # sorted lane order: a shared Random instance would race under
@@ -332,7 +332,6 @@ class CrossShardAggregator:
                 executor,
                 params,
                 beacon,
-                salt=salt,
                 deterministic=deterministic,
                 rng=lane_rng,
                 names=names,

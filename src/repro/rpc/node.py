@@ -3,13 +3,9 @@
 Normalizes the two chain shapes (a single
 :class:`~repro.chain.blockchain.Blockchain` or a
 :class:`~repro.chain.fabric.ShardedChainFabric`) and optionally mounts the
-audit layers on top:
-
-* a :class:`~repro.rollup.fabric.CrossShardAggregator` — serves
-  ``audit_status`` / ``checkpoint_get`` / ``fabric_proof_get``,
-* a :class:`~repro.lifecycle.engine.LifecycleEngine` — the service-hosted
-  mode (:meth:`~repro.lifecycle.engine.LifecycleEngine.service_node`),
-  which additionally exposes provider reputation through ``state_get``.
+audit layer on top: a :class:`~repro.rollup.fabric.CrossShardAggregator`,
+which serves ``audit_status`` / ``checkpoint_get`` / ``fabric_proof_get``
+and the DA methods.
 
 Every handler returns plain JSON-serialisable values and raises
 :class:`~repro.rpc.codec.RpcError` for domain failures, so the dispatcher
@@ -90,10 +86,9 @@ def _merkle_proof_object(proof) -> dict:
 class ServiceNode:
     """One long-running audit-service node over a chain (or fabric)."""
 
-    def __init__(self, chain, aggregator=None, lifecycle=None):
+    def __init__(self, chain, aggregator=None):
         self.chain = chain
         self.aggregator = aggregator
-        self.lifecycle = lifecycle
         self.explorer = ChainExplorer(chain)
         self.started_at = time.time()
         self._miner_thread: threading.Thread | None = None
@@ -262,7 +257,7 @@ class ServiceNode:
     # -- state ----------------------------------------------------------------
 
     def state_get(self, address: "str | None" = None) -> dict:
-        """Balance/nonce (and reputation when hosted) for one account."""
+        """Balance and nonce for one account (fabric totals when omitted)."""
         _require(
             address is None or isinstance(address, str), "address must be a string"
         )
@@ -282,53 +277,17 @@ class ServiceNode:
                     lane_index = self.chain.lane_index_of_account(address)
                 except KeyError:
                     lane_index = None
-            result = {
+            return {
                 "address": address,
                 "balance_wei": self.chain.balance_of(address),
                 "nonce": max(lane.nonce_of(address) for lane in self.lanes),
                 "lane": lane_index if self.sharded else 0,
-                "reputation": None,
             }
-        if self.lifecycle is not None:
-            record = self.lifecycle.registry.providers.get(address)
-            if record is not None:
-                result["reputation"] = {
-                    "score": record.score,
-                    "stake_wei": record.stake_wei,
-                    "passes": record.passes,
-                    "fails": record.fails,
-                    "banned": record.banned,
-                }
-        return result
 
     # -- audit layer -----------------------------------------------------------
 
     def audit_status(self) -> dict:
         """Where the audit pipeline stands: epochs settled, verdict totals."""
-        if self.lifecycle is not None:
-            engine = self.lifecycle
-            summaries = engine.summaries
-            return {
-                "mode": "lifecycle",
-                "epochs_run": engine.next_epoch - 1,
-                "total_epochs": engine.config.total_epochs,
-                "files_intact": engine.files_intact(),
-                "accepted": sum(s.accepted for s in summaries),
-                "rejected": sum(s.rejected for s in summaries),
-                "repaired": engine.total_repairs,
-                "evicted": engine.total_evictions,
-                "providers_active": len(engine._active_providers()),
-                "last_epoch": (
-                    {
-                        "epoch": summaries[-1].epoch,
-                        "audits": summaries[-1].audits,
-                        "accepted": summaries[-1].accepted,
-                        "rejected": summaries[-1].rejected,
-                    }
-                    if summaries
-                    else None
-                ),
-            }
         if self.aggregator is not None:
             settled = self.aggregator.settled
             return {
@@ -624,7 +583,6 @@ class ServiceNode:
             "height": self.explorer.height(),
             "pending_total": self._pending_total(),
             "aggregator": self.aggregator is not None,
-            "lifecycle": self.lifecycle is not None,
             "auto_mine": self._miner_thread is not None,
         }
 

@@ -189,7 +189,7 @@ def audit_service(
             num_lanes=lanes, mempool=MempoolConfig(), concurrent=concurrent
         )
         stack.callback(fabric.close)
-        fabric.attach_gauges(registry)
+        fabric.attach_gauges()
         executor = AuditExecutor(instances, workers=workers, cache_dir=crypto_cache)
         stack.callback(executor.close)
         aggregator = CrossShardAggregator(

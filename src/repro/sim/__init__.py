@@ -17,7 +17,6 @@ from .throughput import (
     ChainCapacityModel,
     CheckpointedChainCapacityModel,
     CongestionPricingModel,
-    ParallelProviderModel,
     ProviderLoadModel,
     ShardedChainCapacityModel,
     TX_ENVELOPE_BYTES,
@@ -40,7 +39,6 @@ __all__ = [
     "FeeSchedule",
     "MarketplaceResult",
     "MarketplaceSimulation",
-    "ParallelProviderModel",
     "ProviderLoadModel",
     "RANDOMNESS_COST_USD",
     "ShardedChainCapacityModel",

@@ -373,25 +373,6 @@ class CongestionPricingModel:
         per_block = 1.0 - 1.0 / self.max_change_denominator
         return math.log(1.0 / multiplier) / math.log(per_block)
 
-    def backlog_gas_after(self, total_gas_per_block: float, blocks: int) -> float:
-        """Queued gas per lane after ``blocks`` of sustained offered load."""
-        overflow = max(0.0, self.per_lane_offered(total_gas_per_block) - self.block_gas_limit)
-        return overflow * blocks
-
-    def inclusion_delay_blocks(self, total_gas_per_block: float, duration_blocks: int) -> float:
-        """Mean queueing delay (in blocks) for a storm of finite duration.
-
-        While offered <= capacity the pool drains within the next block
-        (delay 1).  Above capacity the backlog grows linearly, so the
-        last transaction of an N-block storm waits ``N * (offered/limit - 1)``
-        extra blocks and the storm-average is half that.
-        """
-        per_lane = self.per_lane_offered(total_gas_per_block)
-        if per_lane <= self.block_gas_limit:
-            return 1.0
-        overload = per_lane / self.block_gas_limit - 1.0
-        return 1.0 + overload * duration_blocks / 2.0
-
     def audits_per_second(self, gas_per_audit: int, total_gas_per_block: float) -> float:
         """Settled audit throughput across lanes under the offered load."""
         per_lane = min(self.per_lane_offered(total_gas_per_block), self.block_gas_limit)
@@ -422,30 +403,3 @@ class ProviderLoadModel:
         """
         return self.proving_time_for_all(users_on_provider) <= 2 * block_confirmation_s
 
-
-@dataclass(frozen=True)
-class ParallelProviderModel(ProviderLoadModel):
-    """Provider capacity with the parallel audit engine switched on.
-
-    Extends the paper's per-provider load model with the two engine levers
-    measured by ``benchmarks/bench_parallel_engine.py``:
-
-    * ``cores`` — audit instances are independent, so proving fans out
-      near-linearly across a process pool,
-    * ``precompute_speedup`` — per-proof gain from the shared fixed-base
-      tables (powers-of-alpha MSM windows, per-owner GT contexts), i.e.
-      throughput with warm caches vs. the seed's per-proof rebuild.
-    """
-
-    cores: int = 8
-    precompute_speedup: float = 1.5
-
-    def proving_time_for_all(self, users_on_provider: int) -> float:
-        """Seconds to answer every stored user's daily challenge."""
-        serial = users_on_provider * self.per_proof_seconds / self.precompute_speedup
-        return serial / max(1, self.cores)
-
-    def max_users_within(self, budget_seconds: float) -> int:
-        """Largest per-provider user count finishing inside the budget
-        (e.g. the paper's 2x-block-latency tolerability yardstick)."""
-        return int(budget_seconds / self.proving_time_for_all(1))

@@ -41,6 +41,3 @@ class FileManifest:
     @property
     def redundancy_factor(self) -> float:
         return self.erasure_n / self.erasure_k
-
-    def shards_on(self, provider: str) -> list[ShardLocation]:
-        return [s for s in self.shards if s.provider == provider]

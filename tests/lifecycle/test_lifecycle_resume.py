@@ -10,10 +10,18 @@ require the continuation to reach the exact trail digest and fabric
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
+from repro import durable
 from repro.lifecycle import LifecycleConfig, LifecycleEngine
-from repro.lifecycle.persist import LifecycleResumeError, load_engine
+from repro.lifecycle.persist import (
+    ENGINE_SNAPSHOT,
+    SNAPSHOT_VERSION,
+    LifecycleResumeError,
+    load_engine,
+)
 
 BASE = dict(
     years=0.75,
@@ -161,4 +169,16 @@ def test_corrupted_chain_state_is_refused(tmp_path):
     data[len(data) // 2] ^= 0xFF
     wal.write_bytes(bytes(data))
     with pytest.raises(LifecycleResumeError, match="lane state: corrupt at byte"):
+        LifecycleEngine.open(config.persist_dir)
+
+
+def test_snapshot_of_an_older_version_is_refused_not_half_loaded(tmp_path):
+    """The pickled ``LifecycleConfig`` changes shape between versions."""
+    config = _persisted_config(tmp_path)
+    LifecycleEngine(config).close()      # setup publishes the first snapshot
+    path = tmp_path / "state" / ENGINE_SNAPSHOT
+    state = pickle.loads(durable.read_sealed(path, b"LIFECYCL"))
+    state["version"] = SNAPSHOT_VERSION - 1
+    durable.publish(path, b"LIFECYCL", pickle.dumps(state))
+    with pytest.raises(LifecycleResumeError, match="snapshot version 2"):
         LifecycleEngine.open(config.persist_dir)

@@ -156,7 +156,6 @@ def test_instrumented_epoch_pipeline_is_within_budget():
                     params,
                     beacon,
                     deterministic=True,
-                    keep_history=False,
                     tracer=tracer,
                 )
                 scheduler.run(2)

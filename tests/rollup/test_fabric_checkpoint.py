@@ -14,6 +14,7 @@ Acceptance properties (ISSUE 4 tentpole, part 3):
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -35,6 +36,7 @@ from repro.rollup import (
     build_epoch_checkpoint,
     build_fabric_checkpoint,
 )
+from repro.rollup.fabric import roll_up
 from repro.sim.workloads import archive_file
 
 EPOCHS = 2
@@ -308,6 +310,51 @@ class TestFabricInclusion:
         assert report.checkpoints_checked == EPOCHS * len(
             equivalence_run["aggregator"].pipelines
         )
+
+
+    def test_served_super_commitment_must_be_the_lane_roll_up(
+        self, equivalence_run, client
+    ):
+        """Counts, digest and lane set are checked, not just ``fabric_root``.
+
+        Inclusion proofs open the root only, so a ``checkpoint_get`` reply
+        with any counts or digest used to pass every check there was.
+        """
+        aggregator = equivalence_run["aggregator"]
+        settlement = aggregator.settled[0]
+        honest = settlement.fabric.checkpoint
+        on_chain = [
+            pipeline.chain.call(
+                pipeline.contract_address, "checkpoint_for_epoch", settlement.epoch
+            )
+            for _, pipeline in sorted(aggregator.pipelines.items())
+        ]
+        assert client.verify_fabric_rollup(honest, on_chain)
+        assert honest.accepted != honest.rejected
+        forgeries = {
+            "swapped counts": dataclasses.replace(
+                honest, accepted=honest.rejected, rejected=honest.accepted
+            ),
+            "wrong lanes_digest": dataclasses.replace(
+                honest, lanes_digest=bytes(32)
+            ),
+            "dropped lane": roll_up(settlement.epoch, on_chain[1:])[0],
+        }
+        for label, forged in forgeries.items():
+            assert not client.verify_fabric_rollup(forged, on_chain), label
+        # The full audit runs the same check for every settled epoch.
+        aggregator.settled[0] = dataclasses.replace(
+            settlement,
+            fabric=dataclasses.replace(
+                settlement.fabric, checkpoint=forgeries["swapped counts"]
+            ),
+        )
+        try:
+            report = audit_the_auditor_fabric(aggregator)
+        finally:
+            aggregator.settled[0] = settlement
+        assert report.root_mismatches == [settlement.epoch]
+        assert not report.consistent and not report.disagreements
 
 
 class TestPerLaneFraudGrounds:

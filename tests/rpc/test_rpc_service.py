@@ -4,8 +4,7 @@ One server per fixture scope, real sockets throughout.  Covers the
 ingress path (``submit_tx`` success and every reachable rejection code),
 the read family (state, explorer, fee suggestions), the audit layer
 (``audit_status`` / ``checkpoint_get`` / ``fabric_proof_get`` against a
-settled aggregator), the service-hosted lifecycle mode, and the
-per-method metrics counters.
+settled aggregator), and the per-method metrics counters.
 """
 
 from __future__ import annotations
@@ -257,36 +256,3 @@ class TestAuditLayer:
         checkpoints = client.call("explorer_checkpoints")
         assert len(checkpoints) == 4  # one row per (lane, epoch): 2 x 2
 
-
-def test_lifecycle_hosted_mode_exposes_reputation():
-    from repro.lifecycle import LifecycleConfig, LifecycleEngine
-
-    engine = LifecycleEngine(
-        LifecycleConfig(
-            years=0.5, epochs_per_year=2, files=1, file_bytes=400,
-            erasure_n=3, erasure_k=2, providers=6, lanes=2, s=3, k=2,
-        )
-    )
-    try:
-        engine.run_epoch()
-        node = engine.service_node()
-        server = _serve(node)
-        try:
-            with RpcClient(*server.address) as client:
-                status = client.call("audit_status")
-                assert status["mode"] == "lifecycle"
-                assert status["epochs_run"] == 1
-                assert status["files_intact"] is True
-                assert status["accepted"] > 0
-                provider = next(iter(engine.providers))
-                state = client.call("state_get", {"address": provider})
-                assert state["reputation"] is not None
-                assert state["reputation"]["stake_wei"] > 0
-                civilian = client.call(
-                    "state_get", {"address": engine.oracle}
-                )
-                assert civilian["reputation"] is None
-        finally:
-            server.close()
-    finally:
-        engine.close()

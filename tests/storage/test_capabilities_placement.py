@@ -26,9 +26,12 @@ from repro.storage.placement import (
 
 @pytest.fixture()
 def cluster():
+    # 8 KiB nodes: the capacity tests fill nodes to the brim, and at the
+    # default 1 GiB that is a 10 GiB allocation (44 s of tier-1, mostly
+    # system time).  Nothing here stores more than ~2 KB per node.
     cluster = DsnCluster(network=SimulatedNetwork(rng=random.Random(2)))
     for index in range(10):
-        cluster.add_node(f"node-{index}")
+        cluster.add_node(f"node-{index}", capacity_bytes=8 << 10)
     return cluster
 
 

@@ -16,9 +16,12 @@ import pytest
 
 import repro.cli
 from repro import scenarios
+from repro.chain import ShardedChainFabric
 from repro.core import ProtocolParams
+from repro.engine import AuditExecutor
 from repro.lifecycle import LifecycleConfig, LifecycleEngine
 from repro.randomness import HashChainBeacon
+from repro.rollup import CrossShardAggregator
 
 PARAMS = ProtocolParams(s=4, k=3)
 
@@ -55,6 +58,33 @@ def test_settlement_audits_the_auditor_and_slashes_a_forgery(lanes, tmp_path):
     assert report.state_hash is not None
     assert report.reopened_state_hash == report.state_hash
     assert report.ok
+
+
+def test_two_lane_two_epoch_settlement_state_hash_is_the_one_captured_at_34f8142():
+    """Known answer over every checkpoint-contract attribute and bond.
+
+    ``run_settlement`` draws fresh Sigma nonces, so the pinned run is the
+    same composition in the engine's deterministic mode: two lanes, two
+    settled epochs and one slashed forgery.
+    """
+    rng = random.Random(2)
+    fabric = ShardedChainFabric(num_lanes=2)
+    try:
+        with AuditExecutor(_fleet(rng, files=3), workers=1) as executor:
+            aggregator = CrossShardAggregator(
+                fabric, executor, PARAMS, HashChainBeacon(b"scn-kat"), rng=rng,
+                deterministic=True,
+            )
+            aggregator.run(2)
+            forged = scenarios.forge_flipped_verdict(
+                aggregator, min(aggregator.pipelines), 2
+            )
+        assert forged.caught and forged.slashed_wei == 5 * 10**16
+        assert fabric.state_hash() == (
+            "3666467be2a3345620fa61a4f672ea6488d02ab180be0981083721dc41649cdb"
+        )
+    finally:
+        fabric.close()
 
 
 def test_one_lane_and_two_lane_settlement_agree_on_verdicts():
@@ -175,20 +205,21 @@ def test_lifecycle_records_real_data_loss_and_finishes():
     assert not outcome.files_intact
 
 
-def test_cli_imports_no_layer_a_scenario_composes():
-    """``cli.py`` is ``build_parser`` + call, print, exit code."""
-    banned = {"chain", "engine", "rollup", "rpc", "da"}
-    tree = ast.parse(Path(repro.cli.__file__).read_text())
-    offenders = []
-    for node in ast.walk(tree):
+def _repro_imports(path: Path):
+    """``(lineno, top-level repro subpackage)`` of every import in a file,
+    at any nesting level (function-level imports included)."""
+    package = path.relative_to(Path(repro.cli.__file__).parent).parts[:-1]
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level:             # relative: from .chain import ...
-                package = module.split(".")[0]
-                names = [package] if package else [a.name for a in node.names]
+            module = node.module.split(".") if node.module else []
+            if node.level:             # relative: resolve against the package
+                base = list(package[: len(package) - (node.level - 1)])
+                resolved = base + module
+                names = (
+                    resolved[:1] if resolved else [a.name for a in node.names]
+                )
             else:
-                parts = module.split(".")
-                names = parts[1:2] if parts[0] == "repro" else []
+                names = module[1:2] if module[:1] == ["repro"] else []
         elif isinstance(node, ast.Import):
             names = [
                 alias.name.split(".")[1]
@@ -197,5 +228,31 @@ def test_cli_imports_no_layer_a_scenario_composes():
             ]
         else:
             continue
-        offenders += [(node.lineno, name) for name in names if name in banned]
+        for name in names:
+            yield node.lineno, name
+
+
+def test_cli_imports_no_layer_a_scenario_composes():
+    """``cli.py`` is ``build_parser`` + call, print, exit code."""
+    banned = {"chain", "engine", "rollup", "rpc", "da"}
+    offenders = [
+        hit for hit in _repro_imports(Path(repro.cli.__file__)) if hit[1] in banned
+    ]
+    assert not offenders
+
+
+@pytest.mark.parametrize(
+    "package, banned", [("chain", "engine"), ("lifecycle", "rpc")]
+)
+def test_lower_layers_do_not_import_the_layers_above(package, banned):
+    """The cycles this PR cut stay cut: no module under ``chain/`` imports
+    ``repro.engine`` and none under ``lifecycle/`` imports ``repro.rpc``,
+    function-level imports included."""
+    root = Path(repro.cli.__file__).parent / package
+    offenders = [
+        (str(path.relative_to(root)), lineno)
+        for path in sorted(root.rglob("*.py"))
+        for lineno, name in _repro_imports(path)
+        if name == banned
+    ]
     assert not offenders

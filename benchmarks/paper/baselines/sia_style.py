@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from ..crypto.merkle import MerkleProof, MerkleTree, verify_merkle_proof
+from repro.crypto.merkle import MerkleProof, MerkleTree, verify_merkle_proof
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ rendering only (the table itself is data, checked by the test suite).
 
 from __future__ import annotations
 
-from repro.baselines import TABLE_I, render_table
+from baselines import TABLE_I, render_table
 
 
 def test_table1_feature_matrix(benchmark, report):

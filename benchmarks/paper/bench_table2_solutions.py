@@ -24,7 +24,7 @@ import pytest
 from repro.core.prover import ProveReport, Prover
 from repro.core.verifier import VerifyReport
 from repro.core.challenge import random_challenge
-from repro.snark.strawman import StrawmanOwner, StrawmanProver, StrawmanVerifier
+from snark.strawman import StrawmanOwner, StrawmanProver, StrawmanVerifier
 
 STRAWMAN_FILE_BYTES = 64
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 
-from .bn254.constants import CURVE_ORDER as R
+from repro.crypto.bn254.constants import CURVE_ORDER as R
 
 N_ROUNDS = 91
 EXPONENT = 7

@@ -1,10 +1,10 @@
 """Groth16 zk-SNARK toolchain and the paper's strawman auditing protocol.
 
-* :mod:`repro.snark.r1cs` — constraint-system builder,
-* :mod:`repro.snark.qap` — R1CS-to-QAP reduction over an NTT domain,
-* :mod:`repro.snark.groth16` — trusted setup / prover / verifier,
-* :mod:`repro.snark.circuits` — MiMC and Merkle-membership gadgets,
-* :mod:`repro.snark.strawman` — the Section IV baseline end to end.
+* :mod:`snark.r1cs` — constraint-system builder,
+* :mod:`snark.qap` — R1CS-to-QAP reduction over an NTT domain,
+* :mod:`snark.groth16` — trusted setup / prover / verifier,
+* :mod:`snark.circuits` — MiMC and Merkle-membership gadgets,
+* :mod:`snark.strawman` — the Section IV baseline end to end.
 """
 
 from .groth16 import Proof, ProvingKey, SetupResult, VerifyingKey, prove, setup, verify

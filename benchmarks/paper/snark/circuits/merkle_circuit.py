@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ...crypto.bn254.constants import CURVE_ORDER as R
-from ...crypto.mimc import mimc_hash2
+from repro.crypto.bn254.constants import CURVE_ORDER as R
+
+from mimc import mimc_hash2
 from ..r1cs import ConstraintSystem, LinearCombination
 from .mimc_gadget import mimc_hash2_gadget
 

@@ -1,4 +1,4 @@
-"""MiMC gadgets: the in-circuit version of :mod:`repro.crypto.mimc`.
+"""MiMC gadgets: the in-circuit version of :mod:`mimc`.
 
 Each of the 91 rounds computes ``t = x + k + c_i`` (free: linear) and
 ``t^7`` (4 multiplication constraints: t2, t4, t6, t7), so one permutation
@@ -7,12 +7,12 @@ versus ~27,000 for a SHA-256 compression, the factor the strawman benchmark
 quantifies.
 
 The gadget mirrors the native implementation exactly; a test asserts the
-circuit output equals :func:`repro.crypto.mimc.mimc_hash2` on random inputs.
+circuit output equals :func:`mimc.mimc_hash2` on random inputs.
 """
 
 from __future__ import annotations
 
-from ...crypto.mimc import EXPONENT, ROUND_CONSTANTS
+from mimc import EXPONENT, ROUND_CONSTANTS
 from ..r1cs import ConstraintSystem, LinearCombination
 
 assert EXPONENT == 7, "gadget is specialised to the x^7 round function"

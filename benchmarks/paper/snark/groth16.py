@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from ..crypto.bn254 import (
+from repro.crypto.bn254 import (
     CURVE_ORDER,
     G1Point,
     G2Point,
@@ -33,8 +33,9 @@ from ..crypto.bn254 import (
     pairing,
     pairing_check,
 )
-from ..crypto.bn254.fields import Fp12
-from ..crypto.field import random_scalar
+from repro.crypto.bn254.fields import Fp12
+from repro.crypto.field import random_scalar
+
 from .qap import Qap, compute_h_coefficients, r1cs_to_qap
 from .r1cs import ConstraintSystem
 

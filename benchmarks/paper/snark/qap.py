@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto.bn254.constants import CURVE_ORDER as R
-from ..core.polynomial import evaluate, interpolate_on_domain, ntt
+from repro.crypto.bn254.constants import CURVE_ORDER as R
+from repro.core.polynomial import evaluate, interpolate_on_domain, ntt
+
 from .r1cs import ConstraintSystem
 
 

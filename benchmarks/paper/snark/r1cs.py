@@ -2,7 +2,7 @@
 
 A constraint is ``<A, w> * <B, w> = <C, w>`` over the witness vector
 ``w = (1, public..., private...)``.  :class:`ConstraintSystem` is the
-builder used by the gadgets in :mod:`repro.snark.circuits`; it doubles as a
+builder used by the gadgets in :mod:`snark.circuits`; it doubles as a
 witness calculator (each helper both adds constraints and computes the new
 variable's value when inputs are assigned).
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..crypto.bn254.constants import CURVE_ORDER as R
+from repro.crypto.bn254.constants import CURVE_ORDER as R
 
 
 class LinearCombination:

@@ -20,9 +20,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from ..crypto.bn254.constants import CURVE_ORDER as R
-from ..crypto.field import bytes_to_blocks
-from ..crypto.prf import FeistelPrp
+from repro.crypto.bn254.constants import CURVE_ORDER as R
+from repro.crypto.field import bytes_to_blocks
+from repro.crypto.prf import FeistelPrp
+
 from .circuits.merkle_circuit import (
     MerkleCircuitWitness,
     MiMCMerkleTree,

@@ -7,8 +7,6 @@ Packages
   polynomial commitments + Sigma-protocol masking), attacks, batching.
 * :mod:`repro.crypto`     — BN254 pairing curve and symmetric primitives,
   all implemented from scratch.
-* :mod:`repro.snark`      — Groth16 + MiMC-Merkle circuit: the Section IV
-  strawman.
 * :mod:`repro.chain`      — simulated Ethereum-like chain, gas models and
   the Fig. 2 audit smart contract.
 * :mod:`repro.engine`     — parallel audit engine: process-pool executor,
@@ -17,8 +15,6 @@ Packages
   last-revealer attack.
 * :mod:`repro.storage`    — DSN substrate: Reed-Solomon, ChaCha20, Chord
   DHT, simulated network, storage nodes.
-* :mod:`repro.baselines`  — Sia-style Merkle auditing, MAC auditing and the
-  Table I feature matrix.
 * :mod:`repro.sim`        — economics and throughput models (Figs. 4-6, 10).
 
 Quickstart: see ``examples/quickstart.py`` or the README.
@@ -27,7 +23,6 @@ Quickstart: see ``examples/quickstart.py`` or the README.
 __version__ = "1.0.0"
 
 from . import (
-    baselines,
     chain,
     core,
     crypto,
@@ -35,13 +30,11 @@ from . import (
     engine,
     randomness,
     sim,
-    snark,
     storage,
 )
 
 __all__ = [
     "__version__",
-    "baselines",
     "chain",
     "core",
     "crypto",
@@ -49,6 +42,5 @@ __all__ = [
     "engine",
     "randomness",
     "sim",
-    "snark",
     "storage",
 ]

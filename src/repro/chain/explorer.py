@@ -144,7 +144,7 @@ class ChainExplorer:
                     "tx_count": len(block.receipts),
                     "gas_used": block.gas_used,
                     "byte_size": block.byte_size,
-                    "base_fee_wei": getattr(block, "base_fee_wei", 0),
+                    "base_fee_wei": block.base_fee_wei,
                 }
                 if self.sharded:
                     summary["lane"] = lane_index
@@ -304,7 +304,7 @@ class ChainExplorer:
     def base_fee_series(self, lane: int = 0) -> list[int]:
         """Per-sealed-block base fee (wei/gas) of one lane, oldest first."""
         blocks = self._lanes[lane].blocks
-        return [getattr(block, "base_fee_wei", 0) for block in blocks[:-1]]
+        return [block.base_fee_wei for block in blocks[:-1]]
 
     def tip_series(self, lane: int = 0) -> list[float]:
         """Mean effective tip (wei/gas) of drained txs per sealed block.

@@ -592,7 +592,7 @@ class WalStateStore(StateStore):
             sealed = self.blocks[-1]
             sealed.timestamp = payload["sealed_timestamp"]
             sealed.byte_size = payload["sealed_bytes"]
-            sealed.base_fee_wei = payload.get("sealed_base_fee", 0)
+            sealed.base_fee_wei = payload["sealed_base_fee"]
             self.time = payload["time"]
             self.blocks.append(payload["new_block"])
         elif record.kind == "genesis":

@@ -8,10 +8,9 @@ Submodules:
 * :mod:`repro.crypto.field` — scalar-field helpers and block packing,
 * :mod:`repro.crypto.prf` — challenge-expansion PRF/PRP (paper Def. 2),
 * :mod:`repro.crypto.chacha20` — owner-side block encryption,
-* :mod:`repro.crypto.merkle` — SHA-256 Merkle trees (strawman + baselines),
-* :mod:`repro.crypto.mimc` — SNARK-friendly hash for the Groth16 circuit.
+* :mod:`repro.crypto.merkle` — SHA-256 Merkle trees (checkpoints, DA roots).
 """
 
-from . import bn254, chacha20, field, merkle, mimc, prf, schnorr
+from . import bn254, chacha20, field, merkle, prf, schnorr
 
-__all__ = ["bn254", "chacha20", "field", "merkle", "mimc", "prf", "schnorr"]
+__all__ = ["bn254", "chacha20", "field", "merkle", "prf", "schnorr"]

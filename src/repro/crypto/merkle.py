@@ -1,11 +1,10 @@
 """Binary Merkle tree over SHA-256.
 
-Used by two baselines from the paper:
-
-* the **strawman** (Section IV): the data owner publishes the root ``rt`` and
-  the SNARK circuit proves knowledge of a leaf + authentication path,
-* the **Sia-style** auditing baseline (Section II): the provider posts the
-  challenged leaf and its path on chain in the clear.
+Commits the checkpoint rollup's leaves and the fabric super-commitment
+(``rollup/``, the checkpoint contract, the light client) and the DA layer's
+chunk roots.  The **Sia-style** auditing baseline the paper compares against
+(Section II; ``benchmarks/paper/baselines``) posts the challenged leaf and
+its path on chain in the clear with the same tree.
 
 Leaves are hashed with a domain-separation prefix distinct from interior
 nodes so a leaf can never be confused with an internal node (second-preimage

@@ -10,9 +10,8 @@ this package turns it into an auditing *service*:
 * :mod:`repro.engine.scheduler` — beacon-driven epochs whose proofs land in
   the one-final-exponentiation grouped batch verifier.
 
-See ``docs/ARCHITECTURE.md`` for where this layer sits and
-``benchmarks/bench_parallel_engine.py`` for the measured speedup over the
-sequential per-proof path.
+See ``docs/ARCHITECTURE.md`` for where this layer sits; its throughput is
+the ``settle_checkpoint`` workload of ``benchmarks/e2e``.
 """
 
 from .executor import AuditExecutor

@@ -17,7 +17,7 @@ fire a challenge at once.  The scheduler
 Determinism: with ``deterministic=True`` every Sigma nonce is derived from
 (salt, epoch, file name), so an epoch's proofs are a pure function of the
 fleet and the beacon — sequential and parallel execution agree
-byte-for-byte (tested, and asserted by ``bench_parallel_engine``).  Those
+byte-for-byte (``tests/engine/test_parallel_engine.py``).  Those
 inputs are *public*, so an observer could recompute the nonce and strip
 the privacy mask: deterministic mode is strictly for tests and benchmarks
 and is **off by default** — production epochs draw each nonce from the

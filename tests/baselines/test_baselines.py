@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.baselines import (
+from baselines import (
     CachingCheater,
     MacAuditor,
     MacProver,

@@ -179,26 +179,43 @@ class TestWalRoundTrip:
         """Every frame ``durable.frames`` lets through was written by
         ``_commit_hook``, which sets every field; a record without
         ``pool_seq`` is damage, and replay must raise on it rather than
-        keep whatever value the store held before."""
-        chain = Blockchain.open(tmp_path / "chain")
-        alice = chain.create_account(2.0, label="alice")
-        bob = chain.create_account(1.0, label="bob")
-        chain.transact(
-            Transaction(sender=alice, to=bob, value=10**15, gas_limit=30_000)
-        )
-        chain.mine_block()
-        chain.close()
-        wal_path = tmp_path / "chain" / "wal.log"
-        rewritten = []
-        for sequence, payload, _end in frames(wal_path.read_bytes()):
-            record = pickle.loads(payload)
+        keep whatever value the store held before.  The same holds inside
+        a block record's payload: the sealed base fee is hashed into
+        ``state_hash``, so a default would replay to a different hash."""
+
+        def strip_pool_seq(record):
             del record.__dict__["pool_seq"]
-            rewritten.append(
-                frame(sequence, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+
+        def strip_sealed_base_fee(record):
+            record.payload.pop("sealed_base_fee", None)
+
+        for strip, error, field in (
+            (strip_pool_seq, AttributeError, "pool_seq"),
+            (strip_sealed_base_fee, KeyError, "sealed_base_fee"),
+        ):
+            directory = tmp_path / field
+            chain = Blockchain.open(directory)
+            alice = chain.create_account(2.0, label="alice")
+            bob = chain.create_account(1.0, label="bob")
+            chain.transact(
+                Transaction(sender=alice, to=bob, value=10**15, gas_limit=30_000)
             )
-        wal_path.write_bytes(b"".join(rewritten))
-        with pytest.raises(AttributeError, match="pool_seq"):
-            Blockchain.open(tmp_path / "chain")
+            chain.mine_block()
+            chain.close()
+            wal_path = directory / "wal.log"
+            rewritten = []
+            for sequence, payload, _end in frames(wal_path.read_bytes()):
+                record = pickle.loads(payload)
+                strip(record)
+                rewritten.append(
+                    frame(
+                        sequence,
+                        pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL),
+                    )
+                )
+            wal_path.write_bytes(b"".join(rewritten))
+            with pytest.raises(error, match=field):
+                Blockchain.open(directory)
 
     def test_writes_after_torn_tail_recovery_survive_the_next_reopen(
         self, tmp_path

@@ -8,6 +8,8 @@ session with small-but-representative parameters.
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,11 @@ from repro.core import (
     generate_keypair,
 )
 from repro.sim.workloads import archive_file
+
+# The Groth16 strawman, the MAC / Sia-style baselines and MiMC live beside
+# the Table I / Table II benches, outside the installed package; their tests
+# (tests/snark, tests/baselines, TestMiMC) import them as plain modules.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks" / "paper"))
 
 
 def pytest_configure(config) -> None:

@@ -19,8 +19,9 @@ from repro.crypto.field import (
     bytes_to_blocks,
 )
 from repro.crypto.merkle import MerkleTree, verify_merkle_proof
-from repro.crypto.mimc import mimc_hash, mimc_hash2, mimc_permutation
 from repro.crypto.prf import FeistelPrp, Prf
+
+from mimc import mimc_hash, mimc_hash2, mimc_permutation  # benchmarks/paper
 
 
 class TestHashToCurve:

@@ -139,6 +139,7 @@ class TestSettlement:
     def test_every_epoch_settles_through_the_rollup(self, finished):
         engine, outcome = finished
         settled = outcome.trail.of_kind("settled")
+        assert outcome.epochs_run == LifecycleConfig(**BASE).total_epochs
         assert len(settled) == outcome.epochs_run
         for event in settled:
             assert int(event.get("audits")) > 0

@@ -9,8 +9,9 @@ import pytest
 
 from repro.crypto.bn254 import G1Point
 from repro.crypto.bn254.constants import CURVE_ORDER as R
-from repro.crypto.mimc import mimc_hash2
-from repro.snark.circuits.merkle_circuit import (
+
+from mimc import mimc_hash2
+from snark.circuits.merkle_circuit import (
     MerkleCircuitWitness,
     MiMCMerkleTree,
     build_merkle_circuit,
@@ -18,12 +19,12 @@ from repro.snark.circuits.merkle_circuit import (
     merkle_root_native,
     sha256_equivalent_constraints,
 )
-from repro.snark.circuits.mimc_gadget import (
+from snark.circuits.mimc_gadget import (
     CONSTRAINTS_PER_PERMUTATION,
     mimc_hash2_gadget,
 )
-from repro.snark.groth16 import prove, setup, verify
-from repro.snark.r1cs import ConstraintSystem
+from snark.groth16 import prove, setup, verify
+from snark.r1cs import ConstraintSystem
 
 
 @pytest.fixture(scope="module")

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.bn254.constants import CURVE_ORDER as R
-from repro.snark.qap import compute_h_coefficients, r1cs_to_qap
-from repro.snark.r1cs import ConstraintSystem, LinearCombination
+from snark.qap import compute_h_coefficients, r1cs_to_qap
+from snark.r1cs import ConstraintSystem, LinearCombination
 
 values = st.integers(min_value=0, max_value=R - 1)
 

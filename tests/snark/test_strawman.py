@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.snark.strawman import StrawmanOwner, StrawmanProver, StrawmanVerifier
+from snark.strawman import StrawmanOwner, StrawmanProver, StrawmanVerifier
 
 
 @pytest.fixture(scope="module")

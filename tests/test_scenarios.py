@@ -13,6 +13,7 @@ import random
 from pathlib import Path
 
 import pytest
+from setuptools import find_packages
 
 import repro.cli
 from repro import scenarios
@@ -24,6 +25,7 @@ from repro.randomness import HashChainBeacon
 from repro.rollup import CrossShardAggregator
 
 PARAMS = ProtocolParams(s=4, k=3)
+SRC_REPRO = Path(repro.cli.__file__).parent
 
 
 def _fleet(rng, files=2):
@@ -205,38 +207,35 @@ def test_lifecycle_records_real_data_loss_and_finishes():
     assert not outcome.files_intact
 
 
-def _repro_imports(path: Path):
-    """``(lineno, top-level repro subpackage)`` of every import in a file,
-    at any nesting level (function-level imports included)."""
-    package = path.relative_to(Path(repro.cli.__file__).parent).parts[:-1]
+def _imports(path: Path):
+    """``(lineno, dotted parts)`` of every name a file under ``src/repro``
+    imports, at any nesting level (function-level imports included);
+    relative imports are resolved against the file's package."""
+    package = ("repro", *path.relative_to(SRC_REPRO).parts[:-1])
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom):
-            module = node.module.split(".") if node.module else []
-            if node.level:             # relative: resolve against the package
-                base = list(package[: len(package) - (node.level - 1)])
-                resolved = base + module
-                names = (
-                    resolved[:1] if resolved else [a.name for a in node.names]
-                )
-            else:
-                names = module[1:2] if module[:1] == ["repro"] else []
+            module = tuple(node.module.split(".")) if node.module else ()
+            if node.level:
+                module = package[: len(package) - (node.level - 1)] + module
+            for alias in node.names:
+                yield node.lineno, (*module, alias.name)
         elif isinstance(node, ast.Import):
-            names = [
-                alias.name.split(".")[1]
-                for alias in node.names
-                if alias.name.startswith("repro.")
-            ]
-        else:
-            continue
-        for name in names:
-            yield node.lineno, name
+            for alias in node.names:
+                yield node.lineno, tuple(alias.name.split("."))
+
+
+def _repro_imports(path: Path):
+    """``(lineno, top-level repro subpackage)`` of every import in a file."""
+    for lineno, parts in _imports(path):
+        if parts[0] == "repro" and len(parts) > 1:
+            yield lineno, parts[1]
 
 
 def test_cli_imports_no_layer_a_scenario_composes():
     """``cli.py`` is ``build_parser`` + call, print, exit code."""
     banned = {"chain", "engine", "rollup", "rpc", "da"}
     offenders = [
-        hit for hit in _repro_imports(Path(repro.cli.__file__)) if hit[1] in banned
+        hit for hit in _repro_imports(SRC_REPRO / "cli.py") if hit[1] in banned
     ]
     assert not offenders
 
@@ -248,7 +247,7 @@ def test_lower_layers_do_not_import_the_layers_above(package, banned):
     """The cycles this PR cut stay cut: no module under ``chain/`` imports
     ``repro.engine`` and none under ``lifecycle/`` imports ``repro.rpc``,
     function-level imports included."""
-    root = Path(repro.cli.__file__).parent / package
+    root = SRC_REPRO / package
     offenders = [
         (str(path.relative_to(root)), lineno)
         for path in sorted(root.rglob("*.py"))
@@ -256,3 +255,20 @@ def test_lower_layers_do_not_import_the_layers_above(package, banned):
         if name == banned
     ]
     assert not offenders
+
+
+def test_installed_package_holds_no_paper_comparison_code():
+    """The Groth16 strawman, the MAC / Sia-style baselines and MiMC live in
+    ``benchmarks/paper``; the audit stack neither ships nor imports them,
+    nor anything else from ``benchmarks``."""
+    moved = {"snark", "baselines", "mimc"}
+    offenders = [
+        (str(path.relative_to(SRC_REPRO)), lineno)
+        for path in sorted(SRC_REPRO.rglob("*.py"))
+        for lineno, parts in _imports(path)
+        if moved & set(parts) or parts[0] == "benchmarks"
+    ]
+    assert not offenders
+    shipped = find_packages(str(SRC_REPRO.parent))
+    assert "repro.core" in shipped
+    assert not {f"repro.{name}" for name in moved} & set(shipped)

@@ -399,76 +399,18 @@ class ChainExplorer:
             "chain_bytes": sum(lane.chain_bytes() for lane in self._lanes),
             "fee_sink_wei": sum(lane.fee_sink for lane in self._lanes),
             "events": self.event_counts(),
-            "audit_contracts": [
-                {
-                    "address": s.address,
-                    "state": s.state,
-                    "rounds": s.rounds,
-                    "passes": s.passes,
-                    "fails": s.fails,
-                    "total_gas": s.total_gas,
-                    "trail_bytes": s.trail_bytes,
-                    "disputes": s.disputes,
-                    "reject_reasons": list(s.reject_reasons),
-                    "lane": s.lane,
-                }
-                for s in self.audit_contracts()
-            ],
+            "audit_contracts": [vars(s) for s in self.audit_contracts()],
             "disputes": self.dispute_log(),
             "reputation": self.reputation_snapshot(),
-            "checkpoints": [
-                {
-                    "address": s.address,
-                    "checkpoint_id": s.checkpoint_id,
-                    "epoch": s.epoch,
-                    "status": s.status,
-                    "leaves": s.leaves,
-                    "accepted": s.accepted,
-                    "rejected": s.rejected,
-                    "commitment_bytes": s.commitment_bytes,
-                    "gas_used": s.gas_used,
-                    "fraud_reason": s.fraud_reason,
-                    "lane": s.lane,
-                }
-                for s in self.checkpoint_contracts()
-            ],
+            "checkpoints": [vars(s) for s in self.checkpoint_contracts()],
         }
         if self.has_fee_market:
             payload["fee_market"] = {
-                "lanes": [
-                    {
-                        "lane": s.lane,
-                        "base_fee_wei": s.base_fee_wei,
-                        "peak_base_fee_wei": s.peak_base_fee_wei,
-                        "burned_wei": s.burned_wei,
-                        "pending": s.pending,
-                        "submitted": s.submitted,
-                        "drained": s.drained,
-                        "replaced": s.replaced,
-                        "evicted": s.evicted,
-                        "expired": s.expired,
-                        "rejections": s.rejections,
-                        "priority_inversions": s.priority_inversions,
-                    }
-                    for s in self.fee_market_summaries()
-                ],
+                "lanes": [vars(s) for s in self.fee_market_summaries()],
                 "base_fee_series": self.base_fee_series(0),
                 "tip_series": self.tip_series(0),
                 "evictions": self.eviction_series(),
             }
         if self.sharded:
-            payload["lanes"] = [
-                {
-                    "lane": s.lane,
-                    "height": s.height,
-                    "transactions": s.transactions,
-                    "gas_used": s.gas_used,
-                    "chain_bytes": s.chain_bytes,
-                    "fee_sink_wei": s.fee_sink_wei,
-                    "congestion_seconds": s.congestion_seconds,
-                    "audit_contracts": s.audit_contracts,
-                    "checkpoints": s.checkpoints,
-                }
-                for s in self.lane_summaries()
-            ]
+            payload["lanes"] = [vars(s) for s in self.lane_summaries()]
         return json.dumps(payload, indent=2, sort_keys=True)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator
 
 from ..obs.registry import get_registry
@@ -60,16 +59,9 @@ class ShardedChainFabric:
         num_lanes: int = 4,
         persist_dir=None,
         mempool=None,
-        concurrent: bool = False,
     ):
         if num_lanes < 1:
             raise ValueError("a fabric needs at least one lane")
-        # Concurrent mode drives one worker thread per lane through
-        # mine_block(); each lane serializes on its own Blockchain.lock,
-        # so the per-lane op sequence — and therefore state_hash — is
-        # bit-identical to lockstep mode (differential-tested).
-        self.concurrent = bool(concurrent)
-        self._lane_workers: ThreadPoolExecutor | None = None
 
         def _store(index: int) -> StateStore:
             if persist_dir is None:
@@ -225,28 +217,13 @@ class ShardedChainFabric:
     def balance_of(self, address: str) -> int:
         return sum(lane.balance_of(address) for lane in self.lanes)
 
-    def _workers(self) -> ThreadPoolExecutor:
-        if self._lane_workers is None:
-            self._lane_workers = ThreadPoolExecutor(
-                max_workers=self.num_lanes, thread_name_prefix="lane"
-            )
-        return self._lane_workers
-
     def mine_block(self) -> list[Block]:
         """Mine every lane once: the lockstep clock tick.
 
         Returns the sealed block of each lane (duck-type compatible with
-        drivers that only need *a* mined-block signal).  In ``concurrent``
-        mode one worker thread drives each lane; lanes share no state, so
-        the result (and every lane's ``state_hash``) matches lockstep
-        mining exactly — only wall-clock differs.
+        drivers that only need *a* mined-block signal).
         """
-        if self.concurrent and self.num_lanes > 1:
-            blocks = list(
-                self._workers().map(lambda lane: lane.mine_block(), self.lanes)
-            )
-        else:
-            blocks = [lane.mine_block() for lane in self.lanes]
+        blocks = [lane.mine_block() for lane in self.lanes]
         self._m_blocks.inc(len(blocks))
         settled = sum(len(block.receipts) for block in blocks)
         if settled:
@@ -273,9 +250,6 @@ class ShardedChainFabric:
             lane.snapshot()
 
     def close(self) -> None:
-        if self._lane_workers is not None:
-            self._lane_workers.shutdown(wait=True)
-            self._lane_workers = None
         if self._gauge_hook is not None:
             self._registry.remove_collect_hook(self._gauge_hook)
             self._gauge_hook = None

@@ -420,27 +420,27 @@ def _restore_contract(cls: type, state: dict, existing: Any = None) -> Any:
 
 @dataclass
 class _WalRecord:
-    """One committed mutation: a self-contained, idempotent state patch."""
+    """One committed mutation: a self-contained, idempotent state patch.
 
-    kind: str                     # "account" | "deploy" | "tx" | "block"
-    balances: dict[str, int]      # changed balances (absolute values)
-    nonces: dict[str, int]
-    signer_keys: dict[str, bytes]
+    ``snapshot()`` writes the same record with every map and the event list
+    whole, so one ``_apply`` restores both and a field missing from either
+    is an error.
+    """
+
+    kind: str                     # "account" | "deploy" | "tx" | "block" | "snapshot"
+    now: dict[str, dict]          # ``StateStore.delta()``: values the keyed maps hold now
+    gone: dict[str, list]         # ... and the keys they lost
     fee_sink: int
     account_seq: int
     schedule_seq: int
+    tx_seq: int
+    base_fee_wei: int
+    burned: int
+    pool_seq: int
     scheduled: list               # full pending schedule (small)
     events_tail: list             # events appended in this scope
     contracts: dict[str, tuple[type, dict]]
     payload: dict
-    tx_seq: int
-    # Fee-market / mempool patch (all deltas vs. the pre-scope state).
-    base_fee_wei: int
-    burned: int
-    pool_seq: int
-    mined_nonces: dict
-    pool_add: dict    # key -> PendingEntry
-    pool_remove: list  # keys dropped
 
 
 #: Seal of ``snapshot.pkl`` (see :mod:`repro.durable`).
@@ -489,25 +489,16 @@ class WalStateStore(StateStore):
 
     # -- commit hook ----------------------------------------------------------
 
-    def _commit_hook(self, kind: str, payload: dict, touched: frozenset) -> None:
-        now, gone = self.delta()
-        contracts = {}
-        if touched:  # a plain transfer touches none
-            contracts = {
-                address: _contract_state(self.contracts[address])
-                for address in sorted(touched)
-                if address in self.contracts
-            }
+    def _record(
+        self, kind: str, now: dict, gone: dict, events_tail: list, addresses, payload: dict
+    ) -> _WalRecord:
+        """The store's present state as one record; ``addresses`` are the contracts to carry."""
         # Spelled out, not ``**``-unpacked from ``_RECORD_SCALARS``: this runs
         # once per transaction and a starred call takes the slow call path.
-        record = _WalRecord(
+        return _WalRecord(
             kind=kind,
-            balances=now.get("balances", {}),
-            nonces=now.get("nonces", {}),
-            signer_keys=now.get("signer_keys", {}),
-            mined_nonces=now.get("mined_nonces", {}),
-            pool_add=now.get("pool", {}),
-            pool_remove=gone.get("pool", []),
+            now=now,
+            gone=gone,
             fee_sink=self.fee_sink,
             account_seq=self.account_seq,
             schedule_seq=self.schedule_seq,
@@ -516,9 +507,19 @@ class WalStateStore(StateStore):
             burned=self.burned,
             pool_seq=self.pool_seq,
             scheduled=list(self.scheduled),
-            events_tail=self.events[self._events_mark :],
-            contracts=contracts,
+            events_tail=events_tail,
+            contracts={
+                address: _contract_state(self.contracts[address])
+                for address in addresses
+                if address in self.contracts
+            },
             payload=payload,
+        )
+
+    def _commit_hook(self, kind: str, payload: dict, touched: frozenset) -> None:
+        now, gone = self.delta()
+        record = self._record(
+            kind, now, gone, self.events[self._events_mark :], sorted(touched), payload
         )
         self._seq += 1
         self._wal.write(
@@ -536,17 +537,9 @@ class WalStateStore(StateStore):
         """Load snapshot + log; returns the log's length up to its last whole frame."""
         snapshot_path = self.directory / self._SNAPSHOT_NAME
         if snapshot_path.exists():
-            state = pickle.loads(durable.read_sealed(snapshot_path, _SNAPSHOT_MAGIC))
-            self._seq = state["wal_seq"]
-            for name, value in state["scalars"].items():
-                if name in self._KEYED_MAPS:
-                    dict.update(getattr(self, name), value)
-                else:
-                    setattr(self, name, value)
-            self.contracts = {
-                address: _restore_contract(cls, attrs)
-                for address, (cls, attrs) in state["contracts"].items()
-            }
+            record = pickle.loads(durable.read_sealed(snapshot_path, _SNAPSHOT_MAGIC))
+            self._apply(record)
+            self._seq = record.payload["wal_seq"]
         valid = 0
         if self.wal_path.exists():
             log = self.wal_path.read_bytes()
@@ -563,19 +556,17 @@ class WalStateStore(StateStore):
     def _apply(self, record: _WalRecord) -> None:
         # Replay runs outside any scope, so there is nothing to journal:
         # keyed-map writes go straight to the builtin (thousands per reopen).
-        merge = dict.update
-        merge(self.balances, record.balances)
-        merge(self.nonces, record.nonces)
-        merge(self.signer_keys, record.signer_keys)
-        # Every record carries every field (``_commit_hook`` sets them all,
-        # and ``durable.frames`` refuses frames from other formats), so a
+        for name, keys in record.gone.items():
+            target = getattr(self, name)
+            for key in keys:
+                dict.pop(target, key, None)
+        for name, values in record.now.items():
+            dict.update(getattr(self, name), values)
+        # Every record carries every field (``_record`` sets them all, and
+        # ``durable`` refuses frames and snapshots from other formats), so a
         # missing one is a damaged record: fail on it, never skip it.
         for name in _RECORD_SCALARS:
             setattr(self, name, getattr(record, name))
-        merge(self.mined_nonces, record.mined_nonces)
-        for key in record.pool_remove:
-            dict.pop(self.pool, key, None)
-        merge(self.pool, record.pool_add)
         self.scheduled = list(record.scheduled)
         self.events.extend(record.events_tail)
         for address, (cls, attrs) in record.contracts.items():
@@ -597,33 +588,30 @@ class WalStateStore(StateStore):
             self.blocks.append(payload["new_block"])
         elif record.kind == "genesis":
             self.blocks = [payload["block"]]
+        elif record.kind == "snapshot":
+            # A delta names the maps its scope wrote; a snapshot holds them all.
+            missing = sorted(set(self._KEYED_MAPS) - record.now.keys())
+            if missing:
+                raise WalCorruption(0, f"snapshot lacks {missing}")
+            self.time = payload["time"]
+            self.blocks = payload["blocks"]
 
     # -- snapshot / lifecycle --------------------------------------------------
 
     def snapshot(self) -> None:
         """Fold the log into a fresh snapshot and truncate the WAL."""
-        state = {
-            "wal_seq": self._seq,
-            "scalars": {
-                name: getattr(self, name)
-                for name in (
-                    "time",
-                    "blocks",
-                    "scheduled",
-                    "events",
-                    *_RECORD_SCALARS,
-                    *self._KEYED_MAPS,
-                )
-            },
-            "contracts": {
-                address: _contract_state(contract)
-                for address, contract in self.contracts.items()
-            },
-        }
+        record = self._record(
+            "snapshot",
+            {name: getattr(self, name) for name in self._KEYED_MAPS},
+            {},
+            self.events,
+            self.contracts,
+            {"wal_seq": self._seq, "time": self.time, "blocks": self.blocks},
+        )
         durable.publish(
             self.directory / self._SNAPSHOT_NAME,
             _SNAPSHOT_MAGIC,
-            pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL),
+            pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL),
         )
         # Cut the log only after the snapshot is durable.  A crash in
         # between leaves frames the snapshot already holds; recovery skips

@@ -18,7 +18,7 @@
     python -m repro congest --storm --lanes 4 --blocks 12     # fee-market storm
     python -m repro congest --storm --griefer --lanes 2       # + fee griefing
     python -m repro serve --lanes 2 --port 8645               # JSON-RPC service
-    python -m repro serve --concurrent --probe                # CI smoke probe
+    python -m repro serve --workers 2 --probe                 # lane threads + pool
     python -m repro da-sample --lanes 2 --withhold 0.25       # DA sampling demo
     python -m repro da-sample --fraud                         # + counts slash
     python -m repro models   --users 5000
@@ -432,13 +432,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     with scenarios.audit_service(
         instances, params, HashChainBeacon(b"cli-serve"), rng,
-        lanes=args.lanes, concurrent=args.concurrent, workers=args.workers,
+        lanes=args.lanes, workers=args.workers,
         crypto_cache=args.crypto_cache, host=args.host, port=args.port,
         metrics_port=args.metrics_port,
     ) as service:
         settlements = service.aggregator.run(args.epochs)
+        threaded = " (concurrent)" if service.aggregator.concurrent else ""
         print(f"audit service on {service.host}:{service.port} — "
-              f"{args.lanes} lanes{' (concurrent)' if args.concurrent else ''}, "
+              f"{args.lanes} lanes{threaded}, "
               f"{len(instances)} audit instances, "
               f"{len(settlements)} epochs pre-settled, "
               f"{len(service.dispatcher.methods())} methods")
@@ -764,8 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="listen port (0 = ephemeral, printed at start)")
     serve.add_argument("--lanes", type=int, default=2,
                        help="chain fabric lanes behind the service")
-    serve.add_argument("--concurrent", action="store_true",
-                       help="execute lanes on a worker-per-lane thread pool")
     serve.add_argument("--fleet", type=int, default=2,
                        help="audit instances preloaded into the aggregator")
     serve.add_argument("--epochs", type=int, default=1,

@@ -29,7 +29,9 @@ import zlib
 from pathlib import Path
 from typing import Iterator
 
-FORMAT_VERSION = 1
+#: 2: ``chain.state._WalRecord`` carries ``delta()``'s maps by name and
+#: ``snapshot.pkl`` holds one such record (version-1 files are refused).
+FORMAT_VERSION = 2
 
 _MAGIC_LEN = 8
 #: Bytes before a sealed file's payload (magic, version, sha256).

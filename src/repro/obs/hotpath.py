@@ -1,19 +1,21 @@
 """Zero-overhead-when-disabled profiling of the crypto hot path.
 
 The BN254 prove/verify legs and the GF(256) erasure codec carry gated
-timers (see ``crypto/bn254/msm.py``, ``crypto/bn254/pairing.py``,
-``storage/erasure.py``).  The gate is a single attribute read::
+timers: every MSM entry point goes through ``crypto/bn254/msm._timed_msm``,
+and ``crypto/bn254/pairing.py`` and ``storage/erasure.py`` spell the same
+gate at their public functions.  It is a single attribute read::
 
-    if HOTPATH.enabled:
-        t0 = time.perf_counter()
-        out = _impl(...)
-        HOTPATH.add("bn254.msm", time.perf_counter() - t0)
-        return out
-    return _impl(...)
+    def _timed_msm(impl, *args):
+        if HOTPATH.enabled:
+            t0 = perf_counter()
+            result = impl(*args)
+            HOTPATH.add("bn254.msm", perf_counter() - t0)
+            return result
+        return impl(*args)
 
 Disabled cost is one boolean check per call against operations that take
 hundreds of microseconds to milliseconds — unmeasurable, which the
-overhead-guard test (``tests/obs/test_overhead_guard.py``) enforces.
+overhead-guard test (``tests/obs/test_overhead.py``) enforces.
 
 Canonical leg names::
 

@@ -286,24 +286,6 @@ class CrossShardAggregator:
         self.executor = executor
         self.params = params
         self.beacon = beacon
-        # Execution policy follows the fabric: on a concurrent fabric one
-        # worker thread per lane drives the whole prove → verify → post
-        # pipeline, meeting at an epoch barrier only for the fabric
-        # checkpoint roll-up.  Lane settlement is entirely lane-local
-        # (scheduler, pipeline, chain, contract), so the per-lane op
-        # sequence — and the accept/reject sets — match the lockstep walk
-        # exactly (differential-tested).
-        self.concurrent = fabric.concurrent
-        # A Tracer is single-threaded by design, so span collection is only
-        # honoured on the lockstep walk; concurrent lane threads would
-        # interleave their enter/exit stacks into one garbled tree.
-        self.tracer = None if self.concurrent else tracer
-        # Batch verification moves into the executor's process pool only
-        # where it buys a core: lane threads that would otherwise verify
-        # one after another under the GIL, and a pool to send them to.  The
-        # lockstep walk verifies in the parent, over its warm cache.
-        pooled = self.concurrent and executor.workers > 1
-        self._lane_workers: ThreadPoolExecutor | None = None
         self.da_params = da_params
         self.settled: list[FabricSettlement] = []
         self._settled_by_epoch: dict[int, int] = {}
@@ -315,6 +297,26 @@ class CrossShardAggregator:
             placement.setdefault(fabric.lane_index_for(name), set()).add(name)
         if not placement:
             raise ValueError("no audit instances registered with the executor")
+        # Where an epoch runs follows from what is there to run it on.  With
+        # a process pool and more than one populated lane, one worker thread
+        # per lane drives the whole prove → verify → post pipeline and
+        # batch-verifies in the pool, meeting at an epoch barrier only for
+        # the fabric checkpoint roll-up; lane settlement is entirely
+        # lane-local (scheduler, pipeline, chain, contract), so the per-lane
+        # op sequence — and the accept/reject sets — match the lockstep walk
+        # exactly (differential-tested).  Otherwise lane threads would only
+        # take turns under the GIL: the lockstep walk verifies in the parent,
+        # over its warm cache.
+        self.concurrent = executor.workers > 1 and len(placement) > 1
+        # A Tracer is single-threaded by design, so span collection is only
+        # honoured on the lockstep walk; concurrent lane threads would
+        # interleave their enter/exit stacks into one garbled tree.
+        self.tracer = None if self.concurrent else tracer
+        self._lane_workers = (
+            ThreadPoolExecutor(max_workers=len(placement), thread_name_prefix="settle")
+            if self.concurrent
+            else None
+        )
         for lane_id in sorted(placement):
             names = frozenset(placement[lane_id])
             lane = fabric.lane(lane_id)
@@ -335,7 +337,7 @@ class CrossShardAggregator:
                 deterministic=deterministic,
                 rng=lane_rng,
                 names=names,
-                pooled_verify=pooled,
+                pooled_verify=self.concurrent,
                 tracer=self.tracer,
             )
             pipeline = CheckpointPipeline(
@@ -358,30 +360,22 @@ class CrossShardAggregator:
         """Route one file's proofs through an adversary-strategy callable."""
         self.pipelines[self.lane_of(name)].scheduler.set_override(name, override)
 
-    def _workers(self) -> ThreadPoolExecutor:
-        if self._lane_workers is None:
-            self._lane_workers = ThreadPoolExecutor(
-                max_workers=len(self.pipelines), thread_name_prefix="settle"
-            )
-        return self._lane_workers
-
     def close(self) -> None:
         if self._lane_workers is not None:
             self._lane_workers.shutdown(wait=True)
-            self._lane_workers = None
 
     def settle_epoch(self, epoch: int) -> FabricSettlement:
         """Run one epoch on every lane and roll the commitments up.
 
-        On a concurrent fabric every lane settles on its own worker
+        When ``self.concurrent`` every lane settles on its own worker
         thread; collecting the futures IS the epoch barrier — the fabric
         checkpoint is built only after the slowest lane posts.
         """
         lane_ids = sorted(self.pipelines)
         lanes: dict[int, SettledEpoch] = {}
-        if self.concurrent and len(lane_ids) > 1:
+        if self.concurrent:
             futures = {
-                lane_id: self._workers().submit(
+                lane_id: self._lane_workers.submit(
                     self.pipelines[lane_id].settle_epoch, epoch
                 )
                 for lane_id in lane_ids

@@ -579,7 +579,9 @@ class ServiceNode:
             "uptime_seconds": time.time() - self.started_at,
             "num_lanes": len(self.lanes),
             "sharded": self.sharded,
-            "concurrent": bool(getattr(self.chain, "concurrent", False)),
+            # Derived by the aggregator (lane threads iff a process pool and
+            # more than one populated lane), not set by anyone.
+            "concurrent": self.aggregator is not None and self.aggregator.concurrent,
             "height": self.explorer.height(),
             "pending_total": self._pending_total(),
             "aggregator": self.aggregator is not None,

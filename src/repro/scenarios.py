@@ -163,7 +163,6 @@ def audit_service(
     rng,
     *,
     lanes: int,
-    concurrent: bool = False,
     workers: int = 1,
     crypto_cache: str | None = None,
     deterministic: bool = False,
@@ -176,8 +175,9 @@ def audit_service(
 
     The service hosts the process-wide registry — every layer below
     (mempool, fabric, engine) records into it by default — plus an
-    epoch-pipeline tracer for ``trace_get``; spans are only collected on
-    the lockstep settlement walk (see :class:`CrossShardAggregator`).
+    epoch-pipeline tracer for ``trace_get``; spans are only collected when
+    settlement runs on the calling thread, i.e. ``workers == 1`` or one
+    populated lane (see :class:`CrossShardAggregator`).
     Nothing is settled on entry.  On exit — or when wiring fails half way —
     what was started stops in reverse: the miner, the RPC socket, the
     metrics endpoint, the lane threads, the process pool, the WAL stores.
@@ -185,9 +185,7 @@ def audit_service(
     registry = get_registry()
     register_core_instruments(registry)
     with ExitStack() as stack:
-        fabric = ShardedChainFabric(
-            num_lanes=lanes, mempool=MempoolConfig(), concurrent=concurrent
-        )
+        fabric = ShardedChainFabric(num_lanes=lanes, mempool=MempoolConfig())
         stack.callback(fabric.close)
         fabric.attach_gauges()
         executor = AuditExecutor(instances, workers=workers, cache_dir=crypto_cache)

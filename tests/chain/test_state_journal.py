@@ -118,7 +118,7 @@ def _transfer_profile(directory, accounts: int) -> tuple[float, int, dict]:
         best = min(best, time.perf_counter() - start)
     chain.close()
     *_, (_sequence, payload, _end) = frames((directory / "wal.log").read_bytes())
-    return best, len(payload), pickle.loads(payload).balances
+    return best, len(payload), pickle.loads(payload).now["balances"]
 
 
 def test_transfer_cost_does_not_grow_with_the_account_count(tmp_path):

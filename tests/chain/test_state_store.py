@@ -41,7 +41,7 @@ class Pinger(Contract):
         self.pings += 1
 from repro.chain.contracts.audit_contract import State
 from repro.chain.state import canonical_state_digest
-from repro.durable import frame, frames
+from repro.durable import WalCorruption, frame, frames, publish, read_sealed
 from repro.core import DataOwner, ProtocolParams, StorageProvider
 from repro.randomness import HashChainBeacon
 
@@ -181,19 +181,35 @@ class TestWalRoundTrip:
         ``pool_seq`` is damage, and replay must raise on it rather than
         keep whatever value the store held before.  The same holds inside
         a block record's payload: the sealed base fee is hashed into
-        ``state_hash``, so a default would replay to a different hash."""
+        ``state_hash``, so a default would replay to a different hash.
+        And the same for ``snapshot.pkl``: it is one more record, restored
+        by the same ``_apply``, so re-sealing it without a field is refused
+        too (the parent reopened it to a different hash, silently)."""
 
         def strip_pool_seq(record):
             del record.__dict__["pool_seq"]
 
+        def strip_base_fee(record):
+            del record.__dict__["base_fee_wei"]
+
         def strip_sealed_base_fee(record):
             record.payload.pop("sealed_base_fee", None)
 
-        for strip, error, field in (
-            (strip_pool_seq, AttributeError, "pool_seq"),
-            (strip_sealed_base_fee, KeyError, "sealed_base_fee"),
+        def strip_blocks(record):
+            del record.payload["blocks"]
+
+        def strip_balances(record):
+            del record.now["balances"]
+
+        for snapshot, strip, error, field in (
+            (False, strip_pool_seq, AttributeError, "pool_seq"),
+            (False, strip_sealed_base_fee, KeyError, "sealed_base_fee"),
+            (True, strip_pool_seq, AttributeError, "pool_seq"),
+            (True, strip_base_fee, AttributeError, "base_fee_wei"),
+            (True, strip_blocks, KeyError, "blocks"),
+            (True, strip_balances, WalCorruption, "balances"),
         ):
-            directory = tmp_path / field
+            directory = tmp_path / f"{field}-{snapshot}"
             chain = Blockchain.open(directory)
             alice = chain.create_account(2.0, label="alice")
             bob = chain.create_account(1.0, label="bob")
@@ -201,19 +217,27 @@ class TestWalRoundTrip:
                 Transaction(sender=alice, to=bob, value=10**15, gas_limit=30_000)
             )
             chain.mine_block()
-            chain.close()
-            wal_path = directory / "wal.log"
-            rewritten = []
-            for sequence, payload, _end in frames(wal_path.read_bytes()):
-                record = pickle.loads(payload)
+            if snapshot:
+                chain.snapshot()
+                chain.close()
+                path = directory / "snapshot.pkl"
+                record = pickle.loads(read_sealed(path, b"CHAINSNP"))
                 strip(record)
-                rewritten.append(
-                    frame(
-                        sequence,
-                        pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL),
+                publish(path, b"CHAINSNP", pickle.dumps(record))
+            else:
+                chain.close()
+                wal_path = directory / "wal.log"
+                rewritten = []
+                for sequence, payload, _end in frames(wal_path.read_bytes()):
+                    record = pickle.loads(payload)
+                    strip(record)
+                    rewritten.append(
+                        frame(
+                            sequence,
+                            pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL),
+                        )
                     )
-                )
-            wal_path.write_bytes(b"".join(rewritten))
+                wal_path.write_bytes(b"".join(rewritten))
             with pytest.raises(error, match=field):
                 Blockchain.open(directory)
 

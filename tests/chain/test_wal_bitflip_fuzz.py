@@ -17,6 +17,7 @@ import shutil
 
 import pytest
 
+from repro import durable
 from repro.chain import Blockchain, Transaction
 from repro.chain.state import WalCorruption, WalStateStore
 from repro.durable import frames
@@ -79,6 +80,23 @@ def test_every_single_bit_flip_of_the_snapshot_is_refused_or_harmless(tmp_path):
     chain.close()
     refused, identical = _sweep(tmp_path / "snapshot.pkl", expected)
     assert refused > 0 and identical == 0  # sha256 covers every payload bit
+
+
+def test_files_framed_by_the_previous_format_are_refused_by_name(tmp_path, monkeypatch):
+    """``FORMAT_VERSION`` 2 changed what a record holds; a log or snapshot
+    the previous build wrote is refused whole, never half-applied."""
+    with monkeypatch.context() as previous:
+        previous.setattr(durable, "FORMAT_VERSION", durable.FORMAT_VERSION - 1)
+        chain = _build_reference(tmp_path)
+        chain.close()
+        folded = Blockchain.open(tmp_path / "folded")
+        folded.create_account(1.0, label="alice")
+        folded.snapshot()
+        folded.close()
+    with pytest.raises(WalCorruption, match="unsupported frame version 1"):
+        WalStateStore(tmp_path)
+    with pytest.raises(WalCorruption, match="unsupported format version 1"):
+        WalStateStore(tmp_path / "folded")
 
 
 def test_a_missing_frame_is_corruption_not_a_shorter_history(tmp_path):

@@ -1,32 +1,37 @@
 """Differential: concurrent lane settlement is bit-identical to sequential.
 
-Over a ``ShardedChainFabric(concurrent=True)`` the ``CrossShardAggregator``
-runs each lane's full
+Given a process pool (``workers > 1``) and more than one populated lane,
+the ``CrossShardAggregator`` runs each lane's full
 prove → verify → post pipeline on its own worker thread, with the epoch
-barrier only at fabric-checkpoint aggregation.  Each lane owns a derived
-rng (split from the shared seed in lane order at construction), so the
-thread interleaving has nothing left to race on: against the same
+barrier only at fabric-checkpoint aggregation, and batch-verifies in the
+pool; nobody chooses that — ``workers`` alone decides.  Each lane owns a
+derived rng (split from the shared seed in lane order at construction), so
+the thread interleaving has nothing left to race on: against the same
 adversarial fleet the settlement must match the sequential run *byte for
 byte* — same accept/reject sets, same lane roots, same fabric
 super-commitment, same lane-chain ``state_hash``.
 
-With lane threads *and* a process pool (``workers > 1``) the aggregator
-moves batch verification into the audit executor's
-process pool.  The verification rho stream differs there (workers draw
-from a shipped seed), so the contract is verdict equivalence, not byte
-equality: blinding exponents never move an accept/reject verdict.
+The verification rho stream differs in the pool (workers draw from a
+shipped seed), but blinding exponents never move an accept/reject verdict
+and nothing rho-dependent reaches a record, so in deterministic mode the
+threaded run still equals the lockstep one bit for bit; without it the
+contract is verdict equivalence.
 """
 
 from __future__ import annotations
 
 import random
+import threading
+from contextlib import contextmanager
 
 import pytest
 
 from repro.adversary import StrategySpec, make_prover
 from repro.chain import ShardedChainFabric
+from repro.chain.fabric import lane_index_for_key
 from repro.core import DataOwner
 from repro.engine import AuditExecutor, AuditInstance
+from repro.obs.tracing import Tracer
 from repro.randomness import HashChainBeacon
 from repro.rollup import CrossShardAggregator
 from repro.sim.workloads import archive_file
@@ -74,12 +79,14 @@ def _overrides(specs):
     return overrides
 
 
-def _settle(params, instances, specs, **aggregator_kwargs):
-    """One full settlement run; returns (settlements, state_hash)."""
-    workers = aggregator_kwargs.pop("workers", 1)
-    fabric = ShardedChainFabric(
-        num_lanes=LANES, concurrent=aggregator_kwargs.pop("concurrent", False)
-    )
+@contextmanager
+def _aggregator(params, instances, workers, lanes, **aggregator_kwargs):
+    """(fabric, aggregator) over a fresh executor; everything closed on exit.
+
+    ``workers=2`` over more than one populated lane is the threaded,
+    pool-verified walk; ``workers=1`` or one lane the lockstep, inline one.
+    """
+    fabric = ShardedChainFabric(num_lanes=lanes)
     try:
         with AuditExecutor(instances, workers=workers) as executor:
             aggregator = CrossShardAggregator(
@@ -91,14 +98,24 @@ def _settle(params, instances, specs, **aggregator_kwargs):
                 **aggregator_kwargs,
             )
             try:
-                for name, override in _overrides(specs).items():
-                    aggregator.set_override(name, override)
-                settlements = aggregator.run(EPOCHS)
+                yield fabric, aggregator
             finally:
                 aggregator.close()
-        return settlements, fabric.state_hash()
     finally:
         fabric.close()
+
+
+def _settle(params, instances, specs, workers=1, lanes=LANES, **aggregator_kwargs):
+    """One full settlement run; returns (settlements, state_hash)."""
+    with _aggregator(params, instances, workers, lanes, **aggregator_kwargs) as (
+        fabric,
+        aggregator,
+    ):
+        assert aggregator.concurrent == (workers > 1 and lanes > 1)
+        for name, override in _overrides(specs).items():
+            aggregator.set_override(name, override)
+        settlements = aggregator.run(EPOCHS)
+        return settlements, fabric.state_hash()
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +142,7 @@ def test_concurrent_lanes_settle_bit_identically(params, fleet):
     instances, specs = fleet
     sequential, hash_seq = _settle(params, instances, specs, deterministic=True)
     concurrent, hash_conc = _settle(
-        params, instances, specs, concurrent=True, deterministic=True
+        params, instances, specs, workers=2, deterministic=True
     )
     assert _verdict_trace(sequential) == _verdict_trace(concurrent)
     for left, right in zip(sequential, concurrent):
@@ -144,11 +161,12 @@ def test_concurrent_lanes_settle_bit_identically(params, fleet):
 
 
 def test_pooled_verify_preserves_verdicts(params, fleet):
-    # Same lane threads on both sides; only the pool (and with it where the
-    # batch is verified) differs.
+    # The same process pool proves on both sides; one lane keeps settlement
+    # on the calling thread, so only where the batch is verified differs
+    # (verdict traces are by file name, not by lane).
     instances, specs = fleet
-    inline, _ = _settle(params, instances, specs, concurrent=True)
-    pooled, _ = _settle(params, instances, specs, concurrent=True, workers=2)
+    inline, _ = _settle(params, instances, specs, workers=2, lanes=1)
+    pooled, _ = _settle(params, instances, specs, workers=2)
     assert _verdict_trace(inline) == _verdict_trace(pooled)
 
 
@@ -156,11 +174,55 @@ def test_concurrent_pooled_process_workers_preserve_verdicts(params, fleet):
     """The full serving shape: lane threads + process-pool batch verify."""
     instances, specs = fleet
     baseline, _ = _settle(params, instances, specs)
-    served, _ = _settle(
-        params,
-        instances,
-        specs,
-        concurrent=True,
-        workers=2,
-    )
+    served, _ = _settle(params, instances, specs, workers=2)
     assert _verdict_trace(baseline) == _verdict_trace(served)
+
+
+# --------------------------------------------------------------------------- #
+# The placement rule: lane threads iff a process pool and > 1 populated lane  #
+# --------------------------------------------------------------------------- #
+
+
+def _placement(params, instances, specs, workers):
+    """(aggregator, thread ident each lane proved on) after one epoch on 2 lanes."""
+    proved_on: dict[int, int] = {}
+    with _aggregator(params, instances, workers, 2, tracer=Tracer()) as (_, aggregator):
+        for name, (spec, package, _serial) in specs.items():
+            prover = make_prover(spec.kind, package, rho=spec.rho)
+
+            def override(challenge, epoch, name=name, prover=prover):
+                proved_on[aggregator.lane_of(name)] = threading.get_ident()
+                return prover.respond_private(challenge)
+
+            aggregator.set_override(name, override)
+        aggregator.settle_epoch(0)
+    return aggregator, proved_on
+
+
+def test_one_worker_settles_every_lane_on_the_calling_thread(params, fleet):
+    aggregator, proved_on = _placement(params, *fleet, workers=1)
+    assert len(proved_on) == 2
+    assert set(proved_on.values()) == {threading.get_ident()}
+    assert not aggregator.concurrent and aggregator._lane_workers is None
+    assert isinstance(aggregator.tracer, Tracer) and aggregator.tracer.span_count
+    assert not any(p.scheduler.pooled_verify for p in aggregator.pipelines.values())
+
+
+def test_a_process_pool_moves_lanes_off_the_calling_thread(params, fleet):
+    aggregator, proved_on = _placement(params, *fleet, workers=2)
+    assert len(proved_on) == 2
+    assert threading.get_ident() not in proved_on.values()
+    assert aggregator.concurrent and aggregator.tracer is None
+    assert all(p.scheduler.pooled_verify for p in aggregator.pipelines.values())
+
+
+def test_one_populated_lane_stays_on_the_calling_thread_even_with_a_pool(params, fleet):
+    instances, specs = fleet
+    # Two lanes, but every audited file hashes to the same one.
+    home = lane_index_for_key(instances[0].name, 2)
+    together = [i for i in instances if lane_index_for_key(i.name, 2) == home]
+    kept = {i.name: specs[i.name] for i in together}
+    aggregator, proved_on = _placement(params, together, kept, workers=2)
+    assert set(proved_on.values()) == {threading.get_ident()}
+    assert not aggregator.concurrent and aggregator._lane_workers is None
+    assert isinstance(aggregator.tracer, Tracer)

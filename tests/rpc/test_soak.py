@@ -1,7 +1,7 @@
 """Soak: the service under sustained concurrent load, invariants held.
 
 Hundreds-to-thousands of client threads hammer one service (4-lane
-concurrent fabric, auto-mining) with mixed traffic — submissions,
+fabric, auto-mining) with mixed traffic — submissions,
 reads, deliberate rejections, malformed frames.  The pass criteria:
 
 * **zero dropped responses** — every request gets its matching-id reply
@@ -59,7 +59,6 @@ def test_soak_sustained_concurrent_clients():
             low_watermark=HIGH_WATERMARK * 3 // 4,
             max_per_sender=64,
         ),
-        concurrent=True,
     )
     accounts = [
         lane.create_account(200.0, label=f"soak-{lane_id}-{i}")

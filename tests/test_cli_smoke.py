@@ -102,7 +102,7 @@ CASES = [
         "serve-probe-concurrent",
         ["serve", "--lanes", "2", "--fleet", "2", "--epochs", "1",
          "--size", "500", "--s", "4", "--k", "3", "--probe",
-         "--concurrent", "--mine-interval", "0"],
+         "--workers", "2", "--mine-interval", "0"],
         ["(concurrent)", "probe: OK"],
     ),
     (

@@ -272,3 +272,29 @@ def test_installed_package_holds_no_paper_comparison_code():
     shipped = find_packages(str(SRC_REPRO.parent))
     assert "repro.core" in shipped
     assert not {f"repro.{name}" for name in moved} & set(shipped)
+
+
+def test_nobody_can_choose_where_an_epoch_runs():
+    """``workers`` alone decides (``CrossShardAggregator`` derives lane
+    threads from it): no function under ``src/repro`` takes a ``concurrent``
+    parameter, the only thread pool is the aggregator's, and the CLI has no
+    flag for it."""
+    takes_concurrent = [
+        (str(path.relative_to(SRC_REPRO)), node.lineno)
+        for path in sorted(SRC_REPRO.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+        if arg.arg == "concurrent"
+    ]
+    assert not takes_concurrent
+    thread_pools = {
+        str(path.relative_to(SRC_REPRO))
+        for path in SRC_REPRO.rglob("*.py")
+        for _lineno, parts in _imports(path)
+        if parts[-1] == "ThreadPoolExecutor"
+    }
+    assert thread_pools == {"rollup/fabric.py"}
+    with pytest.raises(SystemExit) as refused:
+        repro.cli.build_parser().parse_args(["serve", "--concurrent"])
+    assert refused.value.code == 2

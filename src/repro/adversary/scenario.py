@@ -5,7 +5,7 @@ Two execution surfaces:
 * :class:`ScenarioRunner` drives a fleet with any honest/byzantine mix
   through the *parallel audit engine* — per-epoch beacon challenges from
   :class:`~repro.engine.scheduler.EpochScheduler`, grouped batch
-  verification, failure pinpointing — and tallies measured detection rates
+  verification, failure localization — and tallies measured detection rates
   per strategy against :func:`~repro.adversary.strategies.expected_detection_rate`.
 * :func:`run_onchain_dispute` drives one cheating provider through the
   *audit contract*, raises a dispute on the first confirmed failure and
@@ -172,7 +172,7 @@ class ScenarioRunner:
             first_response_epoch: dict[int, int] = {}
             for epoch in range(epochs):
                 result = scheduler.run_epoch(epoch)
-                rejected = set(result.batch_ok.rejected_names(scheduler.cache))
+                rejected = set(result.batch_ok.rejected_names())
                 withheld = set(result.withheld)
                 report.rejected_log.append(
                     (epoch, tuple(sorted(rejected | withheld)))

@@ -83,8 +83,8 @@ class TagForgeryProver(Prover):
     Diffie–Hellman assumption (paper Theorem 1).
     """
 
-    def __init__(self, chunked, public, authenticators, rng=None, precompute=None):
-        super().__init__(chunked, public, authenticators, rng=rng, precompute=precompute)
+    def __init__(self, chunked, public, authenticators, rng=None):
+        super().__init__(chunked, public, authenticators, rng=rng)
         forger = _derived_rng(chunked, "forge")
         forged_keypair = generate_keypair(
             chunked.s, private_auditing=True, rng=forger
@@ -151,7 +151,6 @@ class SelectiveStorageProver(Prover):
         public,
         authenticators,
         rng=None,
-        precompute=None,
         rho: float = 0.25,
     ):
         chooser = _derived_rng(chunked, "selective")
@@ -170,7 +169,7 @@ class SelectiveStorageProver(Prover):
                 for index, chunk in enumerate(chunked.chunks)
             ),
         )
-        super().__init__(zeroed, public, authenticators, rng=rng, precompute=precompute)
+        super().__init__(zeroed, public, authenticators, rng=rng)
 
     def tampered_indices(self, challenge: Challenge) -> tuple[int, ...]:
         """Challenged chunks whose served content differs from the data."""
@@ -200,7 +199,6 @@ class BitRotProver(SelectiveStorageProver):
         public,
         authenticators,
         rng=None,
-        precompute=None,
         rho: float = 0.25,
     ):
         chooser = _derived_rng(chunked, "bitrot")
@@ -222,9 +220,7 @@ class BitRotProver(SelectiveStorageProver):
         )
         # Initialize the parent with *no* discarded set, then substitute
         # the rotted copy: the prover serves corrupted chunks as-is.
-        Prover.__init__(
-            self, corrupted, public, authenticators, rng=rng, precompute=precompute
-        )
+        Prover.__init__(self, corrupted, public, authenticators, rng=rng)
         self.discarded = rotted  # the detectable set, reusing the parent API
         self.rho = rho
         self._original = chunked
@@ -251,10 +247,9 @@ class ChurnProver(Prover):
         public,
         authenticators,
         rng=None,
-        precompute=None,
         rho: float = 0.25,
     ):
-        super().__init__(chunked, public, authenticators, rng=rng, precompute=precompute)
+        super().__init__(chunked, public, authenticators, rng=rng)
         self.rho = rho
         self._availability = _derived_rng(chunked, "offline")
         self._offline_rounds: dict[bytes, bool] = {}
@@ -288,7 +283,6 @@ def make_prover(
     kind: str,
     package,
     rng=None,
-    precompute=None,
     rho: float = 0.25,
 ) -> Prover:
     """Instantiate a strategy prover over an outsourcing package.
@@ -301,7 +295,7 @@ def make_prover(
     cls = _STRATEGY_CLASSES.get(kind)
     if cls is None:
         raise ValueError(f"unknown strategy kind {kind!r}")
-    kwargs = {"rng": rng, "precompute": precompute}
+    kwargs = {"rng": rng}
     if kind in ("selective", "bitrot", "offline"):
         kwargs["rho"] = rho
     return cls(

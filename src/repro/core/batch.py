@@ -15,15 +15,18 @@ probability ~2^-128.  Scaling each user's G1 inputs by rho_u pushes the
 exponent inside the Miller loops, so U proofs cost ``1 + 2*owners`` Miller
 loops + U-1 short GT exponentiations + **one** hard final exponentiation
 instead of U.  128 bits suffice for the soundness bound and halve the
-scaling cost (`bench_ablation_batch_auditing` quantifies the win).
+scaling cost (``benchmarks/bench_ablations.py::test_ablation_batch_auditing``
+quantifies the win).
 
 The product itself lives in :func:`repro.core.verifier.pairing_product_check`;
-this module draws the blinders and localizes failures.
+this module draws the blinders and, when the product fails, localizes the
+failures before it answers: :func:`verify_batch_grouped` returns the
+finished verdict, and nobody downstream re-verifies anything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..crypto.bn254 import PrecomputeCache
 from .challenge import Challenge
@@ -58,68 +61,47 @@ class ItemRejection:
     reason: RejectionReason | None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class BatchVerifyOutcome:
-    """Truthy/falsy verdict for a whole batch, with failure localization.
-
-    Like :class:`~repro.core.verifier.VerifyOutcome`, it evaluates and
-    compares as a boolean by verdict, so pre-existing ``== True`` call
-    sites keep working.
+    """Truthy/falsy verdict for a whole batch, with its failures localized.
 
     The combined small-exponent check only says *whether* every proof in
-    the batch is valid.  When it fails, :meth:`pinpoint` re-verifies each
-    item individually (paying per-proof pairings on the failure path only)
-    and returns the structured :class:`ItemRejection` list — which proof
-    failed, and that proof's :class:`~repro.core.verifier.RejectionReason`
-    with its per-pairing-group residual fingerprints.
+    the batch is valid.  When it fails, each item is re-verified on its own
+    (paying per-proof pairings on the failure path only) before the outcome
+    is returned, so ``failures`` names which proofs failed and carries each
+    one's :class:`~repro.core.verifier.RejectionReason` with its
+    per-pairing-group residual fingerprints.  Plain picklable data: this is
+    also what a pool worker sends back to the parent.
     """
 
     ok: bool
     checked: int
-    mode: str  # "grouped" | "sequential"
-    items: tuple[BatchItem, ...] = field(default=(), repr=False)
-    _failures: tuple[ItemRejection, ...] | None = field(default=None, repr=False)
+    failures: tuple[ItemRejection, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BatchVerifyOutcome):
-            return (self.ok, self.checked, self.mode) == (
-                other.ok, other.checked, other.mode
+    def rejected_names(self) -> tuple[int, ...]:
+        return tuple(rejection.name for rejection in self.failures)
+
+
+def _rejections(
+    items: list[BatchItem],
+    precompute: PrecomputeCache | None = None,
+    report: VerifyReport | None = None,
+) -> tuple[ItemRejection, ...]:
+    """Verify every item on its own: the ones that fail, and why."""
+    failures = []
+    for index, item in enumerate(items):
+        verifier = Verifier(
+            item.public, item.name, item.num_chunks, precompute=precompute
+        )
+        outcome = verifier.verify_private(item.challenge, item.proof, report)
+        if not outcome:
+            failures.append(
+                ItemRejection(index=index, name=item.name, reason=outcome.reason)
             )
-        if isinstance(other, bool):
-            return self.ok is other
-        return NotImplemented
-
-    __hash__ = object.__hash__  # mutable (memoized pinpoint): identity hash
-
-    def pinpoint(
-        self, precompute: PrecomputeCache | None = None
-    ) -> tuple[ItemRejection, ...]:
-        """Which proofs failed (empty for an accepted batch); memoized."""
-        if self.ok:
-            return ()
-        if self._failures is None:
-            failures = []
-            for index, item in enumerate(self.items):
-                verifier = Verifier(
-                    item.public, item.name, item.num_chunks, precompute=precompute
-                )
-                outcome = verifier.verify_private(item.challenge, item.proof)
-                if not outcome:
-                    failures.append(
-                        ItemRejection(
-                            index=index, name=item.name, reason=outcome.reason
-                        )
-                    )
-            self._failures = tuple(failures)
-        return self._failures
-
-    def rejected_names(
-        self, precompute: PrecomputeCache | None = None
-    ) -> tuple[int, ...]:
-        return tuple(rejection.name for rejection in self.pinpoint(precompute))
+    return tuple(failures)
 
 
 def _small_exponent(rng) -> int:
@@ -142,7 +124,8 @@ def verify_batch_grouped(
     The parallel audit engine's verification back end: every item becomes a
     rho-blinded statement of the one pairing product (rho_0 = 1), which
     merges all inputs per fixed G2 point and pays one final exponentiation
-    for the whole batch.
+    for the whole batch.  A failed product is localized over the same
+    ``precompute`` before this returns.
     """
     statements = [
         Statement(
@@ -158,11 +141,10 @@ def verify_batch_grouped(
         for index, item in enumerate(items)
     ]
     ok, _ = pairing_product_check(statements, precompute, report)
-    # Items are retained only on failure — that is the only path where
-    # pinpoint() needs them, and accepted epochs would otherwise pin every
-    # decoded proof in long-running scheduler histories.
     return BatchVerifyOutcome(
-        ok=ok, checked=len(items), mode="grouped", items=() if ok else tuple(items)
+        ok=ok,
+        checked=len(items),
+        failures=() if ok else _rejections(items, precompute),
     )
 
 
@@ -172,23 +154,8 @@ def verify_sequential(
 ) -> BatchVerifyOutcome:
     """Baseline: verify each proof independently (for the ablation bench).
 
-    Unlike the combined checks, failures localize for free — each item's
-    :class:`~repro.core.verifier.VerifyOutcome` is computed anyway, so the
-    rejection list is filled in without a pinpoint pass.
+    The walk a failed grouped batch falls back to *is* this check, so the
+    two agree on every rejection by construction.
     """
-    failures = []
-    for index, item in enumerate(items):
-        verifier = Verifier(item.public, item.name, item.num_chunks)
-        outcome = verifier.verify_private(item.challenge, item.proof, report)
-        if not outcome:
-            failures.append(
-                ItemRejection(index=index, name=item.name, reason=outcome.reason)
-            )
-    # _failures is pre-filled, so pinpoint() never needs the items — do not
-    # retain them even on failure.
-    return BatchVerifyOutcome(
-        ok=not failures,
-        checked=len(items),
-        mode="sequential",
-        _failures=tuple(failures),
-    )
+    failures = _rejections(items, report=report)
+    return BatchVerifyOutcome(ok=not failures, checked=len(items), failures=failures)

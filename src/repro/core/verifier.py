@@ -98,13 +98,12 @@ class RejectionReason:
         return " ".join(parts)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class VerifyOutcome:
     """Truthy/falsy verification verdict with an attached reason.
 
-    Evaluates as ``True`` exactly when the proof was accepted, and compares
-    equal to plain booleans by verdict, so existing boolean call sites keep
-    working; rejection callers read ``.reason``.
+    Evaluates as ``True`` exactly when the proof was accepted; rejection
+    callers read ``.reason``.
     """
 
     ok: bool
@@ -112,16 +111,6 @@ class VerifyOutcome:
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, VerifyOutcome):
-            return self.ok == other.ok and self.reason == other.reason
-        if isinstance(other, bool):
-            return self.ok is other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ok, self.reason))
 
     @staticmethod
     def accept() -> "VerifyOutcome":

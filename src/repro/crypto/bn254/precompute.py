@@ -198,3 +198,24 @@ class PrecomputeCache:
         else:
             self.stats.hits += 1
         return point
+
+    # -- eviction (a retired audit instance) --------------------------------
+
+    def forget(
+        self,
+        name: int,
+        g1_points: Sequence[G1Point] = (),
+        g2_points: Sequence[G2Point] = (),
+        gt_bases: Sequence[Fp12] = (),
+    ) -> None:
+        """Drop file ``name``'s digest points and their wNAF tables, plus the
+        tables of the listed points.  The caller lists only what no other
+        user of this cache can look up; the on-disk store is left alone."""
+        for key in [key for key in self._digests if key[0] == name]:
+            self._wnaf.pop(self._digests.pop(key), None)
+        for point in g1_points:
+            self._wnaf.pop(point, None)
+        for point in g2_points:
+            self._prepared.pop(point, None)
+        for base in gt_bases:
+            self._gt.pop(base, None)

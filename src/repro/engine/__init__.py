@@ -16,18 +16,11 @@ the ``settle_checkpoint`` workload of ``benchmarks/e2e``.
 
 from .executor import AuditExecutor
 from .scheduler import EpochResult, EpochScheduler
-from .tasks import (
-    AuditInstance,
-    BatchVerifyResult,
-    BatchVerifyTask,
-    ProveOutcome,
-    ProveTask,
-)
+from .tasks import AuditInstance, BatchVerifyTask, ProveOutcome, ProveTask
 
 __all__ = [
     "AuditExecutor",
     "AuditInstance",
-    "BatchVerifyResult",
     "BatchVerifyTask",
     "EpochResult",
     "EpochScheduler",

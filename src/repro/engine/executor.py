@@ -7,10 +7,15 @@ out and 288-byte proofs back.  Every worker owns one
 :class:`~repro.crypto.bn254.PrecomputeCache`, so fixed-base tables — the
 powers-of-alpha MSM windows, the per-owner GT contexts, the per-file digest
 points — are built once per worker and reused for every audit it executes.
+The parent process has exactly one, ``AuditExecutor.cache``: the inline
+runtime proves over it, every scheduler that verifies in the parent reads
+it, and :meth:`AuditExecutor.unregister` evicts a retired instance from it.
 
 With ``workers == 1`` (or on a single-core host) the executor runs inline
-in the calling process with the identical code path and cache: results are
-byte-for-byte the same, only the transport differs.
+in the calling process with the identical code path: results are
+byte-for-byte the same, only the transport differs.  A batch check — here
+or in a worker — returns the finished
+:class:`~repro.core.batch.BatchVerifyOutcome`, failures localized.
 """
 
 from __future__ import annotations
@@ -21,16 +26,15 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Sequence
 
-from ..core.batch import BatchItem, verify_batch_grouped
+from ..core.batch import BatchItem, BatchVerifyOutcome, verify_batch_grouped
 from ..core.prover import Prover
 from ..crypto.bn254 import PrecomputeCache, PrecomputeStore
-from .tasks import (
-    AuditInstance,
-    BatchVerifyResult,
-    BatchVerifyTask,
-    ProveOutcome,
-    ProveTask,
-)
+from .tasks import AuditInstance, BatchVerifyTask, ProveOutcome, ProveTask
+
+
+def _open_cache(cache_dir: str | None) -> PrecomputeCache:
+    """One process's cache, over the persistent store when there is one."""
+    return PrecomputeCache(store=PrecomputeStore(cache_dir) if cache_dir else None)
 
 
 class _AuditRuntime:
@@ -39,13 +43,8 @@ class _AuditRuntime:
     Built once per worker process (and once in the parent for inline mode).
     """
 
-    def __init__(
-        self,
-        instances: Sequence[AuditInstance],
-        cache_dir: str | None = None,
-    ):
-        store = PrecomputeStore(cache_dir) if cache_dir else None
-        self.cache = PrecomputeCache(store=store)
+    def __init__(self, instances: Sequence[AuditInstance], cache: PrecomputeCache):
+        self.cache = cache
         self.instances: dict[int, AuditInstance] = {}
         self.provers: dict[int, Prover] = {}
         for instance in instances:
@@ -78,8 +77,8 @@ class _AuditRuntime:
             privacy_seconds=report.privacy_seconds,
         )
 
-    def verify_batch(self, task: BatchVerifyTask) -> BatchVerifyResult:
-        """Run one whole-batch check; pinpoint in place when it fails."""
+    def verify_batch(self, task: BatchVerifyTask) -> BatchVerifyOutcome:
+        """Run one whole-batch check over this process's cache."""
         from ..core.proof import PrivateProof
 
         items = []
@@ -96,15 +95,7 @@ class _AuditRuntime:
                     proof=PrivateProof.from_bytes(proof_bytes),
                 )
             )
-        outcome = verify_batch_grouped(
-            items, rng=task.rng(), precompute=self.cache
-        )
-        return BatchVerifyResult(
-            ok=outcome.ok,
-            checked=outcome.checked,
-            mode=outcome.mode,
-            failures=outcome.pinpoint(self.cache),
-        )
+        return verify_batch_grouped(items, rng=task.rng(), precompute=self.cache)
 
 
 # Worker-process globals (set by the pool initializer).
@@ -113,7 +104,7 @@ _RUNTIME: _AuditRuntime | None = None
 
 def _init_worker(instances: list[AuditInstance], cache_dir: str | None) -> None:
     global _RUNTIME
-    _RUNTIME = _AuditRuntime(instances, cache_dir=cache_dir)
+    _RUNTIME = _AuditRuntime(instances, _open_cache(cache_dir))
 
 
 def _prove_in_worker(task: ProveTask) -> ProveOutcome:
@@ -121,7 +112,7 @@ def _prove_in_worker(task: ProveTask) -> ProveOutcome:
     return _RUNTIME.prove(task)
 
 
-def _verify_batch_in_worker(task: BatchVerifyTask) -> BatchVerifyResult:
+def _verify_batch_in_worker(task: BatchVerifyTask) -> BatchVerifyOutcome:
     assert _RUNTIME is not None, "worker initializer did not run"
     return _RUNTIME.verify_batch(task)
 
@@ -148,11 +139,12 @@ class AuditExecutor:
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = one per CPU core)")
         self.workers = workers or os.cpu_count() or 1
-        # Optional persistent precompute directory: every runtime (inline
-        # and each pool worker) loads tables from — and writes fresh builds
-        # to — the same store, so table work is shared across processes and
-        # survives restarts.
+        # Optional persistent precompute directory: every cache (the
+        # parent's and each pool worker's) loads tables from — and writes
+        # fresh builds to — the same store, so table work is shared across
+        # processes and survives restarts.
         self.cache_dir = cache_dir
+        self.cache = _open_cache(cache_dir)
         self._pool: ProcessPoolExecutor | None = None
         self._inline: _AuditRuntime | None = None
         # Concurrent lane workers share one executor: pool creation and
@@ -191,10 +183,22 @@ class AuditExecutor:
         """Drop one audit instance (e.g. its shard migrated to a new key)."""
         if name not in self.instances:
             raise KeyError(f"no audit instance registered for file {name}")
-        del self.instances[name]
+        retired = self.instances.pop(name)
         if self._inline is not None:
             self._inline.instances.pop(name, None)
             self._inline.provers.pop(name, None)
+        # The file's own tables go; the owner's only when no registered
+        # instance shares the key.  powers[0] is g1, which every key shares.
+        public = retired.public
+        if any(instance.public == public for instance in self.instances.values()):
+            self.cache.forget(name, retired.authenticators)
+        else:
+            self.cache.forget(
+                name,
+                retired.authenticators + public.powers[1:],
+                (public.epsilon, public.delta),
+                (public.pairing_base,),
+            )
         self._invalidate_pool()
 
     def _invalidate_pool(self) -> None:
@@ -207,9 +211,7 @@ class AuditExecutor:
     def runtime(self) -> _AuditRuntime:
         """The parent-process runtime (inline mode's state, lazily built)."""
         if self._inline is None:
-            self._inline = _AuditRuntime(
-                list(self.instances.values()), cache_dir=self.cache_dir
-            )
+            self._inline = _AuditRuntime(list(self.instances.values()), self.cache)
         return self._inline
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -236,7 +238,7 @@ class AuditExecutor:
             pool.map(_prove_in_worker, tasks, chunksize=self._chunksize(len(tasks)))
         )
 
-    def verify_batch(self, task: BatchVerifyTask) -> BatchVerifyResult:
+    def verify_batch(self, task: BatchVerifyTask) -> BatchVerifyOutcome:
         """Run one whole-batch check, off-loaded to a worker process.
 
         One :class:`~repro.engine.tasks.BatchVerifyTask` is one lane-epoch:

@@ -10,9 +10,12 @@ fire a challenge at once.  The scheduler
 2. fans proof generation out through the
    :class:`~repro.engine.executor.AuditExecutor` (process pool or inline),
 3. feeds every proof into the one-final-exponentiation grouped batch
-   verifier (:func:`~repro.core.batch.verify_batch_grouped`), and
+   verifier (:func:`~repro.core.batch.verify_batch_grouped`) — inline over
+   the executor's cache or in a pool worker over that worker's; either way
+   what comes back is the finished verdict, failures localized — and
 4. records wall-clock throughput for the capacity models in
-   :mod:`repro.sim.throughput`.
+   :mod:`repro.sim.throughput` (``verify_seconds`` covers the batch check
+   *and*, on a failed batch, the per-proof localization).
 
 Determinism: with ``deterministic=True`` every Sigma nonce is derived from
 (salt, epoch, file name), so an epoch's proofs are a pure function of the
@@ -35,7 +38,6 @@ from ..core.challenge import Challenge, epoch_challenge
 from ..core.params import ProtocolParams
 from ..core.proof import PrivateProof
 from ..core.prover import ResponseWithheld
-from ..crypto.bn254 import PrecomputeCache, PrecomputeStore
 from ..obs.registry import get_registry
 from ..obs.tracing import NULL_TRACER, Tracer
 from ..randomness.beacon import RandomnessBeacon
@@ -46,6 +48,9 @@ from .tasks import BatchVerifyTask, ProveOutcome, ProveTask
 #: honest prover for one registered file.  Returning ``None`` or raising
 #: :class:`~repro.core.prover.ResponseWithheld` models a silent provider.
 ProofOverride = Callable[[Challenge, int], "PrivateProof | None"]
+
+#: Domain separator of the deterministic-mode Sigma-nonce derivation.
+NONCE_SALT = b"engine-epoch"
 
 
 @dataclass
@@ -86,12 +91,9 @@ class EpochScheduler:
         executor: AuditExecutor,
         params: ProtocolParams,
         beacon: RandomnessBeacon,
-        salt: bytes = b"engine-epoch",
         deterministic: bool = False,
         rng=None,
-        overrides: "dict[int, ProofOverride] | None" = None,
         names=None,
-        cache: PrecomputeCache | None = None,
         pooled_verify: bool = False,
         tracer: Tracer | None = None,
     ):
@@ -110,11 +112,11 @@ class EpochScheduler:
             "engine_prove_seconds", "per-epoch prove phase latency"
         )
         self._m_verify = registry.histogram(
-            "engine_verify_seconds", "per-epoch verify phase latency"
+            "engine_verify_seconds",
+            "per-epoch verify phase latency (batch check + failure localization)",
         )
         self.params = params
         self.beacon = beacon
-        self.salt = salt
         self.deterministic = deterministic
         # Instance filter: a scheduler can drive a *subset* of the
         # executor's registered fleet (frozen at construction).  This is
@@ -134,25 +136,10 @@ class EpochScheduler:
         # piece that kept multi-lane settlement single-core.  Verdicts are
         # identical (the blinding exponents do not affect accept/reject).
         self.pooled_verify = pooled_verify
-        # Parent-side cache: per-file digest points reused by the grouped
-        # verifier across epochs.  Callers that rebuild schedulers per epoch
-        # (the lifecycle engine's changing fleet) pass a shared cache in.
-        # The default inherits the executor's persistent store (if any), so
-        # verifier tables survive restarts alongside the prover tables.
-        if cache is None:
-            store = (
-                PrecomputeStore(executor.cache_dir)
-                if executor.cache_dir
-                else None
-            )
-            cache = PrecomputeCache(store=store)
-        self.cache = cache
         # Adversary harness hook: files whose proofs come from a strategy
         # callable instead of the engine's honest prover (the batch verifier
         # treats both identically — that is the point of the exercise).
         self.overrides: dict[int, ProofOverride] = {}
-        for name, override in (overrides or {}).items():
-            self.set_override(name, override)
 
     def set_override(self, name: int, override: ProofOverride) -> None:
         """Route one registered file's proofs through ``override``."""
@@ -163,9 +150,12 @@ class EpochScheduler:
         self.overrides[name] = override
 
     def _verify_items(self, items: list[BatchItem]) -> BatchVerifyOutcome:
-        """Grouped batch check: inline, or in an executor pool worker."""
+        """Grouped batch check: inline over the executor's (the parent's
+        one) cache, or in an executor pool worker over that worker's."""
         if not (self.pooled_verify and items):
-            return verify_batch_grouped(items, rng=self._rng, precompute=self.cache)
+            return verify_batch_grouped(
+                items, rng=self._rng, precompute=self.executor.cache
+            )
         task = BatchVerifyTask(
             entries=tuple(
                 (item.name, item.challenge.to_bytes(), item.proof.to_bytes())
@@ -175,15 +165,7 @@ class EpochScheduler:
             seed_bytes=len(items[0].challenge.c1),
             rng_seed=self._rng.getrandbits(64) if self._rng is not None else None,
         )
-        result = self.executor.verify_batch(task)
-        # Reconstruct the rich outcome: the worker already pinpointed, so
-        # the parent never needs to retain (or re-verify) the items.
-        return BatchVerifyOutcome(
-            ok=result.ok,
-            checked=result.checked,
-            mode=result.mode,
-            _failures=tuple(result.failures),
-        )
+        return self.executor.verify_batch(task)
 
     def run_epoch(self, epoch: int) -> EpochResult:
         """Challenge every instance, prove in parallel, batch-verify."""
@@ -208,7 +190,7 @@ class EpochScheduler:
                         instance,
                         challenge,
                         epoch=epoch if self.deterministic else None,
-                        salt=self.salt,
+                        salt=NONCE_SALT,
                     )
                 )
         t0 = time.perf_counter()
@@ -266,10 +248,7 @@ class EpochScheduler:
             challenges=challenges,
             withheld=tuple(withheld),
         )
-        # Pinpoint over the shared cache: the pass is memoized on the
-        # outcome, so whoever reads the verdicts next (record building,
-        # settlement) reuses it instead of re-verifying uncached.
-        rejected = len(result.withheld) + len(batch_ok.pinpoint(self.cache))
+        rejected = len(result.withheld) + len(batch_ok.failures)
         self._m_epochs.inc()
         self._m_audits.labels("accepted").inc(result.num_audits - rejected)
         if rejected:

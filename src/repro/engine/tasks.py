@@ -148,19 +148,3 @@ class BatchVerifyTask:
         return Challenge.from_bytes(
             challenge_bytes, k=self.k, seed_bytes=self.seed_bytes
         )
-
-
-@dataclass(frozen=True)
-class BatchVerifyResult:
-    """Slim wire form of a :class:`~repro.core.batch.BatchVerifyOutcome`.
-
-    Pinpointing runs *in the worker* on the failure path (the
-    :class:`~repro.core.batch.ItemRejection` reasons are plain picklable
-    dataclasses), so an accepted batch ships back a dozen bytes and a
-    rejected one ships only its failure list — never the decoded proofs.
-    """
-
-    ok: bool
-    checked: int
-    mode: str
-    failures: tuple = ()

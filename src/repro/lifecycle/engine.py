@@ -47,7 +47,6 @@ from ..chain.contracts.reputation import ReputationRegistry
 from ..chain.fabric import ShardedChainFabric
 from ..core import ProtocolParams
 from ..core.prover import ResponseWithheld
-from ..crypto.bn254 import PrecomputeCache
 from ..dsn import AuditedDsn, ShardAudit
 from ..engine import AuditExecutor, AuditInstance, EpochScheduler
 from ..obs.registry import get_registry
@@ -211,7 +210,6 @@ class LifecycleEngine:
         self.wall_seconds = 0.0
         self.params = ProtocolParams(s=config.s, k=config.k)
         self.beacon = HashChainBeacon(f"lifecycle-{config.seed}".encode())
-        self._cache = PrecomputeCache()
         self._churn = ChurnModel(
             config.hazard_config(),
             rng=random.Random(_sub_seed(config.seed, "churn")),
@@ -288,6 +286,16 @@ class LifecycleEngine:
             ],
             workers=self.config.workers,
             cache_dir=self.config.crypto_cache_dir,
+        )
+        # One scheduler for the engine's life: the fleet it drives is
+        # whatever the executor holds when an epoch runs.
+        self.scheduler = EpochScheduler(
+            self.executor,
+            self.params,
+            self.beacon,
+            deterministic=True,
+            rng=self._batch_rng,
+            tracer=self.tracer,
         )
 
     def _build_world(self) -> None:
@@ -544,30 +552,21 @@ class LifecycleEngine:
         raise ResponseWithheld("provider unavailable for this epoch")
 
     def _audit_step(self, epoch: int):
-        overrides = {}
+        scheduler = self.scheduler
+        scheduler.overrides.clear()
         flaky_names: list[int] = []
         for name, (_, audit) in sorted(self._shards.items()):
             if audit.replaced:
                 continue
             state = self.providers.get(audit.provider)
             if state is None or state.dead or not state.alive:
-                overrides[name] = self._withheld_override
+                scheduler.set_override(name, self._withheld_override)
             elif state.flaky:
                 flaky_names.append(name)
         for name in self._churn.withholds(flaky_names, self.config.flake_rho):
-            overrides[name] = self._withheld_override
-        scheduler = EpochScheduler(
-            self.executor,
-            self.params,
-            self.beacon,
-            deterministic=True,
-            rng=self._batch_rng,
-            overrides=overrides,
-            cache=self._cache,
-            tracer=self.tracer,
-        )
+            scheduler.set_override(name, self._withheld_override)
         result = scheduler.run_epoch(epoch)
-        records = records_from_epoch(result, precompute=self._cache)
+        records = records_from_epoch(result)
         return result, records
 
     # -- phase 3: settlement ---------------------------------------------- #

@@ -111,7 +111,6 @@ def load_engine(persist_dir: str, **overrides):
     from ..chain.agents import AuditDeployment, ProviderAgent
     from ..chain.state import WalStateStore
     from ..core import ProtocolParams, StorageProvider
-    from ..crypto.bn254 import PrecomputeCache
     from ..dsn import AuditedFile, ShardAudit
     from ..randomness import HashChainBeacon
     from ..storage import DsnClient
@@ -145,7 +144,6 @@ def load_engine(persist_dir: str, **overrides):
     engine._init_observability(None)
     engine.params = ProtocolParams(s=config.s, k=config.k)
     engine.beacon = HashChainBeacon(f"lifecycle-{config.seed}".encode())
-    engine._cache = PrecomputeCache()
     engine.trail = EventTrail.from_lines(state["trail_lines"])
     vars(engine).update(state["plain"])
 

@@ -477,7 +477,7 @@ CORE_INSTRUMENTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     ("counter", "engine_epochs_total", "audit epochs executed", ()),
     ("counter", "engine_audits_total", "audits judged, by verdict", ("verdict",)),
     ("histogram", "engine_prove_seconds", "per-epoch prove phase latency", ()),
-    ("histogram", "engine_verify_seconds", "per-epoch verify phase latency", ()),
+    ("histogram", "engine_verify_seconds", "per-epoch verify phase latency (batch check + failure localization)", ()),
     ("counter", "crypto_leg_seconds_total", "hot-path time by crypto leg", ("leg",)),
     ("counter", "crypto_leg_calls_total", "hot-path calls by crypto leg", ("leg",)),
     ("counter", "lifecycle_epochs_total", "lifecycle epochs completed", ()),

@@ -166,8 +166,6 @@ def build_checkpoint(
     return CheckpointBundle(checkpoint=checkpoint, records=ordered, tree=tree)
 
 
-def build_epoch_checkpoint(result, precompute=None) -> CheckpointBundle:
+def build_epoch_checkpoint(result) -> CheckpointBundle:
     """One-call path from an engine :class:`EpochResult` to a bundle."""
-    return build_checkpoint(
-        result.epoch, records_from_epoch(result, precompute=precompute)
-    )
+    return build_checkpoint(result.epoch, records_from_epoch(result))

@@ -143,9 +143,7 @@ class CheckpointPipeline:
         with self.scheduler.tracer.span("checkpoint_build", epoch=epoch):
             # Through the module, so a wrapper installed on
             # ``rollup.checkpoint.build_epoch_checkpoint`` sees the call.
-            bundle = checkpoint_module.build_epoch_checkpoint(
-                result, precompute=self.scheduler.cache
-            )
+            bundle = checkpoint_module.build_epoch_checkpoint(result)
         return result, bundle
 
     def settle_epoch(self, epoch: int) -> SettledEpoch:

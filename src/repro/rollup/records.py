@@ -150,14 +150,14 @@ class RoundRecord:
         )
 
 
-def records_from_epoch(result, precompute=None) -> tuple[RoundRecord, ...]:
+def records_from_epoch(result) -> tuple[RoundRecord, ...]:
     """Derive the canonical record set from one engine epoch.
 
     ``result`` is an :class:`~repro.engine.scheduler.EpochResult` (taken
     duck-typed so this module stays import-free of the engine layer):
     answered files pull their verdicts from the grouped batch check —
-    rejected names come from ``pinpoint()``'s per-item re-verification, so
-    each carries its structured
+    rejected names are the outcome's ``failures``, already localized when
+    the check returned, so each carries its structured
     :class:`~repro.core.verifier.RejectionReason` code — and withheld
     files are recorded as ``no-proof`` rejections with empty proof bytes.
 
@@ -165,12 +165,11 @@ def records_from_epoch(result, precompute=None) -> tuple[RoundRecord, ...]:
     function of the epoch's outcome set.
     """
     reject_codes: dict[int, str] = {}
-    if not result.batch_ok:
-        for rejection in result.batch_ok.pinpoint(precompute):
-            reason = rejection.reason
-            reject_codes[rejection.name] = (
-                reason.code if reason is not None else "pairing-mismatch"
-            )
+    for rejection in result.batch_ok.failures:
+        reason = rejection.reason
+        reject_codes[rejection.name] = (
+            reason.code if reason is not None else "pairing-mismatch"
+        )
     records = []
     for outcome in result.outcomes:
         code = reject_codes.get(outcome.name, "")

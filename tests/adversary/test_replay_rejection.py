@@ -66,13 +66,11 @@ class TestParallelEnginePath:
     ):
         instances = [AuditInstance.from_package(replay_packages[0])]
         with AuditExecutor(instances, workers=1) as executor:
+            scheduler = EpochScheduler(
+                executor, replay_params, HashChainBeacon(b"bad-override")
+            )
             with pytest.raises(KeyError):
-                EpochScheduler(
-                    executor,
-                    replay_params,
-                    HashChainBeacon(b"bad-override"),
-                    overrides={0xBEEF: lambda challenge, epoch: None},
-                )
+                scheduler.set_override(0xBEEF, lambda challenge, epoch: None)
 
     def test_replay_caught_by_grouped_batch_and_pinpointed(
         self, replay_params, replay_packages
@@ -104,7 +102,7 @@ class TestParallelEnginePath:
             second = scheduler.run_epoch(1)
             assert not second.batch_ok
             assert second.batch_ok.checked == len(instances)
-            rejections = second.batch_ok.pinpoint(scheduler.cache)
+            rejections = second.batch_ok.failures
             assert [r.name for r in rejections] == [cheater.name]
             assert rejections[0].reason.code == "pairing-mismatch"
             assert second.rejected_names() == (cheater.name,)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import pickle
 import random
 from pathlib import Path
 
@@ -110,9 +111,12 @@ def test_batch_accepts_iff_every_private_proof_does(pool, picks, cached, seed):
         items, rng=random.Random(seed), precompute=precompute
     )
     assert bool(outcome) == all(singles)
-    rejections = outcome.pinpoint(precompute)
+    assert outcome.checked == len(items)
+    rejections = outcome.failures
     assert [r.index for r in rejections] == tampered
+    assert [r.name for r in rejections] == [items[i].name for i in tampered]
     assert [r.reason for r in rejections] == [singles[i].reason for i in tampered]
+    assert pickle.loads(pickle.dumps(outcome)) == outcome
 
 
 @settings(max_examples=15, deadline=None)

@@ -190,6 +190,55 @@ class TestExecutor:
         with pytest.raises(ValueError):
             AuditExecutor([fleet[0], fleet[0]])
 
+    def test_unregister_releases_what_only_the_retired_instance_could_look_up(
+        self, fleet
+    ):
+        """The parent has one cache, on the executor; retiring an instance
+        returns it to its size before the instance arrived and evicts
+        nothing a registered instance still reads."""
+        resident, same_owner, _, other_owner = fleet
+
+        def sizes(cache):
+            return tuple(
+                len(table)
+                for table in (cache._gt, cache._digests, cache._prepared, cache._wnaf)
+            )
+
+        with AuditExecutor([resident], workers=1) as executor:
+            cache = executor.cache
+            assert executor.runtime.cache is cache
+            scheduler = EpochScheduler(
+                executor,
+                PARAMS,
+                HashChainBeacon(b"engine-test"),
+                deterministic=True,
+                rng=random.Random(2),
+            )
+            # The same epoch every time: the same challenged chunks, so the
+            # resident's own tables do not grow between the readings.
+            assert scheduler.run_epoch(0).batch_ok
+            before = sizes(cache)
+            assert all(before)
+            executor.register(same_owner)
+            executor.register(other_owner)
+            assert scheduler.run_epoch(0).batch_ok
+            grown = sizes(cache)
+            assert all(now > then for now, then in zip(grown, before))
+
+            executor.unregister(other_owner.name)  # the last of its owner key
+            assert other_owner.public.pairing_base not in cache._gt
+            assert other_owner.public.epsilon not in cache._prepared
+            executor.unregister(same_owner.name)   # its key is still in use
+            assert sizes(cache) == before
+            assert resident.public == same_owner.public
+            assert resident.public.pairing_base in cache._gt
+            assert {resident.public.epsilon, resident.public.delta} <= set(
+                cache._prepared
+            )
+            misses = cache.stats.misses
+            assert scheduler.run_epoch(0).batch_ok
+            assert cache.stats.misses == misses  # nothing had to be rebuilt
+
     def test_workers_resolution(self, fleet):
         assert AuditExecutor(fleet, workers=3).workers == 3
         assert AuditExecutor(fleet, workers=0).workers >= 1

@@ -90,6 +90,19 @@ class TestDurability:
         # Graceful leaves also repair, so repaired can exceed rejected.
         assert repaired + deferred >= rejected
 
+    def test_a_retired_shard_leaves_no_tables_behind(self):
+        """Every repair re-keys a shard; the executor's cache ends the run
+        holding tables for the live fleet only."""
+        engine = LifecycleEngine(LifecycleConfig(**{**BASE, "years": 2.0}))
+        outcome = engine.run()
+        cache, live = engine.executor.cache, engine.executor.instances
+        assert outcome.total_repairs >= 5
+        assert len(cache._gt) <= len(live)
+        # epsilon and delta per live key, plus the g2 generator
+        assert len(cache._prepared) <= 2 * len(live) + 1
+        assert {name for name, _ in cache._digests} <= set(live)
+        engine.close()
+
     def test_repair_rekeys_and_redeploys(self, finished):
         engine, outcome = finished
         rekeys = outcome.trail.of_kind("rekeyed")

@@ -127,6 +127,7 @@ def test_resume_restores_engine_bookkeeping(tmp_path):
     engine.fabric.close()
 
     reopened = LifecycleEngine.open(config.persist_dir)
+    assert reopened.scheduler.executor is reopened.executor  # before any epoch
     assert sorted(reopened._shards) == live_shards
     assert {
         name: (s.alive, s.flaky, s.dead)

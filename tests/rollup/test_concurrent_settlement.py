@@ -160,6 +160,21 @@ def test_concurrent_lanes_settle_bit_identically(params, fleet):
     assert any(accepted for _, accepted, _ in _verdict_trace(sequential))
 
 
+def _localized(settlements):
+    """Per epoch, lanes merged: proofs checked and {file: RejectionReason}."""
+    return [
+        (
+            sum(lane.result.batch_ok.checked for lane in settlement.lanes.values()),
+            {
+                rejection.name: rejection.reason
+                for lane in settlement.lanes.values()
+                for rejection in lane.result.batch_ok.failures
+            },
+        )
+        for settlement in settlements
+    ]
+
+
 def test_pooled_verify_preserves_verdicts(params, fleet):
     # The same process pool proves on both sides; one lane keeps settlement
     # on the calling thread, so only where the batch is verified differs
@@ -168,6 +183,10 @@ def test_pooled_verify_preserves_verdicts(params, fleet):
     inline, _ = _settle(params, instances, specs, workers=2, lanes=1)
     pooled, _ = _settle(params, instances, specs, workers=2)
     assert _verdict_trace(inline) == _verdict_trace(pooled)
+    # What a worker sends back is the outcome itself: the same failures
+    # with the same reasons (residual fingerprints included) as inline.
+    assert _localized(inline) == _localized(pooled)
+    assert any(reasons for _, reasons in _localized(inline))
 
 
 def test_concurrent_pooled_process_workers_preserve_verdicts(params, fleet):
@@ -176,6 +195,11 @@ def test_concurrent_pooled_process_workers_preserve_verdicts(params, fleet):
     baseline, _ = _settle(params, instances, specs)
     served, _ = _settle(params, instances, specs, workers=2)
     assert _verdict_trace(baseline) == _verdict_trace(served)
+    # Same lanes on both sides, so each lane's whole outcome compares.
+    for left, right in zip(baseline, served):
+        assert {lane: s.result.batch_ok for lane, s in left.lanes.items()} == {
+            lane: s.result.batch_ok for lane, s in right.lanes.items()
+        }
 
 
 # --------------------------------------------------------------------------- #
@@ -206,6 +230,11 @@ def test_one_worker_settles_every_lane_on_the_calling_thread(params, fleet):
     assert not aggregator.concurrent and aggregator._lane_workers is None
     assert isinstance(aggregator.tracer, Tracer) and aggregator.tracer.span_count
     assert not any(p.scheduler.pooled_verify for p in aggregator.pipelines.values())
+    # Both lanes' schedulers verify over the cache the inline runtime proves over.
+    shared = aggregator.executor.runtime.cache
+    assert all(
+        p.scheduler.executor.cache is shared for p in aggregator.pipelines.values()
+    )
 
 
 def test_a_process_pool_moves_lanes_off_the_calling_thread(params, fleet):

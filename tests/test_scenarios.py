@@ -9,6 +9,7 @@ parses and prints, and imports none of the layers a scenario composes.
 from __future__ import annotations
 
 import ast
+import inspect
 import random
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import repro.cli
 from repro import scenarios
 from repro.chain import ShardedChainFabric
 from repro.core import ProtocolParams
-from repro.engine import AuditExecutor
+from repro.engine import AuditExecutor, EpochScheduler
 from repro.lifecycle import LifecycleConfig, LifecycleEngine
 from repro.randomness import HashChainBeacon
 from repro.rollup import CrossShardAggregator
@@ -298,3 +299,58 @@ def test_nobody_can_choose_where_an_epoch_runs():
     with pytest.raises(SystemExit) as refused:
         repro.cli.build_parser().parse_args(["serve", "--concurrent"])
     assert refused.value.code == 2
+
+
+def test_a_batch_verdict_is_computed_once_over_one_cache():
+    """``verify_batch_grouped`` returns the finished verdict and the parent
+    process has one ``PrecomputeCache``, the executor's: nothing above the
+    engine builds, holds or threads a cache, the lazy localisation and its
+    wire twin are gone by name, and the lifecycle engine builds its one
+    scheduler outside the epoch loop."""
+    cache_built_in, takes_a_cache = [], []
+    for path in sorted(SRC_REPRO.rglob("*.py")):
+        relative = path.relative_to(SRC_REPRO).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee == "PrecomputeCache" and not relative.startswith("crypto/"):
+                    cache_built_in.append(relative)
+            elif isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            ) and relative.startswith(
+                ("engine/scheduler.py", "rollup/", "lifecycle/", "adversary/")
+            ):
+                takes_a_cache += [
+                    (relative, node.lineno)
+                    for arg in (
+                        *node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs
+                    )
+                    if arg.arg in ("cache", "precompute")
+                ]
+    assert cache_built_in == ["engine/executor.py"]
+    assert not takes_a_cache
+    named = [
+        str(path.relative_to(SRC_REPRO.parent))
+        for path in sorted(SRC_REPRO.parent.rglob("*.py"))
+        if any(gone in path.read_text() for gone in ("pinpoint", "BatchVerifyResult"))
+    ]
+    assert not named
+
+    def builds_a_scheduler(node):
+        return [
+            call for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "EpochScheduler"
+        ]
+
+    lifecycle = ast.parse((SRC_REPRO / "lifecycle" / "engine.py").read_text())
+    assert len(builds_a_scheduler(lifecycle)) == 1
+    audit_step = next(
+        node for node in ast.walk(lifecycle)
+        if isinstance(node, ast.FunctionDef) and node.name == "_audit_step"
+    )
+    assert not builds_a_scheduler(audit_step)
+    assert list(inspect.signature(EpochScheduler.__init__).parameters)[1:] == [
+        "executor", "params", "beacon", "deterministic", "rng", "names",
+        "pooled_verify", "tracer",
+    ]

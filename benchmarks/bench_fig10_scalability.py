@@ -20,8 +20,6 @@ from repro.core.challenge import random_challenge
 from repro.core.chunking import chunk_file
 from repro.core.keys import generate_keypair
 from repro.core.prover import Prover
-from repro.crypto.bn254 import G1Point
-from repro.crypto.bn254.msm import FixedBaseMul
 from repro.randomness import HashChainBeacon
 from repro.sim.throughput import ChainCapacityModel, ProviderLoadModel
 
@@ -37,9 +35,7 @@ def _measure_per_proof_seconds(rng) -> float:
     prover = Prover(
         chunked,
         keypair.public,
-        generate_authenticators(
-            chunked, keypair, g1_table=FixedBaseMul(G1Point.generator())
-        ),
+        generate_authenticators(chunked, keypair),
         rng=rng,
     )
     challenge = random_challenge(ProtocolParams(s=s, k=k), rng=rng)

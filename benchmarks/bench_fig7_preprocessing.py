@@ -23,23 +23,22 @@ from repro.core.authenticator import PreprocessReport, generate_authenticators
 from repro.core.chunking import chunk_file
 from repro.core.keys import generate_keypair
 from repro.core.params import ProtocolParams
-from repro.crypto.bn254 import G1Point
-from repro.crypto.bn254.msm import FixedBaseMul
+from repro.crypto.bn254.msm import generator_table
 
 FILE_BYTES = 25_000
 S_SWEEP = (10, 20, 50, 100, 200)
 GB = 1024**3
 
+generator_table()  # built here, outside every timed region
 
-def _preprocess_seconds(s: int, mode: str, rng, g1_table) -> float:
+
+def _preprocess_seconds(s: int, mode: str, rng) -> float:
     params = ProtocolParams(s=s, k=1)
     keypair = generate_keypair(s, rng=rng)
     chunked = chunk_file(b"\x5c" * FILE_BYTES, params, name=7)
     report = PreprocessReport()
     start = time.perf_counter()
-    generate_authenticators(
-        chunked, keypair, mode=mode, report=report, g1_table=g1_table
-    )
+    generate_authenticators(chunked, keypair, mode=mode, report=report)
     return time.perf_counter() - start
 
 
@@ -48,11 +47,9 @@ def test_fig7_preprocess_kernel(benchmark, rng):
     keypair = generate_keypair(50, rng=rng)
     params = ProtocolParams(s=50, k=1)
     chunked = chunk_file(b"\x5c" * FILE_BYTES, params, name=7)
-    table = FixedBaseMul(G1Point.generator())
     result = benchmark.pedantic(
         generate_authenticators,
         args=(chunked, keypair),
-        kwargs={"g1_table": table},
         rounds=2,
         iterations=1,
     )
@@ -65,7 +62,6 @@ def test_fig7_linearity_in_file_size(benchmark, rng):
     Uses best-of-3 minima (robust to scheduler noise) after a warm-up.
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)  # report-only entry
-    table = FixedBaseMul(G1Point.generator())
     keypair = generate_keypair(20, rng=rng)
     params = ProtocolParams(s=20, k=1)
 
@@ -74,7 +70,7 @@ def test_fig7_linearity_in_file_size(benchmark, rng):
         samples = []
         for _ in range(3):
             start = time.perf_counter()
-            generate_authenticators(chunked, keypair, g1_table=table)
+            generate_authenticators(chunked, keypair)
             samples.append(time.perf_counter() - start)
         return min(samples)
 
@@ -87,7 +83,6 @@ def test_fig7_linearity_in_file_size(benchmark, rng):
 
 def test_fig7_report(benchmark, report, rng):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)  # report-only entry
-    table = FixedBaseMul(G1Point.generator())
     scale = GB / FILE_BYTES
     lines = [
         f"Fig. 7 reproduction: owner preprocessing time, measured on "
@@ -101,8 +96,8 @@ def test_fig7_report(benchmark, report, rng):
     transform_series = {}
     horner_series = {}
     for s in S_SWEEP:
-        transform = _preprocess_seconds(s, "interpolate", rng, table)
-        horner = _preprocess_seconds(s, "horner", rng, table)
+        transform = _preprocess_seconds(s, "interpolate", rng)
+        horner = _preprocess_seconds(s, "horner", rng)
         transform_series[s] = transform * scale
         horner_series[s] = horner * scale
         mb_per_s = (FILE_BYTES / 2**20) / horner
@@ -110,7 +105,7 @@ def test_fig7_report(benchmark, report, rng):
             f"{s:>5} {transform:>14.3f} {transform*scale:>15.0f} {horner:>12.3f} "
             f"{horner*scale:>15.0f} {mb_per_s:>12.3f}"
         )
-    baseline = _preprocess_seconds(1, "horner", rng, table)
+    baseline = _preprocess_seconds(1, "horner", rng)
     best_ratio = baseline * scale / min(horner_series.values())
     lines += [
         "",

@@ -17,27 +17,24 @@ from repro.core.chunking import chunk_file
 from repro.core.keys import generate_keypair
 from repro.core.params import ProtocolParams
 from repro.core.prover import ProveReport, Prover
-from repro.crypto.bn254 import G1Point
-from repro.crypto.bn254.msm import FixedBaseMul
 
 K = 300
 NUM_CHUNKS = 310
 S_SWEEP = (10, 20, 50, 100)
 
 
-def _build_prover(s: int, rng, g1_table) -> tuple[Prover, ProtocolParams]:
+def _build_prover(s: int, rng) -> tuple[Prover, ProtocolParams]:
     params = ProtocolParams(s=s, k=K)
     keypair = generate_keypair(s, rng=rng)
     data = b"\x2d" * (NUM_CHUNKS * s * 31)
     chunked = chunk_file(data, params, name=11)
     assert chunked.num_chunks >= K
-    authenticators = generate_authenticators(chunked, keypair, g1_table=g1_table)
+    authenticators = generate_authenticators(chunked, keypair)
     return Prover(chunked, keypair.public, authenticators, rng=rng), params
 
 
 def test_fig8_prove_kernel_s50(benchmark, rng):
-    table = FixedBaseMul(G1Point.generator())
-    prover, params = _build_prover(50, rng, table)
+    prover, params = _build_prover(50, rng)
     challenge = random_challenge(params, rng=rng)
     prover.respond_private(challenge)  # warm the GT table
     proof = benchmark.pedantic(
@@ -48,7 +45,6 @@ def test_fig8_prove_kernel_s50(benchmark, rng):
 
 def test_fig8_report(benchmark, report, rng):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)  # report-only entry
-    table = FixedBaseMul(G1Point.generator())
     lines = [
         f"Fig. 8 reproduction: prover time at k = {K} (95% confidence),",
         "split into ECC ops, Zp ops, and the '+ security' GT exponentiation.",
@@ -60,7 +56,7 @@ def test_fig8_report(benchmark, report, rng):
     ]
     zp_series, ecc_series, privacy_series = {}, {}, {}
     for s in S_SWEEP:
-        prover, params = _build_prover(s, rng, table)
+        prover, params = _build_prover(s, rng)
         challenge = random_challenge(params, rng=rng)
         prover.respond_private(challenge)  # warm-up: builds the GT table
         prove_report = ProveReport()

@@ -15,8 +15,6 @@ from repro.core.confidence import figure9_k_schedule
 from repro.core.keys import generate_keypair
 from repro.core.params import ProtocolParams
 from repro.core.prover import ProveReport, Prover
-from repro.crypto.bn254 import G1Point
-from repro.crypto.bn254.msm import FixedBaseMul
 
 S = 20  # smaller than the paper's 50 to keep the pure-Python run short
 NUM_CHUNKS = 470
@@ -26,9 +24,7 @@ def _build(rng):
     keypair = generate_keypair(S, rng=rng)
     chunked = chunk_file(b"\x3e" * (NUM_CHUNKS * S * 31),
                          ProtocolParams(s=S, k=1), name=13)
-    authenticators = generate_authenticators(
-        chunked, keypair, g1_table=FixedBaseMul(G1Point.generator())
-    )
+    authenticators = generate_authenticators(chunked, keypair)
     return Prover(chunked, keypair.public, authenticators, rng=rng)
 
 

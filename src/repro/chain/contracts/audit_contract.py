@@ -41,6 +41,7 @@ from ...core.keys import PublicKey
 from ...core.params import ProtocolParams
 from ...core.proof import PRIVATE_PROOF_BYTES, PrivateProof
 from ...core.verifier import Verifier, VerifyOutcome, VerifyReport
+from ...crypto.bn254 import PROCESS_CACHE
 from ...randomness.beacon import RandomnessBeacon
 from ..blockchain import CallContext, Contract, WEI_PER_GWEI
 from ..gas import PAPER_VERIFY_MS, AuditPrecompileModel, GasSchedule
@@ -502,6 +503,8 @@ class AuditContract(Contract):
                 self.deposits[party] = hold_back
                 self.chain.transfer(self.address, party, remaining)
         self.state = State.CLOSED
+        # No further round will challenge this file: release its digests.
+        PROCESS_CACHE.forget(self.file_name)
         self.emit(
             "expired",
             passes=self.passes,

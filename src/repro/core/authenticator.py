@@ -32,7 +32,7 @@ from ..crypto.bn254 import (
     multi_scalar_mul,
     pairing_check,
 )
-from ..crypto.bn254.msm import FixedBaseMul
+from ..crypto.bn254.msm import generator_table
 from ..crypto.field import random_scalar
 from .chunking import ChunkedFile
 from .keys import KeyPair, PublicKey
@@ -76,7 +76,6 @@ def generate_authenticators(
     keypair: KeyPair,
     mode: EvalMode = "horner",
     report: PreprocessReport | None = None,
-    g1_table: FixedBaseMul | None = None,
 ) -> list[G1Point]:
     """Compute sigma_i for every chunk of the file.
 
@@ -94,8 +93,7 @@ def generate_authenticators(
         "interpolate": _evaluate_interpolated,
     }
     evaluator = evaluators[mode]
-    if g1_table is None:
-        g1_table = FixedBaseMul(G1Point.generator())
+    table = generator_table()
     authenticators = []
     for index, chunk in enumerate(chunked.chunks):
         t0 = time.perf_counter()
@@ -103,7 +101,7 @@ def generate_authenticators(
         t1 = time.perf_counter()
         digest = block_digest_point(chunked.name, index)
         t2 = time.perf_counter()
-        committed = g1_table.mul(m_alpha) + digest
+        committed = table.mul(m_alpha) + digest
         authenticators.append(committed * x)
         t3 = time.perf_counter()
         if report is not None:

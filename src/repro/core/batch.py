@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto.bn254 import PrecomputeCache
 from .challenge import Challenge
 from .keys import PublicKey
 from .proof import PrivateProof
@@ -86,16 +85,12 @@ class BatchVerifyOutcome:
 
 
 def _rejections(
-    items: list[BatchItem],
-    precompute: PrecomputeCache | None = None,
-    report: VerifyReport | None = None,
+    items: list[BatchItem], report: VerifyReport | None = None
 ) -> tuple[ItemRejection, ...]:
     """Verify every item on its own: the ones that fail, and why."""
     failures = []
     for index, item in enumerate(items):
-        verifier = Verifier(
-            item.public, item.name, item.num_chunks, precompute=precompute
-        )
+        verifier = Verifier(item.public, item.name, item.num_chunks)
         outcome = verifier.verify_private(item.challenge, item.proof, report)
         if not outcome:
             failures.append(
@@ -117,15 +112,14 @@ def verify_batch_grouped(
     items: list[BatchItem],
     rng=None,
     report: VerifyReport | None = None,
-    precompute: PrecomputeCache | None = None,
 ) -> BatchVerifyOutcome:
     """Check all items at once; truthy iff every individual proof is valid.
 
     The parallel audit engine's verification back end: every item becomes a
     rho-blinded statement of the one pairing product (rho_0 = 1), which
     merges all inputs per fixed G2 point and pays one final exponentiation
-    for the whole batch.  A failed product is localized over the same
-    ``precompute`` before this returns.
+    for the whole batch.  A failed product is localized before this
+    returns.
     """
     statements = [
         Statement(
@@ -140,11 +134,11 @@ def verify_batch_grouped(
         )
         for index, item in enumerate(items)
     ]
-    ok, _ = pairing_product_check(statements, precompute, report)
+    ok, _ = pairing_product_check(statements, report)
     return BatchVerifyOutcome(
         ok=ok,
         checked=len(items),
-        failures=() if ok else _rejections(items, precompute),
+        failures=() if ok else _rejections(items),
     )
 
 
@@ -157,5 +151,5 @@ def verify_sequential(
     The walk a failed grouped batch falls back to *is* this check, so the
     two agree on every rejection by construction.
     """
-    failures = _rejections(items, report=report)
+    failures = _rejections(items, report)
     return BatchVerifyOutcome(ok=not failures, checked=len(items), failures=failures)

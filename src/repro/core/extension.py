@@ -16,9 +16,7 @@ chunks — that would require the dynamic-PDP machinery the paper cites
 
 from __future__ import annotations
 
-from ..crypto.bn254.constants import CURVE_ORDER as R
 from ..crypto.field import BLOCK_BYTES, bytes_to_blocks
-from .authenticator import generate_authenticators
 from .chunking import ChunkedFile
 from .keys import KeyPair
 from .params import ProtocolParams
@@ -87,12 +85,11 @@ def append_data(
 
 def _generate_offset_authenticators(chunked: ChunkedFile, keypair: KeyPair, offset: int):
     """Authenticators for chunks whose global indices start at ``offset``."""
-    from ..crypto.bn254.msm import FixedBaseMul
-    from ..crypto.bn254 import G1Point
+    from ..crypto.bn254.msm import generator_table
     from .authenticator import block_digest_point
     from .polynomial import evaluate
 
-    table = FixedBaseMul(G1Point.generator())
+    table = generator_table()
     x = keypair.secret.x
     alpha = keypair.secret.alpha
     out = []

@@ -19,7 +19,6 @@ size gap between the two bars of the paper's Fig. 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from ..crypto.bn254 import (
     CURVE_ORDER,
@@ -29,8 +28,6 @@ from ..crypto.bn254 import (
     GT_COMPRESSED_BYTES,
     G1Point,
     G2Point,
-    GTFixedBase,
-    PrecomputeCache,
     g1_from_bytes,
     g1_to_bytes,
     g2_from_bytes,
@@ -108,20 +105,6 @@ class PublicKey:
         return PublicKey(
             epsilon=epsilon, delta=delta, powers=tuple(powers), pairing_base=base
         )
-
-    def gt_table(self, precompute: PrecomputeCache | None = None) -> GTFixedBase:
-        """Windowed table over e(g1, epsilon) for fast Sigma commitments.
-
-        With a :class:`~repro.crypto.bn254.PrecomputeCache` the table is
-        shared across every file outsourced under this key (the engine's
-        per-owner reuse); without one, a fresh table is built per call —
-        the seed behaviour.
-        """
-        if self.pairing_base is None:
-            raise ValueError("public key was generated without privacy support")
-        if precompute is not None:
-            return precompute.gt_context(self.pairing_base)
-        return GTFixedBase(self.pairing_base)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto.bn254 import G1Point
+from ..crypto.bn254 import PROCESS_CACHE, G1Point
 from ..crypto.field import random_scalar
 from .authenticator import (
     PreprocessReport,
@@ -97,9 +97,8 @@ class DataOwner:
 class StorageProvider:
     """The storage provider S: validation, storage, proof generation."""
 
-    def __init__(self, rng=None, precompute=None):
+    def __init__(self, rng=None):
         self._rng = rng
-        self._precompute = precompute  # shared fixed-base tables, if any
         self._stored: dict[int, Prover] = {}
 
     def accept(self, package: OutsourcingPackage, validate: bool = True) -> bool:
@@ -124,7 +123,6 @@ class StorageProvider:
             package.public,
             list(package.authenticators),
             rng=self._rng,
-            precompute=self._precompute,
         )
         return True
 
@@ -135,7 +133,9 @@ class StorageProvider:
 
     def drop_file(self, name: int) -> None:
         """Simulate data loss (the behaviour audits must catch)."""
-        self._stored.pop(name, None)
+        prover = self._stored.pop(name, None)
+        if prover is not None:
+            PROCESS_CACHE.forget(name, prover.authenticators)
 
     def respond(
         self, name: int, challenge: Challenge, report: ProveReport | None = None

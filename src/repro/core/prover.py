@@ -14,7 +14,9 @@ and, in private mode, the Sigma-protocol masking of Section V-D:
 
 Only ``(sigma, y', psi, R)`` ever reaches the chain; ``y`` and therefore the
 data-dependent polynomial evaluation stays local.  Timing is split into the
-ECC / Zp / GT components plotted in the paper's Figs. 8 and 9.
+ECC / Zp / GT components plotted in the paper's Figs. 8 and 9.  Every
+fixed-base table (authenticators, alpha powers, the GT context) lives in
+:data:`repro.crypto.bn254.PROCESS_CACHE`; a prover holds none of its own.
 """
 
 from __future__ import annotations
@@ -26,11 +28,8 @@ from typing import Sequence
 from ..crypto.bn254 import (
     CURVE_ORDER,
     G1Point,
-    GTFixedBase,
-    PrecomputeCache,
-    gt_pow,
+    PROCESS_CACHE,
     hash_gt_to_scalar,
-    multi_scalar_mul,
 )
 from ..crypto.field import random_scalar
 from .challenge import Challenge, ExpandedChallenge
@@ -72,7 +71,6 @@ class Prover:
         public: PublicKey,
         authenticators: Sequence[G1Point],
         rng=None,
-        precompute: PrecomputeCache | None = None,
     ):
         if len(authenticators) != chunked.num_chunks:
             raise ValueError("one authenticator per chunk required")
@@ -82,10 +80,6 @@ class Prover:
         self.public = public
         self.authenticators = list(authenticators)
         self._rng = rng
-        # Shared fixed-base tables (powers-of-alpha MSM, GT contexts).  When
-        # absent, every table is private to this prover — the seed path.
-        self._precompute = precompute
-        self._gt_table: GTFixedBase | None = None
 
     @property
     def num_chunks(self) -> int:
@@ -109,30 +103,18 @@ class Prover:
         t1 = time.perf_counter()
         sigma_bases = [self.authenticators[i] for i in expanded.indices]
         sigma_coeffs = list(expanded.coefficients)
-        if self._precompute is not None:
-            # Authenticators are fixed per file: their wNAF tables amortize
-            # across every round that challenges the same chunk.
-            sigma = self._precompute.wnaf_msm(sigma_bases, sigma_coeffs)
-        else:
-            sigma = multi_scalar_mul(sigma_bases, sigma_coeffs)
-        if self._precompute is not None:
-            # The powers of alpha are fixed per contract: cached wNAF tables
-            # cost ~30 additions per base to build (vs ~1600 for a windowed
-            # fixed-base table) at near-identical per-audit cost, which keeps
-            # the engine's cold-start epoch cheap.
-            psi = self._precompute.wnaf_msm(
-                list(self.public.powers[: len(quotient)]),
-                quotient,
-                identity=G1Point.infinity(),
-            )
-        else:
-            # s == 1 means a degree-0 commitment: the quotient is empty and
-            # psi degenerates to the G1 identity.
-            psi = multi_scalar_mul(
-                list(self.public.powers[: len(quotient)]),
-                quotient,
-                identity=G1Point.infinity(),
-            )
+        # Authenticators are fixed per file: their wNAF tables amortize
+        # across every round that challenges the same chunk.
+        sigma = PROCESS_CACHE.wnaf_msm(sigma_bases, sigma_coeffs)
+        # The powers of alpha are fixed per contract: cached wNAF tables
+        # cost ~30 additions per base to build (vs ~1600 for a windowed
+        # fixed-base table) at near-identical per-audit cost.  s == 1 is a
+        # degree-0 commitment: empty quotient, psi is the G1 identity.
+        psi = PROCESS_CACHE.wnaf_msm(
+            list(self.public.powers[: len(quotient)]),
+            quotient,
+            identity=G1Point.infinity(),
+        )
         t2 = time.perf_counter()
         if report is not None:
             report.zp_seconds += t1 - t0
@@ -148,9 +130,7 @@ class Prover:
                 "public key lacks e(g1, epsilon); regenerate with privacy "
                 "support to produce private proofs"
             )
-        if self._gt_table is None:
-            self._gt_table = self.public.gt_table(self._precompute)
-        commitment = self._gt_table.pow(z)
+        commitment = PROCESS_CACHE.gt_context(self.public.pairing_base).pow(z)
         t1 = time.perf_counter()
         if report is not None:
             report.privacy_seconds += t1 - t0

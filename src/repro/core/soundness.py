@@ -27,9 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto.bn254 import CURVE_ORDER, G1Point, gt_pow, hash_gt_to_scalar
-from ..crypto.bn254.fields import Fp12
-from ..crypto.field import random_scalar
+from ..crypto.bn254 import CURVE_ORDER, gt_pow, hash_gt_to_scalar
 from .challenge import Challenge
 from .polynomial import evaluate, linear_combination
 from .proof import PrivateProof
@@ -58,10 +56,7 @@ class ForkingProver(Prover):
     def respond_forked(self, challenge: Challenge) -> ForkedTranscripts:
         expanded = challenge.expand(self.chunked.num_chunks)
         sigma, _, y, psi = self._aggregate(expanded, None)
-        z = random_scalar(self._rng)
-        if self._gt_table is None:
-            self._gt_table = self.public.gt_table()
-        commitment = self._gt_table.pow(z)
+        z, commitment = self._sigma_commitment(None)
         zeta_one = hash_gt_to_scalar(commitment)
         # The "reprogrammed oracle" answer for the second run: any distinct
         # non-zero challenge works; derive it deterministically.

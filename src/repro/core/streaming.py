@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from ..crypto.bn254 import G1Point, PrecomputeCache
+from ..crypto.bn254 import G1Point
 from ..crypto.bn254.constants import CURVE_ORDER as R
-from ..crypto.bn254.msm import FixedBaseMul
+from ..crypto.bn254.msm import generator_table
 from ..crypto.field import BLOCK_BYTES
 from .authenticator import block_digest_point
 from .keys import KeyPair, PublicKey
@@ -51,7 +51,6 @@ def stream_authenticators(
     keypair: KeyPair,
     params: ProtocolParams,
     name: int,
-    g1_table: FixedBaseMul | None = None,
 ) -> Iterator[tuple[int, G1Point]]:
     """Yield (chunk_index, sigma_i) pairs while consuming the stream.
 
@@ -60,8 +59,7 @@ def stream_authenticators(
     :func:`repro.core.authenticator.generate_authenticators` on the same
     bytes (asserted by tests).
     """
-    if g1_table is None:
-        g1_table = FixedBaseMul(G1Point.generator())
+    table = generator_table()
     x = keypair.secret.x
     alpha = keypair.secret.alpha
     s = params.s
@@ -77,12 +75,12 @@ def stream_authenticators(
         filled += 1
         if filled == s:
             digest = block_digest_point(name, chunk_index)
-            yield chunk_index, (g1_table.mul(accumulator) + digest) * x
+            yield chunk_index, (table.mul(accumulator) + digest) * x
             chunk_index += 1
             accumulator, power, filled = 0, 1, 0
     if filled:
         digest = block_digest_point(name, chunk_index)
-        yield chunk_index, (g1_table.mul(accumulator) + digest) * x
+        yield chunk_index, (table.mul(accumulator) + digest) * x
 
 
 class StreamingProver(Prover):
@@ -113,7 +111,6 @@ class StreamingProver(Prover):
         authenticators: Sequence[G1Point],
         params: ProtocolParams,
         rng=None,
-        precompute: PrecomputeCache | None = None,
     ):
         if params.s > len(public.powers):
             raise ValueError("chunk size exceeds published alpha powers")
@@ -124,8 +121,6 @@ class StreamingProver(Prover):
         self.authenticators = list(authenticators)
         self.params = params
         self._rng = rng
-        self._precompute = precompute
-        self._gt_table = None
 
     @property
     def num_chunks(self) -> int:

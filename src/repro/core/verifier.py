@@ -13,7 +13,9 @@ For the private proof the check is Eq. (2):
 which we fold into  ``R * e(zeta*sigma, g2) * e(-y'*g1 - zeta*chi +
 r*zeta*psi, epsilon) * e(-zeta*psi, delta) == 1`` — the psi leg is split
 over delta and epsilon by bilinearity so every pairing argument is a
-*fixed* G2 point whose Miller-loop lines can be prepared once.  Eq. (1) is
+*fixed* G2 point whose Miller-loop lines are prepared once, in the process
+cache (:data:`repro.crypto.bn254.PROCESS_CACHE`) every verifier reads; so
+are the digest points ``H(name || i)`` and their wNAF tables.  Eq. (1) is
 the same product with ``zeta = 1`` and no ``R``; batch auditing (Section
 VII-D) is the same product over many statements, each raised to a random
 exponent ``rho``.  :func:`pairing_product_check` is that one product;
@@ -43,15 +45,13 @@ from ..crypto.bn254 import (
     CURVE_ORDER,
     G1Point,
     G2Point,
-    PrecomputeCache,
+    PROCESS_CACHE,
     gt_multi_pow,
     hash_gt_to_scalar,
     miller_loop_product,
     final_exponentiation,
-    multi_scalar_mul,
 )
 from ..crypto.bn254.fields import Fp12
-from .authenticator import block_digest_point
 from .challenge import Challenge, ExpandedChallenge
 from .keys import PublicKey
 from .proof import PlainProof, PrivateProof
@@ -204,9 +204,7 @@ _EQ2 = (
 
 
 def pairing_product_check(
-    statements: list[Statement],
-    precompute: PrecomputeCache | None = None,
-    report: VerifyReport | None = None,
+    statements: list[Statement], report: VerifyReport | None = None
 ) -> tuple[bool, list[tuple[G1Point, object]]]:
     """``prod_u [R_u * e(..,g2) * e(..,epsilon_u) * e(..,delta_u)]^{rho_u} == 1``.
 
@@ -221,7 +219,7 @@ def pairing_product_check(
       sigma inputs all share ``g2``; the chi/y'/r*psi inputs share each
       owner's ``epsilon``; the psi inputs share each owner's ``delta``.  3U
       Miller loops become ``1 + 2*owners``, all against G2 points whose
-      prepared lines persist across epochs in ``precompute``.
+      prepared lines persist across epochs in the process cache.
     * **Deferred MSMs** — each leg's G1 side is accumulated as (base, scalar)
       pairs — chi is never materialized; its digest points go straight into
       the owner's epsilon leg — and reduced with one MSM per leg.
@@ -230,7 +228,6 @@ def pairing_product_check(
         return True, []
     g1 = G1Point.generator()
     g2 = G2Point.generator()
-    digest = block_digest_point if precompute is None else precompute.block_digest
     gt_items: list[tuple[Fp12, int]] = []
     # Keyed by (role, point) so a degenerate key (delta == epsilon) still
     # yields the three legs the diagnostics label.
@@ -244,7 +241,7 @@ def pairing_product_check(
         leg: tuple[int, G2Point], base: G1Point, scalar: int, fixed: bool = False
     ) -> None:
         """``fixed`` marks epoch-recurring bases (digests, g1) whose wNAF
-        tables are worth keeping in the precompute cache."""
+        tables are worth keeping in the process cache."""
         bases, scalars, cacheable = legs.setdefault(leg, ([], [], []))
         bases.append(base)
         scalars.append(scalar % CURVE_ORDER)
@@ -255,7 +252,9 @@ def pairing_product_check(
         zeta = 1 if st.commitment is None else hash_gt_to_scalar(st.commitment)
         scaled_zeta = zeta * st.rho % CURVE_ORDER
         t0 = time.perf_counter()
-        digests = [digest(st.name, i) for i in st.expanded.indices]
+        digests = [
+            PROCESS_CACHE.block_digest(st.name, i) for i in st.expanded.indices
+        ]
         t1 = time.perf_counter()
         contribute((_G2, g2), st.sigma, scaled_zeta)
         g1_scalars[epsilon] = g1_scalars.get(epsilon, 0) - st.y * st.rho
@@ -277,17 +276,15 @@ def pairing_product_check(
     for epsilon, scalar in g1_scalars.items():
         contribute(epsilon, g1, scalar, True)
     t0 = time.perf_counter()
-    pairs = []
-    for (_, g2_point), (bases, scalars, cacheable) in legs.items():
-        if precompute is None:
-            pairs.append((multi_scalar_mul(bases, scalars), g2_point))
-        else:
-            # Cached wNAF tables for the fixed bases, cached Miller-loop
-            # lines for the fixed G2 points.
-            pairs.append((
-                precompute.wnaf_msm(bases, scalars, cacheable),
-                precompute.prepared_g2(g2_point),
-            ))
+    # Cached wNAF tables for the fixed bases, cached Miller-loop lines for
+    # the fixed G2 points.
+    pairs = [
+        (
+            PROCESS_CACHE.wnaf_msm(bases, scalars, cacheable),
+            PROCESS_CACHE.prepared_g2(g2_point),
+        )
+        for (_, g2_point), (bases, scalars, cacheable) in legs.items()
+    ]
     t1 = time.perf_counter()
     # All rho-blinded commitments ride one shared cyclotomic squaring chain
     # (bit-identical to a per-item gt_pow product, ~U times fewer squarings).
@@ -303,22 +300,12 @@ def pairing_product_check(
 class Verifier:
     """Stateless audit verification bound to one (public key, file) pair."""
 
-    def __init__(
-        self,
-        public: PublicKey,
-        name: int,
-        num_chunks: int,
-        precompute: PrecomputeCache | None = None,
-    ):
+    def __init__(self, public: PublicKey, name: int, num_chunks: int):
         if num_chunks < 1:
             raise ValueError("file must contain at least one chunk")
         self.public = public
         self.name = name
         self.num_chunks = num_chunks
-        # Optional shared cache: memoizes the per-file digest points H(name||i)
-        # that the seed verifier re-hashed on every round, their wNAF tables
-        # and the prepared Miller-loop lines of the fixed G2 arguments.
-        self._precompute = precompute
 
     def _check(
         self,
@@ -338,7 +325,7 @@ class Verifier:
             psi,
             commitment,
         )
-        ok, legs = pairing_product_check([statement], self._precompute, report)
+        ok, legs = pairing_product_check([statement], report)
         if ok:
             return VerifyOutcome.accept()
         private = commitment is not None

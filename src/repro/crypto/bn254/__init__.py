@@ -36,7 +36,7 @@ from .msm import (
     multi_scalar_mul_naive,
     wnaf_table_g1,
 )
-from .precompute import CacheStats, PrecomputeCache
+from .precompute import PROCESS_CACHE, CacheStats, PrecomputeCache
 from .store import PrecomputeStore
 from .pairing import (
     G2Prepared,
@@ -83,6 +83,7 @@ __all__ = [
     "G2Point",
     "G2Prepared",
     "GTFixedBase",
+    "PROCESS_CACHE",
     "PrecomputeCache",
     "PrecomputeStore",
     "TWIST_B",

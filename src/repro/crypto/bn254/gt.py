@@ -4,7 +4,9 @@ The privacy layer's only extra prover cost is one GT exponentiation
 ``R = e(g1, epsilon)^z`` (paper Fig. 3).  Since the base ``e(g1, epsilon)``
 is fixed per contract, a windowed fixed-base table turns the exponentiation
 into ~64 multiplications — this is why the "+ security" overhead in the
-paper's Figs. 8/9 stays small.  ``bench_ablation_gt_table`` measures the win.
+paper's Figs. 8/9 stays small
+(``benchmarks/bench_ablations.py::test_ablation_gt_fixed_base`` measures the
+win).
 
 All chains here run on the flat 12-int kernels (:func:`_f12mul`,
 :func:`_f12sqr_cyclo`): raw tuples in, one :class:`Fp12` constructed at the

@@ -21,6 +21,7 @@ naive double-and-add.  Works for both G1 and G2 (duck-typed point API).
 
 from __future__ import annotations
 
+from functools import cache
 from time import perf_counter
 from typing import Sequence, TypeVar
 
@@ -674,6 +675,13 @@ class FixedBaseMul:
             scalar >>= self.window
             row_index += 1
         return result
+
+
+@cache
+def generator_table() -> FixedBaseMul:
+    """The one comb table over ``g1``, built on first use: authenticator
+    generation, the dynamic-update extension and Schnorr all multiply it."""
+    return FixedBaseMul(G1Point.generator())
 
 
 def multi_scalar_mul_naive(

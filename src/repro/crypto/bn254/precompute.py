@@ -3,16 +3,16 @@
 Every audit round re-multiplies the *same* bases: the public powers
 ``g1^{alpha^j}`` (the (s-1)-term KZG-witness MSM), the per-contract GT base
 ``e(g1, epsilon)`` (the Sigma-protocol masking), the global generator
-``g1`` and the per-file block digests ``H(name || i)``.  The seed code
-rebuilt window decompositions for all of them on every proof; this module
-precomputes them once and shares the tables across every audit that touches
-the same base — the amortization trick Audita/Cumulus-style batch auditing
-systems rely on.
+``g1`` and the per-file block digests ``H(name || i)``.  This module builds
+their tables once and shares them across every audit that touches the same
+base — the amortization trick Audita/Cumulus-style batch auditing systems
+rely on.
 
-:class:`PrecomputeCache` is the process-local registry the engine hands to
-provers and verifiers.  Each worker process of the parallel engine owns one
-cache, so a provider answering challenges for many files of one owner pays
-each table build exactly once per worker.
+A process has one :class:`PrecomputeCache`, :data:`PROCESS_CACHE` below: a
+memo of pure functions of group elements that every prover and verifier in
+``repro.core`` reads directly, so a hit or a miss can change no byte of any
+proof or verdict.  A forked pool worker of the parallel engine inherits its
+parent's and grows its own from there.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .store import PrecomputeStore
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters (the precompute ablation reads these)."""
+    """Hit/miss counters (the precompute ablation reads these).  Advisory:
+    unsynchronised, so threads sharing the process cache may lose a count."""
 
     hits: int = 0
     misses: int = 0
@@ -49,15 +50,15 @@ class CacheStats:
         return self.hits / self.total if self.total else 0.0
 
 
-#: GT commitment window: one step wider than the seed's 4 — the flat
-#: Fp12 kernels made table builds cheap enough that the warm-path win
+#: GT commitment window: one step wider than ``GTFixedBase``'s default 4 —
+#: the flat Fp12 kernels made table builds cheap enough that the warm-path win
 #: (64 -> 51 multiplications per exponentiation) dominates.
 GT_WINDOW = 5
 
 
 @dataclass
 class PrecomputeCache:
-    """Process-local registry of fixed-base tables and digest points.
+    """Registry of fixed-base tables and digest points.
 
     Keys are the group elements themselves (all BN254 element classes are
     hashable by affine coordinates), so two public keys sharing the same
@@ -177,10 +178,9 @@ class PrecomputeCache:
     # -- per-file digest points --------------------------------------------
 
     def block_digest(self, name: int, index: int) -> G1Point:
-        """Memoized H(name || i) — fixed per file, re-hashed every round
-        by the seed verifier.  Hash-to-curve is a pure function of the
-        key, so digest points persist to the store alongside the tables
-        (~0.3 ms of Tonelli-Shanks per point saved on restart)."""
+        """Memoized H(name || i) — fixed per file.  Hash-to-curve is a pure
+        function of the key, so digest points persist to the store alongside
+        the tables (~0.3 ms of Tonelli-Shanks per point saved on restart)."""
         key = (name, index)
         point = self._digests.get(key)
         if point is None:
@@ -210,12 +210,26 @@ class PrecomputeCache:
     ) -> None:
         """Drop file ``name``'s digest points and their wNAF tables, plus the
         tables of the listed points.  The caller lists only what no other
-        user of this cache can look up; the on-disk store is left alone."""
-        for key in [key for key in self._digests if key[0] == name]:
-            self._wnaf.pop(self._digests.pop(key), None)
+        user of this cache can look up; the on-disk store is left alone.
+        Eviction is never a correctness event — a forgotten entry is rebuilt
+        on next use — and walks a snapshot: other threads may be inserting."""
+        for key in list(self._digests):
+            if key[0] == name:
+                self._wnaf.pop(self._digests.pop(key, None), None)
         for point in g1_points:
             self._wnaf.pop(point, None)
         for point in g2_points:
             self._prepared.pop(point, None)
         for base in gt_bases:
             self._gt.pop(base, None)
+
+    def clear(self) -> None:
+        """Back to a cold cache with zeroed counters (test isolation); the
+        store stays attached."""
+        self.stats = CacheStats()
+        for entries in (self._gt, self._digests, self._prepared, self._wnaf):
+            entries.clear()
+
+
+#: The process's one cache.
+PROCESS_CACHE = PrecomputeCache()

@@ -19,17 +19,8 @@ import hashlib
 from dataclasses import dataclass
 
 from .bn254 import CURVE_ORDER, G1Point, g1_from_bytes, g1_to_bytes
-from .bn254.msm import FixedBaseMul
+from .bn254.msm import generator_table
 from .field import random_scalar
-
-_G1_TABLE: FixedBaseMul | None = None
-
-
-def _generator_table() -> FixedBaseMul:
-    global _G1_TABLE
-    if _G1_TABLE is None:
-        _G1_TABLE = FixedBaseMul(G1Point.generator())
-    return _G1_TABLE
 
 
 def _challenge(nonce_point: G1Point, public: G1Point, message: bytes) -> int:
@@ -71,11 +62,11 @@ class SigningKey:
 
     @property
     def public(self) -> "VerifyingKey":
-        return VerifyingKey(point=_generator_table().mul(self.secret))
+        return VerifyingKey(point=generator_table().mul(self.secret))
 
     def sign(self, message: bytes, rng=None) -> Signature:
         nonce = random_scalar(rng)
-        nonce_point = _generator_table().mul(nonce)
+        nonce_point = generator_table().mul(nonce)
         e = _challenge(nonce_point, self.public.point, message)
         s = (nonce + e * self.secret) % CURVE_ORDER
         return Signature(nonce_point=nonce_point, s=s)
@@ -87,7 +78,7 @@ class VerifyingKey:
 
     def verify(self, message: bytes, signature: Signature) -> bool:
         e = _challenge(signature.nonce_point, self.point, message)
-        lhs = _generator_table().mul(signature.s)
+        lhs = generator_table().mul(signature.s)
         rhs = signature.nonce_point + self.point * e
         return lhs == rhs
 
@@ -137,6 +128,6 @@ def verify_batch(
         scalars.append(weight)
         points.append(key.point)
         scalars.append(weight * e % CURVE_ORDER)
-    lhs = _generator_table().mul(combined_s)
+    lhs = generator_table().mul(combined_s)
     rhs = multi_scalar_mul(points, scalars)
     return lhs == rhs

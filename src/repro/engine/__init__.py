@@ -5,8 +5,8 @@ this package turns it into an auditing *service*:
 
 * :mod:`repro.engine.tasks` — picklable encodings of audit state and work,
 * :mod:`repro.engine.executor` — a process-pool executor fanning
-  independent audit instances across cores, each worker holding a shared
-  :class:`~repro.crypto.bn254.PrecomputeCache` of fixed-base tables,
+  independent audit instances across cores, each worker process with its
+  one :data:`~repro.crypto.bn254.PROCESS_CACHE` of fixed-base tables,
 * :mod:`repro.engine.scheduler` — beacon-driven epochs whose proofs land in
   the one-final-exponentiation grouped batch verifier.
 

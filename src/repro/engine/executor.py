@@ -3,13 +3,12 @@
 Fans independent audit instances out across CPU cores.  The pool is primed
 once with every registered :class:`~repro.engine.tasks.AuditInstance`
 (worker initializer), after which each round ships only 48-byte challenges
-out and 288-byte proofs back.  Every worker owns one
-:class:`~repro.crypto.bn254.PrecomputeCache`, so fixed-base tables — the
-powers-of-alpha MSM windows, the per-owner GT contexts, the per-file digest
-points — are built once per worker and reused for every audit it executes.
-The parent process has exactly one, ``AuditExecutor.cache``: the inline
-runtime proves over it, every scheduler that verifies in the parent reads
-it, and :meth:`AuditExecutor.unregister` evicts a retired instance from it.
+out and 288-byte proofs back.  Every process — the parent and each worker —
+has one :data:`~repro.crypto.bn254.PROCESS_CACHE`, so fixed-base tables —
+the powers-of-alpha MSM windows, the per-owner GT contexts, the per-file
+digest points — are built once per process and reused for every audit it
+executes.  The executor only attaches the persistent store (``cache_dir``)
+to it, and :meth:`AuditExecutor.unregister` evicts a retired instance.
 
 With ``workers == 1`` (or on a single-core host) the executor runs inline
 in the calling process with the identical code path: results are
@@ -22,42 +21,32 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Sequence
 
 from ..core.batch import BatchItem, BatchVerifyOutcome, verify_batch_grouped
 from ..core.prover import Prover
-from ..crypto.bn254 import PrecomputeCache, PrecomputeStore
+from ..crypto.bn254 import PROCESS_CACHE, PrecomputeStore
 from .tasks import AuditInstance, BatchVerifyTask, ProveOutcome, ProveTask
 
 
-def _open_cache(cache_dir: str | None) -> PrecomputeCache:
-    """One process's cache, over the persistent store when there is one."""
-    return PrecomputeCache(store=PrecomputeStore(cache_dir) if cache_dir else None)
-
-
 class _AuditRuntime:
-    """Provers for the registered instances over one shared cache.
+    """Provers for the registered instances.
 
     Built once per worker process (and once in the parent for inline mode).
     """
 
-    def __init__(self, instances: Sequence[AuditInstance], cache: PrecomputeCache):
-        self.cache = cache
+    def __init__(self, instances: Sequence[AuditInstance]):
         self.instances: dict[int, AuditInstance] = {}
         self.provers: dict[int, Prover] = {}
         for instance in instances:
             self.add(instance)
 
     def add(self, instance: AuditInstance) -> None:
-        """Register one instance's prover over the shared cache."""
+        """Register one instance's prover."""
         self.instances[instance.name] = instance
         self.provers[instance.name] = Prover(
-            instance.chunked,
-            instance.public,
-            list(instance.authenticators),
-            precompute=self.cache,
+            instance.chunked, instance.public, list(instance.authenticators)
         )
 
     def prove(self, task: ProveTask) -> ProveOutcome:
@@ -95,7 +84,7 @@ class _AuditRuntime:
                     proof=PrivateProof.from_bytes(proof_bytes),
                 )
             )
-        return verify_batch_grouped(items, rng=task.rng(), precompute=self.cache)
+        return verify_batch_grouped(items, rng=task.rng())
 
 
 # Worker-process globals (set by the pool initializer).
@@ -104,7 +93,9 @@ _RUNTIME: _AuditRuntime | None = None
 
 def _init_worker(instances: list[AuditInstance], cache_dir: str | None) -> None:
     global _RUNTIME
-    _RUNTIME = _AuditRuntime(instances, _open_cache(cache_dir))
+    if cache_dir:
+        PROCESS_CACHE.store = PrecomputeStore(cache_dir)
+    _RUNTIME = _AuditRuntime(instances)
 
 
 def _prove_in_worker(task: ProveTask) -> ProveOutcome:
@@ -139,12 +130,14 @@ class AuditExecutor:
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = one per CPU core)")
         self.workers = workers or os.cpu_count() or 1
-        # Optional persistent precompute directory: every cache (the
-        # parent's and each pool worker's) loads tables from — and writes
-        # fresh builds to — the same store, so table work is shared across
-        # processes and survives restarts.
+        # Optional persistent precompute directory: every process cache
+        # (the parent's and each pool worker's) loads tables from — and
+        # writes fresh builds to — the same store, so table work is shared
+        # across processes and survives restarts.
         self.cache_dir = cache_dir
-        self.cache = _open_cache(cache_dir)
+        self._store = PrecomputeStore(cache_dir) if cache_dir else None
+        if self._store is not None:
+            PROCESS_CACHE.store = self._store
         self._pool: ProcessPoolExecutor | None = None
         self._inline: _AuditRuntime | None = None
         # Concurrent lane workers share one executor: pool creation and
@@ -162,6 +155,8 @@ class AuditExecutor:
 
     def close(self) -> None:
         self._invalidate_pool()
+        if self._store is not None and PROCESS_CACHE.store is self._store:
+            PROCESS_CACHE.store = None
 
     # -- dynamic fleets (lifecycle engine: repair swaps instances) -----------
 
@@ -191,9 +186,9 @@ class AuditExecutor:
         # instance shares the key.  powers[0] is g1, which every key shares.
         public = retired.public
         if any(instance.public == public for instance in self.instances.values()):
-            self.cache.forget(name, retired.authenticators)
+            PROCESS_CACHE.forget(name, retired.authenticators)
         else:
-            self.cache.forget(
+            PROCESS_CACHE.forget(
                 name,
                 retired.authenticators + public.powers[1:],
                 (public.epsilon, public.delta),
@@ -211,7 +206,7 @@ class AuditExecutor:
     def runtime(self) -> _AuditRuntime:
         """The parent-process runtime (inline mode's state, lazily built)."""
         if self._inline is None:
-            self._inline = _AuditRuntime(list(self.instances.values()), self.cache)
+            self._inline = _AuditRuntime(list(self.instances.values()))
         return self._inline
 
     def _ensure_pool(self) -> ProcessPoolExecutor:

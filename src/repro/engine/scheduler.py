@@ -10,9 +10,9 @@ fire a challenge at once.  The scheduler
 2. fans proof generation out through the
    :class:`~repro.engine.executor.AuditExecutor` (process pool or inline),
 3. feeds every proof into the one-final-exponentiation grouped batch
-   verifier (:func:`~repro.core.batch.verify_batch_grouped`) — inline over
-   the executor's cache or in a pool worker over that worker's; either way
-   what comes back is the finished verdict, failures localized — and
+   verifier (:func:`~repro.core.batch.verify_batch_grouped`) — inline or
+   in a pool worker, each over its process's cache; either way what comes
+   back is the finished verdict, failures localized — and
 4. records wall-clock throughput for the capacity models in
    :mod:`repro.sim.throughput` (``verify_seconds`` covers the batch check
    *and*, on a failed batch, the per-proof localization).
@@ -150,12 +150,9 @@ class EpochScheduler:
         self.overrides[name] = override
 
     def _verify_items(self, items: list[BatchItem]) -> BatchVerifyOutcome:
-        """Grouped batch check: inline over the executor's (the parent's
-        one) cache, or in an executor pool worker over that worker's."""
+        """Grouped batch check: inline, or in an executor pool worker."""
         if not (self.pooled_verify and items):
-            return verify_batch_grouped(
-                items, rng=self._rng, precompute=self.executor.cache
-            )
+            return verify_batch_grouped(items, rng=self._rng)
         task = BatchVerifyTask(
             entries=tuple(
                 (item.name, item.challenge.to_bytes(), item.proof.to_bytes())

@@ -14,6 +14,7 @@ from repro.chain import (
 )
 from repro.chain.contracts.audit_contract import AuditContract
 from repro.core import DataOwner, ProtocolParams, StorageProvider
+from repro.crypto.bn254 import PROCESS_CACHE
 from repro.randomness import HashChainBeacon
 
 
@@ -96,6 +97,56 @@ class TestLifecycle:
         assert contract.passes == 0
         assert contract.fails == 3
         assert all(r.proof_bytes is None for r in contract.rounds)
+
+
+class TestProcessCache:
+    """The contract verifies over the process cache, like the engine does,
+    and releases its file's digests when it closes."""
+
+    @staticmethod
+    def _run_to_round(chain, deployment, round_count):
+        contract = chain.contract_at(deployment.contract_address)
+        while contract.cnt < round_count:
+            chain.mine_block()
+            deployment.provider_agent.on_block()
+        return contract
+
+    def test_second_round_rebuilds_nothing_it_has_seen(
+        self, fresh_deployment, monkeypatch
+    ):
+        import repro.core.authenticator as authenticator
+
+        chain, deployment, package, _ = fresh_deployment
+        self._run_to_round(chain, deployment, 1)
+        cache = PROCESS_CACHE
+        # g2, epsilon and delta are prepared; e(g1, epsilon) has its table.
+        assert (len(cache._prepared), len(cache._gt)) == (3, 1)
+        seen = set(cache._digests)
+        assert seen and {name for name, _ in seen} == {package.name}
+        hashed = []
+        real = authenticator.block_digest_point
+        monkeypatch.setattr(
+            authenticator,
+            "block_digest_point",
+            lambda name, index: hashed.append((name, index)) or real(name, index),
+        )
+        hits = cache.stats.hits
+        contract = self._run_to_round(chain, deployment, 2)
+        assert contract.passes == 2
+        assert (len(cache._prepared), len(cache._gt)) == (3, 1)
+        assert cache.stats.hits > hits
+        assert not seen & set(hashed)
+        assert len(hashed) == len(set(hashed)) == len(cache._digests) - len(seen)
+
+    def test_a_closed_contract_leaves_no_digest_behind(self, fresh_deployment):
+        chain, deployment, package, _ = fresh_deployment
+        self._run_to_round(chain, deployment, 1)
+        assert any(name == package.name for name, _ in PROCESS_CACHE._digests)
+        points = set(PROCESS_CACHE._digests.values())
+        contract = run_contract_to_completion(chain, deployment)
+        assert contract.state is State.CLOSED
+        assert not PROCESS_CACHE._digests
+        assert not points & set(PROCESS_CACHE._wnaf)
 
 
 class TestStateMachineGuards:

@@ -20,6 +20,7 @@ from repro.core import (
     StorageProvider,
     generate_keypair,
 )
+from repro.crypto.bn254 import PROCESS_CACHE
 from repro.sim.workloads import archive_file
 
 # The Groth16 strawman, the MAC / Sia-style baselines and MiMC live beside
@@ -33,6 +34,13 @@ def pytest_configure(config) -> None:
         "markers",
         "slow: long-running soak/endurance tests (deselect with -m 'not slow')",
     )
+
+
+@pytest.fixture(autouse=True)
+def cold_process_cache():
+    """Every test starts over a cold process cache, so a hit/miss assertion
+    never depends on which tests ran before it."""
+    PROCESS_CACHE.clear()
 
 
 @pytest.fixture(scope="session")

@@ -158,6 +158,25 @@ class TestProtocolRoles:
         with pytest.raises(KeyError):
             provider.respond(package.name, random_challenge(params, rng=rng))
 
+    def test_dropped_file_leaves_no_tables_behind(self, params, rng):
+        from repro.crypto.bn254 import PROCESS_CACHE as cache
+
+        owner = DataOwner(params, rng=rng)
+        package = owner.prepare(b"\x45" * 300)
+        provider = StorageProvider(rng=rng)
+        assert provider.accept(package)
+        session = OffchainAuditSession(owner, provider, package, rng=rng)
+        assert session.run_round().passed
+        assert {name for name, _ in cache._digests} == {package.name}
+        assert set(package.authenticators) & set(cache._wnaf)
+        provider.drop_file(package.name)
+        assert not cache._digests
+        assert not set(package.authenticators) & set(cache._wnaf)
+        # Eviction is not a correctness event: the owner still verifies.
+        assert session.verifier.verify_private(
+            session.history[0].challenge, session.history[0].proof
+        )
+
     def test_extra_storage_is_one_over_s(self, package, accepted_provider):
         prover = accepted_provider.prover_for(package.name)
         data_bytes = package.chunked.byte_length

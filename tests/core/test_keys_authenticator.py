@@ -91,8 +91,6 @@ class TestKeys:
         kp = generate_keypair(params.s, private_auditing=False, rng=rng)
         assert kp.public.byte_size() + 192 == 2 * 64 + params.s * 32 + 32 + 192
         assert not kp.public.supports_privacy
-        with pytest.raises(ValueError):
-            kp.public.gt_table()
 
     def test_invalid_s(self):
         with pytest.raises(ValueError):
@@ -104,6 +102,27 @@ class TestAuthenticators:
         assert validate_authenticators_batched(
             package.chunked, list(package.authenticators), package.public, rng=rng
         )
+
+    def test_two_prepares_build_the_generator_table_once(self, monkeypatch):
+        from repro.core import DataOwner
+        from repro.crypto.bn254 import msm
+
+        built = []
+        build = msm.FixedBaseMul.__init__
+
+        def counting(self, base, *args, **kwargs):
+            built.append(base)
+            build(self, base, *args, **kwargs)
+
+        monkeypatch.setattr(msm.FixedBaseMul, "__init__", counting)
+        msm.generator_table.cache_clear()
+        owner = DataOwner(ProtocolParams(s=4, k=2))
+        first, second = owner.prepare(b"\x21" * 200), owner.prepare(b"\x22" * 200)
+        assert built == [G1Point.generator()]
+        for package in (first, second):
+            assert validate_authenticators_batched(
+                package.chunked, list(package.authenticators), package.public
+            )
 
     def test_single_validation(self, package):
         assert validate_authenticator(

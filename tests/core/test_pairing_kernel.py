@@ -2,8 +2,8 @@
 
 ``verify_plain``, ``verify_private`` and ``verify_batch_grouped`` are three
 callers of :func:`repro.core.verifier.pairing_product_check`; these tests
-hold them to each other (a batch is accepted iff every proof is, with and
-without a precompute cache) and pin the rejection diagnostics — which reach
+hold them to each other (a batch is accepted iff every proof is, over a
+cold process cache and over one warmed by an identical run) and pin the rejection diagnostics — which reach
 ``reject_detail`` and therefore ``state_hash`` — to literals captured at
 the commit before the three equations were folded into one.
 """
@@ -31,7 +31,7 @@ from repro.core import (
     verify_batch_grouped,
 )
 from repro.core.verifier import Statement, pairing_product_check
-from repro.crypto.bn254 import G1Point, PrecomputeCache
+from repro.crypto.bn254 import G1Point, PROCESS_CACHE
 
 PARAMS = ProtocolParams(s=3, k=2)
 
@@ -75,6 +75,18 @@ def _tamper(proof, kind, y_field, other_sigma):
     return dataclasses.replace(proof, psi=G1Point.infinity())
 
 
+def _cold_or_warm(cached, run):
+    """``run()`` over a cold process cache, or over the cache an identical
+    previous run left behind — which must answer what the cold run did."""
+    PROCESS_CACHE.clear()
+    cold = run()
+    if not cached:
+        return cold
+    warm = run()
+    assert warm == cold
+    return warm
+
+
 #: Which pool entries to audit (repeats allowed: one file, two rounds) and
 #: how each is tampered with (``None`` = honest).
 _PICKS = st.lists(
@@ -87,7 +99,6 @@ _PICKS = st.lists(
 @settings(max_examples=25, deadline=None)
 @given(picks=_PICKS, cached=st.booleans(), seed=st.integers(0, 2**32))
 def test_batch_accepts_iff_every_private_proof_does(pool, picks, cached, seed):
-    precompute = PrecomputeCache() if cached else None
     items = []
     for index, kind in picks:
         package, challenge, proof, _ = pool[index]
@@ -99,17 +110,18 @@ def test_batch_accepts_iff_every_private_proof_does(pool, picks, cached, seed):
             )
         )
     tampered = [i for i, (_, kind) in enumerate(picks) if kind is not None]
-    singles = [
-        Verifier(
-            item.public, item.name, item.num_chunks, precompute=precompute
-        ).verify_private(item.challenge, item.proof)
-        for item in items
-    ]
-    assert [i for i, ok in enumerate(singles) if not ok] == tampered
 
-    outcome = verify_batch_grouped(
-        items, rng=random.Random(seed), precompute=precompute
-    )
+    def run():
+        singles = [
+            Verifier(item.public, item.name, item.num_chunks).verify_private(
+                item.challenge, item.proof
+            )
+            for item in items
+        ]
+        return singles, verify_batch_grouped(items, rng=random.Random(seed))
+
+    singles, outcome = _cold_or_warm(cached, run)
+    assert [i for i, ok in enumerate(singles) if not ok] == tampered
     assert bool(outcome) == all(singles)
     assert outcome.checked == len(items)
     rejections = outcome.failures
@@ -123,31 +135,34 @@ def test_batch_accepts_iff_every_private_proof_does(pool, picks, cached, seed):
 @given(picks=_PICKS, cached=st.booleans(), seed=st.integers(0, 2**32))
 def test_eq1_batch_accepts_iff_every_plain_proof_does(pool, picks, cached, seed):
     """The Eq. (1) twin: the same kernel with ``zeta = 1`` and no ``R``."""
-    precompute = PrecomputeCache() if cached else None
-    rng = random.Random(seed)
-    statements, singles = [], []
-    for position, (index, kind) in enumerate(picks):
-        package, challenge, _, proof = pool[index]
-        if kind is not None:
-            proof = _tamper(proof, kind, "y", pool[index - 1][3].sigma)
-        singles.append(
-            Verifier(
-                package.public, package.name, package.num_chunks, precompute
-            ).verify_plain(challenge, proof)
-        )
-        statements.append(
-            Statement(
-                package.public,
-                package.name,
-                challenge.expand(package.num_chunks),
-                proof.sigma,
-                proof.y,
-                proof.psi,
-                rho=1 if position == 0 else rng.getrandbits(128) | 1,
+
+    def run():
+        rng = random.Random(seed)
+        statements, singles = [], []
+        for position, (index, kind) in enumerate(picks):
+            package, challenge, _, proof = pool[index]
+            if kind is not None:
+                proof = _tamper(proof, kind, "y", pool[index - 1][3].sigma)
+            singles.append(
+                Verifier(
+                    package.public, package.name, package.num_chunks
+                ).verify_plain(challenge, proof)
             )
-        )
+            statements.append(
+                Statement(
+                    package.public,
+                    package.name,
+                    challenge.expand(package.num_chunks),
+                    proof.sigma,
+                    proof.y,
+                    proof.psi,
+                    rho=1 if position == 0 else rng.getrandbits(128) | 1,
+                )
+            )
+        return singles, pairing_product_check(statements)[0]
+
+    singles, accepted = _cold_or_warm(cached, run)
     assert [not ok for ok in singles] == [kind is not None for _, kind in picks]
-    accepted, _ = pairing_product_check(statements, precompute)
     assert accepted == all(singles)
 
 
@@ -196,28 +211,28 @@ class TestRejectionDiagnosticsKnownAnswers:
     @pytest.mark.parametrize("cached", [False, True])
     def test_describe_strings_are_pinned(self, transcript, cached):
         package, challenge, plain, private = transcript
-        precompute = PrecomputeCache() if cached else None
-        verifier = Verifier(
-            package.public, package.name, package.num_chunks, precompute
-        )
-        assert verifier.verify_plain(challenge, plain)
-        assert verifier.verify_private(challenge, private)
-        bad_plain = dataclasses.replace(plain, y=plain.y + 1)
-        bad_private = dataclasses.replace(private, y_masked=private.y_masked + 1)
-        assert verifier.verify_plain(challenge, bad_plain).reason.describe() == self.EQ1
-        assert (
-            verifier.verify_private(challenge, bad_private).reason.describe()
-            == self.EQ2
-        )
+        verifier = Verifier(package.public, package.name, package.num_chunks)
         degenerate = Verifier(
             dataclasses.replace(package.public, delta=package.public.epsilon),
             package.name,
             package.num_chunks,
-            precompute,
         )
-        assert (
-            degenerate.verify_private(challenge, private).reason.describe()
-            == self.EQ2_DELTA_IS_EPSILON
+        bad_plain = dataclasses.replace(plain, y=plain.y + 1)
+        bad_private = dataclasses.replace(private, y_masked=private.y_masked + 1)
+
+        def run():
+            assert verifier.verify_plain(challenge, plain)
+            assert verifier.verify_private(challenge, private)
+            return (
+                verifier.verify_plain(challenge, bad_plain).reason.describe(),
+                verifier.verify_private(challenge, bad_private).reason.describe(),
+                degenerate.verify_private(challenge, private).reason.describe(),
+            )
+
+        assert _cold_or_warm(cached, run) == (
+            self.EQ1,
+            self.EQ2,
+            self.EQ2_DELTA_IS_EPSILON,
         )
 
 

@@ -8,6 +8,7 @@ from repro.crypto.bn254 import (
     CURVE_ORDER,
     G1Point,
     G2Point,
+    PROCESS_CACHE,
     PrecomputeCache,
     pairing,
 )
@@ -48,8 +49,9 @@ class TestPrecomputeCache:
 
 class TestProverCacheIntegration:
     def test_cache_reuse_across_proofs_and_files(self):
-        """Two files of one owner + two rounds: identical results to the
-        cache-less seed path, with the GT context built exactly once."""
+        """Two files of one owner + two rounds: a provider proving over the
+        warm process cache answers byte for byte what one proving over a
+        cold cache does, with the GT context built exactly once."""
         from repro.core import (
             DataOwner,
             ProtocolParams,
@@ -67,24 +69,23 @@ class TestProverCacheIntegration:
         ]
         assert packages[0].public.pairing_base == packages[1].public.pairing_base
 
-        cache = PrecomputeCache()
-        cached_provider = StorageProvider(rng=random.Random(1), precompute=cache)
-        seed_provider = StorageProvider(rng=random.Random(1))
-        for package in packages:
-            assert cached_provider.accept(package, validate=False)
-            assert seed_provider.accept(package, validate=False)
+        challenges = [random_challenge(params, rng=rng) for _ in range(2)]
 
-        for round_index in range(2):
-            challenge = random_challenge(params, rng=rng)
+        def transcript(cold: bool) -> list[bytes]:
+            provider = StorageProvider(rng=random.Random(1))
+            proofs = []
             for package in packages:
-                nonce_rng_a = random.Random(round_index)
-                nonce_rng_b = random.Random(round_index)
-                cached_prover = cached_provider.prover_for(package.name)
-                seed_prover = seed_provider.prover_for(package.name)
-                cached_prover._rng = nonce_rng_a
-                seed_prover._rng = nonce_rng_b
-                cached = cached_prover.respond_private(challenge)
-                plain = seed_prover.respond_private(challenge)
-                assert cached.to_bytes() == plain.to_bytes()
+                assert provider.accept(package, validate=False)
+            for round_index, challenge in enumerate(challenges):
+                for package in packages:
+                    prover = provider.prover_for(package.name)
+                    prover._rng = random.Random(round_index)
+                    if cold:
+                        PROCESS_CACHE.clear()
+                    proofs.append(prover.respond_private(challenge).to_bytes())
+            return proofs
+
+        warm = transcript(cold=False)
         # One GT context for the shared owner key, then pure hits.
-        assert len(cache._gt) == 1
+        assert len(PROCESS_CACHE._gt) == 1
+        assert transcript(cold=True) == warm

@@ -16,6 +16,7 @@ from repro.core import (
     verify_batch_grouped,
     verify_sequential,
 )
+from repro.crypto.bn254 import PROCESS_CACHE
 from repro.engine import (
     AuditExecutor,
     AuditInstance,
@@ -69,8 +70,12 @@ class TestDeterminism:
         assert inline.batch_ok and pooled.batch_ok
         assert inline.proof_bytes() == pooled.proof_bytes()
         store = str(tmp_path / "crypto-cache")
+        # A restart is a cold in-memory cache over the populated store.
+        PROCESS_CACHE.clear()
         populating = _run_epoch(fleet, workers=1, cache_dir=store)
         assert list((tmp_path / "crypto-cache").glob("*.bin"))
+        assert PROCESS_CACHE.store is None  # close() detached what it attached
+        PROCESS_CACHE.clear()
         restarted = _run_epoch(fleet, workers=1, cache_dir=store)
         assert populating.batch_ok and restarted.batch_ok
         assert populating.proof_bytes() == inline.proof_bytes()
@@ -193,9 +198,9 @@ class TestExecutor:
     def test_unregister_releases_what_only_the_retired_instance_could_look_up(
         self, fleet
     ):
-        """The parent has one cache, on the executor; retiring an instance
-        returns it to its size before the instance arrived and evicts
-        nothing a registered instance still reads."""
+        """The process has one cache; retiring an instance returns it to its
+        size before the instance arrived and evicts nothing a registered
+        instance still reads."""
         resident, same_owner, _, other_owner = fleet
 
         def sizes(cache):
@@ -205,8 +210,7 @@ class TestExecutor:
             )
 
         with AuditExecutor([resident], workers=1) as executor:
-            cache = executor.cache
-            assert executor.runtime.cache is cache
+            cache = PROCESS_CACHE
             scheduler = EpochScheduler(
                 executor,
                 PARAMS,

@@ -16,7 +16,9 @@ from repro.chain.contracts.checkpoint_contract import (
     CheckpointContract,
     CheckpointStatus,
 )
+from repro.crypto.bn254 import PROCESS_CACHE
 from repro.lifecycle import LifecycleConfig, LifecycleEngine
+from repro.obs import MetricsRegistry, register_core_instruments
 
 BASE = dict(
     years=1.0,
@@ -91,16 +93,23 @@ class TestDurability:
         assert repaired + deferred >= rejected
 
     def test_a_retired_shard_leaves_no_tables_behind(self):
-        """Every repair re-keys a shard; the executor's cache ends the run
-        holding tables for the live fleet only."""
+        """Every repair re-keys a shard; the process cache ends the run
+        holding tables for the live fleet only, and the
+        ``crypto_cache_entries`` gauges say so."""
         engine = LifecycleEngine(LifecycleConfig(**{**BASE, "years": 2.0}))
         outcome = engine.run()
-        cache, live = engine.executor.cache, engine.executor.instances
+        live = engine.executor.instances
+        gauges = register_core_instruments(MetricsRegistry()).snapshot()
+        entries = {
+            series["labels"]["kind"]: series["value"]
+            for series in gauges["crypto_cache_entries"]["series"]
+        }
         assert outcome.total_repairs >= 5
-        assert len(cache._gt) <= len(live)
+        assert 0 < entries["gt"] <= len(live)
         # epsilon and delta per live key, plus the g2 generator
-        assert len(cache._prepared) <= 2 * len(live) + 1
-        assert {name for name, _ in cache._digests} <= set(live)
+        assert 0 < entries["g2lines"] <= 2 * len(live) + 1
+        assert entries["digest"] == len(PROCESS_CACHE._digests) > 0
+        assert {name for name, _ in PROCESS_CACHE._digests} <= set(live)
         engine.close()
 
     def test_repair_rekeys_and_redeploys(self, finished):

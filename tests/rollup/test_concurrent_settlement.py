@@ -230,10 +230,10 @@ def test_one_worker_settles_every_lane_on_the_calling_thread(params, fleet):
     assert not aggregator.concurrent and aggregator._lane_workers is None
     assert isinstance(aggregator.tracer, Tracer) and aggregator.tracer.span_count
     assert not any(p.scheduler.pooled_verify for p in aggregator.pipelines.values())
-    # Both lanes' schedulers verify over the cache the inline runtime proves over.
-    shared = aggregator.executor.runtime.cache
+    # Both lanes' schedulers prove through the one executor's inline runtime.
     assert all(
-        p.scheduler.executor.cache is shared for p in aggregator.pipelines.values()
+        p.scheduler.executor is aggregator.executor
+        for p in aggregator.pipelines.values()
     )
 
 

@@ -302,23 +302,24 @@ def test_nobody_can_choose_where_an_epoch_runs():
 
 
 def test_a_batch_verdict_is_computed_once_over_one_cache():
-    """``verify_batch_grouped`` returns the finished verdict and the parent
-    process has one ``PrecomputeCache``, the executor's: nothing above the
-    engine builds, holds or threads a cache, the lazy localisation and its
-    wire twin are gone by name, and the lifecycle engine builds its one
-    scheduler outside the epoch loop."""
+    """``verify_batch_grouped`` returns the finished verdict and a process
+    has one ``PrecomputeCache``, built where the class is: no prover,
+    verifier, contract or engine builds, takes or threads a cache, the
+    cache-less spellings and the lazy localisation with its wire twin are
+    gone by name, and the lifecycle engine builds its one scheduler outside
+    the epoch loop."""
     cache_built_in, takes_a_cache = [], []
     for path in sorted(SRC_REPRO.rglob("*.py")):
         relative = path.relative_to(SRC_REPRO).as_posix()
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if callee == "PrecomputeCache" and not relative.startswith("crypto/"):
+                if callee == "PrecomputeCache":
                     cache_built_in.append(relative)
             elif isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
             ) and relative.startswith(
-                ("engine/scheduler.py", "rollup/", "lifecycle/", "adversary/")
+                ("core/", "engine/", "chain/", "rollup/", "lifecycle/", "adversary/")
             ):
                 takes_a_cache += [
                     (relative, node.lineno)
@@ -327,12 +328,15 @@ def test_a_batch_verdict_is_computed_once_over_one_cache():
                     )
                     if arg.arg in ("cache", "precompute")
                 ]
-    assert cache_built_in == ["engine/executor.py"]
+    assert cache_built_in == ["crypto/bn254/precompute.py"]
     assert not takes_a_cache
     named = [
         str(path.relative_to(SRC_REPRO.parent))
         for path in sorted(SRC_REPRO.parent.rglob("*.py"))
-        if any(gone in path.read_text() for gone in ("pinpoint", "BatchVerifyResult"))
+        if any(
+            gone in path.read_text()
+            for gone in ("pinpoint", "BatchVerifyResult", "gt_table", "g1_table")
+        )
     ]
     assert not named
 

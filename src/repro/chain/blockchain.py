@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from contextlib import AbstractContextManager, ExitStack, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -118,6 +119,21 @@ class Contract:
     def balance(self) -> int:
         assert self.chain is not None
         return self.chain.balance_of(self.address)
+
+    @classmethod
+    def due_calls_scope(
+        cls, calls: list[tuple["Contract", ScheduledCall]]
+    ) -> AbstractContextManager:
+        """Offered the scheduled calls a freshly sealed block is about to
+        fire on instances of this class, as ``(instance, call)`` in firing
+        order; the chain holds the returned context open while they fire.
+
+        A validator's chance to do once per block what every call would
+        otherwise do on its own.  Each call still executes as its own
+        transaction, and must reach the same result whether or not the
+        scope prepared anything.  The default prepares nothing.
+        """
+        return nullcontext()
 
 
 class Blockchain:
@@ -638,22 +654,34 @@ class Blockchain:
             self.store.balances.setdefault("0xscheduler", 0)
         finally:
             self.store.commit("account")
-        while self._scheduled and self._scheduled[0].due_time <= self.time:
-            # The pop itself is deliberately unlogged: the fired call's tx
-            # record captures the post-pop schedule, making pop + execution
-            # one atomic WAL unit.  A crash before that commit recovers
-            # with the call still queued, and the next mined block
-            # re-fires it (at-least-once semantics).
-            call = self.store.scheduled.pop(0)
-            tx = Transaction(
-                sender="0xscheduler",
-                to=call.contract,
-                method=call.method,
-                args=call.args,
-                gas_limit=self.block_gas_limit,
-                gas_price_gwei=0.0,  # prepaid by the contract's deposit model
-            )
-            self.transact(tx)
+        # Each contract class sees its instances' due calls together before
+        # any of them fires (a read: nothing here touches the store).
+        due: dict[type[Contract], list[tuple[Contract, ScheduledCall]]] = {}
+        for call in self._scheduled:
+            if call.due_time > self.time:
+                break
+            contract = self.store.contracts.get(call.contract)
+            if contract is not None:
+                due.setdefault(type(contract), []).append((contract, call))
+        with ExitStack() as scopes:
+            for contract_class, calls in due.items():
+                scopes.enter_context(contract_class.due_calls_scope(calls))
+            while self._scheduled and self._scheduled[0].due_time <= self.time:
+                # The pop itself is deliberately unlogged: the fired call's
+                # tx record captures the post-pop schedule, making pop +
+                # execution one atomic WAL unit.  A crash before that commit
+                # recovers with the call still queued, and the next mined
+                # block re-fires it (at-least-once semantics).
+                call = self.store.scheduled.pop(0)
+                tx = Transaction(
+                    sender="0xscheduler",
+                    to=call.contract,
+                    method=call.method,
+                    args=call.args,
+                    gas_limit=self.block_gas_limit,
+                    gas_price_gwei=0.0,  # prepaid by the contract's deposit model
+                )
+                self.transact(tx)
 
     # -- introspection ------------------------------------------------------------------
 

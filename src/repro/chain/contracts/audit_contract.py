@@ -29,19 +29,30 @@ is wired in — the provider's registry stake, so failed audits carry
 consequences beyond the per-round penalty.  Every failed round records a
 structured rejection reason (``no-proof`` / ``malformed-proof`` /
 ``replayed-proof`` / ``pairing-mismatch``) that the explorer surfaces.
+
+Every ``trigger_verify`` is its own transaction with its own modelled gas,
+but a validator need not compute a block's verdicts one at a time: the
+rounds due in one sealed block are checked with a single grouped pairing
+product (:meth:`AuditContract.due_calls_scope`; ``docs/PROTOCOL.md``
+section 6.2), and each transaction reads the verdict it would have
+computed — same receipt, same ``state_hash``.
 """
 
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
+from ...core.batch import BatchItem, staged_verdicts
 from ...core.challenge import Challenge, challenge_from_beacon
 from ...core.keys import PublicKey
 from ...core.params import ProtocolParams
 from ...core.proof import PRIVATE_PROOF_BYTES, PrivateProof
-from ...core.verifier import Verifier, VerifyOutcome, VerifyReport
+from ...core.verifier import Verifier, VerifyOutcome
 from ...crypto.bn254 import PROCESS_CACHE
+from ...obs.registry import get_registry
 from ...randomness.beacon import RandomnessBeacon
 from ..blockchain import CallContext, Contract, WEI_PER_GWEI
 from ..gas import PAPER_VERIFY_MS, AuditPrecompileModel, GasSchedule
@@ -256,37 +267,73 @@ class AuditContract(Contract):
         ctx.gas.consume(self.gas_model.schedule.storage_gas(len(proof_bytes)))
         self.emit("proofposted", round=self.cnt)
 
-    def _adjudicate(self, current: AuditRound) -> tuple[bool, str | None, str, float]:
-        """Verify one round's on-chain bytes; returns (passed, reason code,
-        detail, verify_ms).  Shared by the round verdict and arbitration."""
+    def _screen(self, current: AuditRound) -> tuple[str, str] | BatchItem:
+        """The verdicts that need no pairing: either the ``(reason code,
+        detail)`` of a round that never reaches the equation, or the decoded
+        statement the equation will be asked about.  Everything that
+        verifies a round — the verdict, arbitration, the block scope — asks
+        here first."""
         if current.proof_bytes is None:
-            return False, "no-proof", "response window lapsed", 0.0
+            return "no-proof", "response window lapsed"
         # Replay detection: identical bytes to an earlier round's proof.
         # The pairing check rejects stale proofs anyway (the challenge is
         # fresh per round); the explicit code names the behaviour on chain.
         for earlier in self.rounds[: current.round_id]:
             if earlier.proof_bytes == current.proof_bytes:
-                return (
-                    False,
-                    "replayed-proof",
-                    f"identical bytes to round {earlier.round_id}",
-                    0.0,
-                )
+                return "replayed-proof", f"identical bytes to round {earlier.round_id}"
         try:
             proof = PrivateProof.from_bytes(current.proof_bytes)
         except ValueError as exc:
-            return False, "malformed-proof", str(exc), 0.0
+            return "malformed-proof", str(exc)
         assert self.public_key is not None and self.file_name is not None
-        verifier = Verifier(self.public_key, self.file_name, self.num_chunks)
-        report = VerifyReport()
-        outcome: VerifyOutcome = verifier.verify_private(
-            current.challenge, proof, report
+        return BatchItem(
+            self.public_key, self.file_name, self.num_chunks, current.challenge, proof
         )
-        verify_ms = report.total_seconds * 1000.0
+
+    def _adjudicate(self, current: AuditRound) -> tuple[bool, str | None, str, bool]:
+        """Verify one round's on-chain bytes; returns (passed, reason code,
+        detail, whether the pairing check was reached).  Shared by the round
+        verdict and arbitration."""
+        screened = self._screen(current)
+        if not isinstance(screened, BatchItem):
+            return False, *screened, False
+        outcome: VerifyOutcome = Verifier(
+            screened.public, screened.name, screened.num_chunks
+        ).verify_private(screened.challenge, screened.proof)
         if outcome:
-            return True, None, "", verify_ms
+            return True, None, "", True
         assert outcome.reason is not None
-        return False, outcome.reason.code, outcome.reason.describe(), verify_ms
+        return False, outcome.reason.code, outcome.reason.describe(), True
+
+    @classmethod
+    @contextmanager
+    def due_calls_scope(cls, calls) -> Iterator[None]:
+        """Block-scoped verification (docs/PROTOCOL.md section 6.2): the
+        open rounds this block's ``trigger_verify`` calls will send to the
+        pairing check are checked together, once, and each transaction then
+        reads its own verdict where it would have computed it.  A lone
+        statement is left to its transaction."""
+        items = []
+        for contract, call in calls:
+            if call.method == "trigger_verify" and contract.state is State.PROVE:
+                screened = contract._screen(contract.rounds[contract.cnt])
+                if isinstance(screened, BatchItem):
+                    items.append(screened)
+        if len(items) < 2:
+            yield
+            return
+        with staged_verdicts(items) as outcome:
+            registry = get_registry()
+            registry.counter(
+                "contract_verify_batches_total",
+                "block-scoped grouped checks, by result",
+                ("result",),
+            ).labels("ok" if outcome else "localized").inc()
+            registry.histogram(
+                "contract_verify_batch_size",
+                "statements per block-scoped grouped check",
+            ).observe(len(items))
+            yield
 
     def trigger_verify(self, ctx: CallContext):
         """On trigger scheduling ("Verify")."""
@@ -294,7 +341,7 @@ class AuditContract(Contract):
             return
         self.require(self.state is State.PROVE, "st != PROVE")
         current = self.rounds[self.cnt]
-        passed, reason, detail, verify_ms = self._adjudicate(current)
+        passed, reason, detail, verified = self._adjudicate(current)
         current.reject_reason = reason
         current.reject_detail = detail
         # Charge the Fig. 5 gas model against the owner's prepaid gas fund.
@@ -312,10 +359,10 @@ class AuditContract(Contract):
         current.passed = passed
         current.gas_used = gas
         # Round state feeds state_hash: record the cost model's pinned
-        # verification time (zero when no verification ran), never the
-        # live wall-clock measurement — two chains fed the same workload
-        # must hash identically.
-        current.verify_ms = self.native_verify_ms if verify_ms else 0.0
+        # verification time (zero when no verification ran), never a
+        # wall-clock measurement — two chains fed the same workload must
+        # hash identically.
+        current.verify_ms = self.native_verify_ms if verified else 0.0
         current.resolved_at = ctx.timestamp
         if passed:
             self.passes += 1

@@ -21,22 +21,29 @@ quantifies the win).
 The product itself lives in :func:`repro.core.verifier.pairing_product_check`;
 this module draws the blinders and, when the product fails, localizes the
 failures before it answers: :func:`verify_batch_grouped` returns the
-finished verdict, and nobody downstream re-verifies anything.
+finished verdict, and nobody downstream re-verifies anything —
+:func:`staged_verdicts` hands each item's share of it to the
+``verify_private`` call that would otherwise have recomputed it.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 from .challenge import Challenge
 from .keys import PublicKey
 from .proof import PrivateProof
 from .verifier import (
+    VERDICT_MEMO,
     RejectionReason,
     Statement,
     Verifier,
+    VerifyOutcome,
     VerifyReport,
     pairing_product_check,
+    verdict_key,
 )
 
 
@@ -140,6 +147,34 @@ def verify_batch_grouped(
         checked=len(items),
         failures=() if ok else _rejections(items),
     )
+
+
+@contextmanager
+def staged_verdicts(items: list[BatchItem]) -> Iterator[BatchVerifyOutcome]:
+    """Check ``items`` together and, inside the ``with`` block, answer each
+    item's own ``Verifier.verify_private`` call from that one check.
+
+    The blinders are always fresh ``secrets`` draws: whoever wrote the
+    proofs must not predict them.  A failed product has already walked every
+    item (:func:`_rejections`), so what is staged for a rejected item is the
+    reason its lone check returns, residual fingerprints included.  Each
+    verdict is consumed by the first call that asks for it; whatever nobody
+    asked for is dropped when the block ends.
+    """
+    outcome = verify_batch_grouped(items)
+    verdicts = [VerifyOutcome.accept()] * len(items)
+    for rejection in outcome.failures:
+        verdicts[rejection.index] = VerifyOutcome(ok=False, reason=rejection.reason)
+    keys = [
+        verdict_key(item.public, item.name, item.num_chunks, item.challenge, item.proof)
+        for item in items
+    ]
+    VERDICT_MEMO.update(zip(keys, verdicts))
+    try:
+        yield outcome
+    finally:
+        for key in keys:
+            VERDICT_MEMO.pop(key, None)
 
 
 def verify_sequential(

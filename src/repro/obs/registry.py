@@ -474,6 +474,8 @@ CORE_INSTRUMENTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     ("counter", "fabric_txs_settled_total", "transactions settled across all lanes", ()),
     ("gauge", "fabric_lane_base_fee_wei", "current base fee per lane", ("lane",)),
     ("gauge", "fabric_settlement_chain_seconds", "slowest lane's occupied block slots x slot time", ()),
+    ("counter", "contract_verify_batches_total", "block-scoped grouped checks, by result", ("result",)),
+    ("histogram", "contract_verify_batch_size", "statements per block-scoped grouped check", ()),
     ("counter", "engine_epochs_total", "audit epochs executed", ()),
     ("counter", "engine_audits_total", "audits judged, by verdict", ("verdict",)),
     ("histogram", "engine_prove_seconds", "per-epoch prove phase latency", ()),

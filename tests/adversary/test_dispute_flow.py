@@ -292,3 +292,45 @@ class TestDisputeGuards:
             )
         )
         assert not receipt.success and "not yet resolved" in receipt.error
+
+    def test_round_accepted_in_a_block_check_is_rearbitrated_from_its_bytes(
+        self, dispute_params, rng, equation_checks
+    ):
+        """Two rounds due in one block are checked together and each
+        transaction reads its verdict; a later dispute finds nothing staged
+        and re-runs Eq. (2) over the recorded bytes."""
+        from repro.chain import run_contracts_to_completion
+        from repro.core.verifier import VERDICT_MEMO
+
+        owner = DataOwner(dispute_params, rng=rng)
+        chain = Blockchain(block_time=15.0)
+        terms = ContractTerms(num_audits=1, audit_interval=100.0, response_window=30.0)
+        packages = [owner.prepare(bytes([0x5D + i]) * 600) for i in range(2)]
+        deployments = [
+            deploy_audit_contract(
+                chain, package, StorageProvider(rng=rng), terms,
+                HashChainBeacon(b"memo-then-dispute"), dispute_params,
+            )
+            for package in packages
+        ]
+        contracts = run_contracts_to_completion(chain, deployments)
+        assert [c.passes for c in contracts] == [1, 1]
+        assert equation_checks == [] and not VERDICT_MEMO  # both read the block's check
+
+        provider_before = chain.balance_of(deployments[0].provider_account)
+        receipt = chain.transact(
+            Transaction(
+                sender=deployments[0].owner_account,
+                to=deployments[0].contract_address,
+                method="raise_dispute",
+                args=(0,),
+                value=terms.dispute_bond_wei,
+            )
+        )
+        assert receipt.success
+        assert equation_checks == [packages[0].name]
+        assert contracts[0].rounds[0].dispute_verdict == "upheld"
+        assert contracts[0].rounds[0].passed is True
+        assert chain.balance_of(deployments[0].provider_account) == (
+            provider_before + terms.dispute_bond_wei
+        )

@@ -2,11 +2,12 @@
 
 Two execution surfaces:
 
-* :class:`ScenarioRunner` drives a fleet with any honest/byzantine mix
-  through the *parallel audit engine* — per-epoch beacon challenges from
-  :class:`~repro.engine.scheduler.EpochScheduler`, grouped batch
-  verification, failure localization — and tallies measured detection rates
-  per strategy against :func:`~repro.adversary.strategies.expected_detection_rate`.
+* :class:`ScenarioRunner` settles a fleet with any honest/byzantine mix
+  through :class:`~repro.rollup.fabric.CrossShardAggregator` on a
+  one-lane fabric — per-epoch beacon challenges, grouped batch
+  verification, failure localization, a posted checkpoint — and tallies
+  the verdicts that checkpoint commits per strategy against
+  :func:`~repro.adversary.strategies.expected_detection_rate`.
 * :func:`run_onchain_dispute` drives one cheating provider through the
   *audit contract*, raises a dispute on the first confirmed failure and
   returns the explorer-visible consequences (collateral slash, reputation
@@ -22,12 +23,14 @@ asserted separately by ``tests/adversary/``.
 from __future__ import annotations
 
 import random
+from contextlib import closing
 from dataclasses import dataclass, field
 
 from ..chain import (
     Blockchain,
     ChainExplorer,
     ContractTerms,
+    ShardedChainFabric,
     Transaction,
     deploy_audit_contract,
 )
@@ -36,8 +39,9 @@ from ..chain.contracts.reputation import ReputationRegistry
 from ..core import DataOwner, ProtocolParams, StorageProvider
 from ..core.challenge import random_challenge
 from ..core.prover import Prover
-from ..engine import AuditExecutor, AuditInstance, EpochScheduler
+from ..engine import AuditExecutor, AuditInstance
 from ..randomness import HashChainBeacon
+from ..rollup import CrossShardAggregator
 from ..sim.workloads import archive_file
 from .strategies import StrategySpec, expected_detection_rate, make_prover
 
@@ -101,7 +105,7 @@ class ScenarioReport:
 
 
 class ScenarioRunner:
-    """Wires a strategy mix into the engine + scheduler and keeps score."""
+    """Settles a strategy mix through the aggregator and keeps score."""
 
     def __init__(
         self,
@@ -156,14 +160,16 @@ class ScenarioRunner:
             k=self.params.k,
             stats=stats,
         )
-        with AuditExecutor(self.instances, workers=1) as executor:
-            scheduler = EpochScheduler(
-                executor, self.params, self._beacon, rng=self._rng
-            )
+        fabric = ShardedChainFabric(num_lanes=1)
+        with closing(fabric), AuditExecutor(
+            self.instances, workers=1
+        ) as executor, closing(
+            CrossShardAggregator(fabric, executor, self.params, self._beacon)
+        ) as aggregator:
             for name, (kind, _) in self.kinds.items():
                 if kind != "honest":
                     prover = self.provers[name]
-                    scheduler.set_override(
+                    aggregator.set_override(
                         name,
                         lambda challenge, epoch, prover=prover: (
                             prover.respond_private(challenge)
@@ -171,19 +177,19 @@ class ScenarioRunner:
                     )
             first_response_epoch: dict[int, int] = {}
             for epoch in range(epochs):
-                result = scheduler.run_epoch(epoch)
-                rejected = set(result.batch_ok.rejected_names())
+                # Score the verdicts the settled checkpoint commits.
+                settlement = aggregator.settle_epoch(epoch)
+                result = settlement.lanes[0].result
+                rejected = set(settlement.rejected_names())
                 withheld = set(result.withheld)
-                report.rejected_log.append(
-                    (epoch, tuple(sorted(rejected | withheld)))
-                )
+                report.rejected_log.append((epoch, tuple(sorted(rejected))))
                 for name, (kind, _) in self.kinds.items():
                     entry = stats[kind]
                     entry.audits += 1
                     answered = name not in withheld
                     if answered and name not in first_response_epoch:
                         first_response_epoch[name] = epoch
-                    detected = name in rejected or name in withheld
+                    detected = name in rejected
                     should_detect = self._ground_truth(
                         name, kind, result, first_response_epoch, answered, epoch
                     )

@@ -3,13 +3,11 @@
     python -m repro keygen   --s 50 --out keys.bin
     python -m repro prepare  --file archive.bin --s 10 --k 8
     python -m repro audit    --size 20000 --rounds 3
-    python -m repro engine   --owners 4 --files 4 --epochs 2
-    python -m repro engine --lanes 2                          # per-lane epochs
     python -m repro checkpoint --owners 4 --files 4 --epochs 2  # epoch rollup
     python -m repro checkpoint --fraud                        # + fraud proof
-    python -m repro checkpoint --lanes 2                      # sharded rollup
-    python -m repro shard --lanes 4 --fleet 16 --epochs 2     # chain fabric
-    python -m repro shard --lanes 2 --persist ./chainstate    # + WAL stores
+    python -m repro checkpoint --lanes 4 --owners 1 --files 16  # chain fabric
+    python -m repro checkpoint --lanes 2 --persist ./chainstate # + WAL stores
+    python -m repro checkpoint --lanes 2 --workers 0          # + process pool
     python -m repro attack   --s 6 --k 4                      # privacy attack
     python -m repro attack --strategy selective --rho 0.25    # byzantine provider
     python -m repro attack --strategy replay --onchain        # dispute + slashing
@@ -90,50 +88,48 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0 if args.drop_after is not None or contract.fails == 0 else 1
 
 
-def _owners_by_files_fleet(args: argparse.Namespace, rng, params):
-    print(f"fleet: {args.owners} owners x {args.files} files "
-          f"({args.owners * args.files} audit instances), s={args.s}, k={args.k}")
-    return scenarios.build_fleet(
-        params, rng, size=args.size, files=args.files, owners=args.owners
-    )
-
-
-def _cmd_engine(args: argparse.Namespace) -> int:
-    """Run the parallel audit engine over an owners x files fleet."""
+def _cmd_checkpoint(args: argparse.Namespace) -> int:
+    """Epoch rollup: settle an owners x files fleet, one commitment per lane-epoch."""
+    if args.epochs < 1 or args.owners < 1 or args.files < 1 or args.lanes < 1:
+        print("checkpoint: --epochs, --owners, --files and --lanes must be >= 1",
+              file=sys.stderr)
+        return 2
     rng = random.Random(args.seed)
     params = ProtocolParams(s=args.s, k=args.k)
-    t0 = time.perf_counter()
-    instances = _owners_by_files_fleet(args, rng, params)
-    print(f"fleet prepared in {time.perf_counter() - t0:.1f} s")
-    report = scenarios.run_engine(
-        instances, params, rng, lanes=args.lanes, epochs=args.epochs,
-        workers=args.workers, crypto_cache=args.crypto_cache,
+    print(f"fleet: {args.owners} owners x {args.files} files "
+          f"({args.owners * args.files} audit instances), s={args.s}, k={args.k}")
+    instances = scenarios.build_fleet(
+        params, rng, size=args.size, files=args.files, owners=args.owners
     )
-    sizes = ", ".join(str(size) for size in report.lane_sizes.values())
-    print(f"workers: {report.workers}, lanes: {args.lanes} ({sizes} audits)")
-    for lane, result in report.results:
-        print(
-            f"epoch {result.epoch} lane {lane}: {result.num_audits} audits, "
-            f"prove {result.prove_seconds:.2f} s + "
-            f"batch-verify {result.verify_seconds:.2f} s "
-            f"-> {result.audits_per_second:.1f} audits/s, "
-            f"batch {'OK' if result.batch_ok else 'FAILED'}"
-        )
-    return 0 if report.ok else 1
-
-
-def _print_settlement(report) -> int:
-    """One settlement report, as ``repro checkpoint`` and ``repro shard`` show it."""
+    persist = args.persist or None
+    print(f"fabric: {args.lanes} lanes"
+          + (f", persisted under {persist}" if persist else " (in-memory)"))
+    report = scenarios.run_settlement(
+        instances, params, rng, lanes=args.lanes, epochs=args.epochs,
+        workers=args.workers, persist=persist, fraud=args.fraud,
+        crypto_cache=args.crypto_cache,
+    )
+    # Lane threads and pooled batch-verify run iff workers > 1 and more
+    # than one lane holds audits.
+    print(f"workers: {report.workers}, lanes: {args.lanes} "
+          f"({len(report.settlements[0].lanes)} holding audits)")
     for settlement in report.settlements:
         commitment = settlement.fabric.checkpoint
+        lanes = sorted(settlement.lanes.items())
         lane_parts = ", ".join(
             f"lane {lane_id}: {settled.bundle.checkpoint.num_leaves} audits"
             f"/{settled.receipt.gas_used:,} gas"
-            for lane_id, settled in sorted(settlement.lanes.items())
+            for lane_id, settled in lanes
         )
         print(f"epoch {settlement.epoch}: {commitment.num_leaves} audits -> "
               f"{len(settlement.lanes)} checkpoint tx, one per lane "
               f"commitment ({lane_parts})")
+        for lane_id, settled in lanes:
+            result = settled.result
+            print(f"  lane {lane_id}: prove {result.prove_seconds:.2f} s + "
+                  f"batch-verify {result.verify_seconds:.2f} s -> "
+                  f"{result.audits_per_second:.1f} audits/s, "
+                  f"batch {'OK' if result.batch_ok else 'FAILED'}")
         print(f"  fabric super-commitment: {commitment.byte_size()} B, "
               f"root {commitment.fabric_root.hex()[:16]}…, "
               f"{commitment.accepted} accepted / {commitment.rejected} rejected")
@@ -176,42 +172,6 @@ def _print_settlement(report) -> int:
               f"{'MATCHES' if matches else 'DIVERGED'} "
               f"({report.state_hash[:16]}…)")
     return 0 if report.ok else 1
-
-
-def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    """Epoch rollup: settle an owners x files fleet, one commitment per lane-epoch."""
-    if args.epochs < 1 or args.owners < 1 or args.files < 1 or args.lanes < 1:
-        print("checkpoint: --epochs, --owners, --files and --lanes must be >= 1",
-              file=sys.stderr)
-        return 2
-    rng = random.Random(args.seed)
-    params = ProtocolParams(s=args.s, k=args.k)
-    instances = _owners_by_files_fleet(args, rng, params)
-    return _print_settlement(scenarios.run_settlement(
-        instances, params, rng, lanes=args.lanes, epochs=args.epochs,
-        workers=args.workers, fraud=args.fraud,
-    ))
-
-
-def _cmd_shard(args: argparse.Namespace) -> int:
-    """Sharded chain fabric: one key's fleet hashed across lanes, optionally WAL-backed."""
-    if args.lanes < 1 or args.fleet < 1 or args.epochs < 1:
-        print("shard: --lanes, --fleet and --epochs must be >= 1",
-              file=sys.stderr)
-        return 2
-    rng = random.Random(args.seed)
-    params = ProtocolParams(s=args.s, k=args.k)
-    instances = scenarios.build_fleet(
-        params, rng, size=args.size, files=args.fleet,
-        tag="shard-{file}", owner_id="fleet",
-    )
-    persist = args.persist or None
-    print(f"fabric: {args.lanes} lanes, fleet {len(instances)}"
-          + (f", persisted under {persist}" if persist else " (in-memory)"))
-    return _print_settlement(scenarios.run_settlement(
-        instances, params, rng, lanes=args.lanes, epochs=args.epochs,
-        workers=args.workers, persist=persist, fraud=args.fraud,
-    ))
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
@@ -605,59 +565,30 @@ def build_parser() -> argparse.ArgumentParser:
                        help="provider drops data after this round")
     audit.set_defaults(func=_cmd_audit)
 
-    engine = sub.add_parser(
-        "engine", help="run parallel audit epochs over an owners x files fleet"
-    )
-    engine.add_argument("--owners", type=int, default=4)
-    engine.add_argument("--files", type=int, default=4,
-                        help="files per owner (same owner key, distinct names)")
-    engine.add_argument("--epochs", type=int, default=2)
-    _add_protocol_args(engine, s=10, k=8, size=4_000)
-    _add_pool_args(engine, workers=0, crypto_cache=True)
-    engine.add_argument("--lanes", type=int, default=1,
-                        help="run one scheduler per fabric lane over the "
-                        "shared process pool (1 = unsharded)")
-    engine.set_defaults(func=_cmd_engine)
-
     checkpoint = sub.add_parser(
         "checkpoint",
-        help="epoch checkpoint rollup: one on-chain commitment per epoch, "
-        "light-client inclusion proofs, optional fraud-proof demo",
+        help="settle audit epochs on a sharded chain fabric: one on-chain "
+        "commitment per lane-epoch, a cross-shard super-commitment, "
+        "light-client inclusion proofs, optional WAL-persisted lanes and "
+        "fraud-proof demo",
     )
     checkpoint.add_argument("--owners", type=int, default=2)
     checkpoint.add_argument("--files", type=int, default=4,
                             help="files per owner (same key, distinct names)")
     checkpoint.add_argument("--epochs", type=int, default=2)
     _add_protocol_args(checkpoint, s=6, k=4, size=1_500)
-    _add_pool_args(checkpoint, workers=1)
+    _add_pool_args(checkpoint, workers=1, crypto_cache=True)
     checkpoint.add_argument("--fraud", action="store_true",
                             help="also post a forged (verdict-flipped) "
                             "checkpoint and slash it via the fraud proof")
     checkpoint.add_argument("--lanes", type=int, default=1,
-                            help="settle across a sharded chain fabric with "
-                            "per-lane commitments and one cross-shard "
-                            "super-commitment (1 = single chain)")
+                            help="chain fabric lanes; files are placed by "
+                            "deterministic name hashing (1 = single chain)")
+    checkpoint.add_argument("--persist", type=str, default="",
+                            help="directory for per-lane WAL + snapshot "
+                            "state stores (reopened runs recover "
+                            "bit-identically)")
     checkpoint.set_defaults(func=_cmd_checkpoint)
-
-    shard = sub.add_parser(
-        "shard",
-        help="sharded chain fabric: lane-partitioned audit settlement, "
-        "cross-shard super-commitment, optional WAL-persisted lane state",
-    )
-    shard.add_argument("--lanes", type=int, default=4)
-    shard.add_argument("--fleet", type=int, default=16,
-                       help="total audit instances, placed on lanes by "
-                       "deterministic file-name hashing")
-    shard.add_argument("--persist", type=str, default="",
-                       help="directory for per-lane WAL + snapshot state "
-                       "stores (reopened runs recover bit-identically)")
-    shard.add_argument("--epochs", type=int, default=2)
-    _add_protocol_args(shard, s=6, k=4, size=1_500)
-    _add_pool_args(shard, workers=1)
-    shard.add_argument("--fraud", action="store_true",
-                       help="post a forged lane checkpoint and slash it via "
-                       "that lane's fraud proof")
-    shard.set_defaults(func=_cmd_shard)
 
     attack = sub.add_parser(
         "attack",

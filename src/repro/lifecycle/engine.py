@@ -214,7 +214,6 @@ class LifecycleEngine:
             config.hazard_config(),
             rng=random.Random(_sub_seed(config.seed, "churn")),
         )
-        self._batch_rng = random.Random(_sub_seed(config.seed, "batch"))
         self._owner_rng = random.Random(_sub_seed(config.seed, "owner"))
         self.providers: dict[str, ProviderState] = {}
         self.payloads: dict[str, bytes] = {}
@@ -288,13 +287,14 @@ class LifecycleEngine:
             cache_dir=self.config.crypto_cache_dir,
         )
         # One scheduler for the engine's life: the fleet it drives is
-        # whatever the executor holds when an epoch runs.
+        # whatever the executor holds when an epoch runs.  No rng: the
+        # batch blinders are fresh randomness, which no verdict, trail byte
+        # or state_hash depends on.
         self.scheduler = EpochScheduler(
             self.executor,
             self.params,
             self.beacon,
             deterministic=True,
-            rng=self._batch_rng,
             tracer=self.tracer,
         )
 

@@ -79,7 +79,6 @@ def save_engine(engine) -> Path:
         "plain": {name: getattr(engine, name) for name in _PLAIN_FIELDS},
         "trail_lines": engine.trail.to_lines(),
         "churn_rng": engine._churn.rng.getstate(),
-        "batch_rng": engine._batch_rng.getstate(),
         "owner_rng": engine._owner_rng.getstate(),
         "cluster": engine.dsn.cluster,
         "client_keys": {
@@ -149,8 +148,6 @@ def load_engine(persist_dir: str, **overrides):
 
     engine._churn = ChurnModel(config.hazard_config(), rng=random.Random())
     engine._churn.rng.setstate(state["churn_rng"])
-    engine._batch_rng = random.Random()
-    engine._batch_rng.setstate(state["batch_rng"])
     engine._owner_rng = random.Random()
     engine._owner_rng.setstate(state["owner_rng"])
 

@@ -243,6 +243,8 @@ class ServiceNode:
             and tip_gwei >= 0,
             "tip_gwei must be a non-negative number",
         )
+        # _lane_for reads None as "every lane"; a suggestion is for one.
+        _require(lane is not None, "lane must be an integer")
         selected = self._lane_for(lane)
         if selected.pool is None:
             raise RpcError(UNSUPPORTED, "this node has no mempool attached")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 from urllib.request import urlopen
@@ -51,7 +51,6 @@ from .chain import (
     audit_the_auditor_fabric,
     checkpoint_amortization,
     deploy_audit_contract,
-    lane_index_for_key,
     run_contract_to_completion,
 )
 from .chain.mempool import (
@@ -79,7 +78,7 @@ from .da import (
     bundle_fetch,
     detection_probability,
 )
-from .engine import AuditExecutor, AuditInstance, EpochResult, EpochScheduler
+from .engine import AuditExecutor, AuditInstance
 from .obs import (
     MetricsHttpServer,
     MetricsRegistry,
@@ -340,53 +339,6 @@ def run_contract_audit(
 
 
 @dataclass
-class EngineReport:
-    workers: int
-    lane_sizes: dict[int, int]
-    #: (lane, result) in execution order: epoch-major, lanes ascending.
-    results: list[tuple[int, EpochResult]]
-
-    @property
-    def ok(self) -> bool:
-        return all(bool(result.batch_ok) for _, result in self.results)
-
-
-def run_engine(
-    instances, params: ProtocolParams, rng, *,
-    lanes: int, epochs: int, workers: int, crypto_cache: str | None = None,
-) -> EngineReport:
-    """Off-chain audit epochs: one scheduler per fabric lane, one pool.
-
-    Each scheduler drives its lane's deterministic slice of the fleet
-    (placement by file-name hashing, as on the fabric); with one lane that
-    is a single scheduler over everything.
-    """
-    placement: dict[int, set[int]] = {}
-    for instance in instances:
-        lane = lane_index_for_key(instance.name, lanes)
-        placement.setdefault(lane, set()).add(instance.name)
-    slices = dict(sorted(placement.items()))
-    beacon = HashChainBeacon(b"cli-engine")
-    with AuditExecutor(
-        instances, workers=workers, cache_dir=crypto_cache
-    ) as executor:
-        schedulers = {
-            lane: EpochScheduler(executor, params, beacon, rng=rng, names=names)
-            for lane, names in slices.items()
-        }
-        results = [
-            (lane, scheduler.run_epoch(epoch))
-            for epoch in range(epochs)
-            for lane, scheduler in schedulers.items()
-        ]
-        return EngineReport(
-            workers=executor.workers,
-            lane_sizes={lane: len(names) for lane, names in slices.items()},
-            results=results,
-        )
-
-
-@dataclass
 class SettlementReport:
     """Epochs settled on a 1..N-lane fabric, and every check run on them."""
 
@@ -398,6 +350,7 @@ class SettlementReport:
     checkpoint_log: list[dict]
     lane_summaries: list[LaneSummary]
     settlement_chain_seconds: float
+    workers: int                    # the executor's resolved pool size
     fraud: FraudOutcome | None = None
     state_hash: str | None = None            # set when persisted
     reopened_state_hash: str | None = None
@@ -424,11 +377,13 @@ def run_settlement(
     instances, params: ProtocolParams, rng, *,
     lanes: int, epochs: int, workers: int,
     persist: str | None = None, fraud: bool = False,
+    crypto_cache: str | None = None,
 ) -> SettlementReport:
     """Settle a fleet's epochs across a fabric and audit the auditor.
 
     Builds the fabric (WAL-persisted under ``persist`` when given), runs
-    the aggregator over one shared executor, verifies a leaf → lane-root →
+    the aggregator over one shared executor (precompute tables persisted
+    under ``crypto_cache`` when given), verifies a leaf → lane-root →
     fabric-root inclusion proof plus a full replay with the light client,
     optionally slashes a verdict-flipped forgery on the lowest lane, and —
     when persisted — snapshots, closes and reopens the fabric to compare
@@ -437,10 +392,11 @@ def run_settlement(
     beacon = HashChainBeacon(b"cli-shard")
     fabric = ShardedChainFabric(num_lanes=lanes, persist_dir=persist)
     try:
-        with AuditExecutor(instances, workers=workers) as executor:
-            aggregator = CrossShardAggregator(
-                fabric, executor, params, beacon, rng=rng
-            )
+        with AuditExecutor(
+            instances, workers=workers, cache_dir=crypto_cache
+        ) as executor, closing(
+            CrossShardAggregator(fabric, executor, params, beacon, rng=rng)
+        ) as aggregator:
             settlements = aggregator.run(epochs)
             # Any third party verifies one round from the 87-byte commitment.
             client = CheckpointLightClient(
@@ -469,6 +425,7 @@ def run_settlement(
             checkpoint_log=explorer.checkpoint_log(),
             lane_summaries=explorer.lane_summaries(),
             settlement_chain_seconds=fabric.settlement_chain_seconds(),
+            workers=executor.workers,
             fraud=forged,
         )
         if persist:

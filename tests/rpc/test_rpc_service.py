@@ -246,6 +246,14 @@ class TestAuditLayer:
             client.call("submit_tx", {"sender": "0xnobody", "value": 1})
         assert excinfo.value.code == -32010  # unroutable, not -32603
 
+    @pytest.mark.parametrize("lane", [None, True])
+    def test_fee_suggest_lane_must_be_an_integer(self, aggregator_stack, lane):
+        client, _, _ = aggregator_stack
+        with pytest.raises(RpcClientError) as excinfo:
+            client.call("fee_suggest", {"lane": lane})
+        assert excinfo.value.code == -32602  # invalid params, not -32603
+        assert client.call("fee_suggest", {"lane": 1})["lane"] == 1
+
     def test_explorer_family_sees_the_settlement(self, aggregator_stack):
         client, _, _ = aggregator_stack
         client.call("mine", {"blocks": 1})  # seal the settlement txs

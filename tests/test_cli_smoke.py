@@ -28,13 +28,13 @@ CASES = [
     ),
     (
         "engine",
-        ["engine", "--owners", "1", "--files", "2", "--epochs", "1",
+        ["checkpoint", "--owners", "1", "--files", "2", "--epochs", "1",
          "--workers", "1", "--size", "500", "--s", "4", "--k", "3"],
         ["fleet: 1 owners x 2 files", "audits/s", "batch OK"],
     ),
     (
         "engine-lanes",
-        ["engine", "--owners", "1", "--files", "2", "--epochs", "1",
+        ["checkpoint", "--owners", "1", "--files", "2", "--epochs", "1",
          "--workers", "1", "--size", "500", "--s", "4", "--k", "3",
          "--lanes", "2"],
         ["lanes: 2", "batch OK"],
@@ -54,8 +54,9 @@ CASES = [
     ),
     (
         "shard",
-        ["shard", "--lanes", "2", "--fleet", "2", "--epochs", "1",
-         "--workers", "1", "--size", "500", "--s", "4", "--k", "3"],
+        ["checkpoint", "--lanes", "2", "--owners", "1", "--files", "2",
+         "--epochs", "1", "--workers", "1", "--size", "500", "--s", "4",
+         "--k", "3"],
         ["fabric: 2 lanes", "super-commitment", "per-lane gas totals:"],
     ),
     (
@@ -220,7 +221,7 @@ def test_every_documented_subcommand_is_smoked():
 
 def test_bad_arguments_exit_nonzero():
     assert main(["checkpoint", "--epochs", "0"]) == 2
-    assert main(["shard", "--lanes", "0"]) == 2
+    assert main(["checkpoint", "--lanes", "0"]) == 2
     assert main(["lifecycle", "--years", "-1"]) == 2
     assert main(["congest", "--blocks", "0"]) == 2
 

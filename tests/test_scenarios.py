@@ -301,6 +301,32 @@ def test_nobody_can_choose_where_an_epoch_runs():
     assert refused.value.code == 2
 
 
+def test_epochs_run_through_the_aggregator_or_the_lifecycle_engine():
+    """``CrossShardAggregator`` is the one epoch driver outside the lifecycle
+    engine: nothing else under ``src/repro`` builds an ``EpochScheduler``,
+    the hand-built ``run_engine`` / ``EngineReport`` are gone by name, and
+    the CLI settles through ``checkpoint`` alone."""
+    builders = sorted({
+        path.relative_to(SRC_REPRO).as_posix()
+        for path in SRC_REPRO.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        == "EpochScheduler"
+    })
+    assert builders == ["lifecycle/engine.py", "rollup/fabric.py"]
+    named = [
+        str(path.relative_to(SRC_REPRO.parent))
+        for path in sorted(SRC_REPRO.parent.rglob("*.py"))
+        if any(gone in path.read_text() for gone in ("run_engine", "EngineReport"))
+    ]
+    assert not named
+    for gone in ("engine", "shard"):
+        with pytest.raises(SystemExit) as refused:
+            repro.cli.build_parser().parse_args([gone])
+        assert refused.value.code == 2
+
+
 def test_a_batch_verdict_is_computed_once_over_one_cache():
     """``verify_batch_grouped`` returns the finished verdict and a process
     has one ``PrecomputeCache``, built where the class is: no prover,

@@ -45,12 +45,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from ...core.batch import BatchItem, staged_verdicts
+from ...core.batch import BatchItem, judge_proof, screen_proof, staged_verdicts
 from ...core.challenge import Challenge, challenge_from_beacon
 from ...core.keys import PublicKey
 from ...core.params import ProtocolParams
-from ...core.proof import PRIVATE_PROOF_BYTES, PrivateProof
-from ...core.verifier import Verifier, VerifyOutcome
+from ...core.proof import PRIVATE_PROOF_BYTES
+from ...core.verifier import PAIRING_MISMATCH, VerifyOutcome
 from ...crypto.bn254 import PROCESS_CACHE
 from ...obs.registry import get_registry
 from ...randomness.beacon import RandomnessBeacon
@@ -126,6 +126,17 @@ class AuditRound:
     def trail_bytes(self) -> int:
         proof = len(self.proof_bytes) if self.proof_bytes else 0
         return self.challenge.byte_size() + proof
+
+
+def _recorded(outcome: VerifyOutcome) -> tuple[str | None, str, bool]:
+    """``(reject_reason, reject_detail, equation ran)`` of a round: a screen
+    rejection keeps its bare detail, a failed equation its description."""
+    reason = outcome.reason
+    if reason is None:
+        return None, "", True
+    if reason.code == PAIRING_MISMATCH:
+        return reason.code, reason.describe(), True
+    return reason.code, reason.detail, False
 
 
 class AuditContract(Contract):
@@ -267,43 +278,14 @@ class AuditContract(Contract):
         ctx.gas.consume(self.gas_model.schedule.storage_gas(len(proof_bytes)))
         self.emit("proofposted", round=self.cnt)
 
-    def _screen(self, current: AuditRound) -> tuple[str, str] | BatchItem:
-        """The verdicts that need no pairing: either the ``(reason code,
-        detail)`` of a round that never reaches the equation, or the decoded
-        statement the equation will be asked about.  Everything that
-        verifies a round — the verdict, arbitration, the block scope — asks
-        here first."""
-        if current.proof_bytes is None:
-            return "no-proof", "response window lapsed"
-        # Replay detection: identical bytes to an earlier round's proof.
-        # The pairing check rejects stale proofs anyway (the challenge is
-        # fresh per round); the explicit code names the behaviour on chain.
-        for earlier in self.rounds[: current.round_id]:
-            if earlier.proof_bytes == current.proof_bytes:
-                return "replayed-proof", f"identical bytes to round {earlier.round_id}"
-        try:
-            proof = PrivateProof.from_bytes(current.proof_bytes)
-        except ValueError as exc:
-            return "malformed-proof", str(exc)
-        assert self.public_key is not None and self.file_name is not None
-        return BatchItem(
-            self.public_key, self.file_name, self.num_chunks, current.challenge, proof
+    def _posted(self, record: AuditRound) -> tuple:
+        """The arguments the verdict, arbitration and the block scope all
+        pass :func:`~repro.core.batch.screen_proof` for one round."""
+        history = [earlier.proof_bytes for earlier in self.rounds[: record.round_id]]
+        return (
+            self.public_key, self.file_name, self.num_chunks, record.challenge,
+            record.proof_bytes, history,
         )
-
-    def _adjudicate(self, current: AuditRound) -> tuple[bool, str | None, str, bool]:
-        """Verify one round's on-chain bytes; returns (passed, reason code,
-        detail, whether the pairing check was reached).  Shared by the round
-        verdict and arbitration."""
-        screened = self._screen(current)
-        if not isinstance(screened, BatchItem):
-            return False, *screened, False
-        outcome: VerifyOutcome = Verifier(
-            screened.public, screened.name, screened.num_chunks
-        ).verify_private(screened.challenge, screened.proof)
-        if outcome:
-            return True, None, "", True
-        assert outcome.reason is not None
-        return False, outcome.reason.code, outcome.reason.describe(), True
 
     @classmethod
     @contextmanager
@@ -316,7 +298,7 @@ class AuditContract(Contract):
         items = []
         for contract, call in calls:
             if call.method == "trigger_verify" and contract.state is State.PROVE:
-                screened = contract._screen(contract.rounds[contract.cnt])
+                screened = screen_proof(*contract._posted(contract.rounds[contract.cnt]))
                 if isinstance(screened, BatchItem):
                     items.append(screened)
         if len(items) < 2:
@@ -341,9 +323,10 @@ class AuditContract(Contract):
             return
         self.require(self.state is State.PROVE, "st != PROVE")
         current = self.rounds[self.cnt]
-        passed, reason, detail, verified = self._adjudicate(current)
+        outcome = judge_proof(*self._posted(current))
+        passed = bool(outcome)
+        reason, current.reject_detail, verified = _recorded(outcome)
         current.reject_reason = reason
-        current.reject_detail = detail
         # Charge the Fig. 5 gas model against the owner's prepaid gas fund.
         gas = self.gas_model.verification_gas(
             len(current.proof_bytes or b""), self.native_verify_ms
@@ -463,7 +446,8 @@ class AuditContract(Contract):
         # simulated chain only reverts balances on failure, so mutating
         # contract state ahead of a potential OutOfGasError would lock the
         # round against any future (properly funded) dispute.
-        verdict, reason, detail, _ = self._adjudicate(record)
+        outcome = judge_proof(*self._posted(record))
+        verdict = bool(outcome)
         gas = self.gas_model.verification_gas(
             len(record.proof_bytes or b""), self.native_verify_ms
         )
@@ -480,8 +464,7 @@ class AuditContract(Contract):
             # the challenger's bond, and leave value flows to governance.
             record.dispute_verdict = "overturned"
             record.passed = verdict
-            record.reject_reason = reason
-            record.reject_detail = detail
+            record.reject_reason, record.reject_detail, _ = _recorded(outcome)
             self.passes += 1 if verdict else -1
             self.fails += -1 if verdict else 1
             self.chain.transfer(self.address, ctx.sender, ctx.value)

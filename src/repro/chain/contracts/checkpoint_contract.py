@@ -30,10 +30,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from ...core.batch import BatchItem, screen_proof
 from ...core.challenge import epoch_challenge
 from ...core.keys import PublicKey
 from ...core.params import ProtocolParams
-from ...core.proof import PrivateProof
 from ...core.verifier import Verifier
 from ...crypto.merkle import MerkleProof, MerkleTree, verify_merkle_proof
 from ...randomness.beacon import RandomnessBeacon
@@ -382,7 +382,7 @@ class CheckpointContract(Contract):
             )
         fraud_reason = verdict.describe()
         if fraud_reason is None and counterproof and not record.verdict:
-            fraud_reason = self._rebut_rejection(ctx, entry, record, counterproof)
+            fraud_reason = self._rebut_rejection(ctx, entry, record, bytes(counterproof))
         self.emit(
             "checkpoint_challenged",
             checkpoint=checkpoint_id,
@@ -396,22 +396,22 @@ class CheckpointContract(Contract):
     def _rebut_rejection(
         self, ctx: CallContext, entry: CheckpointEntry, record, counterproof: bytes
     ) -> str | None:
-        """Fraud reason when a valid counterproof rebuts a rejected leaf."""
-        try:
-            proof = PrivateProof.from_bytes(bytes(counterproof))
-        except ValueError:
-            return None  # not a valid rebuttal; the leaf stands
+        """Fraud reason when a valid counterproof rebuts a rejected leaf.
+        Bytes the screen turns away rebut nothing and are charged nothing."""
         verifier = self._verifier_for(record.name)
         assert verifier is not None  # ground truth already passed the lookup
         challenge = epoch_challenge(
             self.beacon.output(record.epoch), self.params, record.name
         )
-        gas = self.gas_model.verification_gas(
-            len(bytes(counterproof)), self.native_verify_ms
+        rebuttal = screen_proof(
+            verifier.public, record.name, verifier.num_chunks, challenge, counterproof
         )
+        if not isinstance(rebuttal, BatchItem):
+            return None  # not a valid rebuttal; the leaf stands
+        gas = self.gas_model.verification_gas(len(counterproof), self.native_verify_ms)
         ctx.gas.consume(gas)
         entry.gas_used += gas
-        if verifier.verify_private(challenge, proof):
+        if rebuttal.verify():
             return (
                 "rejection-rebutted: a valid proof exists for the epoch's "
                 "challenge, so the committed rejection is slander"

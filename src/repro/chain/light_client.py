@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..core.batch import judge_proof
 from ..core.challenge import Challenge
 from ..core.keys import PublicKey
 from ..core.params import ProtocolParams
-from ..core.proof import PrivateProof
-from ..core.verifier import Verifier
+from ..core.verifier import MALFORMED_PROOF, RejectionReason, Verifier, VerifyOutcome
 from ..crypto.merkle import MerkleProof, MerkleTree, verify_merkle_proof
 from ..rollup.checkpoint import Checkpoint, aggregated_proof_digest
 from ..rollup.records import RoundRecord
@@ -88,26 +88,22 @@ class LightClient:
         self.file_name = file_name
         self.num_chunks = num_chunks
         self.params = params
-        self._verifier = Verifier(self.public, file_name, num_chunks)
 
-    def verify_round(self, record: TrailRecord):
-        """Recompute one round's verdict from its bytes.
-
-        Returns a truthy/falsy :class:`~repro.core.verifier.VerifyOutcome`
-        (or plain ``False`` for a structurally missing/bad proof).
-        """
-        if record.proof_bytes is None:
-            return False  # missing proof is a fail, as the contract rules
-        challenge = Challenge.from_bytes(
-            record.challenge_bytes,
-            k=self.params.k,
-            seed_bytes=self.params.seed_bytes,
-        )
+    def verify_round(self, record: TrailRecord) -> VerifyOutcome:
+        """Recompute one round's verdict from its bytes by the contract's own
+        rule, :func:`~repro.core.batch.judge_proof`.  A node serves the
+        trail, so a challenge that does not decode is a rejected round."""
+        params = self.params
         try:
-            proof = PrivateProof.from_bytes(record.proof_bytes)
-        except ValueError:
-            return False
-        return self._verifier.verify_private(challenge, proof)
+            challenge = Challenge.from_bytes(
+                record.challenge_bytes, k=params.k, seed_bytes=params.seed_bytes
+            )
+        except ValueError as exc:
+            reason = RejectionReason(MALFORMED_PROOF, detail=str(exc))
+            return VerifyOutcome(ok=False, reason=reason)
+        return judge_proof(
+            self.public, self.file_name, self.num_chunks, challenge, record.proof_bytes
+        )
 
     def replay(self, trail: list[TrailRecord]) -> ReplayReport:
         """Re-verify every round and compare against the claimed verdicts."""

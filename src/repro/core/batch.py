@@ -24,18 +24,25 @@ failures before it answers: :func:`verify_batch_grouped` returns the
 finished verdict, and nobody downstream re-verifies anything —
 :func:`staged_verdicts` hands each item's share of it to the
 ``verify_private`` call that would otherwise have recomputed it.
+
+Every judge of on-chain proof bytes turns them into a :class:`BatchItem`, or
+a named rejection, through :func:`screen_proof`; :func:`judge_proof` is its
+verdict.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .challenge import Challenge
 from .keys import PublicKey
 from .proof import PrivateProof
 from .verifier import (
+    MALFORMED_PROOF,
+    NO_PROOF,
+    REPLAYED_PROOF,
     VERDICT_MEMO,
     RejectionReason,
     Statement,
@@ -57,6 +64,49 @@ class BatchItem:
     challenge: Challenge
     proof: PrivateProof
 
+    def verify(self, report: VerifyReport | None = None) -> VerifyOutcome:
+        """This statement's lone Eq.-(2) check."""
+        return Verifier(self.public, self.name, self.num_chunks).verify_private(
+            self.challenge, self.proof, report
+        )
+
+
+def screen_proof(
+    public: PublicKey, name: int, num_chunks: int, challenge: Challenge,
+    proof_bytes: bytes | None, earlier: Sequence[bytes | None] = (),
+) -> BatchItem | RejectionReason:
+    """Posted proof bytes as the statement the equation will be asked
+    about, or the named reason they never reach it: ``no-proof`` for none
+    or empty bytes, ``malformed-proof`` for bytes that do not decode, and
+    ``replayed-proof`` for a copy of an ``earlier`` round's bytes (listed in
+    round order).  Only the per-round contract has that history; to any
+    other judge a replay is a proof for another challenge, which the
+    equation rejects as ``pairing-mismatch``."""
+    if not proof_bytes:
+        return RejectionReason(NO_PROOF, detail="response window lapsed")
+    for round_id, posted in enumerate(earlier):
+        if posted == proof_bytes:
+            return RejectionReason(
+                REPLAYED_PROOF, detail=f"identical bytes to round {round_id}"
+            )
+    try:
+        proof = PrivateProof.from_bytes(proof_bytes)
+    except ValueError as exc:
+        return RejectionReason(MALFORMED_PROOF, detail=str(exc))
+    return BatchItem(public, name, num_chunks, challenge, proof)
+
+
+def judge_proof(
+    public: PublicKey, name: int, num_chunks: int, challenge: Challenge,
+    proof_bytes: bytes | None, earlier: Sequence[bytes | None] = (),
+) -> VerifyOutcome:
+    """The verdict on posted proof bytes: :func:`screen_proof`, then the
+    lone Eq.-(2) check on the statement it lets through."""
+    screened = screen_proof(public, name, num_chunks, challenge, proof_bytes, earlier)
+    if isinstance(screened, RejectionReason):
+        return VerifyOutcome(ok=False, reason=screened)
+    return screened.verify()
+
 
 @dataclass(frozen=True)
 class ItemRejection:
@@ -64,7 +114,7 @@ class ItemRejection:
 
     index: int                 # position in the batch
     name: int                  # file identifier (which proof)
-    reason: RejectionReason | None
+    reason: RejectionReason
 
 
 @dataclass(frozen=True)
@@ -97,8 +147,7 @@ def _rejections(
     """Verify every item on its own: the ones that fail, and why."""
     failures = []
     for index, item in enumerate(items):
-        verifier = Verifier(item.public, item.name, item.num_chunks)
-        outcome = verifier.verify_private(item.challenge, item.proof, report)
+        outcome = item.verify(report)
         if not outcome:
             failures.append(
                 ItemRejection(index=index, name=item.name, reason=outcome.reason)

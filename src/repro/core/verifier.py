@@ -64,6 +64,12 @@ from .challenge import Challenge, ExpandedChallenge
 from .keys import PublicKey
 from .proof import PlainProof, PrivateProof
 
+#: The equation's rejection code, then :func:`repro.core.batch.screen_proof`'s.
+PAIRING_MISMATCH = "pairing-mismatch"
+NO_PROOF = "no-proof"
+MALFORMED_PROOF = "malformed-proof"
+REPLAYED_PROOF = "replayed-proof"
+
 
 @dataclass(frozen=True)
 class RejectionReason:
@@ -76,7 +82,8 @@ class RejectionReason:
     * ``"no-proof"`` — the provider never answered within the response
       window (contract-level timeout);
     * ``"malformed-proof"`` — the on-chain bytes do not decode to a
-      well-formed proof;
+      well-formed proof (to the per-round light client, neither does a
+      served challenge of the wrong length);
     * ``"replayed-proof"`` — the bytes are identical to a proof posted in
       an earlier round (contract-level replay detection; the pairing check
       would also reject it, this code just names the behaviour).
@@ -123,23 +130,6 @@ class VerifyOutcome:
     @staticmethod
     def accept() -> "VerifyOutcome":
         return _ACCEPT
-
-    @staticmethod
-    def reject(
-        code: str,
-        equation: str | None = None,
-        pairing_groups: tuple[tuple[str, str], ...] = (),
-        detail: str = "",
-    ) -> "VerifyOutcome":
-        return VerifyOutcome(
-            ok=False,
-            reason=RejectionReason(
-                code=code,
-                equation=equation,
-                pairing_groups=pairing_groups,
-                detail=detail,
-            ),
-        )
 
 
 _ACCEPT = VerifyOutcome(ok=True)
@@ -368,14 +358,13 @@ class Verifier:
             return VerifyOutcome.accept()
         private = commitment is not None
         equation, detail, labels = _EQ2 if private else _EQ1
-        return VerifyOutcome.reject(
-            code="pairing-mismatch",
-            equation=equation,
-            pairing_groups=_pairing_group_residuals(
-                list(zip(labels, legs)),
-                extra=(("commitment-R", commitment),) if private else (),
-            ),
-            detail=detail,
+        residuals = _pairing_group_residuals(
+            list(zip(labels, legs)),
+            extra=(("commitment-R", commitment),) if private else (),
+        )
+        return VerifyOutcome(
+            ok=False,
+            reason=RejectionReason(PAIRING_MISMATCH, equation, residuals, detail),
         )
 
     def verify_plain(

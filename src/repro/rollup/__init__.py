@@ -33,7 +33,7 @@ from .fabric import (
 )
 from .pipeline import CheckpointPipeline, SettledEpoch
 from .records import WITHHELD_CODE, RoundRecord, records_from_epoch
-from .verdict import LeafVerdict, leaf_ground_truth, recompute_round_verdict
+from .verdict import LeafVerdict, leaf_ground_truth
 
 __all__ = [
     "CHECKPOINT_COMMITMENT_BYTES",
@@ -57,6 +57,5 @@ __all__ = [
     "build_fabric_checkpoint",
     "lanes_digest",
     "leaf_ground_truth",
-    "recompute_round_verdict",
     "records_from_epoch",
 ]

@@ -30,11 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.verifier import NO_PROOF, PAIRING_MISMATCH
+
 RECORD_VERSION = 0x01
 
-#: Reject code recorded when a provider never answered (mirrors the
-#: contract-level timeout code in the per-round path).
-WITHHELD_CODE = "no-proof"
+#: Reject code recorded when a provider never answered (the per-round
+#: contract's timeout code).
+WITHHELD_CODE = NO_PROOF
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,7 @@ class RoundRecord:
                 challenge_bytes=self.challenge_bytes,
                 proof_bytes=self.proof_bytes,
                 verdict=False,
-                reject_code="pairing-mismatch",
+                reject_code=PAIRING_MISMATCH,
             )
         return RoundRecord(
             name=self.name,
@@ -164,12 +166,10 @@ def records_from_epoch(result) -> tuple[RoundRecord, ...]:
     Records are sorted by file name, making the Merkle root a pure
     function of the epoch's outcome set.
     """
-    reject_codes: dict[int, str] = {}
-    for rejection in result.batch_ok.failures:
-        reason = rejection.reason
-        reject_codes[rejection.name] = (
-            reason.code if reason is not None else "pairing-mismatch"
-        )
+    reject_codes = {
+        rejection.name: rejection.reason.code
+        for rejection in result.batch_ok.failures
+    }
     records = []
     for outcome in result.outcomes:
         code = reject_codes.get(outcome.name, "")

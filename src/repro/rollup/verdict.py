@@ -6,7 +6,9 @@ and the off-chain light client
 (:class:`~repro.chain.light_client.CheckpointLightClient`) — must apply
 *identical* rules, or the light client would flag leaves the contract
 upholds (and vice versa), which is precisely the disagreement the system
-exists to eliminate.  This module is that shared rule set.
+exists to eliminate.  This module is that shared rule set; the leaf's proof
+bytes are judged by :func:`repro.core.batch.judge_proof`, the rule the
+per-round contract applies too.
 """
 
 from __future__ import annotations
@@ -14,14 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..core.challenge import Challenge, epoch_challenge
+from ..core.batch import judge_proof
+from ..core.challenge import epoch_challenge
 from ..core.params import ProtocolParams
-from ..core.proof import PrivateProof
+from ..core.verifier import Verifier
 from .records import RoundRecord
-
-#: Resolves a file name to a ready verifier, or ``None`` when the file is
-#: not in the on-chain instance registry.
-VerifierLookup = Callable[[int], "object | None"]
 
 
 @dataclass(frozen=True)
@@ -48,40 +47,20 @@ class LeafVerdict:
         return f"{self.fraud_code}: {self.detail}" if self.detail else self.fraud_code
 
 
-def recompute_round_verdict(
-    record: RoundRecord, params: ProtocolParams, verifier
-) -> bool:
-    """The round's true verdict from the leaf's own bytes.
-
-    Withheld (empty) and undecodable proofs are rejections, exactly as the
-    per-round contract rules them; anything else is the Eq.-2 pairing
-    check.
-    """
-    if not record.proof_bytes:
-        return False
-    try:
-        proof = PrivateProof.from_bytes(record.proof_bytes)
-    except ValueError:
-        return False
-    challenge = Challenge.from_bytes(
-        record.challenge_bytes, k=params.k, seed_bytes=params.seed_bytes
-    )
-    return bool(verifier.verify_private(challenge, proof))
-
-
 def leaf_ground_truth(
     record: RoundRecord,
     commitment_epoch: int,
     params: ProtocolParams,
     beacon,
-    verifier_for: VerifierLookup,
+    verifier_for: Callable[[int], Verifier | None],
 ) -> LeafVerdict:
     """Adjudicate one committed leaf against on-chain-derivable state.
 
     A fraud code is returned whenever the leaf is a lie a correct
     aggregator could never have committed: a foreign epoch, an
-    unregistered file, a challenge that is not the beacon's derivation for
-    (epoch, name), or a verdict that does not survive re-verification.
+    unregistered file (``verifier_for`` finds it in no on-chain instance
+    registry), a challenge that is not the beacon's derivation for (epoch,
+    name), or a verdict that does not survive re-verification.
     """
     if record.epoch != commitment_epoch:
         return LeafVerdict(
@@ -105,7 +84,9 @@ def leaf_ground_truth(
             fraud_code="challenge-mismatch",
             detail="leaf challenge != beacon derivation",
         )
-    actual = recompute_round_verdict(record, params, verifier)
+    actual = bool(judge_proof(
+        verifier.public, record.name, verifier.num_chunks, expected, record.proof_bytes
+    ))
     if actual != record.verdict:
         return LeafVerdict(
             actual=actual,

@@ -124,3 +124,26 @@ class TestReplayMixedTrail:
         assert bool(client.verify_round(trail[0])) is True
         assert bool(client.verify_round(trail[1])) is False  # missing proof
         assert bool(client.verify_round(trail[2])) is False
+
+    def test_a_served_challenge_that_does_not_decode_is_a_rejected_round(
+        self, mixed_trail_contract
+    ):
+        """A node serves the trail, so its bytes are untrusted: a 47-byte
+        challenge is judged a rejection, not raised, and so disagrees
+        exactly when the round claims a pass."""
+        contract, params = mixed_trail_contract
+        trail = export_trail(contract)
+        short = trail[0].challenge_bytes[:47]
+        trail[0] = dataclasses.replace(trail[0], challenge_bytes=short)
+        trail[2] = dataclasses.replace(trail[2], challenge_bytes=short)
+        client = LightClient(
+            public_key_bytes=contract.public_key.to_bytes(),
+            file_name=contract.file_name,
+            num_chunks=contract.num_chunks,
+            params=params,
+        )
+        verdict = client.verify_round(trail[0])
+        assert not verdict and verdict.reason.code == "malformed-proof"
+        report = client.replay(trail)
+        assert report.rounds_checked == 3
+        assert report.disagreements == [0]  # round 2 claims a fail: agreed

@@ -327,6 +327,37 @@ def test_epochs_run_through_the_aggregator_or_the_lifecycle_engine():
         assert refused.value.code == 2
 
 
+def test_posted_proof_bytes_are_judged_by_one_screen():
+    """``core.batch.screen_proof`` is where posted bytes become a statement
+    or a named rejection: under ``src/repro`` nothing else but the engine's
+    own transport decodes a ``PrivateProof``, and the four reject codes are
+    spelled only under ``core/``."""
+    codes = {"pairing-mismatch", "no-proof", "malformed-proof", "replayed-proof"}
+
+    def decodes(node):
+        return (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "from_bytes"
+            and getattr(node.func.value, "id", None) == "PrivateProof"
+        )
+
+    decoders, screens, spellers = set(), set(), set()
+    for path in sorted(SRC_REPRO.rglob("*.py")):
+        relative = path.relative_to(SRC_REPRO).as_posix()
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if decodes(node):
+                decoders.add(relative)
+            elif isinstance(node, ast.Constant) and node.value in codes:
+                spellers.add(relative)
+            elif relative == "core/batch.py" and isinstance(node, ast.FunctionDef):
+                if any(decodes(inner) for inner in ast.walk(node)):
+                    screens.add(node.name)
+    assert decoders == {"core/batch.py", "engine/tasks.py", "engine/executor.py"}
+    assert screens == {"screen_proof"}
+    assert spellers and all(name.startswith("core/") for name in spellers)
+
+
 def test_a_batch_verdict_is_computed_once_over_one_cache():
     """``verify_batch_grouped`` returns the finished verdict and a process
     has one ``PrecomputeCache``, built where the class is: no prover,

@@ -10,9 +10,10 @@ Three sweeps, one per rebuilt kernel family:
   prepared-G2 lines, against the same product computed as individual
   pairings; the shared squaring chain plus cached lines is the win the
   grouped batch verifier rides on.
-* **GF(256)** — table-driven `gf_matmul` over block sizes on a
-  Reed-Solomon-shaped (rows x k) coding matrix, against the per-element
-  scalar reference at the smallest size.
+* **GF(256)** — `gf_matmul` on the native kernel and on the numpy
+  table-gather fallback over block sizes of a 4x8 coding matrix and the
+  240x80 DA encode, both required equal to each other and to the
+  per-element scalar reference on a column prefix.
 
 ``BENCH_QUICK=1`` (the CI bench-smoke job) shrinks every sweep so all
 code paths run under a tight timeout; full-scale numbers are committed
@@ -24,6 +25,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from repro.crypto.bn254 import (
     pairing_product,
 )
 from repro.crypto.bn254.fields import Fp12
+from repro.storage import ReedSolomonCode, gf256
 from repro.storage.gf256 import gf_matmul, gf_matmul_ref
 
 QUICK = os.environ.get("BENCH_QUICK", "") == "1"
@@ -46,7 +49,6 @@ MSM_SIZES = (16, 64) if QUICK else (16, 64, 256, 1024)
 NAIVE_REFERENCE_SIZE = 16
 PAIR_COUNTS = (1, 2) if QUICK else (1, 2, 4, 8)
 GF_BLOCK_SIZES = (4_096, 65_536) if QUICK else (4_096, 65_536, 1_048_576)
-GF_REFERENCE_SIZE = 256
 
 G1 = G1Point.generator()
 G2 = G2Point.generator()
@@ -116,29 +118,44 @@ def test_crypto_speed_sweep(report):
 
     # -- GF(256) sweep -----------------------------------------------------
     lines.append("")
-    lines.append("GF(256): table-gather gf_matmul, 4x8 coding matrix")
-    np_rng = np.random.default_rng(7)
-    matrix = [[int(np_rng.integers(1, 256)) for _ in range(8)] for _ in range(4)]
-    for block in GF_BLOCK_SIZES:
-        shards = np_rng.integers(0, 256, size=(8, block), dtype=np.uint8)
-        fast_s, fast = _best_of(lambda: gf_matmul(matrix, shards))
-        throughput = 8 * block / fast_s / 1e6
-        lines.append(
-            f"  block={block:>9,d} B: {fast_s * 1e3:7.1f} ms "
-            f"({throughput:7.1f} MB/s in)"
-        )
-    reference_shards = np_rng.integers(
-        0, 256, size=(8, GF_REFERENCE_SIZE), dtype=np.uint8
-    )
-    ref_s, reference = _best_of(
-        lambda: gf_matmul_ref(matrix, reference_shards), repeats=1
-    )
-    fast_s, fast = _best_of(lambda: gf_matmul(matrix, reference_shards))
-    assert np.array_equal(fast, reference)
     lines.append(
-        f"  scalar reference at block={GF_REFERENCE_SIZE} B: "
-        f"{ref_s * 1e3:.1f} ms vs {fast_s * 1e3:.3f} ms "
-        f"-> {ref_s / fast_s:.0f}x"
+        f"GF(256): gf_matmul on both backends (this host: "
+        f"{gf256.backend().describe()}), checked against gf_matmul_ref"
     )
+    np_rng = np.random.default_rng(7)
+    coding = [[int(np_rng.integers(1, 256)) for _ in range(8)] for _ in range(4)]
+    shapes = [("4x8 coding", coding, block, 256) for block in GF_BLOCK_SIZES]
+    # The da_light_client encode: RS(240, 80) over an ~18 KiB chunk.  The
+    # reference costs 19,200 gf_mul calls per column, so it sees 16.
+    shapes.append(("240x80 DA encode", ReedSolomonCode(240, 80).matrix, 18_432, 16))
+    for label, matrix, block, columns in shapes:
+        shards = np_rng.integers(0, 256, size=(len(matrix[0]), block), dtype=np.uint8)
+        lines.append(_gf_line(label, matrix, shards, columns))
 
     report("bench_crypto_speed", "\n".join(lines))
+
+
+def _gf_line(label, matrix, shards, columns):
+    """Time both backends on the same shards and require equal outputs;
+    the per-element reference checks (and is timed on) the first
+    ``columns`` columns, each column being an independent product."""
+    backends = {"numpy": gf256.Backend("numpy", gf256._matmul_numpy)}
+    if gf256.backend().name != "numpy":
+        backends["native"] = gf256.backend()
+    timings, outputs = {}, {}
+    for name, backend in backends.items():
+        with mock.patch.object(gf256, "_backend", backend):
+            timings[name], outputs[name] = _best_of(lambda: gf_matmul(matrix, shards))
+    ref_s, reference = _best_of(
+        lambda: gf_matmul_ref(matrix, shards[:, :columns]), repeats=1
+    )
+    for name, out in outputs.items():
+        assert np.array_equal(out, outputs["numpy"]), f"{name} != numpy ({label})"
+        assert np.array_equal(out[:, :columns], reference), f"{name} != ref ({label})"
+    line = f"  {label} block={shards.shape[1]:>9,d} B:" + "".join(
+        f" {name} {seconds * 1e3:8.2f} ms ({shards.size / seconds / 1e6:7.1f} MB/s in)"
+        for name, seconds in timings.items()
+    )
+    if "native" in timings:
+        line += f" -> {timings['numpy'] / timings['native']:.1f}x"
+    return line + f"; ref {ref_s * 1e3:.1f} ms on {columns} columns"

@@ -35,7 +35,11 @@ from typing import Callable, Iterable
 
 from ..obs.registry import MetricsRegistry, get_registry
 from .commit import DaCommitment, DaReconstruction, reconstruct_records
-from .errors import DaUnavailable, DaWithholdingDetected
+from .errors import (
+    DaReconstructionMismatch,
+    DaUnavailable,
+    DaWithholdingDetected,
+)
 from .nmt import NmtProof, NmtRoot, verify_nmt_proof
 
 #: Default number of chunks a light client samples per epoch.  Chosen as
@@ -289,7 +293,7 @@ class DaSampler:
             )
         try:
             reconstruction = reconstruct_records(commitment, verified)
-        except Exception:
+        except (DaReconstructionMismatch, ValueError):
             self._reconstructions.labels("mismatch").inc()
             raise
         self._reconstructions.labels("ok").inc()

@@ -23,6 +23,7 @@ from contextlib import contextmanager
 
 from ..chain.explorer import ChainExplorer
 from ..chain.transaction import Transaction
+from ..storage import gf256
 from .codec import INVALID_PARAMS, NOT_FOUND, UNSUPPORTED, RpcError
 
 #: Methods a ServiceNode contributes to a dispatcher, in protocol order.
@@ -588,6 +589,8 @@ class ServiceNode:
             "pending_total": self._pending_total(),
             "aggregator": self.aggregator is not None,
             "auto_mine": self._miner_thread is not None,
+            # The GF(256) row loop DA encoding and reconstruction run.
+            "erasure_backend": gf256.backend().describe(),
         }
 
     # -- background miner (soak / serve mode) ----------------------------------

@@ -6,10 +6,10 @@ such that *any* ``k`` of the ``n`` survive a loss of the rest.  The paper's
 cost discussion uses a "3-out-of-10" code (k=3, n=10); the same class
 covers any (n, k).
 
-Construction: a Vandermonde matrix over GF(256) is row-reduced so its top
-k x k block is the identity (systematic form).  Encoding is a matrix-vector
-product per byte column; decoding inverts the k x k submatrix of surviving
-rows.
+Construction: an n x k Vandermonde matrix over GF(256) is multiplied by the
+inverse of its top k x k block, so that block becomes the identity
+(systematic form).  Encoding is a matrix-vector product per byte column;
+decoding inverts the k x k submatrix of surviving rows.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from time import perf_counter
 import numpy as np
 
 from ..obs.hotpath import HOTPATH
-from .gf256 import gf_matmul, gf_matrix_invert, gf_mul, gf_pow
+from .gf256 import gf_matmul, gf_matrix_invert, gf_pow
 
 
 #: Bytes of the big-endian length header :meth:`ReedSolomonCode.encode_framed`
@@ -28,24 +28,10 @@ from .gf256 import gf_matmul, gf_matrix_invert, gf_mul, gf_pow
 FRAME_HEADER_BYTES = 8
 
 
-def _systematic_matrix(n: int, k: int) -> list[list[int]]:
+def _systematic_matrix(n: int, k: int) -> np.ndarray:
     """n x k generator matrix whose top k rows are the identity."""
     vandermonde = [[gf_pow(row, col) for col in range(k)] for row in range(1, n + 1)]
-    top_inverse = gf_matrix_invert([row[:] for row in vandermonde[:k]])
-    return [
-        [
-            _dot(vandermonde[row], [top_inverse[i][col] for i in range(k)])
-            for col in range(k)
-        ]
-        for row in range(n)
-    ]
-
-
-def _dot(a: list[int], b: list[int]) -> int:
-    out = 0
-    for x, y in zip(a, b):
-        out ^= gf_mul(x, y)
-    return out
+    return gf_matmul(vandermonde, gf_matrix_invert(vandermonde[:k]))
 
 
 @dataclass(frozen=True)
@@ -123,8 +109,13 @@ class ReedSolomonCode:
         lengths = {len(s.data) for s in chosen}
         if len(lengths) != 1:
             raise ValueError("inconsistent shard lengths")
-        submatrix = [self.matrix[s.index] for s in chosen]
-        inverse = gf_matrix_invert(submatrix)
+        (length,) = lengths
+        if data_length > self.k * length:
+            raise ValueError(
+                f"data_length {data_length} exceeds the {self.k * length} bytes "
+                f"that {self.k} shards of {length} B hold"
+            )
+        inverse = gf_matrix_invert(self.matrix[[s.index for s in chosen]])
         stack = np.stack(
             [np.frombuffer(s.data, dtype=np.uint8) for s in chosen]
         )

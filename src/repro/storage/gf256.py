@@ -11,11 +11,25 @@ Bulk shard arithmetic goes through a precomputed 256x256 product table:
 row — no log/antilog index arithmetic, no zero-masking pass, no per-element
 Python.  The log-table scalar helpers stay as the reference the
 differential tests check the table path against.
+
+:func:`gf_matmul`, the erasure codec's one bulk operation, runs its row
+loop in ``gf256_kernel.c`` (SIMD split-nibble lookups) when
+:mod:`repro.native` can build it and a known-answer probe against
+:func:`gf_matmul_ref` agrees; otherwise in the numpy table-gather loop.
+Both produce the same bytes; :func:`backend` names the one that runs.
 """
 
 from __future__ import annotations
 
+import ctypes
+import random
+import threading
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
+
+from .. import native
 
 REDUCING_POLY = 0x11D
 GENERATOR = 2
@@ -78,22 +92,111 @@ def gf_mul_vector_ref(scalar: int, vector: np.ndarray) -> np.ndarray:
     return out
 
 
-def gf_matmul(matrix: list[list[int]], shards: np.ndarray) -> np.ndarray:
-    """Matrix (rows x k) times shard stack (k x length) over GF(256).
+@dataclass(frozen=True)
+class Backend:
+    """The row loop :func:`gf_matmul` runs, and why.
 
-    Reported under the ``gf256.encode`` / ``gf256.decode`` HOTPATH legs by
-    the erasure codec that drives it.
+    ``name`` is ``native-ssse3`` or ``native-scalar`` (the C kernel, by the
+    path it takes on this CPU) or ``numpy`` (the table-gather loop), with
+    ``reason`` saying why the kernel is not in use.
     """
-    rows = len(matrix)
-    _, length = shards.shape
-    out = np.zeros((rows, length), dtype=np.uint8)
-    for row_index, row in enumerate(matrix):
-        accumulator = out[row_index]
+
+    name: str
+    matmul: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+    reason: str = ""
+
+    def describe(self) -> str:
+        return f"{self.name} ({self.reason})" if self.reason else self.name
+
+
+def _matmul_numpy(coefficients: np.ndarray, shards: np.ndarray, out: np.ndarray) -> None:
+    for accumulator, row in zip(out, coefficients.tolist()):
         for coefficient, shard in zip(row, shards):
             if coefficient == 1:
                 accumulator ^= shard
             elif coefficient:
                 accumulator ^= _MUL_TABLE[coefficient].take(shard)
+
+
+def _native_matmul(lib) -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
+    kernel = lib.gf_matmul
+    kernel.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
+        ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p,
+    ]
+    kernel.restype = None
+    table = _MUL_TABLE.ctypes.data  # module-lifetime array: the pointer stays valid
+
+    def matmul(coefficients: np.ndarray, shards: np.ndarray, out: np.ndarray) -> None:
+        rows, k = coefficients.shape
+        kernel(table, coefficients.ctypes.data, rows, k,
+               shards.ctypes.data, shards.shape[1], out.ctypes.data)
+
+    return matmul
+
+
+def _probe_agrees(matmul) -> bool:
+    """Known answer: the kernel equals :func:`gf_matmul_ref` on shapes that
+    cover the 16-byte body, the scalar tail and coefficients 0 and 1."""
+    # stdlib random: numpy.random would cost this process ~2 MB of RSS.
+    rng = random.Random(0x11D)
+    for rows, k, length in ((3, 4, 37), (2, 3, 16), (1, 2, 5)):
+        coefficients = bytearray(rng.randbytes(rows * k))
+        coefficients[:2] = b"\x00\x01"
+        matrix = np.frombuffer(bytes(coefficients), dtype=np.uint8).reshape(rows, k)
+        shards = np.frombuffer(rng.randbytes(k * length), dtype=np.uint8).reshape(k, length)
+        out = np.zeros((rows, length), dtype=np.uint8)
+        matmul(matrix, shards, out)
+        if not np.array_equal(out, gf_matmul_ref(matrix.tolist(), shards)):
+            return False
+    return True
+
+
+def _select_backend() -> Backend:
+    try:
+        lib = native.load_library(__package__, "gf256_kernel.c")
+    except native.NativeUnavailable as exc:
+        return Backend("numpy", _matmul_numpy, str(exc))
+    lib.gf_kernel_ssse3.argtypes = []
+    lib.gf_kernel_ssse3.restype = ctypes.c_int
+    matmul = _native_matmul(lib)
+    if not _probe_agrees(matmul):
+        return Backend(
+            "numpy", _matmul_numpy, "known-answer probe disagrees with gf_matmul_ref"
+        )
+    return Backend("native-ssse3" if lib.gf_kernel_ssse3() else "native-scalar", matmul)
+
+
+#: The process's backend, chosen on first use (building the kernel is file
+#: and process work, which importing must not do).  Tests patch it.
+_backend: Backend | None = None
+_backend_lock = threading.Lock()
+
+
+def backend() -> Backend:
+    """The row loop this process runs: the C kernel when it builds and
+    passes the probe, else the numpy fallback with the reason."""
+    global _backend
+    with _backend_lock:
+        if _backend is None:
+            _backend = _select_backend()
+        return _backend
+
+
+def gf_matmul(matrix: list[list[int]] | np.ndarray, shards: np.ndarray) -> np.ndarray:
+    """Matrix (rows x k) times shard stack (k x length) over GF(256).
+
+    ``matrix`` is a nested list or a uint8 array.  Reported under the
+    ``gf256.encode`` / ``gf256.decode`` HOTPATH legs by the erasure codec
+    that drives it.
+    """
+    shards = np.ascontiguousarray(shards, dtype=np.uint8)
+    k, length = shards.shape
+    coefficients = np.ascontiguousarray(
+        np.asarray(matrix, dtype=np.uint8).reshape(len(matrix), k)
+    )
+    out = np.zeros((len(coefficients), length), dtype=np.uint8)
+    backend().matmul(coefficients, shards, out)
     return out
 
 
@@ -111,23 +214,28 @@ def gf_matmul_ref(matrix: list[list[int]], shards: np.ndarray) -> np.ndarray:
     return out
 
 
-def gf_matrix_invert(matrix: list[list[int]]) -> list[list[int]]:
-    """Gauss-Jordan inversion over GF(256); raises on singular input."""
-    n = len(matrix)
-    augmented = [list(row) + [1 if i == j else 0 for j in range(n)]
-                 for i, row in enumerate(matrix)]
+def gf_matrix_invert(matrix: list[list[int]] | np.ndarray) -> np.ndarray:
+    """Gauss-Jordan inversion over GF(256); raises on singular input.
+
+    Each pivot step is whole-matrix row operations through ``_MUL_TABLE``:
+    scale the pivot row, then clear its column from every other row with
+    one (n x 2n) gather.  An inverse is unique, so this equals any other
+    correct elimination.  Returns an (n x n) uint8 array.
+    """
+    square = np.asarray(matrix, dtype=np.uint8)
+    n = len(square)
+    if square.shape != (n, n):
+        raise ValueError(f"need a square matrix, got shape {square.shape}")
+    augmented = np.concatenate([square, np.eye(n, dtype=np.uint8)], axis=1)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if augmented[r][col]), None)
-        if pivot is None:
+        candidates = np.flatnonzero(augmented[col:, col])
+        if not candidates.size:
             raise ValueError("singular matrix over GF(256)")
-        augmented[col], augmented[pivot] = augmented[pivot], augmented[col]
-        inv = gf_inv(augmented[col][col])
-        augmented[col] = [gf_mul(value, inv) for value in augmented[col]]
-        for row in range(n):
-            if row != col and augmented[row][col]:
-                factor = augmented[row][col]
-                augmented[row] = [
-                    augmented[row][idx] ^ gf_mul(factor, augmented[col][idx])
-                    for idx in range(2 * n)
-                ]
-    return [row[n:] for row in augmented]
+        pivot = col + int(candidates[0])
+        if pivot != col:
+            augmented[[col, pivot]] = augmented[[pivot, col]]
+        augmented[col] = _MUL_TABLE[gf_inv(int(augmented[col, col]))].take(augmented[col])
+        factors = augmented[:, col].copy()
+        factors[col] = 0
+        augmented ^= _MUL_TABLE[np.ix_(factors, augmented[col])]
+    return augmented[:, n:].copy()

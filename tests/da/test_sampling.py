@@ -9,10 +9,13 @@ when the epoch's data is unrecoverable.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.da import (
     DaParams,
+    DaReconstructionMismatch,
     DaSampler,
     DaUnavailable,
     DaWithholdingDetected,
@@ -237,6 +240,20 @@ def test_reconstruct_unavailable_below_k():
     assert 'da_reconstructions_total{outcome="unavailable"} 1' in (
         registry.to_prometheus()
     )
+
+
+def test_reconstruct_mismatch_is_counted_and_raised():
+    bundle = make_bundle()
+    # Chunks and NMT openings verify against the DA root, but the leaf set
+    # they decode to does not rebuild this (forged) checkpoint root.
+    forged = dataclasses.replace(bundle.commitment, checkpoint_root=b"\x07" * 32)
+    registry = MetricsRegistry()
+    sampler = make_sampler(bundle, registry)
+    with pytest.raises(DaReconstructionMismatch, match="checkpoint root"):
+        sampler.reconstruct(forged, SEED)
+    rendered = registry.to_prometheus()
+    assert 'da_reconstructions_total{outcome="mismatch"} 1' in rendered
+    assert 'outcome="ok"} 1' not in rendered
 
 
 def test_reconstruct_happy_path_uses_k_chunks():

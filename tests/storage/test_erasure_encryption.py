@@ -118,6 +118,14 @@ class TestReedSolomon:
         with pytest.raises(ValueError):
             ReedSolomonCode(5, 3).encode(b"")
 
+    def test_data_length_beyond_the_shards_is_rejected(self):
+        code = ReedSolomonCode(6, 3)
+        data = bytes(range(90))
+        shards = code.encode(data)
+        assert code.decode(shards[3:], 90) == data
+        with pytest.raises(ValueError, match="data_length 200 exceeds the 90 bytes"):
+            code.decode(shards[3:], 200)
+
     def test_bad_shard_index_rejected(self):
         code = ReedSolomonCode(4, 2)
         shards = code.encode(b"data")

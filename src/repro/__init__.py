@@ -11,8 +11,8 @@ Packages
   the Fig. 2 audit smart contract.
 * :mod:`repro.engine`     — parallel audit engine: process-pool executor,
   precompute-backed provers, beacon-driven epoch scheduler.
-* :mod:`repro.randomness` — commit-reveal / VDF / trusted beacons and the
-  last-revealer attack.
+* :mod:`repro.randomness` — the beacon interface the contract draws
+  challenges from, and the hash-chain beacon the system runs.
 * :mod:`repro.storage`    — DSN substrate: Reed-Solomon, ChaCha20, Chord
   DHT, simulated network, storage nodes.
 * :mod:`repro.sim`        — economics and throughput models (Figs. 4-6, 10).

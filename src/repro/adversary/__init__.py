@@ -8,8 +8,6 @@ asserted.  The package provides
 * a library of malicious-provider strategies implemented as drop-in
   :class:`~repro.core.prover.Prover` substitutes
   (:mod:`repro.adversary.strategies`),
-* a byzantine :class:`~repro.storage.node.StorageNode` substitute for the
-  DSN substrate (:mod:`repro.adversary.node`),
 * a :class:`ScenarioRunner` that wires any strategy mix into the parallel
   audit engine and epoch scheduler and reports measured detection rates
   against the closed-form prediction (:mod:`repro.adversary.scenario`),
@@ -22,7 +20,6 @@ detection probabilities and the CLI commands reproducing each run.
 """
 
 from .feegrief import FeeGriefer, FeeGriefReport, detect_fee_griefers
-from .node import ByzantineStorageNode
 from .scenario import (
     DisputeDemoResult,
     ScenarioReport,
@@ -46,7 +43,6 @@ from .strategies import (
 __all__ = [
     "STRATEGY_KINDS",
     "BitRotProver",
-    "ByzantineStorageNode",
     "ChurnProver",
     "DisputeDemoResult",
     "FeeGriefReport",

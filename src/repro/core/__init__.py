@@ -65,8 +65,7 @@ from .protocol import (
     OutsourcingPackage,
     StorageProvider,
 )
-from .extension import AppendError, append_data
-from .prover import CheatingProver, ProveReport, Prover, ResponseWithheld
+from .prover import ProveReport, Prover, ResponseWithheld
 from .soundness import (
     ForkedTranscripts,
     ForkingProver,
@@ -74,21 +73,13 @@ from .soundness import (
     knowledge_error_bound,
     verify_extraction,
 )
-from .streaming import (
-    StreamingProver,
-    StreamSummary,
-    stream_authenticators,
-    stream_summary,
-)
 from .verifier import RejectionReason, Verifier, VerifyOutcome, VerifyReport
 
 __all__ = [
-    "AppendError",
     "AuditRoundResult",
     "BatchItem",
     "BatchVerifyOutcome",
     "Challenge",
-    "CheatingProver",
     "ChunkedFile",
     "DataOwner",
     "DEFAULT_K",
@@ -115,13 +106,11 @@ __all__ = [
     "ResponseWithheld",
     "SecretKey",
     "StorageProvider",
-    "StreamSummary",
     "Transcript",
     "Verifier",
     "VerifyOutcome",
     "VerifyReport",
     "block_digest_point",
-    "append_data",
     "challenge_from_beacon",
     "chunk_file",
     "corrupt_chunk",
@@ -135,9 +124,6 @@ __all__ = [
     "knowledge_error_bound",
     "random_challenge",
     "required_challenges",
-    "StreamingProver",
-    "stream_authenticators",
-    "stream_summary",
     "transcript_from_plain",
     "transcript_from_private",
     "transcripts_needed",

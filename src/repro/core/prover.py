@@ -175,36 +175,3 @@ class Prover:
 
         return authenticator_storage_bytes(self.num_chunks)
 
-
-class CheatingProver(Prover):
-    """A provider that lost data and tries plausible-looking responses.
-
-    Strategies (all must fail verification — tested):
-
-    * ``zero-fill``: answers as if missing blocks were zero,
-    * ``random-sigma``: substitutes a random aggregated authenticator,
-    * ``stale-proof``: replays the proof from a previous round.
-    """
-
-    def __init__(self, *args, strategy: str = "zero-fill", **kwargs):
-        super().__init__(*args, **kwargs)
-        if strategy not in ("zero-fill", "random-sigma", "stale-proof"):
-            raise ValueError(f"unknown cheating strategy {strategy!r}")
-        self.strategy = strategy
-        self._last_proof: PrivateProof | None = None
-
-    def respond_private(
-        self, challenge: Challenge, report: ProveReport | None = None
-    ) -> PrivateProof:
-        if self.strategy == "stale-proof" and self._last_proof is not None:
-            return self._last_proof
-        proof = super().respond_private(challenge, report)
-        if self.strategy == "random-sigma":
-            proof = PrivateProof(
-                sigma=G1Point.generator() * random_scalar(self._rng),
-                y_masked=proof.y_masked,
-                psi=proof.psi,
-                commitment=proof.commitment,
-            )
-        self._last_proof = proof
-        return proof

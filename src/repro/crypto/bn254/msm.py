@@ -680,7 +680,7 @@ class FixedBaseMul:
 @cache
 def generator_table() -> FixedBaseMul:
     """The one comb table over ``g1``, built on first use: authenticator
-    generation, the dynamic-update extension and Schnorr all multiply it."""
+    generation and Schnorr multiply it."""
     return FixedBaseMul(G1Point.generator())
 
 

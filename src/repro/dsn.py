@@ -103,15 +103,10 @@ class AuditedDsn:
     ) -> AuditedFile:
         """Place a file and put every shard under an audit contract."""
         client = DsnClient(owner_name, self.cluster)
-        if self.placement is not None:
-            from .storage.placement import place_with_strategy
-
-            manifest = place_with_strategy(
-                client, self.placement, file_id, data, n=n, k=k,
-                key_mode=self.key_mode,
-            )
-        else:
-            manifest = client.store(file_id, data, n=n, k=k, key_mode=self.key_mode)
+        manifest = client.store(
+            file_id, data, n=n, k=k, key_mode=self.key_mode,
+            strategy=self.placement,
+        )
         audited = AuditedFile(manifest=manifest)
         self.files[file_id] = audited
         self._clients[file_id] = client

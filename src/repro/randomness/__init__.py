@@ -1,31 +1,8 @@
 """Randomness beacons for audit challenges (paper Section V-E)."""
 
-from .beacon import HashChainBeacon, MaliciousBeacon, RandomnessBeacon
-from .commit_reveal import (
-    AttackStats,
-    CommitRevealBeacon,
-    CommitRevealRound,
-    LastRevealerAttacker,
-    combine_reveals,
-)
-from .trusted import BeaconConsumer, SignedOutput, TrustedBeacon
-from .vdf import BlindLastRevealer, VdfBeacon, VdfProof, WesolowskiVdf, hash_to_prime
+from .beacon import HashChainBeacon, RandomnessBeacon
 
 __all__ = [
-    "AttackStats",
-    "BeaconConsumer",
-    "BlindLastRevealer",
-    "CommitRevealBeacon",
-    "CommitRevealRound",
     "HashChainBeacon",
-    "LastRevealerAttacker",
-    "MaliciousBeacon",
     "RandomnessBeacon",
-    "SignedOutput",
-    "TrustedBeacon",
-    "VdfBeacon",
-    "VdfProof",
-    "WesolowskiVdf",
-    "combine_reveals",
-    "hash_to_prime",
 ]

@@ -1,18 +1,12 @@
 """Randomness beacon interfaces (paper Section V-E).
 
 The audit contract must draw "reliable, unpredictable, unbiased" randomness
-each round.  The paper surveys three practical designs, all implemented in
-this package:
-
-* commit-reveal games (Randao-style) — :mod:`repro.randomness.commit_reveal`,
-  including the last-revealer bias attack that breaks them,
-* verifiable delay functions fixing that loophole —
-  :mod:`repro.randomness.vdf`,
-* an external trusted beacon (NIST-style) —
-  :mod:`repro.randomness.trusted`.
-
-This module defines the common interface plus the deterministic hash-chain
-beacon used by tests and simulations.
+each round; all it needs of a beacon is :class:`RandomnessBeacon`.  This
+module defines that interface plus the deterministic hash-chain beacon the
+system, its tests and its benchmarks run.  The three practical designs the
+paper surveys — commit-reveal (with the last-revealer bias attack), a VDF
+finaliser and a trusted external beacon — live with the eclipse attacker's
+scripted beacon in ``benchmarks/paper/beacons/``, outside the package.
 """
 
 from __future__ import annotations
@@ -57,28 +51,3 @@ class HashChainBeacon:
     @property
     def cost_usd(self) -> float:
         return self._cost
-
-
-class MaliciousBeacon:
-    """Adversary-scripted beacon for eclipse-attack experiments.
-
-    Models the Section V-C scenario: an eclipse attacker monopolises the
-    victim's view of the chain and feeds "well-calculated challenge
-    randomness" of their choosing.
-    """
-
-    def __init__(self, outputs: dict[int, bytes], fallback: RandomnessBeacon):
-        self._outputs = dict(outputs)
-        self._fallback = fallback
-
-    def script(self, round_id: int, value: bytes) -> None:
-        self._outputs[round_id] = value
-
-    def output(self, round_id: int) -> bytes:
-        if round_id in self._outputs:
-            return self._outputs[round_id]
-        return self._fallback.output(round_id)
-
-    @property
-    def cost_usd(self) -> float:
-        return self._fallback.cost_usd

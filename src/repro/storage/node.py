@@ -21,6 +21,7 @@ from .encryption import EncryptedFile, decrypt_file, encrypt_file, generate_key
 from .erasure import ReedSolomonCode, Shard
 from .manifest import FileManifest, ShardLocation
 from .network import NetworkError, SimulatedNetwork
+from .placement import RingPlacement
 
 
 def _checksum(data: bytes) -> bytes:
@@ -131,14 +132,20 @@ class DsnClient:
         n: int = 10,
         k: int = 3,
         key_mode: str = "random",
+        strategy=None,
     ) -> FileManifest:
-        """Encrypt, erasure-code and place shards on n distinct providers."""
+        """Encrypt, erasure-code and place shards on n distinct providers.
+
+        ``strategy`` is a :class:`~repro.storage.placement.PlacementStrategy`
+        ordering the candidates (ring successors of the file key when None,
+        e.g. best-reputation-first otherwise); a provider that declines a
+        shard is skipped.
+        """
         key = generate_key(plaintext if key_mode == "convergent" else None, key_mode)  # type: ignore[arg-type]
         self.keys[file_id] = key
         encrypted = encrypt_file(plaintext, key, key_mode)  # type: ignore[arg-type]
         code = ReedSolomonCode(n, k)
         shards = code.encode(encrypted.ciphertext)
-        providers = self.cluster.ring.successors(file_id, n)
         manifest = FileManifest(
             file_id=file_id,
             plaintext_length=len(plaintext),
@@ -149,21 +156,43 @@ class DsnClient:
             nonce=encrypted.nonce,
             tag=encrypted.tag,
         )
-        for shard, provider in zip(shards, providers):
-            self.cluster.network.send(self.owner_name, provider.name, len(shard.data))
-            accepted = self.cluster.node(provider.name).put(
-                file_id, shard.index, shard.data
-            )
-            if not accepted:
-                raise RuntimeError(f"{provider.name} is out of capacity")
-            manifest.shards.append(
+        manifest.shards = self._place(
+            file_id,
+            shards,
+            self._ordering(file_id, n, strategy),
+            "ran out of providers during placement",
+        )
+        return manifest
+
+    def _ordering(self, file_id: str, n: int, strategy) -> list[str]:
+        """Candidate providers for ``n`` shards, most preferred first."""
+        return (strategy or RingPlacement()).select(self.cluster, file_id, n)
+
+    def _place(
+        self,
+        file_id: str,
+        shards: list[Shard],
+        candidates: list[str],
+        exhausted: str,
+    ) -> list[ShardLocation]:
+        """Put each shard on the next candidate that accepts it."""
+        remaining = iter(candidates)
+        placed = []
+        for shard in shards:
+            for target in remaining:
+                self.cluster.network.send(self.owner_name, target, len(shard.data))
+                if self.cluster.node(target).put(file_id, shard.index, shard.data):
+                    break
+            else:
+                raise RuntimeError(exhausted)
+            placed.append(
                 ShardLocation(
                     shard_index=shard.index,
-                    provider=provider.name,
+                    provider=target,
                     checksum=_checksum(shard.data),
                 )
             )
-        return manifest
+        return placed
 
     def retrieve(self, manifest: FileManifest) -> bytes:
         """Fetch any k healthy shards, decode, authenticate, decrypt."""
@@ -203,12 +232,9 @@ class DsnClient:
     ) -> FileManifest:
         """Re-generate the shards a failed provider held and re-place them.
 
-        ``strategy`` is an optional
-        :class:`~repro.storage.placement.PlacementStrategy`; when given,
-        the replacement providers are taken from its ordering (e.g.
-        best-reputation-first) instead of raw ring successors.  Providers
-        already holding a shard of this file — and the failed provider —
-        are always excluded.
+        Replacements are walked in ``strategy``'s order, as :meth:`store`
+        walks it.  Providers already holding a shard of this file — and
+        the failed provider — are always excluded.
         """
         code = ReedSolomonCode(manifest.erasure_n, manifest.erasure_k)
         survivors: list[Shard] = []
@@ -238,20 +264,9 @@ class DsnClient:
         fresh = code.encode(ciphertext)
         # Place the regenerated shards on providers not already used.
         used = {loc.provider for loc in healthy}
-        if strategy is None:
-            ordered = [
-                node.name
-                for node in self.cluster.ring.successors(
-                    manifest.file_id, len(self.cluster.nodes)
-                )
-            ]
-        else:
-            ordered = list(
-                strategy.select(self.cluster, manifest.file_id, len(lost))
-            )
         candidates = [
             name
-            for name in ordered
+            for name in self._ordering(manifest.file_id, len(lost), strategy)
             if name not in used and name != provider and name in self.cluster.nodes
         ]
         if len(candidates) < len(lost):
@@ -259,27 +274,12 @@ class DsnClient:
                 f"only {len(candidates)} replacement providers available for "
                 f"{len(lost)} lost shards of {manifest.file_id}"
             )
-        candidate_iter = iter(candidates)
-        for lost_loc in lost:
-            shard = fresh[lost_loc.shard_index]
-            while True:
-                target = next(candidate_iter, None)
-                if target is None:
-                    raise RuntimeError(
-                        f"replacement providers ran out of capacity while "
-                        f"repairing {manifest.file_id}"
-                    )
-                self.cluster.network.send(self.owner_name, target, len(shard.data))
-                if self.cluster.node(target).put(
-                    manifest.file_id, shard.index, shard.data
-                ):
-                    break
-            healthy.append(
-                ShardLocation(
-                    shard_index=shard.index,
-                    provider=target,
-                    checksum=_checksum(shard.data),
-                )
-            )
+        healthy += self._place(
+            manifest.file_id,
+            [fresh[loc.shard_index] for loc in lost],
+            candidates,
+            f"replacement providers ran out of capacity while "
+            f"repairing {manifest.file_id}",
+        )
         manifest.shards = sorted(healthy, key=lambda s: s.shard_index)
         return manifest

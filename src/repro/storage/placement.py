@@ -3,18 +3,19 @@
 The baseline client places shards on the DHT successors of the file key
 (pure Chord semantics).  Real deployments weigh more than ring position:
 the paper's ecosystem discussion implies providers should be chosen by
-*reputation* (Section VI-A) and users care about *latency*; capacity
-limits are physical.  Each strategy returns an ordered provider list the
-client walks until ``n`` shards are placed.
+*reputation* (Section VI-A).  Each strategy returns an ordered provider
+list that :meth:`~repro.storage.node.DsnClient.store` and
+:meth:`~repro.storage.node.DsnClient.repair` walk, skipping any provider
+that declines a shard (a full disk), until every shard is placed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Protocol
 
-from .dht import ChordRing
-from .node import DsnCluster, StorageNode
+if TYPE_CHECKING:
+    from .node import DsnCluster
 
 
 class PlacementStrategy(Protocol):
@@ -41,29 +42,6 @@ class RingPlacement:
 
 
 @dataclass
-class CapacityAwarePlacement:
-    """Ring order, skipping providers that cannot fit the shard."""
-
-    shard_bytes: int
-
-    def select(self, cluster: DsnCluster, file_id: str, n: int) -> list[str]:
-        candidates = cluster.ring.successors(file_id, len(cluster.nodes))
-        fitting = [
-            node.name
-            for node in candidates
-            if cluster.node(node.name).capacity_bytes
-            - cluster.node(node.name).used_bytes
-            >= self.shard_bytes
-        ]
-        if len(fitting) < n:
-            raise RuntimeError(
-                f"only {len(fitting)} providers can fit a "
-                f"{self.shard_bytes}-byte shard; need {n}"
-            )
-        return fitting
-
-
-@dataclass
 class ReputationWeightedPlacement:
     """Best-reputation-first among ring candidates (Section VI-A selection).
 
@@ -86,83 +64,3 @@ class ReputationWeightedPlacement:
                 f"only {len(eligible)} providers meet the reputation bar"
             )
         return sorted(eligible, key=lambda name: -self.score_of(name))
-
-
-@dataclass
-class LatencyAwarePlacement:
-    """Fastest-first by measured (simulated) round-trip to each provider."""
-
-    probe_bytes: int = 64
-
-    def select(self, cluster: DsnCluster, file_id: str, n: int) -> list[str]:
-        from .network import NetworkError
-
-        latencies = []
-        for node in cluster.ring.successors(file_id, len(cluster.nodes)):
-            try:
-                latency = cluster.network.send("placer", node.name, self.probe_bytes)
-            except NetworkError:
-                continue
-            latencies.append((latency, node.name))
-        if len(latencies) < n:
-            raise RuntimeError("not enough reachable providers")
-        latencies.sort()
-        return [name for _, name in latencies]
-
-
-def place_with_strategy(
-    client,
-    strategy: PlacementStrategy,
-    file_id: str,
-    plaintext: bytes,
-    n: int,
-    k: int,
-    key_mode: str = "random",
-):
-    """Store a file using an explicit placement strategy.
-
-    Mirrors :meth:`repro.storage.node.DsnClient.store` but routes shard
-    placement through ``strategy`` instead of raw ring successors.
-    """
-    from .encryption import encrypt_file, generate_key
-    from .erasure import ReedSolomonCode
-    from .manifest import FileManifest, ShardLocation
-    from .node import _checksum
-
-    key = generate_key(plaintext if key_mode == "convergent" else None, key_mode)
-    client.keys[file_id] = key
-    encrypted = encrypt_file(plaintext, key, key_mode)
-    code = ReedSolomonCode(n, k)
-    shards = code.encode(encrypted.ciphertext)
-    provider_names = strategy.select(client.cluster, file_id, n)
-    manifest = FileManifest(
-        file_id=file_id,
-        plaintext_length=len(plaintext),
-        ciphertext_length=len(encrypted.ciphertext),
-        erasure_n=n,
-        erasure_k=k,
-        key_mode=key_mode,
-        nonce=encrypted.nonce,
-        tag=encrypted.tag,
-    )
-    placed = 0
-    name_iter = iter(provider_names)
-    for shard in shards:
-        while True:
-            provider = next(name_iter, None)
-            if provider is None:
-                raise RuntimeError("ran out of providers during placement")
-            client.cluster.network.send(client.owner_name, provider, len(shard.data))
-            if client.cluster.node(provider).put(file_id, shard.index, shard.data):
-                manifest.shards.append(
-                    ShardLocation(
-                        shard_index=shard.index,
-                        provider=provider,
-                        checksum=_checksum(shard.data),
-                    )
-                )
-                placed += 1
-                break
-    if placed < n:
-        raise RuntimeError("placement incomplete")
-    return manifest

@@ -1,10 +1,10 @@
-"""ScenarioRunner through the engine, plus the byzantine DSN node."""
+"""ScenarioRunner through the engine, plus byzantine DSN nodes."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.adversary import ByzantineStorageNode, ScenarioRunner, StrategySpec
+from repro.adversary import ScenarioRunner, StrategySpec
 from repro.core import ProtocolParams
 from repro.sim.workloads import adversarial_fleet_mix
 from repro.storage import DsnClient, DsnCluster
@@ -66,28 +66,34 @@ class TestScenarioRunner:
 
 
 class TestByzantineStorageNode:
-    def _cluster_with(self, mode: str, rho: float) -> tuple[DsnCluster, DsnClient]:
+    """A provider misbehaving at the shard interface is a plain
+    ``StorageNode`` under fault injection: ``drop_file`` keeps nothing
+    (selective storage), ``corrupt_shard`` rots a shard in place, and a
+    network crash takes the node offline."""
+
+    def _cluster(self) -> tuple[DsnCluster, DsnClient]:
         cluster = DsnCluster()
         for index in range(6):
-            if index == 0:
-                node = ByzantineStorageNode(
-                    name=f"node-{index}", mode=mode, rho=rho
-                )
-                cluster.nodes[node.name] = node
-                cluster.ring.join(node.name)
-            else:
-                cluster.add_node(f"node-{index}")
+            cluster.add_node(f"node-{index}")
         return cluster, DsnClient("owner", cluster)
 
     @pytest.mark.parametrize("mode", ["selective", "bitrot", "offline"])
     def test_redundancy_rides_out_one_byzantine_node(self, mode):
-        cluster, client = self._cluster_with(mode, rho=1.0)
+        cluster, client = self._cluster()
         payload = b"adversarial shard payload " * 40
         manifest = client.store("file-x", payload, n=6, k=2)
+        bad = manifest.shards[0]  # the first shard retrieval tries
+        node = cluster.node(bad.provider)
+        if mode == "selective":
+            assert node.drop_file("file-x") == 1
+        elif mode == "bitrot":
+            assert node.corrupt_shard("file-x", bad.shard_index)
+        else:
+            cluster.network.crash(node.name)
         assert client.retrieve(manifest) == payload
 
     def test_bitrot_shard_fails_checksum(self):
-        cluster, client = self._cluster_with("honest", rho=0.0)
+        cluster, client = self._cluster()
         payload = b"checksummed payload " * 32
         manifest = client.store("file-y", payload, n=6, k=2)
         victim = manifest.shards[0]
@@ -96,10 +102,6 @@ class TestByzantineStorageNode:
         )
         # retrieval skips the corrupted shard and still succeeds
         assert client.retrieve(manifest) == payload
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            ByzantineStorageNode(name="bad", mode="nonsense")
 
 
 def test_runner_accepts_plain_pairs_from_workloads():

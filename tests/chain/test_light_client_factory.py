@@ -1,4 +1,4 @@
-"""Light-client replay (public verifiability) and the contract factory."""
+"""Light-client replay (public verifiability)."""
 
 from __future__ import annotations
 
@@ -7,13 +7,9 @@ import pytest
 from repro.chain import (
     Blockchain,
     ContractTerms,
-    Transaction,
-    WEI_PER_ETH,
     deploy_audit_contract,
     run_contract_to_completion,
 )
-from repro.chain.contracts.factory import AuditContractFactory, report_round_outcomes
-from repro.chain.contracts.reputation import ReputationRegistry
 from repro.chain.light_client import LightClient, audit_the_auditor, export_trail
 from repro.core import DataOwner, ProtocolParams, StorageProvider
 from repro.randomness import HashChainBeacon
@@ -101,87 +97,3 @@ class TestLightClient:
         )
         assert client.replay(export_trail(contract)).consistent
 
-
-class TestFactory:
-    def test_factory_deploys_and_wires_reputation(self, rng):
-        params = ProtocolParams(s=5, k=3)
-        chain = Blockchain()
-        operator = chain.create_account(5.0)
-        registry = ReputationRegistry(min_stake_wei=WEI_PER_ETH)
-        registry_address = chain.deploy(registry, deployer=operator)
-        factory = AuditContractFactory(
-            beacon=HashChainBeacon(b"factory"),
-            params=params,
-            registry_address=registry_address,
-        )
-        factory_address = chain.deploy(factory, deployer=operator)
-
-        owner_account = chain.create_account(10.0)
-        provider_account = chain.create_account(10.0)
-        chain.transact(
-            Transaction(sender=provider_account, to=registry_address,
-                        method="register", value=WEI_PER_ETH)
-        )
-        terms = ContractTerms(num_audits=2, audit_interval=60.0,
-                              response_window=20.0)
-        receipt = chain.transact(
-            Transaction(sender=owner_account, to=factory_address,
-                        method="create_contract",
-                        args=(provider_account, terms))
-        )
-        assert receipt.success
-        contract_address = receipt.return_value
-        # The factory auto-authorized the new contract as a reporter.
-        assert contract_address in registry.reporters
-        assert chain.call(factory_address, "contracts_for_provider",
-                          provider_account) == [contract_address]
-        assert chain.call(factory_address, "contracts_for_owner",
-                          owner_account) == [contract_address]
-
-    def test_outcome_reporting_updates_reputation(self, rng):
-        params = ProtocolParams(s=5, k=3)
-        chain = Blockchain()
-        operator = chain.create_account(5.0)
-        registry = ReputationRegistry(min_stake_wei=WEI_PER_ETH)
-        registry_address = chain.deploy(registry, deployer=operator)
-        factory = AuditContractFactory(
-            beacon=HashChainBeacon(b"factory2"),
-            params=params,
-            registry_address=registry_address,
-        )
-        chain.deploy(factory, deployer=operator)
-
-        owner = DataOwner(params, rng=rng)
-        package = owner.prepare(b"\x13" * 500)
-        provider_role = StorageProvider(rng=rng)
-        terms = ContractTerms(num_audits=2, audit_interval=60.0,
-                              response_window=20.0)
-        deployment = deploy_audit_contract(
-            chain, package, provider_role, terms,
-            HashChainBeacon(b"factory2"), params,
-        )
-        # Register the provider account and adopt the contract into the
-        # factory's book-keeping + reporter set.
-        chain.transact(
-            Transaction(sender=deployment.provider_account,
-                        to=registry_address, method="register",
-                        value=WEI_PER_ETH)
-        )
-        from repro.chain.contracts.factory import FactoryRecord
-
-        factory.deployed.append(
-            FactoryRecord(
-                contract_address=deployment.contract_address,
-                owner=deployment.owner_account,
-                provider=deployment.provider_account,
-            )
-        )
-        registry.reporters.add(deployment.contract_address)
-        contract = run_contract_to_completion(chain, deployment)
-        sent = report_round_outcomes(chain, factory, registry_address)
-        assert sent == 2
-        record = registry.providers[deployment.provider_account]
-        assert record.passes == 2
-        assert record.score > 0.5
-        # Idempotent: nothing new to report.
-        assert report_round_outcomes(chain, factory, registry_address) == 0

@@ -1,7 +1,7 @@
 """LightClient.replay / audit_the_auditor over a mixed honest+failed trail.
 
-The per-round light client was previously only exercised indirectly
-(factory tests); this suite drives it over a contract whose trail mixes
+``test_light_client_factory.py`` replays an all-pass trail; this suite
+drives the per-round light client over a contract whose trail mixes
 honest passes with genuine failures (provider drops the file mid-contract)
 and over deliberately mis-recorded trails — the forged-trail /
 mis-executing-contract case the auditor-of-the-auditor exists to catch.

@@ -25,9 +25,10 @@ from repro.core.verifier import VERDICT_MEMO
 from repro.crypto.bn254 import PROCESS_CACHE
 from repro.sim.workloads import archive_file
 
-# The Groth16 strawman, the MAC / Sia-style baselines and MiMC live beside
-# the Table I / Table II benches, outside the installed package; their tests
-# (tests/snark, tests/baselines, TestMiMC) import them as plain modules.
+# The Groth16 strawman, the MAC / Sia-style baselines, MiMC and the beacon
+# survey live beside the Table I / Table II benches, outside the installed
+# package; their tests (tests/snark, tests/baselines, TestMiMC,
+# tests/randomness) import them as plain modules.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks" / "paper"))
 
 

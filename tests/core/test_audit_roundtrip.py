@@ -11,8 +11,8 @@ import dataclasses
 
 import pytest
 
+from repro.adversary import ReplayingProver
 from repro.core import (
-    CheatingProver,
     ProveReport,
     Prover,
     Verifier,
@@ -25,6 +25,7 @@ from repro.core.chunking import chunk_file
 from repro.core.params import ProtocolParams
 from repro.core.proof import PrivateProof
 from repro.crypto.bn254 import G1Point
+from repro.crypto.field import random_scalar
 
 
 @pytest.fixture(scope="module")
@@ -101,23 +102,23 @@ class TestSoundness:
         cheater = Prover(bad, package.public, list(package.authenticators), rng=rng)
         assert verifier.verify_private(challenge, cheater.respond_private(challenge))
 
-    def test_cheating_strategies_fail(self, package, verifier, params, rng):
+    def test_cheating_strategies_fail(self, package, prover, verifier, params, rng):
+        """Zero-fill answers over the damaged file; random-sigma is an
+        honest answer under a random aggregated authenticator."""
         challenge = random_challenge(params, rng=rng)
         target = challenge.expand(package.chunked.num_chunks).indices[0]
         bad = corrupt_chunk(package.chunked, target)
-        for strategy in ("zero-fill", "random-sigma"):
-            cheater = CheatingProver(
-                bad, package.public, list(package.authenticators),
-                rng=rng, strategy=strategy,
-            )
-            assert not verifier.verify_private(
-                challenge, cheater.respond_private(challenge)
-            ), strategy
+        zero_fill = Prover(bad, package.public, list(package.authenticators), rng=rng)
+        random_sigma = dataclasses.replace(
+            prover.respond_private(challenge),
+            sigma=G1Point.generator() * random_scalar(rng),
+        )
+        for proof in (zero_fill.respond_private(challenge), random_sigma):
+            assert not verifier.verify_private(challenge, proof)
 
     def test_stale_proof_rejected(self, package, verifier, params, rng):
-        cheater = CheatingProver(
-            package.chunked, package.public, list(package.authenticators),
-            rng=rng, strategy="stale-proof",
+        cheater = ReplayingProver(
+            package.chunked, package.public, list(package.authenticators), rng=rng
         )
         c1 = random_challenge(params, rng=rng)
         assert verifier.verify_private(c1, cheater.respond_private(c1))

@@ -15,7 +15,7 @@ for some other challenge, a ``pairing-mismatch``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +32,6 @@ from repro.chain import (
 )
 from repro.chain.light_client import LightClient
 from repro.core import (
-    CheatingProver,
     DataOwner,
     ProtocolParams,
     Prover,
@@ -41,6 +40,8 @@ from repro.core import (
     epoch_challenge,
 )
 from repro.core.proof import PRIVATE_PROOF_BYTES
+from repro.crypto.bn254 import G1Point
+from repro.crypto.field import random_scalar
 from repro.randomness import HashChainBeacon
 from repro.rollup import RoundRecord, build_checkpoint, leaf_ground_truth
 
@@ -65,7 +66,7 @@ KINDS = {
 class Fleet:
     package: object
     honest: Prover
-    forger: CheatingProver
+    forger: random.Random  # draws the forged proofs' random sigma
     beacon: HashChainBeacon
     responses: dict  # (kind, challenge bytes) -> bytes: one answer per challenge
 
@@ -78,7 +79,7 @@ def fleet():
     return Fleet(
         package,
         Prover(*parts, rng=random.Random(2601)),
-        CheatingProver(*parts, rng=random.Random(2602), strategy="random-sigma"),
+        random.Random(2602),
         HashChainBeacon(b"screen-differential"),
         {},
     )
@@ -87,8 +88,11 @@ def fleet():
 def _answer(fleet, prover_kind, challenge) -> bytes:
     key = (prover_kind, challenge.to_bytes())
     if key not in fleet.responses:
-        prover = fleet.honest if prover_kind == "honest" else fleet.forger
-        fleet.responses[key] = prover.respond_private(challenge).to_bytes()
+        proof = fleet.honest.respond_private(challenge)
+        if prover_kind == "forged":
+            sigma = G1Point.generator() * random_scalar(fleet.forger)
+            proof = replace(proof, sigma=sigma)
+        fleet.responses[key] = proof.to_bytes()
     return fleet.responses[key]
 
 

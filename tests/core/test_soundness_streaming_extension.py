@@ -1,29 +1,16 @@
-"""Theorem-1 extractors, streaming preprocessing, append-only extension."""
+"""Theorem-1 extractors: the Sigma protocol's special soundness."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    DataOwner,
-    ProtocolParams,
-    StorageProvider,
-    Verifier,
-    random_challenge,
-)
-from repro.core.authenticator import generate_authenticators
-from repro.core.chunking import chunk_file
-from repro.core.extension import AppendError, append_data, overwrite_refused
-from repro.core.keys import generate_keypair
-from repro.core.params import ProtocolParams
-from repro.core.prover import Prover
+from repro.core import random_challenge
 from repro.core.soundness import (
     ForkingProver,
     extract_masked_evaluation,
     knowledge_error_bound,
     verify_extraction,
 )
-from repro.core.streaming import stream_authenticators, stream_summary
 
 
 class TestSpecialSoundness:
@@ -77,104 +64,3 @@ class TestSpecialSoundness:
     def test_knowledge_error_negligible(self):
         assert knowledge_error_bound(10**6) < 2**-200
 
-
-class TestStreaming:
-    def test_matches_in_memory_path(self, rng):
-        params = ProtocolParams(s=5, k=2)
-        keypair = generate_keypair(params.s, rng=rng)
-        data = bytes(range(256)) * 3
-        chunked = chunk_file(data, params, name=404)
-        expected = generate_authenticators(chunked, keypair)
-        # Feed the stream in awkward piece sizes.
-        pieces = [data[i : i + 37] for i in range(0, len(data), 37)]
-        streamed = dict(
-            stream_authenticators(iter(pieces), keypair, params, name=404)
-        )
-        assert len(streamed) == len(expected)
-        for index, sigma in enumerate(expected):
-            assert streamed[index] == sigma
-
-    def test_streamed_authenticators_audit_correctly(self, rng):
-        params = ProtocolParams(s=4, k=3)
-        keypair = generate_keypair(params.s, rng=rng)
-        data = b"streamed archive contents " * 20
-        chunked = chunk_file(data, params, name=505)
-        auths = [
-            sigma
-            for _, sigma in stream_authenticators(
-                iter([data]), keypair, params, name=505
-            )
-        ]
-        prover = Prover(chunked, keypair.public, auths, rng=rng)
-        verifier = Verifier(keypair.public, 505, chunked.num_chunks)
-        challenge = random_challenge(params, rng=rng)
-        assert verifier.verify_private(challenge, prover.respond_private(challenge))
-
-    def test_summary_accounting(self):
-        params = ProtocolParams(s=4, k=1)
-        pieces = [b"x" * 100, b"y" * 55]
-        summary = stream_summary(iter(pieces), params, name=1)
-        assert summary.byte_length == 155
-        assert summary.num_chunks == ((155 + 30) // 31 + 3) // 4
-
-    def test_empty_stream(self):
-        params = ProtocolParams(s=4, k=1)
-        summary = stream_summary(iter([]), params, name=1)
-        assert summary.byte_length == 0
-        assert summary.num_chunks == 1  # floor for the empty edge
-
-
-class TestAppendOnlyExtension:
-    @pytest.fixture()
-    def aligned_setup(self, rng):
-        params = ProtocolParams(s=4, k=3)
-        owner = DataOwner(params, rng=rng)
-        aligned_len = params.s * 31 * 5  # exactly 5 chunks
-        package = owner.prepare(b"\xAB" * aligned_len)
-        return params, owner, package
-
-    def test_append_and_audit(self, aligned_setup, rng):
-        params, owner, package = aligned_setup
-        extended = append_data(package, owner.keypair, b"\xCD" * 200, params)
-        assert extended.num_chunks > package.num_chunks
-        assert extended.chunked.to_bytes().startswith(b"\xAB" * 100)
-        assert extended.chunked.to_bytes().endswith(b"\xCD" * 200)
-        # Old authenticators reused verbatim.
-        assert extended.authenticators[: package.num_chunks] == package.authenticators
-        # The provider can validate and answer audits over the whole file.
-        provider = StorageProvider(rng=rng)
-        assert provider.accept(extended)
-        verifier = Verifier(extended.public, extended.name, extended.num_chunks)
-        challenge = random_challenge(params, rng=rng)
-        proof = provider.respond(extended.name, challenge)
-        assert verifier.verify_private(challenge, proof)
-
-    def test_double_append(self, aligned_setup, rng):
-        params, owner, package = aligned_setup
-        once = append_data(package, owner.keypair, b"\x01" * (params.s * 31), params)
-        twice = append_data(once, owner.keypair, b"\x02" * 50, params)
-        provider = StorageProvider(rng=rng)
-        assert provider.accept(twice)
-
-    def test_unaligned_original_rejected(self, rng):
-        params = ProtocolParams(s=4, k=2)
-        owner = DataOwner(params, rng=rng)
-        package = owner.prepare(b"\x11" * 100)  # not chunk-aligned
-        with pytest.raises(AppendError):
-            append_data(package, owner.keypair, b"\x22" * 10, params)
-
-    def test_empty_append_rejected(self, aligned_setup):
-        params, owner, package = aligned_setup
-        with pytest.raises(AppendError):
-            append_data(package, owner.keypair, b"", params)
-
-    def test_foreign_keypair_rejected(self, aligned_setup, rng):
-        params, _, package = aligned_setup
-        other = generate_keypair(params.s, rng=rng)
-        with pytest.raises(AppendError):
-            append_data(package, other, b"\x33" * 10, params)
-
-    def test_overwrite_always_refused(self, aligned_setup):
-        _, _, package = aligned_setup
-        with pytest.raises(AppendError):
-            overwrite_refused(package, 0)

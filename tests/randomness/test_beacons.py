@@ -7,12 +7,11 @@ import random
 
 import pytest
 
-from repro.randomness import (
+from beacons import (  # benchmarks/paper
     BeaconConsumer,
     BlindLastRevealer,
     CommitRevealBeacon,
     CommitRevealRound,
-    HashChainBeacon,
     LastRevealerAttacker,
     MaliciousBeacon,
     TrustedBeacon,
@@ -21,7 +20,8 @@ from repro.randomness import (
     combine_reveals,
     hash_to_prime,
 )
-from repro.randomness.vdf import is_probable_prime
+from beacons.vdf import is_probable_prime
+from repro.randomness import HashChainBeacon
 
 
 class TestHashChainBeacon:
@@ -52,7 +52,7 @@ class TestCommitReveal:
 
     def test_reveal_must_match_commitment(self):
         rnd = CommitRevealRound()
-        from repro.randomness.commit_reveal import _commitment
+        from beacons.commit_reveal import _commitment
 
         rnd.commit("p", _commitment(b"value", b"salt"))
         rnd.start_reveal()
@@ -66,7 +66,7 @@ class TestCommitReveal:
             rnd.commit("p", b"c2")
 
     def test_withholder_forfeits_deposit(self):
-        from repro.randomness.commit_reveal import _commitment
+        from beacons.commit_reveal import _commitment
 
         rnd = CommitRevealRound(deposit=42)
         rnd.commit("honest", _commitment(b"v1", b"s1"))

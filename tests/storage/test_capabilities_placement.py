@@ -1,4 +1,5 @@
-"""Capability strings and placement strategies."""
+"""Placement strategies, and the one walk ``DsnClient.store`` and
+``DsnClient.repair`` take over a strategy's ordering."""
 
 from __future__ import annotations
 
@@ -7,21 +8,7 @@ import random
 import pytest
 
 from repro.storage import DsnClient, DsnCluster, SimulatedNetwork
-from repro.storage.capabilities import (
-    CapabilityError,
-    ReadCap,
-    VerifyCap,
-    check_verify_cap,
-    make_read_cap,
-    storage_index_from_key,
-)
-from repro.storage.placement import (
-    CapacityAwarePlacement,
-    LatencyAwarePlacement,
-    ReputationWeightedPlacement,
-    RingPlacement,
-    place_with_strategy,
-)
+from repro.storage.placement import ReputationWeightedPlacement, RingPlacement
 
 
 @pytest.fixture()
@@ -35,44 +22,8 @@ def cluster():
     return cluster
 
 
-class TestCapabilities:
-    @pytest.fixture()
-    def read_cap(self, cluster):
-        client = DsnClient("owner", cluster)
-        manifest = client.store("caps-file", b"capability test data " * 30, n=4, k=2)
-        return make_read_cap(client.keys["caps-file"], manifest), manifest, client
-
-    def test_roundtrip_strings(self, read_cap):
-        cap, _, _ = read_cap
-        assert ReadCap.from_string(cap.to_string()) == cap
-        verify = cap.attenuate()
-        assert VerifyCap.from_string(verify.to_string()) == verify
-
-    def test_attenuation_is_one_way(self, read_cap):
-        """The verify cap exposes the storage index, never the key."""
-        cap, _, _ = read_cap
-        verify = cap.attenuate()
-        assert verify.storage_index == storage_index_from_key(cap.key)
-        assert cap.key not in verify.to_string().encode()
-        assert len(verify.storage_index) == 16
-
-    def test_verify_cap_binds_to_manifest(self, read_cap, cluster):
-        cap, manifest, client = read_cap
-        verify = cap.attenuate()
-        assert check_verify_cap(verify, cap.key, manifest)
-        other_manifest = client.store("other-file", b"different data", n=3, k=2)
-        assert not check_verify_cap(verify, cap.key, other_manifest)
-
-    def test_wrong_prefix_rejected(self):
-        with pytest.raises(CapabilityError):
-            ReadCap.from_string("URI:VERIFY:aaaa:bbbb")
-        with pytest.raises(CapabilityError):
-            VerifyCap.from_string("URI:READ:aaaa:bbbb")
-
-    def test_distinct_keys_distinct_indices(self):
-        assert storage_index_from_key(b"\x01" * 32) != storage_index_from_key(
-            b"\x02" * 32
-        )
+def _fill(node) -> None:
+    node.put("filler", 0, b"\x00" * (node.capacity_bytes - 10))
 
 
 class TestPlacement:
@@ -84,22 +35,24 @@ class TestPlacement:
         assert len(selected) == len(cluster.nodes)  # full fallback ordering
         with pytest.raises(RuntimeError):
             strategy.select(cluster, "file-x", len(cluster.nodes) + 1)
+        manifest = DsnClient("owner", cluster).store("file-x", b"ring " * 40, n=4, k=2)
+        assert [s.provider for s in manifest.shards] == expected
 
     def test_capacity_aware_skips_full_nodes(self, cluster):
+        """The default walk passes over a provider that declines a shard."""
         ring_order = RingPlacement().select(cluster, "file-y", 10)
-        # Fill the first-choice node completely.
-        first = cluster.node(ring_order[0])
-        first.put("filler", 0, b"\x00" * (first.capacity_bytes - 10))
-        strategy = CapacityAwarePlacement(shard_bytes=1000)
-        selected = strategy.select(cluster, "file-y", 4)
-        assert ring_order[0] not in selected[:4]
+        _fill(cluster.node(ring_order[0]))
+        payload = b"\x02" * 2000
+        client = DsnClient("owner", cluster)
+        manifest = client.store("file-y", payload, n=4, k=2)
+        assert [s.provider for s in manifest.shards] == ring_order[1:5]
+        assert client.retrieve(manifest) == payload
 
     def test_capacity_aware_fails_when_impossible(self, cluster):
         for node in cluster.nodes.values():
-            node.put("filler", 0, b"\x00" * (node.capacity_bytes - 10))
-        strategy = CapacityAwarePlacement(shard_bytes=1000)
-        with pytest.raises(RuntimeError):
-            strategy.select(cluster, "file-z", 2)
+            _fill(node)
+        with pytest.raises(RuntimeError, match="ran out of providers"):
+            DsnClient("owner", cluster).store("file-z", b"\x03" * 2000, n=2, k=1)
 
     def test_reputation_weighted_orders_by_score(self, cluster):
         scores = {name: 0.5 for name in cluster.nodes}
@@ -115,19 +68,17 @@ class TestPlacement:
         with pytest.raises(RuntimeError):
             strategy.select(cluster, "file-r", 2)
 
-    def test_latency_aware_skips_dead_nodes(self, cluster):
-        cluster.network.crash("node-0")
-        strategy = LatencyAwarePlacement()
-        selected = strategy.select(cluster, "file-l", 5)
-        assert "node-0" not in selected
-
     def test_place_with_strategy_end_to_end(self, cluster):
         client = DsnClient("owner", cluster)
         payload = b"strategic placement " * 40
-        manifest = place_with_strategy(
-            client, RingPlacement(), "strat-file", payload, n=5, k=2
+        scores = {name: 0.5 for name in cluster.nodes}
+        scores["node-3"] = 0.9
+        manifest = client.store(
+            "strat-file", payload, n=5, k=2,
+            strategy=ReputationWeightedPlacement(score_of=lambda n: scores[n]),
         )
         assert len(manifest.shards) == 5
+        assert manifest.shards[0].provider == "node-3"
         assert client.retrieve(manifest) == payload
 
     def test_place_with_strategy_skips_full_nodes(self, cluster):
@@ -137,8 +88,15 @@ class TestPlacement:
         full = cluster.node(order[0])
         full.put("filler", 0, b"\x00" * (full.capacity_bytes - 4))
         payload = b"\x01" * 2000
-        manifest = place_with_strategy(
-            client, RingPlacement(), "strat-2", payload, n=4, k=2
+        manifest = client.store(
+            "strat-2", payload, n=4, k=2, strategy=RingPlacement()
         )
         assert order[0] not in {s.provider for s in manifest.shards}
         assert client.retrieve(manifest) == payload
+        # Repair walks the same ordering the same way: the full node is
+        # passed over again and the next free one takes the shard.
+        victim = manifest.shards[0].provider
+        repaired = client.repair(manifest, victim, strategy=RingPlacement())
+        replacement = repaired.shards[0].provider
+        assert replacement == order[5]
+        assert client.retrieve(repaired) == payload

@@ -259,10 +259,11 @@ def test_lower_layers_do_not_import_the_layers_above(package, banned):
 
 
 def test_installed_package_holds_no_paper_comparison_code():
-    """The Groth16 strawman, the MAC / Sia-style baselines and MiMC live in
-    ``benchmarks/paper``; the audit stack neither ships nor imports them,
-    nor anything else from ``benchmarks``."""
-    moved = {"snark", "baselines", "mimc"}
+    """The Groth16 strawman, the MAC / Sia-style baselines, MiMC and the
+    Section V-E beacon survey live in ``benchmarks/paper``; the audit stack
+    neither ships nor imports them, nor anything else from ``benchmarks``,
+    and ``repro.randomness`` is the interface plus the beacon it runs."""
+    moved = {"snark", "baselines", "mimc", "beacons"}
     offenders = [
         (str(path.relative_to(SRC_REPRO)), lineno)
         for path in sorted(SRC_REPRO.rglob("*.py"))
@@ -273,6 +274,34 @@ def test_installed_package_holds_no_paper_comparison_code():
     shipped = find_packages(str(SRC_REPRO.parent))
     assert "repro.core" in shipped
     assert not {f"repro.{name}" for name in moved} & set(shipped)
+    assert sorted(path.name for path in (SRC_REPRO / "randomness").glob("*.py")) == [
+        "__init__.py", "beacon.py",
+    ]
+
+
+def test_one_function_reads_the_owner_secret():
+    """Section V-B has one owner-side signing step,
+    sigma_i = (g1^{M_i(alpha)} * H(name || i))^x: under ``src/repro`` only
+    ``core.authenticator.generate_authenticators`` reads ``secret.x`` or
+    ``secret.alpha`` (module-level reads count, as function ``None``)."""
+    readers = set()
+
+    def visit(node, relative, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("x", "alpha")
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "secret"
+        ):
+            readers.add((relative, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, relative, owner)
+
+    for path in sorted(SRC_REPRO.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.relative_to(SRC_REPRO).as_posix(), None)
+    assert readers == {("core/authenticator.py", "generate_authenticators")}
 
 
 def test_nobody_can_choose_where_an_epoch_runs():

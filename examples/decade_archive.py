@@ -4,15 +4,16 @@ The question a DSN depositor actually has — *will my archive still be
 there in ten years?* — answered by simulation rather than hand-waving:
 
 1. Two archives are erasure-coded RS(4,2) across 8 staked providers and
-   placed under audit (one dormant Fig. 2 contract per shard + the epoch
-   checkpoint rollup over a 2-lane sharded chain fabric).
+   placed under audit (each shard registered on its lane's checkpoint
+   contract, which the epoch rollup over a 2-lane sharded chain fabric
+   settles).
 2. Year after year, providers crash, leave politely or silently go flaky.
    Every epoch the whole fleet is challenged through the parallel audit
    engine; failures become ``no-proof`` rejections in that epoch's
    on-chain checkpoint.
 3. Every failed shard is regenerated from survivors and re-placed on the
    best-reputation provider (the on-chain registry feeds placement),
-   re-keyed, and put under a fresh audit contract.
+   re-keyed, and registered on its lane's checkpoint contract.
 4. Providers whose audit record rots below threshold are *evicted*: their
    registry stake is slashed on chain and their shards migrate away.
 5. The run ends with the archives decrypting byte-for-byte — and a second

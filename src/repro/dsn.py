@@ -5,8 +5,7 @@ concrete: :class:`AuditedDsn` glues the storage substrate (encrypt /
 erasure-code / DHT placement), the audit layer (one Fig. 2 contract per
 shard-holding provider) and the reputation registry together, and closes
 the loop the paper leaves to the reader — when an audit fails, the shard
-is repaired onto a fresh provider chosen by reputation, and a replacement
-contract is deployed.
+is repaired onto a fresh provider, and a replacement contract is deployed.
 """
 
 from __future__ import annotations
@@ -31,10 +30,8 @@ class ShardAudit:
     deployment: AuditDeployment
     file_name: int
     replaced: bool = False
-    #: The outsourcing package backing this shard's audit contract.  Kept so
-    #: downstream drivers (the lifecycle engine) can register the shard with
-    #: the parallel-audit executor and the checkpoint rollup.
-    package: object | None = field(default=None, repr=False)
+    #: Contract rounds already reported to the reputation registry.
+    reported_rounds: int = 0
 
 
 @dataclass
@@ -64,9 +61,6 @@ class AuditedDsn:
         terms: ContractTerms | None = None,
         reputation: ReputationRegistry | None = None,
         rng=None,
-        placement=None,
-        validate_packages: bool = True,
-        key_mode: str = "random",
     ):
         self.cluster = cluster
         self.chain = chain
@@ -78,18 +72,6 @@ class AuditedDsn:
         self.reputation = reputation
         self._reputation_address: str | None = None
         self._rng = rng
-        # Optional PlacementStrategy: routes both initial placement and
-        # repair re-placement (e.g. ReputationWeightedPlacement backed by
-        # the on-chain registry).  None keeps pure Chord semantics.
-        self.placement = placement
-        # Package validation at contract acknowledge time is a pairing-heavy
-        # check already covered by the core tests; long-horizon simulations
-        # switch it off to keep thousands of (re-)deployments affordable.
-        self.validate_packages = validate_packages
-        # "convergent" makes stored ciphertexts a pure function of the
-        # plaintext — what seed-deterministic simulations need ("random"
-        # draws key and nonce from the OS CSPRNG).
-        self.key_mode = key_mode
         self.files: dict[str, AuditedFile] = {}
         self._clients: dict[str, DsnClient] = {}
         if reputation is not None:
@@ -103,10 +85,7 @@ class AuditedDsn:
     ) -> AuditedFile:
         """Place a file and put every shard under an audit contract."""
         client = DsnClient(owner_name, self.cluster)
-        manifest = client.store(
-            file_id, data, n=n, k=k, key_mode=self.key_mode,
-            strategy=self.placement,
-        )
+        manifest = client.store(file_id, data, n=n, k=k)
         audited = AuditedFile(manifest=manifest)
         self.files[file_id] = audited
         self._clients[file_id] = client
@@ -126,13 +105,7 @@ class AuditedDsn:
         package = owner.prepare(shard_data)
         provider_role = StorageProvider(rng=self._rng)
         deployment = deploy_audit_contract(
-            self.chain,
-            package,
-            provider_role,
-            self.terms,
-            self.beacon,
-            self.params,
-            validate=self.validate_packages,
+            self.chain, package, provider_role, self.terms, self.beacon, self.params
         )
         audited.manifest.audit_names[f"{provider_name}:{shard_index}"] = package.name
         shard_audit = ShardAudit(
@@ -140,7 +113,6 @@ class AuditedDsn:
             shard_index=shard_index,
             deployment=deployment,
             file_name=package.name,
-            package=package,
         )
         audited.shard_audits.append(shard_audit)
         return shard_audit
@@ -191,9 +163,7 @@ class AuditedDsn:
     ) -> None:
         """Regenerate the failed provider's shard onto a fresh node."""
         client = self._clients[file_id]
-        manifest = client.repair(
-            audited.manifest, failed.provider, strategy=self.placement
-        )
+        manifest = client.repair(audited.manifest, failed.provider)
         audited.manifest = manifest
         failed.replaced = True
         # Find the replacement location and put it under audit too.
@@ -216,8 +186,7 @@ class AuditedDsn:
         record = self.reputation.providers.get(shard_audit.provider)
         if record is None:
             return
-        reported = getattr(shard_audit, "_reported_rounds", 0)
-        for round_record in contract.rounds[reported:]:
+        for round_record in contract.rounds[shard_audit.reported_rounds:]:
             if round_record.passed is None:
                 break
             self.chain.transact(
@@ -229,8 +198,7 @@ class AuditedDsn:
                     gas_price_gwei=0.0,
                 )
             )
-            reported += 1
-        shard_audit._reported_rounds = reported  # type: ignore[attr-defined]
+            shard_audit.reported_rounds += 1
 
     # -- retrieval ---------------------------------------------------------------
 

@@ -18,11 +18,13 @@ earlier layers:
   plus one cross-shard super-commitment on a
   :class:`~repro.chain.fabric.ShardedChainFabric`
   (:mod:`repro.rollup`), with optional per-lane WAL persistence,
-* the **DSN substrate** stores, audits and *repairs*: every failed shard
-  is regenerated through :meth:`repro.dsn.AuditedDsn._repair` onto a
+* the **storage substrate** stores and *repairs*: every failed shard is
+  regenerated through :meth:`repro.storage.DsnClient.repair` onto a
   provider chosen by
   :class:`~repro.storage.placement.ReputationWeightedPlacement` over the
-  live on-chain registry, re-keyed and put under a fresh audit contract.
+  live on-chain registry, re-keyed by a fresh ``DataOwner.prepare`` and
+  registered on its lane's checkpoint contract — the one contract that
+  judges it.
 
 Determinism contract: a run is a pure function of its
 :class:`LifecycleConfig` — same seed ⇒ byte-identical event trail
@@ -38,16 +40,15 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..chain import ContractTerms, Transaction
+from ..chain import Transaction
 from ..chain.contracts.checkpoint_contract import CheckpointContract, CheckpointStatus
 from ..chain.contracts.reputation import ReputationRegistry
 from ..chain.fabric import ShardedChainFabric
-from ..core import ProtocolParams
+from ..core import DataOwner, OutsourcingPackage, ProtocolParams
 from ..core.prover import ResponseWithheld
-from ..dsn import AuditedDsn, ShardAudit
 from ..engine import AuditExecutor, AuditInstance, EpochScheduler
 from ..obs.registry import get_registry
 from ..obs.tracing import NULL_TRACER, Tracer
@@ -59,18 +60,16 @@ from ..rollup.records import records_from_epoch
 from ..sim.workloads import archive_file
 from ..storage import (
     DataLoss,
+    DsnClient,
     DsnCluster,
+    FileManifest,
     ReputationWeightedPlacement,
+    ShardLocation,
     SimulatedNetwork,
 )
 from .events import EventTrail
 from .hazard import ChurnModel, HazardConfig
 from .persist import ENGINE_SNAPSHOT, load_engine, save_engine
-
-#: Per-shard audit contracts deployed by the DSN are *dormant* during a
-#: lifecycle run: their scheduled challenges sit beyond the simulated
-#: horizon, because round auditing flows through the epoch rollup instead.
-DORMANT_INTERVAL = 10**9
 
 
 @dataclass(frozen=True)
@@ -151,6 +150,17 @@ class ProviderState:
     deregistered: bool = False
 
 
+@dataclass(frozen=True)
+class LiveShard:
+    """One placed shard under audit: where it sits and the package it
+    answers challenges for (its audit name is ``package.name``)."""
+
+    file_id: str
+    shard_index: int
+    provider: str
+    package: OutsourcingPackage = field(repr=False)
+
+
 @dataclass
 class EpochSummary:
     """One epoch's ledger line (mirrors the trail, numerically)."""
@@ -217,8 +227,11 @@ class LifecycleEngine:
         self._owner_rng = random.Random(_sub_seed(config.seed, "owner"))
         self.providers: dict[str, ProviderState] = {}
         self.payloads: dict[str, bytes] = {}
-        #: file name (Zp id) -> (file_id, live ShardAudit)
-        self._shards: dict[int, tuple[str, ShardAudit]] = {}
+        #: file id -> its owner's storage client (which holds the file key)
+        self.clients: dict[str, DsnClient] = {}
+        self.manifests: dict[str, FileManifest] = {}
+        #: file name (Zp id) -> the live shard it audits
+        self._shards: dict[int, LiveShard] = {}
         #: lane id -> (aggregator account, checkpoint contract address)
         self.lane_settlement: dict[int, tuple[str, str]] = {}
         #: names already registered on their lane's checkpoint contract
@@ -249,8 +262,8 @@ class LifecycleEngine:
     # World construction                                                  #
     # ------------------------------------------------------------------ #
 
-    def _open_world(self, cluster: DsnCluster, reputation) -> None:
-        """Open the fabric and wire the DSN over it (fresh build and reopen)."""
+    def _open_world(self) -> None:
+        """Open the fabric and the placement reading it (build and reopen)."""
         config = self.config
         lanes_dir = None
         if config.persist_dir:
@@ -258,30 +271,15 @@ class LifecycleEngine:
         self.fabric = ShardedChainFabric(
             num_lanes=config.lanes, persist_dir=lanes_dir
         )
-        self.dsn = AuditedDsn(
-            cluster,
-            self.fabric,
-            self.beacon,
-            params=self.params,
-            terms=ContractTerms(
-                num_audits=1,
-                audit_interval=DORMANT_INTERVAL,
-                response_window=DORMANT_INTERVAL / 10,
-            ),
-            reputation=reputation,
-            rng=self._owner_rng,
-            placement=ReputationWeightedPlacement(
-                score_of=self._score_of, minimum_score=config.min_placement_score
-            ),
-            validate_packages=False,
-            key_mode="convergent",
+        self.placement = ReputationWeightedPlacement(
+            score_of=self._score_of, minimum_score=config.min_placement_score
         )
 
     def _build_executor(self) -> None:
         self.executor = AuditExecutor(
             [
-                AuditInstance.from_package(audit.package, owner_id=file_id)
-                for file_id, audit in self._shards.values()
+                AuditInstance.from_package(shard.package, owner_id=shard.file_id)
+                for shard in self._shards.values()
             ],
             workers=self.config.workers,
             cache_dir=self.config.crypto_cache_dir,
@@ -310,18 +308,17 @@ class LifecycleEngine:
                     "lifecycle run; reopen it with LifecycleEngine.open / "
                     "--resume, or point --persist at a fresh directory"
                 )
-        self._open_world(
-            DsnCluster(
-                network=SimulatedNetwork(
-                    rng=random.Random(_sub_seed(config.seed, "network"))
-                )
-            ),
-            ReputationRegistry(min_stake_wei=int(config.stake_eth * 10**18)),
+        self.cluster = DsnCluster(
+            network=SimulatedNetwork(
+                rng=random.Random(_sub_seed(config.seed, "network"))
+            )
         )
-        assert self.dsn._reputation_address is not None
-        self.registry_address = self.dsn._reputation_address
-        registry_lane = self.fabric.lane_index_of_contract(self.registry_address)
-        self._registry_lane = self.fabric.lane(registry_lane)
+        self._open_world()
+        operator = self.fabric.create_account(1.0, label="registry-operator")
+        self.registry_address = self.fabric.deploy(
+            ReputationRegistry(min_stake_wei=int(config.stake_eth * 10**18)),
+            deployer=operator,
+        )
         self.oracle = self._registry_lane.create_account(
             20.0, label="lifecycle-oracle"
         )
@@ -342,12 +339,15 @@ class LifecycleEngine:
                 config.file_bytes, tag=f"lifecycle-{config.seed}-{index}"
             ).data
             self.payloads[file_id] = payload
-            audited = self.dsn.store(
-                f"owner-{index}", file_id, payload,
-                n=config.erasure_n, k=config.erasure_k,
+            client = DsnClient(f"owner-{index}", self.cluster)
+            manifest = client.store(
+                file_id, payload, n=config.erasure_n, k=config.erasure_k,
+                key_mode="convergent", strategy=self.placement,
             )
-            for shard_audit in audited.shard_audits:
-                self._track_shard(file_id, shard_audit)
+            self.clients[file_id] = client
+            self.manifests[file_id] = manifest
+            for location in manifest.shards:
+                self._prepare_shard(file_id, location)
             self.trail.emit(
                 0, "stored", file_id,
                 shards=config.erasure_n, needed=config.erasure_k,
@@ -360,7 +360,7 @@ class LifecycleEngine:
     def _add_provider(self, epoch: int) -> ProviderState:
         name = f"node-{self.node_seq:03d}"
         self.node_seq += 1
-        self.dsn.cluster.add_node(name)
+        self.cluster.add_node(name)
         account = self._registry_lane.create_account(
             self.config.stake_eth + 1.0, label=f"stake-{name}"
         )
@@ -378,9 +378,15 @@ class LifecycleEngine:
         self.trail.emit(epoch, "joined", name, stake_eth=self.config.stake_eth)
         return state
 
-    def _track_shard(self, file_id: str, shard_audit: ShardAudit) -> None:
-        assert shard_audit.package is not None
-        self._shards[shard_audit.file_name] = (file_id, shard_audit)
+    def _prepare_shard(self, file_id: str, location: ShardLocation) -> LiveShard:
+        """Key a placed shard for auditing: one ``DataOwner.prepare``."""
+        data = self.cluster.node(location.provider).get(
+            file_id, location.shard_index
+        )
+        package = DataOwner(self.params, rng=self._owner_rng).prepare(data)
+        shard = LiveShard(file_id, location.shard_index, location.provider, package)
+        self._shards[package.name] = shard
+        return shard
 
     # ------------------------------------------------------------------ #
     # Chain helpers                                                       #
@@ -402,6 +408,12 @@ class LifecycleEngine:
     def _score_of(self, provider: str) -> float:
         return float(
             self.fabric.call(self.registry_address, "score_of", provider)
+        )
+
+    @property
+    def _registry_lane(self):
+        return self.fabric.lane(
+            self.fabric.lane_index_of_contract(self.registry_address)
         )
 
     @property
@@ -500,7 +512,7 @@ class LifecycleEngine:
             state.dead = True
             state.alive = False
             state.flaky = False
-            self.dsn.cluster.remove_node(name)
+            self.cluster.remove_node(name)
             self.trail.emit(
                 epoch, "crashed", name, shards=len(self._names_held_by(name))
             )
@@ -511,9 +523,7 @@ class LifecycleEngine:
 
     def _names_held_by(self, provider: str) -> list[int]:
         return sorted(
-            name
-            for name, (_, audit) in self._shards.items()
-            if audit.provider == provider and not audit.replaced
+            name for name, shard in self._shards.items() if shard.provider == provider
         )
 
     def _graceful_leave(self, epoch: int, provider: str) -> None:
@@ -529,7 +539,7 @@ class LifecycleEngine:
             self.trail.emit(epoch, "deferred", provider, what="departure")
             return
         state.alive = False
-        self.dsn.cluster.remove_node(provider)
+        self.cluster.remove_node(provider)
         receipt = self._transact(
             state.account, self.registry_address, "deregister", (provider,)
         )
@@ -555,10 +565,8 @@ class LifecycleEngine:
         scheduler = self.scheduler
         scheduler.overrides.clear()
         flaky_names: list[int] = []
-        for name, (_, audit) in sorted(self._shards.items()):
-            if audit.replaced:
-                continue
-            state = self.providers.get(audit.provider)
+        for name, shard in sorted(self._shards.items()):
+            state = self.providers.get(shard.provider)
             if state is None or state.dead or not state.alive:
                 scheduler.set_override(name, self._withheld_override)
             elif state.flaky:
@@ -612,13 +620,9 @@ class LifecycleEngine:
     ) -> int:
         if name in self._registered:
             return 0
-        _, audit = self._shards[name]
-        assert audit.package is not None
+        package = self._shards[name].package
         receipt = client.register_instance(
-            account,
-            name,
-            audit.package.public.to_bytes(),
-            audit.package.num_chunks,
+            account, name, package.public.to_bytes(), package.num_chunks
         )
         if not receipt.success:
             raise RuntimeError(f"instance registration failed: {receipt.error}")
@@ -630,8 +634,7 @@ class LifecycleEngine:
     def _report_step(self, records) -> None:
         registry = self.registry
         for record in records:
-            _, audit = self._shards[record.name]
-            provider = audit.provider
+            provider = self._shards[record.name].provider
             if provider not in registry.providers:
                 continue
             self._transact(
@@ -645,19 +648,17 @@ class LifecycleEngine:
 
     def _repair_step(self, epoch: int, records) -> None:
         for record in sorted(records, key=lambda r: r.name):
-            if record.verdict:
-                continue
-            _, audit = self._shards[record.name]
-            if audit.replaced:
-                continue  # already migrated earlier this epoch
-            self._repair_shard(epoch, record.name, reason=record.reject_code)
+            if not record.verdict:
+                self._repair_shard(epoch, record.name, reason=record.reject_code)
 
     def _repair_shard(self, epoch: int, name: int, reason: str) -> bool:
         """Regenerate one shard onto a fresh provider; False = deferred."""
-        file_id, audit = self._shards[name]
-        audited = self.dsn.files[file_id]
+        shard = self._shards[name]
+        file_id = shard.file_id
         try:
-            self.dsn._repair(file_id, audited, audit)
+            manifest = self.clients[file_id].repair(
+                self.manifests[file_id], shard.provider, strategy=self.placement
+            )
         except DataLoss as exc:
             # Below k healthy shards no later epoch can repair the file:
             # say so once, and let outcome() report files_intact=False.
@@ -670,29 +671,32 @@ class LifecycleEngine:
         except RuntimeError as exc:
             self.trail.emit(
                 epoch, "deferred", file_id,
-                shard=audit.shard_index, why=str(exc)[:60],
+                shard=shard.shard_index, why=str(exc)[:60],
             )
             return False
-        replacement = audited.shard_audits[-1]
-        assert replacement.package is not None
+        del self._shards[name]
+        replacement = self._prepare_shard(
+            file_id,
+            next(
+                loc for loc in manifest.shards
+                if loc.shard_index == shard.shard_index
+            ),
+        )
         self.executor.unregister(name)
         self.executor.register(
             AuditInstance.from_package(replacement.package, owner_id=file_id)
         )
-        del self._shards[name]
-        self._track_shard(file_id, replacement)
         self.trail.emit(
             epoch, "repaired", file_id,
-            shard=audit.shard_index,
-            source=audit.provider,
+            shard=shard.shard_index,
+            source=shard.provider,
             target=replacement.provider,
             reason=reason,
         )
         self.trail.emit(
             epoch, "rekeyed", file_id,
             old=f"{name:#x}"[:14],
-            new=f"{replacement.file_name:#x}"[:14],
-            contract=replacement.deployment.contract_address[:14],
+            new=f"{replacement.package.name:#x}"[:14],
         )
         return True
 
@@ -750,7 +754,7 @@ class LifecycleEngine:
         )
         if state.alive and fully_migrated:
             state.alive = False
-            self.dsn.cluster.remove_node(state.name)
+            self.cluster.remove_node(state.name)
 
     def _drain_evicted(self, epoch: int, state: ProviderState) -> None:
         """Finish a partially-deferred eviction: migrate, then drop the node."""
@@ -763,7 +767,7 @@ class LifecycleEngine:
                 fully_migrated = False
         if fully_migrated:
             state.alive = False
-            self.dsn.cluster.remove_node(state.name)
+            self.cluster.remove_node(state.name)
 
     # -- phase 7: finalize + bookkeeping ------------------------------------ #
 
@@ -784,10 +788,10 @@ class LifecycleEngine:
         from ..storage.node import _checksum
 
         worst = None
-        for file_id, audited in self.dsn.files.items():
+        for file_id, manifest in self.manifests.items():
             healthy = 0
-            for location in audited.manifest.shards:
-                node = self.dsn.cluster.nodes.get(location.provider)
+            for location in manifest.shards:
+                node = self.cluster.nodes.get(location.provider)
                 data = (
                     node.get(file_id, location.shard_index)
                     if node is not None
@@ -802,7 +806,7 @@ class LifecycleEngine:
         """End-to-end retrievability of every stored file."""
         for file_id, payload in self.payloads.items():
             try:
-                if self.dsn.retrieve(file_id) != payload:
+                if self.clients[file_id].retrieve(self.manifests[file_id]) != payload:
                     return False
             except RuntimeError:
                 return False

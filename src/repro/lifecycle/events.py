@@ -28,7 +28,7 @@ EVENT_KINDS = (
     "crashed",     # provider vanished; its shards must be repaired
     "flaky",       # provider started silently failing audits
     "repaired",    # one shard regenerated onto a fresh provider
-    "rekeyed",     # a migrated shard got a fresh audit keypair + contract
+    "rekeyed",     # a migrated shard got a fresh audit keypair + file name
     "deferred",    # a repair could not be placed this epoch (retried later)
     "lost",        # a file fell below k healthy shards; no repair can help
     "evicted",     # audit/dispute record fell below threshold; removed

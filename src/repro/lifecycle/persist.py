@@ -33,29 +33,18 @@ from pathlib import Path
 from .. import durable
 
 ENGINE_SNAPSHOT = "engine.pkl"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 _MAGIC = b"LIFECYCL"
 
-#: Engine attributes that are plain picklable values, saved and restored as-is.
+#: Engine attributes that are plain picklable values, saved and restored
+#: as-is.  One pickle holds them all, so the restored storage clients share
+#: the restored cluster.
 _PLAIN_FIELDS = (
     "next_epoch", "node_seq", "summaries", "providers", "payloads",
     "total_commitment_gas", "total_repairs", "total_evictions", "wall_seconds",
     "registry_address", "oracle", "lane_settlement", "_registered",
+    "cluster", "clients", "manifests", "_shards",
 )
-
-
-def _shard_audit_state(shard_audit) -> dict:
-    deployment = shard_audit.deployment
-    return {
-        "provider": shard_audit.provider,
-        "shard_index": shard_audit.shard_index,
-        "file_name": shard_audit.file_name,
-        "replaced": shard_audit.replaced,
-        "package": shard_audit.package,
-        "contract_address": deployment.contract_address,
-        "owner_account": deployment.owner_account,
-        "provider_account": deployment.provider_account,
-    }
 
 
 def save_engine(engine) -> Path:
@@ -64,15 +53,6 @@ def save_engine(engine) -> Path:
     assert config.persist_dir, "save_engine requires a persist_dir"
     directory = Path(config.persist_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    wal_sizes = [lane.store.wal_size() for lane in engine.fabric.lanes]
-    files_state = {}
-    for file_id, audited in engine.dsn.files.items():
-        files_state[file_id] = {
-            "manifest": audited.manifest,
-            "shard_audits": [
-                _shard_audit_state(audit) for audit in audited.shard_audits
-            ],
-        }
     state = {
         "version": SNAPSHOT_VERSION,
         "config": config,
@@ -80,13 +60,7 @@ def save_engine(engine) -> Path:
         "trail_lines": engine.trail.to_lines(),
         "churn_rng": engine._churn.rng.getstate(),
         "owner_rng": engine._owner_rng.getstate(),
-        "cluster": engine.dsn.cluster,
-        "client_keys": {
-            file_id: (client.owner_name, dict(client.keys))
-            for file_id, client in engine.dsn._clients.items()
-        },
-        "files": files_state,
-        "wal_sizes": wal_sizes,
+        "wal_sizes": [lane.store.wal_size() for lane in engine.fabric.lanes],
         "fabric_state_hash": engine.fabric.state_hash(),
     }
     final_path = directory / ENGINE_SNAPSHOT
@@ -107,12 +81,9 @@ def load_engine(persist_dir: str, **overrides):
     ``overrides`` may adjust pure *execution* knobs (currently only
     ``workers``); anything that feeds the determinism domain is refused.
     """
-    from ..chain.agents import AuditDeployment, ProviderAgent
     from ..chain.state import WalStateStore
-    from ..core import ProtocolParams, StorageProvider
-    from ..dsn import AuditedFile, ShardAudit
+    from ..core import ProtocolParams
     from ..randomness import HashChainBeacon
-    from ..storage import DsnClient
     from .engine import LifecycleEngine
     from .events import EventTrail
     from .hazard import ChurnModel
@@ -154,60 +125,14 @@ def load_engine(persist_dir: str, **overrides):
     # Rewind each lane's WAL to the recorded boundary, then reopen.
     for index, size in enumerate(state["wal_sizes"]):
         WalStateStore.truncate_wal(directory / "lanes" / f"lane-{index:03d}", size)
-    cluster = state["cluster"]
     try:
-        engine._open_world(cluster, None)
+        engine._open_world()
     except durable.WalCorruption as exc:
         raise LifecycleResumeError(f"lane state: {exc}") from exc
-    fabric, dsn = engine.fabric, engine.dsn
-    if fabric.state_hash() != state["fabric_state_hash"]:
-        fabric.close()
+    if engine.fabric.state_hash() != state["fabric_state_hash"]:
+        engine.fabric.close()
         raise LifecycleResumeError(
             "reopened fabric state does not match the engine snapshot"
         )
-    dsn.reputation = engine.registry  # type: ignore[assignment]
-    dsn._reputation_address = engine.registry_address
-    engine._registry_lane = fabric.lane(
-        fabric.lane_index_of_contract(engine.registry_address)
-    )
-
-    engine._shards = {}
-    for file_id, file_state in state["files"].items():
-        audited = AuditedFile(manifest=file_state["manifest"])
-        for audit_state in file_state["shard_audits"]:
-            lane = fabric.home_lane(audit_state["file_name"])
-            provider_role = StorageProvider()
-            if audit_state["package"] is not None:
-                provider_role.accept(audit_state["package"], validate=False)
-            agent = ProviderAgent(
-                chain=lane,
-                account=audit_state["provider_account"],
-                provider=provider_role,
-                contract_address=audit_state["contract_address"],
-                file_name=audit_state["file_name"],
-            )
-            deployment = AuditDeployment(
-                contract_address=audit_state["contract_address"],
-                owner_account=audit_state["owner_account"],
-                provider_account=audit_state["provider_account"],
-                provider_agent=agent,
-            )
-            shard_audit = ShardAudit(
-                provider=audit_state["provider"],
-                shard_index=audit_state["shard_index"],
-                deployment=deployment,
-                file_name=audit_state["file_name"],
-                replaced=audit_state["replaced"],
-                package=audit_state["package"],
-            )
-            audited.shard_audits.append(shard_audit)
-            if not shard_audit.replaced:
-                engine._shards[shard_audit.file_name] = (file_id, shard_audit)
-        dsn.files[file_id] = audited
-        owner_name, keys = state["client_keys"][file_id]
-        client = DsnClient(owner_name, cluster)
-        client.keys = dict(keys)
-        dsn._clients[file_id] = client
-
     engine._build_executor()
     return engine

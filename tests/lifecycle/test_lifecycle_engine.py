@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chain.contracts.audit_contract import AuditContract
 from repro.chain.contracts.checkpoint_contract import (
     CheckpointContract,
     CheckpointStatus,
@@ -38,6 +39,17 @@ BASE = dict(
 )
 
 
+def _registrations(engine) -> dict[str, tuple[int, int]]:
+    """Trail-style name prefix -> (lane, name) of every instance the lanes'
+    checkpoint contracts hold."""
+    held = {}
+    for lane_id, (_, address) in engine.lane_settlement.items():
+        contract = engine.fabric.lane(lane_id).contract_at(address)
+        for name in contract.export_instance_registry():
+            held[f"{name:#x}"[:14]] = (lane_id, name)
+    return held
+
+
 @pytest.fixture(scope="module")
 def finished():
     """One churny 4-epoch run plus its (kept-alive) engine."""
@@ -49,15 +61,18 @@ def finished():
 
 class TestDeterminism:
     def test_base_run_digests_are_the_ones_captured_at_34f8142(self, finished):
-        """Known answers: the trail and every contract / registry attribute
-        ``state_hash`` walks are where they were before constructor options
-        became constants."""
+        """Known answers for the trail and every contract / registry
+        attribute ``state_hash`` walks.  They moved once since they were
+        captured, when the engine stopped deploying a dormant Fig. 2
+        contract per shard: those contracts and their accounts left the
+        chain state, and the ``rekeyed`` event lost its ``contract=``
+        field.  Every verdict, repair and eviction stayed where it was."""
         _, outcome = finished
         assert outcome.trail_digest == (
-            "58af050b55eec7b1aab04cf0c3e509d0acd6cc796499bbab44b04b402fd0c3c7"
+            "054dca6d66654426a5a07179ea8f1b5ce963b9d2096d95f91e48d8daedce148d"
         )
         assert outcome.state_hash == (
-            "daa17ea29f221edbce4669d129c1c2da453e94f43a034cdaf60aeaf6e18e61c3"
+            "c54da3bbe9ced077e01987dc28b356362f21b9b8e0a13c8525489c2d76238b02"
         )
 
     def test_same_seed_same_trail_and_state(self, finished):
@@ -117,11 +132,14 @@ class TestDurability:
         rekeys = outcome.trail.of_kind("rekeyed")
         repairs = outcome.trail.of_kind("repaired")
         assert len(rekeys) == len(repairs) > 0
+        registered = _registrations(engine)
         for event in rekeys:
             assert event.get("old") != event.get("new")
-            # the replacement contract is live on the fabric
-            address_prefix = event.get("contract")
-            assert address_prefix and address_prefix.startswith("0xc")
+            # the replacement registers on its home lane's checkpoint
+            # contract at its first settle (after the last epoch: never)
+            if event.epoch < outcome.epochs_run:
+                lane_id, name = registered[event.get("new")]
+                assert lane_id == engine.fabric.lane_index_for(name)
 
     def test_repair_target_never_equals_source(self, finished):
         _, outcome = finished
@@ -153,7 +171,7 @@ class TestEviction:
         for event in outcome.trail.of_kind("evicted"):
             name = event.subject
             assert name not in {
-                audit.provider for _, audit in engine._shards.values()
+                audit.provider for audit in engine._shards.values()
             }
 
 
@@ -208,6 +226,23 @@ class TestSettlement:
         proof = bundle.prove(name)
         assert bundle.verify_inclusion(proof)
 
+    def test_shards_are_judged_by_the_checkpoint_contracts_alone(self, finished):
+        """No Fig. 2 contract is deployed: a shard's one on-chain footprint
+        is its registration on its home lane's checkpoint contract."""
+        engine, _ = finished
+        contracts = [
+            contract
+            for lane in engine.fabric.lanes
+            for contract in lane.store.contracts.values()
+        ]
+        assert not any(isinstance(c, AuditContract) for c in contracts)
+        assert engine.fabric.events_named("negotiated") == []
+        assert engine.fabric.events_named("acked") == []
+        registered = _registrations(engine).values()
+        assert {name for _, name in registered} == engine._registered
+        for lane_id, name in registered:
+            assert lane_id == engine.fabric.lane_index_for(name)
+
     def test_settlement_gas_decomposes_into_epochs(self, finished):
         _, outcome = finished
         assert outcome.total_commitment_gas == sum(
@@ -226,8 +261,7 @@ class TestEvictionDrain:
         # Force the partial-eviction state by hand: a provider that was
         # slashed while migration could not complete.
         victim = next(
-            audit.provider
-            for _, (_file_id, audit) in sorted(engine._shards.items())
+            audit.provider for _, audit in sorted(engine._shards.items())
         )
         state = engine.providers[victim]
         state.evicted = True
@@ -235,10 +269,10 @@ class TestEvictionDrain:
         engine._evict_step(epoch=1)
         assert engine._names_held_by(victim) == []
         assert not state.alive
-        assert victim not in engine.dsn.cluster.nodes
+        assert victim not in engine.cluster.nodes
         # the migrated shards are live somewhere else
         assert all(
-            audit.provider != victim for _, audit in engine._shards.values()
+            audit.provider != victim for audit in engine._shards.values()
         )
         engine.close()
 

@@ -181,5 +181,7 @@ def test_snapshot_of_an_older_version_is_refused_not_half_loaded(tmp_path):
     state = pickle.loads(durable.read_sealed(path, b"LIFECYCL"))
     state["version"] = SNAPSHOT_VERSION - 1
     durable.publish(path, b"LIFECYCL", pickle.dumps(state))
-    with pytest.raises(LifecycleResumeError, match="snapshot version 2"):
+    with pytest.raises(
+        LifecycleResumeError, match=f"snapshot version {SNAPSHOT_VERSION - 1}"
+    ):
         LifecycleEngine.open(config.persist_dir)

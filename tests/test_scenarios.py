@@ -193,11 +193,11 @@ def test_lifecycle_records_real_data_loss_and_finishes():
         s=3, k=2,
     ))
     try:
-        holders = [audit.provider for _, audit in engine._shards.values()]
+        holders = [audit.provider for audit in engine._shards.values()]
         for name in holders[:2]:           # 1 of 3 shards left, k = 2
             state = engine.providers[name]
             state.dead, state.alive = True, False
-            engine.dsn.cluster.remove_node(name)
+            engine.cluster.remove_node(name)
         outcome = engine.run()
     finally:
         engine.close()
@@ -242,18 +242,27 @@ def test_cli_imports_no_layer_a_scenario_composes():
 
 
 @pytest.mark.parametrize(
-    "package, banned", [("chain", "engine"), ("lifecycle", "rpc")]
+    "package, banned",
+    [
+        ("chain", "engine"),
+        ("lifecycle", "rpc"),
+        ("lifecycle", "dsn"),
+        ("lifecycle", "chain.agents"),
+    ],
 )
 def test_lower_layers_do_not_import_the_layers_above(package, banned):
-    """The cycles this PR cut stay cut: no module under ``chain/`` imports
-    ``repro.engine`` and none under ``lifecycle/`` imports ``repro.rpc``,
-    function-level imports included."""
+    """No module under ``chain/`` imports ``repro.engine`` and none under
+    ``lifecycle/`` imports ``repro.rpc``, function-level imports included.
+    The lifecycle composes storage and keys itself and deploys no Fig. 2
+    contract, so nothing under it imports ``repro.dsn`` or
+    ``repro.chain.agents`` either."""
     root = SRC_REPRO / package
+    prefix = ("repro", *banned.split("."))
     offenders = [
         (str(path.relative_to(root)), lineno)
         for path in sorted(root.rglob("*.py"))
-        for lineno, name in _repro_imports(path)
-        if name == banned
+        for lineno, parts in _imports(path)
+        if parts[: len(prefix)] == prefix
     ]
     assert not offenders
 

@@ -1,6 +1,6 @@
 """Raw-speed microbenchmarks for the BN254 / GF(256) crypto hot path.
 
-Three sweeps, one per rebuilt kernel family:
+Four sweeps, one per rebuilt kernel family:
 
 * **MSM** — signed-window Pippenger with batch-affine bucket accumulation
   (`multi_scalar_mul`) across input sizes, with the naive double-and-add
@@ -10,6 +10,10 @@ Three sweeps, one per rebuilt kernel family:
   prepared-G2 lines, against the same product computed as individual
   pairings; the shared squaring chain plus cached lines is the win the
   grouped batch verifier rides on.
+* **BN254 inner loops** — a 3-pair Miller loop, a final exponentiation,
+  an 11-term G1 wNAF MSM and a GT fixed-base pow, each on the pure-Python
+  references and on the native kernel, outputs required equal (raw
+  Jacobian triples for the MSM).
 * **GF(256)** — `gf_matmul` on the native kernel and on the numpy
   table-gather fallback over block sizes of a 4x8 coding matrix and the
   240x80 DA encode, both required equal to each other and to the
@@ -33,13 +37,19 @@ from repro.crypto.bn254 import (
     CURVE_ORDER,
     G1Point,
     G2Point,
+    GTFixedBase,
     PrecomputeCache,
+    final_exponentiation,
+    kernel,
+    miller_loop_product,
     multi_scalar_mul,
     multi_scalar_mul_naive,
     pairing,
     pairing_product,
+    prepare_g2,
 )
 from repro.crypto.bn254.fields import Fp12
+from repro.crypto.bn254.precompute import GT_WINDOW
 from repro.storage import ReedSolomonCode, gf256
 from repro.storage.gf256 import gf_matmul, gf_matmul_ref
 
@@ -116,6 +126,14 @@ def test_crypto_speed_sweep(report):
             f"-> {individual_s / shared_s:.2f}x"
         )
 
+    # -- BN254 inner loops on both backends ---------------------------------
+    lines.append("")
+    lines.append(
+        f"BN254 inner loops on both backends (this host: "
+        f"{kernel.backend().describe()}), outputs required equal"
+    )
+    lines.extend(_bn254_lines(rng))
+
     # -- GF(256) sweep -----------------------------------------------------
     lines.append("")
     lines.append(
@@ -133,6 +151,53 @@ def test_crypto_speed_sweep(report):
         lines.append(_gf_line(label, matrix, shards, columns))
 
     report("bench_crypto_speed", "\n".join(lines))
+
+
+def _bn254_lines(rng):
+    """The loops behind a settle_checkpoint epoch's three HOTPATH legs and
+    the Sigma commitment, at that workload's sizes (k = 8 digests plus the
+    proof's terms per MSM, three owner-key Miller loops per group)."""
+    backends = {"python": kernel.Backend("python")}
+    if kernel.backend().kernel is not None:
+        backends["native"] = kernel.backend()
+    pairs = [
+        (G1 * rng.randrange(1, CURVE_ORDER), prepare_g2(G2 * rng.randrange(1, 2**64)))
+        for _ in range(3)
+    ]
+    miller = miller_loop_product(pairs)
+    points = [G1 * rng.randrange(1, CURVE_ORDER) for _ in range(11)]
+    scalars = [rng.randrange(CURVE_ORDER) for _ in range(11)]
+    base = pairing(G1, G2)
+    exponent = rng.randrange(CURVE_ORDER)
+    windows = {}
+    for name, backend in backends.items():
+        with mock.patch.object(kernel, "_backend", backend):
+            windows[name] = GTFixedBase(base, GT_WINDOW)
+    cases = [
+        ("3-pair Miller loop", lambda name: miller_loop_product(pairs)),
+        ("final exponentiation", lambda name: final_exponentiation(miller)),
+        ("11-term G1 wNAF MSM", lambda name: _raw(multi_scalar_mul(points, scalars))),
+        (f"GT fixed-base pow (window {GT_WINDOW})", lambda name: windows[name].pow(exponent)),
+    ]
+    lines = []
+    for label, run in cases:
+        timings, outputs = {}, {}
+        for name, backend in backends.items():
+            with mock.patch.object(kernel, "_backend", backend):
+                timings[name], outputs[name] = _best_of(lambda: run(name))
+        for name, out in outputs.items():
+            assert out == outputs["python"], f"{name} != python ({label})"
+        line = f"  {label + ':':<32}" + "".join(
+            f" {name} {seconds * 1e3:8.3f} ms" for name, seconds in timings.items()
+        )
+        if "native" in timings:
+            line += f" -> {timings['python'] / timings['native']:.1f}x"
+        lines.append(line)
+    return lines
+
+
+def _raw(point):
+    return point.x, point.y, point.z
 
 
 def _gf_line(label, matrix, shards, columns):

@@ -17,8 +17,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     # C kernel sources repro.native compiles on first use; without them an
-    # installed package silently runs the numpy fallback.
-    package_data={"repro.storage": ["*.c"]},
+    # installed package silently runs the numpy / pure-Python fallbacks.
+    package_data={"repro.storage": ["*.c"], "repro.crypto.bn254": ["*.c"]},
     python_requires=">=3.10",
     install_requires=["numpy"],
     entry_points={"console_scripts": ["repro = repro.cli:main"]},

@@ -8,16 +8,18 @@ paper's Figs. 8/9 stays small
 (``benchmarks/bench_ablations.py::test_ablation_gt_fixed_base`` measures the
 win).
 
-All chains here run on the flat 12-int kernels (:func:`_f12mul`,
-:func:`_f12sqr_cyclo`): raw tuples in, one :class:`Fp12` constructed at the
-end.  Exact modular arithmetic keeps every result bit-identical to the
-object-based tower.
+All chains here run on the flat 12-int layout of :meth:`Fp12._flat12`:
+in the native kernel when :func:`.kernel.active` returns one, else in the
+pure-Python references below over :func:`_f12mul` / :func:`_f12sqr_cyclo`
+(raw tuples in, one :class:`Fp12` constructed at the end).  Exact modular
+arithmetic keeps every result bit-identical to the object-based tower.
 """
 
 from __future__ import annotations
 
 from .constants import CURVE_ORDER
 from .fields import Fp12, _f12conj, _f12mul, _f12sqr_cyclo
+from .kernel import active
 
 
 def gt_pow(base: Fp12, exponent: int) -> Fp12:
@@ -28,15 +30,37 @@ def gt_pow(base: Fp12, exponent: int) -> Fp12:
     exponent %= CURVE_ORDER
     if exponent == 0:
         return Fp12.one()
+    kernel = active()
+    chain = _gt_pow_ref if kernel is None else kernel.gt_pow
+    return Fp12._from_flat12(chain(base._flat12(), exponent))
+
+
+def _gt_pow_ref(power: tuple, exponent: int) -> tuple:
+    """Square-and-multiply from the low bit; ``exponent`` > 0."""
     result = None
-    power = base._flat12()
     while exponent:
         if exponent & 1:
             result = power if result is None else _f12mul(result, power)
         exponent >>= 1
         if exponent:
             power = _f12sqr_cyclo(power)
-    return Fp12._from_flat12(result)
+    return result
+
+
+def _naf4(exponent: int) -> list[int]:
+    """Width-4 signed NAF of ``exponent`` > 0, low digit first."""
+    digits = []
+    while exponent:
+        if exponent & 1:
+            d = exponent & 15
+            if d >= 8:
+                d -= 16
+            exponent -= d
+        else:
+            d = 0
+        digits.append(d)
+        exponent >>= 1
+    return digits
 
 
 def gt_multi_pow(items: list[tuple[Fp12, int]]) -> Fp12:
@@ -50,33 +74,29 @@ def gt_multi_pow(items: list[tuple[Fp12, int]]) -> Fp12:
     so the odd-multiple tables stay tiny.  Exact field arithmetic makes the
     result bit-identical to multiplying independent :func:`gt_pow` calls.
     """
-    tables: list[list[tuple]] = []
+    bases: list[tuple] = []
     nafs: list[list[int]] = []
     for base, exponent in items:
         exponent %= CURVE_ORDER
-        if exponent == 0:
-            continue
+        if exponent:
+            bases.append(base._flat12())
+            nafs.append(_naf4(exponent))
+    if not nafs:
+        return Fp12.one()
+    kernel = active()
+    chain = _gt_multi_pow_ref if kernel is None else kernel.gt_multi_pow
+    return Fp12._from_flat12(chain(bases, nafs))
+
+
+def _gt_multi_pow_ref(bases: list[tuple], nafs: list[list[int]]) -> tuple:
+    tables: list[list[tuple]] = []
+    for flat in bases:
         # Odd multiples base^1, base^3, base^5, base^7 for width-4 NAF.
-        flat = base._flat12()
         squared = _f12sqr_cyclo(flat)
         row = [flat]
         for _ in range(3):
             row.append(_f12mul(row[-1], squared))
         tables.append(row)
-        digits = []
-        while exponent:
-            if exponent & 1:
-                d = exponent & 15
-                if d >= 8:
-                    d -= 16
-                exponent -= d
-            else:
-                d = 0
-            digits.append(d)
-            exponent >>= 1
-        nafs.append(digits)
-    if not nafs:
-        return Fp12.one()
     top = max(len(naf) for naf in nafs)
     result = None
     for bit in range(top - 1, -1, -1):
@@ -93,9 +113,7 @@ def gt_multi_pow(items: list[tuple[Fp12, int]]) -> Fp12:
             else:
                 continue
             result = entry if result is None else _f12mul(result, entry)
-    if result is None:
-        return Fp12.one()
-    return Fp12._from_flat12(result)
+    return result
 
 
 class GTFixedBase:
@@ -103,9 +121,10 @@ class GTFixedBase:
 
     ``window`` bits per digit; the table holds ``ceil(256/window)`` rows of
     ``2^window - 1`` entries.  With the default window of 4 an exponentiation
-    costs ~64 GT multiplications and no squarings.  Table entries are stored
-    as flat 12-int tuples so :meth:`pow` never allocates tower objects
-    mid-chain.
+    costs ~64 GT multiplications and no squarings.  The table has one
+    representation, fixed when it is built: the native kernel's Montgomery
+    buffer when the kernel is in use, else rows of flat 12-int tuples, so
+    :meth:`pow` never allocates tower objects mid-chain.
     """
 
     def __init__(self, base: Fp12, window: int = 4):
@@ -113,42 +132,76 @@ class GTFixedBase:
             raise ValueError("window must be between 1 and 8")
         self.base = base
         self.window = window
-        bits = CURVE_ORDER.bit_length()
-        self._rows = (bits + window - 1) // window
-        self._table: list[list[tuple]] = []
-        row_base = base._flat12()
-        for _ in range(self._rows):
-            row = [row_base]
-            for _ in range((1 << window) - 2):
-                row.append(_f12mul(row[-1], row_base))
-            self._table.append(row)
-            for _ in range(window):
-                row_base = _f12sqr_cyclo(row_base)
+        self._rows = (CURVE_ORDER.bit_length() + window - 1) // window
+        self._kernel = active()
+        build = _gt_fixed_table_ref if self._kernel is None else self._kernel.gt_fixed_table
+        self._table = build(base._flat12(), window, self._rows)
 
     @classmethod
     def _from_table(
         cls, base: Fp12, window: int, table: list[list[tuple]]
     ) -> "GTFixedBase":
-        """Rebuild from a persisted table (skips the multiplication chain)."""
+        """Rebuild from a persisted table (the :meth:`stored_table` format),
+        skipping the multiplication chain."""
         ctx = cls.__new__(cls)
         ctx.base = base
         ctx.window = window
         ctx._rows = (CURVE_ORDER.bit_length() + window - 1) // window
-        ctx._table = table
+        ctx._kernel = active()
+        if ctx._kernel is None:
+            ctx._table = table
+        else:
+            ctx._table = ctx._kernel.to_montgomery(
+                [v for row in table for entry in row for v in entry]
+            )
         return ctx
+
+    def stored_table(self) -> list[list[tuple]]:
+        """The table as the on-disk precompute store keeps it: rows of
+        flat 12-int tuples."""
+        if self._kernel is None:
+            return self._table
+        flat = self._kernel.from_montgomery(self._table)
+        entries = [flat[i : i + 12] for i in range(0, len(flat), 12)]
+        size = (1 << self.window) - 1
+        return [entries[r * size : (r + 1) * size] for r in range(self._rows)]
 
     def pow(self, exponent: int) -> Fp12:
         exponent %= CURVE_ORDER
-        result = None
-        mask = (1 << self.window) - 1
-        row_index = 0
-        while exponent:
-            digit = exponent & mask
-            if digit:
-                entry = self._table[row_index][digit - 1]
-                result = entry if result is None else _f12mul(result, entry)
-            exponent >>= self.window
-            row_index += 1
-        if result is None:
+        if exponent == 0:
             return Fp12.one()
-        return Fp12._from_flat12(result)
+        if self._kernel is None:
+            flat = _gt_fixed_pow_ref(self._table, self.window, exponent)
+        else:
+            flat = self._kernel.gt_fixed_pow(
+                self._table, self.window, self._rows, exponent
+            )
+        return Fp12._from_flat12(flat)
+
+
+def _gt_fixed_table_ref(flat: tuple, window: int, rows: int) -> list[list[tuple]]:
+    table: list[list[tuple]] = []
+    row_base = flat
+    for _ in range(rows):
+        row = [row_base]
+        for _ in range((1 << window) - 2):
+            row.append(_f12mul(row[-1], row_base))
+        table.append(row)
+        for _ in range(window):
+            row_base = _f12sqr_cyclo(row_base)
+    return table
+
+
+def _gt_fixed_pow_ref(table: list[list[tuple]], window: int, exponent: int) -> tuple:
+    """One table entry per nonzero digit, low digit first; ``exponent`` > 0."""
+    result = None
+    mask = (1 << window) - 1
+    row_index = 0
+    while exponent:
+        digit = exponent & mask
+        if digit:
+            entry = table[row_index][digit - 1]
+            result = entry if result is None else _f12mul(result, entry)
+        exponent >>= window
+        row_index += 1
+    return result

@@ -17,10 +17,17 @@ naive reference (exact mod-p arithmetic commutes with re-association):
 
 ``bench_ablation_msm`` and ``bench_crypto_speed`` quantify the win over
 naive double-and-add.  Works for both G1 and G2 (duck-typed point API).
+
+The G1 wNAF chain, its table builds and the G1 comb of
+:class:`FixedBaseMul` run in the native kernel (:mod:`.kernel`) when it is
+in use, on the same formulas in the same order, so even the Jacobian
+triples equal those of the ``_ref`` functions here; GLV splitting, wNAF
+recoding, Pippenger and every G2 path stay in Python.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import cache
 from time import perf_counter
 from typing import Sequence, TypeVar
@@ -36,6 +43,7 @@ from .constants import (
     GLV_BETA,
 )
 from .curve import G1Point, G2Point
+from .kernel import Kernel, active
 
 PointT = TypeVar("PointT", G1Point, G2Point)
 
@@ -362,6 +370,16 @@ def wnaf_table_g1(point: G1Point, width: int) -> list[tuple[int, int]]:
     authenticators, the generator) reuse these across epochs via
     :class:`~repro.crypto.bn254.precompute.PrecomputeCache`.
     """
+    kernel = active()
+    if kernel is not None:
+        table = kernel.g1_wnaf_table((point.x, point.y, point.z), 1 << (width - 2))
+        if table is not None:
+            return table
+    # Also the kernel's answer for the identity: the reference raises.
+    return _wnaf_table_g1_ref(point, width)
+
+
+def _wnaf_table_g1_ref(point: G1Point, width: int) -> list[tuple[int, int]]:
     entry = (point.x, point.y, point.z)
     step = _jac_double(*entry)
     flat = [entry]
@@ -382,6 +400,61 @@ def _msm_wnaf_g1(
     the points (entry ``None`` = build here).  Cached tables may be wider
     than ``width``; each digit stream uses its own table's width.
     """
+    kernel = active()
+    if kernel is not None:
+        x, y, z = _msm_wnaf_g1_native(kernel, pairs, width, tables)
+    else:
+        x, y, z = _msm_wnaf_g1_ref(pairs, width, tables)
+    if z == 0:
+        return G1Point.infinity()
+    return G1Point._raw(x, y, z)
+
+
+def _msm_wnaf_g1_native(
+    kernel: Kernel,
+    pairs: list[tuple[G1Point, int]],
+    width: int,
+    tables: list[list[tuple[int, int]] | None],
+) -> tuple[int, int, int]:
+    """Python splits and recodes the scalars; the kernel builds the missing
+    tables and runs the chain.  Table entries are numbered built tables
+    first, then the cached ones, in pair order."""
+    table_size = 1 << (width - 2)
+    built = [j for j, table in enumerate(tables) if table is None]
+    first_entry = {j: k * table_size for k, j in enumerate(built)}
+    cached: list[int] = []
+    streams = array("q")
+    digits = array("b")
+    for j, (_, scalar) in enumerate(pairs):
+        table = tables[j]
+        if table is None:
+            first, w = first_entry[j], width
+        else:
+            first = len(built) * table_size + len(cached) // 2
+            w = len(table).bit_length() + 1  # 2^(w-2) entries -> width w
+            cached.extend(v for entry in table for v in entry)
+        # Stream flags: 1 = read the table through phi, 2 = negated.
+        for k, phi in zip(_glv_split(scalar), (0, 1)):
+            if k:
+                naf = _wnaf(abs(k), w)
+                streams.extend((first, phi | (2 if k < 0 else 0), len(digits), len(naf)))
+                digits.extend(naf)
+    if not streams:
+        return 0, 1, 0
+    return kernel.g1_wnaf_msm(
+        [(pairs[j][0].x, pairs[j][0].y, pairs[j][0].z) for j in built],
+        table_size,
+        cached,
+        streams,
+        digits,
+    )
+
+
+def _msm_wnaf_g1_ref(
+    pairs: list[tuple[G1Point, int]],
+    width: int,
+    tables: list[list[tuple[int, int]] | None],
+) -> tuple[int, int, int]:
     table_size = 1 << (width - 2)
     flat: list[tuple[int, int, int]] = []
     build_indices: list[int] = []
@@ -413,7 +486,7 @@ def _msm_wnaf_g1(
             phi_tab = [(GLV_BETA * x % P, y) for x, y in base_tab]
             streams.append((phi_tab, k2 < 0, _wnaf(abs(k2), w)))
     if not streams:
-        return G1Point.infinity()
+        return 0, 1, 0
     top = max(len(naf) for _, _, naf in streams)
     rx = ry = rz = 0
     for bit in range(top - 1, -1, -1):
@@ -429,9 +502,7 @@ def _msm_wnaf_g1(
             if (d < 0) != neg:
                 ay = P - ay
             rx, ry, rz = _jac_add_affine(rx, ry, rz, ax, ay)
-    if rz == 0:
-        return G1Point.infinity()
-    return G1Point._raw(rx, ry, rz)
+    return rx, ry, rz
 
 
 def _per_window_contributions(
@@ -610,37 +681,34 @@ class FixedBaseMul:
             raise ValueError("window must be between 1 and 8")
         self.base = base
         self.window = window
+        self._kernel: Kernel | None = None
         if base.is_infinity():
-            self._table: list[list[tuple]] = []
+            self._table: list[list[tuple]] | bytes = []
             return
-        bits = CURVE_ORDER.bit_length()
-        rows = (bits + window - 1) // window
-        size = (1 << window) - 1
+        self._rows = (CURVE_ORDER.bit_length() + window - 1) // window
         if isinstance(base, G1Point):
-            raw_flat: list[tuple[int, int, int]] = []
+            # One representation, fixed here: the kernel's Montgomery buffer
+            # when the kernel is in use, else rows of affine int pairs.
+            self._kernel = active()
             raw_base = (base.x, base.y, base.z)
-            for _ in range(rows):
-                raw_entry = raw_base
-                raw_flat.append(raw_entry)
-                for _ in range(size - 1):
-                    raw_entry = _jac_add(*raw_entry, *raw_base)
-                    raw_flat.append(raw_entry)
-                for _ in range(window):
-                    raw_base = _jac_double(*raw_base)
-            affine = _to_affine_batch_raw(raw_flat)
-        else:
-            flat: list[PointT] = []
-            row_base = base
-            for _ in range(rows):
-                entry = row_base
+            if self._kernel is not None:
+                self._table = self._kernel.g1_fixed_table(raw_base, window, self._rows)
+            else:
+                self._table = _fixed_table_g1_ref(raw_base, window, self._rows)
+            return
+        size = (1 << window) - 1
+        flat: list[PointT] = []
+        row_base = base
+        for _ in range(self._rows):
+            entry = row_base
+            flat.append(entry)
+            for _ in range(size - 1):
+                entry = entry + row_base
                 flat.append(entry)
-                for _ in range(size - 1):
-                    entry = entry + row_base
-                    flat.append(entry)
-                for _ in range(window):
-                    row_base = row_base.double()
-            affine = type(base).to_affine_batch(flat)
-        self._table = [affine[r * size : (r + 1) * size] for r in range(rows)]
+            for _ in range(window):
+                row_base = row_base.double()
+        affine = type(base).to_affine_batch(flat)
+        self._table = [affine[r * size : (r + 1) * size] for r in range(self._rows)]
 
     def mul(self, scalar: int) -> PointT:
         return _timed_msm(self._mul, scalar)
@@ -649,23 +717,19 @@ class FixedBaseMul:
         scalar %= CURVE_ORDER
         if not self._table:
             return type(self.base).infinity()
-        mask = (1 << self.window) - 1
         if isinstance(self.base, G1Point):
-            # Raw-int kernel: the per-chunk authenticator path runs this
-            # thousands of times per epoch.
-            rx = ry = rz = 0
-            table = self._table
-            row_index = 0
-            while scalar:
-                digit = scalar & mask
-                if digit:
-                    ax, ay = table[row_index][digit - 1]
-                    rx, ry, rz = _jac_add_affine(rx, ry, rz, ax, ay)
-                scalar >>= self.window
-                row_index += 1
-            if rz == 0:
+            # The per-chunk authenticator path runs this thousands of times
+            # per epoch.
+            if self._kernel is not None:
+                x, y, z = self._kernel.g1_fixed_mul(
+                    self._table, self.window, self._rows, scalar
+                )
+            else:
+                x, y, z = _fixed_mul_g1_ref(self._table, self.window, scalar)
+            if z == 0:
                 return G1Point.infinity()
-            return G1Point._raw(rx, ry, rz)
+            return G1Point._raw(x, y, z)
+        mask = (1 << self.window) - 1
         result = type(self.base).infinity()
         row_index = 0
         while scalar:
@@ -675,6 +739,41 @@ class FixedBaseMul:
             scalar >>= self.window
             row_index += 1
         return result
+
+
+def _fixed_table_g1_ref(
+    raw_base: tuple[int, int, int], window: int, rows: int
+) -> list[list[tuple[int, int]]]:
+    """Jacobian comb rows over raw ints, normalized in one inversion."""
+    size = (1 << window) - 1
+    raw_flat: list[tuple[int, int, int]] = []
+    for _ in range(rows):
+        raw_entry = raw_base
+        raw_flat.append(raw_entry)
+        for _ in range(size - 1):
+            raw_entry = _jac_add(*raw_entry, *raw_base)
+            raw_flat.append(raw_entry)
+        for _ in range(window):
+            raw_base = _jac_double(*raw_base)
+    affine = _to_affine_batch_raw(raw_flat)
+    return [affine[r * size : (r + 1) * size] for r in range(rows)]
+
+
+def _fixed_mul_g1_ref(
+    table: list[list[tuple[int, int]]], window: int, scalar: int
+) -> tuple[int, int, int]:
+    """One mixed add per nonzero window digit, low digit first."""
+    mask = (1 << window) - 1
+    rx = ry = rz = 0
+    row_index = 0
+    while scalar:
+        digit = scalar & mask
+        if digit:
+            ax, ay = table[row_index][digit - 1]
+            rx, ry, rz = _jac_add_affine(rx, ry, rz, ax, ay)
+        scalar >>= window
+        row_index += 1
+    return rx, ry, rz
 
 
 @cache

@@ -23,6 +23,10 @@ individually evaluated loops, at one Fp12 squaring per bit instead of n.
 The final exponentiation splits into the easy part ``(p^6-1)(p^2+1)`` and
 the Devegili/Scott hard part ``(p^4-p^2+1)/r`` driven by three
 exponentiations by the BN parameter ``t``.
+
+Both loops run in the native kernel (:mod:`.kernel`) when it is in use;
+``_miller_loop_ref`` and ``_final_exponentiation_ref`` are the pure-Python
+references it is checked against and the fallback without it.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from ...obs.hotpath import HOTPATH
 from .constants import ATE_LOOP_COUNT, BN_T
 from .curve import G1Point, G2Point
 from .fields import Fp2, Fp12, _FROB1, _FROB2
+from .kernel import Kernel, active
 
 # Twist-coordinate Frobenius constants: psi(x, y) = (conj(x)*C_X, conj(y)*C_Y).
 _ENDO_X = _FROB1[2]  # xi^((p-1)/3)
@@ -44,6 +49,7 @@ _ENDO2_Y = _FROB2[3]  # xi^((p^2-1)/2)
 _ATE_BITS = tuple(
     (ATE_LOOP_COUNT >> i) & 1 for i in range(ATE_LOOP_COUNT.bit_length() - 2, -1, -1)
 )
+_ATE_SCHEDULE = bytes(_ATE_BITS)
 
 
 def _g2_frobenius(x: Fp2, y: Fp2) -> tuple[Fp2, Fp2]:
@@ -82,14 +88,17 @@ class G2Prepared:
     chord step in traversal order (the schedule is identical for every Q,
     so a shared product loop can walk many prepared points in lockstep).
     Evaluating at ``P = (xP, yP)`` costs one scalar Fp2 mult per step —
-    no Fp2 inversions, no twist arithmetic.
+    no Fp2 inversions, no twist arithmetic.  The native kernel reads the
+    same coefficients from ``_lines``, their Montgomery encoding, made on
+    its first Miller loop over this point and kept.
     """
 
-    __slots__ = ("coeffs", "infinity")
+    __slots__ = ("coeffs", "infinity", "_lines")
 
     def __init__(self, q: G2Point):
         self.infinity = q.is_infinity()
         self.coeffs: list[tuple[Fp2, Fp2]] = []
+        self._lines: bytes | None = None
         if self.infinity:
             return
         xq, yq = q.to_affine()
@@ -124,7 +133,17 @@ class G2Prepared:
         prepared.coeffs = [
             (Fp2(s0, s1), Fp2(c0, c1)) for s0, s1, c0, c1 in flat
         ]
+        prepared._lines = None
         return prepared
+
+    def native_lines(self, kernel: Kernel) -> bytes:
+        """The coefficients in the kernel's Montgomery form, encoded once."""
+        lines = self._lines
+        if lines is None:
+            lines = self._lines = kernel.to_montgomery(
+                [v for slope, c in self.coeffs for v in (slope.c0, slope.c1, c.c0, c.c1)]
+            )
+        return lines
 
 
 def prepare_g2(q: G2Point | G2Prepared) -> G2Prepared:
@@ -145,26 +164,7 @@ def miller_loop(p: G1Point, q: G2Point | G2Prepared) -> Fp12:
 
 
 def _miller_loop(p: G1Point, q: G2Point | G2Prepared) -> Fp12:
-    prepared = prepare_g2(q)
-    if prepared.infinity or p.is_infinity():
-        return Fp12.one()
-    xp, yp = p.to_affine()
-    coeffs = prepared.coeffs
-    f = Fp12.one()
-    index = 0
-    for bit in _ATE_BITS:
-        slope, c = coeffs[index]
-        index += 1
-        f = f.square().mul_by_line(yp, slope.mul_scalar(-xp), c)
-        if bit:
-            slope, c = coeffs[index]
-            index += 1
-            f = f.mul_by_line(yp, slope.mul_scalar(-xp), c)
-    slope, c = coeffs[index]
-    f = f.mul_by_line(yp, slope.mul_scalar(-xp), c)
-    slope, c = coeffs[index + 1]
-    f = f.mul_by_line(yp, slope.mul_scalar(-xp), c)
-    return f
+    return _miller_loop_product([(p, q)])
 
 
 def final_exponentiation(f: Fp12) -> Fp12:
@@ -178,6 +178,16 @@ def final_exponentiation(f: Fp12) -> Fp12:
 
 
 def _final_exponentiation(f: Fp12) -> Fp12:
+    kernel = active()
+    if kernel is not None:
+        flat = kernel.final_exponentiation(f._flat12())
+        if flat is not None:
+            return Fp12._from_flat12(flat)
+    # Also the kernel's answer for f = 0: the reference raises.
+    return _final_exponentiation_ref(f)
+
+
+def _final_exponentiation_ref(f: Fp12) -> Fp12:
     # Easy part: f^((p^6 - 1)(p^2 + 1)).
     f = f.conjugate() * f.inverse()
     f = f.frobenius(2) * f
@@ -229,31 +239,47 @@ def miller_loop_product(pairs: list[tuple[G1Point, G2Point | G2Prepared]]) -> Fp
 
 
 def _miller_loop_product(pairs: list[tuple[G1Point, G2Point | G2Prepared]]) -> Fp12:
-    live: list[tuple[int, int, list[tuple[Fp2, Fp2]]]] = []
+    live: list[tuple[int, int, G2Prepared]] = []
     for p, q in pairs:
         prepared = prepare_g2(q)
         if prepared.infinity or p.is_infinity():
             continue
         xp, yp = p.to_affine()
-        live.append((xp, yp, prepared.coeffs))
+        live.append((xp, yp, prepared))
     if not live:
         return Fp12.one()
+    kernel = active()
+    if kernel is not None:
+        return Fp12._from_flat12(_miller_loop_native(kernel, live))
+    return _miller_loop_ref(live)
+
+
+def _miller_loop_native(kernel: Kernel, live: list[tuple[int, int, G2Prepared]]) -> tuple:
+    return kernel.miller_loop(
+        [v for xp, yp, _ in live for v in (xp, yp)],
+        b"".join(prepared.native_lines(kernel) for _, _, prepared in live),
+        _ATE_SCHEDULE,
+    )
+
+
+def _miller_loop_ref(live: list[tuple[int, int, G2Prepared]]) -> Fp12:
+    """The pure-Python shared chain over ``(xP, yP, prepared)`` entries."""
     f = Fp12.one()
     index = 0
     for bit in _ATE_BITS:
         f = f.square()
-        for xp, yp, coeffs in live:
-            slope, c = coeffs[index]
+        for xp, yp, prepared in live:
+            slope, c = prepared.coeffs[index]
             f = f.mul_by_line(yp, slope.mul_scalar(-xp), c)
         index += 1
         if bit:
-            for xp, yp, coeffs in live:
-                slope, c = coeffs[index]
+            for xp, yp, prepared in live:
+                slope, c = prepared.coeffs[index]
                 f = f.mul_by_line(yp, slope.mul_scalar(-xp), c)
             index += 1
     for offset in (index, index + 1):
-        for xp, yp, coeffs in live:
-            slope, c = coeffs[offset]
+        for xp, yp, prepared in live:
+            slope, c = prepared.coeffs[offset]
             f = f.mul_by_line(yp, slope.mul_scalar(-xp), c)
     return f
 

@@ -102,7 +102,7 @@ class PrecomputeCache:
                 table = GTFixedBase._from_table(base, GT_WINDOW, persisted)
             else:
                 table = GTFixedBase(base, window=GT_WINDOW)
-                self._store_save("gt", key, table._table)
+                self._store_save("gt", key, table.stored_table())
             self._gt[base] = table
         else:
             self.stats.hits += 1

@@ -23,6 +23,7 @@ from contextlib import contextmanager
 
 from ..chain.explorer import ChainExplorer
 from ..chain.transaction import Transaction
+from ..crypto.bn254 import kernel
 from ..storage import gf256
 from .codec import INVALID_PARAMS, NOT_FOUND, UNSUPPORTED, RpcError
 
@@ -591,6 +592,8 @@ class ServiceNode:
             "auto_mine": self._miner_thread is not None,
             # The GF(256) row loop DA encoding and reconstruction run.
             "erasure_backend": gf256.backend().describe(),
+            # The BN254 inner loops every prover and verifier runs.
+            "crypto_backend": kernel.backend().describe(),
         }
 
     # -- background miner (soak / serve mode) ----------------------------------

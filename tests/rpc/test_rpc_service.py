@@ -264,3 +264,22 @@ class TestAuditLayer:
         checkpoints = client.call("explorer_checkpoints")
         assert len(checkpoints) == 4  # one row per (lane, epoch): 2 x 2
 
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_node_status_names_the_crypto_backend(fallback, monkeypatch):
+    """``crypto_backend`` beside ``erasure_backend``: ``native``, or
+    ``python (<reason>)`` when the BN254 kernel is not in use."""
+    from repro.crypto.bn254 import kernel
+
+    if fallback:
+        reason = "no C compiler: cc is not on PATH"
+        monkeypatch.setattr(kernel, "_backend", kernel.Backend("python", reason=reason))
+    status = ServiceNode(Blockchain()).node_status()
+    assert status["crypto_backend"] == kernel.backend().describe()
+    if fallback:
+        assert status["crypto_backend"] == f"python ({reason})"
+    else:
+        assert status["crypto_backend"] == "native" or status[
+            "crypto_backend"
+        ].startswith("python (")

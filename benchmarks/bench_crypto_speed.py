@@ -11,9 +11,10 @@ Four sweeps, one per rebuilt kernel family:
   pairings; the shared squaring chain plus cached lines is the win the
   grouped batch verifier rides on.
 * **BN254 inner loops** — a 3-pair Miller loop, a final exponentiation,
-  an 11-term G1 wNAF MSM and a GT fixed-base pow, each on the pure-Python
-  references and on the native kernel, outputs required equal (raw
-  Jacobian triples for the MSM).
+  an 11-term G1 wNAF MSM, a GT fixed-base pow, a generic G1 and G2 scalar
+  multiplication and a whole ``generate_keypair(s=10)``, each on the
+  pure-Python references and on the native kernel, outputs required equal
+  (raw Jacobian triples for the points, the state digest for the key).
 * **GF(256)** — `gf_matmul` on the native kernel and on the numpy
   table-gather fallback over block sizes of a 4x8 coding matrix and the
   240x80 DA encode, both required equal to each other and to the
@@ -33,6 +34,8 @@ from unittest import mock
 
 import numpy as np
 
+from repro.chain.state import canonical_state_digest
+from repro.core import keys
 from repro.crypto.bn254 import (
     CURVE_ORDER,
     G1Point,
@@ -156,7 +159,8 @@ def test_crypto_speed_sweep(report):
 def _bn254_lines(rng):
     """The loops behind a settle_checkpoint epoch's three HOTPATH legs and
     the Sigma commitment, at that workload's sizes (k = 8 digests plus the
-    proof's terms per MSM, three owner-key Miller loops per group)."""
+    proof's terms per MSM, three owner-key Miller loops per group), and the
+    owner's Initialize step every onboarding and repair pays."""
     backends = {"python": kernel.Backend("python")}
     if kernel.backend().kernel is not None:
         backends["native"] = kernel.backend()
@@ -169,6 +173,7 @@ def _bn254_lines(rng):
     scalars = [rng.randrange(CURVE_ORDER) for _ in range(11)]
     base = pairing(G1, G2)
     exponent = rng.randrange(CURVE_ORDER)
+    twist = G2 * rng.randrange(1, 2**64)
     windows = {}
     for name, backend in backends.items():
         with mock.patch.object(kernel, "_backend", backend):
@@ -178,13 +183,22 @@ def _bn254_lines(rng):
         ("final exponentiation", lambda name: final_exponentiation(miller)),
         ("11-term G1 wNAF MSM", lambda name: _raw(multi_scalar_mul(points, scalars))),
         (f"GT fixed-base pow (window {GT_WINDOW})", lambda name: windows[name].pow(exponent)),
+        ("generic G1 mul", lambda name: _raw(points[0] * exponent)),
+        ("generic G2 mul", lambda name: _raw(twist * exponent)),
+        ("generate_keypair(s=10)", lambda name: canonical_state_digest(
+            keys.generate_keypair(10, rng=random.Random(0x5EED))
+        )),
     ]
     lines = []
     for label, run in cases:
         timings, outputs = {}, {}
         for name, backend in backends.items():
             with mock.patch.object(kernel, "_backend", backend):
+                # The e(g1, g2) window table is per process: built on the
+                # backend in use, by the first (untimed-best) repeat.
+                keys.pairing_generator_table.cache_clear()
                 timings[name], outputs[name] = _best_of(lambda: run(name))
+                keys.pairing_generator_table.cache_clear()
         for name, out in outputs.items():
             assert out == outputs["python"], f"{name} != python ({label})"
         line = f"  {label + ':':<32}" + "".join(

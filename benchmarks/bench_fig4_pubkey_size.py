@@ -6,15 +6,25 @@ model from :mod:`repro.sim.economics` is printed alongside and must agree.
 
 from __future__ import annotations
 
-from repro.core.keys import generate_keypair
+from repro.core.keys import PublicKey, generate_keypair
+from repro.crypto.bn254 import FP_BYTES
 from repro.sim.economics import one_time_storage_cost, public_key_bytes
 
 S_VALUES = (10, 20, 50, 100)
 
+#: ``PublicKey.to_bytes`` framing: the 4-byte count s and the privacy flag.
+HEADER_BYTES = 5
+
 
 def _measure(s: int, privacy: bool, rng) -> int:
-    keypair = generate_keypair(s, private_auditing=privacy, rng=rng)
-    return keypair.public.byte_size()
+    """On-chain bytes of a real key: its encoding without the framing,
+    plus the file name recorded beside it."""
+    public = generate_keypair(s, private_auditing=privacy, rng=rng).public
+    encoded = public.to_bytes()
+    assert PublicKey.from_bytes(encoded).to_bytes() == encoded
+    measured = len(encoded) - HEADER_BYTES + FP_BYTES
+    assert measured == public.byte_size()
+    return measured
 
 
 def test_fig4_keygen_s50(benchmark, rng):

@@ -3,7 +3,7 @@
 Columns per the paper: preprocessing time, parameter size, #constraints,
 proof-generation time + memory, proof size, verification time.
 
-Scale substitution (documented in EXPERIMENTS.md): the strawman runs on a
+Scale substitution (documented in docs/BENCHMARKS.md): the strawman runs on a
 64-byte file (depth-2 MiMC circuit) and the main solution on a 40 KB file;
 per-byte rates are extrapolated to the paper's 1 KB / 1 GB scales.  The
 qualitative claims under reproduction:

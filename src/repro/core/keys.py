@@ -19,6 +19,7 @@ size gap between the two bars of the paper's Fig. 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from ..crypto.bn254 import (
     CURVE_ORDER,
@@ -26,8 +27,10 @@ from ..crypto.bn254 import (
     G1_COMPRESSED_BYTES,
     G2_COMPRESSED_BYTES,
     GT_COMPRESSED_BYTES,
+    DeserializationError,
     G1Point,
     G2Point,
+    GTFixedBase,
     g1_from_bytes,
     g1_to_bytes,
     g2_from_bytes,
@@ -88,8 +91,23 @@ class PublicKey:
 
     @staticmethod
     def from_bytes(data: bytes) -> "PublicKey":
+        """Decode exactly what :meth:`to_bytes` writes: a count s >= 1, a flag
+        of 0 or 1, and nothing after the last element."""
+        if len(data) < 5:
+            raise DeserializationError("public key header must be 5 bytes")
         count = int.from_bytes(data[:4], "big")
-        has_base = data[4] == 1
+        flag = data[4]
+        if count < 1:
+            raise DeserializationError("public key must carry at least one power")
+        if flag not in (0, 1):
+            raise DeserializationError(f"public key flag must be 0 or 1, not {flag}")
+        expected = 5 + 2 * G2_COMPRESSED_BYTES + count * G1_COMPRESSED_BYTES
+        if flag:
+            expected += GT_COMPRESSED_BYTES
+        if len(data) != expected:
+            raise DeserializationError(
+                f"public key with s={count} must be {expected} bytes, not {len(data)}"
+            )
         offset = 5
         epsilon = g2_from_bytes(data[offset : offset + G2_COMPRESSED_BYTES])
         offset += G2_COMPRESSED_BYTES
@@ -100,11 +118,18 @@ class PublicKey:
             powers.append(g1_from_bytes(data[offset : offset + G1_COMPRESSED_BYTES]))
             offset += G1_COMPRESSED_BYTES
         base = None
-        if has_base:
+        if flag:
             base = gt_from_bytes(data[offset : offset + GT_COMPRESSED_BYTES])
         return PublicKey(
             epsilon=epsilon, delta=delta, powers=tuple(powers), pairing_base=base
         )
+
+
+@cache
+def pairing_generator_table() -> GTFixedBase:
+    """The one window table over ``e(g1, g2)``, built on first use: key
+    generation raises it to ``x`` for ``pairing_base``."""
+    return GTFixedBase(pairing(G1Point.generator(), G2Point.generator()))
 
 
 @dataclass(frozen=True)
@@ -130,7 +155,8 @@ def generate_keypair(
     for _ in range(s):
         powers.append(g1 * power_of_alpha)
         power_of_alpha = power_of_alpha * alpha % CURVE_ORDER
-    base = pairing(g1, epsilon) if private_auditing else None
+    # e(g1, g2^x) = e(g1, g2)^x: the same canonical Fp12 element.
+    base = pairing_generator_table().pow(x) if private_auditing else None
     return KeyPair(
         secret=SecretKey(x=x, alpha=alpha),
         public=PublicKey(

@@ -33,7 +33,7 @@ def evaluate_naive(coefficients: Sequence[int], point: int) -> int:
     Kept deliberately: the Fig. 7 preprocessing sweep uses this mode to
     reproduce the paper's U-shaped cost curve, which is consistent with an
     O(s^2)-per-chunk coefficient transformation in the original prototype
-    (see EXPERIMENTS.md).
+    (see docs/BENCHMARKS.md, "Fig. 7: where the optimum sits").
     """
     return sum(
         coefficient * pow(point, exponent, R)

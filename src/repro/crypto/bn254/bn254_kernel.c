@@ -1157,3 +1157,222 @@ void bn_g1_fixed_mul(const uint8_t *table, unsigned window, size_t rows,
     }
     g1_store(out, &acc);
 }
+
+/* ------------------------------------------------- generic scalar mul -- */
+
+/* Width-4 wNAF of a 256-bit little-endian scalar < 2^255, low digit first,
+ * as curve._wnaf; returns the digit count (at most 256). */
+static size_t wnaf4(int8_t *digits, const uint8_t *scalar)
+{
+    uint64_t e[4];
+    memcpy(e, scalar, sizeof e);
+    size_t n = 0;
+    while (e[0] | e[1] | e[2] | e[3]) {
+        int d = 0;
+        if (e[0] & 1) {
+            d = (int)(e[0] & 15);
+            if (d >= 8)
+                d -= 16;
+            if (d > 0) {
+                e[0] -= (uint64_t)d;  /* the low four bits are d */
+            } else {
+                e[0] += (uint64_t)-d;
+                if (e[0] < (uint64_t)-d)  /* carried out of the limb */
+                    for (int i = 1; i < 4 && ++e[i] == 0; i++)
+                        ;
+            }
+        }
+        digits[n++] = (int8_t)d;
+        e[0] = (e[0] >> 1) | (e[1] << 63);
+        e[1] = (e[1] >> 1) | (e[2] << 63);
+        e[2] = (e[2] >> 1) | (e[3] << 63);
+        e[3] >>= 1;
+    }
+    return n;
+}
+
+/* G1Point.infinity(): what curve.py's methods return for the identity. */
+static inline void g1_set_infinity(g1 *r)
+{
+    r->x = ONE;
+    r->y = ONE;
+    r->z = ZERO;
+}
+
+/* G1Point.double and __add__ run dbl-2009-l / add-2007-bl, pass an identity
+ * operand through, and return G1Point.infinity() exactly where those
+ * formulas give z == 0 (a doubling at y == 0, P + (-P)). */
+static void g1_point_dbl(g1 *r, const g1 *p)
+{
+    g1_dbl(r, p);
+    if (fp_is_zero(&r->z))
+        g1_set_infinity(r);
+}
+
+static void g1_point_add(g1 *r, const g1 *p, const g1 *q)
+{
+    int passthrough = fp_is_zero(&p->z) || fp_is_zero(&q->z);
+    g1_add(r, p, q);
+    if (!passthrough && fp_is_zero(&r->z))
+        g1_set_infinity(r);
+}
+
+/* point * scalar as curve._wnaf_mul_ref, for a finite point and 0 < scalar
+ * < r (256-bit little-endian): odd multiples P, 3P, 5P, 7P, then double
+ * and add / subtract down the wNAF digits.  point, out: canonical (x, y, z). */
+void bn_g1_mul(const uint8_t *point, const uint8_t *scalar, uint8_t *out)
+{
+    int8_t digits[256];
+    size_t n = wnaf4(digits, scalar);
+    g1 table[4], twice, acc, entry;
+    g1_load(&table[0], point);
+    g1_point_dbl(&twice, &table[0]);
+    for (int k = 1; k < 4; k++)
+        g1_point_add(&table[k], &table[k - 1], &twice);
+    g1_set_infinity(&acc);
+    for (size_t i = n; i-- > 0;) {
+        g1_point_dbl(&acc, &acc);
+        int d = digits[i];
+        if (d == 0)
+            continue;
+        entry = table[(d > 0 ? d : -d) >> 1];
+        if (d < 0 && !fp_is_zero(&entry.z))  /* G1Point.__neg__ */
+            fp_neg(&entry.y, &entry.y);
+        g1_point_add(&acc, &acc, &entry);
+    }
+    g1_store(out, &acc);
+}
+
+/* ------------------------------------------------------------------- G2 -- */
+
+typedef struct { fp2 x, y, z; } g2;  /* Jacobian over the twist */
+
+/* G2Point.infinity(): (1, 1, 0) in Fp2. */
+static inline void g2_set_infinity(g2 *r)
+{
+    memset(r, 0, sizeof *r);
+    r->x.c0 = ONE;
+    r->y.c0 = ONE;
+}
+
+static inline int fp2_is_zero(const fp2 *a)
+{
+    return fp_is_zero(&a->c0) && fp_is_zero(&a->c1);
+}
+
+/* As curve.G2Point.double, infinity at y == 0 or z == 0 included. */
+static void g2_dbl(g2 *r, const g2 *p)
+{
+    if (fp2_is_zero(&p->z) || fp2_is_zero(&p->y)) {
+        g2_set_infinity(r);
+        return;
+    }
+    fp2 a, b, c, d, e, t, x3, y3, z3;
+    fp2_sqr(&a, &p->x);
+    fp2_sqr(&b, &p->y);
+    fp2_sqr(&c, &b);
+    fp2_add(&t, &p->x, &b);
+    fp2_sqr(&t, &t);
+    fp2_sub(&t, &t, &a);
+    fp2_sub(&t, &t, &c);
+    fp2_dbl(&d, &t);
+    fp2_dbl(&e, &a);
+    fp2_add(&e, &e, &a);
+    fp2_sqr(&x3, &e);
+    fp2_dbl(&t, &d);
+    fp2_sub(&x3, &x3, &t);
+    fp2_sub(&t, &d, &x3);
+    fp2_mul(&y3, &e, &t);
+    fp2_dbl(&t, &c);
+    fp2_dbl(&t, &t);
+    fp2_dbl(&t, &t);
+    fp2_sub(&y3, &y3, &t);
+    fp2_mul(&z3, &p->y, &p->z);
+    fp2_dbl(&z3, &z3);
+    r->x = x3;
+    r->y = y3;
+    r->z = z3;
+}
+
+/* As curve.G2Point.__add__. */
+static void g2_add(g2 *r, const g2 *p, const g2 *q)
+{
+    if (fp2_is_zero(&p->z)) {
+        *r = *q;
+        return;
+    }
+    if (fp2_is_zero(&q->z)) {
+        *r = *p;
+        return;
+    }
+    fp2 z1z1, z2z2, u1, u2, s1, s2, h, rr, i, j, v, t, x3, y3, z3;
+    fp2_sqr(&z1z1, &p->z);
+    fp2_sqr(&z2z2, &q->z);
+    fp2_mul(&u1, &p->x, &z2z2);
+    fp2_mul(&u2, &q->x, &z1z1);
+    fp2_mul(&s1, &p->y, &q->z);
+    fp2_mul(&s1, &s1, &z2z2);
+    fp2_mul(&s2, &q->y, &p->z);
+    fp2_mul(&s2, &s2, &z1z1);
+    fp2_sub(&h, &u2, &u1);
+    fp2_sub(&rr, &s2, &s1);
+    fp2_dbl(&rr, &rr);
+    if (fp2_is_zero(&h)) {
+        if (fp2_is_zero(&rr))
+            g2_dbl(r, p);
+        else
+            g2_set_infinity(r);
+        return;
+    }
+    fp2_sqr(&i, &h);
+    fp2_dbl(&i, &i);
+    fp2_dbl(&i, &i);
+    fp2_mul(&j, &h, &i);
+    fp2_mul(&v, &u1, &i);
+    fp2_sqr(&x3, &rr);
+    fp2_sub(&x3, &x3, &j);
+    fp2_dbl(&t, &v);
+    fp2_sub(&x3, &x3, &t);
+    fp2_sub(&t, &v, &x3);
+    fp2_mul(&y3, &rr, &t);
+    fp2_mul(&t, &s1, &j);
+    fp2_dbl(&t, &t);
+    fp2_sub(&y3, &y3, &t);
+    fp2_add(&z3, &p->z, &q->z);
+    fp2_sqr(&z3, &z3);
+    fp2_sub(&z3, &z3, &z1z1);
+    fp2_sub(&z3, &z3, &z2z2);
+    fp2_mul(&z3, &z3, &h);
+    r->x = x3;
+    r->y = y3;
+    r->z = z3;
+}
+
+/* point * scalar as curve._wnaf_mul_ref: the chain of bn_g1_mul over the
+ * twist.  point, out: canonical (x.c0, x.c1, y.c0, y.c1, z.c0, z.c1). */
+void bn_g2_mul(const uint8_t *point, const uint8_t *scalar, uint8_t *out)
+{
+    int8_t digits[256];
+    size_t n = wnaf4(digits, scalar);
+    g2 table[4], twice, acc, entry;
+    fp *limbs = (fp *)&table[0];
+    for (int i = 0; i < 6; i++)
+        fp_load(&limbs[i], point + i * FP_BYTES);
+    g2_dbl(&twice, &table[0]);
+    for (int k = 1; k < 4; k++)
+        g2_add(&table[k], &table[k - 1], &twice);
+    g2_set_infinity(&acc);
+    for (size_t i = n; i-- > 0;) {
+        g2_dbl(&acc, &acc);
+        int d = digits[i];
+        if (d == 0)
+            continue;
+        entry = table[(d > 0 ? d : -d) >> 1];
+        if (d < 0 && !fp2_is_zero(&entry.z))  /* G2Point.__neg__ */
+            fp2_neg(&entry.y, &entry.y);
+        g2_add(&acc, &acc, &entry);
+    }
+    limbs = (fp *)&acc;
+    for (int i = 0; i < 6; i++)
+        fp_store(out + i * FP_BYTES, &limbs[i]);
+}

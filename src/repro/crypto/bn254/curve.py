@@ -11,6 +11,7 @@ from __future__ import annotations
 from .constants import CURVE_ORDER, FIELD_MODULUS as P
 from .constants import G1_GENERATOR, G2_GENERATOR_X, G2_GENERATOR_Y
 from .fields import Fp2, XI
+from .kernel import active
 
 
 def _wnaf(scalar: int, width: int = 4) -> list[int]:
@@ -29,6 +30,24 @@ def _wnaf(scalar: int, width: int = 4) -> list[int]:
         digits.append(digit)
         scalar >>= 1
     return digits
+
+
+def _wnaf_mul_ref(point, scalar: int):
+    """``point * scalar`` in either group for a finite point and
+    0 < scalar < r: the odd multiples P, 3P, 5P, 7P (width-4 digits stop at
+    +-7), then double and add / subtract down the wNAF digits, high to low."""
+    table = [point]
+    twice = point.double()
+    for _ in range(3):
+        table.append(table[-1] + twice)
+    result = type(point).infinity()
+    for digit in reversed(_wnaf(scalar)):
+        result = result.double()
+        if digit > 0:
+            result = result + table[digit >> 1]
+        elif digit < 0:
+            result = result - table[(-digit) >> 1]
+    return result
 
 
 class G1Point:
@@ -238,20 +257,10 @@ class G1Point:
         scalar %= CURVE_ORDER
         if scalar == 0 or self.is_infinity():
             return G1Point.infinity()
-        digits = _wnaf(scalar)
-        # Precompute odd multiples 1P, 3P, ..., 15P.
-        table = [self]
-        twice = self.double()
-        for _ in range(7):
-            table.append(table[-1] + twice)
-        result = G1Point.infinity()
-        for digit in reversed(digits):
-            result = result.double()
-            if digit > 0:
-                result = result + table[digit >> 1]
-            elif digit < 0:
-                result = result - table[(-digit) >> 1]
-        return result
+        kernel = active()
+        if kernel is None:
+            return _wnaf_mul_ref(self, scalar)
+        return G1Point._raw(*kernel.g1_mul((self.x, self.y, self.z), scalar))
 
     __rmul__ = __mul__
 
@@ -444,18 +453,13 @@ class G2Point:
         scalar %= CURVE_ORDER
         if scalar == 0 or self.is_infinity():
             return G2Point.infinity()
-        digits = _wnaf(scalar)
-        table = [self]
-        twice = self.double()
-        for _ in range(7):
-            table.append(table[-1] + twice)
-        result = G2Point.infinity()
-        for digit in reversed(digits):
-            result = result.double()
-            if digit > 0:
-                result = result + table[digit >> 1]
-            elif digit < 0:
-                result = result - table[(-digit) >> 1]
-        return result
+        kernel = active()
+        if kernel is None:
+            return _wnaf_mul_ref(self, scalar)
+        x, y, z = self.x, self.y, self.z
+        x0, x1, y0, y1, z0, z1 = kernel.g2_mul(
+            (x.c0, x.c1, y.c0, y.c1, z.c0, z.c1), scalar
+        )
+        return G2Point(Fp2(x0, x1), Fp2(y0, y1), Fp2(z0, z1))
 
     __rmul__ = __mul__

@@ -3,21 +3,22 @@
 ``bn254_kernel.c`` is a 4x64-bit Montgomery ``Fp`` with the Fp2 / Fp6 /
 Fp12 tower of :mod:`.fields`, and whole loops on top of it: the shared
 Miller loop over prepared lines, the final exponentiation, the three GT
-exponentiation chains, and the G1 wNAF, fixed-base and table-building
-chains.  :func:`repro.native.load_library` builds it once per host;
-:func:`backend` opens it on first use and keeps it only when a known-answer
-probe finds every entry point equal to its pure-Python reference, else the
-references run and the reason is recorded.  Nothing else selects the
-backend.
+exponentiation chains, the G1 wNAF, fixed-base and table-building chains,
+and the generic G1 and G2 scalar multiplications of ``G1Point.__mul__`` /
+``G2Point.__mul__``.  :func:`repro.native.load_library` builds it once per
+host; :func:`backend` opens it on first use and keeps it only when a
+known-answer probe finds every entry point equal to its pure-Python
+reference, else the references run and the reason is recorded.  Nothing
+else selects the backend.
 
-The dispatching functions in :mod:`.pairing`, :mod:`.gt` and :mod:`.msm`
-ask :func:`active` and run their pure-Python reference when it returns
-``None``.  Results are bit-identical either way, Jacobian triples included.
-Field elements cross the boundary as 32-byte little-endian canonical
-integers; tables the kernel owns (prepared lines, fixed-base windows) stay
-in its Montgomery form as opaque ``bytes``.  ``ctypes`` releases the GIL
-for every call and the kernel keeps no mutable static state, so lane
-threads run it concurrently.
+The dispatching functions in :mod:`.pairing`, :mod:`.gt`, :mod:`.msm` and
+:mod:`.curve` ask :func:`active` and run their pure-Python reference when
+it returns ``None``.  Results are bit-identical either way, Jacobian
+triples included.  Field elements cross the boundary as 32-byte
+little-endian canonical integers; tables the kernel owns (prepared lines,
+fixed-base windows) stay in its Montgomery form as opaque ``bytes``.
+``ctypes`` releases the GIL for every call and the kernel keeps no mutable
+static state, so lane threads run it concurrently.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ _SIGNATURES = {
     ),
     "bn_g1_fixed_table": ([_PTR, _UINT, _SIZE, _PTR], _INT),
     "bn_g1_fixed_mul": ([_PTR, _UINT, _SIZE, _PTR, _PTR], None),
+    "bn_g1_mul": ([_PTR, _PTR, _PTR], None),
+    "bn_g2_mul": ([_PTR, _PTR, _PTR], None),
 }
 
 
@@ -200,6 +203,21 @@ class Kernel:
         )
         return _unpack(out.raw)
 
+    # -- generic scalar multiplication -------------------------------------
+
+    def g1_mul(self, triple: Sequence[int], scalar: int) -> tuple[int, int, int]:
+        """``G1Point.__mul__``'s chain for a finite point, 0 < scalar < r."""
+        out = ctypes.create_string_buffer(3 * _FP)
+        self._lib.bn_g1_mul(_pack(triple), scalar.to_bytes(_FP, "little"), out)
+        return _unpack(out.raw)
+
+    def g2_mul(self, coordinates: Sequence[int], scalar: int) -> tuple[int, ...]:
+        """``G2Point.__mul__``'s chain; ``coordinates`` are x.c0, x.c1, y.c0,
+        y.c1, z.c0, z.c1 of a finite point, 0 < scalar < r."""
+        out = ctypes.create_string_buffer(6 * _FP)
+        self._lib.bn_g2_mul(_pack(coordinates), scalar.to_bytes(_FP, "little"), out)
+        return _unpack(out.raw)
+
 
 @dataclass(frozen=True)
 class Backend:
@@ -221,7 +239,7 @@ def _probe_agrees(kernel: Kernel) -> bool:
     """Known answer: every entry point equals its pure-Python reference on
     a small input (about 50 ms of reference arithmetic, once per process)."""
     # The references' modules import this one.
-    from .curve import G1Point, G2Point
+    from .curve import G1Point, G2Point, _wnaf_mul_ref
     from .gt import (
         _gt_fixed_pow_ref,
         _gt_fixed_table_ref,
@@ -244,9 +262,12 @@ def _probe_agrees(kernel: Kernel) -> bool:
     )
 
     g1 = G1Point.generator()
-    point = g1 * 5  # Jacobian: z != 1
+    g2 = G2Point.generator()
+    # ``*`` would ask for the backend being chosen here: the references run.
+    point = _wnaf_mul_ref(g1, 5)  # Jacobian: z != 1
     triple = (point.x, point.y, point.z)
-    live = [(*point.to_affine(), G2Prepared(G2Point.generator()))]
+    twist = _wnaf_mul_ref(g2, 5)
+    live = [(*point.to_affine(), G2Prepared(g2))]
     miller = _miller_loop_ref(live)
     target = _final_exponentiation_ref(miller)
     exponent = 0x9E3779B97F4A7C15
@@ -258,6 +279,10 @@ def _probe_agrees(kernel: Kernel) -> bool:
     tables = [None, _wnaf_table_g1_ref(g1, 5)]
     comb = _fixed_table_g1_ref(triple, 3, 4)
     native_comb = kernel.g1_fixed_table(triple, 3, 4)
+    # Digits +-1, +-3, +-5 and +-7 all occur, so every table entry is read.
+    scalar = 0x9E3779B17F4A7C15
+    g1_product = _wnaf_mul_ref(point, scalar)
+    g2_product = _wnaf_mul_ref(twist, scalar)
     return (
         _miller_loop_native(kernel, live) == miller._flat12()
         and kernel.final_exponentiation(miller._flat12()) == target._flat12()
@@ -274,6 +299,12 @@ def _probe_agrees(kernel: Kernel) -> bool:
         == tuple(v for row in comb for entry in row for v in entry)
         and kernel.g1_fixed_mul(native_comb, 3, 4, 0xABC)
         == _fixed_mul_g1_ref(comb, 3, 0xABC)
+        and kernel.g1_mul(triple, scalar)
+        == (g1_product.x, g1_product.y, g1_product.z)
+        and kernel.g2_mul(
+            [c for f in (twist.x, twist.y, twist.z) for c in (f.c0, f.c1)], scalar
+        )
+        == tuple(c for f in (g2_product.x, g2_product.y, g2_product.z) for c in (f.c0, f.c1))
     )
 
 

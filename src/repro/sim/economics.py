@@ -7,8 +7,8 @@ randomness draw, Dropbox Business $150/year as the cloud comparator.
 Note on the abstract's "0.1$ per audit": at the paper's own footnote prices
 589k gas costs $0.42; the $0.10 figure corresponds to a ~1.2 Gwei gas price
 (well within 2020's observed range).  ``usd_per_audit`` takes the gas price
-as a parameter so both readings are reproducible; EXPERIMENTS.md records
-the discrepancy.
+as a parameter so both readings are reproducible; docs/BENCHMARKS.md
+records the discrepancy.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from repro.core.keys import (
     validate_public_key_batched,
 )
 from repro.core.params import ProtocolParams
-from repro.crypto.bn254 import CURVE_ORDER, G1Point, G2Point
+from repro.crypto.bn254 import CURVE_ORDER, DeserializationError, G1Point, G2Point
 
 
 class TestKeys:
@@ -81,6 +81,31 @@ class TestKeys:
         assert restored.delta == keypair.public.delta
         assert restored.powers == keypair.public.powers
         assert restored.pairing_base == keypair.public.pairing_base
+
+    @pytest.mark.parametrize("private", [True, False])
+    def test_from_bytes_accepts_exactly_the_encoding(self, keypair, params, rng, private):
+        public = (
+            keypair.public
+            if private
+            else generate_keypair(params.s, private_auditing=False, rng=rng).public
+        )
+        data = public.to_bytes()
+        assert len(data) == 5 + 2 * 64 + params.s * 32 + (192 if private else 0)
+        assert PublicKey.from_bytes(data).to_bytes() == data
+        count = data[:4]
+        malformed = [
+            data + b"junk",
+            data[:-1],
+            data[:4] + b"\x07" + data[5:],
+            data[:4] + (b"\x00" if private else b"\x01") + data[5:],
+            b"\x00\x00\x00\x00" + data[4:],
+            (int.from_bytes(count, "big") + 1).to_bytes(4, "big") + data[4:],
+            data[:3],
+            b"",
+        ]
+        for bad in malformed:
+            with pytest.raises(DeserializationError):
+                PublicKey.from_bytes(bad)
 
     def test_byte_size_formula(self, keypair, params):
         """Fig. 4 accounting: 2 G2 + s G1 + name + GT (privacy)."""

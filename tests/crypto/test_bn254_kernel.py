@@ -11,6 +11,7 @@ references.
 
 from __future__ import annotations
 
+import random
 import shutil
 import sys
 import types
@@ -21,9 +22,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import native
+from repro.chain.state import canonical_state_digest
+from repro.core import keys
+from repro.core.authenticator import generate_authenticators
+from repro.core.chunking import chunk_file
+from repro.core.params import ProtocolParams
 from repro.crypto.bn254 import (
     CURVE_ORDER,
     FixedBaseMul,
+    Fp2,
     G1Point,
     G2Point,
     G2Prepared,
@@ -33,10 +40,12 @@ from repro.crypto.bn254 import (
     gt_pow,
     kernel,
     miller_loop_product,
+    msm,
     multi_scalar_mul,
     pairing,
     wnaf_table_g1,
 )
+from repro.crypto.bn254.curve import _wnaf_mul_ref
 from repro.crypto.bn254.msm import _wnaf_table_g1_ref
 
 PYTHON = kernel.Backend("python")
@@ -62,6 +71,10 @@ def _triple(point: G1Point) -> tuple[int, int, int]:
     return point.x, point.y, point.z
 
 
+def _twist_triple(point: G2Point) -> tuple[int, ...]:
+    return tuple(c for f in (point.x, point.y, point.z) for c in (f.c0, f.c1))
+
+
 scalars = st.one_of(
     st.sampled_from([0, 1, 2, CURVE_ORDER - 1]), st.integers(0, CURVE_ORDER - 1)
 )
@@ -72,6 +85,98 @@ exponents = st.one_of(
 )
 g1_points = st.integers(1, CURVE_ORDER - 1).map(lambda k: G1 * k)
 g1_or_identity = st.one_of(g1_points, st.just(G1Point.infinity()))
+#: Scalars ``__mul__`` reduces mod r, multiples of r (the identity) included.
+any_scalars = st.one_of(
+    scalars,
+    st.sampled_from([CURVE_ORDER, 5 * CURVE_ORDER, CURVE_ORDER + 7]),
+    st.integers(0, 2**300),
+)
+
+
+# --------------------------------------------------------------------- #
+# Generic scalar multiplication: G1Point.__mul__ and G2Point.__mul__    #
+# --------------------------------------------------------------------- #
+
+@settings(max_examples=40, deadline=None)
+@given(point=g1_or_identity, scalar=any_scalars)
+def test_g1_mul_triples_match(point, scalar):
+    reference, chosen = _on_both(lambda: _triple(point * scalar))
+    assert chosen == reference
+    if scalar % CURVE_ORDER and not point.is_infinity():
+        assert reference == _triple(_wnaf_mul_ref(point, scalar % CURVE_ORDER))
+    else:
+        assert reference == _triple(G1Point.infinity())
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    point=st.one_of(
+        st.integers(1, 2**64).map(lambda k: G2 * k), st.just(G2Point.infinity())
+    ),
+    scalar=any_scalars,
+)
+def test_g2_mul_triples_match(point, scalar):
+    reference, chosen = _on_both(lambda: _twist_triple(point * scalar))
+    assert chosen == reference
+    if scalar % CURVE_ORDER and not point.is_infinity():
+        assert reference == _twist_triple(_wnaf_mul_ref(point, scalar % CURVE_ORDER))
+    else:
+        assert reference == _twist_triple(G2Point.infinity())
+
+
+def test_mul_edge_cases_match():
+    """Jacobian inputs (z != 1), scalars 0, r and near r, and the identity
+    in both groups; plus points of order 3 and 2 off the curve (on
+    y^2 = x^3 + 1 and y^2 = x^3 - 125, which the formulas serve just as
+    well), where the chain itself meets P + (-P) and a doubling at y = 0."""
+    points = (G1 * 5 + G1, G1Point.infinity(), G1Point(0, 1), G1Point(5, 0))
+    twists = (
+        G2 * 5 + G2,
+        G2Point.infinity(),
+        G2Point(Fp2(0), Fp2(1)),
+        G2Point(Fp2(5), Fp2(0)),
+    )
+    assert points[0].z != 1 and twists[0].z != G2.z
+    for scalar in (0, 1, 2, 3, 7, 8, CURVE_ORDER, 3 * CURVE_ORDER, CURVE_ORDER - 1):
+        reference, chosen = _on_both(
+            lambda: (
+                [_triple(p * scalar) for p in points],
+                [_twist_triple(q * scalar) for q in twists],
+            )
+        )
+        assert chosen == reference
+        if scalar % CURVE_ORDER == 0:
+            assert reference == (
+                [_triple(G1Point.infinity())] * 4,
+                [_twist_triple(G2Point.infinity())] * 4,
+            )
+    assert _triple(G1Point(0, 1) * 3) == _triple(G1Point.infinity())
+
+
+@pytest.fixture()
+def cold_tables():
+    """The process-wide comb over g1 and window table over e(g1, g2), built
+    on the backend under test and dropped again afterwards."""
+    msm.generator_table.cache_clear()
+    keys.pairing_generator_table.cache_clear()
+    yield
+    msm.generator_table.cache_clear()
+    keys.pairing_generator_table.cache_clear()
+
+
+#: ``canonical_state_digest`` of the keypair and tags below, as every
+#: backend computes them (and as the chains before the native ``__mul__``
+#: did): the bits that reach contract state.
+OWNER_DIGEST = "d0aaa06ccb0138b386efe457fcaa18e61bf72f88be4972bef7e6364355347fc2"
+
+
+def test_owner_keys_and_tags_known_answer(crypto_backend, cold_tables):
+    keypair = keys.generate_keypair(10, rng=random.Random(0x5EED))
+    chunked = chunk_file(bytes(range(256)) * 3, ProtocolParams(s=10, k=3), name=0xF11E)
+    tags = generate_authenticators(chunked, keypair)
+    assert len(tags) == 3
+    assert keys.pairing_generator_table()._kernel is crypto_backend.kernel
+    assert canonical_state_digest((keypair, tags)).hex() == OWNER_DIGEST
 
 
 # --------------------------------------------------------------------- #

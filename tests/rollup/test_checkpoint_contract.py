@@ -547,6 +547,55 @@ class TestSlanderAndCounts:
         )
 
 
+def _malformed_keys(public_key_bytes: bytes) -> dict[str, bytes]:
+    """Non-canonical encodings of one valid key, each of which decoded
+    before ``PublicKey.from_bytes`` checked the framing."""
+    count = int.from_bytes(public_key_bytes[:4], "big")
+    return {
+        "trailing junk": public_key_bytes + b"junk",
+        "flag 7": public_key_bytes[:4] + b"\x07" + public_key_bytes[5:],
+        "count 0": b"\x00" * 4 + b"\x00" + public_key_bytes[5 : 5 + 128],
+        "truncated": public_key_bytes[:-1],
+        "count says one more": (count + 1).to_bytes(4, "big") + public_key_bytes[4:],
+    }
+
+
+class TestRegistrationDecoding:
+    @pytest.mark.parametrize(
+        "case",
+        ["trailing junk", "flag 7", "count 0", "truncated", "count says one more"],
+    )
+    def test_non_canonical_key_bytes_revert(self, rollup_env, deployed, case):
+        chain, contract, address, aggregator, _ = deployed
+        encoded = rollup_env["instances"][0].public.to_bytes()
+        name = 0xBAD0
+        receipt = chain.transact(
+            Transaction(
+                sender=aggregator,
+                to=address,
+                method="register_instance",
+                args=(name, _malformed_keys(encoded)[case], 3),
+            )
+        )
+        assert not receipt.success
+        assert "bad public key bytes" in receipt.error
+        assert name not in contract.instances
+
+    def test_canonical_key_bytes_register(self, rollup_env, deployed):
+        chain, contract, address, aggregator, _ = deployed
+        encoded = rollup_env["instances"][0].public.to_bytes()
+        receipt = chain.transact(
+            Transaction(
+                sender=aggregator,
+                to=address,
+                method="register_instance",
+                args=(0xB00D, encoded, 3),
+            )
+        )
+        assert receipt.success, receipt.error
+        assert contract.instances[0xB00D].public_key_bytes == encoded
+
+
 class TestRegistryWiring:
     def test_fraud_also_slashes_reputation_stake(self, rollup_env):
         chain = Blockchain(block_time=15.0)

@@ -9,7 +9,7 @@ Packages
   all implemented from scratch.
 * :mod:`repro.chain`      — simulated Ethereum-like chain, gas models and
   the Fig. 2 audit smart contract.
-* :mod:`repro.engine`     — parallel audit engine: process-pool executor,
+* :mod:`repro.engine`     — parallel audit engine: thread-pool executor,
   precompute-backed provers, beacon-driven epoch scheduler.
 * :mod:`repro.randomness` — the beacon interface the contract draws
   challenges from, and the hash-chain beacon the system runs.

@@ -7,7 +7,7 @@
     python -m repro checkpoint --fraud                        # + fraud proof
     python -m repro checkpoint --lanes 4 --owners 1 --files 16  # chain fabric
     python -m repro checkpoint --lanes 2 --persist ./chainstate # + WAL stores
-    python -m repro checkpoint --lanes 2 --workers 0          # + process pool
+    python -m repro checkpoint --lanes 2 --workers 0          # + lane threads
     python -m repro attack   --s 6 --k 4                      # privacy attack
     python -m repro attack --strategy selective --rho 0.25    # byzantine provider
     python -m repro attack --strategy replay --onchain        # dispute + slashing
@@ -16,7 +16,7 @@
     python -m repro congest --storm --lanes 4 --blocks 12     # fee-market storm
     python -m repro congest --storm --griefer --lanes 2       # + fee griefing
     python -m repro serve --lanes 2 --port 8645               # JSON-RPC service
-    python -m repro serve --workers 2 --probe                 # lane threads + pool
+    python -m repro serve --workers 2 --probe                 # + lane threads
     python -m repro da-sample --lanes 2 --withhold 0.25       # DA sampling demo
     python -m repro da-sample --fraud                         # + counts slash
     python -m repro models   --users 5000
@@ -107,10 +107,8 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     report = scenarios.run_settlement(
         instances, params, rng, lanes=args.lanes, epochs=args.epochs,
         workers=args.workers, persist=persist, fraud=args.fraud,
-        crypto_cache=args.crypto_cache,
     )
-    # Lane threads and pooled batch-verify run iff workers > 1 and more
-    # than one lane holds audits.
+    # Lane threads run iff workers > 1 and more than one lane holds audits.
     print(f"workers: {report.workers}, lanes: {args.lanes} "
           f"({len(report.settlements[0].lanes)} holding audits)")
     for settlement in report.settlements:
@@ -245,11 +243,8 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
         if not persist:
             print("lifecycle: --resume requires --persist DIR", file=sys.stderr)
             return 2
-        overrides = {"workers": args.workers}
-        if args.crypto_cache:
-            overrides["crypto_cache_dir"] = args.crypto_cache
         try:
-            engine = LifecycleEngine.open(persist, **overrides)
+            engine = LifecycleEngine.open(persist, workers=args.workers)
         except (LifecycleResumeError, OSError) as exc:
             print(f"lifecycle: cannot resume from {persist}: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -275,7 +270,6 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
                 k=args.k,
                 workers=args.workers,
                 persist_dir=persist,
-                crypto_cache_dir=args.crypto_cache or None,
             )
             engine = LifecycleEngine(config)
         except ValueError as exc:
@@ -392,8 +386,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     with scenarios.audit_service(
         instances, params, HashChainBeacon(b"cli-serve"), rng,
-        lanes=args.lanes, workers=args.workers,
-        crypto_cache=args.crypto_cache, host=args.host, port=args.port,
+        lanes=args.lanes, workers=args.workers, host=args.host, port=args.port,
         metrics_port=args.metrics_port,
     ) as service:
         settlements = service.aggregator.run(args.epochs)
@@ -526,17 +519,12 @@ def _add_protocol_args(parser, *, s: int, k: int, size: int | None = None,
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _add_pool_args(parser, *, workers: int, crypto_cache: bool = False) -> None:
-    """--workers (and --crypto-cache): the audit executor's process pool."""
-    parser.add_argument("--workers", type=int, default=workers,
-                        help="audit executor process-pool size "
+def _add_workers_arg(parser) -> None:
+    """--workers: the audit executor's prover threads."""
+    parser.add_argument("--workers", type=int, default=1,
+                        help="audit executor prover threads; above 1 each "
+                        "populated lane also settles on its own thread "
                         "(0 = one per CPU core)")
-    if crypto_cache:
-        parser.add_argument(
-            "--crypto-cache", metavar="DIR", default=None,
-            help="persist BN254 precompute tables (wNAF/fixed-base/GT "
-            "windows, prepared Miller lines) under DIR so restarts begin at "
-            "warm-cache speed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -577,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="files per owner (same key, distinct names)")
     checkpoint.add_argument("--epochs", type=int, default=2)
     _add_protocol_args(checkpoint, s=6, k=4, size=1_500)
-    _add_pool_args(checkpoint, workers=1, crypto_cache=True)
+    _add_workers_arg(checkpoint)
     checkpoint.add_argument("--fraud", action="store_true",
                             help="also post a forged (verdict-flipped) "
                             "checkpoint and slash it via the fraud proof")
@@ -655,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "at its last epoch boundary")
     _add_protocol_args(lifecycle, s=4, k=3, size=900,
                        size_help="bytes per stored file")
-    _add_pool_args(lifecycle, workers=1, crypto_cache=True)
+    _add_workers_arg(lifecycle)
     lifecycle.set_defaults(func=_cmd_lifecycle)
 
     congest = sub.add_parser(
@@ -716,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "shut down cleanly")
     _add_protocol_args(serve, s=4, k=3, size=500,
                        size_help="bytes per preloaded file")
-    _add_pool_args(serve, workers=1, crypto_cache=True)
+    _add_workers_arg(serve)
     serve.set_defaults(func=_cmd_serve)
 
     top = sub.add_parser(

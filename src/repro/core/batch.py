@@ -126,8 +126,7 @@ class BatchVerifyOutcome:
     (paying per-proof pairings on the failure path only) before the outcome
     is returned, so ``failures`` names which proofs failed and carries each
     one's :class:`~repro.core.verifier.RejectionReason` with its
-    per-pairing-group residual fingerprints.  Plain picklable data: this is
-    also what a pool worker sends back to the parent.
+    per-pairing-group residual fingerprints.
     """
 
     ok: bool

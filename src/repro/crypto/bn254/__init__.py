@@ -37,7 +37,6 @@ from .msm import (
     wnaf_table_g1,
 )
 from .precompute import PROCESS_CACHE, CacheStats, PrecomputeCache
-from .store import PrecomputeStore
 from .pairing import (
     G2Prepared,
     final_exponentiation,
@@ -85,7 +84,6 @@ __all__ = [
     "GTFixedBase",
     "PROCESS_CACHE",
     "PrecomputeCache",
-    "PrecomputeStore",
     "TWIST_B",
     "final_exponentiation",
     "fp_sqrt",

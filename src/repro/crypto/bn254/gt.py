@@ -137,35 +137,6 @@ class GTFixedBase:
         build = _gt_fixed_table_ref if self._kernel is None else self._kernel.gt_fixed_table
         self._table = build(base._flat12(), window, self._rows)
 
-    @classmethod
-    def _from_table(
-        cls, base: Fp12, window: int, table: list[list[tuple]]
-    ) -> "GTFixedBase":
-        """Rebuild from a persisted table (the :meth:`stored_table` format),
-        skipping the multiplication chain."""
-        ctx = cls.__new__(cls)
-        ctx.base = base
-        ctx.window = window
-        ctx._rows = (CURVE_ORDER.bit_length() + window - 1) // window
-        ctx._kernel = active()
-        if ctx._kernel is None:
-            ctx._table = table
-        else:
-            ctx._table = ctx._kernel.to_montgomery(
-                [v for row in table for entry in row for v in entry]
-            )
-        return ctx
-
-    def stored_table(self) -> list[list[tuple]]:
-        """The table as the on-disk precompute store keeps it: rows of
-        flat 12-int tuples."""
-        if self._kernel is None:
-            return self._table
-        flat = self._kernel.from_montgomery(self._table)
-        entries = [flat[i : i + 12] for i in range(0, len(flat), 12)]
-        size = (1 << self.window) - 1
-        return [entries[r * size : (r + 1) * size] for r in range(self._rows)]
-
     def pow(self, exponent: int) -> Fp12:
         exponent %= CURVE_ORDER
         if exponent == 0:

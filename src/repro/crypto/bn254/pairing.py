@@ -118,24 +118,6 @@ class G2Prepared:
         _, coeff = _coeff_add(t, (x2, -y2))
         coeffs.append(coeff)
 
-    def _state(self) -> tuple[bool, list[tuple[int, int, int, int]]]:
-        """Pure-int form for the on-disk precompute store."""
-        return self.infinity, [
-            (slope.c0, slope.c1, c.c0, c.c1) for slope, c in self.coeffs
-        ]
-
-    @classmethod
-    def _from_state(
-        cls, infinity: bool, flat: list[tuple[int, int, int, int]]
-    ) -> "G2Prepared":
-        prepared = cls.__new__(cls)
-        prepared.infinity = infinity
-        prepared.coeffs = [
-            (Fp2(s0, s1), Fp2(c0, c1)) for s0, s1, c0, c1 in flat
-        ]
-        prepared._lines = None
-        return prepared
-
     def native_lines(self, kernel: Kernel) -> bytes:
         """The coefficients in the kernel's Montgomery form, encoded once."""
         lines = self._lines

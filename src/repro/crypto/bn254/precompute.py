@@ -11,8 +11,8 @@ rely on.
 A process has one :class:`PrecomputeCache`, :data:`PROCESS_CACHE` below: a
 memo of pure functions of group elements that every prover and verifier in
 ``repro.core`` reads directly, so a hit or a miss can change no byte of any
-proof or verdict.  A forked pool worker of the parallel engine inherits its
-parent's and grows its own from there.
+proof or verdict.  The parallel engine's prover threads and concurrent
+lane threads all share it.
 """
 
 from __future__ import annotations
@@ -25,12 +25,6 @@ from .fields import Fp12
 from .gt import GTFixedBase
 from .msm import multi_scalar_mul, wnaf_table_g1
 from .pairing import G2Prepared
-from .serialization import (
-    g1_to_bytes,
-    g2_to_bytes,
-    gt_to_bytes_uncompressed,
-)
-from .store import PrecomputeStore
 
 
 @dataclass
@@ -70,24 +64,11 @@ class PrecomputeCache:
     #: with the build amortized away, wider digits keep winning until the
     #: phi-table map and NAF sparsity flatten out around width 6.
     wnaf_width: int = 6
-    #: Optional on-disk backing store (:class:`PrecomputeStore`): table
-    #: misses consult it before building, and fresh builds are written
-    #: back, so a restarted process (or a new pool worker) starts warm.
-    store: PrecomputeStore | None = None
     stats: CacheStats = field(default_factory=CacheStats)
     _gt: dict[Fp12, GTFixedBase] = field(default_factory=dict)
     _digests: dict[tuple[int, int], G1Point] = field(default_factory=dict)
     _prepared: dict[G2Point, G2Prepared] = field(default_factory=dict)
     _wnaf: dict[G1Point, list[tuple[int, int]]] = field(default_factory=dict)
-
-    # -- on-disk store plumbing --------------------------------------------
-
-    def _store_load(self, kind: str, key: bytes):
-        return self.store.load(kind, key) if self.store is not None else None
-
-    def _store_save(self, kind: str, key: bytes, value) -> None:
-        if self.store is not None:
-            self.store.save(kind, key, value)
 
     # -- GT fixed-base contexts (Sigma-protocol masking) --------------------
 
@@ -96,14 +77,7 @@ class PrecomputeCache:
         table = self._gt.get(base)
         if table is None:
             self.stats.misses += 1
-            key = gt_to_bytes_uncompressed(base) + bytes([GT_WINDOW])
-            persisted = self._store_load("gt", key)
-            if persisted is not None:
-                table = GTFixedBase._from_table(base, GT_WINDOW, persisted)
-            else:
-                table = GTFixedBase(base, window=GT_WINDOW)
-                self._store_save("gt", key, table.stored_table())
-            self._gt[base] = table
+            table = self._gt[base] = GTFixedBase(base, window=GT_WINDOW)
         else:
             self.stats.hits += 1
         return table
@@ -117,14 +91,7 @@ class PrecomputeCache:
         prepared = self._prepared.get(point)
         if prepared is None:
             self.stats.misses += 1
-            key = g2_to_bytes(point)
-            persisted = self._store_load("g2lines", key)
-            if persisted is not None:
-                prepared = G2Prepared._from_state(*persisted)
-            else:
-                prepared = G2Prepared(point)
-                self._store_save("g2lines", key, prepared._state())
-            self._prepared[point] = prepared
+            prepared = self._prepared[point] = G2Prepared(point)
         else:
             self.stats.hits += 1
         return prepared
@@ -136,14 +103,7 @@ class PrecomputeCache:
         table = self._wnaf.get(point)
         if table is None:
             self.stats.misses += 1
-            key = g1_to_bytes(point) + bytes([self.wnaf_width])
-            persisted = self._store_load("wnaf", key)
-            if persisted is not None:
-                table = persisted
-            else:
-                table = wnaf_table_g1(point, self.wnaf_width)
-                self._store_save("wnaf", key, table)
-            self._wnaf[point] = table
+            table = self._wnaf[point] = wnaf_table_g1(point, self.wnaf_width)
         else:
             self.stats.hits += 1
         return table
@@ -178,23 +138,14 @@ class PrecomputeCache:
     # -- per-file digest points --------------------------------------------
 
     def block_digest(self, name: int, index: int) -> G1Point:
-        """Memoized H(name || i) — fixed per file.  Hash-to-curve is a pure
-        function of the key, so digest points persist to the store alongside
-        the tables (~0.3 ms of Tonelli-Shanks per point saved on restart)."""
+        """Memoized H(name || i) — fixed per file."""
         key = (name, index)
         point = self._digests.get(key)
         if point is None:
             self.stats.misses += 1
-            store_key = f"{name}:{index}".encode()
-            persisted = self._store_load("digest", store_key)
-            if persisted is not None:
-                point = G1Point(persisted[0], persisted[1], 1)
-            else:
-                from ...core.authenticator import block_digest_point
+            from ...core.authenticator import block_digest_point
 
-                point = block_digest_point(name, index)
-                self._store_save("digest", store_key, point.to_affine())
-            self._digests[key] = point
+            point = self._digests[key] = block_digest_point(name, index)
         else:
             self.stats.hits += 1
         return point
@@ -210,7 +161,7 @@ class PrecomputeCache:
     ) -> None:
         """Drop file ``name``'s digest points and their wNAF tables, plus the
         tables of the listed points.  The caller lists only what no other
-        user of this cache can look up; the on-disk store is left alone.
+        user of this cache can look up.
         Eviction is never a correctness event — a forgotten entry is rebuilt
         on next use — and walks a snapshot: other threads may be inserting."""
         for key in list(self._digests):
@@ -224,8 +175,7 @@ class PrecomputeCache:
             self._gt.pop(base, None)
 
     def clear(self) -> None:
-        """Back to a cold cache with zeroed counters (test isolation); the
-        store stays attached."""
+        """Back to a cold cache with zeroed counters (test isolation)."""
         self.stats = CacheStats()
         for entries in (self._gt, self._digests, self._prepared, self._wnaf):
             entries.clear()

@@ -8,11 +8,11 @@ fire a challenge at once.  The scheduler
    beacon output (:func:`~repro.core.challenge.epoch_challenge` — per-file
    challenged sets, shared evaluation point),
 2. fans proof generation out through the
-   :class:`~repro.engine.executor.AuditExecutor` (process pool or inline),
+   :class:`~repro.engine.executor.AuditExecutor` (prover threads or inline),
 3. feeds every proof into the one-final-exponentiation grouped batch
-   verifier (:func:`~repro.core.batch.verify_batch_grouped`) — inline or
-   in a pool worker, each over its process's cache; either way what comes
-   back is the finished verdict, failures localized — and
+   verifier (:func:`~repro.core.batch.verify_batch_grouped`) on the calling
+   thread — a lane thread when lanes settle concurrently — which returns
+   the finished verdict, failures localized — and
 4. records wall-clock throughput for the capacity models in
    :mod:`repro.sim.throughput` (``verify_seconds`` covers the batch check
    *and*, on a failed batch, the per-proof localization).
@@ -42,7 +42,7 @@ from ..obs.registry import get_registry
 from ..obs.tracing import NULL_TRACER, Tracer
 from ..randomness.beacon import RandomnessBeacon
 from .executor import AuditExecutor
-from .tasks import BatchVerifyTask, ProveOutcome, ProveTask
+from .tasks import ProveOutcome, ProveTask
 
 #: A proof override: called with (challenge, epoch) in place of the engine's
 #: honest prover for one registered file.  Returning ``None`` or raising
@@ -94,7 +94,6 @@ class EpochScheduler:
         deterministic: bool = False,
         rng=None,
         names=None,
-        pooled_verify: bool = False,
         tracer: Tracer | None = None,
     ):
         self.executor = executor
@@ -121,7 +120,7 @@ class EpochScheduler:
         # Instance filter: a scheduler can drive a *subset* of the
         # executor's registered fleet (frozen at construction).  This is
         # how the sharded fabric runs one scheduler per lane while every
-        # lane's proof generation fans out through the same process pool.
+        # lane's proof generation fans out through the same executor.
         if names is not None:
             names = frozenset(names)
             unknown = names - set(executor.instances)
@@ -131,11 +130,6 @@ class EpochScheduler:
                 )
         self.names: "frozenset[int] | None" = names
         self._rng = rng  # blinds the batch-verification exponents
-        # Pooled verification ships the whole epoch batch to an executor
-        # worker process instead of verifying inline in the parent — the
-        # piece that kept multi-lane settlement single-core.  Verdicts are
-        # identical (the blinding exponents do not affect accept/reject).
-        self.pooled_verify = pooled_verify
         # Adversary harness hook: files whose proofs come from a strategy
         # callable instead of the engine's honest prover (the batch verifier
         # treats both identically — that is the point of the exercise).
@@ -148,21 +142,6 @@ class EpochScheduler:
         if self.names is not None and name not in self.names:
             raise KeyError(f"file {name} outside this scheduler's instance subset")
         self.overrides[name] = override
-
-    def _verify_items(self, items: list[BatchItem]) -> BatchVerifyOutcome:
-        """Grouped batch check: inline, or in an executor pool worker."""
-        if not (self.pooled_verify and items):
-            return verify_batch_grouped(items, rng=self._rng)
-        task = BatchVerifyTask(
-            entries=tuple(
-                (item.name, item.challenge.to_bytes(), item.proof.to_bytes())
-                for item in items
-            ),
-            k=items[0].challenge.k,
-            seed_bytes=len(items[0].challenge.c1),
-            rng_seed=self._rng.getrandbits(64) if self._rng is not None else None,
-        )
-        return self.executor.verify_batch(task)
 
     def run_epoch(self, epoch: int) -> EpochResult:
         """Challenge every instance, prove in parallel, batch-verify."""
@@ -233,7 +212,7 @@ class EpochScheduler:
                 )
                 for outcome in outcomes
             ]
-            batch_ok = self._verify_items(items)
+            batch_ok = verify_batch_grouped(items, rng=self._rng)
         t2 = time.perf_counter()
         result = EpochResult(
             epoch=epoch,

@@ -1,20 +1,18 @@
-"""Picklable task encoding for the parallel audit engine.
+"""Task encoding for the parallel audit engine.
 
-A worker process cannot share the parent's :class:`~repro.core.prover.Prover`
-objects, so the engine splits state from work:
+The engine splits immutable state from work, so prover threads share no
+mutable object:
 
 * :class:`AuditInstance` — one registered (owner, file) audit: the public
-  key, the chunked file and its authenticators.  Shipped to each worker
-  once, at pool start-up.
+  key, the chunked file and its authenticators.
 * :class:`ProveTask` — one audit round for one instance: the 48-byte
   on-chain challenge plus a deterministic RNG seed for the Sigma-protocol
-  nonce.  A few dozen bytes per task.
+  nonce.  Each task gets its own prover and nonce RNG.
 * :class:`ProveOutcome` — the wire-format proof plus the prover's timing
-  report, sent back to the parent.
+  report.
 
-Everything here is a plain dataclass over ints, bytes and BN254 points
-(all picklable), and proofs travel as their canonical byte encodings —
-which is also what makes the engine's determinism testable bit-for-bit.
+Proofs come back as their canonical byte encodings — which is what makes
+the engine's determinism testable bit-for-bit.
 """
 
 from __future__ import annotations
@@ -123,28 +121,3 @@ class ProveOutcome:
 
     def proof(self) -> PrivateProof:
         return PrivateProof.from_bytes(self.proof_bytes)
-
-
-@dataclass(frozen=True)
-class BatchVerifyTask:
-    """One whole batch check (a lane-epoch's proofs) for a worker process.
-
-    Ships ``(name, challenge bytes, proof bytes)`` triples; the worker
-    already holds every instance's public key and chunk count from the
-    pool initializer, so the task stays a few hundred bytes per proof.
-    ``rng_seed`` pins the small-exponent blinding draw — the verdict is
-    rho-independent, so this only matters for reproducible transcripts.
-    """
-
-    entries: tuple[tuple[int, bytes, bytes], ...]
-    k: int
-    seed_bytes: int = 16
-    rng_seed: int | None = None
-
-    def rng(self):
-        return None if self.rng_seed is None else random.Random(self.rng_seed)
-
-    def challenge_for(self, challenge_bytes: bytes) -> Challenge:
-        return Challenge.from_bytes(
-            challenge_bytes, k=self.k, seed_bytes=self.seed_bytes
-        )

@@ -101,9 +101,6 @@ class LifecycleConfig:
     slash_fraction: float = 0.5
     fraud_window: float = 10.0
     persist_dir: str | None = None
-    #: directory for the persistent BN254 precompute store (``--crypto-cache``):
-    #: pure derived tables, so it lives outside the determinism domain.
-    crypto_cache_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.years <= 0 or self.epochs_per_year < 1:
@@ -282,7 +279,6 @@ class LifecycleEngine:
                 for shard in self._shards.values()
             ],
             workers=self.config.workers,
-            cache_dir=self.config.crypto_cache_dir,
         )
         # One scheduler for the engine's life: the fleet it drives is
         # whatever the executor holds when an epoch runs.  No rng: the

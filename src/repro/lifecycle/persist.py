@@ -88,7 +88,7 @@ def load_engine(persist_dir: str, **overrides):
     from .events import EventTrail
     from .hazard import ChurnModel
 
-    allowed = {"workers", "crypto_cache_dir"}
+    allowed = {"workers"}
     refused = set(overrides) - allowed
     if refused:
         raise ValueError(

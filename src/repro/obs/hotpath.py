@@ -30,10 +30,9 @@ whatever traffic ran while the profiler was enabled.  ``publish`` copies
 deltas into a :class:`~repro.obs.registry.MetricsRegistry`'s
 ``crypto_leg_seconds_total`` / ``crypto_leg_calls_total`` counters.
 
-Note process scope: provers running inside a ``ProcessPoolExecutor``
-profile their own worker process; the parent's profiler only sees work
-executed in-process (the default single-worker engine and everything on
-the verify side).
+Scope is the process: the engine's prover threads and concurrent lane
+threads all add to the one profiler, so an epoch's call counts are the same
+at any worker count.
 """
 
 from __future__ import annotations

@@ -482,7 +482,7 @@ CORE_INSTRUMENTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     ("histogram", "engine_verify_seconds", "per-epoch verify phase latency (batch check + failure localization)", ()),
     ("counter", "crypto_leg_seconds_total", "hot-path time by crypto leg", ("leg",)),
     ("counter", "crypto_leg_calls_total", "hot-path calls by crypto leg", ("leg",)),
-    ("gauge", "crypto_cache_entries", "entries in the process precompute cache, by map", ("kind",)),
+    ("gauge", "crypto_precompute_entries", "entries in the process precompute cache, by map", ("kind",)),
     ("counter", "lifecycle_epochs_total", "lifecycle epochs completed", ()),
     ("counter", "lifecycle_events_total", "lifecycle trail events by kind", ("kind",)),
     ("histogram", "lifecycle_epoch_seconds", "wall-clock per lifecycle epoch", ()),
@@ -496,11 +496,11 @@ CORE_INSTRUMENTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
 def register_core_instruments(registry: MetricsRegistry | None = None) -> MetricsRegistry:
     """Pre-register the canonical instrument catalog (idempotent)."""
     registry = registry or get_registry()
-    hooked = registry.get("crypto_cache_entries") is not None
+    hooked = registry.get("crypto_precompute_entries") is not None
     for kind, name, help, labels in CORE_INSTRUMENTS:
         getattr(registry, kind)(name, help, labels)
     if not hooked:
-        entries = registry.get("crypto_cache_entries")
+        entries = registry.get("crypto_precompute_entries")
 
         def refresh() -> None:
             # Imported here: crypto.bn254 itself imports obs (hotpath).

@@ -259,8 +259,8 @@ class CrossShardAggregator:
     One :class:`~repro.engine.scheduler.EpochScheduler` +
     :class:`~repro.rollup.pipeline.CheckpointPipeline` pair per lane, all
     sharing a single :class:`~repro.engine.executor.AuditExecutor` — so
-    proof generation for the whole fleet fans out through one process
-    pool while settlement (commitment posting, bonds, fraud windows)
+    proof generation for the whole fleet fans out through one set of
+    prover threads while settlement (commitment posting, bonds, fraud windows)
     stays per-lane.  Instance→lane placement uses the fabric's
     deterministic :meth:`~repro.chain.fabric.ShardedChainFabric.lane_index_for`,
     the same function every light client and challenger applies.
@@ -298,15 +298,15 @@ class CrossShardAggregator:
         if not placement:
             raise ValueError("no audit instances registered with the executor")
         # Where an epoch runs follows from what is there to run it on.  With
-        # a process pool and more than one populated lane, one worker thread
-        # per lane drives the whole prove → verify → post pipeline and
-        # batch-verifies in the pool, meeting at an epoch barrier only for
-        # the fabric checkpoint roll-up; lane settlement is entirely
-        # lane-local (scheduler, pipeline, chain, contract), so the per-lane
-        # op sequence — and the accept/reject sets — match the lockstep walk
-        # exactly (differential-tested).  Otherwise lane threads would only
-        # take turns under the GIL: the lockstep walk verifies in the parent,
-        # over its warm cache.
+        # more than one worker and more than one populated lane, one thread
+        # per lane drives the whole prove → verify → post pipeline — its
+        # batch check runs on that thread, in parallel with the other lanes'
+        # because the pairing kernel releases the GIL — meeting at an epoch
+        # barrier only for the fabric checkpoint roll-up; lane settlement is
+        # entirely lane-local (scheduler, pipeline, chain, contract), so the
+        # per-lane op sequence — and the accept/reject sets — match the
+        # lockstep walk exactly (differential-tested).  Otherwise the
+        # lockstep walk settles every lane on the calling thread.
         self.concurrent = executor.workers > 1 and len(placement) > 1
         # A Tracer is single-threaded by design, so span collection is only
         # honoured on the lockstep walk; concurrent lane threads would
@@ -337,7 +337,6 @@ class CrossShardAggregator:
                 deterministic=deterministic,
                 rng=lane_rng,
                 names=names,
-                pooled_verify=self.concurrent,
                 tracer=self.tracer,
             )
             pipeline = CheckpointPipeline(

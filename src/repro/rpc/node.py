@@ -583,7 +583,7 @@ class ServiceNode:
             "uptime_seconds": time.time() - self.started_at,
             "num_lanes": len(self.lanes),
             "sharded": self.sharded,
-            # Derived by the aggregator (lane threads iff a process pool and
+            # Derived by the aggregator (lane threads iff workers > 1 and
             # more than one populated lane), not set by anyone.
             "concurrent": self.aggregator is not None and self.aggregator.concurrent,
             "height": self.explorer.height(),

@@ -163,7 +163,6 @@ def audit_service(
     *,
     lanes: int,
     workers: int = 1,
-    crypto_cache: str | None = None,
     deterministic: bool = False,
     da_params: DaParams | None = None,
     host: str = "127.0.0.1",
@@ -179,7 +178,7 @@ def audit_service(
     populated lane (see :class:`CrossShardAggregator`).
     Nothing is settled on entry.  On exit — or when wiring fails half way —
     what was started stops in reverse: the miner, the RPC socket, the
-    metrics endpoint, the lane threads, the process pool, the WAL stores.
+    metrics endpoint, the lane threads, the prover threads, the WAL stores.
     """
     registry = get_registry()
     register_core_instruments(registry)
@@ -187,7 +186,7 @@ def audit_service(
         fabric = ShardedChainFabric(num_lanes=lanes, mempool=MempoolConfig())
         stack.callback(fabric.close)
         fabric.attach_gauges()
-        executor = AuditExecutor(instances, workers=workers, cache_dir=crypto_cache)
+        executor = AuditExecutor(instances, workers=workers)
         stack.callback(executor.close)
         aggregator = CrossShardAggregator(
             fabric, executor, params, beacon, rng=rng,
@@ -350,7 +349,7 @@ class SettlementReport:
     checkpoint_log: list[dict]
     lane_summaries: list[LaneSummary]
     settlement_chain_seconds: float
-    workers: int                    # the executor's resolved pool size
+    workers: int                    # the executor's resolved thread count
     fraud: FraudOutcome | None = None
     state_hash: str | None = None            # set when persisted
     reopened_state_hash: str | None = None
@@ -377,13 +376,11 @@ def run_settlement(
     instances, params: ProtocolParams, rng, *,
     lanes: int, epochs: int, workers: int,
     persist: str | None = None, fraud: bool = False,
-    crypto_cache: str | None = None,
 ) -> SettlementReport:
     """Settle a fleet's epochs across a fabric and audit the auditor.
 
     Builds the fabric (WAL-persisted under ``persist`` when given), runs
-    the aggregator over one shared executor (precompute tables persisted
-    under ``crypto_cache`` when given), verifies a leaf → lane-root →
+    the aggregator over one shared executor, verifies a leaf → lane-root →
     fabric-root inclusion proof plus a full replay with the light client,
     optionally slashes a verdict-flipped forgery on the lowest lane, and —
     when persisted — snapshots, closes and reopens the fabric to compare
@@ -392,9 +389,7 @@ def run_settlement(
     beacon = HashChainBeacon(b"cli-shard")
     fabric = ShardedChainFabric(num_lanes=lanes, persist_dir=persist)
     try:
-        with AuditExecutor(
-            instances, workers=workers, cache_dir=crypto_cache
-        ) as executor, closing(
+        with AuditExecutor(instances, workers=workers) as executor, closing(
             CrossShardAggregator(fabric, executor, params, beacon, rng=rng)
         ) as aggregator:
             settlements = aggregator.run(epochs)

@@ -83,8 +83,8 @@ class TestParallelEnginePath:
         prover = ReplayingProver(
             cheater.chunked, cheater.public, list(cheater.authenticators)
         )
-        # workers=2: honest proofs genuinely travel through the process
-        # pool while the replayed one comes from the override.
+        # workers=2: honest proofs come from the executor's prover threads
+        # while the replayed one comes from the override.
         with AuditExecutor(instances, workers=2) as executor:
             scheduler = EpochScheduler(
                 executor,

@@ -275,7 +275,6 @@ def test_prepared_lines_are_encoded_once():
     else:
         assert isinstance(lines, bytes) and len(lines) == 128 * len(prepared.coeffs)
     assert first != second
-    assert G2Prepared._from_state(*prepared._state())._lines is None
 
 
 # --------------------------------------------------------------------- #
@@ -310,17 +309,22 @@ def test_gt_fixed_base_pow_matches(gt_tables, window, exponent):
 
 def test_gt_table_has_one_representation_and_stores_the_reference_format(gt_tables):
     reference, chosen = gt_tables
-    native_in_use = kernel.backend().kernel is not None
+    native = kernel.backend().kernel
     for window in GT_WINDOWS:
-        assert chosen[window].stored_table() == reference[window].stored_table()
-        assert isinstance(reference[window]._table, list)
-        assert isinstance(chosen[window]._table, bytes if native_in_use else list)
-    stored = reference[5].stored_table()
-    assert all(
-        isinstance(entry, tuple) and len(entry) == 12 for row in stored for entry in row
-    )
-    reopened = _on_both(lambda: GTFixedBase._from_table(GT, 5, stored).pow(12345))
-    assert reopened[0] == reopened[1] == reference[5].pow(12345)
+        rows = reference[window]._table
+        assert isinstance(rows, list)
+        assert all(
+            isinstance(entry, tuple) and len(entry) == 12 for row in rows for entry in row
+        )
+        table = chosen[window]._table
+        if native is None:
+            assert table == rows
+        else:
+            # The native buffer holds the reference rows, Montgomery-encoded.
+            assert isinstance(table, bytes)
+            assert native.from_montgomery(table) == tuple(
+                v for row in rows for entry in row for v in entry
+            )
 
 
 # --------------------------------------------------------------------- #

@@ -190,11 +190,16 @@ class TestPreparedPairing:
         assert prepare_g2(prepared) is prepared
 
     def test_state_roundtrip(self):
+        """A prepared point's state is a pure function of the point: a
+        second build equals the first, whose lines a pairing has already
+        used, and pairs the same — so threads that race to build one cache
+        entry store equal values."""
         prepared = G2Prepared(G2 * 1234567)
-        restored = G2Prepared._from_state(*prepared._state())
-        assert restored.infinity == prepared.infinity
-        assert restored.coeffs == prepared.coeffs
-        assert pairing(G1 * 3, restored) == pairing(G1 * 3, G2 * 1234567)
+        used = pairing(G1 * 3, prepared)
+        again = G2Prepared(G2 * 1234567)
+        assert again.infinity == prepared.infinity
+        assert again.coeffs == prepared.coeffs
+        assert pairing(G1 * 3, again) == used == pairing(G1 * 3, G2 * 1234567)
 
     def test_pairing_check_with_prepared_mix(self):
         # e(aP, Q) * e(-P, aQ) == 1, with one leg prepared and one raw.

@@ -49,8 +49,8 @@ def fleet():
     return _make_fleet()
 
 
-def _run_epoch(instances, workers: int, cache_dir: str | None = None):
-    with AuditExecutor(instances, workers=workers, cache_dir=cache_dir) as executor:
+def _run_epoch(instances, workers: int):
+    with AuditExecutor(instances, workers=workers) as executor:
         scheduler = EpochScheduler(
             executor,
             PARAMS,
@@ -62,24 +62,12 @@ def _run_epoch(instances, workers: int, cache_dir: str | None = None):
 
 
 class TestDeterminism:
-    def test_parallel_matches_sequential_bit_for_bit(self, fleet, tmp_path):
-        """The headline engine guarantee: pool results == inline results,
-        and so are a restarted executor's over a populated crypto store."""
+    def test_parallel_matches_sequential_bit_for_bit(self, fleet):
+        """The headline engine guarantee: threaded results == inline results."""
         inline = _run_epoch(fleet, workers=1)
-        pooled = _run_epoch(fleet, workers=2)
-        assert inline.batch_ok and pooled.batch_ok
-        assert inline.proof_bytes() == pooled.proof_bytes()
-        store = str(tmp_path / "crypto-cache")
-        # A restart is a cold in-memory cache over the populated store.
-        PROCESS_CACHE.clear()
-        populating = _run_epoch(fleet, workers=1, cache_dir=store)
-        assert list((tmp_path / "crypto-cache").glob("*.bin"))
-        assert PROCESS_CACHE.store is None  # close() detached what it attached
-        PROCESS_CACHE.clear()
-        restarted = _run_epoch(fleet, workers=1, cache_dir=store)
-        assert populating.batch_ok and restarted.batch_ok
-        assert populating.proof_bytes() == inline.proof_bytes()
-        assert restarted.proof_bytes() == inline.proof_bytes()
+        threaded = _run_epoch(fleet, workers=2)
+        assert inline.batch_ok and threaded.batch_ok
+        assert inline.proof_bytes() == threaded.proof_bytes()
 
     def test_production_default_uses_fresh_nonces(self, fleet):
         """deterministic=False (the default): publicly derivable nonces

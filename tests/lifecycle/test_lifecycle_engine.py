@@ -82,6 +82,19 @@ class TestDeterminism:
         assert repeat.state_hash == reference.state_hash
         assert repeat.trail.to_lines() == reference.trail.to_lines()
 
+    def test_prover_threads_leave_trail_and_state_unchanged(self, finished):
+        """``workers`` is an execution knob: with two, every epoch's proofs
+        come from the executor's prover threads, and the run is the same run."""
+        _, reference = finished
+        engine = LifecycleEngine(LifecycleConfig(**{**BASE, "workers": 2}))
+        try:
+            assert engine.executor.workers == 2
+            threaded = engine.run()
+        finally:
+            engine.close()
+        assert threaded.trail_digest == reference.trail_digest
+        assert threaded.state_hash == reference.state_hash
+
     def test_different_seed_diverges(self, finished):
         _, reference = finished
         other = LifecycleEngine(
@@ -110,14 +123,14 @@ class TestDurability:
     def test_a_retired_shard_leaves_no_tables_behind(self):
         """Every repair re-keys a shard; the process cache ends the run
         holding tables for the live fleet only, and the
-        ``crypto_cache_entries`` gauges say so."""
+        ``crypto_precompute_entries`` gauges say so."""
         engine = LifecycleEngine(LifecycleConfig(**{**BASE, "years": 2.0}))
         outcome = engine.run()
         live = engine.executor.instances
         gauges = register_core_instruments(MetricsRegistry()).snapshot()
         entries = {
             series["labels"]["kind"]: series["value"]
-            for series in gauges["crypto_cache_entries"]["series"]
+            for series in gauges["crypto_precompute_entries"]["series"]
         }
         assert outcome.total_repairs >= 5
         assert 0 < entries["gt"] <= len(live)

@@ -8,13 +8,18 @@ GF(256) erasure coding — from live traffic, without perturbing results.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.crypto.bn254 import G1Point, G2Point
+from repro.core import DataOwner, ProtocolParams
+from repro.crypto.bn254 import PROCESS_CACHE, G1Point, G2Point
 from repro.crypto.bn254.msm import multi_scalar_mul
 from repro.crypto.bn254.pairing import final_exponentiation, miller_loop
 from repro.obs import MetricsRegistry
+from repro.engine import AuditExecutor, AuditInstance, EpochScheduler
 from repro.obs.hotpath import HOTPATH, LEGS, HotPathProfiler
+from repro.randomness import HashChainBeacon
 from repro.storage.erasure import ReedSolomonCode
 
 
@@ -115,3 +120,37 @@ def test_legs_cover_the_fig8_decomposition():
         "gf256.encode",
         "gf256.decode",
     }
+
+
+def test_prover_threads_report_to_the_one_profiler():
+    """The engine's prover threads share the process's profiler, so one
+    deterministic epoch records the same legs whatever the worker count."""
+    params = ProtocolParams(s=5, k=3)
+    rng = random.Random(9)
+    fleet = []
+    for owner_index in range(2):
+        owner = DataOwner(params, rng=rng)
+        for file_index in range(2):
+            package = owner.prepare(
+                bytes([17 + owner_index * 2 + file_index]) * 700,
+                fresh_keypair=file_index == 0,
+            )
+            fleet.append(AuditInstance.from_package(package))
+    calls = {}
+    for workers in (1, 2):
+        PROCESS_CACHE.clear()  # both epochs start cold
+        HOTPATH.reset()
+        HOTPATH.enable()
+        with AuditExecutor(fleet, workers=workers) as executor:
+            result = EpochScheduler(
+                executor,
+                params,
+                HashChainBeacon(b"engine-test"),
+                deterministic=True,
+                rng=random.Random(2),
+            ).run_epoch(0)
+        HOTPATH.disable()
+        assert result.batch_ok
+        calls[workers] = {leg: s["calls"] for leg, s in HOTPATH.snapshot().items()}
+    assert calls[1] == calls[2]
+    assert calls[1]["bn254.msm"] >= 2 * len(fleet)  # sigma and psi per proof

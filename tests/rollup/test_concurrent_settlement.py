@@ -1,21 +1,20 @@
 """Differential: concurrent lane settlement is bit-identical to sequential.
 
-Given a process pool (``workers > 1``) and more than one populated lane,
-the ``CrossShardAggregator`` runs each lane's full
+Given more than one worker (``workers > 1``) and more than one populated
+lane, the ``CrossShardAggregator`` runs each lane's full
 prove → verify → post pipeline on its own worker thread, with the epoch
-barrier only at fabric-checkpoint aggregation, and batch-verifies in the
-pool; nobody chooses that — ``workers`` alone decides.  Each lane owns a
-derived rng (split from the shared seed in lane order at construction), so
-the thread interleaving has nothing left to race on: against the same
-adversarial fleet the settlement must match the sequential run *byte for
-byte* — same accept/reject sets, same lane roots, same fabric
-super-commitment, same lane-chain ``state_hash``.
+barrier only at fabric-checkpoint aggregation, and batch-verifies on that
+lane thread; nobody chooses that — ``workers`` alone decides.  Each lane
+owns a derived rng (split from the shared seed in lane order at
+construction), so the thread interleaving has nothing left to race on:
+against the same adversarial fleet the settlement must match the
+sequential run *byte for byte* — same accept/reject sets, same lane roots,
+same fabric super-commitment, same lane-chain ``state_hash``.
 
-The verification rho stream differs in the pool (workers draw from a
-shipped seed), but blinding exponents never move an accept/reject verdict
-and nothing rho-dependent reaches a record, so in deterministic mode the
-threaded run still equals the lockstep one bit for bit; without it the
-contract is verdict equivalence.
+Blinding exponents never move an accept/reject verdict and nothing
+rho-dependent reaches a record, so in deterministic mode the threaded run
+equals the lockstep one bit for bit; without it the contract is verdict
+equivalence.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from __future__ import annotations
 import random
 import threading
 from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
@@ -31,6 +31,7 @@ from repro.chain import ShardedChainFabric
 from repro.chain.fabric import lane_index_for_key
 from repro.core import DataOwner
 from repro.engine import AuditExecutor, AuditInstance
+from repro.engine import scheduler as scheduler_module
 from repro.obs.tracing import Tracer
 from repro.randomness import HashChainBeacon
 from repro.rollup import CrossShardAggregator
@@ -83,8 +84,9 @@ def _overrides(specs):
 def _aggregator(params, instances, workers, lanes, **aggregator_kwargs):
     """(fabric, aggregator) over a fresh executor; everything closed on exit.
 
-    ``workers=2`` over more than one populated lane is the threaded,
-    pool-verified walk; ``workers=1`` or one lane the lockstep, inline one.
+    ``workers=2`` over more than one populated lane is the threaded walk,
+    each lane verifying on its own thread; ``workers=1`` or one lane the
+    lockstep, calling-thread one.
     """
     fabric = ShardedChainFabric(num_lanes=lanes)
     try:
@@ -176,21 +178,21 @@ def _localized(settlements):
 
 
 def test_pooled_verify_preserves_verdicts(params, fleet):
-    # The same process pool proves on both sides; one lane keeps settlement
+    # The same prover threads prove on both sides; one lane keeps settlement
     # on the calling thread, so only where the batch is verified differs
     # (verdict traces are by file name, not by lane).
     instances, specs = fleet
     inline, _ = _settle(params, instances, specs, workers=2, lanes=1)
     pooled, _ = _settle(params, instances, specs, workers=2)
     assert _verdict_trace(inline) == _verdict_trace(pooled)
-    # What a worker sends back is the outcome itself: the same failures
-    # with the same reasons (residual fingerprints included) as inline.
+    # A lane thread's outcome is the calling thread's: the same failures
+    # with the same reasons (residual fingerprints included).
     assert _localized(inline) == _localized(pooled)
     assert any(reasons for _, reasons in _localized(inline))
 
 
 def test_concurrent_pooled_process_workers_preserve_verdicts(params, fleet):
-    """The full serving shape: lane threads + process-pool batch verify."""
+    """The full serving shape: lane threads, each verifying its own batch."""
     instances, specs = fleet
     baseline, _ = _settle(params, instances, specs)
     served, _ = _settle(params, instances, specs, workers=2)
@@ -203,14 +205,25 @@ def test_concurrent_pooled_process_workers_preserve_verdicts(params, fleet):
 
 
 # --------------------------------------------------------------------------- #
-# The placement rule: lane threads iff a process pool and > 1 populated lane  #
+# The placement rule: lane threads iff workers > 1 and > 1 populated lane     #
 # --------------------------------------------------------------------------- #
 
 
 def _placement(params, instances, specs, workers):
-    """(aggregator, thread ident each lane proved on) after one epoch on 2 lanes."""
+    """(aggregator, thread ident each lane proved on, thread ident each lane
+    batch-verified on) after one epoch on 2 lanes."""
     proved_on: dict[int, int] = {}
-    with _aggregator(params, instances, workers, 2, tracer=Tracer()) as (_, aggregator):
+    verified_on: dict[int, int] = {}
+    verify = scheduler_module.verify_batch_grouped
+
+    def traced_verify(items, rng=None):
+        verified_on[aggregator.lane_of(items[0].name)] = threading.get_ident()
+        return verify(items, rng=rng)
+
+    with _aggregator(params, instances, workers, 2, tracer=Tracer()) as (
+        _,
+        aggregator,
+    ), mock.patch.object(scheduler_module, "verify_batch_grouped", traced_verify):
         for name, (spec, package, _serial) in specs.items():
             prover = make_prover(spec.kind, package, rho=spec.rho)
 
@@ -220,17 +233,17 @@ def _placement(params, instances, specs, workers):
 
             aggregator.set_override(name, override)
         aggregator.settle_epoch(0)
-    return aggregator, proved_on
+    return aggregator, proved_on, verified_on
 
 
 def test_one_worker_settles_every_lane_on_the_calling_thread(params, fleet):
-    aggregator, proved_on = _placement(params, *fleet, workers=1)
+    aggregator, proved_on, verified_on = _placement(params, *fleet, workers=1)
     assert len(proved_on) == 2
     assert set(proved_on.values()) == {threading.get_ident()}
     assert not aggregator.concurrent and aggregator._lane_workers is None
     assert isinstance(aggregator.tracer, Tracer) and aggregator.tracer.span_count
-    assert not any(p.scheduler.pooled_verify for p in aggregator.pipelines.values())
-    # Both lanes' schedulers prove through the one executor's inline runtime.
+    assert verified_on == proved_on  # both batches on the calling thread
+    # Both lanes' schedulers prove through the one inline executor.
     assert all(
         p.scheduler.executor is aggregator.executor
         for p in aggregator.pipelines.values()
@@ -238,11 +251,12 @@ def test_one_worker_settles_every_lane_on_the_calling_thread(params, fleet):
 
 
 def test_a_process_pool_moves_lanes_off_the_calling_thread(params, fleet):
-    aggregator, proved_on = _placement(params, *fleet, workers=2)
+    aggregator, proved_on, verified_on = _placement(params, *fleet, workers=2)
     assert len(proved_on) == 2
     assert threading.get_ident() not in proved_on.values()
     assert aggregator.concurrent and aggregator.tracer is None
-    assert all(p.scheduler.pooled_verify for p in aggregator.pipelines.values())
+    # Each lane's batch was verified on the thread that ran that lane.
+    assert verified_on == proved_on
 
 
 def test_one_populated_lane_stays_on_the_calling_thread_even_with_a_pool(params, fleet):
@@ -251,7 +265,7 @@ def test_one_populated_lane_stays_on_the_calling_thread_even_with_a_pool(params,
     home = lane_index_for_key(instances[0].name, 2)
     together = [i for i in instances if lane_index_for_key(i.name, 2) == home]
     kept = {i.name: specs[i.name] for i in together}
-    aggregator, proved_on = _placement(params, together, kept, workers=2)
+    aggregator, proved_on, _ = _placement(params, together, kept, workers=2)
     assert set(proved_on.values()) == {threading.get_ident()}
     assert not aggregator.concurrent and aggregator._lane_workers is None
     assert isinstance(aggregator.tracer, Tracer)

@@ -316,8 +316,8 @@ def test_one_function_reads_the_owner_secret():
 def test_nobody_can_choose_where_an_epoch_runs():
     """``workers`` alone decides (``CrossShardAggregator`` derives lane
     threads from it): no function under ``src/repro`` takes a ``concurrent``
-    parameter, the only thread pool is the aggregator's, and the CLI has no
-    flag for it."""
+    parameter, the only thread pools are the aggregator's lane threads and
+    the executor's prover threads, and the CLI has no flag for it."""
     takes_concurrent = [
         (str(path.relative_to(SRC_REPRO)), node.lineno)
         for path in sorted(SRC_REPRO.rglob("*.py"))
@@ -333,7 +333,7 @@ def test_nobody_can_choose_where_an_epoch_runs():
         for _lineno, parts in _imports(path)
         if parts[-1] == "ThreadPoolExecutor"
     }
-    assert thread_pools == {"rollup/fabric.py"}
+    assert thread_pools == {"rollup/fabric.py", "engine/executor.py"}
     with pytest.raises(SystemExit) as refused:
         repro.cli.build_parser().parse_args(["serve", "--concurrent"])
     assert refused.value.code == 2
@@ -368,7 +368,7 @@ def test_epochs_run_through_the_aggregator_or_the_lifecycle_engine():
 def test_posted_proof_bytes_are_judged_by_one_screen():
     """``core.batch.screen_proof`` is where posted bytes become a statement
     or a named rejection: under ``src/repro`` nothing else but the engine's
-    own transport decodes a ``PrivateProof``, and the four reject codes are
+    own outcome type decodes a ``PrivateProof``, and the four reject codes are
     spelled only under ``core/``."""
     codes = {"pairing-mismatch", "no-proof", "malformed-proof", "replayed-proof"}
 
@@ -391,7 +391,7 @@ def test_posted_proof_bytes_are_judged_by_one_screen():
             elif relative == "core/batch.py" and isinstance(node, ast.FunctionDef):
                 if any(decodes(inner) for inner in ast.walk(node)):
                     screens.add(node.name)
-    assert decoders == {"core/batch.py", "engine/tasks.py", "engine/executor.py"}
+    assert decoders == {"core/batch.py", "engine/tasks.py"}
     assert screens == {"screen_proof"}
     assert spellers and all(name.startswith("core/") for name in spellers)
 
@@ -400,9 +400,10 @@ def test_a_batch_verdict_is_computed_once_over_one_cache():
     """``verify_batch_grouped`` returns the finished verdict and a process
     has one ``PrecomputeCache``, built where the class is: no prover,
     verifier, contract or engine builds, takes or threads a cache, the
-    cache-less spellings and the lazy localisation with its wire twin are
-    gone by name, and the lifecycle engine builds its one scheduler outside
-    the epoch loop."""
+    cache-less spellings, the lazy localisation with its wire twin, the
+    process pool with its pickled batch task and the on-disk table store are
+    gone by name, nothing under ``crypto/`` unpickles, and the lifecycle
+    engine builds its one scheduler outside the epoch loop."""
     cache_built_in, takes_a_cache = [], []
     for path in sorted(SRC_REPRO.rglob("*.py")):
         relative = path.relative_to(SRC_REPRO).as_posix()
@@ -430,10 +431,18 @@ def test_a_batch_verdict_is_computed_once_over_one_cache():
         for path in sorted(SRC_REPRO.parent.rglob("*.py"))
         if any(
             gone in path.read_text()
-            for gone in ("pinpoint", "BatchVerifyResult", "gt_table", "g1_table")
+            for gone in (
+                "pinpoint", "BatchVerifyResult", "gt_table", "g1_table",
+                "ProcessPoolExecutor", "PrecomputeStore", "BatchVerifyTask",
+                "pooled_verify", "crypto_cache",
+            )
         )
     ]
     assert not named
+    assert not [
+        path for path in (SRC_REPRO / "crypto").rglob("*.py")
+        if "import pickle" in path.read_text()
+    ]
 
     def builds_a_scheduler(node):
         return [
@@ -450,6 +459,5 @@ def test_a_batch_verdict_is_computed_once_over_one_cache():
     )
     assert not builds_a_scheduler(audit_step)
     assert list(inspect.signature(EpochScheduler.__init__).parameters)[1:] == [
-        "executor", "params", "beacon", "deterministic", "rng", "names",
-        "pooled_verify", "tracer",
+        "executor", "params", "beacon", "deterministic", "rng", "names", "tracer",
     ]

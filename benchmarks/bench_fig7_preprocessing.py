@@ -27,7 +27,7 @@ from repro.core.params import ProtocolParams
 from repro.crypto.bn254.msm import generator_table
 
 FILE_BYTES = 25_000
-S_SWEEP = (10, 20, 50, 100, 200)
+S_SWEEP = (5, 10, 20, 50, 100, 200)
 GB = 1024**3
 
 generator_table()  # built here, outside every timed region
@@ -124,7 +124,7 @@ def test_fig7_report(benchmark, report, rng):
     report("fig7_preprocessing", "\n".join(lines))
 
     # Shape assertions: the w/o-s baseline must lose badly, and the
-    # transform series must be U-shaped (falls from s=10, rises by s=200).
+    # transform series must be U-shaped (falls from s=5, rises by s=200).
     assert baseline > 3 * min(_t / scale for _t in horner_series.values())
     best_s = min(transform_series, key=transform_series.get)
     assert best_s not in (S_SWEEP[0], S_SWEEP[-1]), transform_series

@@ -7,7 +7,7 @@ sizes.  Public surface:
 * :class:`G1Point`, :class:`G2Point` — group arithmetic,
 * :func:`pairing`, :func:`pairing_product`, :func:`pairing_check` — the
   optimal-ate pairing and EVM-style product checks,
-* :func:`multi_scalar_mul` — Pippenger MSM,
+* :func:`multi_scalar_mul` — interleaved-wNAF MSM,
 * :func:`hash_to_g1`, :func:`hash_gt_to_scalar` — the paper's oracles H, H',
 * ``*_to_bytes`` / ``*_from_bytes`` — canonical encodings with the byte
   sizes the paper's proof accounting relies on.

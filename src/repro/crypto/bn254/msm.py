@@ -1,28 +1,23 @@
-"""Multi-scalar multiplication (signed-digit Pippenger + interleaved wNAF).
+"""Multi-scalar multiplication (interleaved wNAF) and the G1 fixed-base comb.
 
 Proof generation is MSM-bound: the aggregated authenticator is a k-term MSM
 over the challenged chunks' sigmas and the KZG witness is an (s-1)-term MSM
-over the public powers of alpha.  Three fast paths, all bit-identical to the
-naive reference (exact mod-p arithmetic commutes with re-association):
-
-* small inputs use interleaved signed wNAF (Straus): one shared doubling
-  chain plus per-point odd-multiple tables, batch-normalized to affine so
-  every add is a mixed add;
-* large G1 inputs use Pippenger with signed windowed-NAF digits (halving the
-  bucket count — negation is free in affine form) and batch-affine bucket
-  accumulation: bucket adds run on affine coordinates with one Montgomery
-  simultaneous inversion per round instead of a full Jacobian add each;
-* large G2 inputs use the same signed digits with Jacobian buckets fed by
-  mixed adds over batch-normalized affine inputs.
+over the public powers of alpha.  Every MSM, of any size, runs one
+algorithm, bit-identical to the naive reference (exact mod-p arithmetic
+commutes with re-association): interleaved signed wNAF (Straus), one shared
+doubling chain plus per-point odd-multiple tables, batch-normalized to
+affine so every add is a mixed add.  On G1 the scalars are GLV-split, so
+the chain is half as long and both halves read the same table (the second
+through the endomorphism phi).
 
 ``bench_ablation_msm`` and ``bench_crypto_speed`` quantify the win over
-naive double-and-add.  Works for both G1 and G2 (duck-typed point API).
+naive double-and-add.
 
 The G1 wNAF chain, its table builds and the G1 comb of
 :class:`FixedBaseMul` run in the native kernel (:mod:`.kernel`) when it is
 in use, on the same formulas in the same order, so even the Jacobian
 triples equal those of the ``_ref`` functions here; GLV splitting, wNAF
-recoding, Pippenger and every G2 path stay in Python.
+recoding and the G2 chain stay in Python.
 """
 
 from __future__ import annotations
@@ -53,55 +48,17 @@ _EMPTY_MSM_MESSAGE = (
     "identity=G2Point.infinity() to state which group's identity you want"
 )
 
-# Below this count the interleaved-wNAF path beats bucket setup costs.
-# Measured crossover vs signed Pippenger on this backend is ~n=100 for both
-# groups (see bench_crypto_speed).
-WNAF_CUTOFF = 96
-
-# Bucket lists are 2^(w-1) entries per window pass; cap the window so a
-# pathological count can never allocate a 65k-slot list (the old schedule's
-# ``min(16, ...)`` did exactly that).  Window 12 = 2048 buckets, already past
-# the point where doubling-chain savings stop paying for bucket overhead at
-# any n this system produces.
-MAX_WINDOW = 12
-
-
-def _window_size(count: int) -> int:
-    """Signed-Pippenger window for ``count`` points.
-
-    Contribution adds are batch-affine (~0.3x a Jacobian add) while the
-    final running-sum reduce pays ~2 Jacobian adds per bucket, so the cost
-    model is ``ceil(254/w) * (0.3n + 2 * 2^(w-1))`` — the minimiser sits
-    near ``log2(n)/2 + 1``, well below the textbook ``log2(n)`` for
-    all-Jacobian buckets.  Measured crossovers: n=64 -> 4, n=256 -> 5,
-    n=1024 -> 6 (asserted in ``tests/crypto/test_msm.py``).
-    """
-    if count < 4:
-        return 2
-    return min(MAX_WINDOW, max(4, count.bit_length() // 2 + 1))
-
-
-def _neg_y(y):
-    """Negate an affine y-coordinate (int for G1, Fp2 for G2)."""
-    if isinstance(y, int):
-        return (P - y) % P
-    return -y
-
 
 def _glv_split(k: int) -> tuple[int, int]:
     """GLV decomposition: k = k1 + k2*lambda (mod r), |k1|,|k2| < 2^127.
 
     Babai rounding against the short lattice vectors (GLV_A1, GLV_B1),
-    (GLV_A2, GLV_B2); the halved scalar length halves every doubling chain
-    and window pass in the G1 MSM paths (phi costs one Fp mult per lookup).
+    (GLV_A2, GLV_B2); the halved scalar length halves the G1 MSM's
+    doubling chain (phi costs one Fp mult per table entry).
     """
     c1 = (2 * GLV_B2 * k + CURVE_ORDER) // (2 * CURVE_ORDER)
     c2 = (-2 * GLV_B1 * k + CURVE_ORDER) // (2 * CURVE_ORDER)
     return k - c1 * GLV_A1 - c2 * GLV_A2, -c1 * GLV_B1 - c2 * GLV_B2
-
-
-# Safe bit budget for a GLV half-scalar (theory bound is ~2^127).
-_GLV_BITS = 130
 
 
 # -- raw Jacobian kernels (G1 hot loops) -------------------------------------
@@ -177,20 +134,6 @@ def _jac_add(
     return x3, y3, z3
 
 
-def _batch_inverse(values: list[int]) -> list[int]:
-    """Montgomery simultaneous inversion of nonzero ints mod ``P``."""
-    n = len(values)
-    prefix = [1] * (n + 1)
-    for i, v in enumerate(values):
-        prefix[i + 1] = prefix[i] * v % P
-    acc = pow(prefix[n], -1, P)
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = prefix[i] * acc % P
-        acc = acc * values[i] % P
-    return out
-
-
 def _to_affine_batch_raw(
     triples: list[tuple[int, int, int]]
 ) -> list[tuple[int, int]]:
@@ -208,24 +151,6 @@ def _to_affine_batch_raw(
         zinv2 = zinv * zinv % P
         out[i] = (x * zinv2 % P, y * zinv2 % P * zinv % P)
     return out
-
-
-def _signed_digits(scalar: int, window: int, num_windows: int) -> list[int]:
-    """Base-2^w digits recoded into the signed range [-2^(w-1), 2^(w-1)]."""
-    mask = (1 << window) - 1
-    half = 1 << (window - 1)
-    full = 1 << window
-    digits = [0] * num_windows
-    carry = 0
-    for i in range(num_windows):
-        d = ((scalar >> (i * window)) & mask) + carry
-        if d > half:
-            d -= full
-            carry = 1
-        else:
-            carry = 0
-        digits[i] = d
-    return digits
 
 
 def _wnaf(scalar: int, width: int) -> list[int]:
@@ -317,23 +242,18 @@ def _multi_scalar_mul(
         # A lone G1 term stays on the GLV wNAF path below (0.9 ms against
         # 1.6 ms for ``point * scalar``, and its table may be cached).
         return pairs[0][0] * pairs[0][1]
-    if len(pairs) < WNAF_CUTOFF:
-        # Width 5 pays for its doubled tables once enough streams share the
-        # doubling chain (measured crossover ~16 points).
-        width = 5 if len(pairs) >= 16 else 4
-        if is_g1:
-            return _msm_wnaf_g1(pairs, width=width, tables=[t for _, _, t in kept])
-        return _msm_wnaf(pairs, width=width)
+    # Width 5 pays for its doubled tables once enough streams share the
+    # doubling chain (measured crossover ~16 points).
+    width = 5 if len(pairs) >= 16 else 4
     if is_g1:
-        return _msm_g1_signed(pairs)
-    return _msm_signed_jacobian(pairs)
+        return _msm_wnaf_g1(pairs, width=width, tables=[t for _, _, t in kept])
+    return _msm_wnaf(pairs, width=width)
 
 
-def _msm_wnaf(pairs: list[tuple[PointT, int]], width: int = 4) -> PointT:
-    """Interleaved signed wNAF: shared doubling chain, mixed adds."""
-    cls = type(pairs[0][0])
+def _msm_wnaf(pairs: list[tuple[G2Point, int]], width: int) -> G2Point:
+    """G2 interleaved signed wNAF: shared doubling chain, mixed adds."""
     table_size = 1 << (width - 2)
-    flat: list[PointT] = []
+    flat: list[G2Point] = []
     for point, _ in pairs:
         step = point.double()
         entry = point
@@ -341,10 +261,10 @@ def _msm_wnaf(pairs: list[tuple[PointT, int]], width: int = 4) -> PointT:
         for _ in range(table_size - 1):
             entry = entry + step
             flat.append(entry)
-    affine = cls.to_affine_batch(flat)
+    affine = G2Point.to_affine_batch(flat)
     nafs = [_wnaf(scalar, width) for _, scalar in pairs]
     top = max(len(naf) for naf in nafs)
-    result = cls.infinity()
+    result = G2Point.infinity()
     for bit in range(top - 1, -1, -1):
         if not result.is_infinity():
             result = result.double()
@@ -359,7 +279,7 @@ def _msm_wnaf(pairs: list[tuple[PointT, int]], width: int = 4) -> PointT:
                 result = result.add_affine(ax, ay)
             else:
                 ax, ay = affine[j * table_size + (-d - 1) // 2]
-                result = result.add_affine(ax, _neg_y(ay))
+                result = result.add_affine(ax, -ay)
     return result
 
 
@@ -505,240 +425,55 @@ def _msm_wnaf_g1_ref(
     return rx, ry, rz
 
 
-def _per_window_contributions(
-    pairs: list[tuple[PointT, int]], window: int
-) -> tuple[list[list[tuple]], int, int]:
-    """Signed-digit bucket contributions (bucket, ax, ay) per window pass."""
-    cls = type(pairs[0][0])
-    half = 1 << (window - 1)
-    affine = cls.to_affine_batch([p for p, _ in pairs])
-    num_windows = (CURVE_ORDER.bit_length() + window) // window + 1
-    per_window: list[list[tuple]] = [[] for _ in range(num_windows)]
-    for (_, scalar), (ax, ay) in zip(pairs, affine):
-        for i, d in enumerate(_signed_digits(scalar, window, num_windows)):
-            if d > 0:
-                per_window[i].append((d, ax, ay))
-            elif d < 0:
-                per_window[i].append((-d, ax, _neg_y(ay)))
-    return per_window, num_windows, half
-
-
-def _bucket_reduce(result: PointT, buckets, half: int, window: int) -> PointT:
-    """Fold affine bucket sums into ``result`` via the running-sum trick."""
-    if not result.is_infinity():
-        for _ in range(window):
-            result = result.double()
-    infinity = type(result).infinity()
-    running = infinity
-    window_sum = infinity
-    for b in range(half, 0, -1):
-        entry = buckets[b]
-        if entry is not None:
-            if isinstance(entry, tuple):
-                running = running.add_affine(*entry)
-            else:
-                running = running + entry
-        if not running.is_infinity():
-            window_sum = window_sum + running
-    return result + window_sum
-
-
-def _msm_g1_signed(pairs: list[tuple[G1Point, int]]) -> G1Point:
-    """Signed Pippenger over G1: GLV-split half-scalars (halving the window
-    passes), batch-affine bucket accumulation, raw-int running sums."""
-    affine = G1Point.to_affine_batch([p for p, _ in pairs])
-    effective: list[tuple[int, int, int]] = []
-    for (ax, ay), (_, scalar) in zip(affine, pairs):
-        k1, k2 = _glv_split(scalar)
-        if k1:
-            effective.append((ax, ay if k1 > 0 else (P - ay) % P, abs(k1)))
-        if k2:
-            effective.append(
-                (GLV_BETA * ax % P, ay if k2 > 0 else (P - ay) % P, abs(k2))
-            )
-    window = _window_size(len(effective))
-    half = 1 << (window - 1)
-    num_windows = (_GLV_BITS + window - 1) // window + 1
-    per_window: list[list[tuple[int, int, int]]] = [[] for _ in range(num_windows)]
-    for ax, ay, k in effective:
-        for i, d in enumerate(_signed_digits(k, window, num_windows)):
-            if d > 0:
-                per_window[i].append((d, ax, ay))
-            elif d < 0:
-                per_window[i].append((-d, ax, (P - ay) % P))
-    rx = ry = rz = 0
-    for i in range(num_windows - 1, -1, -1):
-        if rz:
-            for _ in range(window):
-                rx, ry, rz = _jac_double(rx, ry, rz)
-        contribs = per_window[i]
-        if not contribs:
-            continue
-        buckets = _g1_bucket_accumulate(half, contribs)
-        # Running-sum fold on raw coordinates.
-        sx = sy = sz = 0
-        wx = wy = wz = 0
-        for b in range(half, 0, -1):
-            entry = buckets[b]
-            if entry is not None:
-                sx, sy, sz = _jac_add_affine(sx, sy, sz, entry[0], entry[1])
-            if sz:
-                wx, wy, wz = _jac_add(wx, wy, wz, sx, sy, sz)
-        rx, ry, rz = _jac_add(rx, ry, rz, wx, wy, wz)
-    if rz == 0:
-        return G1Point.infinity()
-    return G1Point._raw(rx, ry, rz)
-
-
-def _g1_bucket_accumulate(
-    half: int, contribs: list[tuple[int, int, int]]
-) -> list[tuple[int, int] | None]:
-    """Accumulate affine contributions into ``half`` buckets.
-
-    Each round schedules at most one pending addition per bucket, shares a
-    single Montgomery inversion across every scheduled denominator, and
-    applies the affine chord/tangent formulas (2M + 1S each).
-    """
-    buckets: list[tuple[int, int] | None] = [None] * (half + 1)
-    pending = contribs
-    while pending:
-        later: list[tuple[int, int, int]] = []
-        sched: list[tuple[int, int, int, int, int]] = []
-        busy: set[int] = set()
-        for b, x, y in pending:
-            if b in busy:
-                later.append((b, x, y))
-                continue
-            cur = buckets[b]
-            if cur is None:
-                buckets[b] = (x, y)
-                continue
-            busy.add(b)
-            buckets[b] = None
-            sched.append((b, cur[0], cur[1], x, y))
-        if sched:
-            denoms = []
-            for _, x1, y1, x2, y2 in sched:
-                if x1 == x2:
-                    # Tangent (doubling) or chord through mirror points
-                    # (sum = infinity); the placeholder keeps the batch
-                    # inversion free of zeros.
-                    denoms.append(2 * y1 % P if (y1 + y2) % P else 1)
-                else:
-                    denoms.append((x2 - x1) % P)
-            inverses = _batch_inverse(denoms)
-            for (b, x1, y1, x2, y2), inv in zip(sched, inverses):
-                if x1 == x2:
-                    if (y1 + y2) % P == 0:
-                        continue
-                    lam = 3 * x1 * x1 % P * inv % P
-                else:
-                    lam = (y2 - y1) * inv % P
-                x3 = (lam * lam - x1 - x2) % P
-                y3 = (lam * (x1 - x3) - y1) % P
-                later.append((b, x3, y3))
-        pending = later
-    return buckets
-
-
-def _msm_signed_jacobian(pairs: list[tuple[PointT, int]]) -> PointT:
-    """Signed Pippenger with Jacobian buckets (G2: affine math over Fp2 is
-    dominated by the Fp2 mults, so mixed adds into Jacobian buckets win)."""
-    cls = type(pairs[0][0])
-    window = _window_size(len(pairs))
-    per_window, num_windows, half = _per_window_contributions(pairs, window)
-    infinity = cls.infinity()
-    result = infinity
-    for i in range(num_windows - 1, -1, -1):
-        contribs = per_window[i]
-        if not contribs:
-            if not result.is_infinity():
-                for _ in range(window):
-                    result = result.double()
-            continue
-        buckets: list[PointT | None] = [None] * (half + 1)
-        for b, ax, ay in contribs:
-            cur = buckets[b]
-            buckets[b] = (infinity if cur is None else cur).add_affine(ax, ay)
-        result = _bucket_reduce(result, buckets, half, window)
-    return result
-
-
 class FixedBaseMul:
-    """Fixed-base scalar multiplication with a precomputed window table.
+    """Fixed-base scalar multiplication over G1 with a precomputed comb.
 
     Authenticator generation performs one ``g1 * M_i(alpha)`` per chunk with
     the *same* base; amortising the precomputation brings the per-chunk cost
     from ~256 doublings down to ~64 mixed additions.
 
     The table is built with Jacobian adds, then normalized to affine in one
-    Montgomery simultaneous inversion (``to_affine_batch``), so every lookup
-    during :meth:`mul` feeds a cheap mixed add.
+    Montgomery simultaneous inversion, so every lookup during :meth:`mul`
+    feeds a cheap mixed add.
     """
 
-    def __init__(self, base: PointT, window: int = 4):
+    def __init__(self, base: G1Point, window: int = 4):
         if window < 1 or window > 8:
             raise ValueError("window must be between 1 and 8")
         self.base = base
         self.window = window
         self._kernel: Kernel | None = None
         if base.is_infinity():
-            self._table: list[list[tuple]] | bytes = []
+            self._table: list[list[tuple[int, int]]] | bytes = []
             return
         self._rows = (CURVE_ORDER.bit_length() + window - 1) // window
-        if isinstance(base, G1Point):
-            # One representation, fixed here: the kernel's Montgomery buffer
-            # when the kernel is in use, else rows of affine int pairs.
-            self._kernel = active()
-            raw_base = (base.x, base.y, base.z)
-            if self._kernel is not None:
-                self._table = self._kernel.g1_fixed_table(raw_base, window, self._rows)
-            else:
-                self._table = _fixed_table_g1_ref(raw_base, window, self._rows)
-            return
-        size = (1 << window) - 1
-        flat: list[PointT] = []
-        row_base = base
-        for _ in range(self._rows):
-            entry = row_base
-            flat.append(entry)
-            for _ in range(size - 1):
-                entry = entry + row_base
-                flat.append(entry)
-            for _ in range(window):
-                row_base = row_base.double()
-        affine = type(base).to_affine_batch(flat)
-        self._table = [affine[r * size : (r + 1) * size] for r in range(self._rows)]
+        # One representation, fixed here: the kernel's Montgomery buffer
+        # when the kernel is in use, else rows of affine int pairs.
+        self._kernel = active()
+        raw_base = (base.x, base.y, base.z)
+        if self._kernel is not None:
+            self._table = self._kernel.g1_fixed_table(raw_base, window, self._rows)
+        else:
+            self._table = _fixed_table_g1_ref(raw_base, window, self._rows)
 
-    def mul(self, scalar: int) -> PointT:
+    def mul(self, scalar: int) -> G1Point:
         return _timed_msm(self._mul, scalar)
 
-    def _mul(self, scalar: int) -> PointT:
+    def _mul(self, scalar: int) -> G1Point:
         scalar %= CURVE_ORDER
         if not self._table:
-            return type(self.base).infinity()
-        if isinstance(self.base, G1Point):
-            # The per-chunk authenticator path runs this thousands of times
-            # per epoch.
-            if self._kernel is not None:
-                x, y, z = self._kernel.g1_fixed_mul(
-                    self._table, self.window, self._rows, scalar
-                )
-            else:
-                x, y, z = _fixed_mul_g1_ref(self._table, self.window, scalar)
-            if z == 0:
-                return G1Point.infinity()
-            return G1Point._raw(x, y, z)
-        mask = (1 << self.window) - 1
-        result = type(self.base).infinity()
-        row_index = 0
-        while scalar:
-            digit = scalar & mask
-            if digit:
-                result = result.add_affine(*self._table[row_index][digit - 1])
-            scalar >>= self.window
-            row_index += 1
-        return result
+            return G1Point.infinity()
+        # The per-chunk authenticator path runs this thousands of times
+        # per epoch.
+        if self._kernel is not None:
+            x, y, z = self._kernel.g1_fixed_mul(
+                self._table, self.window, self._rows, scalar
+            )
+        else:
+            x, y, z = _fixed_mul_g1_ref(self._table, self.window, scalar)
+        if z == 0:
+            return G1Point.infinity()
+        return G1Point._raw(x, y, z)
 
 
 def _fixed_table_g1_ref(

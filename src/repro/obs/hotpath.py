@@ -19,7 +19,7 @@ overhead-guard test (``tests/obs/test_overhead.py``) enforces.
 
 Canonical leg names::
 
-    bn254.msm          multi-scalar multiplication (Pippenger / fixed-base)
+    bn254.msm          multi-scalar multiplication (wNAF chain / fixed-base)
     bn254.miller_loop  one Miller loop evaluation
     bn254.final_exp    one final exponentiation
     gf256.encode       Reed-Solomon encode over GF(256)

@@ -46,7 +46,7 @@ from repro.crypto.bn254 import (
     wnaf_table_g1,
 )
 from repro.crypto.bn254.curve import _wnaf_mul_ref
-from repro.crypto.bn254.msm import _wnaf_table_g1_ref
+from repro.crypto.bn254.msm import _msm_wnaf_g1_ref, _wnaf_table_g1_ref
 
 PYTHON = kernel.Backend("python")
 G1 = G1Point.generator()
@@ -204,6 +204,23 @@ def test_wnaf_msm_triples_match(data):
         )
     )
     assert chosen == reference
+
+
+def test_large_msm_is_the_wnaf_chain():
+    """A 128-term G1 MSM, some tables cached, runs the wNAF chain the small
+    ones run: on both backends its raw triple is ``_msm_wnaf_g1_ref``'s,
+    not merely another Jacobian representation of the same point."""
+    rng = random.Random(128)
+    points = [G1 * rng.randrange(1, CURVE_ORDER) for _ in range(128)]
+    terms = [rng.randrange(1, CURVE_ORDER) for _ in range(128)]
+    tables = [
+        _wnaf_table_g1_ref(p, (4, 6)[j % 2]) if j % 16 == 0 else None
+        for j, p in enumerate(points)
+    ]
+    expected = _msm_wnaf_g1_ref(list(zip(points, terms)), 5, tables)
+    assert _on_both(
+        lambda: _triple(multi_scalar_mul(points, terms, tables=tables))
+    ) == [expected, expected]
 
 
 @settings(max_examples=10, deadline=None)

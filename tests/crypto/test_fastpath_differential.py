@@ -1,12 +1,12 @@
 """Randomized differential suite for the raw-speed crypto paths.
 
-Every optimisation in the BN254 hot path (signed-window MSM with
-batch-affine buckets, cached wNAF tables, prepared Miller-loop lines,
-memoized affine coordinates) must return the *exact* group element the
-slow reference produces — proofs are hashed into the chain, so "close"
-is not a thing.  These tests drive the fast and reference paths over the
-same randomized inputs, with the edge scalars {0, 1, order-1, duplicate
-points, all-identical points} the issue calls out, over both G1 and G2.
+Every optimisation in the BN254 hot path (the interleaved wNAF MSM, cached
+wNAF tables, prepared Miller-loop lines, memoized affine coordinates) must
+return the *exact* group element the slow reference produces — proofs are
+hashed into the chain, so "close" is not a thing.  These tests drive the
+fast and reference paths over the same randomized inputs, with the edge
+scalars {0, 1, order-1, duplicate points, all-identical points} the issue
+calls out, over both G1 and G2.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.crypto.bn254 import (
     pairing_check,
     wnaf_table_g1,
 )
-from repro.crypto.bn254.msm import MAX_WINDOW, _window_size
 from repro.crypto.bn254.pairing import G2Prepared, prepare_g2
 
 G1 = G1Point.generator()
@@ -148,27 +147,6 @@ class TestCachedWnafTables:
         again = cache.wnaf_msm(points, scalars)  # warm-path: tables cached
         expected = multi_scalar_mul_naive(points, scalars)
         assert first == expected and again == expected
-
-
-class TestWindowSchedule:
-    """Satellite: the bucket-window schedule is capped and tuned."""
-
-    def test_measured_crossovers(self):
-        # The crossovers the msm.py cost model documents.
-        assert _window_size(64) == 4
-        assert _window_size(256) == 5
-        assert _window_size(1024) == 6
-
-    def test_window_is_capped(self):
-        # Window 16 would allocate 65,535 bucket slots per 256-bit pass;
-        # the cap bounds allocation no matter how large n grows.
-        for n in (10**6, 10**9, 2**62):
-            assert _window_size(n) <= MAX_WINDOW
-        assert MAX_WINDOW <= 12
-
-    def test_schedule_monotone_nondecreasing(self):
-        sizes = [_window_size(n) for n in (1, 4, 16, 64, 256, 1024, 4096)]
-        assert sizes == sorted(sizes)
 
 
 class TestPreparedPairing:

@@ -1,4 +1,4 @@
-"""Multi-scalar multiplication: Pippenger vs naive, fixed-base tables."""
+"""Multi-scalar multiplication: the wNAF chain vs naive, fixed-base tables."""
 
 from __future__ import annotations
 
@@ -20,6 +20,8 @@ scalars = st.integers(min_value=0, max_value=CURVE_ORDER - 1)
 @settings(max_examples=8, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=12))
 def test_pippenger_matches_naive(scalar_list):
+    """The one MSM algorithm (interleaved wNAF; the id predates it) agrees
+    with independent scalar multiplications."""
     points = [G1 * (i + 1) for i in range(len(scalar_list))]
     assert multi_scalar_mul(points, scalar_list) == multi_scalar_mul_naive(
         points, scalar_list

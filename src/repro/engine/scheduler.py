@@ -117,10 +117,10 @@ class EpochScheduler:
         self.params = params
         self.beacon = beacon
         self.deterministic = deterministic
-        # Instance filter: a scheduler can drive a *subset* of the
-        # executor's registered fleet (frozen at construction).  This is
-        # how the sharded fabric runs one scheduler per lane while every
-        # lane's proof generation fans out through the same executor.
+        # Instance filter: a scheduler can drive a *subset* of the executor's
+        # fleet (the aggregator's register / retire change it between epochs).
+        # This is how the sharded fabric runs one scheduler per lane while
+        # every lane's proof generation fans out through the same executor.
         if names is not None:
             names = frozenset(names)
             unknown = names - set(executor.instances)

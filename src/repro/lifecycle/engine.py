@@ -8,16 +8,17 @@ re-placement, audit-driven eviction and per-epoch checkpoint settlement —
 into one deterministic, seed-driven simulation that composes all four
 earlier layers:
 
-* the **parallel audit engine** proves every live shard's epoch challenge
-  through one :class:`~repro.engine.executor.AuditExecutor`
-  (:class:`~repro.engine.scheduler.EpochScheduler`, deterministic mode),
+* the **checkpoint rollup** settles each epoch through one
+  :class:`~repro.rollup.fabric.CrossShardAggregator` (deterministic mode)
+  over the lane contracts the engine deploys: every live shard's
+  challenge is proved through one
+  :class:`~repro.engine.executor.AuditExecutor`, batch-verified per lane
+  and committed as per-lane checkpoints plus one cross-shard
+  super-commitment on a :class:`~repro.chain.fabric.ShardedChainFabric`,
+  with optional per-lane WAL persistence,
 * the **adversary hooks** model churn: a crashed or flaky provider's
   proofs are withheld via scheduler overrides, exactly like the
   byzantine strategies of :mod:`repro.adversary`,
-* the **checkpoint rollup** settles each epoch as per-lane commitments
-  plus one cross-shard super-commitment on a
-  :class:`~repro.chain.fabric.ShardedChainFabric`
-  (:mod:`repro.rollup`), with optional per-lane WAL persistence,
 * the **storage substrate** stores and *repairs*: every failed shard is
   regenerated through :meth:`repro.storage.DsnClient.repair` onto a
   provider chosen by
@@ -49,14 +50,15 @@ from ..chain.contracts.reputation import ReputationRegistry
 from ..chain.fabric import ShardedChainFabric
 from ..core import DataOwner, OutsourcingPackage, ProtocolParams
 from ..core.prover import ResponseWithheld
-from ..engine import AuditExecutor, AuditInstance, EpochScheduler
+from ..engine import AuditExecutor, AuditInstance
 from ..obs.registry import get_registry
 from ..obs.tracing import NULL_TRACER, Tracer
 from ..randomness import HashChainBeacon
-from ..rollup.checkpoint import build_checkpoint
-from ..rollup.client import CheckpointClient
-from ..rollup.fabric import build_fabric_checkpoint
-from ..rollup.records import records_from_epoch
+from ..rollup.fabric import CrossShardAggregator
+# Not called here: benchmarks/e2e/e2ebench/layers.py wraps these module names.
+from ..rollup.checkpoint import build_checkpoint  # noqa: F401
+from ..rollup.fabric import build_fabric_checkpoint  # noqa: F401
+from ..rollup.records import records_from_epoch  # noqa: F401
 from ..sim.workloads import archive_file
 from ..storage import (
     DataLoss,
@@ -70,6 +72,9 @@ from ..storage import (
 from .events import EventTrail
 from .hazard import ChurnModel, HazardConfig
 from .persist import ENGINE_SNAPSHOT, load_engine, save_engine
+
+#: Seconds a posted lane checkpoint stays open to fraud proofs.
+FRAUD_WINDOW = 10.0
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,6 @@ class LifecycleConfig:
     min_placement_score: float = 0.3
     stake_eth: float = 1.0
     slash_fraction: float = 0.5
-    fraud_window: float = 10.0
     persist_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -231,8 +235,6 @@ class LifecycleEngine:
         self._shards: dict[int, LiveShard] = {}
         #: lane id -> (aggregator account, checkpoint contract address)
         self.lane_settlement: dict[int, tuple[str, str]] = {}
-        #: names already registered on their lane's checkpoint contract
-        self._registered: set[int] = set()
         self._build_world()
 
     def _init_observability(self, tracer: Tracer | None) -> None:
@@ -272,7 +274,9 @@ class LifecycleEngine:
             score_of=self._score_of, minimum_score=config.min_placement_score
         )
 
-    def _build_executor(self) -> None:
+    def _build_aggregator(self) -> None:
+        """The executor and the aggregator over the deployed lane contracts
+        (build and reopen); sends no transaction."""
         self.executor = AuditExecutor(
             [
                 AuditInstance.from_package(shard.package, owner_id=shard.file_id)
@@ -280,16 +284,11 @@ class LifecycleEngine:
             ],
             workers=self.config.workers,
         )
-        # One scheduler for the engine's life: the fleet it drives is
-        # whatever the executor holds when an epoch runs.  No rng: the
-        # batch blinders are fresh randomness, which no verdict, trail byte
-        # or state_hash depends on.
-        self.scheduler = EpochScheduler(
-            self.executor,
-            self.params,
-            self.beacon,
-            deterministic=True,
-            tracer=self.tracer,
+        # No rng: the batch blinders are fresh randomness, which no
+        # verdict, trail byte or state_hash depends on.
+        self.aggregator = CrossShardAggregator(
+            self.fabric, self.executor, self.params, self.beacon,
+            deterministic=True, tracer=self.tracer, lanes=self.lane_settlement,
         )
 
     def _build_world(self) -> None:
@@ -323,7 +322,7 @@ class LifecycleEngine:
         for lane_id, lane in enumerate(self.fabric.lanes):
             account = lane.create_account(50.0, label=f"lifecycle-agg-{lane_id}")
             contract = CheckpointContract(
-                self.beacon, self.params, fraud_window=config.fraud_window
+                self.beacon, self.params, fraud_window=FRAUD_WINDOW
             )
             address = lane.deploy(contract, deployer=account)
             self.lane_settlement[lane_id] = (account, address)
@@ -349,7 +348,7 @@ class LifecycleEngine:
                 shards=config.erasure_n, needed=config.erasure_k,
                 bytes=len(payload),
             )
-        self._build_executor()
+        self._build_aggregator()
         if config.persist_dir:
             self.checkpoint_state()
 
@@ -395,12 +394,6 @@ class LifecycleEngine:
             )
         )
 
-    def _checkpoint_client(self, lane_id: int) -> CheckpointClient:
-        _, address = self.lane_settlement[lane_id]
-        contract = self.fabric.lane(lane_id).contract_at(address)
-        assert isinstance(contract, CheckpointContract)
-        return CheckpointClient(self.fabric.transact, address, contract)
-
     def _score_of(self, provider: str) -> float:
         return float(
             self.fabric.call(self.registry_address, "score_of", provider)
@@ -429,16 +422,14 @@ class LifecycleEngine:
         return self.outcome()
 
     def run_epoch(self) -> EpochSummary:
-        """One epoch: churn → audit → settle → report → repair → evict."""
+        """One epoch: churn → settle → report → repair → evict."""
         epoch = self.next_epoch
         t0 = time.perf_counter()
         with self.tracer.span("epoch", epoch=epoch):
             with self.tracer.span("churn", epoch=epoch):
                 joined, departed = self._churn_step(epoch)
-            with self.tracer.span("audit", epoch=epoch):
-                result, records = self._audit_step(epoch)
             with self.tracer.span("settle", epoch=epoch):
-                commitment_gas = self._settle_step(epoch, records)
+                records, commitment_gas = self._settle_step(epoch)
             with self.tracer.span("report", epoch=epoch):
                 self._report_step(records)
             with self.tracer.span("repair", epoch=epoch):
@@ -455,7 +446,7 @@ class LifecycleEngine:
         deferred = sum(1 for e in epoch_events if e.kind == "deferred")
         summary = EpochSummary(
             epoch=epoch,
-            audits=result.num_audits,
+            audits=len(records),
             accepted=sum(1 for r in records if r.verdict),
             rejected=sum(1 for r in records if not r.verdict),
             repaired=repaired,
@@ -552,80 +543,46 @@ class LifecycleEngine:
             refunded_wei=refunded, good_standing=receipt.success,
         )
 
-    # -- phase 2: audits -------------------------------------------------- #
+    # -- phase 2: audit + settlement --------------------------------------- #
 
     def _withheld_override(self, challenge, epoch):
         raise ResponseWithheld("provider unavailable for this epoch")
 
-    def _audit_step(self, epoch: int):
-        scheduler = self.scheduler
-        scheduler.overrides.clear()
+    def _settle_step(self, epoch: int) -> tuple[list, int]:
+        """Withhold the unavailable providers' proofs, then settle the epoch
+        through the aggregator; returns its records (by name) and gas."""
+        aggregator = self.aggregator
+        for pipeline in aggregator.pipelines.values():
+            pipeline.scheduler.overrides.clear()
         flaky_names: list[int] = []
         for name, shard in sorted(self._shards.items()):
             state = self.providers.get(shard.provider)
             if state is None or state.dead or not state.alive:
-                scheduler.set_override(name, self._withheld_override)
+                aggregator.set_override(name, self._withheld_override)
             elif state.flaky:
                 flaky_names.append(name)
         for name in self._churn.withholds(flaky_names, self.config.flake_rho):
-            scheduler.set_override(name, self._withheld_override)
-        result = scheduler.run_epoch(epoch)
-        records = records_from_epoch(result)
-        return result, records
-
-    # -- phase 3: settlement ---------------------------------------------- #
-
-    def _settle_step(self, epoch: int, records) -> int:
-        by_lane: dict[int, list] = {}
-        for record in records:
-            by_lane.setdefault(
-                self.fabric.lane_index_for(record.name), []
-            ).append(record)
-        lane_bundles = []
-        gas = 0
-        for lane_id in sorted(by_lane):
-            account, _ = self.lane_settlement[lane_id]
-            client = self._checkpoint_client(lane_id)
-            for record in by_lane[lane_id]:
-                gas += self._register_instance(client, account, record.name)
-            with self.tracer.span("checkpoint_build", epoch=epoch, lane=lane_id):
-                bundle = build_checkpoint(epoch, tuple(by_lane[lane_id]))
-            with self.tracer.span("post", epoch=epoch, lane=lane_id):
-                receipt = client.post_checkpoint(account, bundle.checkpoint)
-            if not receipt.success:
-                raise RuntimeError(
-                    f"lane {lane_id} checkpoint failed: {receipt.error}"
-                )
-            gas += receipt.gas_used
-            lane_bundles.append((lane_id, bundle))
-        fabric_bundle = build_fabric_checkpoint(epoch, lane_bundles)
+            aggregator.set_override(name, self._withheld_override)
+        settlement = aggregator.settle_epoch(epoch)
+        fabric_bundle = settlement.fabric
         self.last_fabric_bundle = fabric_bundle
+        records = sorted(
+            (record for _, bundle in fabric_bundle.lanes for record in bundle.records),
+            key=lambda record: record.name,
+        )
+        gas = settlement.total_commitment_gas()
         self.trail.emit(
             epoch, "settled", f"epoch-{epoch}",
-            lanes=len(lane_bundles),
+            lanes=len(fabric_bundle.lanes),
             audits=fabric_bundle.checkpoint.num_leaves,
             accepted=fabric_bundle.checkpoint.accepted,
             rejected=fabric_bundle.checkpoint.rejected,
             root=fabric_bundle.checkpoint.fabric_root.hex()[:16],
             gas=gas,
         )
-        return gas
+        return records, gas
 
-    def _register_instance(
-        self, client: CheckpointClient, account: str, name: int
-    ) -> int:
-        if name in self._registered:
-            return 0
-        package = self._shards[name].package
-        receipt = client.register_instance(
-            account, name, package.public.to_bytes(), package.num_chunks
-        )
-        if not receipt.success:
-            raise RuntimeError(f"instance registration failed: {receipt.error}")
-        self._registered.add(name)
-        return receipt.gas_used
-
-    # -- phase 4: reputation reports --------------------------------------- #
+    # -- phase 3: reputation reports --------------------------------------- #
 
     def _report_step(self, records) -> None:
         registry = self.registry
@@ -640,7 +597,7 @@ class LifecycleEngine:
                 (provider, record.verdict),
             )
 
-    # -- phase 5: repair --------------------------------------------------- #
+    # -- phase 4: repair --------------------------------------------------- #
 
     def _repair_step(self, epoch: int, records) -> None:
         for record in sorted(records, key=lambda r: r.name):
@@ -678,8 +635,8 @@ class LifecycleEngine:
                 if loc.shard_index == shard.shard_index
             ),
         )
-        self.executor.unregister(name)
-        self.executor.register(
+        self.aggregator.retire(name)
+        self.aggregator.register(
             AuditInstance.from_package(replacement.package, owner_id=file_id)
         )
         self.trail.emit(
@@ -696,7 +653,7 @@ class LifecycleEngine:
         )
         return True
 
-    # -- phase 6: eviction -------------------------------------------------- #
+    # -- phase 5: eviction -------------------------------------------------- #
 
     def _evict_step(self, epoch: int) -> int:
         evicted = 0
@@ -765,19 +722,19 @@ class LifecycleEngine:
             state.alive = False
             self.cluster.remove_node(state.name)
 
-    # -- phase 7: finalize + bookkeeping ------------------------------------ #
+    # -- phase 6: finalize + bookkeeping ------------------------------------ #
 
     def _finalize_step(self) -> None:
-        for lane_id, (account, _) in sorted(self.lane_settlement.items()):
-            lane = self.fabric.lane(lane_id)
-            client = self._checkpoint_client(lane_id)
-            contract = client.contract
+        for _, pipeline in sorted(self.aggregator.pipelines.items()):
+            contract = pipeline.contract
             for entry in contract.checkpoints:
                 if (
                     entry.status is CheckpointStatus.OPEN
-                    and lane.time > entry.posted_at + contract.fraud_window
+                    and pipeline.chain.time > entry.posted_at + contract.fraud_window
                 ):
-                    client.finalize_checkpoint(account, entry.checkpoint_id)
+                    pipeline.client.finalize_checkpoint(
+                        pipeline.aggregator, entry.checkpoint_id
+                    )
 
     def min_healthy_shards(self) -> int:
         """The weakest file's live shard count (durability floor)."""
@@ -841,5 +798,6 @@ class LifecycleEngine:
         return load_engine(persist_dir, **overrides)
 
     def close(self) -> None:
+        self.aggregator.close()
         self.executor.close()
         self.fabric.close()

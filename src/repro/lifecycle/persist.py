@@ -33,7 +33,7 @@ from pathlib import Path
 from .. import durable
 
 ENGINE_SNAPSHOT = "engine.pkl"
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 _MAGIC = b"LIFECYCL"
 
 #: Engine attributes that are plain picklable values, saved and restored
@@ -42,7 +42,7 @@ _MAGIC = b"LIFECYCL"
 _PLAIN_FIELDS = (
     "next_epoch", "node_seq", "summaries", "providers", "payloads",
     "total_commitment_gas", "total_repairs", "total_evictions", "wall_seconds",
-    "registry_address", "oracle", "lane_settlement", "_registered",
+    "registry_address", "oracle", "lane_settlement",
     "cluster", "clients", "manifests", "_shards",
 )
 
@@ -134,5 +134,5 @@ def load_engine(persist_dir: str, **overrides):
         raise LifecycleResumeError(
             "reopened fabric state does not match the engine snapshot"
         )
-    engine._build_executor()
+    engine._build_aggregator()
     return engine

@@ -9,8 +9,8 @@ value and the ``payload_bytes`` the gas schedule charges for.
 
 The client does not own a chain.  It is handed a ``transact(tx,
 payload_bytes) -> Receipt`` callable, so the settlement pipeline's lane
-``chain.transact`` and the lifecycle engine's ``fabric.transact`` send
-byte-identical transactions through it.  Receipts are returned
+``chain.transact`` and any other caller send byte-identical transactions
+through it.  Receipts are returned
 as they come; mapping a failed receipt to an error stays with the caller,
 who knows what the failure means.
 """

@@ -250,7 +250,7 @@ class FabricSettlement:
         return self.fabric.rejected_names()
 
     def total_commitment_gas(self) -> int:
-        return sum(settled.receipt.gas_used for settled in self.lanes.values())
+        return sum(s.receipt.gas_used + s.registration_gas for s in self.lanes.values())
 
 
 class CrossShardAggregator:
@@ -264,6 +264,11 @@ class CrossShardAggregator:
     stays per-lane.  Instance→lane placement uses the fabric's
     deterministic :meth:`~repro.chain.fabric.ShardedChainFabric.lane_index_for`,
     the same function every light client and challenger applies.
+
+    ``lanes`` (lane id → (account, contract address) already on the fabric)
+    gives every listed lane a pipeline and sends no transaction here;
+    without it each populated lane gets a fresh account and contract and
+    its fleet is registered at once.
     """
 
     def __init__(
@@ -276,6 +281,7 @@ class CrossShardAggregator:
         deterministic: bool = False,
         tracer=None,
         da_params=None,
+        lanes=None,
     ):
         # Imported lazily to keep the rollup layer importable without the
         # chain package on every path (mirrors pipeline.py's convention).
@@ -289,7 +295,6 @@ class CrossShardAggregator:
         self.da_params = da_params
         self.settled: list[FabricSettlement] = []
         self._settled_by_epoch: dict[int, int] = {}
-        self.lane_names: dict[int, frozenset[int]] = {}
         self.pipelines: dict[int, CheckpointPipeline] = {}
 
         placement: dict[int, set[int]] = {}
@@ -297,8 +302,9 @@ class CrossShardAggregator:
             placement.setdefault(fabric.lane_index_for(name), set()).add(name)
         if not placement:
             raise ValueError("no audit instances registered with the executor")
+        lane_ids = sorted(placement) if lanes is None else sorted(lanes)
         # Where an epoch runs follows from what is there to run it on.  With
-        # more than one worker and more than one populated lane, one thread
+        # more than one worker and more than one lane, one thread
         # per lane drives the whole prove → verify → post pipeline — its
         # batch check runs on that thread, in parallel with the other lanes'
         # because the pairing kernel releases the GIL — meeting at an epoch
@@ -307,22 +313,24 @@ class CrossShardAggregator:
         # per-lane op sequence — and the accept/reject sets — match the
         # lockstep walk exactly (differential-tested).  Otherwise the
         # lockstep walk settles every lane on the calling thread.
-        self.concurrent = executor.workers > 1 and len(placement) > 1
+        self.concurrent = executor.workers > 1 and len(lane_ids) > 1
         # A Tracer is single-threaded by design, so span collection is only
         # honoured on the lockstep walk; concurrent lane threads would
         # interleave their enter/exit stacks into one garbled tree.
         self.tracer = None if self.concurrent else tracer
         self._lane_workers = (
-            ThreadPoolExecutor(max_workers=len(placement), thread_name_prefix="settle")
+            ThreadPoolExecutor(max_workers=len(lane_ids), thread_name_prefix="settle")
             if self.concurrent
             else None
         )
-        for lane_id in sorted(placement):
-            names = frozenset(placement[lane_id])
+        for lane_id in lane_ids:
             lane = fabric.lane(lane_id)
-            account = lane.create_account(10.0, label=f"aggregator-{lane_id}")
-            contract = CheckpointContract(beacon, params)
-            address = lane.deploy(contract, deployer=account)
+            if lanes is None:
+                account = lane.create_account(10.0, label=f"aggregator-{lane_id}")
+                contract = CheckpointContract(beacon, params)
+                address = lane.deploy(contract, deployer=account)
+            else:
+                account, address = lanes[lane_id]
             # Each lane's scheduler gets its own blinding rng, derived in
             # sorted lane order: a shared Random instance would race under
             # concurrent lane threads.  Verdicts are rho-independent, so
@@ -336,7 +344,7 @@ class CrossShardAggregator:
                 beacon,
                 deterministic=deterministic,
                 rng=lane_rng,
-                names=names,
+                names=placement.get(lane_id, ()),
                 tracer=self.tracer,
             )
             pipeline = CheckpointPipeline(
@@ -347,8 +355,8 @@ class CrossShardAggregator:
                 da_params=da_params,
                 lane_id=lane_id,
             )
-            pipeline.register_fleet()
-            self.lane_names[lane_id] = names
+            if lanes is None:
+                pipeline.register_fleet()
             self.pipelines[lane_id] = pipeline
 
     def lane_of(self, name: int) -> int:
@@ -359,18 +367,32 @@ class CrossShardAggregator:
         """Route one file's proofs through an adversary-strategy callable."""
         self.pipelines[self.lane_of(name)].scheduler.set_override(name, override)
 
+    def register(self, instance) -> None:
+        """Add one instance between epochs; its lane's pipeline registers it
+        on chain when it next posts."""
+        self.executor.register(instance)
+        scheduler = self.pipelines[self.lane_of(instance.name)].scheduler
+        scheduler.names = scheduler.names | {instance.name}
+
+    def retire(self, name: int) -> None:
+        """Drop one instance between epochs (its registration stays on chain)."""
+        self.executor.unregister(name)
+        scheduler = self.pipelines[self.lane_of(name)].scheduler
+        scheduler.names = scheduler.names - {name}
+        scheduler.overrides.pop(name, None)
+
     def close(self) -> None:
         if self._lane_workers is not None:
             self._lane_workers.shutdown(wait=True)
 
     def settle_epoch(self, epoch: int) -> FabricSettlement:
-        """Run one epoch on every lane and roll the commitments up.
+        """Run one epoch on every lane holding audits; roll the commitments up.
 
         When ``self.concurrent`` every lane settles on its own worker
         thread; collecting the futures IS the epoch barrier — the fabric
         checkpoint is built only after the slowest lane posts.
         """
-        lane_ids = sorted(self.pipelines)
+        lane_ids = [i for i, p in sorted(self.pipelines.items()) if p.scheduler.names]
         lanes: dict[int, SettledEpoch] = {}
         if self.concurrent:
             futures = {

@@ -64,6 +64,7 @@ class SettledEpoch:
     bundle: CheckpointBundle
     checkpoint_id: int
     receipt: Receipt
+    registration_gas: int = 0       # instances registered just before the post
     da: object | None = field(default=None)   # DaBundle when DA is enabled
     da_receipt: Receipt | None = field(default=None)
 
@@ -110,28 +111,27 @@ class CheckpointPipeline:
         # ``Blockchain.transact`` after construction still sees every post.
         return self.chain.transact(tx, payload_bytes=payload_bytes)
 
-    def register_fleet(self) -> None:
-        """Push every scheduled instance's metadata into the on-chain registry.
+    def register_fleet(self, names=None) -> int:
+        """Push instances' metadata into the on-chain registry; returns gas.
 
-        Honors the scheduler's instance subset (``names``), so a per-lane
-        pipeline registers only the files its lane settles.
+        ``names`` defaults to the executor's fleet; either way only the
+        scheduler's subset the contract does not hold yet is registered.
         """
-        names = getattr(self.scheduler, "names", None)
-        for instance in self.scheduler.executor.instances.values():
-            if names is not None and instance.name not in names:
+        instances = self.scheduler.executor.instances
+        subset = self.scheduler.names
+        registered = self.contract.instances
+        gas = 0
+        for name in instances if names is None else names:
+            if subset is not None and name not in subset or name in registered:
                 continue
-            if instance.name in self.contract.instances:
-                continue
+            instance = instances[name]
             receipt = self.client.register_instance(
-                self.aggregator,
-                instance.name,
-                instance.public.to_bytes(),
-                instance.num_chunks,
+                self.aggregator, name, instance.public.to_bytes(), instance.num_chunks
             )
             if not receipt.success:
-                raise RuntimeError(
-                    f"instance registration failed: {receipt.error}"
-                )
+                raise RuntimeError(f"instance registration failed: {receipt.error}")
+            gas += receipt.gas_used
+        return gas
 
     def audit_epoch(self, epoch: int) -> tuple[object, CheckpointBundle]:
         """Run one engine epoch off chain: its result and verdict bundle.
@@ -149,7 +149,10 @@ class CheckpointPipeline:
     def settle_epoch(self, epoch: int) -> SettledEpoch:
         """Run one engine epoch and post its commitment on chain."""
         result, bundle = self.audit_epoch(epoch)
-        receipt = self.client.post_checkpoint(self.aggregator, bundle.checkpoint)
+        # Names new since the last post are registered just before it.
+        registration_gas = self.register_fleet(r.name for r in bundle.records)
+        with self.scheduler.tracer.span("post", epoch=epoch, lane=self.lane_id):
+            receipt = self.client.post_checkpoint(self.aggregator, bundle.checkpoint)
         if not receipt.success:
             raise RuntimeError(f"checkpoint posting failed: {receipt.error}")
         checkpoint_id = receipt.return_value
@@ -174,6 +177,7 @@ class CheckpointPipeline:
             bundle=bundle,
             checkpoint_id=checkpoint_id,
             receipt=receipt,
+            registration_gas=registration_gas,
             da=da_bundle,
             da_receipt=da_receipt,
         )

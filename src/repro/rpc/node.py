@@ -299,8 +299,8 @@ class ServiceNode:
                 "epochs_settled": len(settled),
                 "lanes": sorted(self.aggregator.pipelines),
                 "instances": {
-                    str(lane_id): len(names)
-                    for lane_id, names in sorted(self.aggregator.lane_names.items())
+                    str(lane_id): len(pipeline.scheduler.names)
+                    for lane_id, pipeline in sorted(self.aggregator.pipelines.items())
                 },
                 "accepted": sum(s.fabric.checkpoint.accepted for s in settled),
                 "rejected": sum(s.fabric.checkpoint.rejected for s in settled),

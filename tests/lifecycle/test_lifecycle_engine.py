@@ -252,7 +252,13 @@ class TestSettlement:
         assert engine.fabric.events_named("negotiated") == []
         assert engine.fabric.events_named("acked") == []
         registered = _registrations(engine).values()
-        assert {name for _, name in registered} == engine._registered
+        audited = {
+            record.name
+            for settlement in engine.aggregator.settled
+            for _, bundle in settlement.fabric.lanes
+            for record in bundle.records
+        }
+        assert {name for _, name in registered} == audited
         for lane_id, name in registered:
             assert lane_id == engine.fabric.lane_index_for(name)
 
@@ -261,6 +267,22 @@ class TestSettlement:
         assert outcome.total_commitment_gas == sum(
             s.commitment_gas for s in outcome.summaries
         )
+
+
+def test_a_lane_holding_no_shard_is_skipped_and_the_run_completes():
+    """Three shards over four lanes: at least one lane settles nothing in
+    every epoch, and the run still finishes with its files intact."""
+    engine = LifecycleEngine(
+        LifecycleConfig(**{**BASE, "lanes": 4, "files": 1, "erasure_n": 3})
+    )
+    try:
+        outcome = engine.run()
+    finally:
+        engine.close()
+    settled = outcome.trail.of_kind("settled")
+    assert len(settled) == outcome.epochs_run == engine.config.total_epochs
+    assert all(int(event.get("lanes")) < 4 for event in settled)
+    assert outcome.files_intact
 
 
 class TestEvictionDrain:

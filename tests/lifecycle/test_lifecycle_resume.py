@@ -76,12 +76,48 @@ def test_kill_mid_epoch_discards_the_torn_tail(tmp_path, reference):
     # Start epoch 2 by hand and die after settlement hit the WAL.
     epoch = engine.next_epoch
     engine._churn_step(epoch)
-    _, records = engine._audit_step(epoch)
-    engine._settle_step(epoch, records)
+    engine._settle_step(epoch)
     engine.fabric.close()
 
     reopened = LifecycleEngine.open(config.persist_dir)
     assert reopened.next_epoch == 2  # rewound to the boundary
+    outcome = reopened.run()
+    reopened.close()
+    assert outcome.trail_digest == reference.trail_digest
+    assert outcome.state_hash == reference.state_hash
+
+
+def test_reopen_builds_the_aggregator_without_moving_state(tmp_path):
+    """The reopened engine's aggregator settles on the lane contracts the
+    run deployed: building it sends no transaction."""
+    config = _persisted_config(tmp_path)
+    engine = LifecycleEngine(config)
+    engine.run_epoch()
+    boundary = engine.fabric.state_hash()
+    engine.fabric.close()
+
+    reopened = LifecycleEngine.open(config.persist_dir)
+    assert reopened.fabric.state_hash() == boundary
+    assert {
+        lane_id: (pipeline.aggregator, pipeline.contract_address)
+        for lane_id, pipeline in reopened.aggregator.pipelines.items()
+    } == reopened.lane_settlement
+    reopened.close()
+
+
+def test_resume_on_lane_threads_after_a_mid_epoch_kill(tmp_path, reference):
+    """A ``workers=2`` resume settles its lanes on threads and still lands
+    on the uninterrupted ``workers=1`` run's trail and state."""
+    config = _persisted_config(tmp_path)
+    engine = LifecycleEngine(config)
+    engine.run_epoch()
+    epoch = engine.next_epoch
+    engine._churn_step(epoch)
+    engine._settle_step(epoch)
+    engine.fabric.close()
+
+    reopened = LifecycleEngine.open(config.persist_dir, workers=2)
+    assert reopened.aggregator.concurrent
     outcome = reopened.run()
     reopened.close()
     assert outcome.trail_digest == reference.trail_digest
@@ -127,7 +163,7 @@ def test_resume_restores_engine_bookkeeping(tmp_path):
     engine.fabric.close()
 
     reopened = LifecycleEngine.open(config.persist_dir)
-    assert reopened.scheduler.executor is reopened.executor  # before any epoch
+    assert reopened.aggregator.executor is reopened.executor  # before any epoch
     assert sorted(reopened._shards) == live_shards
     assert {
         name: (s.alive, s.flaky, s.dead)

@@ -76,16 +76,12 @@ class TestSpanTree:
         _, tracer = traced
         root = tracer.roots[0]
         phases = [child.name for child in root.children]
-        for phase in ("churn", "audit", "settle", "mine"):
+        for phase in ("churn", "settle", "mine"):
             assert phase in phases, f"missing epoch phase {phase!r}"
-        audit = next(c for c in root.children if c.name == "audit")
-        nested = [c.name for c in audit.children]
-        for phase in ("challenge", "prove", "verify"):
-            assert phase in nested, f"missing audit sub-phase {phase!r}"
         settle = next(c for c in root.children if c.name == "settle")
-        assert {"checkpoint_build", "post"} <= {
-            c.name for c in settle.children
-        }
+        nested = [c.name for c in settle.children]
+        for phase in ("challenge", "prove", "verify", "checkpoint_build", "post"):
+            assert phase in nested, f"missing settle sub-phase {phase!r}"
 
     def test_at_least_95_percent_of_epoch_decomposed(self, traced):
         _, tracer = traced

@@ -18,7 +18,8 @@ The canonical ``state_hash()`` is computed over a deterministic recursive
 encoding of the whole logical state (balances, nonces, signer keys,
 scheduled calls, blocks, receipts, events, and every contract's attribute
 dict) — *not* over pickles — so live and replayed stores can be compared
-across processes.
+across processes.  Sealed blocks and events, which are append-only, enter
+it as running hash chains, so a call never re-encodes the history.
 
 Contract objects are Python instances; the store persists them as
 ``(class, attribute dict)`` with the ``chain`` back-reference stripped,
@@ -154,6 +155,28 @@ def canonical_state_digest(value: Any) -> bytes:
     return hasher.digest()
 
 
+class _HashChain:
+    """``(count, d)`` over an append-only list: ``d_0`` is 32 zero bytes and
+    ``d_i = sha256(d_{i-1} || canonical_state_digest(item_i))``.  The cursor
+    (list, count, last item folded, digest) starts over when the list is
+    replaced, is shorter than the count or no longer holds that item there."""
+
+    def __init__(self) -> None:
+        self.items, self.count, self.last, self.digest = None, 0, None, bytes(32)
+
+    def fold(self, items: list, upto: int) -> tuple[int, bytes]:
+        """``(upto, d_upto)`` over ``items[:upto]``, folding only what is new."""
+        count, digest = self.count, self.digest
+        stale = items is not self.items or upto < count
+        if stale or (count and items[count - 1] is not self.last):
+            count, digest = 0, bytes(32)
+        for item in items[count:upto]:
+            digest = hashlib.sha256(digest + canonical_state_digest(item)).digest()
+        self.items, self.count, self.digest = items, upto, digest
+        self.last = items[upto - 1] if upto else None
+        return upto, digest
+
+
 # --------------------------------------------------------------------------- #
 # The store interface (and its in-memory reference backend)                   #
 # --------------------------------------------------------------------------- #
@@ -264,6 +287,7 @@ class StateStore:
         self._journal: list[tuple[tuple[str, Any], _JournaledDict, Any]] = []
         self._touched: set[str] = set()
         self._events_mark = 0
+        self._sealed_chain, self._events_chain = _HashChain(), _HashChain()
 
     # -- commit protocol ----------------------------------------------------
 
@@ -336,14 +360,18 @@ class StateStore:
     # -- the canonical fingerprint -------------------------------------------
 
     def state_hash(self) -> str:
-        """Hex digest of the entire logical chain state.
+        """Hex digest of the entire logical chain state (``chain-state-v2``).
 
         Two stores (live and WAL-replayed, or two fabric lanes fed the
         same traffic) agree on this iff they agree on every balance,
         nonce, signer key, scheduled call, block, receipt, event and
-        contract attribute.
+        contract attribute.  Sealed blocks (all but the last) and events
+        never change once appended, so each enters as a :class:`_HashChain`
+        and a call costs what was appended since the previous one, not the
+        length of the history.  The pending block is encoded whole.
         """
-        hasher = hashlib.sha256(b"chain-state-v1")
+        hasher = hashlib.sha256(b"chain-state-v2")
+        sealed = max(len(self.blocks) - 1, 0)
         _encode_canonical(
             {
                 "time": self.time,
@@ -357,8 +385,9 @@ class StateStore:
                 "nonces": self.nonces,
                 "signer_keys": self.signer_keys,
                 "scheduled": list(self.scheduled),
-                "blocks": list(self.blocks),
-                "events": list(self.events),
+                "sealed_blocks": self._sealed_chain.fold(self.blocks, sealed),
+                "pending_block": self.blocks[sealed] if self.blocks else None,
+                "events": self._events_chain.fold(self.events, len(self.events)),
             },
             hasher,
         )

@@ -33,7 +33,8 @@ from pathlib import Path
 from .. import durable
 
 ENGINE_SNAPSHOT = "engine.pkl"
-SNAPSHOT_VERSION = 5
+#: 6: ``fabric_state_hash`` is a ``chain-state-v2`` digest.
+SNAPSHOT_VERSION = 6
 _MAGIC = b"LIFECYCL"
 
 #: Engine attributes that are plain picklable values, saved and restored

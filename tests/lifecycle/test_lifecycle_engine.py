@@ -20,6 +20,7 @@ from repro.chain.contracts.checkpoint_contract import (
 from repro.crypto.bn254 import PROCESS_CACHE
 from repro.lifecycle import LifecycleConfig, LifecycleEngine
 from repro.obs import MetricsRegistry, register_core_instruments
+from state_oracles import fabric_state_hash, state_hash_v1, state_hash_v2
 
 BASE = dict(
     years=1.0,
@@ -66,14 +67,25 @@ class TestDeterminism:
         captured, when the engine stopped deploying a dormant Fig. 2
         contract per shard: those contracts and their accounts left the
         chain state, and the ``rekeyed`` event lost its ``contract=``
-        field.  Every verdict, repair and eviction stayed where it was."""
-        _, outcome = finished
+        field.  Every verdict, repair and eviction stayed where it was.
+
+        The ``c54da3bb…`` state literal is a ``chain-state-v1`` digest and
+        is held against the v1 oracle's whole-history walk of the finished
+        fabric: the state did not move.  ``state_hash`` is now
+        ``chain-state-v2`` (sealed blocks and events enter as running hash
+        chains), so the outcome's literal is new, and it must equal a
+        from-scratch v2 fold of the same fabric."""
+        engine, outcome = finished
         assert outcome.trail_digest == (
             "054dca6d66654426a5a07179ea8f1b5ce963b9d2096d95f91e48d8daedce148d"
         )
-        assert outcome.state_hash == (
+        assert fabric_state_hash(engine.fabric, state_hash_v1) == (
             "c54da3bbe9ced077e01987dc28b356362f21b9b8e0a13c8525489c2d76238b02"
         )
+        assert outcome.state_hash == (
+            "cca239bd98509140b81aa5481cf238bebdfdcea388c0dcaa6ec73db9932a3e2f"
+        )
+        assert outcome.state_hash == fabric_state_hash(engine.fabric, state_hash_v2)
 
     def test_same_seed_same_trail_and_state(self, finished):
         _, reference = finished

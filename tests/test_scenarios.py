@@ -24,6 +24,7 @@ from repro.engine import AuditExecutor, EpochScheduler
 from repro.lifecycle import LifecycleConfig, LifecycleEngine
 from repro.randomness import HashChainBeacon
 from repro.rollup import CrossShardAggregator
+from state_oracles import fabric_state_hash, state_hash_v1, state_hash_v2
 
 PARAMS = ProtocolParams(s=4, k=3)
 SRC_REPRO = Path(repro.cli.__file__).parent
@@ -69,6 +70,13 @@ def test_two_lane_two_epoch_settlement_state_hash_is_the_one_captured_at_34f8142
     ``run_settlement`` draws fresh Sigma nonces, so the pinned run is the
     same composition in the engine's deterministic mode: two lanes, two
     settled epochs and one slashed forgery.
+
+    The literal captured at 34f8142 is a ``chain-state-v1`` digest, held
+    here against the v1 oracle's whole-history walk: the state did not
+    move.  ``state_hash`` itself is now ``chain-state-v2``, which folds
+    sealed blocks and events into running hash chains instead of encoding
+    them whole, so its literal is new; it must also equal a from-scratch
+    v2 fold of the same lanes.
     """
     rng = random.Random(2)
     fabric = ShardedChainFabric(num_lanes=2)
@@ -83,9 +91,13 @@ def test_two_lane_two_epoch_settlement_state_hash_is_the_one_captured_at_34f8142
                 aggregator, min(aggregator.pipelines), 2
             )
         assert forged.caught and forged.slashed_wei == 5 * 10**16
-        assert fabric.state_hash() == (
+        assert fabric_state_hash(fabric, state_hash_v1) == (
             "3666467be2a3345620fa61a4f672ea6488d02ab180be0981083721dc41649cdb"
         )
+        assert fabric.state_hash() == (
+            "b06149c67d06f7f23a553d02e2573279ab1e3838d4b4eb7326820b3cbb8ea4a0"
+        )
+        assert fabric.state_hash() == fabric_state_hash(fabric, state_hash_v2)
     finally:
         fabric.close()
 

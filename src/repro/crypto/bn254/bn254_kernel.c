@@ -57,6 +57,14 @@ static const fp ZERO = {{0, 0, 0, 0}};
 /* p - 2: the Fermat inversion exponent. */
 static const uint64_t P_MINUS_2[4] = {0x3c208c16d87cfd45ULL, 0x97816a916871ca8dULL,
                                       0xb85045b68181585dULL, 0x30644e72e131a029ULL};
+/* (p + 1)/4, (p - 3)/4 and (p - 1)/2: the square-root exponents of
+ * fields.fp_sqrt and Fp2.sqrt (p = 3 mod 4). */
+static const uint64_t P_PLUS_1_DIV_4[4] = {0x4f082305b61f3f52ULL, 0x65e05aa45a1c72a3ULL,
+                                           0x6e14116da0605617ULL, 0x0c19139cb84c680aULL};
+static const uint64_t P_MINUS_3_DIV_4[4] = {0x4f082305b61f3f51ULL, 0x65e05aa45a1c72a3ULL,
+                                            0x6e14116da0605617ULL, 0x0c19139cb84c680aULL};
+static const uint64_t P_MINUS_1_DIV_2[4] = {0x9e10460b6c3e7ea3ULL, 0xcbc0b548b438e546ULL,
+                                            0xdc2822db40c0ac2eULL, 0x183227397098d014ULL};
 
 /* ------------------------------------------------------------------ Fp -- */
 
@@ -151,19 +159,28 @@ static inline void fp_mul(fp *r, const fp *a, const fp *b)
 
 static inline void fp_sqr(fp *r, const fp *a) { fp_mul(r, a, a); }
 
-/* a^(p-2); zero maps to zero. */
-static void fp_inv(fp *r, const fp *a)
+static inline int fp_eq(const fp *a, const fp *b)
+{
+    return memcmp(a->l, b->l, sizeof a->l) == 0;
+}
+
+/* a^e for a 256-bit little-endian exponent, square and multiply from the
+ * top bit. */
+static void fp_pow(fp *r, const fp *a, const uint64_t e[4])
 {
     fp acc = ONE;
     for (int i = 3; i >= 0; i--) {
         for (int bit = 63; bit >= 0; bit--) {
             fp_sqr(&acc, &acc);
-            if ((P_MINUS_2[i] >> bit) & 1)
+            if ((e[i] >> bit) & 1)
                 fp_mul(&acc, &acc, a);
         }
     }
     *r = acc;
 }
+
+/* a^(p-2); zero maps to zero. */
+static void fp_inv(fp *r, const fp *a) { fp_pow(r, a, P_MINUS_2); }
 
 /* Boundary: canonical bytes <-> Montgomery limbs (little-endian host; the
  * Python probe refuses the kernel anywhere that does not hold). */
@@ -272,6 +289,25 @@ static int fp2_inv(fp2 *r, const fp2 *a)
     fp_mul(&n1, &a->c1, &inv);
     fp_neg(&r->c1, &n1);
     return 0;
+}
+
+static inline int fp2_eq(const fp2 *a, const fp2 *b)
+{
+    return fp_eq(&a->c0, &b->c0) && fp_eq(&a->c1, &b->c1);
+}
+
+/* a^e for a 256-bit little-endian exponent, as fp_pow. */
+static void fp2_pow(fp2 *r, const fp2 *a, const uint64_t e[4])
+{
+    fp2 acc = {ONE, ZERO};
+    for (int i = 3; i >= 0; i--) {
+        for (int bit = 63; bit >= 0; bit--) {
+            fp2_sqr(&acc, &acc);
+            if ((e[i] >> bit) & 1)
+                fp2_mul(&acc, &acc, a);
+        }
+    }
+    *r = acc;
 }
 
 /* ----------------------------------------------------------------- Fp6 -- */
@@ -566,6 +602,53 @@ void bn_from_montgomery(const uint8_t *in, uint8_t *out, size_t count)
     }
 }
 
+/* --------------------------------------------------------- square roots -- */
+
+/* fields.fp_sqrt for a canonical a: a^((p+1)/4), or -1 when that candidate
+ * does not square to a (a non-residue).  out: canonical. */
+int bn_fp_sqrt(const uint8_t *in, uint8_t *out)
+{
+    fp a, root, check;
+    fp_load(&a, in);
+    fp_pow(&root, &a, P_PLUS_1_DIV_4);
+    fp_sqr(&check, &root);
+    if (!fp_eq(&check, &a))
+        return -1;
+    fp_store(out, &root);
+    return 0;
+}
+
+/* Fp2.sqrt for canonical (c0, c1): the two-candidate algorithm with
+ * a1 = a^((p-3)/4), or -1 for a non-residue.  Zero is its own root, as the
+ * reference's early return gives. */
+int bn_fp2_sqrt(const uint8_t *in, uint8_t *out)
+{
+    fp2 a, a1, alpha, x0, root, check;
+    fp_load(&a.c0, in);
+    fp_load(&a.c1, in + FP_BYTES);
+    fp2_pow(&a1, &a, P_MINUS_3_DIV_4);
+    fp2_sqr(&alpha, &a1);
+    fp2_mul(&alpha, &alpha, &a);
+    fp2_mul(&x0, &a1, &a);
+    fp minus_one;
+    fp_neg(&minus_one, &ONE);
+    if (fp_eq(&alpha.c0, &minus_one) && fp_is_zero(&alpha.c1)) {
+        fp_neg(&root.c0, &x0.c1);  /* u * x0 */
+        root.c1 = x0.c0;
+    } else {
+        fp2 b;
+        fp_add(&alpha.c0, &alpha.c0, &ONE);
+        fp2_pow(&b, &alpha, P_MINUS_1_DIV_2);
+        fp2_mul(&root, &b, &x0);
+    }
+    fp2_sqr(&check, &root);
+    if (!fp2_eq(&check, &a))
+        return -1;
+    fp_store(out, &root.c0);
+    fp_store(out + FP_BYTES, &root.c1);
+    return 0;
+}
+
 /* -------------------------------------------------------------- pairing -- */
 
 /* Shared-chain Miller loop over n prepared G2 arguments, as
@@ -816,6 +899,48 @@ void bn_gt_fixed_pow(const uint8_t *table, unsigned window, size_t rows,
     fp12_store(out, &result);
 }
 
+/* ----------------------------------------------------------------- wNAF -- */
+
+/* Width-w wNAF (2 <= w <= 8) of a 256-bit little-endian scalar < 2^255, low
+ * digit first: digits odd in (-2^(w-1), 2^(w-1)) or zero, as msm._wnaf (and
+ * curve._wnaf at w = 4).  Returns the digit count, at most 256. */
+static size_t wnaf(int8_t *digits, const uint8_t *scalar, unsigned width)
+{
+    const uint64_t mask = ((uint64_t)1 << width) - 1;
+    const int half = 1 << (width - 1);
+    uint64_t e[4];
+    memcpy(e, scalar, sizeof e);
+    size_t n = 0;
+    while (e[0] | e[1] | e[2] | e[3]) {
+        int d = 0;
+        if (e[0] & 1) {
+            d = (int)(e[0] & mask);
+            if (d >= half)
+                d -= 2 * half;
+            if (d > 0) {
+                e[0] -= (uint64_t)d;  /* the low w bits are d */
+            } else {
+                e[0] += (uint64_t)-d;
+                if (e[0] < (uint64_t)-d)  /* carried out of the limb */
+                    for (int i = 1; i < 4 && ++e[i] == 0; i++)
+                        ;
+            }
+        }
+        digits[n++] = (int8_t)d;
+        e[0] = (e[0] >> 1) | (e[1] << 63);
+        e[1] = (e[1] >> 1) | (e[2] << 63);
+        e[2] = (e[2] >> 1) | (e[3] << 63);
+        e[3] >>= 1;
+    }
+    return n;
+}
+
+/* The recoder alone (tests compare it with msm._wnaf); digits: 256 bytes. */
+size_t bn_wnaf(const uint8_t *scalar, unsigned width, int8_t *digits)
+{
+    return wnaf(digits, scalar, width);
+}
+
 /* ------------------------------------------------------------------- G1 -- */
 
 /* dbl-2009-l, as msm._jac_double. */
@@ -1021,7 +1146,8 @@ static int odd_multiples(const uint8_t *points, size_t n, size_t size, fp *ax, f
     return rc;
 }
 
-/* wNAF odd-multiple tables of n points; out: n x size canonical (x, y). */
+/* wNAF odd-multiple tables of n points; out: n x size Montgomery (x, y),
+ * the form bn_g1_wnaf_msm reads cached tables in. */
 int bn_g1_wnaf_tables(const uint8_t *points, size_t n, size_t size, uint8_t *out)
 {
     size_t total = n * size;
@@ -1032,8 +1158,8 @@ int bn_g1_wnaf_tables(const uint8_t *points, size_t n, size_t size, uint8_t *out
     int rc = odd_multiples(points, n, size, ax, ay);
     if (rc == 0) {
         for (size_t i = 0; i < total; i++) {
-            fp_store(out + 2 * i * FP_BYTES, &ax[i]);
-            fp_store(out + (2 * i + 1) * FP_BYTES, &ay[i]);
+            fp_store_raw(out + 2 * i * FP_BYTES, &ax[i]);
+            fp_store_raw(out + (2 * i + 1) * FP_BYTES, &ay[i]);
         }
     }
     free(ax);
@@ -1043,49 +1169,59 @@ int bn_g1_wnaf_tables(const uint8_t *points, size_t n, size_t size, uint8_t *out
 /* The shared doubling / mixed-add chain of msm._msm_wnaf_g1_ref.
  *
  * Entry space: the tables of the nbuilt points (x, y, z) built here, size
- * entries each, then ncached canonical affine (x, y) entries the caller
- * cached.  streams: nstreams x (first entry, flags, first digit, digit
- * count), where flag 1 reads the table through phi (x -> beta x) and flag 2
- * negates the stream.  digits: each stream's wNAF, low digit first.  beta:
+ * entries each, then ncached Montgomery affine (x, y) entries the caller
+ * cached (bn_g1_wnaf_tables output).  streams: nstreams x (first entry,
+ * flags, width), where flag 1 reads the table through phi (x -> beta x) and
+ * flag 2 negates the stream.  scalars: each stream's non-negative GLV half,
+ * 32 bytes little-endian, recoded here to width-`width` wNAF.  beta:
  * Montgomery.  out: the Jacobian (x, y, z), z == 0 for the identity. */
 int bn_g1_wnaf_msm(const uint8_t *points, size_t nbuilt, size_t size,
                    const uint8_t *cached, size_t ncached,
-                   const int64_t *streams, size_t nstreams,
-                   const int8_t *digits, const uint8_t *beta, uint8_t *out)
+                   const int64_t *streams, const uint8_t *scalars, size_t nstreams,
+                   const uint8_t *beta, uint8_t *out)
 {
     size_t built = nbuilt * size, total = built + ncached;
     fp *xs = malloc(3 * (total ? total : 1) * sizeof(fp));
-    if (xs == NULL)
+    size_t *counts = malloc((nstreams ? nstreams : 1) * (sizeof(size_t) + 256));
+    if (xs == NULL || counts == NULL) {
+        free(xs);
+        free(counts);
         return -1;
+    }
+    int8_t *digits = (int8_t *)(counts + nstreams);
     fp *ys = xs + total, *phi_xs = ys + total;
     if (nbuilt && odd_multiples(points, nbuilt, size, xs, ys)) {
         free(xs);
+        free(counts);
         return -1;
     }
     for (size_t i = 0; i < ncached; i++) {
-        fp_load(&xs[built + i], cached + 2 * i * FP_BYTES);
-        fp_load(&ys[built + i], cached + (2 * i + 1) * FP_BYTES);
+        fp_load_raw(&xs[built + i], cached + 2 * i * FP_BYTES);
+        fp_load_raw(&ys[built + i], cached + (2 * i + 1) * FP_BYTES);
     }
     fp b;
     fp_load_raw(&b, beta);
     for (size_t i = 0; i < total; i++)
         fp_mul(&phi_xs[i], &xs[i], &b);
-    int64_t top = 0;
-    for (size_t s = 0; s < nstreams; s++)
-        if (streams[4 * s + 3] > top)
-            top = streams[4 * s + 3];
+    size_t top = 0;
+    for (size_t s = 0; s < nstreams; s++) {
+        counts[s] = wnaf(digits + 256 * s, scalars + s * FP_BYTES,
+                         (unsigned)streams[3 * s + 2]);
+        if (counts[s] > top)
+            top = counts[s];
+    }
     g1 acc;
     memset(&acc, 0, sizeof acc);
-    for (int64_t bit = top - 1; bit >= 0; bit--) {
+    for (size_t bit = top; bit-- > 0;) {
         if (!fp_is_zero(&acc.z))
             g1_dbl(&acc, &acc);
         for (size_t s = 0; s < nstreams; s++) {
-            const int64_t *stream = streams + 4 * s;
-            if (bit >= stream[3])
+            if (bit >= counts[s])
                 continue;
-            int d = digits[stream[2] + bit];
+            int d = digits[256 * s + bit];
             if (d == 0)
                 continue;
+            const int64_t *stream = streams + 3 * s;
             size_t index = (size_t)stream[0] + (size_t)((d > 0 ? d : -d) - 1) / 2;
             const fp *ax = (stream[1] & 1) ? &phi_xs[index] : &xs[index];
             fp ay = ys[index];
@@ -1095,6 +1231,7 @@ int bn_g1_wnaf_msm(const uint8_t *points, size_t nbuilt, size_t size,
         }
     }
     free(xs);
+    free(counts);
     g1_store(out, &acc);
     return 0;
 }
@@ -1160,37 +1297,6 @@ void bn_g1_fixed_mul(const uint8_t *table, unsigned window, size_t rows,
 
 /* ------------------------------------------------- generic scalar mul -- */
 
-/* Width-4 wNAF of a 256-bit little-endian scalar < 2^255, low digit first,
- * as curve._wnaf; returns the digit count (at most 256). */
-static size_t wnaf4(int8_t *digits, const uint8_t *scalar)
-{
-    uint64_t e[4];
-    memcpy(e, scalar, sizeof e);
-    size_t n = 0;
-    while (e[0] | e[1] | e[2] | e[3]) {
-        int d = 0;
-        if (e[0] & 1) {
-            d = (int)(e[0] & 15);
-            if (d >= 8)
-                d -= 16;
-            if (d > 0) {
-                e[0] -= (uint64_t)d;  /* the low four bits are d */
-            } else {
-                e[0] += (uint64_t)-d;
-                if (e[0] < (uint64_t)-d)  /* carried out of the limb */
-                    for (int i = 1; i < 4 && ++e[i] == 0; i++)
-                        ;
-            }
-        }
-        digits[n++] = (int8_t)d;
-        e[0] = (e[0] >> 1) | (e[1] << 63);
-        e[1] = (e[1] >> 1) | (e[2] << 63);
-        e[2] = (e[2] >> 1) | (e[3] << 63);
-        e[3] >>= 1;
-    }
-    return n;
-}
-
 /* G1Point.infinity(): what curve.py's methods return for the identity. */
 static inline void g1_set_infinity(g1 *r)
 {
@@ -1223,7 +1329,7 @@ static void g1_point_add(g1 *r, const g1 *p, const g1 *q)
 void bn_g1_mul(const uint8_t *point, const uint8_t *scalar, uint8_t *out)
 {
     int8_t digits[256];
-    size_t n = wnaf4(digits, scalar);
+    size_t n = wnaf(digits, scalar, 4);
     g1 table[4], twice, acc, entry;
     g1_load(&table[0], point);
     g1_point_dbl(&twice, &table[0]);
@@ -1353,7 +1459,7 @@ static void g2_add(g2 *r, const g2 *p, const g2 *q)
 void bn_g2_mul(const uint8_t *point, const uint8_t *scalar, uint8_t *out)
 {
     int8_t digits[256];
-    size_t n = wnaf4(digits, scalar);
+    size_t n = wnaf(digits, scalar, 4);
     g2 table[4], twice, acc, entry;
     fp *limbs = (fp *)&table[0];
     for (int i = 0; i < 6; i++)
@@ -1375,4 +1481,144 @@ void bn_g2_mul(const uint8_t *point, const uint8_t *scalar, uint8_t *out)
     limbs = (fp *)&acc;
     for (int i = 0; i < 6; i++)
         fp_store(out + i * FP_BYTES, &limbs[i]);
+}
+
+/* ------------------------------------------------------ G2 line prepare -- */
+
+/* Montgomery's trick: v[i] <- 1 / v[i] for all i with one inversion;
+ * -1 (v unchanged) when some v[i] is zero.  prefix: n scratch entries. */
+static int fp2_batch_inv(fp2 *v, fp2 *prefix, size_t n)
+{
+    fp2 acc = {ONE, ZERO}, inv;
+    for (size_t i = 0; i < n; i++) {
+        prefix[i] = acc;
+        fp2_mul(&acc, &acc, &v[i]);
+    }
+    if (fp2_inv(&acc, &acc))
+        return -1;
+    for (size_t i = n; i-- > 0;) {
+        fp2_mul(&inv, &acc, &prefix[i]);
+        fp2_mul(&acc, &acc, &v[i]);
+        v[i] = inv;
+    }
+    return 0;
+}
+
+/* One line step at the Jacobian T = (X, Y, Z), whose affine slope is
+ * num / den.  With x_T = X/Z^2, y_T = Y/Z^3 and E = den Z^3:
+ *     slope = num Z^3 / E,   slope x_T - y_T = (num X Z - den Y) / E,
+ * so the step keeps the two numerators and E for one shared inversion. */
+static void line_step(fp2 *slope, fp2 *c, fp2 *e, const g2 *t, const fp2 *num,
+                      const fp2 *den)
+{
+    fp2 z3, u;
+    fp2_sqr(&z3, &t->z);
+    fp2_mul(&z3, &z3, &t->z);
+    fp2_mul(slope, num, &z3);
+    fp2_mul(&u, num, &t->x);
+    fp2_mul(&u, &u, &t->z);
+    fp2_mul(c, den, &t->y);
+    fp2_sub(c, &u, c);
+    fp2_mul(e, den, &z3);
+}
+
+/* Tangent at T: slope 3 x^2 / 2 y = 3 X^2 / (2 Y Z); then T <- 2T. */
+static void line_double(fp2 *slope, fp2 *c, fp2 *e, g2 *t)
+{
+    fp2 num, den;
+    fp2_sqr(&num, &t->x);
+    fp2_dbl(&den, &num);
+    fp2_add(&num, &num, &den);
+    fp2_mul(&den, &t->y, &t->z);
+    fp2_dbl(&den, &den);
+    line_step(slope, c, e, t, &num, &den);
+    g2_dbl(t, t);
+}
+
+/* Chord through T and the affine q: slope (y_q - y) / (x_q - x) =
+ * (y_q Z^3 - Y) / (Z (x_q Z^2 - X)); then T <- T + q. */
+static void line_add(fp2 *slope, fp2 *c, fp2 *e, g2 *t, const g2 *q)
+{
+    fp2 z2, num, den;
+    fp2_sqr(&z2, &t->z);
+    fp2_mul(&den, &q->x, &z2);
+    fp2_sub(&den, &den, &t->x);
+    fp2_mul(&den, &den, &t->z);
+    fp2_mul(&num, &z2, &t->z);
+    fp2_mul(&num, &num, &q->y);
+    fp2_sub(&num, &num, &t->y);
+    line_step(slope, c, e, t, &num, &den);
+    g2_add(t, t, q);
+}
+
+/* G2Prepared's lines, as pairing._prepare_ref, for the affine twist point
+ * q = (x.c0, x.c1, y.c0, y.c1) canonical: a tangent step per bit of the
+ * ate schedule (high to low, below the top bit) and a chord step through q
+ * after each set bit, then the chords through pi(q) and -pi^2(q).
+ * frobenius: the Montgomery gamma_1[0..5] then gamma_2[0..5] of fields.py.
+ * lines: steps x (slope, slope x_T - y_T) Montgomery Fp2 pairs, the
+ * bn_miller_loop layout.  T stays Jacobian and one batch inversion serves
+ * every step, so the values are the reference's affine ones.  -1 when some
+ * step divides by zero (so would the reference) or malloc fails. */
+int bn_g2_prepare(const uint8_t *q, const uint8_t *bits, size_t nbits,
+                  const uint8_t *frobenius, uint8_t *lines)
+{
+    size_t steps = nbits + 2;
+    for (size_t i = 0; i < nbits; i++)
+        steps += bits[i] ? 1 : 0;
+    fp2 *slopes = malloc(4 * steps * sizeof(fp2));
+    if (slopes == NULL)
+        return -1;
+    fp2 *cs = slopes + steps, *es = cs + steps, *scratch = es + steps;
+    fp2 gamma[12];
+    for (int i = 0; i < 12; i++) {
+        fp_load_raw(&gamma[i].c0, frobenius + 2 * i * FP_BYTES);
+        fp_load_raw(&gamma[i].c1, frobenius + (2 * i + 1) * FP_BYTES);
+    }
+    g2 base, t, q1, q2;
+    fp *limbs = (fp *)&base;
+    for (int i = 0; i < 4; i++)
+        fp_load(&limbs[i], q + i * FP_BYTES);
+    base.z.c0 = ONE;
+    base.z.c1 = ZERO;
+    t = base;
+    size_t index = 0;
+    for (size_t i = 0; i < nbits; i++) {
+        line_double(&slopes[index], &cs[index], &es[index], &t);
+        index++;
+        if (bits[i]) {
+            line_add(&slopes[index], &cs[index], &es[index], &t, &base);
+            index++;
+        }
+    }
+    /* pi(q) = (conj(x) gamma_1[2], conj(y) gamma_1[3]);
+     * -pi^2(q) = (x gamma_2[2], -y gamma_2[3]). */
+    q1 = base;
+    fp_neg(&q1.x.c1, &q1.x.c1);
+    fp_neg(&q1.y.c1, &q1.y.c1);
+    fp2_mul(&q1.x, &q1.x, &gamma[2]);
+    fp2_mul(&q1.y, &q1.y, &gamma[3]);
+    q2 = base;
+    fp2_mul(&q2.x, &q2.x, &gamma[8]);
+    fp2_mul(&q2.y, &q2.y, &gamma[9]);
+    fp2_neg(&q2.y, &q2.y);
+    line_add(&slopes[index], &cs[index], &es[index], &t, &q1);
+    index++;
+    line_add(&slopes[index], &cs[index], &es[index], &t, &q2);
+    if (fp2_batch_inv(es, scratch, steps)) {
+        free(slopes);
+        return -1;
+    }
+    for (size_t i = 0; i < steps; i++) {
+        fp2 slope, c;
+        fp2_mul(&slope, &slopes[i], &es[i]);
+        fp2_mul(&c, &cs[i], &es[i]);
+        uint8_t *line = lines + 4 * i * FP_BYTES;
+        fp_store_raw(line, &slope.c0);
+        fp_store_raw(line + FP_BYTES, &slope.c1);
+        fp_store_raw(line + 2 * FP_BYTES, &c.c0);
+        fp_store_raw(line + 3 * FP_BYTES, &c.c1);
+    }
+    free(slopes);
+    return 0;
 }

@@ -21,12 +21,18 @@ coefficient instead of one per intermediate) and construct no intermediate
 Fp2/Fp6 objects.  Residues are canonical, so the flattened kernels return
 exactly the same values as the schoolbook tower — the crypto differential
 tests pin this down bit for bit.
+
+The square roots behind point decompression and hashing to G1,
+:func:`fp_sqrt` and :meth:`Fp2.sqrt`, run in the native kernel
+(:mod:`.kernel`) when it is in use; :func:`_fp_sqrt_ref` and
+:meth:`Fp2._sqrt_ref` are their references and return the same root.
 """
 
 from __future__ import annotations
 
 from .constants import FIELD_MODULUS as P
 from .constants import XI_C0, XI_C1
+from .kernel import active
 
 # --------------------------------------------------------------------------
 # Flat kernels over (c0, c1) int pairs.
@@ -187,7 +193,16 @@ def _f12conj(a):
 
 
 def fp_sqrt(a: int) -> int | None:
-    """Square root in Fp (p = 3 mod 4), or None if ``a`` is a non-residue."""
+    """Square root in Fp (p = 3 mod 4), or None if ``a`` is a non-residue:
+    the native kernel's when it is in use, else :func:`_fp_sqrt_ref`'s (the
+    same root)."""
+    kernel = active()
+    if kernel is not None:
+        return kernel.fp_sqrt(a % P)
+    return _fp_sqrt_ref(a)
+
+
+def _fp_sqrt_ref(a: int) -> int | None:
     a %= P
     if a == 0:
         return 0
@@ -296,11 +311,18 @@ class Fp2:
         return result
 
     def sqrt(self) -> "Fp2 | None":
-        """Square root in Fp2 (p = 3 mod 4), or None for non-residues.
+        """Square root in Fp2 (p = 3 mod 4), or None for non-residues: the
+        native kernel's when it is in use, else :meth:`_sqrt_ref`'s (the
+        same root)."""
+        kernel = active()
+        if kernel is not None:
+            root = kernel.fp2_sqrt(self.c0, self.c1)
+            return None if root is None else Fp2(*root)
+        return self._sqrt_ref()
 
-        Uses the standard two-candidate algorithm: with
-        ``a1 = a^((p-3)/4)``, either ``a1 * a`` or ``u * a1 * a`` is a root
-        whenever one exists.
+    def _sqrt_ref(self) -> "Fp2 | None":
+        """The standard two-candidate algorithm: with ``a1 = a^((p-3)/4)``,
+        either ``a1 * a`` or ``u * a1 * a`` is a root whenever one exists.
         """
         if self.is_zero():
             return Fp2.zero()

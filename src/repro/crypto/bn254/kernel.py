@@ -2,23 +2,27 @@
 
 ``bn254_kernel.c`` is a 4x64-bit Montgomery ``Fp`` with the Fp2 / Fp6 /
 Fp12 tower of :mod:`.fields`, and whole loops on top of it: the shared
-Miller loop over prepared lines, the final exponentiation, the three GT
-exponentiation chains, the G1 wNAF, fixed-base and table-building chains,
-and the generic G1 and G2 scalar multiplications of ``G1Point.__mul__`` /
-``G2Point.__mul__``.  :func:`repro.native.load_library` builds it once per
-host; :func:`backend` opens it on first use and keeps it only when a
-known-answer probe finds every entry point equal to its pure-Python
-reference, else the references run and the reason is recorded.  Nothing
-else selects the backend.
+Miller loop over prepared lines and the preparation of those lines, the
+final exponentiation, the three GT exponentiation chains, the G1 wNAF
+chain (recoding included), fixed-base and table-building chains, the
+generic G1 and G2 scalar multiplications of ``G1Point.__mul__`` /
+``G2Point.__mul__``, and the Fp and Fp2 square roots behind point
+decompression and hashing to G1.  :func:`repro.native.load_library`
+builds it once per host; :func:`backend` opens it on first use and keeps
+it only when a known-answer probe finds every entry point equal to its
+pure-Python reference, else the references run and the reason is
+recorded.  Nothing else selects the backend.
 
-The dispatching functions in :mod:`.pairing`, :mod:`.gt`, :mod:`.msm` and
-:mod:`.curve` ask :func:`active` and run their pure-Python reference when
-it returns ``None``.  Results are bit-identical either way, Jacobian
-triples included.  Field elements cross the boundary as 32-byte
-little-endian canonical integers; tables the kernel owns (prepared lines,
-fixed-base windows) stay in its Montgomery form as opaque ``bytes``.
-``ctypes`` releases the GIL for every call and the kernel keeps no mutable
-static state, so lane threads run it concurrently.
+The dispatching functions in :mod:`.pairing`, :mod:`.gt`, :mod:`.msm`,
+:mod:`.curve` and :mod:`.fields` ask :func:`active` and run their
+pure-Python reference when it returns ``None``.  Results are
+bit-identical either way, Jacobian triples included.  Field elements
+cross the boundary as 32-byte little-endian canonical integers; tables
+the kernel owns (prepared lines, cached wNAF tables, fixed-base windows)
+stay in its Montgomery form as opaque ``bytes``, which
+:func:`decode_montgomery` reads back in pure Python.  ``ctypes`` releases
+the GIL for every call and the kernel keeps no mutable static state, so
+lane threads run it concurrently.
 """
 
 from __future__ import annotations
@@ -30,14 +34,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ... import native
-from .constants import BN_T, GLV_BETA
-from .fields import _FROB1, _FROB2
+from .constants import BN_T, FIELD_MODULUS, GLV_BETA
 
 #: The kernel source shipped beside this module (``setup.py`` package data).
 SOURCE = "bn254_kernel.c"
 
 _FP = 32
 _FP12 = 12 * _FP
+#: 2^-256 mod p: a Montgomery-form value times this is the field element.
+_R_INV = pow(1 << 256, -1, FIELD_MODULUS)
 
 _PTR = ctypes.c_void_p
 _SIZE = ctypes.c_size_t
@@ -46,6 +51,9 @@ _INT = ctypes.c_int
 _SIGNATURES = {
     "bn_to_montgomery": ([_PTR, _PTR, _SIZE], None),
     "bn_from_montgomery": ([_PTR, _PTR, _SIZE], None),
+    "bn_fp_sqrt": ([_PTR, _PTR], _INT),
+    "bn_fp2_sqrt": ([_PTR, _PTR], _INT),
+    "bn_g2_prepare": ([_PTR, _PTR, _SIZE, _PTR, _PTR], _INT),
     "bn_miller_loop": ([_PTR, _PTR, _SIZE, _PTR, _SIZE, _PTR], _INT),
     "bn_final_exponentiation": ([_PTR, _PTR, ctypes.c_uint64, _PTR], _INT),
     "bn_gt_pow": ([_PTR, _PTR, _PTR], None),
@@ -53,8 +61,9 @@ _SIGNATURES = {
     "bn_gt_fixed_table": ([_PTR, _UINT, _SIZE, _PTR], None),
     "bn_gt_fixed_pow": ([_PTR, _UINT, _SIZE, _PTR, _PTR], None),
     "bn_g1_wnaf_tables": ([_PTR, _SIZE, _SIZE, _PTR], _INT),
+    "bn_wnaf": ([_PTR, _UINT, _PTR], _SIZE),
     "bn_g1_wnaf_msm": (
-        [_PTR, _SIZE, _SIZE, _PTR, _SIZE, _PTR, _SIZE, _PTR, _PTR, _PTR], _INT
+        [_PTR, _SIZE, _SIZE, _PTR, _SIZE, _PTR, _PTR, _SIZE, _PTR, _PTR], _INT
     ),
     "bn_g1_fixed_table": ([_PTR, _UINT, _SIZE, _PTR], _INT),
     "bn_g1_fixed_mul": ([_PTR, _UINT, _SIZE, _PTR, _PTR], None),
@@ -73,6 +82,22 @@ def _unpack(raw: bytes) -> tuple[int, ...]:
     )
 
 
+def decode_montgomery(raw: bytes) -> tuple[int, ...]:
+    """The field elements a Montgomery-form kernel buffer holds, decoded in
+    pure Python (value * 2^-256 mod p), so a table or line buffer the kernel
+    made stays readable on the reference path."""
+    return tuple(v * _R_INV % FIELD_MODULUS for v in _unpack(raw))
+
+
+def _recodable(scalars: Sequence[int], widths: Sequence[int]) -> None:
+    """The C recoder's bounds: scalars in [0, 2^255), so at most 256 digits,
+    and widths 2..8, so every digit fits an int8."""
+    if any(not 0 <= s < 1 << 255 for s in scalars) or any(
+        not 2 <= w <= 8 for w in widths
+    ):
+        raise ValueError("wNAF recoding needs 0 <= scalar < 2^255 and 2 <= width <= 8")
+
+
 def _allocated(status: int, entry: str) -> None:
     """Entry points that cannot meet a zero inverse fail only in malloc."""
     if status:
@@ -88,6 +113,9 @@ class Kernel:
     """
 
     def __init__(self, lib) -> None:
+        # Imported here: fields dispatches its square roots through this module.
+        from .fields import _FROB1, _FROB2
+
         for name, (argtypes, restype) in _SIGNATURES.items():
             function = getattr(lib, name)
             function.argtypes = argtypes
@@ -108,7 +136,36 @@ class Kernel:
         self._lib.bn_from_montgomery(raw, out, len(raw) // _FP)
         return _unpack(out.raw)
 
+    # -- square roots ------------------------------------------------------
+
+    def fp_sqrt(self, a: int) -> int | None:
+        """``fields._fp_sqrt_ref`` for a canonical ``a``."""
+        out = ctypes.create_string_buffer(_FP)
+        if self._lib.bn_fp_sqrt(a.to_bytes(_FP, "little"), out):
+            return None
+        return int.from_bytes(out.raw, "little")
+
+    def fp2_sqrt(self, c0: int, c1: int) -> tuple[int, int] | None:
+        """``Fp2._sqrt_ref`` for canonical ``c0 + c1 u``, as (c0, c1)."""
+        out = ctypes.create_string_buffer(2 * _FP)
+        if self._lib.bn_fp2_sqrt(_pack((c0, c1)), out):
+            return None
+        return _unpack(out.raw)
+
     # -- pairing -----------------------------------------------------------
+
+    def g2_prepare(self, coordinates: Sequence[int], bits: bytes) -> bytes | None:
+        """Miller-loop lines of the affine twist point ``coordinates`` (x.c0,
+        x.c1, y.c0, y.c1) over the ate schedule ``bits``, in the layout
+        :meth:`miller_loop` reads; ``None`` where the reference divides by
+        zero."""
+        steps = len(bits) + sum(bits) + 2
+        out = ctypes.create_string_buffer(steps * 4 * _FP)
+        if self._lib.bn_g2_prepare(
+            _pack(coordinates), bits, len(bits), self._frobenius, out
+        ):
+            return None
+        return out.raw
 
     def miller_loop(self, points: Sequence[int], lines: bytes, bits: bytes) -> tuple:
         """Shared Miller chain: ``points`` is x0, y0, x1, y1, ..; ``lines``
@@ -162,30 +219,41 @@ class Kernel:
 
     # -- G1 ----------------------------------------------------------------
 
-    def g1_wnaf_table(self, triple: Sequence[int], size: int) -> list[tuple[int, int]] | None:
-        """Affine odd multiples of a Jacobian point; ``None`` for the identity."""
+    def wnaf(self, scalar: int, width: int) -> list[int]:
+        """``msm._wnaf(scalar, width)`` for 0 <= scalar < 2^255."""
+        _recodable((scalar,), (width,))
+        out = ctypes.create_string_buffer(256)
+        count = self._lib.bn_wnaf(scalar.to_bytes(_FP, "little"), width, out)
+        return list(array("b", out.raw[:count]))
+
+    def g1_wnaf_table(self, triple: Sequence[int], size: int) -> bytes | None:
+        """Affine odd multiples of a Jacobian point, as Montgomery (x, y)
+        pairs; ``None`` for the identity."""
         out = ctypes.create_string_buffer(2 * size * _FP)
         if self._lib.bn_g1_wnaf_tables(_pack(triple), 1, size, out):
             return None
-        flat = _unpack(out.raw)
-        return list(zip(flat[0::2], flat[1::2]))
+        return out.raw
 
     def g1_wnaf_msm(
         self,
-        triples: Sequence[Sequence[int]],
+        coordinates: Sequence[int],
         size: int,
-        cached: Sequence[int],
+        cached: bytes,
         streams: array,
-        digits: array,
+        halves: Sequence[int],
     ) -> tuple[int, int, int]:
-        """The interleaved chain over the tables of ``triples`` (built here,
-        ``size`` entries each) then the ``cached`` affine entries."""
+        """The interleaved chain over the tables of the Jacobian points
+        ``coordinates`` (x0, y0, z0, x1, ..; built here, ``size`` entries
+        each), then the ``cached`` Montgomery entries.  ``streams`` holds a
+        (first entry, flags, width) row per non-negative scalar in
+        ``halves``, which the kernel recodes."""
+        _recodable(halves, streams[2::3])
         out = ctypes.create_string_buffer(3 * _FP)
         status = self._lib.bn_g1_wnaf_msm(
-            _pack([v for triple in triples for v in triple]), len(triples), size,
-            _pack(cached), len(cached) // 2,
-            streams.tobytes(), len(streams) // 4,
-            digits.tobytes(), self._beta, out,
+            _pack(coordinates), len(coordinates) // 3, size,
+            cached, len(cached) // (2 * _FP),
+            streams.tobytes(), _pack(halves), len(halves),
+            self._beta, out,
         )
         _allocated(status, "bn_g1_wnaf_msm")
         return _unpack(out.raw)
@@ -237,9 +305,14 @@ class Backend:
 
 def _probe_agrees(kernel: Kernel) -> bool:
     """Known answer: every entry point equals its pure-Python reference on
-    a small input (about 50 ms of reference arithmetic, once per process)."""
+    a small input (about 60 ms of reference arithmetic, once per process).
+
+    It runs under ``_backend_lock``, so nothing here may ask :func:`active`
+    (the lock is not reentrant): the references are the ``_ref`` functions,
+    and ``G2Prepared`` builds nothing until a Miller loop asks for it."""
     # The references' modules import this one.
     from .curve import G1Point, G2Point, _wnaf_mul_ref
+    from .fields import Fp2, _fp_sqrt_ref
     from .gt import (
         _gt_fixed_pow_ref,
         _gt_fixed_table_ref,
@@ -252,13 +325,16 @@ def _probe_agrees(kernel: Kernel) -> bool:
         _fixed_table_g1_ref,
         _msm_wnaf_g1_native,
         _msm_wnaf_g1_ref,
+        _wnaf,
         _wnaf_table_g1_ref,
     )
     from .pairing import (
+        _ATE_SCHEDULE,
         G2Prepared,
         _final_exponentiation_ref,
         _miller_loop_native,
         _miller_loop_ref,
+        _prepare_ref,
     )
 
     g1 = G1Point.generator()
@@ -268,23 +344,33 @@ def _probe_agrees(kernel: Kernel) -> bool:
     triple = (point.x, point.y, point.z)
     twist = _wnaf_mul_ref(g2, 5)
     live = [(*point.to_affine(), G2Prepared(g2))]
+    # The reference loop runs first, on the reference lines.
     miller = _miller_loop_ref(live)
     target = _final_exponentiation_ref(miller)
+    xq, yq = twist.to_affine()
+    lines = kernel.g2_prepare((xq.c0, xq.c1, yq.c0, yq.c1), _ATE_SCHEDULE)
     exponent = 0x9E3779B97F4A7C15
     bases = [target._flat12(), miller._flat12()]
     nafs = [_naf4(exponent), _naf4(exponent >> 17)]
     windows = _gt_fixed_table_ref(bases[0], 3, 2)
     native_windows = kernel.gt_fixed_table(bases[0], 3, 2)
-    pairs = [(point, exponent << 100), (g1, 3)]
-    tables = [None, _wnaf_table_g1_ref(g1, 5)]
+    # Width 4 built here, width 6 cached in the kernel's form.
+    pairs = [(point, exponent << 100), (g1, 0x9E3779B17F4A7C15 << 60)]
+    native_tables = [None, kernel.g1_wnaf_table((g1.x, g1.y, g1.z), 16)]
+    tables = [None, _wnaf_table_g1_ref(g1, 6)]
     comb = _fixed_table_g1_ref(triple, 3, 4)
     native_comb = kernel.g1_fixed_table(triple, 3, 4)
     # Digits +-1, +-3, +-5 and +-7 all occur, so every table entry is read.
     scalar = 0x9E3779B17F4A7C15
     g1_product = _wnaf_mul_ref(point, scalar)
     g2_product = _wnaf_mul_ref(twist, scalar)
+    # Residues 4 and 3 + 0u (every Fp element is a square in Fp2), and the
+    # non-residues -1 and xi = 9 + u.
     return (
         _miller_loop_native(kernel, live) == miller._flat12()
+        and lines is not None
+        and decode_montgomery(lines)
+        == tuple(v for s, c in _prepare_ref(xq, yq) for v in (s.c0, s.c1, c.c0, c.c1))
         and kernel.final_exponentiation(miller._flat12()) == target._flat12()
         and kernel.gt_pow(bases[1], exponent) == _gt_pow_ref(bases[1], exponent)
         and kernel.gt_multi_pow(bases, nafs) == _gt_multi_pow_ref(bases, nafs)
@@ -292,8 +378,11 @@ def _probe_agrees(kernel: Kernel) -> bool:
         == tuple(v for row in windows for entry in row for v in entry)
         and kernel.gt_fixed_pow(native_windows, 3, 2, 0b101110)
         == _gt_fixed_pow_ref(windows, 3, 0b101110)
-        and kernel.g1_wnaf_table(triple, 8) == _wnaf_table_g1_ref(point, 5)
-        and _msm_wnaf_g1_native(kernel, pairs, 4, tables)
+        and kernel.g1_wnaf_table(triple, 8) is not None
+        and decode_montgomery(kernel.g1_wnaf_table(triple, 8))
+        == tuple(v for entry in _wnaf_table_g1_ref(point, 5) for v in entry)
+        and all(kernel.wnaf(scalar, w) == _wnaf(scalar, w) for w in (4, 6))
+        and _msm_wnaf_g1_native(kernel, pairs, 4, native_tables)
         == _msm_wnaf_g1_ref(pairs, 4, tables)
         and kernel.from_montgomery(native_comb)
         == tuple(v for row in comb for entry in row for v in entry)
@@ -305,6 +394,12 @@ def _probe_agrees(kernel: Kernel) -> bool:
             [c for f in (twist.x, twist.y, twist.z) for c in (f.c0, f.c1)], scalar
         )
         == tuple(c for f in (g2_product.x, g2_product.y, g2_product.z) for c in (f.c0, f.c1))
+        and all(kernel.fp_sqrt(a) == _fp_sqrt_ref(a) for a in (4, FIELD_MODULUS - 1))
+        and all(
+            kernel.fp2_sqrt(a.c0, a.c1)
+            == (None if (root := a._sqrt_ref()) is None else (root.c0, root.c1))
+            for a in (Fp2(3, 0), Fp2(9, 1))
+        )
     )
 
 

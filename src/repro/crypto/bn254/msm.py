@@ -13,11 +13,13 @@ through the endomorphism phi).
 ``bench_ablation_msm`` and ``bench_crypto_speed`` quantify the win over
 naive double-and-add.
 
-The G1 wNAF chain, its table builds and the G1 comb of
-:class:`FixedBaseMul` run in the native kernel (:mod:`.kernel`) when it is
-in use, on the same formulas in the same order, so even the Jacobian
-triples equal those of the ``_ref`` functions here; GLV splitting, wNAF
-recoding and the G2 chain stay in Python.
+The G1 wNAF chain with its wNAF recoding, its table builds and the G1
+comb of :class:`FixedBaseMul` run in the native kernel (:mod:`.kernel`)
+when it is in use, on the same formulas in the same order, so even the
+Jacobian triples equal those of the ``_ref`` functions here; GLV
+splitting and the G2 chain stay in Python.  Cached tables are held in the
+kernel's Montgomery bytes there (:func:`msm_table_g1`), and the reference
+chain decodes them when it meets one.
 """
 
 from __future__ import annotations
@@ -38,9 +40,11 @@ from .constants import (
     GLV_BETA,
 )
 from .curve import G1Point, G2Point
-from .kernel import Kernel, active
+from .kernel import Kernel, active, decode_montgomery
 
 PointT = TypeVar("PointT", G1Point, G2Point)
+#: A G1 wNAF table: affine (x, y) pairs, or the kernel's Montgomery bytes.
+Table = list[tuple[int, int]] | bytes
 
 _EMPTY_MSM_MESSAGE = (
     "multi_scalar_mul over zero points is ambiguous (the function is "
@@ -197,7 +201,7 @@ def multi_scalar_mul(
     points: Sequence[PointT],
     scalars: Sequence[int],
     identity: PointT | None = None,
-    tables: Sequence[list[tuple[int, int]] | None] | None = None,
+    tables: Sequence[Table | None] | None = None,
 ) -> PointT:
     """Compute sum_i scalars[i] * points[i].
 
@@ -208,8 +212,9 @@ def multi_scalar_mul(
 
     ``tables`` (G1 only) reuses precomputed per-point wNAF tables:
     ``tables[i]`` is the affine odd-multiple table of ``points[i]`` (from
-    :func:`wnaf_table_g1`) or ``None`` to build one on the fly.  The result
-    is the exact same group element either way — only table reuse differs.
+    :func:`wnaf_table_g1`, or :func:`msm_table_g1`'s Montgomery bytes) or
+    ``None`` to build one on the fly.  The result is the exact same group
+    element either way — only table reuse differs.
     """
     return _timed_msm(_multi_scalar_mul, points, scalars, identity, tables)
 
@@ -218,7 +223,7 @@ def _multi_scalar_mul(
     points: Sequence[PointT],
     scalars: Sequence[int],
     identity: PointT | None = None,
-    tables: Sequence[list[tuple[int, int]] | None] | None = None,
+    tables: Sequence[Table | None] | None = None,
 ) -> PointT:
     if len(points) != len(scalars):
         raise ValueError("points and scalars must have the same length")
@@ -239,8 +244,9 @@ def _multi_scalar_mul(
     pairs = [(p, s) for p, s, _ in kept]
     is_g1 = isinstance(pairs[0][0], G1Point)
     if len(pairs) == 1 and not is_g1:
-        # A lone G1 term stays on the GLV wNAF path below (0.9 ms against
-        # 1.6 ms for ``point * scalar``, and its table may be cached).
+        # A lone G1 term stays on the GLV wNAF path below (on the kernel
+        # ~0.11 ms against ~0.15 ms for ``point * scalar``, and its table
+        # may be cached).
         return pairs[0][0] * pairs[0][1]
     # Width 5 pays for its doubled tables once enough streams share the
     # doubling chain (measured crossover ~16 points).
@@ -288,8 +294,15 @@ def wnaf_table_g1(point: G1Point, width: int) -> list[tuple[int, int]]:
 
     The cacheable half of the wNAF MSM: fixed points (block digests,
     authenticators, the generator) reuse these across epochs via
-    :class:`~repro.crypto.bn254.precompute.PrecomputeCache`.
+    :class:`~repro.crypto.bn254.precompute.PrecomputeCache`, which keeps
+    them in :func:`msm_table_g1`'s form.
     """
+    return _table_pairs(msm_table_g1(point, width))
+
+
+def msm_table_g1(point: G1Point, width: int) -> Table:
+    """:func:`wnaf_table_g1` in the form the MSM reads without converting:
+    the kernel's Montgomery bytes when it is in use, else affine pairs."""
     kernel = active()
     if kernel is not None:
         table = kernel.g1_wnaf_table((point.x, point.y, point.z), 1 << (width - 2))
@@ -297,6 +310,14 @@ def wnaf_table_g1(point: G1Point, width: int) -> list[tuple[int, int]]:
             return table
     # Also the kernel's answer for the identity: the reference raises.
     return _wnaf_table_g1_ref(point, width)
+
+
+def _table_pairs(table: Table) -> list[tuple[int, int]]:
+    """A wNAF table as affine int pairs, whichever form it is held in."""
+    if isinstance(table, bytes):
+        flat = decode_montgomery(table)
+        return list(zip(flat[0::2], flat[1::2]))
+    return table
 
 
 def _wnaf_table_g1_ref(point: G1Point, width: int) -> list[tuple[int, int]]:
@@ -311,7 +332,7 @@ def _wnaf_table_g1_ref(point: G1Point, width: int) -> list[tuple[int, int]]:
 def _msm_wnaf_g1(
     pairs: list[tuple[G1Point, int]],
     width: int,
-    tables: list[list[tuple[int, int]] | None],
+    tables: list[Table | None],
 ) -> G1Point:
     """G1 interleaved wNAF: GLV-split scalars on a half-length shared
     doubling chain, raw-int Jacobian kernels, batch-normalized tables.
@@ -334,46 +355,43 @@ def _msm_wnaf_g1_native(
     kernel: Kernel,
     pairs: list[tuple[G1Point, int]],
     width: int,
-    tables: list[list[tuple[int, int]] | None],
+    tables: list[Table | None],
 ) -> tuple[int, int, int]:
-    """Python splits and recodes the scalars; the kernel builds the missing
-    tables and runs the chain.  Table entries are numbered built tables
-    first, then the cached ones, in pair order."""
+    """Python GLV-splits the scalars; the kernel recodes the halves, builds
+    the missing tables and runs the chain.  Table entries are numbered
+    built tables first, then the cached ones, in pair order."""
     table_size = 1 << (width - 2)
-    built = [j for j, table in enumerate(tables) if table is None]
-    first_entry = {j: k * table_size for k, j in enumerate(built)}
-    cached: list[int] = []
+    built: list[int] = []  # x, y, z of each point whose table is built
+    cached: list[bytes] = []
+    next_built, next_cached = 0, tables.count(None) * table_size
     streams = array("q")
-    digits = array("b")
-    for j, (_, scalar) in enumerate(pairs):
-        table = tables[j]
+    halves: list[int] = []
+    for (point, scalar), table in zip(pairs, tables):
         if table is None:
-            first, w = first_entry[j], width
+            first, w = next_built, width
+            next_built += table_size
+            built.extend((point.x, point.y, point.z))
         else:
-            first = len(built) * table_size + len(cached) // 2
-            w = len(table).bit_length() + 1  # 2^(w-2) entries -> width w
-            cached.extend(v for entry in table for v in entry)
+            if not isinstance(table, bytes):
+                table = kernel.to_montgomery([v for entry in table for v in entry])
+            size = len(table) // 64  # one (x, y) entry is 64 bytes
+            first, w = next_cached, size.bit_length() + 1
+            next_cached += size
+            cached.append(table)
         # Stream flags: 1 = read the table through phi, 2 = negated.
         for k, phi in zip(_glv_split(scalar), (0, 1)):
             if k:
-                naf = _wnaf(abs(k), w)
-                streams.extend((first, phi | (2 if k < 0 else 0), len(digits), len(naf)))
-                digits.extend(naf)
-    if not streams:
+                streams.extend((first, phi | (2 if k < 0 else 0), w))
+                halves.append(abs(k))
+    if not halves:
         return 0, 1, 0
-    return kernel.g1_wnaf_msm(
-        [(pairs[j][0].x, pairs[j][0].y, pairs[j][0].z) for j in built],
-        table_size,
-        cached,
-        streams,
-        digits,
-    )
+    return kernel.g1_wnaf_msm(built, table_size, b"".join(cached), streams, halves)
 
 
 def _msm_wnaf_g1_ref(
     pairs: list[tuple[G1Point, int]],
     width: int,
-    tables: list[list[tuple[int, int]] | None],
+    tables: list[Table | None],
 ) -> tuple[int, int, int]:
     table_size = 1 << (width - 2)
     flat: list[tuple[int, int, int]] = []
@@ -397,7 +415,7 @@ def _msm_wnaf_g1_ref(
     # one Fp mult per entry (x -> beta*x), so k2 rides the same chain.
     streams: list[tuple[list[tuple[int, int]], bool, list[int]]] = []
     for j, (_, scalar) in enumerate(pairs):
-        base_tab = built.get(j) or tables[j]
+        base_tab = built.get(j) or _table_pairs(tables[j])
         w = len(base_tab).bit_length() + 1  # 2^(w-2) entries -> width w
         k1, k2 = _glv_split(scalar)
         if k1:

@@ -24,9 +24,12 @@ The final exponentiation splits into the easy part ``(p^6-1)(p^2+1)`` and
 the Devegili/Scott hard part ``(p^4-p^2+1)/r`` driven by three
 exponentiations by the BN parameter ``t``.
 
-Both loops run in the native kernel (:mod:`.kernel`) when it is in use;
-``_miller_loop_ref`` and ``_final_exponentiation_ref`` are the pure-Python
-references it is checked against and the fallback without it.
+Both loops, and the line preparation itself, run in the native kernel
+(:mod:`.kernel`) when it is in use; ``_miller_loop_ref``,
+``_final_exponentiation_ref`` and ``_prepare_ref`` are the pure-Python
+references it is checked against and the fallback without it.  The
+kernel prepares lines with one batch inversion for all ~88 steps where
+the reference inverts once per step, and the values are the same.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from ...obs.hotpath import HOTPATH
 from .constants import ATE_LOOP_COUNT, BN_T
 from .curve import G1Point, G2Point
 from .fields import Fp2, Fp12, _FROB1, _FROB2
-from .kernel import Kernel, active
+from .kernel import Kernel, active, decode_montgomery
 
 # Twist-coordinate Frobenius constants: psi(x, y) = (conj(x)*C_X, conj(y)*C_Y).
 _ENDO_X = _FROB1[2]  # xi^((p-1)/3)
@@ -81,6 +84,28 @@ def _coeff_add(
     return (x3, y3), (slope, slope * x1 - y1)
 
 
+def _prepare_ref(xq: Fp2, yq: Fp2) -> list[tuple[Fp2, Fp2]]:
+    """The pure-Python lines of the affine twist point ``(xq, yq)``: one
+    Fp2 inversion per tangent / chord step (``bn_g2_prepare`` computes the
+    same values with one batch inversion)."""
+    t = (xq, yq)
+    coeffs = []
+    for bit in _ATE_BITS:
+        t, coeff = _coeff_double(t)
+        coeffs.append(coeff)
+        if bit:
+            t, coeff = _coeff_add(t, (xq, yq))
+            coeffs.append(coeff)
+    # The two optimal-ate correction steps with Frobenius images of Q.
+    q1 = _g2_frobenius(xq, yq)
+    x2, y2 = _g2_frobenius_squared(xq, yq)
+    t, coeff = _coeff_add(t, q1)
+    coeffs.append(coeff)
+    _, coeff = _coeff_add(t, (x2, -y2))
+    coeffs.append(coeff)
+    return coeffs
+
+
 class G2Prepared:
     """P-independent Miller-loop line coefficients for a fixed G2 point.
 
@@ -88,43 +113,51 @@ class G2Prepared:
     chord step in traversal order (the schedule is identical for every Q,
     so a shared product loop can walk many prepared points in lockstep).
     Evaluating at ``P = (xP, yP)`` costs one scalar Fp2 mult per step —
-    no Fp2 inversions, no twist arithmetic.  The native kernel reads the
-    same coefficients from ``_lines``, their Montgomery encoding, made on
-    its first Miller loop over this point and kept.
+    no Fp2 inversions, no twist arithmetic.
+
+    Nothing is computed until a Miller loop asks, and each form is made
+    once: the native loop reads ``_lines``, the kernel's Montgomery buffer
+    from ``bn_g2_prepare``; the reference loop reads ``coeffs``, decoded
+    from ``_lines`` in pure Python when the kernel made them, else computed
+    by :func:`_prepare_ref`.  So a point prepared on one backend pairs on
+    the other.
     """
 
-    __slots__ = ("coeffs", "infinity", "_lines")
+    __slots__ = ("infinity", "_q", "_lines", "_coeffs")
 
     def __init__(self, q: G2Point):
         self.infinity = q.is_infinity()
-        self.coeffs: list[tuple[Fp2, Fp2]] = []
+        self._q = None if self.infinity else q.to_affine()
         self._lines: bytes | None = None
-        if self.infinity:
-            return
-        xq, yq = q.to_affine()
-        t = (xq, yq)
-        coeffs = self.coeffs
-        for bit in _ATE_BITS:
-            t, coeff = _coeff_double(t)
-            coeffs.append(coeff)
-            if bit:
-                t, coeff = _coeff_add(t, (xq, yq))
-                coeffs.append(coeff)
-        # The two optimal-ate correction steps with Frobenius images of Q.
-        q1 = _g2_frobenius(xq, yq)
-        x2, y2 = _g2_frobenius_squared(xq, yq)
-        t, coeff = _coeff_add(t, q1)
-        coeffs.append(coeff)
-        _, coeff = _coeff_add(t, (x2, -y2))
-        coeffs.append(coeff)
+        self._coeffs: list[tuple[Fp2, Fp2]] | None = [] if self.infinity else None
+
+    @property
+    def coeffs(self) -> list[tuple[Fp2, Fp2]]:
+        coeffs = self._coeffs
+        if coeffs is None:
+            lines = self._lines
+            if lines is None:
+                coeffs = _prepare_ref(*self._q)
+            else:
+                flat = decode_montgomery(lines)
+                coeffs = [
+                    (Fp2(flat[i], flat[i + 1]), Fp2(flat[i + 2], flat[i + 3]))
+                    for i in range(0, len(flat), 4)
+                ]
+            self._coeffs = coeffs
+        return coeffs
 
     def native_lines(self, kernel: Kernel) -> bytes:
-        """The coefficients in the kernel's Montgomery form, encoded once."""
+        """The lines in the kernel's Montgomery form, made once."""
         lines = self._lines
         if lines is None:
-            lines = self._lines = kernel.to_montgomery(
-                [v for slope, c in self.coeffs for v in (slope.c0, slope.c1, c.c0, c.c1)]
-            )
+            xq, yq = self._q
+            lines = kernel.g2_prepare((xq.c0, xq.c1, yq.c0, yq.c1), _ATE_SCHEDULE)
+            if lines is None:
+                # A tangent at y = 0 or a chord at x_T = x_Q, exactly where
+                # the reference's Fp2.inverse raises.
+                raise ZeroDivisionError("zero has no inverse in Fp2")
+            self._lines = lines
         return lines
 
 

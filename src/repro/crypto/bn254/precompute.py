@@ -23,7 +23,7 @@ from typing import Sequence
 from .curve import G1Point, G2Point
 from .fields import Fp12
 from .gt import GTFixedBase
-from .msm import multi_scalar_mul, wnaf_table_g1
+from .msm import Table, msm_table_g1, multi_scalar_mul
 from .pairing import G2Prepared
 
 
@@ -68,7 +68,7 @@ class PrecomputeCache:
     _gt: dict[Fp12, GTFixedBase] = field(default_factory=dict)
     _digests: dict[tuple[int, int], G1Point] = field(default_factory=dict)
     _prepared: dict[G2Point, G2Prepared] = field(default_factory=dict)
-    _wnaf: dict[G1Point, list[tuple[int, int]]] = field(default_factory=dict)
+    _wnaf: dict[G1Point, Table] = field(default_factory=dict)
 
     # -- GT fixed-base contexts (Sigma-protocol masking) --------------------
 
@@ -98,12 +98,14 @@ class PrecomputeCache:
 
     # -- cached wNAF tables (fixed points in variable-base MSMs) -------------
 
-    def g1_wnaf_table(self, point: G1Point) -> list[tuple[int, int]]:
-        """Odd-multiple table for a fixed G1 point, shared across epochs."""
+    def g1_wnaf_table(self, point: G1Point) -> Table:
+        """Odd-multiple table for a fixed G1 point, shared across epochs, in
+        the form the MSM reads without converting (the kernel's Montgomery
+        bytes when it is in use, as ``GTFixedBase`` keeps its windows)."""
         table = self._wnaf.get(point)
         if table is None:
             self.stats.misses += 1
-            table = self._wnaf[point] = wnaf_table_g1(point, self.wnaf_width)
+            table = self._wnaf[point] = msm_table_g1(point, self.wnaf_width)
         else:
             self.stats.hits += 1
         return table

@@ -11,9 +11,11 @@ references.
 
 from __future__ import annotations
 
+import importlib
 import random
 import shutil
 import sys
+import threading
 import types
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
@@ -22,9 +24,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import native
+from repro.chain import Blockchain, CheckpointContract, Transaction
 from repro.chain.state import canonical_state_digest
-from repro.core import keys
+from repro.core import DataOwner, StorageProvider, keys
 from repro.core.authenticator import generate_authenticators
+from repro.core.challenge import random_challenge
 from repro.core.chunking import chunk_file
 from repro.core.params import ProtocolParams
 from repro.crypto.bn254 import (
@@ -47,6 +51,11 @@ from repro.crypto.bn254 import (
 )
 from repro.crypto.bn254.curve import _wnaf_mul_ref
 from repro.crypto.bn254.msm import _msm_wnaf_g1_ref, _wnaf_table_g1_ref
+from repro.randomness import HashChainBeacon
+from repro.sim.workloads import archive_file
+
+#: The module (the package's ``pairing`` attribute is the function).
+pairing_module = importlib.import_module("repro.crypto.bn254.pairing")
 
 PYTHON = kernel.Backend("python")
 G1 = G1Point.generator()
@@ -371,8 +380,70 @@ def test_threads_sharing_tables_agree_with_one_thread():
 
 
 # --------------------------------------------------------------------- #
+# A new key: decoded, prepared, hashed and audited on kernel calls      #
+# --------------------------------------------------------------------- #
+
+@pytest.mark.skipif(kernel.backend().kernel is None, reason=kernel.backend().describe())
+def test_a_fresh_key_runs_no_python_crypto(params, monkeypatch):
+    """Registering a new key on a CheckpointContract decodes it (both
+    square roots), and auditing under it prepares its G2 lines, hashes its
+    block digests and runs recoded MSMs: on the native backend none of
+    that reaches the Python line steps, ``Fp2`` powers or wNAF recoder."""
+    rng = random.Random(0xF4E5)
+    owner = DataOwner(params, rng=rng)
+    package = owner.prepare(archive_file(600, tag="fresh-key").data)
+    provider = StorageProvider(rng=rng)
+    assert provider.accept(package, validate=False)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Python crypto ran on the per-key path")
+
+    for owner_of, name in (
+        (pairing_module, "_coeff_double"),
+        (pairing_module, "_coeff_add"),
+        (Fp2, "__pow__"),
+        (msm, "_wnaf"),
+    ):
+        monkeypatch.setattr(owner_of, name, forbidden)
+    with pytest.raises(AssertionError):
+        Fp2(3, 1) ** 2  # the patch is live
+    chain = Blockchain(block_time=15.0)
+    poster = chain.create_account(10.0, label="poster")
+    contract = CheckpointContract(HashChainBeacon(b"fresh-key"), params)
+    address = chain.deploy(contract, deployer=poster)
+    receipt = chain.transact(
+        Transaction(
+            sender=poster,
+            to=address,
+            method="register_instance",
+            args=(package.name, package.public.to_bytes(), package.num_chunks),
+        )
+    )
+    assert receipt.success, receipt.error
+    verifier = contract._verifier_for(package.name)  # decodes the registered bytes
+    challenge = random_challenge(params, rng=rng)
+    proof = provider.respond(package.name, challenge)
+    assert verifier.verify_private(challenge, proof)
+
+
+# --------------------------------------------------------------------- #
 # Loader and probe                                                      #
 # --------------------------------------------------------------------- #
+
+def test_first_use_selects_the_backend_without_deadlock(monkeypatch):
+    """The probe runs under the non-reentrant ``_backend_lock``: anything
+    it calls that asked :func:`kernel.active` would wait on itself."""
+    chosen = kernel.backend()
+    monkeypatch.setattr(kernel, "_backend", None)
+    selected = []
+    thread = threading.Thread(
+        target=lambda: selected.append(kernel.backend()), daemon=True
+    )
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive(), "backend selection deadlocked"
+    assert selected[0].describe() == chosen.describe()
+
 
 def test_kernel_builds_and_is_chosen_wherever_a_compiler_exists(tmp_path, monkeypatch):
     monkeypatch.setattr(native, "CACHE_DIR", tmp_path)

@@ -10,6 +10,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import statistics
 import time
 
 from repro.core import (
@@ -32,9 +35,11 @@ from repro.crypto.bn254 import (
     multi_scalar_mul_naive,
     pairing,
 )
+from repro.obs.hotpath import HOTPATH
 
 G1 = G1Point.generator()
 G2 = G2Point.generator()
+QUICK = os.environ.get("BENCH_QUICK", "") == "1"
 
 
 def _msm_inputs(count: int, rng):
@@ -121,20 +126,57 @@ def test_ablation_gt_fixed_base(benchmark, rng, report):
     assert table_seconds < generic_seconds
 
 
+def _interleaved_ms(runs, rounds: int) -> list[float]:
+    """Median milliseconds of each of ``runs``, timed in alternation so a
+    noisy host slows them alike."""
+    times = [[] for _ in runs]
+    for _ in range(rounds):
+        for run, samples in zip(runs, times):
+            start = time.perf_counter()
+            run()
+            samples.append(time.perf_counter() - start)
+    return [statistics.median(samples) * 1000 for samples in times]
+
+
+def _final_exponentiations(run) -> int:
+    HOTPATH.reset()
+    HOTPATH.enable()
+    try:
+        run()
+        return HOTPATH.snapshot()["bn254.final_exp"]["calls"]
+    finally:
+        HOTPATH.disable()
+        HOTPATH.reset()
+
+
+#: Failed 16-statement batches under one key: which statements are forged.
+FAILED_BATCHES = {
+    "1 bad": {5},
+    "2 adjacent bad": {0, 1},
+    "2 far-apart bad": {3, 12},
+    "all bad": set(range(16)),
+}
+
+
 def test_ablation_batch_auditing(benchmark, audit_system, params, rng, report):
     _, provider, package, _ = audit_system
-    items = []
-    for _ in range(4):
-        challenge = random_challenge(params, rng=rng)
-        items.append(
-            BatchItem(
-                public=package.public,
-                name=package.name,
-                num_chunks=package.num_chunks,
-                challenge=challenge,
-                proof=provider.respond(package.name, challenge),
+
+    def answered(count):
+        items = []
+        for _ in range(count):
+            challenge = random_challenge(params, rng=rng)
+            items.append(
+                BatchItem(
+                    public=package.public,
+                    name=package.name,
+                    num_chunks=package.num_chunks,
+                    challenge=challenge,
+                    proof=provider.respond(package.name, challenge),
+                )
             )
-        )
+        return items
+
+    items = answered(4)
     ok = benchmark.pedantic(
         verify_batch_grouped,
         args=(items,),
@@ -149,14 +191,53 @@ def test_ablation_batch_auditing(benchmark, audit_system, params, rng, report):
     start = time.perf_counter()
     assert verify_batch_grouped(items, rng=rng)
     batch_seconds = time.perf_counter() - start
-    report(
-        "ablation_batch_auditing",
-        "Verifying 4 users' proofs (the provider-side batching of VII-D):\n"
-        f"  sequential: {sequential_seconds*1000:.0f} ms (4 final exps)\n"
+    lines = [
+        "Verifying 4 users' proofs (the provider-side batching of VII-D):",
+        f"  sequential: {sequential_seconds*1000:.0f} ms (4 final exps)",
         f"  batched:    {batch_seconds*1000:.0f} ms (1 final exp, Miller loops "
-        "merged per G2 point)\n"
+        "merged per G2 point)",
         f"  speedup:    {sequential_seconds/batch_seconds:.2f}x",
-    )
+        "",
+        "A failed batch of 16 under one key, localized: the walk (every",
+        "statement's lone check) against the bisection after the failed",
+        "product (ms, median; final exponentiations in brackets, the",
+        "product's own one excluded):",
+    ]
+    rounds = 3 if QUICK else 15
+    honest = answered(16)
+    for label, bad in FAILED_BATCHES.items():
+        batch = [
+            dataclasses.replace(
+                item,
+                proof=dataclasses.replace(item.proof, y_masked=item.proof.y_masked ^ 1),
+            )
+            if index in bad else item
+            for index, item in enumerate(honest)
+        ]
+        walk = verify_sequential(batch)
+        localized = verify_batch_grouped(batch, rng=rng)
+        assert localized.failures == walk.failures
+        assert localized.rejected_names()
+        product_ms, walk_ms, grouped_ms = _interleaved_ms(
+            (
+                lambda: verify_batch_grouped(honest, rng=rng),
+                lambda: verify_sequential(batch),
+                lambda: verify_batch_grouped(batch, rng=rng),
+            ),
+            rounds,
+        )
+        localize_ms = grouped_ms - product_ms
+        walk_fe = _final_exponentiations(lambda: verify_sequential(batch))
+        localize_fe = _final_exponentiations(
+            lambda: verify_batch_grouped(batch, rng=rng)
+        ) - 1
+        lines.append(
+            f"  {label:16s} walk {walk_ms:6.1f} [{walk_fe:2d}]  "
+            f"localizer {localize_ms:6.1f} [{localize_fe:2d}]  "
+            f"({walk_ms / localize_ms:.2f}x)"
+        )
+    lines.append(f"  (the failed product itself: {product_ms:.1f} ms)")
+    report("ablation_batch_auditing", "\n".join(lines))
 
 
 def test_ablation_torus_compression(benchmark, report):

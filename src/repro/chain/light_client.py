@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.batch import judge_proof
+from ..core.batch import BatchItem, judge_proof, verify_batch_grouped
 from ..core.challenge import Challenge
 from ..core.keys import PublicKey
 from ..core.params import ProtocolParams
@@ -34,7 +34,12 @@ from ..core.verifier import MALFORMED_PROOF, RejectionReason, Verifier, VerifyOu
 from ..crypto.merkle import MerkleProof, MerkleTree, verify_merkle_proof
 from ..rollup.checkpoint import Checkpoint, aggregated_proof_digest
 from ..rollup.records import RoundRecord
-from ..rollup.verdict import leaf_ground_truth
+from ..rollup.verdict import (
+    LeafVerdict,
+    leaf_ground_truth,
+    leaf_statement,
+    leaf_verdict,
+)
 from .contracts.audit_contract import AuditContract
 
 
@@ -324,7 +329,10 @@ class CheckpointLightClient:
         Rebuilds the Merkle tree over the served records and compares the
         root, counts and aggregated-proof digest against the commitment
         (data-availability integrity), then re-verifies every leaf verdict
-        (verdict integrity).
+        (verdict integrity) by the rules of :meth:`check_record`: the cheap
+        grounds leaf by leaf, and every leaf whose bytes reach the equation
+        in one grouped product with fresh ``secrets`` blinders, localized
+        only if it fails.
         """
         report = report or CheckpointReplayReport()
         report.checkpoints_checked += 1
@@ -338,12 +346,24 @@ class CheckpointLightClient:
             or aggregated_proof_digest(ordered) != commitment.proof_digest
         ):
             report.root_mismatches.append(commitment.epoch)
-        for record in ordered:
+        screened = [
+            leaf_statement(
+                record, commitment.epoch, self.params, self.beacon, self._verifier_for
+            )
+            for record in ordered
+        ]
+        at = [i for i, leaf in enumerate(screened) if isinstance(leaf, BatchItem)]
+        outcome = verify_batch_grouped([screened[i] for i in at])
+        rejected = {at[failure.index] for failure in outcome.failures}
+        for i, (record, leaf) in enumerate(zip(ordered, screened)):
             report.rounds_checked += 1
-            if self.check_record(commitment, record).ok:
-                report.agreements += 1
-            else:
+            if not isinstance(leaf, LeafVerdict):
+                actual = leaf is not None and i not in rejected
+                leaf = leaf_verdict(record, actual)
+            if leaf.fraudulent:
                 report.disagreements.append((commitment.epoch, record.name))
+            else:
+                report.agreements += 1
         return report
 
     def replay_reconstructed(

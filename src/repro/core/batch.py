@@ -18,12 +18,15 @@ instead of U.  128 bits suffice for the soundness bound and halve the
 scaling cost (``benchmarks/bench_ablations.py::test_ablation_batch_auditing``
 quantifies the win).
 
-The product itself lives in :func:`repro.core.verifier.pairing_product_check`;
+The product itself lives in :func:`repro.core.verifier.pairing_product`;
 this module draws the blinders and, when the product fails, localizes the
-failures before it answers: :func:`verify_batch_grouped` returns the
-finished verdict, and nobody downstream re-verifies anything —
-:func:`staged_verdicts` hands each item's share of it to the
-``verify_private`` call that would otherwise have recomputed it.
+failures before it answers (:func:`_localize`: adaptive bisection over
+subset products, so a cheater costs the batch a few more final
+exponentiations instead of a lone check per honest proof):
+:func:`verify_batch_grouped` returns the finished verdict, and nobody
+downstream re-verifies anything — :func:`staged_verdicts` hands each item's
+share of it to the ``verify_private`` call that would otherwise have
+recomputed it.
 
 Every judge of on-chain proof bytes turns them into a :class:`BatchItem`, or
 a named rejection, through :func:`screen_proof`; :func:`judge_proof` is its
@@ -32,10 +35,13 @@ verdict.
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, replace
+from functools import reduce
+from typing import Callable, Iterator, Sequence
 
+from ..crypto.bn254 import Fp12, gt_multi_pow
 from .challenge import Challenge
 from .keys import PublicKey
 from .proof import PrivateProof
@@ -49,7 +55,9 @@ from .verifier import (
     Verifier,
     VerifyOutcome,
     VerifyReport,
-    pairing_product_check,
+    pairing_product,
+    residual_verdict,
+    retain_legs,
     verdict_key,
 )
 
@@ -122,11 +130,12 @@ class BatchVerifyOutcome:
     """Truthy/falsy verdict for a whole batch, with its failures localized.
 
     The combined small-exponent check only says *whether* every proof in
-    the batch is valid.  When it fails, each item is re-verified on its own
-    (paying per-proof pairings on the failure path only) before the outcome
-    is returned, so ``failures`` names which proofs failed and carries each
-    one's :class:`~repro.core.verifier.RejectionReason` with its
-    per-pairing-group residual fingerprints.
+    the batch is valid.  When it fails, :func:`_localize` bisects the batch
+    down to its bad proofs before the outcome is returned, so ``failures``
+    names which proofs failed and carries each one's
+    :class:`~repro.core.verifier.RejectionReason` with its
+    per-pairing-group residual fingerprints — the very reason its lone
+    check returns.
     """
 
     ok: bool
@@ -140,20 +149,6 @@ class BatchVerifyOutcome:
         return tuple(rejection.name for rejection in self.failures)
 
 
-def _rejections(
-    items: list[BatchItem], report: VerifyReport | None = None
-) -> tuple[ItemRejection, ...]:
-    """Verify every item on its own: the ones that fail, and why."""
-    failures = []
-    for index, item in enumerate(items):
-        outcome = item.verify(report)
-        if not outcome:
-            failures.append(
-                ItemRejection(index=index, name=item.name, reason=outcome.reason)
-            )
-    return tuple(failures)
-
-
 def _small_exponent(rng) -> int:
     """A 128-bit batching exponent (soundness error 2^-128)."""
     import secrets
@@ -161,6 +156,103 @@ def _small_exponent(rng) -> int:
     if rng is None:
         return secrets.randbits(128) | 1
     return rng.getrandbits(128) | 1
+
+
+def _bisect(
+    count: int,
+    product: Callable[[list[int]], Fp12],
+    judge: Callable[[int], Fp12],
+    condemn: Callable[[int], None],
+    value: Fp12,
+) -> None:
+    """Adaptive bisection over ``count`` items whose joint product
+    ``value`` is not one.
+
+    ``product(indices)`` is a subset's product under the blinders of the
+    whole, and ``judge(index)`` checks one item alone and returns its
+    share of that product: one iff the item passes.  Shares of disjoint
+    subsets multiply, so a subset's product and any known superset's give
+    the rest of the superset by one inversion.  ``condemn(index)`` rules
+    on an item known to fail.
+
+    A failing subset splits.  Its first half is multiplied out or walked
+    item by item, and the second half's product is then the quotient: a
+    half whose product is one passes whole, and a single item whose share
+    is not one is known to fail.  Whether a half is worth a product
+    follows from the counts: with ``bad`` failures found so far, ``p =
+    (bad + 1) / count`` (the failures found plus one the products may still
+    hide) prices a product of ``m`` items, which saves ``m - 1`` lone checks
+    with probability ``(1 - p)**m`` and wastes one final exponentiation
+    otherwise; a mostly-bad batch so degrades to the walk instead of paying
+    for products that fail.
+    """
+    bad = 0
+
+    def worth_a_product(m: int) -> bool:
+        # m * (1 - p)**m >= 1, in integers.
+        return m > 1 and m * (count - bad - 1) ** m >= count**m
+
+    def split(indices: list[int], value: Fp12) -> None:
+        nonlocal bad
+        if len(indices) == 1:
+            condemn(indices[0])
+            bad += 1
+            return
+        half = len(indices) // 2
+        left, right = indices[:half], indices[half:]
+        if worth_a_product(len(left)):
+            left_value = product(left)
+            if not left_value.is_one():
+                split(left, left_value)
+        else:
+            shares = [judge(index) for index in left]
+            bad += sum(not share.is_one() for share in shares)
+            left_value = reduce(operator.mul, shares)
+        right_value = value * left_value.inverse()
+        if not right_value.is_one():
+            split(right, right_value)
+
+    split(list(range(count)), value)
+
+
+def _localize(
+    items: list[BatchItem], statements: list[Statement], value: Fp12
+) -> tuple[ItemRejection, ...]:
+    """The failed items of a batch whose blinded ``statements`` multiply
+    to ``value`` (not one), each with the reason its lone check returns,
+    by :func:`_bisect`.
+
+    Every statement's ``epsilon`` input is reduced once
+    (:func:`~repro.core.verifier.retain_legs`), so a subset product costs
+    one final exponentiation over three MSMs of one point per statement
+    and owner.  A statement reached alone gets its lone check, whose
+    product raised to the statement's blinder is its share; one known to
+    fail gets only its residual legs, which carry both its verdict and its
+    reason.
+    """
+    retained = [retain_legs(st) for st in statements]
+    failures: dict[int, ItemRejection] = {}
+
+    def record(index: int, outcome: VerifyOutcome) -> None:
+        if not outcome:
+            item = items[index]
+            failures[index] = ItemRejection(index, item.name, outcome.reason)
+
+    def product(indices: list[int]) -> Fp12:
+        return pairing_product([retained[index] for index in indices])[0]
+
+    def judge(index: int) -> Fp12:
+        item, statement = items[index], retained[index]
+        verifier = Verifier(item.public, item.name, item.num_chunks)
+        outcome, lone = verifier._check(replace(statement, rho=1), None)
+        record(index, outcome)
+        return gt_multi_pow([(lone, statement.rho)])
+
+    def condemn(index: int) -> None:
+        record(index, residual_verdict(replace(retained[index], rho=1)))
+
+    _bisect(len(items), product, judge, condemn, value)
+    return tuple(failures[index] for index in sorted(failures))
 
 
 def verify_batch_grouped(
@@ -173,8 +265,8 @@ def verify_batch_grouped(
     The parallel audit engine's verification back end: every item becomes a
     rho-blinded statement of the one pairing product (rho_0 = 1), which
     merges all inputs per fixed G2 point and pays one final exponentiation
-    for the whole batch.  A failed product is localized before this
-    returns.
+    for the whole batch.  A failed product is localized (:func:`_localize`,
+    under the same blinders) before this returns.
     """
     statements = [
         Statement(
@@ -189,11 +281,12 @@ def verify_batch_grouped(
         )
         for index, item in enumerate(items)
     ]
-    ok, _ = pairing_product_check(statements, report)
+    value, _ = pairing_product(statements, report)
+    ok = value.is_one()
     return BatchVerifyOutcome(
         ok=ok,
         checked=len(items),
-        failures=() if ok else _rejections(items),
+        failures=() if ok else _localize(items, statements, value),
     )
 
 
@@ -203,9 +296,9 @@ def staged_verdicts(items: list[BatchItem]) -> Iterator[BatchVerifyOutcome]:
     item's own ``Verifier.verify_private`` call from that one check.
 
     The blinders are always fresh ``secrets`` draws: whoever wrote the
-    proofs must not predict them.  A failed product has already walked every
-    item (:func:`_rejections`), so what is staged for a rejected item is the
-    reason its lone check returns, residual fingerprints included.  Each
+    proofs must not predict them.  A failed product has already been
+    localized (:func:`_localize`), so what is staged for a rejected item is
+    the reason its lone check returns, residual fingerprints included.  Each
     verdict is consumed by the first call that asks for it; whatever nobody
     asked for is dropped when the block ends.
     """
@@ -231,8 +324,15 @@ def verify_sequential(
 ) -> BatchVerifyOutcome:
     """Baseline: verify each proof independently (for the ablation bench).
 
-    The walk a failed grouped batch falls back to *is* this check, so the
-    two agree on every rejection by construction.
+    The walk: every item's lone check.  It is the oracle a localized
+    grouped batch is held to — the same failures, index, name and reason
+    (residual fingerprints included) — and the cost a bisection must beat.
     """
-    failures = _rejections(items, report)
-    return BatchVerifyOutcome(ok=not failures, checked=len(items), failures=failures)
+    failures = []
+    for index, item in enumerate(items):
+        outcome = item.verify(report)
+        if not outcome:
+            failures.append(ItemRejection(index, item.name, outcome.reason))
+    return BatchVerifyOutcome(
+        ok=not failures, checked=len(items), failures=tuple(failures)
+    )

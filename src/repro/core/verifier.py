@@ -18,7 +18,7 @@ cache (:data:`repro.crypto.bn254.PROCESS_CACHE`) every verifier reads; so
 are the digest points ``H(name || i)`` and their wNAF tables.  Eq. (1) is
 the same product with ``zeta = 1`` and no ``R``; batch auditing (Section
 VII-D) is the same product over many statements, each raised to a random
-exponent ``rho``.  :func:`pairing_product_check` is that one product;
+exponent ``rho``.  :func:`pairing_product` is that one product;
 :meth:`Verifier.verify_plain`, :meth:`Verifier.verify_private` and
 :func:`repro.core.batch.verify_batch_grouped` only build its statements.
 
@@ -45,8 +45,10 @@ check above.
 from __future__ import annotations
 
 import hashlib
+import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 
 from ..crypto.bn254 import (
     CURVE_ORDER,
@@ -140,19 +142,6 @@ def _gt_fingerprint(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:12]
 
 
-def _pairing_group_residuals(
-    labelled_pairs: list[tuple[str, tuple[G1Point, G2Point]]],
-    extra: tuple[tuple[str, object], ...] = (),
-) -> tuple[tuple[str, str], ...]:
-    """Per-leg residual fingerprints, computed only on the failure path."""
-    groups = [
-        (label, _gt_fingerprint(final_exponentiation(miller_loop_product([pair]))))
-        for label, pair in labelled_pairs
-    ]
-    groups.extend((label, _gt_fingerprint(value)) for label, value in extra)
-    return tuple(groups)
-
-
 @dataclass
 class VerifyReport:
     """Wall-clock decomposition of one verification (Fig. 5 input)."""
@@ -173,6 +162,10 @@ class Statement:
     ``commitment`` is the Sigma commitment ``R`` of Eq. (2), or ``None`` for
     Eq. (1), where ``zeta = 1`` and there is no ``R``.  ``rho`` is the
     small-exponent batching blinder (1 for a lone statement).
+    ``epsilon_leg`` is the statement's whole ``epsilon`` input at
+    ``rho = 1`` once :func:`retain_legs` has reduced it; the product then
+    reads that one point instead of the challenge's digests, ``y`` and
+    ``psi``.
     """
 
     public: PublicKey
@@ -183,6 +176,7 @@ class Statement:
     psi: G1Point
     commitment: Fp12 | None = None
     rho: int = 1
+    epsilon_leg: G1Point | None = None
 
 
 # The three fixed G2 points a statement's G1 inputs are paired with.
@@ -201,14 +195,133 @@ _EQ2 = (
 )
 
 
-def pairing_product_check(
-    statements: list[Statement], report: VerifyReport | None = None
-) -> tuple[bool, list[tuple[G1Point, object]]]:
-    """``prod_u [R_u * e(..,g2) * e(..,epsilon_u) * e(..,delta_u)]^{rho_u} == 1``.
+# One leg per fixed G2 point: its G1 bases, their scalars, and which bases
+# recur across epochs (digests, g1) and so keep their wNAF tables cached.
+_Legs = dict[tuple[int, G2Point], tuple[list[G1Point], list[int], list[bool]]]
 
-    Returns the verdict and the merged ``(G1, G2)`` legs in first-use order
-    (``g2``, then each owner's ``epsilon`` and ``delta``) — for one statement,
-    exactly the three pairing arguments its rejection diagnostics fingerprint.
+
+def _zeta(statement: Statement) -> int:
+    """H'(R), or 1 for Eq. (1)."""
+    if statement.commitment is None:
+        return 1
+    return hash_gt_to_scalar(statement.commitment)
+
+
+def _digests(statement: Statement, report: VerifyReport | None) -> list[G1Point]:
+    """``H(name || i_t)`` per challenged block, from the process cache."""
+    t0 = time.perf_counter()
+    digests = [
+        PROCESS_CACHE.block_digest(statement.name, i)
+        for i in statement.expanded.indices
+    ]
+    if report is not None:
+        report.hash_seconds += time.perf_counter() - t0
+    return digests
+
+
+def _epsilon_terms(
+    statement: Statement, zeta: int, digests: list[G1Point]
+) -> list[tuple[G1Point, int, bool]]:
+    """The ``epsilon`` leg's (base, scalar, fixed) inputs at ``rho = 1``
+    except ``-y'*g1``: ``-zeta*c_t*H(name || i_t)`` per challenged block and
+    ``r*zeta*psi``.  e(psi^{-zeta rho}, delta - r*epsilon) splits by
+    bilinearity into e(psi^{-zeta rho}, delta) * e(psi^{r zeta rho},
+    epsilon), so the psi inputs land on the *fixed* per-owner G2 points
+    instead of a fresh delta - r*epsilon combination per challenge point —
+    no per-epoch G2 arithmetic or Miller-line preparation at all."""
+    expanded = statement.expanded
+    terms = [
+        (point, -coefficient * zeta, True)
+        for point, coefficient in zip(digests, expanded.coefficients)
+    ]
+    terms.append((statement.psi, expanded.point * zeta, False))
+    return terms
+
+
+def retain_legs(statement: Statement) -> Statement:
+    """``statement`` with its ``epsilon`` input at ``rho = 1`` reduced to
+    one point, once: a product over any subset of retained statements then
+    pays three MSMs over one point per statement each, whatever ``k`` is."""
+    terms = _epsilon_terms(statement, _zeta(statement), _digests(statement, None))
+    terms.append((G1Point.generator(), -statement.y, True))
+    bases, scalars, cacheable = zip(*terms)
+    point = PROCESS_CACHE.wnaf_msm(
+        bases, [scalar % CURVE_ORDER for scalar in scalars], cacheable
+    )
+    return replace(statement, epsilon_leg=point)
+
+
+def _legs(
+    statements: list[Statement], report: VerifyReport | None
+) -> tuple[_Legs, list[tuple[Fp12, int]]]:
+    """Every statement's G1 inputs, merged per fixed G2 point, and the
+    rho-blinded commitments the product multiplies in."""
+    g1 = G1Point.generator()
+    g2 = G2Point.generator()
+    gt_items: list[tuple[Fp12, int]] = []
+    # Keyed by (role, point) so a degenerate key (delta == epsilon) still
+    # yields the three legs the diagnostics label.
+    legs: _Legs = {}
+    # Every file of an owner contributes g1^{-y' rho} to the same epsilon
+    # leg; folding those into one scalar drops U-per-owner points from the
+    # MSMs (the group element is unchanged — same linear combination).
+    g1_scalars: dict[tuple[int, G2Point], int] = {}
+
+    def contribute(
+        leg: tuple[int, G2Point], base: G1Point, scalar: int, fixed: bool = False
+    ) -> None:
+        bases, scalars, cacheable = legs.setdefault(leg, ([], [], []))
+        bases.append(base)
+        scalars.append(scalar % CURVE_ORDER)
+        cacheable.append(fixed)
+
+    for st in statements:
+        epsilon = (_EPSILON, st.public.epsilon)
+        zeta = _zeta(st)
+        digests = None if st.epsilon_leg is not None else _digests(st, report)
+        t0 = time.perf_counter()
+        contribute((_G2, g2), st.sigma, zeta * st.rho)
+        if digests is None:
+            contribute(epsilon, st.epsilon_leg, st.rho)
+        else:
+            g1_scalars[epsilon] = g1_scalars.get(epsilon, 0) - st.y * st.rho
+            for base, scalar, fixed in _epsilon_terms(st, zeta, digests):
+                contribute(epsilon, base, scalar * st.rho, fixed)
+        contribute((_DELTA, st.public.delta), st.psi, -zeta * st.rho)
+        if st.commitment is not None:
+            gt_items.append((st.commitment, st.rho))
+        if report is not None:
+            report.msm_seconds += time.perf_counter() - t0
+    for epsilon, scalar in g1_scalars.items():
+        contribute(epsilon, g1, scalar, True)
+    return legs, gt_items
+
+
+def _reduce(legs: _Legs, report: VerifyReport | None) -> list[tuple[G1Point, object]]:
+    """One MSM per leg, each against its G2 point's cached Miller lines."""
+    t0 = time.perf_counter()
+    pairs = [
+        (
+            PROCESS_CACHE.wnaf_msm(bases, scalars, cacheable),
+            PROCESS_CACHE.prepared_g2(g2_point),
+        )
+        for (_, g2_point), (bases, scalars, cacheable) in legs.items()
+    ]
+    if report is not None:
+        report.msm_seconds += time.perf_counter() - t0
+    return pairs
+
+
+def pairing_product(
+    statements: list[Statement], report: VerifyReport | None = None
+) -> tuple[Fp12, list[tuple[G1Point, object]]]:
+    """``prod_u [R_u * e(..,g2) * e(..,epsilon_u) * e(..,delta_u)]^{rho_u}``.
+
+    Returns the product — a GT element, one iff the check holds; over
+    disjoint statement sets with the same blinders the values multiply —
+    and the merged ``(G1, G2)`` legs in first-use order (``g2``, then each
+    owner's ``epsilon`` and ``delta``): for one statement, exactly the three
+    pairing arguments its rejection diagnostics fingerprint.
 
     Two structural optimizations, both pairing bilinearity:
 
@@ -223,76 +336,60 @@ def pairing_product_check(
       the owner's epsilon leg — and reduced with one MSM per leg.
     """
     if not statements:
-        return True, []
-    g1 = G1Point.generator()
-    g2 = G2Point.generator()
-    gt_items: list[tuple[Fp12, int]] = []
-    # Keyed by (role, point) so a degenerate key (delta == epsilon) still
-    # yields the three legs the diagnostics label.
-    legs: dict[tuple[int, G2Point], tuple[list[G1Point], list[int], list[bool]]] = {}
-    # Every file of an owner contributes g1^{-y' rho} to the same epsilon
-    # leg; folding those into one scalar drops U-per-owner points from the
-    # MSMs (the group element is unchanged — same linear combination).
-    g1_scalars: dict[tuple[int, G2Point], int] = {}
-
-    def contribute(
-        leg: tuple[int, G2Point], base: G1Point, scalar: int, fixed: bool = False
-    ) -> None:
-        """``fixed`` marks epoch-recurring bases (digests, g1) whose wNAF
-        tables are worth keeping in the process cache."""
-        bases, scalars, cacheable = legs.setdefault(leg, ([], [], []))
-        bases.append(base)
-        scalars.append(scalar % CURVE_ORDER)
-        cacheable.append(fixed)
-
-    for st in statements:
-        epsilon = (_EPSILON, st.public.epsilon)
-        zeta = 1 if st.commitment is None else hash_gt_to_scalar(st.commitment)
-        scaled_zeta = zeta * st.rho % CURVE_ORDER
-        t0 = time.perf_counter()
-        digests = [
-            PROCESS_CACHE.block_digest(st.name, i) for i in st.expanded.indices
-        ]
-        t1 = time.perf_counter()
-        contribute((_G2, g2), st.sigma, scaled_zeta)
-        g1_scalars[epsilon] = g1_scalars.get(epsilon, 0) - st.y * st.rho
-        for point, coefficient in zip(digests, st.expanded.coefficients):
-            contribute(epsilon, point, -(coefficient * scaled_zeta), True)
-        # e(psi^{-zeta rho}, delta - r*epsilon) splits by bilinearity into
-        # e(psi^{-zeta rho}, delta) * e(psi^{r zeta rho}, epsilon), so the
-        # psi legs land on the *fixed* per-owner G2 points instead of a
-        # fresh delta - r*epsilon combination per challenge point — no
-        # per-epoch G2 arithmetic or Miller-line preparation at all.
-        contribute((_DELTA, st.public.delta), st.psi, -scaled_zeta)
-        contribute(epsilon, st.psi, st.expanded.point * scaled_zeta)
-        if st.commitment is not None:
-            gt_items.append((st.commitment, st.rho))
-        t2 = time.perf_counter()
-        if report is not None:
-            report.hash_seconds += t1 - t0
-            report.msm_seconds += t2 - t1
-    for epsilon, scalar in g1_scalars.items():
-        contribute(epsilon, g1, scalar, True)
+        return Fp12.one(), []
+    legs, gt_items = _legs(statements, report)
+    pairs = _reduce(legs, report)
     t0 = time.perf_counter()
-    # Cached wNAF tables for the fixed bases, cached Miller-loop lines for
-    # the fixed G2 points.
-    pairs = [
-        (
-            PROCESS_CACHE.wnaf_msm(bases, scalars, cacheable),
-            PROCESS_CACHE.prepared_g2(g2_point),
-        )
-        for (_, g2_point), (bases, scalars, cacheable) in legs.items()
-    ]
-    t1 = time.perf_counter()
     # All rho-blinded commitments ride one shared cyclotomic squaring chain
     # (bit-identical to a per-item gt_pow product, ~U times fewer squarings).
-    product = final_exponentiation(miller_loop_product(pairs))
-    ok = (product * gt_multi_pow(gt_items)).is_one()
-    t2 = time.perf_counter()
+    product = final_exponentiation(miller_loop_product(pairs)) * gt_multi_pow(gt_items)
     if report is not None:
-        report.msm_seconds += t1 - t0
-        report.pairing_seconds += t2 - t1
-    return ok, pairs
+        report.pairing_seconds += time.perf_counter() - t0
+    return product, pairs
+
+
+def pairing_product_check(
+    statements: list[Statement], report: VerifyReport | None = None
+) -> tuple[bool, list[tuple[G1Point, object]]]:
+    """Whether :func:`pairing_product` is one, and its merged legs."""
+    product, pairs = pairing_product(statements, report)
+    return product.is_one(), pairs
+
+
+def residual_verdict(statement: Statement) -> VerifyOutcome:
+    """The lone check's verdict and reason from the rejection diagnostics
+    alone (``statement`` at ``rho = 1``): the product of the three legs'
+    residuals (times ``R``) is the equation, so a statement already known
+    to fail pays for its fingerprints and nothing else."""
+    legs, _ = _legs([statement], None)
+    return _judged(statement, _reduce(legs, None))
+
+
+def _judged(
+    statement: Statement, pairs: list[tuple[G1Point, object]]
+) -> VerifyOutcome:
+    """One statement's verdict from its residual legs, reason included."""
+    private = statement.commitment is not None
+    equation, detail, labels = _EQ2 if private else _EQ1
+    residuals = [
+        final_exponentiation(miller_loop_product([pair])) for pair in pairs
+    ]
+    if private:
+        residuals.append(statement.commitment)
+    if reduce(operator.mul, residuals).is_one():
+        return VerifyOutcome.accept()
+    return VerifyOutcome(
+        ok=False,
+        reason=RejectionReason(
+            PAIRING_MISMATCH,
+            equation,
+            tuple(
+                (label, _gt_fingerprint(value))
+                for label, value in zip(labels + ("commitment-R",), residuals)
+            ),
+            detail,
+        ),
+    )
 
 
 #: Finished Eq.-(2) verdicts staged ahead of the calls that will ask for
@@ -335,16 +432,15 @@ class Verifier:
         self.name = name
         self.num_chunks = num_chunks
 
-    def _check(
+    def _statement(
         self,
         challenge: Challenge,
         sigma: G1Point,
         y: int,
         psi: G1Point,
         commitment: Fp12 | None,
-        report: VerifyReport | None,
-    ) -> VerifyOutcome:
-        statement = Statement(
+    ) -> Statement:
+        return Statement(
             self.public,
             self.name,
             challenge.expand(self.num_chunks),
@@ -353,19 +449,17 @@ class Verifier:
             psi,
             commitment,
         )
-        ok, legs = pairing_product_check([statement], report)
-        if ok:
-            return VerifyOutcome.accept()
-        private = commitment is not None
-        equation, detail, labels = _EQ2 if private else _EQ1
-        residuals = _pairing_group_residuals(
-            list(zip(labels, legs)),
-            extra=(("commitment-R", commitment),) if private else (),
-        )
-        return VerifyOutcome(
-            ok=False,
-            reason=RejectionReason(PAIRING_MISMATCH, equation, residuals, detail),
-        )
+
+    def _check(
+        self, statement: Statement, report: VerifyReport | None
+    ) -> tuple[VerifyOutcome, Fp12]:
+        """The lone check of one statement (``rho = 1``): its outcome,
+        residual fingerprints computed only if it fails, and the product
+        it tested."""
+        product, pairs = pairing_product([statement], report)
+        if product.is_one():
+            return VerifyOutcome.accept(), product
+        return _judged(statement, pairs), product
 
     def verify_plain(
         self,
@@ -374,7 +468,8 @@ class Verifier:
         report: VerifyReport | None = None,
     ) -> VerifyOutcome:
         """Paper Eq. (1): the non-private check (used by baselines/attack demo)."""
-        return self._check(challenge, proof.sigma, proof.y, proof.psi, None, report)
+        statement = self._statement(challenge, proof.sigma, proof.y, proof.psi, None)
+        return self._check(statement, report)[0]
 
     def verify_private(
         self,
@@ -390,11 +485,7 @@ class Verifier:
             )
             if staged is not None:
                 return staged
-        return self._check(
-            challenge,
-            proof.sigma,
-            proof.y_masked,
-            proof.psi,
-            proof.commitment,
-            report,
+        statement = self._statement(
+            challenge, proof.sigma, proof.y_masked, proof.psi, proof.commitment
         )
+        return self._check(statement, report)[0]

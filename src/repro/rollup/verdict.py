@@ -7,8 +7,9 @@ and the off-chain light client
 *identical* rules, or the light client would flag leaves the contract
 upholds (and vice versa), which is precisely the disagreement the system
 exists to eliminate.  This module is that shared rule set; the leaf's proof
-bytes are judged by :func:`repro.core.batch.judge_proof`, the rule the
-per-round contract applies too.
+bytes are judged by :func:`repro.core.batch.judge_proof`'s rule, the one
+the per-round contract applies too: the fraud proof checks one leaf alone,
+the light client checks a whole leaf set with one grouped product.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..core.batch import judge_proof
+from ..core.batch import BatchItem, screen_proof
 from ..core.challenge import epoch_challenge
 from ..core.params import ProtocolParams
 from ..core.verifier import Verifier
@@ -47,21 +48,17 @@ class LeafVerdict:
         return f"{self.fraud_code}: {self.detail}" if self.detail else self.fraud_code
 
 
-def leaf_ground_truth(
+def leaf_statement(
     record: RoundRecord,
     commitment_epoch: int,
     params: ProtocolParams,
     beacon,
     verifier_for: Callable[[int], Verifier | None],
-) -> LeafVerdict:
-    """Adjudicate one committed leaf against on-chain-derivable state.
-
-    A fraud code is returned whenever the leaf is a lie a correct
-    aggregator could never have committed: a foreign epoch, an
-    unregistered file (``verifier_for`` finds it in no on-chain instance
-    registry), a challenge that is not the beacon's derivation for (epoch,
-    name), or a verdict that does not survive re-verification.
-    """
+) -> LeafVerdict | BatchItem | None:
+    """The cheap grounds of :func:`leaf_ground_truth`, everything short of
+    the pairing equation: a fraud verdict, the statement the equation must
+    judge, or ``None`` for proof bytes that never reach it (none, or
+    undecodable — a failed round by :func:`~repro.core.batch.screen_proof`)."""
     if record.epoch != commitment_epoch:
         return LeafVerdict(
             actual=None,
@@ -84,9 +81,14 @@ def leaf_ground_truth(
             fraud_code="challenge-mismatch",
             detail="leaf challenge != beacon derivation",
         )
-    actual = bool(judge_proof(
+    screened = screen_proof(
         verifier.public, record.name, verifier.num_chunks, expected, record.proof_bytes
-    ))
+    )
+    return screened if isinstance(screened, BatchItem) else None
+
+
+def leaf_verdict(record: RoundRecord, actual: bool) -> LeafVerdict:
+    """A leaf that passed the cheap grounds, against its re-derived verdict."""
     if actual != record.verdict:
         return LeafVerdict(
             actual=actual,
@@ -97,3 +99,25 @@ def leaf_ground_truth(
             ),
         )
     return LeafVerdict(actual=actual, fraud_code=None)
+
+
+def leaf_ground_truth(
+    record: RoundRecord,
+    commitment_epoch: int,
+    params: ProtocolParams,
+    beacon,
+    verifier_for: Callable[[int], Verifier | None],
+) -> LeafVerdict:
+    """Adjudicate one committed leaf against on-chain-derivable state.
+
+    A fraud code is returned whenever the leaf is a lie a correct
+    aggregator could never have committed: a foreign epoch, an
+    unregistered file (``verifier_for`` finds it in no on-chain instance
+    registry), a challenge that is not the beacon's derivation for (epoch,
+    name), or a verdict that does not survive re-verification — the lone
+    Eq.-(2) check here (:func:`~repro.core.batch.judge_proof`'s rule).
+    """
+    statement = leaf_statement(record, commitment_epoch, params, beacon, verifier_for)
+    if isinstance(statement, LeafVerdict):
+        return statement
+    return leaf_verdict(record, statement is not None and bool(statement.verify()))

@@ -249,8 +249,11 @@ def test_one_forged_proof_rejects_that_contract_and_nothing_is_verified_twice(
     assert shipped["tallies"] == [(1, 0), (0, 1), (1, 0), (1, 0)]
     detail = shipped["rounds"][1][0].reject_detail
     assert detail.startswith("pairing-mismatch [Eq.2]") and "residuals:" in detail
-    # The failed block walked every statement once; no transaction walked again.
-    assert sorted(equation_checks) == sorted(m.package.name for m in fleets["multi"])
+    # The failed block bisected: its first pair failed and the second pair
+    # was cleared by the quotient; the honest half of the first passed its
+    # lone check and the forged one was judged from its residual legs.  No
+    # transaction checked again.
+    assert equation_checks == [fleets["multi"][0].package.name]
     assert batches.value == before + 1
 
 

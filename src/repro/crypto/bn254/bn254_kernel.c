@@ -404,6 +404,7 @@ static void fp12_one(fp12 *r)
     r->c0.c0.c0 = ONE;
 }
 
+/* Karatsuba over Fp6, as fields._f12mul. */
 static void fp12_mul(fp12 *r, const fp12 *a, const fp12 *b)
 {
     fp6 t0, t1, s, u, c1;
@@ -786,34 +787,6 @@ static inline unsigned window_at(const uint64_t e[4], size_t pos, unsigned width
     return (unsigned)(v & ((1u << width) - 1));
 }
 
-/* base^e by cyclotomic square-and-multiply from the low bit, as
- * gt._gt_pow_ref; e is a nonzero 256-bit little-endian integer. */
-void bn_gt_pow(const uint8_t *base, const uint8_t *exponent, uint8_t *out)
-{
-    uint64_t e[4];
-    memcpy(e, exponent, sizeof e);
-    int top = -1;
-    for (int bit = 255; bit >= 0 && top < 0; bit--)
-        if ((e[bit / 64] >> (bit % 64)) & 1)
-            top = bit;
-    fp12 power, result;
-    int have = 0;
-    fp12_load(&power, base);
-    fp12_one(&result);
-    for (int bit = 0; bit <= top; bit++) {
-        if ((e[bit / 64] >> (bit % 64)) & 1) {
-            if (have)
-                fp12_mul(&result, &result, &power);
-            else
-                result = power;
-            have = 1;
-        }
-        if (bit < top)
-            fp12_cyclo_sqr(&power, &power);
-    }
-    fp12_store(out, &result);
-}
-
 /* prod_j bases[j]^e_j on one shared cyclotomic chain, as
  * gt._gt_multi_pow_ref.  digits: n rows of `top` width-4 NAF digits, low
  * digit first, zero-padded. */
@@ -902,8 +875,8 @@ void bn_gt_fixed_pow(const uint8_t *table, unsigned window, size_t rows,
 /* ----------------------------------------------------------------- wNAF -- */
 
 /* Width-w wNAF (2 <= w <= 8) of a 256-bit little-endian scalar < 2^255, low
- * digit first: digits odd in (-2^(w-1), 2^(w-1)) or zero, as msm._wnaf (and
- * curve._wnaf at w = 4).  Returns the digit count, at most 256. */
+ * digit first: digits odd in (-2^(w-1), 2^(w-1)) or zero, as curve._wnaf.
+ * Returns the digit count, at most 256. */
 static size_t wnaf(int8_t *digits, const uint8_t *scalar, unsigned width)
 {
     const uint64_t mask = ((uint64_t)1 << width) - 1;
@@ -935,7 +908,7 @@ static size_t wnaf(int8_t *digits, const uint8_t *scalar, unsigned width)
     return n;
 }
 
-/* The recoder alone (tests compare it with msm._wnaf); digits: 256 bytes. */
+/* The recoder alone (tests compare it with curve._wnaf); digits: 256 bytes. */
 size_t bn_wnaf(const uint8_t *scalar, unsigned width, int8_t *digits)
 {
     return wnaf(digits, scalar, width);
@@ -943,7 +916,7 @@ size_t bn_wnaf(const uint8_t *scalar, unsigned width, int8_t *digits)
 
 /* ------------------------------------------------------------------- G1 -- */
 
-/* dbl-2009-l, as msm._jac_double. */
+/* dbl-2009-l, as curve._jac_double. */
 static void g1_dbl(g1 *r, const g1 *p)
 {
     fp a, b, c, d, e, t, x3, y3, z3;
@@ -981,7 +954,7 @@ static inline void g1_set_identity(g1 *r)
     r->z = ZERO;
 }
 
-/* madd-2007-bl, as msm._jac_add_affine. */
+/* madd-2007-bl, as curve._jac_add_affine. */
 static void g1_add_affine(g1 *r, const g1 *p, const fp *ax, const fp *ay)
 {
     if (fp_is_zero(&p->z)) {
@@ -1028,7 +1001,7 @@ static void g1_add_affine(g1 *r, const g1 *p, const fp *ax, const fp *ay)
     r->z = z3;
 }
 
-/* add-2007-bl, as msm._jac_add. */
+/* add-2007-bl, as curve._jac_add. */
 static void g1_add(g1 *r, const g1 *p, const g1 *q)
 {
     if (fp_is_zero(&p->z)) {
@@ -1097,7 +1070,7 @@ static void g1_store(uint8_t *dst, const g1 *p)
 }
 
 /* Affine (x, y) of n Jacobian points with one shared inversion, as
- * msm._to_affine_batch_raw; -1 when some z is zero. */
+ * curve._to_affine_batch_raw; -1 when some z is zero. */
 static int g1_batch_affine(fp *ax, fp *ay, const g1 *pts, size_t n)
 {
     fp *prefix = malloc((n ? n : 1) * sizeof(fp));
@@ -1305,9 +1278,9 @@ static inline void g1_set_infinity(g1 *r)
     r->z = ZERO;
 }
 
-/* G1Point.double and __add__ run dbl-2009-l / add-2007-bl, pass an identity
- * operand through, and return G1Point.infinity() exactly where those
- * formulas give z == 0 (a doubling at y == 0, P + (-P)). */
+/* As G1Point.double and __add__, which wrap curve._jac_double / _jac_add:
+ * an identity operand passes through, and G1Point.infinity() replaces the
+ * formulas' z == 0 results (a doubling at y == 0, P + (-P)). */
 static void g1_point_dbl(g1 *r, const g1 *p)
 {
     g1_dbl(r, p);

@@ -4,6 +4,12 @@ Points are held in Jacobian coordinates ``(X, Y, Z)`` representing the affine
 point ``(X/Z^2, Y/Z^3)``; the point at infinity is ``Z == 0``.  Scalar
 multiplication uses 4-bit wNAF.  ``G1Point`` keeps raw ints for speed,
 ``G2Point`` mirrors the same formulas over :class:`~repro.crypto.bn254.fields.Fp2`.
+
+This module holds the one Python copy of the G1 group law (``_jac_double``,
+``_jac_add``, ``_jac_add_affine``, ``_to_affine_batch_raw``, over raw int
+triples) and of the wNAF recoder (``_wnaf``).  The ``G1Point`` methods,
+the MSM and comb references of :mod:`.msm` and :func:`.gt.gt_multi_pow`
+call them, and the native kernel (:mod:`.kernel`) runs the same formulas.
 """
 
 from __future__ import annotations
@@ -14,21 +20,125 @@ from .fields import Fp2, XI
 from .kernel import active
 
 
-def _wnaf(scalar: int, width: int = 4) -> list[int]:
-    """Windowed non-adjacent form of a non-negative scalar."""
-    digits = []
-    power = 1 << width
-    half = power >> 1
+# -- the G1 group law over raw int triples ------------------------------------
+#
+# dbl-2009-l, add-2007-bl and madd-2007-bl on plain (x, y, z) ints, z == 0
+# encoding infinity as (0, 1, 0): no allocation and no attribute lookups in
+# the MSM and comb loops.  The G1Point methods wrap them, as the kernel's
+# g1_point_dbl / g1_point_add wrap g1_dbl / g1_add.
+
+
+def _jac_double(x1: int, y1: int, z1: int) -> tuple[int, int, int]:
+    a = x1 * x1 % P
+    b = y1 * y1 % P
+    c = b * b % P
+    d = 2 * ((x1 + b) * (x1 + b) - a - c) % P
+    e = 3 * a
+    x3 = (e * e - 2 * d) % P
+    y3 = (e * (d - x3) - 8 * c) % P
+    z3 = 2 * y1 * z1 % P
+    return x3, y3, z3
+
+
+def _jac_add_affine(
+    x1: int, y1: int, z1: int, ax: int, ay: int
+) -> tuple[int, int, int]:
+    if z1 == 0:
+        return ax, ay % P, 1
+    z1z1 = z1 * z1 % P
+    u2 = ax * z1z1 % P
+    s2 = ay * z1 % P * z1z1 % P
+    h = (u2 - x1) % P
+    rr = 2 * (s2 - y1) % P
+    if h == 0:
+        if rr == 0:
+            return _jac_double(x1, y1, z1)
+        return 0, 1, 0
+    hh = h * h % P
+    i = 4 * hh
+    j = h * i % P
+    v = x1 * i % P
+    x3 = (rr * rr - j - 2 * v) % P
+    y3 = (rr * (v - x3) - 2 * y1 * j) % P
+    z3 = ((z1 + h) * (z1 + h) - z1z1 - hh) % P
+    return x3, y3, z3
+
+
+def _jac_add(
+    x1: int, y1: int, z1: int, x2: int, y2: int, z2: int
+) -> tuple[int, int, int]:
+    if z1 == 0:
+        return x2, y2, z2
+    if z2 == 0:
+        return x1, y1, z1
+    z1z1 = z1 * z1 % P
+    z2z2 = z2 * z2 % P
+    u1 = x1 * z2z2 % P
+    u2 = x2 * z1z1 % P
+    s1 = y1 * z2 % P * z2z2 % P
+    s2 = y2 * z1 % P * z1z1 % P
+    h = (u2 - u1) % P
+    rr = 2 * (s2 - s1) % P
+    if h == 0:
+        if rr == 0:
+            return _jac_double(x1, y1, z1)
+        return 0, 1, 0
+    i = 4 * h * h % P
+    j = h * i % P
+    v = u1 * i % P
+    x3 = (rr * rr - j - 2 * v) % P
+    y3 = (rr * (v - x3) - 2 * s1 * j) % P
+    z3 = ((z1 + z2) * (z1 + z2) - z1z1 - z2z2) % P * h % P
+    return x3, y3, z3
+
+
+def _to_affine_batch_raw(
+    triples: list[tuple[int, int, int]]
+) -> list[tuple[int, int]]:
+    """Normalize raw Jacobian triples (z != 0) with one shared inversion
+    (Montgomery's simultaneous-inversion trick)."""
+    n = len(triples)
+    prefix = [1] * (n + 1)
+    for i, triple in enumerate(triples):
+        prefix[i + 1] = prefix[i] * triple[2] % P
+    acc = pow(prefix[n], -1, P)
+    out: list[tuple[int, int]] = [None] * n  # type: ignore[list-item]
+    for i in range(n - 1, -1, -1):
+        x, y, z = triples[i]
+        zinv = prefix[i] * acc % P
+        acc = acc * z % P
+        zinv2 = zinv * zinv % P
+        out[i] = (x * zinv2 % P, y * zinv2 % P * zinv % P)
+    return out
+
+
+def _wnaf(scalar: int, width: int) -> list[int]:
+    """Width-``w`` non-adjacent form of a non-negative scalar, low digit
+    first; digits odd in (-2^(w-1), 2^(w-1)) or zero.
+
+    Zero runs are skipped in one step (count trailing zeros, extend, shift)
+    so the loop runs once per *nonzero* digit — ~bits/(w+1) iterations
+    instead of bits.
+    """
+    digits: list[int] = []
+    half = 1 << (width - 1)
+    full = 1 << width
     while scalar:
-        if scalar & 1:
-            digit = scalar % power
-            if digit >= half:
-                digit -= power
-            scalar -= digit
-        else:
-            digit = 0
-        digits.append(digit)
+        if not scalar & 1:
+            shift = (scalar & -scalar).bit_length() - 1
+            digits.extend([0] * shift)
+            scalar >>= shift
+        d = scalar & (full - 1)
+        if d >= half:
+            d -= full
+        scalar -= d
+        digits.append(d)
         scalar >>= 1
+        # After a nonzero digit the next w-1 low bits are zero by
+        # construction; emit them without re-testing.
+        if scalar:
+            digits.extend([0] * (width - 1))
+            scalar >>= width - 1
     return digits
 
 
@@ -41,7 +151,7 @@ def _wnaf_mul_ref(point, scalar: int):
     for _ in range(3):
         table.append(table[-1] + twice)
     result = type(point).infinity()
-    for digit in reversed(_wnaf(scalar)):
+    for digit in reversed(_wnaf(scalar, 4)):
         result = result.double()
         if digit > 0:
             result = result + table[digit >> 1]
@@ -157,93 +267,32 @@ class G1Point:
                 else:
                     pending.append(point)
         if pending:
-            # prefix[i] = z_0 * ... * z_{i-1}; one inversion of the total.
-            prefix = [1] * (len(pending) + 1)
-            acc = 1
-            for index, point in enumerate(pending):
-                prefix[index] = acc
-                acc = acc * point.z % P
-            acc_inv = pow(acc, -1, P)
-            for index in range(len(pending) - 1, -1, -1):
-                point = pending[index]
-                zinv = acc_inv * prefix[index] % P
-                acc_inv = acc_inv * point.z % P
-                zinv2 = zinv * zinv % P
-                point._affine = (
-                    point.x * zinv2 % P,
-                    point.y * zinv2 * zinv % P,
-                )
+            affine = _to_affine_batch_raw([(p.x, p.y, p.z) for p in pending])
+            for point, pair in zip(pending, affine):
+                point._affine = pair
         return [point._affine for point in points]
 
     # -- group law -----------------------------------------------------------
 
+    # The raw formulas' z == 0 results (a doubling at y == 0, P + (-P)) are
+    # returned as G1Point.infinity(), and an identity operand passes through.
+
     def double(self) -> "G1Point":
-        if self.z == 0 or self.y == 0:
-            return G1Point.infinity()
-        x, y, z = self.x, self.y, self.z
-        a = x * x % P
-        b = y * y % P
-        c = b * b % P
-        d = 2 * ((x + b) * (x + b) - a - c) % P
-        e = 3 * a
-        f = e * e
-        x3 = (f - 2 * d) % P
-        y3 = (e * (d - x3) - 8 * c) % P
-        z3 = 2 * y * z % P
-        return G1Point._raw(x3, y3, z3)
+        x, y, z = _jac_double(self.x, self.y, self.z)
+        return G1Point._raw(x, y, z) if z else G1Point.infinity()
 
     def __add__(self, other: "G1Point") -> "G1Point":
         if self.z == 0:
             return other
         if other.z == 0:
             return self
-        z1z1 = self.z * self.z % P
-        z2z2 = other.z * other.z % P
-        u1 = self.x * z2z2 % P
-        u2 = other.x * z1z1 % P
-        s1 = self.y * other.z * z2z2 % P
-        s2 = other.y * self.z * z1z1 % P
-        h = (u2 - u1) % P
-        rr = 2 * (s2 - s1) % P
-        if h == 0:
-            if rr == 0:
-                return self.double()
-            return G1Point.infinity()
-        i = 4 * h * h % P
-        j = h * i % P
-        v = u1 * i % P
-        x3 = (rr * rr - j - 2 * v) % P
-        y3 = (rr * (v - x3) - 2 * s1 * j) % P
-        z3 = ((self.z + other.z) * (self.z + other.z) - z1z1 - z2z2) * h % P
-        return G1Point._raw(x3, y3, z3)
+        x, y, z = _jac_add(self.x, self.y, self.z, other.x, other.y, other.z)
+        return G1Point._raw(x, y, z) if z else G1Point.infinity()
 
     def add_affine(self, ax: int, ay: int) -> "G1Point":
-        """Mixed addition with an affine point (z2 = 1): 7M + 4S.
-
-        The fixed-base and MSM fast paths keep their tables in affine form
-        (batch-normalized once), so every hot-loop addition takes this
-        cheaper formula instead of the full Jacobian one.
-        """
-        if self.z == 0:
-            return G1Point._raw(ax, ay, 1)
-        z1 = self.z
-        z1z1 = z1 * z1 % P
-        u2 = ax * z1z1 % P
-        s2 = ay * z1 % P * z1z1 % P
-        h = (u2 - self.x) % P
-        rr = 2 * (s2 - self.y) % P
-        if h == 0:
-            if rr == 0:
-                return self.double()
-            return G1Point.infinity()
-        hh = h * h % P
-        i = 4 * hh
-        j = h * i % P
-        v = self.x * i % P
-        x3 = (rr * rr - j - 2 * v) % P
-        y3 = (rr * (v - x3) - 2 * self.y * j) % P
-        z3 = ((z1 + h) * (z1 + h) - z1z1 - hh) % P
-        return G1Point._raw(x3, y3, z3)
+        """Mixed addition with an affine point (z2 = 1): 7M + 4S."""
+        x, y, z = _jac_add_affine(self.x, self.y, self.z, ax, ay)
+        return G1Point._raw(x, y, z) if z else G1Point.infinity()
 
     def __neg__(self) -> "G1Point":
         if self.is_infinity():

@@ -20,7 +20,9 @@ compute over plain ints with delayed reduction (one ``% p`` per output
 coefficient instead of one per intermediate) and construct no intermediate
 Fp2/Fp6 objects.  Residues are canonical, so the flattened kernels return
 exactly the same values as the schoolbook tower — the crypto differential
-tests pin this down bit for bit.
+tests pin this down bit for bit.  The Fp12 product and the cyclotomic
+square exist only in that flat form (:func:`_f12mul`,
+:func:`_f12sqr_cyclo`); the :class:`Fp12` methods convert at the edges.
 
 The square roots behind point decompression and hashing to G1,
 :func:`fp_sqrt` and :meth:`Fp2.sqrt`, run in the native kernel
@@ -117,14 +119,17 @@ def _f6sub(a, b):
 # Flat Fp12 kernels over 12-int tuples (c0 flat6 ++ c1 flat6).
 #
 # Unlike the 2/6 kernels these return REDUCED tuples, so outputs can feed
-# straight back in — the GT exponentiation chains (fixed-base windows,
-# shared multi-pow ladders) run entirely on these and only materialize an
-# Fp12 object at the end.
+# straight back in.  They are the one Python copy of the Fp12 product and
+# cyclotomic square: Fp12.__mul__, cyclotomic_square and pow_t wrap them,
+# and the GT exponentiation chains (fixed-base windows, shared multi-pow
+# ladders) run entirely on them and only materialize an Fp12 object at
+# the end.  The kernel's fp12_mul / fp12_cyclo_sqr mirror them.
 # --------------------------------------------------------------------------
 
 
 def _f12mul(a, b):
-    """Flat Fp12 product (same Karatsuba-over-Fp6 sequence as Fp12.__mul__).
+    """Flat Fp12 product: Karatsuba over Fp6, c0 = t0 + v t1 and
+    c1 = (a0 + a1)(b0 + b1) - t0 - t1.
 
     Fully unpacked — no slicing or generator glue; this is the single
     hottest GT operation (fixed-base commitment windows, batch multi-pow).
@@ -419,9 +424,6 @@ class Fp6:
         """Multiply by v: (c0, c1, c2) -> (xi*c2, c0, c1)."""
         return Fp6(self.c2.mul_by_xi(), self.c0, self.c1)
 
-    def mul_by_fp2(self, k: Fp2) -> "Fp6":
-        return Fp6(self.c0 * k, self.c1 * k, self.c2 * k)
-
     def inverse(self) -> "Fp6":
         a0, a1, a2 = self.c0, self.c1, self.c2
         t0 = a0.square() - (a1 * a2).mul_by_xi()
@@ -502,13 +504,7 @@ class Fp12:
         return Fp12(-self.c0, -self.c1)
 
     def __mul__(self, other: "Fp12") -> "Fp12":
-        a0, a1 = self.c0._flat6(), self.c1._flat6()
-        b0, b1 = other.c0._flat6(), other.c1._flat6()
-        t0 = _f6mul(a0, b0)
-        t1 = _f6mul(a1, b1)
-        c0 = _f6add(t0, _f6mulv(t1))
-        c1 = _f6sub(_f6sub(_f6mul(_f6add(a0, a1), _f6add(b0, b1)), t0), t1)
-        return Fp12(Fp6._from_flat6(c0), Fp6._from_flat6(c1))
+        return Fp12._from_flat12(_f12mul(self._flat12(), other._flat12()))
 
     def square(self) -> "Fp12":
         a0, a1 = self.c0._flat6(), self.c1._flat6()
@@ -546,12 +542,6 @@ class Fp12:
             base = base.square()
             exponent >>= 1
         return result
-
-    def pow_unitary(self, exponent: int) -> "Fp12":
-        """Exponentiation assuming ``self`` is unitary (conj = inverse)."""
-        if exponent < 0:
-            return self.conjugate().pow_unitary(-exponent)
-        return self**exponent
 
     # -- sparse multiplication for Miller-loop line evaluations ------------
 
@@ -635,42 +625,19 @@ class Fp12:
         Roughly half the cost of a generic square; used by the final
         exponentiation and GT exponentiation hot paths.
         """
-        # Flat coefficients over w: f = g0 + g1 w + g2 w^2 + g3 w^3 + g4 w^4 + g5 w^5
-        s0, s1 = self.c0, self.c1
-        g0, g2, g4 = s0.c0, s0.c1, s0.c2
-        g1, g3, g5 = s1.c0, s1.c1, s1.c2
-
-        def _sq(a: Fp2, b: Fp2):
-            # (a + b*y)^2 in Fp4 = Fp2[y]/(y^2 - xi); unreduced flat pairs
-            a20, a21 = _f2sqr(a.c0, a.c1)
-            b20, b21 = _f2sqr(b.c0, b.c1)
-            x0, x1 = _f2xi(b20, b21)
-            s0_, s1_ = _f2sqr(a.c0 + b.c0, a.c1 + b.c1)
-            return (a20 + x0, a21 + x1), (s0_ - a20 - b20, s1_ - a21 - b21)
-
-        t00, t11 = _sq(g0, g3)
-        t01, t12 = _sq(g1, g4)
-        t02, t10 = _sq(g2, g5)
-        t10 = _f2xi(*t10)
-
-        h0 = Fp2(3 * t00[0] - 2 * g0.c0, 3 * t00[1] - 2 * g0.c1)
-        h2 = Fp2(3 * t01[0] - 2 * g2.c0, 3 * t01[1] - 2 * g2.c1)
-        h4 = Fp2(3 * t02[0] - 2 * g4.c0, 3 * t02[1] - 2 * g4.c1)
-        h1 = Fp2(3 * t10[0] + 2 * g1.c0, 3 * t10[1] + 2 * g1.c1)
-        h3 = Fp2(3 * t11[0] + 2 * g3.c0, 3 * t11[1] + 2 * g3.c1)
-        h5 = Fp2(3 * t12[0] + 2 * g5.c0, 3 * t12[1] + 2 * g5.c1)
-        return Fp12._from_flat([h0, h1, h2, h3, h4, h5])
+        return Fp12._from_flat12(_f12sqr_cyclo(self._flat12()))
 
     def pow_t(self, t: int) -> "Fp12":
         """Cyclotomic exponentiation by the (positive) BN parameter t.
 
         Only valid for unitary elements; used by the final exponentiation.
         """
-        result = Fp12.one()
-        base = self
+        result = None
+        base = self._flat12()
         while t:
             if t & 1:
-                result = result * base
-            base = base.cyclotomic_square()
+                result = base if result is None else _f12mul(result, base)
             t >>= 1
-        return result
+            if t:
+                base = _f12sqr_cyclo(base)
+        return Fp12.one() if result is None else Fp12._from_flat12(result)

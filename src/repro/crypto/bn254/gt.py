@@ -8,59 +8,30 @@ paper's Figs. 8/9 stays small
 (``benchmarks/bench_ablations.py::test_ablation_gt_fixed_base`` measures the
 win).
 
-All chains here run on the flat 12-int layout of :meth:`Fp12._flat12`:
-in the native kernel when :func:`.kernel.active` returns one, else in the
-pure-Python references below over :func:`_f12mul` / :func:`_f12sqr_cyclo`
-(raw tuples in, one :class:`Fp12` constructed at the end).  Exact modular
-arithmetic keeps every result bit-identical to the object-based tower.
+Two chains live here, the shared multi-pow ladder (variable bases, which
+:func:`gt_pow` runs with one term) and the fixed-base windows.  Both run
+on the flat 12-int layout of :meth:`Fp12._flat12`: in the native kernel
+when :func:`.kernel.active` returns one, else in the pure-Python
+references below over :func:`_f12mul` / :func:`_f12sqr_cyclo` (raw tuples
+in, one :class:`Fp12` constructed at the end).  The ladder's digits come
+from :func:`.curve._wnaf` at width 4.  Exact modular arithmetic keeps
+every result bit-identical to the object-based tower.
 """
 
 from __future__ import annotations
 
 from .constants import CURVE_ORDER
+from .curve import _wnaf
 from .fields import Fp12, _f12conj, _f12mul, _f12sqr_cyclo
 from .kernel import active
 
 
 def gt_pow(base: Fp12, exponent: int) -> Fp12:
-    """Variable-base GT exponentiation using cyclotomic squarings.
+    """Variable-base GT exponentiation: :func:`gt_multi_pow` of one term.
 
     Valid only for unitary elements (anything coming out of the pairing).
     """
-    exponent %= CURVE_ORDER
-    if exponent == 0:
-        return Fp12.one()
-    kernel = active()
-    chain = _gt_pow_ref if kernel is None else kernel.gt_pow
-    return Fp12._from_flat12(chain(base._flat12(), exponent))
-
-
-def _gt_pow_ref(power: tuple, exponent: int) -> tuple:
-    """Square-and-multiply from the low bit; ``exponent`` > 0."""
-    result = None
-    while exponent:
-        if exponent & 1:
-            result = power if result is None else _f12mul(result, power)
-        exponent >>= 1
-        if exponent:
-            power = _f12sqr_cyclo(power)
-    return result
-
-
-def _naf4(exponent: int) -> list[int]:
-    """Width-4 signed NAF of ``exponent`` > 0, low digit first."""
-    digits = []
-    while exponent:
-        if exponent & 1:
-            d = exponent & 15
-            if d >= 8:
-                d -= 16
-            exponent -= d
-        else:
-            d = 0
-        digits.append(d)
-        exponent >>= 1
-    return digits
+    return gt_multi_pow([(base, exponent)])
 
 
 def gt_multi_pow(items: list[tuple[Fp12, int]]) -> Fp12:
@@ -72,7 +43,7 @@ def gt_multi_pow(items: list[tuple[Fp12, int]]) -> Fp12:
     Digits are width-4 signed NAF — negative digits multiply by the
     conjugate, which IS the inverse for unitary elements (pairing outputs),
     so the odd-multiple tables stay tiny.  Exact field arithmetic makes the
-    result bit-identical to multiplying independent :func:`gt_pow` calls.
+    result bit-identical to multiplying independent powers.
     """
     bases: list[tuple] = []
     nafs: list[list[int]] = []
@@ -80,7 +51,7 @@ def gt_multi_pow(items: list[tuple[Fp12, int]]) -> Fp12:
         exponent %= CURVE_ORDER
         if exponent:
             bases.append(base._flat12())
-            nafs.append(_naf4(exponent))
+            nafs.append(_wnaf(exponent, 4))
     if not nafs:
         return Fp12.one()
     kernel = active()

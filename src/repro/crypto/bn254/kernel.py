@@ -3,7 +3,7 @@
 ``bn254_kernel.c`` is a 4x64-bit Montgomery ``Fp`` with the Fp2 / Fp6 /
 Fp12 tower of :mod:`.fields`, and whole loops on top of it: the shared
 Miller loop over prepared lines and the preparation of those lines, the
-final exponentiation, the three GT exponentiation chains, the G1 wNAF
+final exponentiation, the two GT exponentiation chains, the G1 wNAF
 chain (recoding included), fixed-base and table-building chains, the
 generic G1 and G2 scalar multiplications of ``G1Point.__mul__`` /
 ``G2Point.__mul__``, and the Fp and Fp2 square roots behind point
@@ -56,7 +56,6 @@ _SIGNATURES = {
     "bn_g2_prepare": ([_PTR, _PTR, _SIZE, _PTR, _PTR], _INT),
     "bn_miller_loop": ([_PTR, _PTR, _SIZE, _PTR, _SIZE, _PTR], _INT),
     "bn_final_exponentiation": ([_PTR, _PTR, ctypes.c_uint64, _PTR], _INT),
-    "bn_gt_pow": ([_PTR, _PTR, _PTR], None),
     "bn_gt_multi_pow": ([_PTR, _PTR, _SIZE, _SIZE, _PTR], _INT),
     "bn_gt_fixed_table": ([_PTR, _UINT, _SIZE, _PTR], None),
     "bn_gt_fixed_pow": ([_PTR, _UINT, _SIZE, _PTR, _PTR], None),
@@ -186,11 +185,6 @@ class Kernel:
 
     # -- GT ----------------------------------------------------------------
 
-    def gt_pow(self, flat: Sequence[int], exponent: int) -> tuple:
-        out = ctypes.create_string_buffer(_FP12)
-        self._lib.bn_gt_pow(_pack(flat), exponent.to_bytes(_FP, "little"), out)
-        return _unpack(out.raw)
-
     def gt_multi_pow(self, flats: Sequence[Sequence[int]], nafs: Sequence[list[int]]) -> tuple:
         top = max(len(naf) for naf in nafs)
         digits = array("b")
@@ -220,7 +214,7 @@ class Kernel:
     # -- G1 ----------------------------------------------------------------
 
     def wnaf(self, scalar: int, width: int) -> list[int]:
-        """``msm._wnaf(scalar, width)`` for 0 <= scalar < 2^255."""
+        """``curve._wnaf(scalar, width)`` for 0 <= scalar < 2^255."""
         _recodable((scalar,), (width,))
         out = ctypes.create_string_buffer(256)
         count = self._lib.bn_wnaf(scalar.to_bytes(_FP, "little"), width, out)
@@ -311,21 +305,14 @@ def _probe_agrees(kernel: Kernel) -> bool:
     (the lock is not reentrant): the references are the ``_ref`` functions,
     and ``G2Prepared`` builds nothing until a Miller loop asks for it."""
     # The references' modules import this one.
-    from .curve import G1Point, G2Point, _wnaf_mul_ref
+    from .curve import G1Point, G2Point, _wnaf, _wnaf_mul_ref
     from .fields import Fp2, _fp_sqrt_ref
-    from .gt import (
-        _gt_fixed_pow_ref,
-        _gt_fixed_table_ref,
-        _gt_multi_pow_ref,
-        _gt_pow_ref,
-        _naf4,
-    )
+    from .gt import _gt_fixed_pow_ref, _gt_fixed_table_ref, _gt_multi_pow_ref
     from .msm import (
         _fixed_mul_g1_ref,
         _fixed_table_g1_ref,
         _msm_wnaf_g1_native,
         _msm_wnaf_g1_ref,
-        _wnaf,
         _wnaf_table_g1_ref,
     )
     from .pairing import (
@@ -351,7 +338,7 @@ def _probe_agrees(kernel: Kernel) -> bool:
     lines = kernel.g2_prepare((xq.c0, xq.c1, yq.c0, yq.c1), _ATE_SCHEDULE)
     exponent = 0x9E3779B97F4A7C15
     bases = [target._flat12(), miller._flat12()]
-    nafs = [_naf4(exponent), _naf4(exponent >> 17)]
+    nafs = [_wnaf(exponent, 4), _wnaf(exponent >> 17, 4)]
     windows = _gt_fixed_table_ref(bases[0], 3, 2)
     native_windows = kernel.gt_fixed_table(bases[0], 3, 2)
     # Width 4 built here, width 6 cached in the kernel's form.
@@ -372,7 +359,6 @@ def _probe_agrees(kernel: Kernel) -> bool:
         and decode_montgomery(lines)
         == tuple(v for s, c in _prepare_ref(xq, yq) for v in (s.c0, s.c1, c.c0, c.c1))
         and kernel.final_exponentiation(miller._flat12()) == target._flat12()
-        and kernel.gt_pow(bases[1], exponent) == _gt_pow_ref(bases[1], exponent)
         and kernel.gt_multi_pow(bases, nafs) == _gt_multi_pow_ref(bases, nafs)
         and kernel.from_montgomery(native_windows)
         == tuple(v for row in windows for entry in row for v in entry)

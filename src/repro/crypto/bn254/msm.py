@@ -13,6 +13,12 @@ through the endomorphism phi).
 ``bench_ablation_msm`` and ``bench_crypto_speed`` quantify the win over
 naive double-and-add.
 
+The G1 references here run on plain (x, y, z) int triples, z == 0 for
+infinity, through the one Python copy of the group law and of the wNAF
+recoder in :mod:`.curve` (``_jac_double``, ``_jac_add``,
+``_jac_add_affine``, ``_to_affine_batch_raw``, ``_wnaf``); the
+``G1Point`` methods wrap the same functions.
+
 The G1 wNAF chain with its wNAF recoding, its table builds and the G1
 comb of :class:`FixedBaseMul` run in the native kernel (:mod:`.kernel`)
 when it is in use, on the same formulas in the same order, so even the
@@ -39,7 +45,15 @@ from .constants import (
     GLV_B2,
     GLV_BETA,
 )
-from .curve import G1Point, G2Point
+from .curve import (
+    G1Point,
+    G2Point,
+    _jac_add,
+    _jac_add_affine,
+    _jac_double,
+    _to_affine_batch_raw,
+    _wnaf,
+)
 from .kernel import Kernel, active, decode_montgomery
 
 PointT = TypeVar("PointT", G1Point, G2Point)
@@ -63,127 +77,6 @@ def _glv_split(k: int) -> tuple[int, int]:
     c1 = (2 * GLV_B2 * k + CURVE_ORDER) // (2 * CURVE_ORDER)
     c2 = (-2 * GLV_B1 * k + CURVE_ORDER) // (2 * CURVE_ORDER)
     return k - c1 * GLV_A1 - c2 * GLV_A2, -c1 * GLV_B1 - c2 * GLV_B2
-
-
-# -- raw Jacobian kernels (G1 hot loops) -------------------------------------
-#
-# The G1 inner loops run on plain int coordinate triples instead of G1Point
-# objects: no allocation, no attribute lookups, one tuple per step.  z == 0
-# encodes infinity.  Formulas are the same dbl-2009-l / madd-2007-bl /
-# add-2007-bl used by curve.py — exact mod-p arithmetic keeps results
-# bit-identical once normalized to affine.
-
-
-def _jac_double(x1: int, y1: int, z1: int) -> tuple[int, int, int]:
-    a = x1 * x1 % P
-    b = y1 * y1 % P
-    c = b * b % P
-    d = 2 * ((x1 + b) * (x1 + b) - a - c) % P
-    e = 3 * a
-    x3 = (e * e - 2 * d) % P
-    y3 = (e * (d - x3) - 8 * c) % P
-    z3 = 2 * y1 * z1 % P
-    return x3, y3, z3
-
-
-def _jac_add_affine(
-    x1: int, y1: int, z1: int, ax: int, ay: int
-) -> tuple[int, int, int]:
-    if z1 == 0:
-        return ax, ay % P, 1
-    z1z1 = z1 * z1 % P
-    u2 = ax * z1z1 % P
-    s2 = ay * z1 % P * z1z1 % P
-    h = (u2 - x1) % P
-    rr = 2 * (s2 - y1) % P
-    if h == 0:
-        if rr == 0:
-            return _jac_double(x1, y1, z1)
-        return 0, 1, 0
-    hh = h * h % P
-    i = 4 * hh
-    j = h * i % P
-    v = x1 * i % P
-    x3 = (rr * rr - j - 2 * v) % P
-    y3 = (rr * (v - x3) - 2 * y1 * j) % P
-    z3 = ((z1 + h) * (z1 + h) - z1z1 - hh) % P
-    return x3, y3, z3
-
-
-def _jac_add(
-    x1: int, y1: int, z1: int, x2: int, y2: int, z2: int
-) -> tuple[int, int, int]:
-    if z1 == 0:
-        return x2, y2, z2
-    if z2 == 0:
-        return x1, y1, z1
-    z1z1 = z1 * z1 % P
-    z2z2 = z2 * z2 % P
-    u1 = x1 * z2z2 % P
-    u2 = x2 * z1z1 % P
-    s1 = y1 * z2 % P * z2z2 % P
-    s2 = y2 * z1 % P * z1z1 % P
-    h = (u2 - u1) % P
-    rr = 2 * (s2 - s1) % P
-    if h == 0:
-        if rr == 0:
-            return _jac_double(x1, y1, z1)
-        return 0, 1, 0
-    i = 4 * h * h % P
-    j = h * i % P
-    v = u1 * i % P
-    x3 = (rr * rr - j - 2 * v) % P
-    y3 = (rr * (v - x3) - 2 * s1 * j) % P
-    z3 = ((z1 + z2) * (z1 + z2) - z1z1 - z2z2) % P * h % P
-    return x3, y3, z3
-
-
-def _to_affine_batch_raw(
-    triples: list[tuple[int, int, int]]
-) -> list[tuple[int, int]]:
-    """Normalize raw Jacobian triples (z != 0) with one shared inversion."""
-    n = len(triples)
-    prefix = [1] * (n + 1)
-    for i, triple in enumerate(triples):
-        prefix[i + 1] = prefix[i] * triple[2] % P
-    acc = pow(prefix[n], -1, P)
-    out: list[tuple[int, int]] = [None] * n  # type: ignore[list-item]
-    for i in range(n - 1, -1, -1):
-        x, y, z = triples[i]
-        zinv = prefix[i] * acc % P
-        acc = acc * z % P
-        zinv2 = zinv * zinv % P
-        out[i] = (x * zinv2 % P, y * zinv2 % P * zinv % P)
-    return out
-
-
-def _wnaf(scalar: int, width: int) -> list[int]:
-    """Width-``w`` non-adjacent form; digits odd in (-2^(w-1), 2^(w-1)).
-
-    Zero runs are skipped in one step (count trailing zeros, extend, shift)
-    so the loop runs once per *nonzero* digit — ~bits/(w+1) iterations
-    instead of bits.
-    """
-    digits: list[int] = []
-    half = 1 << (width - 1)
-    full = 1 << width
-    while scalar:
-        if not scalar & 1:
-            shift = (scalar & -scalar).bit_length() - 1
-            digits.extend([0] * shift)
-            scalar >>= shift
-        d = scalar & (full - 1)
-        if d >= half:
-            d -= full
-        scalar -= d
-        digits.append(d)
-        scalar >>= 1
-        # After a nonzero digit the next w-1 low bits are zero by
-        # construction; emit them without re-testing.
-        if scalar:
-            digits.extend([0] * (width - 1))
-            scalar >>= width - 1
-    return digits
 
 
 def _timed_msm(impl, *args):

@@ -11,6 +11,8 @@ references.
 
 from __future__ import annotations
 
+import ast
+import hashlib
 import importlib
 import random
 import shutil
@@ -19,6 +21,7 @@ import threading
 import types
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +35,9 @@ from repro.core.challenge import random_challenge
 from repro.core.chunking import chunk_file
 from repro.core.params import ProtocolParams
 from repro.crypto.bn254 import (
+    BN_T,
     CURVE_ORDER,
+    FIELD_MODULUS,
     FixedBaseMul,
     Fp2,
     G1Point,
@@ -49,7 +54,14 @@ from repro.crypto.bn254 import (
     pairing,
     wnaf_table_g1,
 )
-from repro.crypto.bn254.curve import _wnaf_mul_ref
+from repro.crypto.bn254.curve import (
+    _jac_add,
+    _jac_add_affine,
+    _jac_double,
+    _to_affine_batch_raw,
+    _wnaf,
+    _wnaf_mul_ref,
+)
 from repro.crypto.bn254.msm import _msm_wnaf_g1_ref, _wnaf_table_g1_ref
 from repro.randomness import HashChainBeacon
 from repro.sim.workloads import archive_file
@@ -351,6 +363,89 @@ def test_gt_table_has_one_representation_and_stores_the_reference_format(gt_tabl
             assert native.from_montgomery(table) == tuple(
                 v for row in rows for entry in row for v in entry
             )
+
+
+# --------------------------------------------------------------------- #
+# One Python copy of each formula                                       #
+# --------------------------------------------------------------------- #
+
+#: SHA-256 of every value ``_representative_values`` produces, recorded
+#: while each of these formulas still had a second Python copy.
+REPRESENTATIVES_DIGEST = "0956f5207dfc8390ffe6989c7b7de413deee268d5ce34acba98bdb4d40d1f724"
+
+
+def _representative_values():
+    """Raw values of the Python group law, recoder and GT squaring on
+    fixed-seed inputs: the ``G1Point`` methods (identity (1, 1, 0)) and the
+    raw formulas (identity (0, 1, 0)) over P + P, P + (-P), identity
+    operands and z = 1 / z != 1 inputs, wNAF digits at widths 2-8, and
+    ``cyclotomic_square``, ``pow_t`` and ``gt_pow`` over GT elements."""
+    rng = random.Random(0x0F0E)
+    jacobian = [G1 * rng.randrange(2, CURVE_ORDER) for _ in range(3)]
+    assert all(p.z != 1 for p in jacobian)
+    affine = [G1Point(*p.to_affine()) for p in jacobian[:2]]
+    points = [G1, *jacobian, *affine, G1Point.infinity(), G1Point(5, 0)]
+    for p in points:
+        yield _triple(p.double())
+        yield _jac_double(*_triple(p))
+        for q in (*points, -p):
+            yield _triple(p + q)
+            yield _jac_add(*_triple(p), *_triple(q))
+        negated = (affine[0].x, FIELD_MODULUS - affine[0].y)
+        for ax, ay in (G1.to_affine(), affine[0].to_affine(), negated):
+            yield _triple(p.add_affine(ax, ay))
+            yield _jac_add_affine(*_triple(p), ax, ay)
+    finite = [G1Point._raw(*_triple(p)) for p in points[:6]]
+    yield G1Point.to_affine_batch(finite)
+    yield G1Point.to_affine_batch(finite + [G1Point._raw(*_triple(jacobian[0]))])
+    yield _to_affine_batch_raw([_triple(p) for p in points[:6]])
+    for scalar in (1, 2, 7, 2**254 - 1, *(rng.getrandbits(254) for _ in range(8))):
+        for width in range(2, 9):
+            yield _wnaf(scalar, width)
+    gt = [GT, GT_BASES[2], gt_pow(GT, rng.randrange(1, CURVE_ORDER))]
+    for f in gt:
+        yield f.cyclotomic_square()._flat12()
+        yield f.pow_t(BN_T)._flat12()
+        yield f.pow_t(rng.getrandbits(64))._flat12()
+        for exponent in (0, 1, CURVE_ORDER - 1, CURVE_ORDER, rng.randrange(CURVE_ORDER)):
+            yield gt_pow(f, exponent)._flat12()
+
+
+def test_representatives_known_answer():
+    def run():
+        digest = hashlib.sha256()
+        for value in _representative_values():
+            digest.update(repr(value).encode())
+        return digest.hexdigest()
+
+    assert _on_both(run) == [REPRESENTATIVES_DIGEST] * 2
+
+
+def _definitions(root):
+    """(module file name, function name) of every function under ``root``,
+    methods included."""
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                yield path.name, node.name
+
+
+def test_one_copy_of_each_formula():
+    """The G1 group law and the wNAF recoder live in curve.py, the flat
+    Fp12 product and cyclotomic square in fields.py, once each; the
+    variable-base GT power is ``gt_multi_pow`` of one term, with no chain
+    of its own in Python or in the kernel."""
+    root = Path(kernel.__file__).parent
+    homes: dict[str, list[str]] = {}
+    for module, name in _definitions(root):
+        homes.setdefault(name, []).append(module)
+    for name in ("_wnaf", "_jac_double", "_jac_add", "_jac_add_affine", "_to_affine_batch_raw"):
+        assert homes.get(name) == ["curve.py"], name
+    for name in ("_f12mul", "_f12sqr_cyclo"):
+        assert homes.get(name) == ["fields.py"], name
+    assert "_naf4" not in homes and "_gt_pow_ref" not in homes
+    assert "bn_gt_pow" not in kernel._SIGNATURES
+    assert "bn_gt_pow" not in (root / kernel.SOURCE).read_text()
 
 
 # --------------------------------------------------------------------- #

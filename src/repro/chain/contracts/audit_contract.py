@@ -306,15 +306,10 @@ class AuditContract(Contract):
             return
         with staged_verdicts(items) as outcome:
             registry = get_registry()
-            registry.counter(
-                "contract_verify_batches_total",
-                "block-scoped grouped checks, by result",
-                ("result",),
-            ).labels("ok" if outcome else "localized").inc()
-            registry.histogram(
-                "contract_verify_batch_size",
-                "statements per block-scoped grouped check",
-            ).observe(len(items))
+            registry.instrument("contract_verify_batches_total").labels(
+                "ok" if outcome else "localized"
+            ).inc()
+            registry.instrument("contract_verify_batch_size").observe(len(items))
             yield
 
     def trigger_verify(self, ctx: CallContext):

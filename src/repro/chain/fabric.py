@@ -85,12 +85,8 @@ class ShardedChainFabric:
         # Registry mirror: cumulative counters update on every mined
         # round; live gauges (depth, base fees) attach via attach_gauges.
         self._registry = get_registry()
-        self._m_blocks = self._registry.counter(
-            "fabric_blocks_mined_total", "blocks mined across all lanes"
-        )
-        self._m_txs = self._registry.counter(
-            "fabric_txs_settled_total", "transactions settled across all lanes"
-        )
+        self._m_blocks = self._registry.instrument("fabric_blocks_mined_total")
+        self._m_txs = self._registry.instrument("fabric_txs_settled_total")
         self._gauge_hook = None
 
     # -- lanes ----------------------------------------------------------------
@@ -322,14 +318,9 @@ class ShardedChainFabric:
         if self._gauge_hook is not None:
             return
         registry = self._registry
-        depth = registry.gauge("mempool_depth", "pending transactions across all lanes")
-        base_fee = registry.gauge(
-            "fabric_lane_base_fee_wei", "current base fee per lane", ("lane",)
-        )
-        chain_seconds = registry.gauge(
-            "fabric_settlement_chain_seconds",
-            "slowest lane's occupied block slots x slot time",
-        )
+        depth = registry.instrument("mempool_depth")
+        base_fee = registry.instrument("fabric_lane_base_fee_wei")
+        chain_seconds = registry.instrument("fabric_settlement_chain_seconds")
 
         def refresh() -> None:
             depth.set(self.pending_total())

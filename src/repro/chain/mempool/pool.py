@@ -187,23 +187,11 @@ class Mempool:
         # per-pool dicts above stay the per-lane source of truth).
         registry = get_registry()
         self._m_stats = {
-            stat: registry.counter(
-                f"mempool_{stat}_total", f"transactions {stat} (all lanes)"
-            )
-            for stat in self.stats
+            stat: registry.instrument(f"mempool_{stat}_total") for stat in self.stats
         }
-        self._m_rejections = registry.counter(
-            "mempool_rejections_total",
-            "admission rejections by taxonomy reason",
-            ("reason",),
-        )
-        self._m_inversions = registry.counter(
-            "mempool_priority_inversions_total",
-            "lower-tip tx mined before higher-tip",
-        )
-        self._m_tips = registry.counter(
-            "mempool_tips_paid_total", "priority fees paid to miners (wei)"
-        )
+        self._m_rejections = registry.instrument("mempool_rejections_total")
+        self._m_inversions = registry.instrument("mempool_priority_inversions_total")
+        self._m_tips = registry.instrument("mempool_tips_paid_total")
 
     # -- views ----------------------------------------------------------------
 

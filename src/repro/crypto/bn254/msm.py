@@ -32,10 +32,9 @@ from __future__ import annotations
 
 from array import array
 from functools import cache
-from time import perf_counter
 from typing import Sequence, TypeVar
 
-from ...obs.hotpath import HOTPATH
+from ...obs.hotpath import profiled
 from .constants import (
     CURVE_ORDER,
     FIELD_MODULUS as P,
@@ -79,17 +78,7 @@ def _glv_split(k: int) -> tuple[int, int]:
     return k - c1 * GLV_A1 - c2 * GLV_A2, -c1 * GLV_B1 - c2 * GLV_B2
 
 
-def _timed_msm(impl, *args):
-    """The one ``bn254.msm`` profiling gate: a single attribute read when
-    off (``tests/obs/test_overhead.py`` holds it to the 3 % budget)."""
-    if HOTPATH.enabled:
-        t0 = perf_counter()
-        result = impl(*args)
-        HOTPATH.add("bn254.msm", perf_counter() - t0)
-        return result
-    return impl(*args)
-
-
+@profiled("bn254.msm")
 def multi_scalar_mul(
     points: Sequence[PointT],
     scalars: Sequence[int],
@@ -109,15 +98,6 @@ def multi_scalar_mul(
     ``None`` to build one on the fly.  The result is the exact same group
     element either way — only table reuse differs.
     """
-    return _timed_msm(_multi_scalar_mul, points, scalars, identity, tables)
-
-
-def _multi_scalar_mul(
-    points: Sequence[PointT],
-    scalars: Sequence[int],
-    identity: PointT | None = None,
-    tables: Sequence[Table | None] | None = None,
-) -> PointT:
     if len(points) != len(scalars):
         raise ValueError("points and scalars must have the same length")
     if tables is not None and len(tables) != len(points):
@@ -367,10 +347,8 @@ class FixedBaseMul:
         else:
             self._table = _fixed_table_g1_ref(raw_base, window, self._rows)
 
+    @profiled("bn254.msm")
     def mul(self, scalar: int) -> G1Point:
-        return _timed_msm(self._mul, scalar)
-
-    def _mul(self, scalar: int) -> G1Point:
         scalar %= CURVE_ORDER
         if not self._table:
             return G1Point.infinity()

@@ -34,9 +34,7 @@ the reference inverts once per step, and the values are the same.
 
 from __future__ import annotations
 
-from time import perf_counter
-
-from ...obs.hotpath import HOTPATH
+from ...obs.hotpath import profiled
 from .constants import ATE_LOOP_COUNT, BN_T
 from .curve import G1Point, G2Point
 from .fields import Fp2, Fp12, _FROB1, _FROB2
@@ -170,29 +168,12 @@ def prepare_g2(q: G2Point | G2Prepared) -> G2Prepared:
 
 def miller_loop(p: G1Point, q: G2Point | G2Prepared) -> Fp12:
     """Miller loop f_{6t+2,Q}(P) * l_{T,Q1}(P) * l_{T+Q1,-Q2}(P)."""
-    if HOTPATH.enabled:
-        t0 = perf_counter()
-        result = _miller_loop(p, q)
-        HOTPATH.add("bn254.miller_loop", perf_counter() - t0)
-        return result
-    return _miller_loop(p, q)
+    return miller_loop_product([(p, q)])
 
 
-def _miller_loop(p: G1Point, q: G2Point | G2Prepared) -> Fp12:
-    return _miller_loop_product([(p, q)])
-
-
+@profiled("bn254.final_exp")
 def final_exponentiation(f: Fp12) -> Fp12:
     """f^((p^12 - 1) / r) via the standard BN decomposition."""
-    if HOTPATH.enabled:
-        t0 = perf_counter()
-        result = _final_exponentiation(f)
-        HOTPATH.add("bn254.final_exp", perf_counter() - t0)
-        return result
-    return _final_exponentiation(f)
-
-
-def _final_exponentiation(f: Fp12) -> Fp12:
     kernel = active()
     if kernel is not None:
         flat = kernel.final_exponentiation(f._flat12())
@@ -236,6 +217,7 @@ def pairing(p: G1Point, q: G2Point | G2Prepared) -> Fp12:
     return final_exponentiation(miller_loop(p, q))
 
 
+@profiled("bn254.miller_loop")
 def miller_loop_product(pairs: list[tuple[G1Point, G2Point | G2Prepared]]) -> Fp12:
     """Product of Miller loops (no final exponentiation).
 
@@ -245,15 +227,6 @@ def miller_loop_product(pairs: list[tuple[G1Point, G2Point | G2Prepared]]) -> Fp
     fraction of the Fp12 squarings.  Accepts :class:`G2Prepared` entries to
     skip the per-call line precompute.
     """
-    if HOTPATH.enabled:
-        t0 = perf_counter()
-        result = _miller_loop_product(pairs)
-        HOTPATH.add("bn254.miller_loop", perf_counter() - t0)
-        return result
-    return _miller_loop_product(pairs)
-
-
-def _miller_loop_product(pairs: list[tuple[G1Point, G2Point | G2Prepared]]) -> Fp12:
     live: list[tuple[int, int, G2Prepared]] = []
     for p, q in pairs:
         prepared = prepare_g2(q)

@@ -35,14 +35,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.total if self.total else 0.0
-
 
 #: GT commitment window: one step wider than ``GTFixedBase``'s default 4 —
 #: the flat Fp12 kernels made table builds cheap enough that the warm-path win

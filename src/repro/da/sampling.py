@@ -170,21 +170,10 @@ class DaSampler:
     def __init__(self, fetch: FetchFn, registry: MetricsRegistry | None = None):
         self._fetch = fetch
         registry = registry or get_registry()
-        self._samples = registry.counter(
-            "da_samples_total", "DA chunks sampled, by outcome", ("outcome",)
-        )
-        self._withholding = registry.counter(
-            "da_withholding_detected_total",
-            "sampling runs that flagged withholding",
-        )
-        self._reconstructions = registry.counter(
-            "da_reconstructions_total",
-            "k-of-n leaf-set reconstructions, by outcome",
-            ("outcome",),
-        )
-        self._run_seconds = registry.histogram(
-            "da_sample_run_seconds", "wall-clock per sampling run"
-        )
+        self._samples = registry.instrument("da_samples_total")
+        self._withholding = registry.instrument("da_withholding_detected_total")
+        self._reconstructions = registry.instrument("da_reconstructions_total")
+        self._run_seconds = registry.instrument("da_sample_run_seconds")
 
     # -- single-chunk verification --------------------------------------
     def _verify_chunk(

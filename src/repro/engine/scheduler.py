@@ -103,17 +103,10 @@ class EpochScheduler:
         # verdicts, so deterministic runs are unaffected.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         registry = get_registry()
-        self._m_epochs = registry.counter("engine_epochs_total", "audit epochs executed")
-        self._m_audits = registry.counter(
-            "engine_audits_total", "audits judged, by verdict", ("verdict",)
-        )
-        self._m_prove = registry.histogram(
-            "engine_prove_seconds", "per-epoch prove phase latency"
-        )
-        self._m_verify = registry.histogram(
-            "engine_verify_seconds",
-            "per-epoch verify phase latency (batch check + failure localization)",
-        )
+        self._m_epochs = registry.instrument("engine_epochs_total")
+        self._m_audits = registry.instrument("engine_audits_total")
+        self._m_prove = registry.instrument("engine_prove_seconds")
+        self._m_verify = registry.instrument("engine_verify_seconds")
         self.params = params
         self.beacon = beacon
         self.deterministic = deterministic

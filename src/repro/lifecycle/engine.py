@@ -247,15 +247,9 @@ class LifecycleEngine:
         """
         self.tracer = tracer if tracer is not None else NULL_TRACER
         registry = get_registry()
-        self._m_epochs = registry.counter(
-            "lifecycle_epochs_total", "lifecycle epochs completed"
-        )
-        self._m_events = registry.counter(
-            "lifecycle_events_total", "lifecycle trail events by kind", ("kind",)
-        )
-        self._m_epoch_seconds = registry.histogram(
-            "lifecycle_epoch_seconds", "wall-clock per lifecycle epoch"
-        )
+        self._m_epochs = registry.instrument("lifecycle_epochs_total")
+        self._m_events = registry.instrument("lifecycle_events_total")
+        self._m_epoch_seconds = registry.instrument("lifecycle_epoch_seconds")
 
     # ------------------------------------------------------------------ #
     # World construction                                                  #

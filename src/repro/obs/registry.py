@@ -11,16 +11,18 @@ implemented from scratch on the standard library:
 
 Instruments are created through a :class:`MetricsRegistry` and identified
 by ``(name)``; creation is idempotent — asking for an existing name with
-the same type/labels/buckets returns the existing family, so independent
-modules can share instruments without coordination.  Label values select
-a *child* series via :meth:`~_Family.labels`.
+the same type/labels/buckets returns the existing family.  Every
+instrument the program records into is declared once, in
+:data:`CORE_INSTRUMENTS`, and fetched by name with
+:meth:`MetricsRegistry.instrument`, so its kind, help text and labels
+never depend on which layer asked first.  Label values select a *child*
+series via :meth:`~_Family.labels`.
 
 Everything is thread-safe: each family guards its children and their
-values with one lock, and the registry guards the family table.  A
-``Gauge`` may instead be backed by a zero-argument callback, sampled at
-snapshot/export time — and the registry supports *collect hooks*, run
-before every snapshot, for layers (fabric, mempool) whose live values
-are pulled rather than pushed.
+values with one lock, and the registry guards the family table.  Live
+values that are pulled rather than pushed (fabric depth and base fees,
+precompute-cache sizes) are refreshed by *collect hooks*, run before
+every snapshot/export.
 """
 
 from __future__ import annotations
@@ -145,14 +147,8 @@ class _CounterChild:
 class Gauge(_Family):
     kind = "gauge"
 
-    def __init__(self, name, help, label_names, callback: Callable[[], float] | None = None):
-        self._callback = callback
-        super().__init__(name, help, label_names)
-        if callback is not None and label_names:
-            raise ValueError("callback gauges cannot have labels")
-
     def _new_child(self):
-        return _GaugeChild(self._lock, self._callback)
+        return _GaugeChild(self._lock)
 
     def set(self, value: float) -> None:
         self._only().set(value)
@@ -163,23 +159,17 @@ class Gauge(_Family):
     def dec(self, amount: float = 1.0) -> None:
         self._only().inc(-amount)
 
-    def set_callback(self, callback: Callable[[], float] | None) -> None:
-        """Re-bind the sampling callback (e.g. to a freshly built fabric)."""
-        self._callback = callback
-        self._children[()]._callback = callback
-
     @property
     def value(self) -> float:
         return self._only().value
 
 
 class _GaugeChild:
-    __slots__ = ("_lock", "_value", "_callback")
+    __slots__ = ("_lock", "_value")
 
-    def __init__(self, lock: threading.Lock, callback=None):
+    def __init__(self, lock: threading.Lock):
         self._lock = lock
         self._value = 0.0
-        self._callback = callback
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -191,11 +181,6 @@ class _GaugeChild:
 
     @property
     def value(self) -> float:
-        if self._callback is not None:
-            try:
-                return float(self._callback())
-            except Exception:
-                return self._value
         return self._value
 
 
@@ -293,7 +278,8 @@ class MetricsRegistry:
 
     ``counter``/``gauge``/``histogram`` are idempotent: re-requesting an
     existing name returns the existing family (type and shape must
-    match).  ``snapshot()`` renders everything to plain dicts;
+    match).  ``instrument(name)`` is how the program's layers fetch a
+    :data:`CORE_INSTRUMENTS` family.  ``snapshot()`` renders everything to plain dicts;
     ``to_prometheus()`` and ``to_json_lines()`` render the two wire
     formats.  ``add_collect_hook`` registers a callable run before every
     snapshot/export so pull-style layers can refresh their gauges.
@@ -325,17 +311,8 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Counter:
         return self._get_or_create(Counter, name, help, labels)
 
-    def gauge(
-        self,
-        name: str,
-        help: str = "",
-        labels: Sequence[str] = (),
-        callback: Callable[[], float] | None = None,
-    ) -> Gauge:
-        family = self._get_or_create(Gauge, name, help, labels, callback=callback)
-        if callback is not None and family._callback is not callback:
-            family.set_callback(callback)
-        return family
+    def gauge(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Gauge:
+        return self._get_or_create(Gauge, name, help, labels)
 
     def histogram(
         self,
@@ -348,6 +325,11 @@ class MetricsRegistry:
         if family.buckets != tuple(sorted(float(b) for b in buckets)):
             raise ValueError(f"{name} already registered with buckets {family.buckets}")
         return family
+
+    def instrument(self, name: str) -> _Family:
+        """The catalog family ``name``, built from :data:`CORE_INSTRUMENTS`."""
+        kind, help, labels = _CATALOG[name]
+        return getattr(self, kind)(name, help, labels)
 
     def get(self, name: str) -> _Family | None:
         with self._lock:
@@ -454,8 +436,10 @@ def get_registry() -> MetricsRegistry:
     return _default_registry
 
 
-# Canonical instrument names per layer, so one ``repro serve`` exposition
-# covers rpc/mempool/fabric/engine/lifecycle even before traffic arrives.
+# Every instrument the program records into, declared once: the layers
+# fetch them by name (``MetricsRegistry.instrument``), and pre-registering
+# them all lets one ``repro serve`` exposition cover rpc/mempool/fabric/
+# engine/lifecycle even before traffic arrives.
 CORE_INSTRUMENTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # (kind, name, help, labels)
     ("counter", "rpc_requests_total", "JSON-RPC requests handled", ("method",)),
@@ -480,8 +464,6 @@ CORE_INSTRUMENTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     ("counter", "engine_audits_total", "audits judged, by verdict", ("verdict",)),
     ("histogram", "engine_prove_seconds", "per-epoch prove phase latency", ()),
     ("histogram", "engine_verify_seconds", "per-epoch verify phase latency (batch check + failure localization)", ()),
-    ("counter", "crypto_leg_seconds_total", "hot-path time by crypto leg", ("leg",)),
-    ("counter", "crypto_leg_calls_total", "hot-path calls by crypto leg", ("leg",)),
     ("gauge", "crypto_precompute_entries", "entries in the process precompute cache, by map", ("kind",)),
     ("counter", "lifecycle_epochs_total", "lifecycle epochs completed", ()),
     ("counter", "lifecycle_events_total", "lifecycle trail events by kind", ("kind",)),
@@ -491,14 +473,15 @@ CORE_INSTRUMENTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     ("counter", "da_reconstructions_total", "k-of-n leaf-set reconstructions, by outcome", ("outcome",)),
     ("histogram", "da_sample_run_seconds", "wall-clock per sampling run", ()),
 )
+_CATALOG = {name: (kind, help, labels) for kind, name, help, labels in CORE_INSTRUMENTS}
 
 
 def register_core_instruments(registry: MetricsRegistry | None = None) -> MetricsRegistry:
     """Pre-register the canonical instrument catalog (idempotent)."""
     registry = registry or get_registry()
     hooked = registry.get("crypto_precompute_entries") is not None
-    for kind, name, help, labels in CORE_INSTRUMENTS:
-        getattr(registry, kind)(name, help, labels)
+    for name in _CATALOG:
+        registry.instrument(name)
     if not hooked:
         entries = registry.get("crypto_precompute_entries")
 

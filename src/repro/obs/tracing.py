@@ -192,8 +192,8 @@ class Tracer:
         return hashlib.sha256(self.export_jsonl().encode("utf-8")).hexdigest()
 
     def tree_dicts(self, last: int | None = None) -> list[dict]:
-        roots = self.roots if last is None else self.roots[-last:]
-        return [r.to_dict(self.deterministic) for r in roots]
+        start = 0 if last is None else max(0, len(self.roots) - last)
+        return [r.to_dict(self.deterministic) for r in self.roots[start:]]
 
     def reset(self) -> None:
         self.roots.clear()

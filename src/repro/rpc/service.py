@@ -65,15 +65,9 @@ class RpcDispatcher:
         self._methods: dict[str, Callable] = {}
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer
-        self._requests = self.registry.counter(
-            "rpc_requests_total", "JSON-RPC requests handled", ("method",)
-        )
-        self._errors = self.registry.counter(
-            "rpc_errors_total", "JSON-RPC requests that returned an error", ("method",)
-        )
-        self._latency = self.registry.histogram(
-            "rpc_request_seconds", "JSON-RPC per-request handler latency", ("method",)
-        )
+        self._requests = self.registry.instrument("rpc_requests_total")
+        self._errors = self.registry.instrument("rpc_errors_total")
+        self._latency = self.registry.instrument("rpc_request_seconds")
         self.register("rpc_methods", self._rpc_methods)
         self.register("rpc_metrics", self._rpc_metrics)
         self.register("metrics_get", self._metrics_get)
@@ -127,6 +121,8 @@ class RpcDispatcher:
 
     def _trace_get(self, last: int = 8) -> dict:
         """Span trees from the attached tracer (empty when none attached)."""
+        if not (isinstance(last, int) and not isinstance(last, bool) and last >= 0):
+            raise RpcError(INVALID_PARAMS, "last must be a non-negative integer")
         if self.tracer is None:
             return {"enabled": False, "spans": 0, "roots": []}
         return {
@@ -134,7 +130,7 @@ class RpcDispatcher:
             "deterministic": self.tracer.deterministic,
             "spans": self.tracer.span_count,
             "digest": self.tracer.digest(),
-            "roots": self.tracer.tree_dicts(last=max(0, int(last))),
+            "roots": self.tracer.tree_dicts(last=last),
         }
 
     # -- dispatch ------------------------------------------------------------

@@ -15,11 +15,10 @@ decoding inverts the k x k submatrix of surviving rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
-from ..obs.hotpath import HOTPATH
+from ..obs.hotpath import profiled
 from .gf256 import gf_matmul, gf_matrix_invert, gf_pow
 
 
@@ -40,10 +39,6 @@ class Shard:
 
     index: int
     data: bytes
-
-    @property
-    def is_parity(self) -> bool:
-        return False  # systematic codes: parity distinction is positional
 
 
 class ReedSolomonCode:
@@ -69,15 +64,8 @@ class ReedSolomonCode:
     def shard_length(self, data_length: int) -> int:
         return (data_length + self.k - 1) // self.k
 
+    @profiled("gf256.encode")
     def encode(self, data: bytes) -> list[Shard]:
-        if HOTPATH.enabled:
-            t0 = perf_counter()
-            result = self._encode(data)
-            HOTPATH.add("gf256.encode", perf_counter() - t0)
-            return result
-        return self._encode(data)
-
-    def _encode(self, data: bytes) -> list[Shard]:
         if not data:
             raise ValueError("cannot encode empty data")
         length = self.shard_length(len(data))
@@ -86,16 +74,9 @@ class ReedSolomonCode:
         encoded = gf_matmul(self.matrix, stack)
         return [Shard(index=i, data=encoded[i].tobytes()) for i in range(self.n)]
 
+    @profiled("gf256.decode")
     def decode(self, shards: list[Shard], data_length: int) -> bytes:
         """Reconstruct from any >= k distinct shards."""
-        if HOTPATH.enabled:
-            t0 = perf_counter()
-            result = self._decode(shards, data_length)
-            HOTPATH.add("gf256.decode", perf_counter() - t0)
-            return result
-        return self._decode(shards, data_length)
-
-    def _decode(self, shards: list[Shard], data_length: int) -> bytes:
         unique: dict[int, Shard] = {}
         for shard in shards:
             if not 0 <= shard.index < self.n:

@@ -23,10 +23,6 @@ class NetworkStats:
     bytes_sent: int = 0
     total_latency: float = 0.0
 
-    @property
-    def mean_latency(self) -> float:
-        return self.total_latency / self.messages if self.messages else 0.0
-
 
 @dataclass
 class SimulatedNetwork:
@@ -52,9 +48,6 @@ class SimulatedNetwork:
 
     def heal_partition(self) -> None:
         self._partitions = []
-
-    def is_up(self, name: str) -> bool:
-        return name not in self._down
 
     def _reachable(self, src: str, dst: str) -> bool:
         if dst in self._down or src in self._down:

@@ -319,11 +319,22 @@ def _functions(tree):
     return walk(tree, "")
 
 
+def _own_nodes(function):
+    """The nodes of ``function``'s body, nested definitions excluded."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def test_one_pairing_product_and_one_msm_gate():
-    """The equation is written once, and so is the MSM profiling gate."""
+    """The equation is written once, and so is the hot-path profiling gate:
+    exactly one function in the package reads ``HOTPATH.enabled``."""
     src = Path(repro.__file__).parent
     pairing_callers = set()
-    msm_gates = []
+    gates = []
     for path in sorted(src.rglob("*.py")):
         relative = path.relative_to(src).as_posix()
         tree = ast.parse(path.read_text())
@@ -334,8 +345,12 @@ def test_one_pairing_product_and_one_msm_gate():
                     if callee in ("final_exponentiation", "miller_loop_product"):
                         pairing_callers.add(relative)
         for name, function in _functions(tree):
-            own = ast.unparse(function)
-            if "HOTPATH.enabled" in own and "bn254.msm" in own:
-                msm_gates.append(f"{relative}:{name}")
+            if any(
+                isinstance(node, ast.Attribute)
+                and node.attr == "enabled"
+                and getattr(node.value, "id", None) == "HOTPATH"
+                for node in _own_nodes(function)
+            ):
+                gates.append(f"{relative}:{name}")
     assert pairing_callers == {"core/verifier.py"}
-    assert msm_gates == ["crypto/bn254/msm.py:_timed_msm"]
+    assert gates == ["obs/hotpath.py:profiled.decorate.gate"]

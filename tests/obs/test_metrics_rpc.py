@@ -21,7 +21,13 @@ from repro.obs import (
     register_core_instruments,
 )
 from repro.obs.httpd import PROMETHEUS_CONTENT_TYPE
-from repro.rpc import RpcClient, RpcDispatcher, RpcTcpServer, ServiceNode
+from repro.rpc import (
+    RpcClient,
+    RpcClientError,
+    RpcDispatcher,
+    RpcTcpServer,
+    ServiceNode,
+)
 
 
 @pytest.fixture()
@@ -112,6 +118,12 @@ class TestTraceGet:
         assert [root["attrs"]["epoch"] for root in trace["roots"]] == [1, 2]
         assert trace["roots"][0]["children"][0]["name"] == "audit"
         assert trace["digest"] == tracer.digest()
+        # A malformed ``last`` is the caller's fault (-32602), like every
+        # other RPC parameter, never an internal error.
+        for last in ("x", None, [1], float("inf"), -1, True):
+            with pytest.raises(RpcClientError) as excinfo:
+                client.call("trace_get", {"last": last})
+            assert excinfo.value.code == -32602, last
 
 
 class TestPrometheusEndpoint:

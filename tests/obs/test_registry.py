@@ -8,14 +8,22 @@ that Prometheus (text 0.0.4) and the JSON-lines reader both accept.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.chain.fabric import ShardedChainFabric
+from repro.chain.mempool import MempoolConfig
+from repro.da.sampling import DaSampler
 from repro.obs import MetricsRegistry, register_core_instruments
+from repro.obs import registry as registry_module
 from repro.obs.registry import CORE_INSTRUMENTS, DEFAULT_BUCKETS
+from repro.rpc import RpcDispatcher
 
 
 @pytest.fixture()
@@ -55,20 +63,6 @@ class TestGauge:
         assert g.value == 7
         g.set(3)
         assert g.value == 3
-
-    def test_callback_gauge_samples_lazily(self, registry):
-        state = {"v": 1}
-        g = registry.gauge("live", "sampled", callback=lambda: state["v"])
-        assert g.value == 1
-        state["v"] = 42
-        assert g.value == 42
-
-    def test_callback_failure_degrades_to_last_resort_zero(self, registry):
-        def boom():
-            raise RuntimeError("dead source")
-
-        g = registry.gauge("flaky", "sampled", callback=boom)
-        assert g.value == 0.0
 
 
 class TestHistogram:
@@ -215,3 +209,45 @@ class TestCoreInstruments:
 
     def test_default_buckets_are_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
+
+    def test_help_text_does_not_depend_on_who_registers_first(self, monkeypatch):
+        """The layers and the catalog declare nothing twice, so the same
+        ``# HELP`` lines come out whichever side creates a family first."""
+
+        def help_lines(catalog_first: bool) -> list[str]:
+            registry = MetricsRegistry()
+            # The fabric and its mempools record into the process registry.
+            monkeypatch.setattr(registry_module, "_default_registry", registry)
+            if catalog_first:
+                register_core_instruments(registry)
+            fabric = ShardedChainFabric(num_lanes=1, mempool=MempoolConfig())
+            try:
+                fabric.attach_gauges()
+                RpcDispatcher(registry=registry)
+                DaSampler(lambda commitment, indices: {}, registry=registry)
+            finally:
+                fabric.close()
+            register_core_instruments(registry)
+            text = registry.to_prometheus()
+            return [line for line in text.splitlines() if line.startswith("# HELP")]
+
+        assert help_lines(catalog_first=True) == help_lines(catalog_first=False)
+
+    def test_only_the_catalog_declares_instruments(self):
+        """Outside ``obs/registry.py`` no module of the package creates an
+        instrument with its own help text or labels: every layer fetches
+        its family from the catalog with ``instrument(name)``."""
+        src = Path(repro.__file__).parent
+        declaring = []
+        for path in sorted(src.rglob("*.py")):
+            relative = path.relative_to(src).as_posix()
+            if relative == "obs/registry.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("counter", "gauge", "histogram")
+                ):
+                    declaring.append(f"{relative}:{node.lineno}")
+        assert declaring == []

@@ -116,3 +116,5 @@ class TestDisabled:
                 pass
         trees = tracer.tree_dicts(last=2)
         assert [t["attrs"]["epoch"] for t in trees] == [3, 4]
+        assert tracer.tree_dicts(last=0) == []
+        assert len(tracer.tree_dicts(last=9)) == 5

@@ -34,18 +34,20 @@ Every ``trigger_verify`` is its own transaction with its own modelled gas,
 but a validator need not compute a block's verdicts one at a time: the
 rounds due in one sealed block are checked with a single grouped pairing
 product (:meth:`AuditContract.due_calls_scope`; ``docs/PROTOCOL.md``
-section 6.2), and each transaction reads the verdict it would have
-computed — same receipt, same ``state_hash``.
+section 6.2), which hands each contract its own verdict for the block, and
+each transaction takes that verdict where it would have computed it — same
+receipt, same ``state_hash``.
 """
 
 from __future__ import annotations
 
 import enum
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from ...core.batch import BatchItem, judge_proof, screen_proof, staged_verdicts
+from ...core.batch import BatchItem, judge_proof, screen_proof, verify_batch_grouped
 from ...core.challenge import Challenge, challenge_from_beacon
 from ...core.keys import PublicKey
 from ...core.params import ProtocolParams
@@ -137,6 +139,13 @@ def _recorded(outcome: VerifyOutcome) -> tuple[str | None, str, bool]:
     if reason.code == PAIRING_MISMATCH:
         return reason.code, reason.describe(), True
     return reason.code, reason.detail, False
+
+
+#: The verdicts of the block whose due calls are firing in this context,
+#: by contract address: set by :meth:`AuditContract.due_calls_scope`, popped
+#: by each contract's ``trigger_verify``.  Each thread sees only its own
+#: value, so lanes sealing blocks concurrently never read each other's.
+_BLOCK_VERDICTS: ContextVar[dict[str, VerifyOutcome]] = ContextVar("block_verdicts")
 
 
 class AuditContract(Contract):
@@ -292,25 +301,40 @@ class AuditContract(Contract):
     def due_calls_scope(cls, calls) -> Iterator[None]:
         """Block-scoped verification (docs/PROTOCOL.md section 6.2): the
         open rounds this block's ``trigger_verify`` calls will send to the
-        pairing check are checked together, once, and each transaction then
-        reads its own verdict where it would have computed it.  A lone
-        statement is left to its transaction."""
-        items = []
+        pairing check are checked together, once, and each contract's
+        transaction then takes its own verdict.  A lone statement is left
+        to its transaction.
+
+        The verdict is keyed by contract address alone: until that
+        contract's ``trigger_verify`` runs, nothing the block fires can
+        change its open round, since contracts schedule only their triggers.
+        The blinders are fresh ``secrets`` draws, which whoever wrote the
+        proofs cannot predict."""
+        items: dict[str, BatchItem] = {}
         for contract, call in calls:
             if call.method == "trigger_verify" and contract.state is State.PROVE:
                 screened = screen_proof(*contract._posted(contract.rounds[contract.cnt]))
                 if isinstance(screened, BatchItem):
-                    items.append(screened)
-        if len(items) < 2:
-            yield
-            return
-        with staged_verdicts(items) as outcome:
+                    items[contract.address] = screened
+        verdicts: dict[str, VerifyOutcome] = {}
+        if len(items) > 1:
+            outcome = verify_batch_grouped(list(items.values()))
             registry = get_registry()
             registry.instrument("contract_verify_batches_total").labels(
                 "ok" if outcome else "localized"
             ).inc()
             registry.instrument("contract_verify_batch_size").observe(len(items))
+            verdicts = dict.fromkeys(items, VerifyOutcome.accept())
+            addresses = list(items)
+            for rejection in outcome.failures:
+                verdicts[addresses[rejection.index]] = VerifyOutcome(
+                    ok=False, reason=rejection.reason
+                )
+        token = _BLOCK_VERDICTS.set(verdicts)
+        try:
             yield
+        finally:
+            _BLOCK_VERDICTS.reset(token)
 
     def trigger_verify(self, ctx: CallContext):
         """On trigger scheduling ("Verify")."""
@@ -318,7 +342,9 @@ class AuditContract(Contract):
             return
         self.require(self.state is State.PROVE, "st != PROVE")
         current = self.rounds[self.cnt]
-        outcome = judge_proof(*self._posted(current))
+        outcome = _BLOCK_VERDICTS.get({}).pop(self.address, None)
+        if outcome is None:
+            outcome = judge_proof(*self._posted(current))
         passed = bool(outcome)
         reason, current.reject_detail, verified = _recorded(outcome)
         current.reject_reason = reason

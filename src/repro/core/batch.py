@@ -23,10 +23,9 @@ this module draws the blinders and, when the product fails, localizes the
 failures before it answers (:func:`_localize`: adaptive bisection over
 subset products, so a cheater costs the batch a few more final
 exponentiations instead of a lone check per honest proof):
-:func:`verify_batch_grouped` returns the finished verdict, and nobody
-downstream re-verifies anything — :func:`staged_verdicts` hands each item's
-share of it to the ``verify_private`` call that would otherwise have
-recomputed it.
+:func:`verify_batch_grouped` returns the finished verdict, each failure
+with the reason its lone check returns, so nobody downstream re-verifies
+anything.
 
 Every judge of on-chain proof bytes turns them into a :class:`BatchItem`, or
 a named rejection, through :func:`screen_proof`; :func:`judge_proof` is its
@@ -36,10 +35,9 @@ verdict.
 from __future__ import annotations
 
 import operator
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from ..crypto.bn254 import Fp12, gt_multi_pow
 from .challenge import Challenge
@@ -49,7 +47,6 @@ from .verifier import (
     MALFORMED_PROOF,
     NO_PROOF,
     REPLAYED_PROOF,
-    VERDICT_MEMO,
     RejectionReason,
     Statement,
     Verifier,
@@ -58,7 +55,6 @@ from .verifier import (
     pairing_product,
     residual_verdict,
     retain_legs,
-    verdict_key,
 )
 
 
@@ -288,34 +284,6 @@ def verify_batch_grouped(
         checked=len(items),
         failures=() if ok else _localize(items, statements, value),
     )
-
-
-@contextmanager
-def staged_verdicts(items: list[BatchItem]) -> Iterator[BatchVerifyOutcome]:
-    """Check ``items`` together and, inside the ``with`` block, answer each
-    item's own ``Verifier.verify_private`` call from that one check.
-
-    The blinders are always fresh ``secrets`` draws: whoever wrote the
-    proofs must not predict them.  A failed product has already been
-    localized (:func:`_localize`), so what is staged for a rejected item is
-    the reason its lone check returns, residual fingerprints included.  Each
-    verdict is consumed by the first call that asks for it; whatever nobody
-    asked for is dropped when the block ends.
-    """
-    outcome = verify_batch_grouped(items)
-    verdicts = [VerifyOutcome.accept()] * len(items)
-    for rejection in outcome.failures:
-        verdicts[rejection.index] = VerifyOutcome(ok=False, reason=rejection.reason)
-    keys = [
-        verdict_key(item.public, item.name, item.num_chunks, item.challenge, item.proof)
-        for item in items
-    ]
-    VERDICT_MEMO.update(zip(keys, verdicts))
-    try:
-        yield outcome
-    finally:
-        for key in keys:
-            VERDICT_MEMO.pop(key, None)
 
 
 def verify_sequential(

@@ -34,12 +34,10 @@ failure path only.  The dispute flow in
 and the adversarial scenario tables in ``docs/SCENARIOS.md`` are built from
 them.
 
-A validator that has already checked a block's statements together
-(:func:`repro.core.batch.staged_verdicts`) leaves each finished verdict in
-:data:`VERDICT_MEMO`; :meth:`Verifier.verify_private` takes a staged verdict
-instead of recomputing it.  The key is everything the equation reads, so a
-hit is the verdict this very call would have computed, and a miss is the
-check above.
+Nothing here remembers a verdict: every call is the check above.  A
+validator that checks a sealed block's statements together keeps their
+verdicts itself (``AuditContract.due_calls_scope`` in
+:mod:`repro.chain.contracts.audit_contract`).
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ from ..crypto.bn254 import (
     hash_gt_to_scalar,
     miller_loop_product,
     final_exponentiation,
-    g2_to_bytes,
 )
 from ..crypto.bn254.fields import Fp12
 from .challenge import Challenge, ExpandedChallenge
@@ -392,36 +389,6 @@ def _judged(
     )
 
 
-#: Finished Eq.-(2) verdicts staged ahead of the calls that will ask for
-#: them, keyed by :func:`verdict_key`.  Consumed on read, and whoever staged
-#: an entry drops it when its scope ends (a sealed block's due calls), so the
-#: map is empty between blocks and needs no size bound.
-VERDICT_MEMO: dict[tuple, VerifyOutcome] = {}
-
-
-def verdict_key(
-    public: PublicKey,
-    name: int,
-    num_chunks: int,
-    challenge: Challenge,
-    proof: PrivateProof,
-) -> tuple:
-    """Everything Eq. (2) reads for one statement, as bytes and ints.
-
-    Of the public key that is ``epsilon`` and ``delta``: the powers of
-    alpha and ``e(g1, epsilon)`` are the prover's, and serializing them
-    here would cache affine coordinates on points the chain pickles.
-    """
-    return (
-        g2_to_bytes(public.epsilon) + g2_to_bytes(public.delta),
-        name,
-        num_chunks,
-        challenge.to_bytes(),
-        challenge.k,
-        proof.to_bytes(),
-    )
-
-
 class Verifier:
     """Stateless audit verification bound to one (public key, file) pair."""
 
@@ -478,13 +445,6 @@ class Verifier:
         report: VerifyReport | None = None,
     ) -> VerifyOutcome:
         """Paper Eq. (2): the Sigma-masked on-chain check."""
-        if VERDICT_MEMO:
-            staged = VERDICT_MEMO.pop(
-                verdict_key(self.public, self.name, self.num_chunks, challenge, proof),
-                None,
-            )
-            if staged is not None:
-                return staged
         statement = self._statement(
             challenge, proof.sigma, proof.y_masked, proof.psi, proof.commitment
         )

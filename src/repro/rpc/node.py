@@ -17,10 +17,12 @@ holds exactly one lane lock, so the ordered sweep cannot deadlock).
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from contextlib import contextmanager
 
+from ..chain.blockchain import WEI_PER_GWEI
 from ..chain.explorer import ChainExplorer
 from ..chain.transaction import Transaction
 from ..crypto.bn254 import kernel
@@ -70,6 +72,18 @@ _SUBMIT_FIELDS = frozenset(
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise RpcError(INVALID_PARAMS, message)
+
+
+def _require_gwei(name: str, value) -> None:
+    """A fee in gwei: a non-negative number whose wei value is finite, so
+    neither ``Infinity`` nor ``1e300`` reaches the fee arithmetic."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 0
+    if ok:
+        try:
+            ok = math.isfinite(float(value) * WEI_PER_GWEI)
+        except OverflowError:  # an integer past the float range
+            ok = False
+    _require(ok, f"{name} must be a finite non-negative number")
 
 
 def _hex(data: bytes) -> str:
@@ -163,16 +177,8 @@ class ServiceNode:
                 f"{field_name} must be a non-negative integer",
             )
         for field_name in ("gas_price_gwei", "max_fee_gwei", "priority_fee_gwei"):
-            field_value = payload.get(field_name)
-            _require(
-                field_value is None
-                or (
-                    isinstance(field_value, (int, float))
-                    and not isinstance(field_value, bool)
-                    and field_value >= 0
-                ),
-                f"{field_name} must be a non-negative number",
-            )
+            if payload.get(field_name) is not None:
+                _require_gwei(field_name, payload[field_name])
         replace = payload.get("replace", False)
         _require(isinstance(replace, bool), "replace must be a boolean")
 
@@ -240,11 +246,7 @@ class ServiceNode:
 
     def fee_suggest(self, tip_gwei: float = 1.0, lane: int = 0) -> dict:
         """Wallet-style fee suggestion for one lane's current market."""
-        _require(
-            isinstance(tip_gwei, (int, float)) and not isinstance(tip_gwei, bool)
-            and tip_gwei >= 0,
-            "tip_gwei must be a non-negative number",
-        )
+        _require_gwei("tip_gwei", tip_gwei)
         # _lane_for reads None as "every lane"; a suggestion is for one.
         _require(lane is not None, "lane must be an integer")
         selected = self._lane_for(lane)

@@ -300,7 +300,7 @@ class TestDisputeGuards:
         transaction reads its verdict; a later dispute finds nothing staged
         and re-runs Eq. (2) over the recorded bytes."""
         from repro.chain import run_contracts_to_completion
-        from repro.core.verifier import VERDICT_MEMO
+        from repro.chain.contracts.audit_contract import _BLOCK_VERDICTS
 
         owner = DataOwner(dispute_params, rng=rng)
         chain = Blockchain(block_time=15.0)
@@ -315,7 +315,8 @@ class TestDisputeGuards:
         ]
         contracts = run_contracts_to_completion(chain, deployments)
         assert [c.passes for c in contracts] == [1, 1]
-        assert equation_checks == [] and not VERDICT_MEMO  # both read the block's check
+        # Both read the block's check, and nothing it held outlives the block.
+        assert equation_checks == [] and _BLOCK_VERDICTS.get(None) is None
 
         provider_before = chain.balance_of(deployments[0].provider_account)
         receipt = chain.transact(

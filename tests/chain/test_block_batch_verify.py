@@ -1,10 +1,10 @@
 """Block-scoped verification changes nothing a chain records.
 
 A sealed block's due ``trigger_verify`` calls are checked together, once
-(``AuditContract.due_calls_scope``), and each transaction then reads its own
-verdict from the memo under ``Verifier.verify_private``.  The reference is
-the same chain with that scope replaced by the base class's no-op — one lone
-Eq.-(2) check inside every transaction.  The two must agree on every
+(``AuditContract.due_calls_scope``), and each transaction then takes the
+verdict the scope holds for its contract.  The reference is the same chain
+with that scope replaced by the base class's no-op — one lone Eq.-(2) check
+inside every transaction.  The two must agree on every
 receipt, event, round field and ``state_hash`` under any per-block mix of
 honest, silent, replayed, malformed and well-formed-but-forged responses.
 """
@@ -26,10 +26,9 @@ from repro.chain import (
     deploy_audit_contract,
 )
 from repro.chain.blockchain import Contract
-from repro.chain.contracts.audit_contract import AuditContract
+from repro.chain.contracts.audit_contract import _BLOCK_VERDICTS, AuditContract
 from repro.core import DataOwner, ProtocolParams, StorageProvider
-from repro.core.proof import PRIVATE_PROOF_BYTES
-from repro.core.verifier import VERDICT_MEMO
+from repro.core.proof import PRIVATE_PROOF_BYTES, PrivateProof
 from repro.obs.hotpath import HOTPATH
 from repro.obs.registry import get_registry
 from repro.randomness import HashChainBeacon
@@ -147,7 +146,7 @@ def _run(
 
         def mine():
             mine_block(fabric)
-            assert not VERDICT_MEMO
+            assert _BLOCK_VERDICTS.get(None) is None
 
         for round_id, kinds in enumerate(schedule):
             mine()
@@ -257,11 +256,34 @@ def test_one_forged_proof_rejects_that_contract_and_nothing_is_verified_twice(
     assert batches.value == before + 1
 
 
+def test_a_staged_round_is_decoded_once_per_block(fleets, responses):
+    """The block's check screens each due round's bytes, and the round's
+    transaction takes its verdict without decoding them again."""
+    schedule = [("honest", "forge", "honest", "honest")]
+    decoded = []
+    decode = PrivateProof.from_bytes
+
+    def counting(data):
+        decoded.append(data)
+        return decode(data)
+
+    def before_verify_block(fabric):
+        patch.setattr(PrivateProof, "from_bytes", staticmethod(counting))
+
+    with pytest.MonkeyPatch.context() as patch:
+        recorded = _run(
+            fleets["single"], 1, schedule, responses,
+            batched=True, on_verify_block=before_verify_block,
+        )
+    assert recorded["tallies"] == [(1, 0), (0, 1), (1, 0), (1, 0)]
+    assert len(decoded) == FLEET
+
+
 def test_lanes_mined_on_their_own_threads_keep_their_own_verdicts(
     fleets, responses, equation_checks
 ):
-    """The memo is process-wide and lanes may seal blocks concurrently: a
-    lane's scope drops only what it staged, so no lane loses a verdict to
+    """Lanes may seal blocks concurrently: each lane's scope holds its
+    block's verdicts for its own thread, so no lane loses a verdict to
     another lane's exit and falls back to computing it."""
     import sys
     import threading
@@ -308,4 +330,4 @@ def test_lanes_mined_on_their_own_threads_keep_their_own_verdicts(
     assert recorded["tallies"] == [(rounds, 0)] * FLEET
     # Only a lane holding a single contract ever reached the equation.
     assert len(equation_checks) == sum(lone_lanes)
-    assert not VERDICT_MEMO
+    assert _BLOCK_VERDICTS.get(None) is None

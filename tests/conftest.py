@@ -21,7 +21,6 @@ from repro.core import (
     Verifier,
     generate_keypair,
 )
-from repro.core.verifier import VERDICT_MEMO
 from repro.crypto.bn254 import PROCESS_CACHE
 from repro.sim.workloads import archive_file
 
@@ -41,18 +40,16 @@ def pytest_configure(config) -> None:
 
 @pytest.fixture(autouse=True)
 def cold_process_cache():
-    """Every test starts over a cold process cache and an empty verdict
-    memo, so a hit/miss assertion never depends on which tests ran before
-    it."""
+    """Every test starts over a cold process cache, so a hit/miss
+    assertion never depends on which tests ran before it."""
     PROCESS_CACHE.clear()
-    VERDICT_MEMO.clear()
 
 
 @pytest.fixture()
 def equation_checks(monkeypatch) -> list[int]:
     """File names of the lone checks that reached the pairing equation
-    (``Verifier._check``) instead of being answered from the verdict memo,
-    in call order."""
+    (``Verifier._check``) instead of taking a verdict from the block's
+    grouped check, in call order."""
     names: list[int] = []
     check = Verifier._check
 

@@ -3,10 +3,9 @@
 ``verify_batch_grouped`` localizes a failed product by adaptive bisection
 over subset products (``core.batch._bisect``); ``verify_sequential`` is the
 walk — every item's lone check — and the oracle.  These tests hold the two
-to each other field for field, hold the block-scoped memo and the
-checkpoint light client's grouped replay to their lone-check references,
-and pin what localization costs in final exponentiations, a count that does
-not depend on the host.
+to each other field for field, hold the checkpoint light client's grouped
+replay to its lone-check reference, and pin what localization costs in
+final exponentiations, a count that does not depend on the host.
 """
 
 from __future__ import annotations
@@ -24,14 +23,12 @@ from repro.core import (
     DataOwner,
     ProtocolParams,
     Prover,
-    Verifier,
     random_challenge,
     verify_batch_grouped,
     verify_sequential,
 )
-from repro.core.batch import _bisect, staged_verdicts
+from repro.core.batch import _bisect
 from repro.core.challenge import epoch_challenge
-from repro.core.verifier import VERDICT_MEMO
 from repro.crypto.bn254 import G1Point
 from repro.obs.hotpath import HOTPATH
 from repro.randomness import HashChainBeacon
@@ -186,23 +183,6 @@ def test_localized_failures_equal_the_walk_field_for_field(pool, picks, seed):
     # What was paid is what the search's own cost model predicts.
     bad = {rejection.index for rejection in walk.failures}
     assert calls == 1 + (_model_cost(len(items), bad) if bad else 0)
-
-
-@settings(max_examples=8, deadline=None)
-@given(picks=_PICKS)
-def test_staged_verdicts_stage_each_lone_verdict(pool, picks):
-    items = [_item(pool, *pick) for pick in picks]
-    lone = [item.verify() for item in items]
-    with staged_verdicts(items) as outcome:
-        staged = [
-            Verifier(item.public, item.name, item.num_chunks).verify_private(
-                item.challenge, item.proof
-            )
-            for item in items
-        ]
-    assert staged == lone
-    assert bool(outcome) == all(lone)
-    assert not VERDICT_MEMO
 
 
 LEAVES = ("honest", "forged", "flipped", "withheld", "malformed")

@@ -30,9 +30,7 @@ from repro.core import (
     random_challenge,
     verify_batch_grouped,
 )
-from repro.core.batch import staged_verdicts
-from repro.core.proof import PrivateProof
-from repro.core.verifier import VERDICT_MEMO, Statement, pairing_product_check
+from repro.core.verifier import Statement, pairing_product_check
 from repro.crypto.bn254 import G1Point, PROCESS_CACHE
 
 PARAMS = ProtocolParams(s=3, k=2)
@@ -236,75 +234,6 @@ class TestRejectionDiagnosticsKnownAnswers:
             self.EQ2,
             self.EQ2_DELTA_IS_EPSILON,
         )
-
-
-class TestVerdictMemoKey:
-    """A staged verdict answers the statement it was computed for, once,
-    and no other: the key is everything the equation reads."""
-
-    def test_one_changed_field_misses_and_is_rejected(self, pool, equation_checks):
-        package, challenge, proof, _ = pool[0]
-        mate, mate_challenge, mate_proof, _ = pool[1]
-        stranger = pool[2][0]
-        assert stranger.public != package.public
-        items = [
-            BatchItem(package.public, package.name, package.num_chunks, challenge, proof),
-            BatchItem(mate.public, mate.name, mate.num_chunks, mate_challenge, mate_proof),
-        ]
-        wire = bytearray(proof.to_bytes())
-        wire[63] ^= 1  # the last byte of y'
-        flipped = bytes([challenge.c2[0] ^ 1]) + challenge.c2[1:]
-        same = (package.public, package.name, package.num_chunks, challenge, proof)
-        variants = {
-            "proof byte": same[:4] + (PrivateProof.from_bytes(bytes(wire)),),
-            "challenge byte": same[:3]
-            + (dataclasses.replace(challenge, c2=flipped), proof),
-            "k": same[:3] + (dataclasses.replace(challenge, k=challenge.k + 1), proof),
-            "file name": (package.public, mate.name) + same[2:],
-            "chunk count": same[:2] + (package.num_chunks - 1,) + same[3:],
-            "owner key": (stranger.public,) + same[1:],
-        }
-        with staged_verdicts(items) as outcome:
-            assert outcome and len(VERDICT_MEMO) == 2
-            for field, (public, name, num_chunks, chal, prf) in variants.items():
-                before = len(equation_checks)
-                verdict = Verifier(public, name, num_chunks).verify_private(chal, prf)
-                assert not verdict, f"false accept: {field} changed"
-                assert verdict.reason.code == "pairing-mismatch"
-                assert len(equation_checks) == before + 1, f"{field} hit the memo"
-                assert len(VERDICT_MEMO) == 2
-            verifier = Verifier(*same[:3])
-            before = len(equation_checks)
-            assert verifier.verify_private(challenge, proof)  # the staged verdict
-            assert len(equation_checks) == before and len(VERDICT_MEMO) == 1
-            assert verifier.verify_private(challenge, proof)  # consumed: recomputed
-            assert len(equation_checks) == before + 1 and len(VERDICT_MEMO) == 1
-        assert not VERDICT_MEMO  # what nobody asked for went with the scope
-
-    def test_a_failed_batch_stages_each_items_own_reason(self, pool, equation_checks):
-        package, challenge, proof, _ = pool[0]
-        mate, mate_challenge, mate_proof, _ = pool[1]
-        bad = dataclasses.replace(mate_proof, y_masked=mate_proof.y_masked ^ 1)
-        lone = Verifier(mate.public, mate.name, mate.num_chunks).verify_private(
-            mate_challenge, bad
-        )
-        items = [
-            BatchItem(package.public, package.name, package.num_chunks, challenge, proof),
-            BatchItem(mate.public, mate.name, mate.num_chunks, mate_challenge, bad),
-        ]
-        with staged_verdicts(items) as outcome:
-            assert outcome.rejected_names() == (mate.name,)
-            walked = len(equation_checks)
-            verdicts = [
-                Verifier(item.public, item.name, item.num_chunks).verify_private(
-                    item.challenge, item.proof
-                )
-                for item in items
-            ]
-            assert len(equation_checks) == walked  # nobody verifies a statement twice
-        assert verdicts[0] and not verdicts[1]
-        assert verdicts[1] == lone  # residual fingerprints included
-        assert not VERDICT_MEMO
 
 
 def _functions(tree):

@@ -2,12 +2,16 @@
 
 Verifies that every relative markdown link in README.md and docs/*.md
 resolves to a real file (anchors are checked against the target's
-headings), and that every repository path the docs mention in backticks
-actually exists — so renames can't silently orphan the documentation.
+headings), that every repository path the docs mention in backticks
+actually exists, and that every backticked ``pkg.module.Name`` reference
+into ``repro`` still imports — so renames can't silently orphan the
+documentation.
 """
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -20,6 +24,9 @@ LINK_RE = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 BACKTICK_PATH_RE = re.compile(
     r"`((?:src|docs|tests|benchmarks|examples|\.github)/[A-Za-z0-9_./-]+)`"
 )
+# Three or more dotted parts, ``repro.`` optional: ``core.batch.screen_proof``.
+# Two-part names are metric and span names (``engine.prove_s``), not symbols.
+BACKTICK_SYMBOL_RE = re.compile(r"`([a-z_][a-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*){2,})`")
 
 
 def _headings(markdown: str) -> set[str]:
@@ -56,6 +63,40 @@ def test_mentioned_repo_paths_exist(doc: Path):
         assert (REPO_ROOT / mention).exists(), (
             f"{doc.name}: mentions nonexistent path `{mention}`"
         )
+
+
+def _resolve(dotted: str) -> object:
+    """Import the longest module prefix of ``dotted``, then ``getattr``
+    the rest."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[split:]:
+            target = getattr(target, name)
+        return target
+    raise ModuleNotFoundError(dotted)
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
+def test_mentioned_symbols_exist(doc: Path):
+    import repro
+
+    packages = {module.name for module in pkgutil.iter_modules(repro.__path__)}
+    for match in BACKTICK_SYMBOL_RE.finditer(doc.read_text()):
+        mention = match.group(1)
+        head = mention.partition(".")[0]
+        if head != "repro" and head not in packages:
+            continue
+        dotted = mention if head == "repro" else f"repro.{mention}"
+        try:
+            _resolve(dotted)
+        except (ImportError, AttributeError):
+            raise AssertionError(
+                f"{doc.name}: mentions nonexistent symbol `{mention}`"
+            ) from None
 
 
 def test_docs_exist():

@@ -122,10 +122,22 @@ class TestIngress:
             {"sender": accounts["alice"], "gas_limit": True},
             {"sender": accounts["alice"], "surprise": 1},
             {"sender": accounts["alice"], "max_fee_gwei": "cheap"},
+            *(
+                {"sender": accounts["alice"], field: fee}
+                for field in ("gas_price_gwei", "max_fee_gwei", "priority_fee_gwei")
+                for fee in (float("inf"), 1e300)
+            ),
         ):
             with pytest.raises(RpcClientError) as excinfo:
                 client.call("submit_tx", params)
             assert excinfo.value.code == -32602, params
+
+    def test_non_finite_tip_is_invalid_params(self, pooled_node):
+        client, _, _ = pooled_node
+        for tip in (float("inf"), 1e300, 10**400, -1.0, "cheap"):
+            with pytest.raises(RpcClientError) as excinfo:
+                client.call("fee_suggest", {"tip_gwei": tip})
+            assert excinfo.value.code == -32602, tip
 
     def test_fee_suggest_tracks_base_fee(self, pooled_node):
         client, _, chain = pooled_node

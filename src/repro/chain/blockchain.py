@@ -28,7 +28,10 @@ crashed chain bit-identically (checked via :meth:`Blockchain.state_hash`).
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
+import math
 import threading
 from contextlib import AbstractContextManager, ExitStack, nullcontext
 from dataclasses import dataclass, field
@@ -40,6 +43,9 @@ from .transaction import Event, OutOfGasError, Receipt, RevertError, Transaction
 
 WEI_PER_GWEI = 10**9
 WEI_PER_ETH = 10**18
+
+#: The sender of every scheduled call the chain fires.
+SCHEDULER = "0xscheduler"
 
 
 @dataclass
@@ -60,7 +66,7 @@ class Block:
         return hashlib.sha256(material.encode()).hexdigest()
 
 
-@dataclass(order=True)
+@dataclass(order=True, frozen=True)
 class ScheduledCall:
     due_time: float
     sequence: int
@@ -136,6 +142,50 @@ class Contract:
         return nullcontext()
 
 
+@functools.cache
+def _entry_points(cls: type) -> dict[str, tuple[Callable, int, float]]:
+    """``{name: (function, fewest, most arguments)}`` for every method a
+    transaction may call on ``cls``: the public functions its own classes
+    define below :class:`Contract`.  The counts include ``self`` and
+    ``ctx``."""
+    points: dict[str, tuple[Callable, int, float]] = {}
+    for klass in reversed(cls.__mro__[: cls.__mro__.index(Contract)]):
+        for name, member in vars(klass).items():
+            if name.startswith("_"):
+                continue
+            points.pop(name, None)  # a subclass's attribute hides the base's
+            if not inspect.isfunction(member):
+                continue
+            params = inspect.signature(member).parameters.values()
+            if any(
+                p.kind is p.KEYWORD_ONLY and p.default is p.empty for p in params
+            ):
+                continue
+            positional = [
+                p for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+            ]
+            most = (
+                math.inf
+                if any(p.kind is p.VAR_POSITIONAL for p in params)
+                else len(positional)
+            )
+            fewest = sum(p.default is p.empty for p in positional)
+            points[name] = (member, fewest, most)
+    return points
+
+
+def _entry_point(contract: "Contract", method: str | None, arguments: int) -> Callable:
+    """The function a transaction calling ``method`` with ``arguments``
+    arguments runs on ``contract``; reverts when there is none."""
+    point = _entry_points(type(contract)).get(method or "")
+    if point is None:
+        raise RevertError(f"{type(contract).__name__} has no method {method!r}")
+    function, fewest, most = point
+    if not fewest <= arguments + 2 <= most:
+        raise RevertError(f"{method} does not take {arguments} arguments")
+    return function
+
+
 class Blockchain:
     """The simulated chain: behaviour over a pluggable state store.
 
@@ -171,6 +221,9 @@ class Blockchain:
         # granularity and never observe a half-applied mutation.
         # Reentrant because mine_block -> _fire_due_calls -> transact.
         self.lock = threading.RLock()
+        #: The scheduled call being fired, the one transaction that may
+        #: come from the scheduler.
+        self._firing: Transaction | None = None
         self.store = store or MemoryStateStore()
         if not self.store.blocks:
             genesis = Block(number=0, timestamp=0.0, parent_hash="0" * 64)
@@ -305,8 +358,8 @@ class Blockchain:
         """Returns an error string, or None when the sender is authentic."""
         from ..crypto.schnorr import Signature, VerifyingKey
 
-        if tx.sender in self._contracts or tx.sender == "0xscheduler":
-            return None  # internal senders are not externally owned
+        if tx is self._firing:
+            return None  # a scheduled call: trusted by the path it came in on
         expected_key = self._signer_keys.get(tx.sender)
         if expected_key is None:
             return f"unknown signer account {tx.sender[:10]}"
@@ -506,9 +559,9 @@ class Blockchain:
                         gas=meter,
                         chain=self,
                     )
-                    method: Callable = getattr(contract, tx.method or "")
+                    method = _entry_point(contract, tx.method, len(tx.args))
                     contract._pending_events.clear()
-                    return_value = method(ctx, *tx.args)
+                    return_value = method(contract, ctx, *tx.args)
             success, error = True, None
         except (RevertError, OutOfGasError, AssertionError) as exc:
             self.store.rollback(mark)  # revert state changes
@@ -651,7 +704,7 @@ class Blockchain:
         # its transaction's commit.
         self.store.begin()
         try:
-            self.store.balances.setdefault("0xscheduler", 0)
+            self.store.balances.setdefault(SCHEDULER, 0)
         finally:
             self.store.commit("account")
         # Each contract class sees its instances' due calls together before
@@ -673,15 +726,18 @@ class Blockchain:
                 # recovers with the call still queued, and the next mined
                 # block re-fires it (at-least-once semantics).
                 call = self.store.scheduled.pop(0)
-                tx = Transaction(
-                    sender="0xscheduler",
+                self._firing = Transaction(
+                    sender=SCHEDULER,
                     to=call.contract,
                     method=call.method,
                     args=call.args,
                     gas_limit=self.block_gas_limit,
                     gas_price_gwei=0.0,  # prepaid by the contract's deposit model
                 )
-                self.transact(tx)
+                try:
+                    self.transact(self._firing)
+                finally:
+                    self._firing = None
 
     # -- introspection ------------------------------------------------------------------
 

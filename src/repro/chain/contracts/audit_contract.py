@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from ...core.batch import BatchItem, judge_proof, screen_proof, verify_batch_grouped
@@ -56,7 +56,7 @@ from ...core.verifier import PAIRING_MISMATCH, VerifyOutcome
 from ...crypto.bn254 import PROCESS_CACHE
 from ...obs.registry import get_registry
 from ...randomness.beacon import RandomnessBeacon
-from ..blockchain import CallContext, Contract, WEI_PER_GWEI
+from ..blockchain import SCHEDULER, CallContext, Contract, WEI_PER_GWEI
 from ..gas import PAPER_VERIFY_MS, AuditPrecompileModel, GasSchedule
 from ..transaction import RevertError
 
@@ -109,9 +109,13 @@ class ContractTerms:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class AuditRound:
-    """One round's on-chain trail (what Fig. 10's chain-growth counts)."""
+    """One round's on-chain trail (what Fig. 10's chain-growth counts).
+
+    Frozen: the contract writes a round by replacing it, as an EVM storage
+    slot is written, so the write-ahead log carries only the rounds that
+    changed."""
 
     round_id: int
     challenge: Challenge
@@ -252,7 +256,8 @@ class AuditContract(Contract):
     # ------------------------------------------------------------------ #
 
     def trigger_challenge(self, ctx: CallContext):
-        """On trigger scheduling ("Chal")."""
+        """On trigger scheduling ("Chal"): the chain's scheduler only."""
+        self.require(ctx.sender == SCHEDULER, "only the scheduler challenges")
         if self.state is State.CLOSED:
             return
         self.require(self.state is State.AUDIT, "st != AUDIT")
@@ -283,7 +288,7 @@ class AuditContract(Contract):
         )
         current = self.rounds[self.cnt]
         self.require(current.proof_bytes is None, "proof already posted")
-        current.proof_bytes = bytes(proof_bytes)
+        self.rounds[self.cnt] = replace(current, proof_bytes=bytes(proof_bytes))
         ctx.gas.consume(self.gas_model.schedule.storage_gas(len(proof_bytes)))
         self.emit("proofposted", round=self.cnt)
 
@@ -337,7 +342,9 @@ class AuditContract(Contract):
             _BLOCK_VERDICTS.reset(token)
 
     def trigger_verify(self, ctx: CallContext):
-        """On trigger scheduling ("Verify")."""
+        """On trigger scheduling ("Verify"): the chain's scheduler only, so
+        no party can close a round before its response window has run."""
+        self.require(ctx.sender == SCHEDULER, "only the scheduler verifies")
         if self.state is State.CLOSED:
             return
         self.require(self.state is State.PROVE, "st != PROVE")
@@ -346,8 +353,7 @@ class AuditContract(Contract):
         if outcome is None:
             outcome = judge_proof(*self._posted(current))
         passed = bool(outcome)
-        reason, current.reject_detail, verified = _recorded(outcome)
-        current.reject_reason = reason
+        reason, detail, verified = _recorded(outcome)
         # Charge the Fig. 5 gas model against the owner's prepaid gas fund.
         gas = self.gas_model.verification_gas(
             len(current.proof_bytes or b""), self.native_verify_ms
@@ -360,14 +366,19 @@ class AuditContract(Contract):
         self.chain._debit(self.address, fee)
         self.chain.fee_sink += fee
 
-        current.passed = passed
-        current.gas_used = gas
         # Round state feeds state_hash: record the cost model's pinned
         # verification time (zero when no verification ran), never a
         # wall-clock measurement — two chains fed the same workload must
         # hash identically.
-        current.verify_ms = self.native_verify_ms if verified else 0.0
-        current.resolved_at = ctx.timestamp
+        self.rounds[self.cnt] = replace(
+            current,
+            passed=passed,
+            gas_used=gas,
+            verify_ms=self.native_verify_ms if verified else 0.0,
+            resolved_at=ctx.timestamp,
+            reject_reason=reason,
+            reject_detail=detail,
+        )
         if passed:
             self.passes += 1
             payment = min(
@@ -473,7 +484,6 @@ class AuditContract(Contract):
             len(record.proof_bytes or b""), self.native_verify_ms
         )
         ctx.gas.consume(gas)
-        record.disputed_by = ctx.sender
         challenger_role = "owner" if ctx.sender == self.owner else "provider"
         self.emit("disputed", round=round_id, by=challenger_role)
         counterparty = self.provider if ctx.sender == self.owner else self.owner
@@ -483,9 +493,15 @@ class AuditContract(Contract):
             # so this branch fires only for a mis-recorded trail (the
             # light-client disagreement case): correct the record, refund
             # the challenger's bond, and leave value flows to governance.
-            record.dispute_verdict = "overturned"
-            record.passed = verdict
-            record.reject_reason, record.reject_detail, _ = _recorded(outcome)
+            reason, detail, _ = _recorded(outcome)
+            self.rounds[round_id] = replace(
+                record,
+                disputed_by=ctx.sender,
+                dispute_verdict="overturned",
+                passed=verdict,
+                reject_reason=reason,
+                reject_detail=detail,
+            )
             self.passes += 1 if verdict else -1
             self.fails += -1 if verdict else 1
             self.chain.transfer(self.address, ctx.sender, ctx.value)
@@ -496,7 +512,9 @@ class AuditContract(Contract):
             )
             return
 
-        record.dispute_verdict = "upheld"
+        self.rounds[round_id] = record = replace(
+            record, disputed_by=ctx.sender, dispute_verdict="upheld"
+        )
         self.emit("dispute_upheld", round=round_id, verdict="pass" if verdict else "fail")
         if not verdict and ctx.sender == self.owner:
             # Escalation by the wronged party: the chain itself confirms

@@ -28,7 +28,7 @@ check on chain.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from ...core.batch import BatchItem, screen_proof
 from ...core.challenge import epoch_challenge
@@ -51,9 +51,10 @@ class CheckpointStatus(enum.Enum):
     SLASHED = "slashed"      # a fraud proof landed; commitment is void
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckpointEntry:
-    """One posted commitment and its dispute lifecycle."""
+    """One posted commitment and its dispute lifecycle; the contract writes
+    it by replacement (see :class:`~repro.chain.contracts.AuditRound`)."""
 
     checkpoint_id: int
     commitment: Checkpoint
@@ -226,8 +227,9 @@ class CheckpointContract(Contract):
         )
         gas = self.gas_model.schedule.storage_gas(len(commitment_bytes))
         ctx.gas.consume(gas)
-        entry.gas_used += gas
-        entry.da_commitment = commitment
+        self.checkpoints[checkpoint_id] = replace(
+            entry, gas_used=entry.gas_used + gas, da_commitment=commitment
+        )
         self.emit(
             "da_committed",
             checkpoint=checkpoint_id,
@@ -274,19 +276,23 @@ class CheckpointContract(Contract):
         )
         return entry
 
+    def _charge(self, ctx: CallContext, checkpoint_id: int, gas: int) -> None:
+        """Meter ``gas`` and book it against the checkpoint's entry."""
+        ctx.gas.consume(gas)
+        entry = self.checkpoints[checkpoint_id]
+        self.checkpoints[checkpoint_id] = replace(entry, gas_used=entry.gas_used + gas)
+
     def _settle_challenge(
         self,
         ctx: CallContext,
-        entry: CheckpointEntry,
+        checkpoint_id: int,
         fraud_reason: str | None,
         upheld_payload: dict,
     ) -> None:
         """Common outcome path: slash on fraud, forfeit a frivolous bond."""
         assert self.chain is not None
+        entry = self.checkpoints[checkpoint_id]
         if fraud_reason is not None:
-            entry.status = CheckpointStatus.SLASHED
-            entry.challenged_by = ctx.sender
-            entry.fraud_reason = fraud_reason
             # Free the epoch slot: a slashed commitment is void, so a
             # correct aggregator can still settle the epoch afterwards —
             # otherwise one bonded garbage post would censor the epoch
@@ -295,7 +301,13 @@ class CheckpointContract(Contract):
                 del self._by_epoch[entry.commitment.epoch]
             # Challenger bond back + the poster's bond as the bounty.
             payout = ctx.value + entry.bond_wei
-            entry.bond_wei = 0
+            self.checkpoints[checkpoint_id] = replace(
+                entry,
+                status=CheckpointStatus.SLASHED,
+                challenged_by=ctx.sender,
+                fraud_reason=fraud_reason,
+                bond_wei=0,
+            )
             self.chain.transfer(self.address, ctx.sender, payout)
             self.emit(
                 "checkpoint_slashed",
@@ -361,11 +373,11 @@ class CheckpointContract(Contract):
         )
         # Leaf re-verification: the only place the rollup ever pays
         # pairing gas on chain, and only when someone claims fraud.
-        gas = self.gas_model.verification_gas(
-            len(bytes(leaf_bytes)), self.native_verify_ms
+        self._charge(
+            ctx,
+            checkpoint_id,
+            self.gas_model.verification_gas(len(bytes(leaf_bytes)), self.native_verify_ms),
         )
-        ctx.gas.consume(gas)
-        entry.gas_used += gas
         try:
             record = RoundRecord.from_bytes(bytes(leaf_bytes))
         except ValueError as exc:
@@ -382,7 +394,9 @@ class CheckpointContract(Contract):
             )
         fraud_reason = verdict.describe()
         if fraud_reason is None and counterproof and not record.verdict:
-            fraud_reason = self._rebut_rejection(ctx, entry, record, bytes(counterproof))
+            fraud_reason = self._rebut_rejection(
+                ctx, checkpoint_id, record, bytes(counterproof)
+            )
         self.emit(
             "checkpoint_challenged",
             checkpoint=checkpoint_id,
@@ -390,11 +404,11 @@ class CheckpointContract(Contract):
             by=ctx.sender[:16],
         )
         self._settle_challenge(
-            ctx, entry, fraud_reason, upheld_payload={"leaf": leaf_index}
+            ctx, checkpoint_id, fraud_reason, upheld_payload={"leaf": leaf_index}
         )
 
     def _rebut_rejection(
-        self, ctx: CallContext, entry: CheckpointEntry, record, counterproof: bytes
+        self, ctx: CallContext, checkpoint_id: int, record, counterproof: bytes
     ) -> str | None:
         """Fraud reason when a valid counterproof rebuts a rejected leaf.
         Bytes the screen turns away rebut nothing and are charged nothing."""
@@ -408,9 +422,11 @@ class CheckpointContract(Contract):
         )
         if not isinstance(rebuttal, BatchItem):
             return None  # not a valid rebuttal; the leaf stands
-        gas = self.gas_model.verification_gas(len(counterproof), self.native_verify_ms)
-        ctx.gas.consume(gas)
-        entry.gas_used += gas
+        self._charge(
+            ctx,
+            checkpoint_id,
+            self.gas_model.verification_gas(len(counterproof), self.native_verify_ms),
+        )
         if rebuttal.verify():
             return (
                 "rejection-rebutted: a valid proof exists for the epoch's "
@@ -439,8 +455,7 @@ class CheckpointContract(Contract):
         schedule = self.gas_model.schedule
         gas = sum(schedule.hash_gas(len(leaf)) for leaf in leaf_list)
         gas += (len(leaf_list) - 1) * schedule.hash_gas(64)
-        ctx.gas.consume(gas)
-        entry.gas_used += gas
+        self._charge(ctx, checkpoint_id, gas)
         tree = MerkleTree(leaf_list)
         if tree.root != entry.commitment.root:
             # A light client holding only a *partial* leaf set used to hit
@@ -494,7 +509,7 @@ class CheckpointContract(Contract):
             by=ctx.sender[:16],
         )
         self._settle_challenge(
-            ctx, entry, fraud_reason, upheld_payload={"scope": "counts"}
+            ctx, checkpoint_id, fraud_reason, upheld_payload={"scope": "counts"}
         )
 
     def _slash_registry_stake(self, ctx: CallContext, poster: str) -> None:
@@ -536,9 +551,10 @@ class CheckpointContract(Contract):
             ctx.timestamp > entry.posted_at + self.fraud_window,
             "fraud-proof window still open",
         )
-        entry.status = CheckpointStatus.FINAL
         bond = entry.bond_wei
-        entry.bond_wei = 0
+        self.checkpoints[checkpoint_id] = replace(
+            entry, status=CheckpointStatus.FINAL, bond_wei=0
+        )
         assert self.chain is not None
         if bond:
             self.chain.transfer(self.address, entry.poster, bond)

@@ -24,15 +24,18 @@ This contract is that system:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from ..blockchain import CallContext, Contract
 
 NEUTRAL_SCORE = 0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProviderRecord:
+    """One provider's standing; the registry writes it by replacement (see
+    :class:`~repro.chain.contracts.AuditRound`)."""
+
     stake_wei: int
     registered_at: float
     passes: int = 0
@@ -106,7 +109,8 @@ class ReputationRegistry(Contract):
             provider is None or record.staker == ctx.sender,
             "only the staking account may deregister this record",
         )
-        self._decay(record, ctx.timestamp)
+        # Decayed even when a check below refuses: the record is written first.
+        self.providers[key] = record = self._decayed(record, ctx.timestamp)
         self.require(not record.banned, "banned providers forfeit their stake")
         self.require(
             record.score >= NEUTRAL_SCORE,
@@ -135,14 +139,20 @@ class ReputationRegistry(Contract):
         record = self.providers.get(provider)
         self.require(record is not None, "unknown provider")
         assert record is not None
-        self._decay(record, ctx.timestamp)
+        record = self._decayed(record, ctx.timestamp)
         if passed:
-            record.passes += 1
-            record.score += self.learning_rate * (1.0 - record.score)
+            record = replace(
+                record,
+                passes=record.passes + 1,
+                score=record.score + self.learning_rate * (1.0 - record.score),
+            )
         else:
-            record.fails += 1
-            record.score -= self.learning_rate * record.score
-        self._maybe_ban(record, provider)
+            record = replace(
+                record,
+                fails=record.fails + 1,
+                score=record.score - self.learning_rate * record.score,
+            )
+        record = self._store(provider, record)
         self.emit("audit_reported", provider=provider, passed=passed,
                   score=round(record.score, 4))
 
@@ -166,13 +176,18 @@ class ReputationRegistry(Contract):
         record = self.providers.get(provider)
         self.require(record is not None, "unknown provider")
         assert record is not None
-        self._decay(record, ctx.timestamp)
+        record = self._decayed(record, ctx.timestamp)
         amount = int(record.stake_wei * fraction)
-        record.stake_wei -= amount
-        record.score = max(0.0, record.score - self.rejection_penalty)
+        # Written before the transfer: a revert rolls back balances, not
+        # contract storage, so the order of the two is observable.
+        self.providers[provider] = record = replace(
+            record,
+            stake_wei=record.stake_wei - amount,
+            score=max(0.0, record.score - self.rejection_penalty),
+        )
         assert self.chain is not None
         self.chain.transfer(self.address, beneficiary or ctx.sender, amount)
-        self._maybe_ban(record, provider)
+        record = self._store(provider, record)
         self.emit(
             "stake_slashed",
             provider=provider,
@@ -187,10 +202,15 @@ class ReputationRegistry(Contract):
         record = self.providers.get(provider)
         self.require(record is not None, "unknown provider")
         assert record is not None
-        self._decay(record, ctx.timestamp)
-        record.rejections += 1
-        record.score = max(0.0, record.score - self.rejection_penalty)
-        self._maybe_ban(record, provider)
+        record = self._decayed(record, ctx.timestamp)
+        record = self._store(
+            provider,
+            replace(
+                record,
+                rejections=record.rejections + 1,
+                score=max(0.0, record.score - self.rejection_penalty),
+            ),
+        )
         self.emit("rejection_reported", provider=provider,
                   score=round(record.score, 4))
 
@@ -228,11 +248,13 @@ class ReputationRegistry(Contract):
             return NEUTRAL_SCORE + (record.score - NEUTRAL_SCORE) * weight
         return record.score
 
-    def _decay(self, record: ProviderRecord, now: float) -> None:
-        record.score = self._decayed_score(record, now)
-        record.last_update = now
+    def _decayed(self, record: ProviderRecord, now: float) -> ProviderRecord:
+        return replace(record, score=self._decayed_score(record, now), last_update=now)
 
-    def _maybe_ban(self, record: ProviderRecord, provider: str) -> None:
+    def _store(self, provider: str, record: ProviderRecord) -> ProviderRecord:
+        """Write ``record``, banned first when its score fell below the bar."""
         if record.score < self.ban_threshold and not record.banned:
-            record.banned = True
+            record = replace(record, banned=True)
             self.emit("banned", provider=provider)
+        self.providers[provider] = record
+        return record

@@ -9,10 +9,14 @@ calls, the clock).  Two backends:
   dies with the process.  Zero overhead, used by tests and benchmarks.
 * :class:`WalStateStore` — a file-backed append-only write-ahead log plus
   snapshots.  Every committed mutation (account creation, contract
-  deployment, transaction, block seal) appends one self-contained record;
-  reopening the directory replays ``snapshot + WAL tail`` and reproduces
-  the chain **bit-identically** (verified by :meth:`StateStore.state_hash`),
-  including a crash between ``transact`` and ``mine_block``.
+  deployment, transaction, block seal) appends one record holding its
+  write-set: the keyed-map entries, events, scheduled calls and contract
+  attributes it changed, measured against what the log already holds, so a
+  record costs what its scope wrote, not how much history the chain keeps.
+  Reopening the directory replays ``snapshot + WAL tail`` in order and
+  reproduces the chain **bit-identically** (verified by
+  :meth:`StateStore.state_hash`), including a crash between ``transact``
+  and ``mine_block``.
 
 The canonical ``state_hash()`` is computed over a deterministic recursive
 encoding of the whole logical state (balances, nonces, signer keys,
@@ -21,10 +25,13 @@ dict) — *not* over pickles — so live and replayed stores can be compared
 across processes.  Sealed blocks and events, which are append-only, enter
 it as running hash chains, so a call never re-encodes the history.
 
-Contract objects are Python instances; the store persists them as
-``(class, attribute dict)`` with the ``chain`` back-reference stripped,
-and the owning :class:`~repro.chain.blockchain.Blockchain` rebinds it on
-restore.
+Contract objects are Python instances; the store persists a new contract
+as ``(class, attribute dict)`` with the ``chain`` back-reference stripped
+(the owning :class:`~repro.chain.blockchain.Blockchain` rebinds it on
+restore), and after that only the attributes, list entries and dict
+entries that changed.  Contract storage that should stay cheap to log is
+written by replacement, as an EVM storage slot is: a frozen record swapped
+in with ``dataclasses.replace``, never edited in place.
 """
 
 from __future__ import annotations
@@ -447,13 +454,184 @@ def _restore_contract(cls: type, state: dict, existing: Any = None) -> Any:
     return contract
 
 
+#: Types whose values never change once built.
+_SCALAR_TYPES = frozenset({type(None), bool, int, float, complex, str, bytes})
+
+
+def _immutable(value: Any) -> bool:
+    """Whether ``value`` can never change once built, so that the log holding
+    it once is enough: a scalar, an enum member, a tuple or frozenset of such
+    values, a frozen dataclass whose attributes are all such values, or an
+    instance of a class that says so with ``_immutable_value = True`` (the
+    curve and field elements, whose constructors are their only writers
+    apart from a memo the state digest skips)."""
+    kind = type(value)
+    if kind in _SCALAR_TYPES or getattr(kind, "_immutable_value", False):
+        return True
+    if kind is tuple or kind is frozenset:
+        return all(map(_immutable, value))
+    if isinstance(value, enum.Enum):
+        return True
+    params = getattr(kind, "__dataclass_params__", None)
+    if params is not None and params.frozen:
+        attrs = _object_attrs(value)
+        return attrs is not None and all(map(_immutable, attrs.values()))
+    return False
+
+
+#: What a shadow holds for a value the log must carry on every write-set:
+#: nothing is ever identical to it.
+_CARRY = object()
+
+# The attribute writes a record carries, by their first item.
+_SET, _DEL, _LIST, _DICT = range(4)
+
+
+def _held(value: Any) -> Any:
+    """A shadow's entry for ``value``: the value itself when it is immutable,
+    an :class:`_Entries` for a list or a dict with immutable keys, else
+    :data:`_CARRY`."""
+    kind = type(value)
+    if kind is list:
+        return _Entries(value, [item if _immutable(item) else _CARRY for item in value])
+    if kind is dict and all(map(_immutable, value)):
+        return _Entries(
+            value,
+            {key: item if _immutable(item) else _CARRY for key, item in value.items()},
+        )
+    return value if _immutable(value) else _CARRY
+
+
+class _Entries:
+    """The log's copy of one list or dict attribute: the container it was
+    taken from, and per entry what :func:`_held` makes of it."""
+
+    __slots__ = ("container", "entries")
+
+    def __init__(self, container, entries) -> None:
+        self.container = container
+        self.entries = entries
+
+    def write(self, value) -> tuple | None:
+        """The patch that brings the log's copy to ``value`` (the same
+        container) and updates the copy to match; ``None`` when it already
+        matches, or a ``_SET`` (the copy is then stale) when only the whole
+        value says it exactly."""
+        entries = self.entries
+        if type(entries) is list:
+            held = len(entries)
+            changed = {
+                index: item
+                for index, (item, old) in enumerate(zip(value, entries))
+                if item is not old
+            }
+            if len(value) > held:
+                changed.update(enumerate(value[held:], held))
+            elif len(value) == held and not changed:
+                return None
+            del entries[len(value):]
+            for index, item in changed.items():
+                item = item if _immutable(item) else _CARRY
+                if index < held:
+                    entries[index] = item
+                else:
+                    entries.append(item)
+            return (_LIST, len(value), changed)
+        changed = {
+            key: item for key, item in value.items() if entries.get(key, _CARRY) is not item
+        }
+        added = [key for key in changed if key not in entries]
+        removed = ()
+        if len(entries) + len(added) != len(value):
+            removed = tuple(key for key in entries if key not in value)
+        if not all(map(_immutable, added)):
+            return (_SET, value)
+        for key in removed:
+            del entries[key]
+        for key, item in changed.items():
+            entries[key] = item if _immutable(item) else _CARRY
+        # Iteration order is state too, and a delete and re-insert between
+        # two records moves a key that the patch would leave in place.
+        if list(entries) != list(value):
+            return (_SET, value)
+        if not changed and not removed:
+            return None
+        return (_DICT, changed, removed)
+
+
+class _Shadow:
+    """What the log holds of one contract: the object it was taken from and,
+    per attribute, what :func:`_held` makes of the value the log holds."""
+
+    __slots__ = ("contract", "attrs")
+
+    def __init__(self, contract: Any) -> None:
+        self.contract = contract
+        self.attrs = {
+            name: _held(value)
+            for name, value in vars(contract).items()
+            if name not in _CONTRACT_SKIP_ATTRS
+        }
+
+    def writes(self) -> dict[str, tuple]:
+        """The attribute writes that bring the log to the contract's present
+        state, by attribute name; updates the shadow to match."""
+        attrs, state = self.attrs, vars(self.contract)
+        writes: dict[str, tuple] = {}
+        present = 0
+        for name, value in state.items():
+            if name in _CONTRACT_SKIP_ATTRS:
+                continue
+            present += 1
+            held = attrs.get(name, _CARRY)
+            if value is held:
+                continue
+            if type(held) is _Entries and held.container is value:
+                write = held.write(value)
+                if write is None:
+                    continue
+                if write[0] != _SET:
+                    writes[name] = write
+                    continue
+            writes[name] = (_SET, value)
+            attrs[name] = _held(value)
+        if len(attrs) != present:
+            for name in [name for name in attrs if name not in state]:
+                writes[name] = (_DEL,)
+                del attrs[name]
+        return writes
+
+
+def _patch_contract(contract: Any, writes: dict[str, tuple]) -> None:
+    """Apply :meth:`_Shadow.writes` to the replayed copy of a contract."""
+    state = vars(contract)
+    for name, write in writes.items():
+        op = write[0]
+        if op == _SET:
+            state[name] = write[1]
+        elif op == _DEL:
+            del state[name]
+        elif op == _LIST:
+            target, length = state[name], write[1]
+            del target[length:]
+            target.extend([None] * (length - len(target)))
+            for index, item in write[2].items():
+                target[index] = item
+        else:
+            target = state[name]
+            for key in write[2]:
+                del target[key]
+            target.update(write[1])
+
+
 @dataclass
 class _WalRecord:
-    """One committed mutation: a self-contained, idempotent state patch.
+    """One committed mutation: the write-set of its scope, as a patch to the
+    state the log held after the previous record.
 
-    ``snapshot()`` writes the same record with every map and the event list
-    whole, so one ``_apply`` restores both and a field missing from either
-    is an error.
+    ``snapshot()`` writes the same record with every map, the event list,
+    the schedule and every contract whole, so one ``_apply`` restores both
+    and a field missing from either is an error.
     """
 
     kind: str                     # "account" | "deploy" | "tx" | "block" | "snapshot"
@@ -466,11 +644,12 @@ class _WalRecord:
     base_fee_wei: int
     burned: int
     pool_seq: int
-    scheduled: list               # full pending schedule (small)
+    scheduled: list               # scheduled calls the log did not hold yet
+    unscheduled: list             # sequences of logged calls since removed
     events_tail: list             # events appended in this scope
-    contracts: dict[str, tuple[type, dict]]
+    contracts: dict[str, tuple[type, dict]]   # contracts new to the log, whole
+    writes: dict[str, dict[str, tuple]]       # ... and the others' attribute writes
     payload: dict
-
 
 #: Seal of ``snapshot.pkl`` (see :mod:`repro.durable`).
 _SNAPSHOT_MAGIC = b"CHAINSNP"
@@ -510,6 +689,10 @@ class WalStateStore(StateStore):
         self.replayed_records = 0
         #: Sequence number of the last frame written, replayed or folded.
         self._seq = 0
+        #: What the log holds of each contract it has carried since the
+        #: last snapshot or reopen, and of the schedule (by sequence).
+        self._shadows: dict[str, _Shadow] = {}
+        self._logged_calls: dict[int, Any] = {}
         # Drop a torn tail frame (crash mid-append) before appending:
         # otherwise new records would land *behind* the garbage and be
         # unreachable to every future recovery.
@@ -519,9 +702,18 @@ class WalStateStore(StateStore):
     # -- commit hook ----------------------------------------------------------
 
     def _record(
-        self, kind: str, now: dict, gone: dict, events_tail: list, addresses, payload: dict
+        self,
+        kind: str,
+        now: dict,
+        gone: dict,
+        events_tail: list,
+        scheduled: list,
+        unscheduled: list,
+        contracts: dict,
+        writes: dict,
+        payload: dict,
     ) -> _WalRecord:
-        """The store's present state as one record; ``addresses`` are the contracts to carry."""
+        """One record: the store's counters plus the given write-set."""
         # Spelled out, not ``**``-unpacked from ``_RECORD_SCALARS``: this runs
         # once per transaction and a starred call takes the slow call path.
         return _WalRecord(
@@ -535,20 +727,53 @@ class WalStateStore(StateStore):
             base_fee_wei=self.base_fee_wei,
             burned=self.burned,
             pool_seq=self.pool_seq,
-            scheduled=list(self.scheduled),
+            scheduled=scheduled,
+            unscheduled=unscheduled,
             events_tail=events_tail,
-            contracts={
-                address: _contract_state(self.contracts[address])
-                for address in addresses
-                if address in self.contracts
-            },
+            contracts=contracts,
+            writes=writes,
             payload=payload,
         )
 
+    def _schedule_writes(self) -> tuple[list, list]:
+        """``(calls the log lacks, sequences of logged calls now gone)``;
+        updates the log's copy to match."""
+        logged = self._logged_calls
+        scheduled = self.scheduled
+        if not (scheduled or logged):
+            return [], []
+        added = [call for call in scheduled if logged.get(call.sequence) is not call]
+        unscheduled = []
+        # Without removals or replacements the counts add up exactly.
+        if len(logged) + len(added) != len(scheduled):
+            current = {call.sequence for call in scheduled}
+            unscheduled = [sequence for sequence in logged if sequence not in current]
+            for sequence in unscheduled:
+                del logged[sequence]
+        for call in added:
+            logged[call.sequence] = call
+        return added, unscheduled
+
     def _commit_hook(self, kind: str, payload: dict, touched: frozenset) -> None:
         now, gone = self.delta()
+        contracts: dict[str, tuple[type, dict]] = {}
+        writes: dict[str, dict[str, tuple]] = {}
+        for address in sorted(touched):
+            contract = self.contracts.get(address)
+            if contract is None:
+                continue
+            shadow = self._shadows.get(address)
+            if shadow is not None and shadow.contract is contract:
+                changed = shadow.writes()
+                if changed:
+                    writes[address] = changed
+            else:
+                contracts[address] = _contract_state(contract)
+                self._shadows[address] = _Shadow(contract)
+        scheduled, unscheduled = self._schedule_writes()
         record = self._record(
-            kind, now, gone, self.events[self._events_mark :], sorted(touched), payload
+            kind, now, gone, self.events[self._events_mark :], scheduled, unscheduled,
+            contracts, writes, payload,
         )
         self._seq += 1
         self._wal.write(
@@ -580,6 +805,9 @@ class WalStateStore(StateStore):
                     self._apply(pickle.loads(payload))
                     self._seq = sequence
                     self.replayed_records += 1
+        # The log now holds the schedule as replayed.  Contracts have no
+        # shadow yet, so the first record to touch one carries it whole.
+        self._logged_calls = {call.sequence: call for call in self.scheduled}
         return valid
 
     def _apply(self, record: _WalRecord) -> None:
@@ -596,12 +824,22 @@ class WalStateStore(StateStore):
         # missing one is a damaged record: fail on it, never skip it.
         for name in _RECORD_SCALARS:
             setattr(self, name, getattr(record, name))
-        self.scheduled = list(record.scheduled)
+        if record.scheduled or record.unscheduled:
+            # Kept sorted, as ``Blockchain`` keeps the live schedule; a call
+            # carried again under a logged sequence replaces it.
+            dropped = set(record.unscheduled)
+            dropped.update(call.sequence for call in record.scheduled)
+            calls = [call for call in self.scheduled if call.sequence not in dropped]
+            calls.extend(record.scheduled)
+            calls.sort()
+            self.scheduled = calls
         self.events.extend(record.events_tail)
         for address, (cls, attrs) in record.contracts.items():
             self.contracts[address] = _restore_contract(
                 cls, attrs, existing=self.contracts.get(address)
             )
+        for address, changed in record.writes.items():
+            _patch_contract(self.contracts[address], changed)
         payload = record.payload
         if record.kind == "tx":
             pending = self.blocks[-1]
@@ -634,7 +872,13 @@ class WalStateStore(StateStore):
             {name: getattr(self, name) for name in self._KEYED_MAPS},
             {},
             self.events,
-            self.contracts,
+            list(self.scheduled),
+            [],
+            {
+                address: _contract_state(contract)
+                for address, contract in self.contracts.items()
+            },
+            {},
             {"wal_seq": self._seq, "time": self.time, "blocks": self.blocks},
         )
         durable.publish(
@@ -647,6 +891,11 @@ class WalStateStore(StateStore):
         # them by the ``wal_seq`` recorded above.
         self._wal.close()
         self._wal = open(self.wal_path, "wb")
+        # The log is the snapshot now: later records are diffs against it.
+        self._shadows = {
+            address: _Shadow(contract) for address, contract in self.contracts.items()
+        }
+        self._logged_calls = {call.sequence: call for call in self.scheduled}
 
     def close(self) -> None:
         if not self._wal.closed:

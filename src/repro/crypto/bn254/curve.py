@@ -168,6 +168,9 @@ class G1Point:
     #: it is populated depends on what code *touched* the point, not on
     #: which point it is.
     _canonical_state_slots = ("x", "y", "z")
+    #: A value: its constructors write the coordinates, nothing rewrites
+    #: them, so a log that holds the point once holds it for good.
+    _immutable_value = True
 
     def __init__(self, x: int, y: int, z: int = 1):
         self.x = x % P
@@ -326,6 +329,9 @@ class G2Point:
     #: it is populated depends on what code *touched* the point, not on
     #: which point it is.
     _canonical_state_slots = ("x", "y", "z")
+    #: A value: its constructors write the coordinates, nothing rewrites
+    #: them, so a log that holds the point once holds it for good.
+    _immutable_value = True
 
     def __init__(self, x: Fp2, y: Fp2, z: Fp2 | None = None):
         self.x = x

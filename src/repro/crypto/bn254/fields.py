@@ -226,6 +226,7 @@ class Fp2:
     """Element c0 + c1*u of Fp2 = Fp[u]/(u^2 + 1)."""
 
     __slots__ = ("c0", "c1")
+    _immutable_value = True  # written by the constructor only
 
     def __init__(self, c0: int, c1: int = 0):
         self.c0 = c0 % P
@@ -365,6 +366,7 @@ class Fp6:
     """Element c0 + c1*v + c2*v^2 of Fp6 = Fp2[v]/(v^3 - xi)."""
 
     __slots__ = ("c0", "c1", "c2")
+    _immutable_value = True  # written by the constructor only
 
     def __init__(self, c0: Fp2, c1: Fp2, c2: Fp2):
         self.c0 = c0
@@ -466,6 +468,7 @@ class Fp12:
     """
 
     __slots__ = ("c0", "c1")
+    _immutable_value = True  # written by the constructor only
 
     def __init__(self, c0: Fp6, c1: Fp6):
         self.c0 = c0

@@ -30,8 +30,11 @@ from pathlib import Path
 from typing import Iterator
 
 #: 2: ``chain.state._WalRecord`` carries ``delta()``'s maps by name and
-#: ``snapshot.pkl`` holds one such record (version-1 files are refused).
-FORMAT_VERSION = 2
+#: ``snapshot.pkl`` holds one such record.  3: a record carries its scope's
+#: write-set (scheduled calls added and removed, contract attribute patches)
+#: instead of the whole schedule and every touched contract.  Files of any
+#: other version are refused.
+FORMAT_VERSION = 3
 
 _MAGIC_LEN = 8
 #: Bytes before a sealed file's payload (magic, version, sha256).

@@ -356,7 +356,8 @@ class MetricsRegistry:
             try:
                 hook()
             except Exception:
-                pass  # a dead hook must never break exposition
+                # A dead hook must never break exposition, but it is counted.
+                self.instrument("metrics_collect_hook_errors_total").inc()
 
     # -- exporters -------------------------------------------------------
     def snapshot(self) -> dict:
@@ -472,6 +473,7 @@ CORE_INSTRUMENTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     ("counter", "da_withholding_detected_total", "sampling runs that flagged withholding", ()),
     ("counter", "da_reconstructions_total", "k-of-n leaf-set reconstructions, by outcome", ("outcome",)),
     ("histogram", "da_sample_run_seconds", "wall-clock per sampling run", ()),
+    ("counter", "metrics_collect_hook_errors_total", "collect hooks that raised", ()),
 )
 _CATALOG = {name: (kind, help, labels) for kind, name, help, labels in CORE_INSTRUMENTS}
 

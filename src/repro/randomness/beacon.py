@@ -39,6 +39,10 @@ class HashChainBeacon:
     seed — the honest-but-simulated stand-in for tests and benchmarks.
     """
 
+    #: Nothing rewrites the seed or the cost once built, so a chain log that
+    #: holds a contract's beacon once holds it for good.
+    _immutable_value = True
+
     def __init__(self, seed: bytes, cost_usd: float = 0.0):
         self._seed = seed
         self._cost = cost_usd

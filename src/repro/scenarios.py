@@ -665,19 +665,57 @@ class ProbeReport:
     instruments: int
     layers: list[str]
     metrics_lines: int | None   # /metrics line count, when exposed
+    hostile_error: str | None   # the hostile transaction's failed receipt
+    heights: tuple[int, int]    # node height before and after it was mined
     ok: bool
+
+
+#: The method the probe's hostile transaction names; no contract has it.
+HOSTILE_METHOD = "probe_no_such_method"
+
+
+def _hostile_receipt(service: AuditService, client: RpcClient) -> tuple[str | None, int, int]:
+    """Submit one transaction naming a method the first deployed contract
+    lacks, from an account funded in-process, and mine it: ``(its receipt's
+    error, or None when no such failed receipt exists, height before,
+    height after)``."""
+    lane, contract = next(
+        (lane, min(lane.store.contracts))
+        for lane in service.fabric.lanes
+        if lane.store.contracts
+    )
+    sender = lane.create_account(1.0, label="probe-hostile")
+    before = client.call("node_status")["height"]
+    client.call(
+        "submit_tx",
+        {"sender": sender, "to": contract, "method": HOSTILE_METHOD, "gas_limit": 100_000},
+    )
+    client.call("mine", {"blocks": 1})
+    after = client.call("node_status")["height"]
+    with lane.lock:
+        errors = [
+            receipt.error
+            for block in lane.blocks
+            for receipt in block.receipts
+            if not receipt.success and HOSTILE_METHOD in (receipt.error or "")
+        ]
+    return (errors[0] if errors else None), before, after
 
 
 def probe_service(service: AuditService) -> ProbeReport:
     """Exercise a service through a real socket client.
 
-    Also scrapes the Prometheus endpoint when the service exposes one.
+    Besides the reads, one hostile transaction — naming a method no
+    contract has — goes in and is mined; the service must record it as a
+    failed receipt and keep answering at a greater height.  Also scrapes
+    the Prometheus endpoint when the service exposes one.
     """
     with RpcClient(service.host, service.port) as client:
         status = client.call("node_status")
         suggestion = client.call("fee_suggest", {"tip_gwei": 1.0})
         checkpoint = client.call("checkpoint_get")
         snapshot = client.call("metrics_get")
+        hostile_error, before, after = _hostile_receipt(service, client)
     layers = {name.split("_")[0] for name in snapshot}
     lanes = service.fabric.num_lanes
     ok = (
@@ -685,6 +723,8 @@ def probe_service(service: AuditService) -> ProbeReport:
         and suggestion["max_fee_gwei"] > 0
         and checkpoint["num_lanes"] == lanes
         and SERVED_LAYERS <= layers
+        and hostile_error is not None
+        and after > before
     )
     metrics_lines = None
     if service.metrics_url is not None:
@@ -699,6 +739,8 @@ def probe_service(service: AuditService) -> ProbeReport:
         instruments=len(snapshot),
         layers=sorted(layers),
         metrics_lines=metrics_lines,
+        hostile_error=hostile_error,
+        heights=(before, after),
         ok=ok,
     )
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.adversary import run_onchain_dispute
@@ -248,7 +250,7 @@ class TestDisputeGuards:
         chain, deployment, contract, terms = closed_failed_contract
         # Simulate a corrupted trail (the light-client disagreement case):
         # round 0 genuinely passed but the record claims it failed.
-        contract.rounds[0].passed = False
+        contract.rounds[0] = dataclasses.replace(contract.rounds[0], passed=False)
         contract.passes -= 1
         contract.fails += 1
         receipt = chain.transact(

@@ -83,19 +83,20 @@ def test_every_single_bit_flip_of_the_snapshot_is_refused_or_harmless(tmp_path):
 
 
 def test_files_framed_by_the_previous_format_are_refused_by_name(tmp_path, monkeypatch):
-    """``FORMAT_VERSION`` 2 changed what a record holds; a log or snapshot
+    """Each ``FORMAT_VERSION`` changed what a record holds; a log or snapshot
     the previous build wrote is refused whole, never half-applied."""
+    previous_version = durable.FORMAT_VERSION - 1
     with monkeypatch.context() as previous:
-        previous.setattr(durable, "FORMAT_VERSION", durable.FORMAT_VERSION - 1)
+        previous.setattr(durable, "FORMAT_VERSION", previous_version)
         chain = _build_reference(tmp_path)
         chain.close()
         folded = Blockchain.open(tmp_path / "folded")
         folded.create_account(1.0, label="alice")
         folded.snapshot()
         folded.close()
-    with pytest.raises(WalCorruption, match="unsupported frame version 1"):
+    with pytest.raises(WalCorruption, match=f"unsupported frame version {previous_version}$"):
         WalStateStore(tmp_path)
-    with pytest.raises(WalCorruption, match="unsupported format version 1"):
+    with pytest.raises(WalCorruption, match=f"unsupported format version {previous_version}$"):
         WalStateStore(tmp_path / "folded")
 
 

@@ -141,7 +141,7 @@ def _contract_round(fleet, kind, cut, garbage):
             # submit_proof refuses any other length, so such bytes reach a
             # round only through a damaged trail; the verdict must still
             # name them.
-            contract.rounds[round_id].proof_bytes = payload
+            contract.rounds[round_id] = replace(contract.rounds[round_id], proof_bytes=payload)
         chain.mine_block()
     assert contract.state is State.CLOSED and contract.rounds[0].passed
     return contract

@@ -155,6 +155,20 @@ class TestRegistry:
         assert "ok_total" in registry.snapshot()
         assert "ok_total" in registry.to_prometheus()
 
+    def test_failing_hook_is_counted(self, registry):
+        calls = []
+
+        def bad_hook():
+            calls.append(None)
+            raise RuntimeError("collector died")
+
+        registry.add_collect_hook(bad_hook)
+        registry.add_collect_hook(lambda: None)
+        registry.snapshot()
+        registry.to_prometheus()
+        errors = registry.snapshot()["metrics_collect_hook_errors_total"]
+        assert len(calls) == 3 and errors["series"][0]["value"] == 3
+
 
 class TestExporters:
     def test_prometheus_text_format(self, registry):

@@ -146,6 +146,7 @@ class TestPostingAndFinality:
                         method="finalize_checkpoint", args=(checkpoint_id,))
         )
         assert receipt.success, receipt.error
+        entry = contract.checkpoints[checkpoint_id]  # storage is written by replacement
         assert entry.status is CheckpointStatus.FINAL
         assert entry.bond_wei == 0
         assert chain.total_supply() == supply  # nothing minted or burned
@@ -385,6 +386,7 @@ class TestSlanderAndCounts:
             )
         )
         assert receipt.success, receipt.error
+        entry = contract.checkpoints[checkpoint_id]  # storage is written by replacement
         assert entry.status is CheckpointStatus.SLASHED
         assert "rejection-rebutted" in entry.fraud_reason
         # The voided epoch is settleable again: a correct aggregator can

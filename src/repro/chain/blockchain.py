@@ -44,6 +44,9 @@ from .transaction import Event, OutOfGasError, Receipt, RevertError, Transaction
 WEI_PER_GWEI = 10**9
 WEI_PER_ETH = 10**18
 
+#: What a contract raises to revert (anything else becomes a RevertError).
+_REVERTS = (RevertError, OutOfGasError, AssertionError)
+
 #: The sender of every scheduled call the chain fires.
 SCHEDULER = "0xscheduler"
 
@@ -104,13 +107,33 @@ class Contract:
     """Base class for on-chain contracts.
 
     Subclasses implement methods taking ``ctx`` first; state is ordinary
-    attributes.  ``emit`` appends to the transaction's event list.
+    attributes, which once deployed obey the storage rule of
+    :mod:`repro.chain.state` and are journaled.  ``emit`` appends to the
+    transaction's event list.
     """
 
     def __init__(self) -> None:
         self.address: str = ""
         self.chain: "Blockchain | None" = None
         self._pending_events: list[Event] = []
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        chain = self.__dict__.get("chain")
+        if chain is None:  # not deployed: the constructor's writes
+            object.__setattr__(self, name, value)
+        else:
+            chain.store.write_storage(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        chain = self.__dict__.get("chain")
+        if chain is None:
+            object.__delattr__(self, name)
+        else:
+            chain.store.write_storage(self, name)
+
+    def __getstate__(self) -> dict:
+        # Persisted without the chain back-reference; its chain rebinds it.
+        return {name: value for name, value in vars(self).items() if name != "chain"}
 
     def emit(self, event_name: str, **payload: Any) -> None:
         self._pending_events.append(
@@ -221,9 +244,9 @@ class Blockchain:
         # granularity and never observe a half-applied mutation.
         # Reentrant because mine_block -> _fire_due_calls -> transact.
         self.lock = threading.RLock()
-        #: The scheduled call being fired, the one transaction that may
-        #: come from the scheduler.
-        self._firing: Transaction | None = None
+        #: The scheduled call being fired and its transaction, the one
+        #: transaction that may come from the scheduler.
+        self._firing: tuple[ScheduledCall, Transaction] | None = None
         self.store = store or MemoryStateStore()
         if not self.store.blocks:
             genesis = Block(number=0, timestamp=0.0, parent_hash="0" * 64)
@@ -358,7 +381,7 @@ class Blockchain:
         """Returns an error string, or None when the sender is authentic."""
         from ..crypto.schnorr import Signature, VerifyingKey
 
-        if tx is self._firing:
+        if self._firing is not None and tx is self._firing[1]:
             return None  # a scheduled call: trusted by the path it came in on
         expected_key = self._signer_keys.get(tx.sender)
         if expected_key is None:
@@ -415,9 +438,11 @@ class Blockchain:
     # -- contracts --------------------------------------------------------------
 
     def deploy(self, contract: Contract, deployer: str, deposit_bytes: int = 0) -> str:
-        """Install a contract; charges the deployer for its on-chain size."""
+        """Install a contract; charges the deployer for its on-chain size.
+        A deploy that fails installs nothing and charges nothing."""
         with self.lock:
             self.store.begin()
+            mark = self.store.savepoint()
             try:
                 self.store.account_seq += 1
                 tag = f":{self.chain_id}" if self.chain_id else ""
@@ -428,23 +453,23 @@ class Blockchain:
                     ).hexdigest()[:39]
                 )
                 contract.address = address
-                contract.chain = self
-                self.store.contracts[address] = contract
-                self.store.touch_contract(address)
+                self.store.install(contract)
                 self.store.balances.setdefault(address, 0)
                 if deposit_bytes:
                     gas = self.schedule.storage_gas(deposit_bytes)
                     fee = int(gas * 5 * WEI_PER_GWEI)
                     self._debit(deployer, fee)
                     self.store.fee_sink += fee
+            except BaseException:
+                self.store.rollback(mark)
+                raise
             finally:
                 self.store.commit("deploy")
+            contract.chain = self
             return address
 
     def contract_at(self, address: str) -> Contract:
-        contract = self.store.contracts[address]
-        self.store.touch_contract(address)
-        return contract
+        return self.store.contracts[address]
 
     # -- transactions -------------------------------------------------------------
 
@@ -458,6 +483,9 @@ class Blockchain:
         with self.lock:
             self.store.begin()
             try:
+                if self._firing is not None and tx is self._firing[1]:
+                    # A fired call leaves the schedule in its own record.
+                    del self.store.calls[self._firing[0].sequence]
                 receipt = self._execute(tx, payload_bytes)
             except BaseException:
                 # An unexpected fault (not a modelled revert): log whatever
@@ -549,7 +577,6 @@ class Blockchain:
                     self._credit(tx.to, tx.value)
                     return_value = None
                 else:
-                    self.store.touch_contract(tx.to)
                     self._credit(contract.address, tx.value)
                     ctx = CallContext(
                         sender=tx.sender,
@@ -561,9 +588,16 @@ class Blockchain:
                     )
                     method = _entry_point(contract, tx.method, len(tx.args))
                     contract._pending_events.clear()
-                    return_value = method(contract, ctx, *tx.args)
+                    try:
+                        return_value = method(contract, ctx, *tx.args)
+                    except _REVERTS:
+                        raise
+                    except Exception as exc:
+                        # Whatever a contract raises is a revert, so that
+                        # badly typed arguments cannot fault the chain.
+                        raise RevertError(f"{type(exc).__name__}: {exc}") from exc
             success, error = True, None
-        except (RevertError, OutOfGasError, AssertionError) as exc:
+        except _REVERTS as exc:
             self.store.rollback(mark)  # revert state changes
             if contract is not None:
                 contract._pending_events.clear()
@@ -636,16 +670,13 @@ class Blockchain:
             self.store.begin()
             try:
                 self.store.schedule_seq += 1
-                self.store.scheduled.append(
-                    ScheduledCall(
-                        due_time=self.time + delay,
-                        sequence=self.store.schedule_seq,
-                        contract=contract,
-                        method=method,
-                        args=args,
-                    )
+                self.store.calls[self.store.schedule_seq] = ScheduledCall(
+                    due_time=self.time + delay,
+                    sequence=self.store.schedule_seq,
+                    contract=contract,
+                    method=method,
+                    args=args,
                 )
-                self.store.scheduled.sort()
             finally:
                 self.store.commit("schedule")
 
@@ -696,12 +727,16 @@ class Blockchain:
         while self.time < target:
             self.mine_block()
 
+    def _due_calls(self) -> list[ScheduledCall]:
+        """The scheduled calls due by now, in firing order."""
+        now = self.time
+        return sorted(call for call in self.store.calls.values() if call.due_time <= now)
+
     def _fire_due_calls(self) -> None:
-        if not (self._scheduled and self._scheduled[0].due_time <= self.time):
+        due = self._due_calls()
+        if not due:
             return
-        # The scheduler account is ensured in its own record *before* any
-        # call is popped, so nothing ever hits the WAL between a pop and
-        # its transaction's commit.
+        # The scheduler account is ensured in its own record.
         self.store.begin()
         try:
             self.store.balances.setdefault(SCHEDULER, 0)
@@ -709,35 +744,35 @@ class Blockchain:
             self.store.commit("account")
         # Each contract class sees its instances' due calls together before
         # any of them fires (a read: nothing here touches the store).
-        due: dict[type[Contract], list[tuple[Contract, ScheduledCall]]] = {}
-        for call in self._scheduled:
-            if call.due_time > self.time:
-                break
+        by_class: dict[type[Contract], list[tuple[Contract, ScheduledCall]]] = {}
+        for call in due:
             contract = self.store.contracts.get(call.contract)
             if contract is not None:
-                due.setdefault(type(contract), []).append((contract, call))
+                by_class.setdefault(type(contract), []).append((contract, call))
         with ExitStack() as scopes:
-            for contract_class, calls in due.items():
+            for contract_class, calls in by_class.items():
                 scopes.enter_context(contract_class.due_calls_scope(calls))
-            while self._scheduled and self._scheduled[0].due_time <= self.time:
-                # The pop itself is deliberately unlogged: the fired call's
-                # tx record captures the post-pop schedule, making pop +
-                # execution one atomic WAL unit.  A crash before that commit
-                # recovers with the call still queued, and the next mined
-                # block re-fires it (at-least-once semantics).
-                call = self.store.scheduled.pop(0)
-                self._firing = Transaction(
-                    sender=SCHEDULER,
-                    to=call.contract,
-                    method=call.method,
-                    args=call.args,
-                    gas_limit=self.block_gas_limit,
-                    gas_price_gwei=0.0,  # prepaid by the contract's deposit model
-                )
-                try:
-                    self.transact(self._firing)
-                finally:
-                    self._firing = None
+            while due:
+                # A call scheduled by one that fires is due no earlier than
+                # now and has a later sequence, so it fires after these.
+                for call in due:
+                    tx = Transaction(
+                        sender=SCHEDULER,
+                        to=call.contract,
+                        method=call.method,
+                        args=call.args,
+                        gas_limit=self.block_gas_limit,
+                        gas_price_gwei=0.0,  # prepaid by the contract's deposit model
+                    )
+                    # Unscheduled in its own transaction's record (``transact``):
+                    # a crash before that commit recovers with the call still
+                    # queued, and the next block fires it.
+                    self._firing = (call, tx)
+                    try:
+                        self.transact(tx)
+                    finally:
+                        self._firing = None
+                due = self._due_calls()
 
     # -- introspection ------------------------------------------------------------------
 

@@ -474,10 +474,8 @@ class AuditContract(Contract):
             "dispute window closed",
         )
         assert self.chain is not None
-        # Adjudicate and meter gas BEFORE marking the round disputed: the
-        # simulated chain only reverts balances on failure, so mutating
-        # contract state ahead of a potential OutOfGasError would lock the
-        # round against any future (properly funded) dispute.
+        # Adjudicate and meter gas before marking the round disputed (an
+        # out-of-gas revert would undo the mark anyway).
         outcome = judge_proof(*self._posted(record))
         verdict = bool(outcome)
         gas = self.gas_model.verification_gas(

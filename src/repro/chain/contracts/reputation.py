@@ -109,7 +109,7 @@ class ReputationRegistry(Contract):
             provider is None or record.staker == ctx.sender,
             "only the staking account may deregister this record",
         )
-        # Decayed even when a check below refuses: the record is written first.
+        # Decayed first, so the checks below read the current score.
         self.providers[key] = record = self._decayed(record, ctx.timestamp)
         self.require(not record.banned, "banned providers forfeit their stake")
         self.require(
@@ -178,8 +178,6 @@ class ReputationRegistry(Contract):
         assert record is not None
         record = self._decayed(record, ctx.timestamp)
         amount = int(record.stake_wei * fraction)
-        # Written before the transfer: a revert rolls back balances, not
-        # contract storage, so the order of the two is observable.
         self.providers[provider] = record = replace(
             record,
             stake_wei=record.stake_wei - amount,

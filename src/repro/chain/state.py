@@ -1,37 +1,29 @@
 """Pluggable chain state persistence: where a lane's world lives.
 
-Extracted from :class:`~repro.chain.blockchain.Blockchain` so that chain
-*behaviour* (transaction execution, gas, scheduling) is separated from
-chain *state* (accounts, nonces, contract storage, receipts, scheduled
-calls, the clock).  Two backends:
+Chain *state* (accounts, nonces, contract storage, receipts, scheduled
+calls, the clock), apart from the chain *behaviour* of
+:class:`~repro.chain.blockchain.Blockchain`.  Two backends:
+:class:`MemoryStateStore` keeps it in process memory;
+:class:`WalStateStore` adds an append-only write-ahead log plus snapshots,
+one record per committed mutation holding its write-set, and reopening
+replays ``snapshot + WAL tail`` **bit-identically** (checked by
+:meth:`StateStore.state_hash`), even after a crash between ``transact``
+and ``mine_block``.
 
-* :class:`MemoryStateStore` — the original in-process dict store; state
-  dies with the process.  Zero overhead, used by tests and benchmarks.
-* :class:`WalStateStore` — a file-backed append-only write-ahead log plus
-  snapshots.  Every committed mutation (account creation, contract
-  deployment, transaction, block seal) appends one record holding its
-  write-set: the keyed-map entries, events, scheduled calls and contract
-  attributes it changed, measured against what the log already holds, so a
-  record costs what its scope wrote, not how much history the chain keeps.
-  Reopening the directory replays ``snapshot + WAL tail`` in order and
-  reproduces the chain **bit-identically** (verified by
-  :meth:`StateStore.state_hash`), including a crash between ``transact``
-  and ``mine_block``.
+One journal records every write a scope makes: to the keyed maps
+(balances, nonces, the schedule by sequence, the contracts by address,
+...), to contract attributes and to the entries of contract lists, dicts
+and sets.  A revert (:meth:`StateStore.rollback`) undoes it entry by
+entry, and a WAL record is read off it (:meth:`StateStore.delta`).  For
+that to be exact, contract storage obeys one rule, as an EVM storage slot
+does: an attribute holds an immutable value, or a list, dict or set of
+immutable values, so a record such as a round is rewritten by
+replacement (``dataclasses.replace``).  A write that breaks the rule
+raises where it happens.
 
-The canonical ``state_hash()`` is computed over a deterministic recursive
-encoding of the whole logical state (balances, nonces, signer keys,
-scheduled calls, blocks, receipts, events, and every contract's attribute
-dict) — *not* over pickles — so live and replayed stores can be compared
-across processes.  Sealed blocks and events, which are append-only, enter
-it as running hash chains, so a call never re-encodes the history.
-
-Contract objects are Python instances; the store persists a new contract
-as ``(class, attribute dict)`` with the ``chain`` back-reference stripped
-(the owning :class:`~repro.chain.blockchain.Blockchain` rebinds it on
-restore), and after that only the attributes, list entries and dict
-entries that changed.  Contract storage that should stay cheap to log is
-written by replacement, as an EVM storage slot is: a frozen record swapped
-in with ``dataclasses.replace``, never edited in place.
+``state_hash()`` digests a deterministic recursive encoding of the whole
+logical state — *not* pickles — so live and replayed stores compare across
+processes; sealed blocks and events enter as running hash chains.
 """
 
 from __future__ import annotations
@@ -44,8 +36,9 @@ import pickle
 import struct
 from collections.abc import MutableMapping
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .. import durable
 from ..durable import WalCorruption
@@ -61,6 +54,10 @@ __all__ = [
 #: Attributes never persisted or hashed on a contract: the chain
 #: back-reference would drag the whole world into every record.
 _CONTRACT_SKIP_ATTRS = frozenset({"chain"})
+
+#: ... and outside the journal, with the events of the running call
+#: (empty at rest).
+_TRANSIENT_ATTRS = _CONTRACT_SKIP_ATTRS | {"_pending_events"}
 
 
 # --------------------------------------------------------------------------- #
@@ -185,47 +182,126 @@ class _HashChain:
 
 
 # --------------------------------------------------------------------------- #
-# The store interface (and its in-memory reference backend)                   #
+# The journal                                                                 #
 # --------------------------------------------------------------------------- #
 
 
-#: Journal marker for "the key was absent".
+#: Journal marker for "nothing was there".
 _MISSING = object()
 
+#: Types whose values never change once built.
+_SCALAR_TYPES = frozenset({type(None), bool, int, float, complex, str, bytes})
 
-class _JournaledDict(dict):
-    """One of the store's keyed maps: writes inside an open scope are journaled.
 
-    Every mutator appends ``((map name, key), map, previous value)`` to the
-    owning store's journal — the one record that reverts
-    (:meth:`StateStore.rollback`) and WAL patches (:meth:`StateStore.delta`)
-    are both derived from, at a cost proportional to what a scope wrote, not
-    to how many accounts exist.  Reads are the builtin's.  Pickles as a
-    plain dict, so nothing persisted ever carries a back-reference to its
-    store.
-    """
+def _immutable(value: Any) -> bool:
+    """Whether ``value`` can never change once built: a scalar, an enum
+    member, a tuple or frozenset of such values, a frozen dataclass of them,
+    or an instance of a class marked ``_immutable_value = True`` (curve and
+    field elements: only a memo the state digest skips is written later)."""
+    kind = type(value)
+    if kind in _SCALAR_TYPES or getattr(kind, "_immutable_value", False):
+        return True
+    if kind is tuple or kind is frozenset:
+        return all(map(_immutable, value))
+    if isinstance(value, enum.Enum):
+        return True
+    params = getattr(kind, "__dataclass_params__", None)
+    if params is not None and params.frozen:
+        attrs = _object_attrs(value)
+        return attrs is not None and all(map(_immutable, attrs.values()))
+    return False
 
-    __slots__ = ("_store", "name", "same")
 
-    def __init__(self, store: "StateStore", name: str, same=operator.eq) -> None:
+def _entry(value: Any) -> Any:
+    """``value``, if contract storage may hold it as one entry: an immutable
+    value.  Anything else could change behind the journal's back."""
+    if not _immutable(value):
+        raise TypeError(
+            f"contract storage holds immutable values, not a {type(value).__name__}"
+        )
+    return value
+
+
+def _storable(value: Any) -> Any:
+    """``value``, if a contract attribute may hold it: an immutable value, or
+    a list, dict or set of immutable values (the storage rule)."""
+    if type(value) not in _CONTAINERS:
+        return _entry(value)
+    for item in (*value, *value.values()) if isinstance(value, dict) else value:
+        _entry(item)
+    return value
+
+
+def _peek(target: Any, key: Any) -> Any:
+    """What ``target`` holds at ``key`` (a list's index, a set's member), or
+    ``_MISSING``."""
+    kind = type(target)
+    if kind is _JournaledList:
+        return list.__getitem__(target, key) if key < len(target) else _MISSING
+    if kind is _JournaledSet:
+        return key if key in target else _MISSING
+    return dict.get(target, key, _MISSING)
+
+
+def _poke(target: Any, key: Any, value: Any) -> None:
+    """Make ``target`` hold ``value`` at ``key`` (nothing, for ``_MISSING``)
+    past the journal: how a rollback restores and a replay applies."""
+    kind = type(target)
+    if kind is _JournaledList:
+        if value is _MISSING:
+            list.__delitem__(target, slice(key, None))
+        elif key < len(target):
+            list.__setitem__(target, key, value)
+        else:
+            list.append(target, value)
+    elif kind is _JournaledSet:
+        (set.discard if value is _MISSING else set.add)(target, key)
+    elif value is _MISSING:
+        dict.pop(target, key, None)
+    else:
+        dict.__setitem__(target, key, value)
+
+
+class _Journaled:
+    """A container whose writes inside an open scope are journaled: every
+    mutator appends ``((name, key), container, previous value)`` to the
+    store's journal, at a cost proportional to what a scope wrote, not to
+    how much state exists.  Reads are the builtin's.  Pickles as the plain
+    builtin, with no back-reference to its store."""
+
+    __slots__ = ()
+
+    def __init__(self, store: "StateStore", name: Any, items=(), same=operator.is_) -> None:
+        self._base.__init__(self, items)
         self._store = store
         self.name = name
-        #: Whether two values of this map count as unchanged (see ``delta``).
+        #: Whether two values count as unchanged (see ``delta``).
         self.same = same
 
     def __reduce__(self):
-        return dict, (dict(self),)
+        return self._base, (self._base(self),)
 
     def _note(self, key) -> None:
         store = self._store
         if store._tx_depth:
             # Keyed by (name, key) up front so that ``delta`` can pick each
             # key's first entry with one C-level dict build.
-            store._journal.append(
-                ((self.name, key), self, dict.get(self, key, _MISSING))
-            )
+            store._journal.append(((self.name, key), self, _peek(self, key)))
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"contract storage {self._base.__name__}s {self._writes}")
+
+
+class _JournaledDict(_Journaled, dict):
+    """A keyed map of the store, or a contract's dict attribute (named
+    ``(address, attribute)``: its keys and values are immutable)."""
+
+    __slots__ = ("_store", "name", "same")
+    _base = dict
 
     def __setitem__(self, key, value) -> None:
+        if type(self.name) is tuple:  # a contract's: the storage rule
+            key, value = _entry(key), _entry(value)
         self._note(key)
         dict.__setitem__(self, key, value)
 
@@ -249,6 +325,70 @@ class _JournaledDict(dict):
         return self
 
 
+class _JournaledList(_Journaled, list):
+    """A contract's list attribute, journaled as a map from index to entry:
+    immutable entries, appended one at a time or written in place."""
+
+    __slots__ = ("_store", "name", "same")
+    _base = list
+    _writes = "are appended to or written in place, one entry at a time"
+
+    def __setitem__(self, index, value) -> None:
+        if isinstance(index, slice):
+            self._refuse()
+        value = _entry(value)
+        index = range(len(self))[index]
+        self._note(index)
+        list.__setitem__(self, index, value)
+
+    def append(self, value) -> None:
+        value = _entry(value)
+        self._note(len(self))
+        list.append(self, value)
+
+    __delitem__ = __iadd__ = __imul__ = extend = insert = pop = remove = _Journaled._refuse
+    reverse = sort = clear = _Journaled._refuse
+
+
+class _JournaledSet(_Journaled, set):
+    """A contract's set attribute, journaled as a map from each member to
+    itself: immutable members, added one at a time."""
+
+    __slots__ = ("_store", "name", "same")
+    _base = set
+    _writes = "grow one member at a time"
+
+    def add(self, member) -> None:
+        member = _entry(member)
+        self._note(member)
+        set.add(self, member)
+
+    discard = pop = remove = clear = update = difference_update = _Journaled._refuse
+    intersection_update = symmetric_difference_update = _Journaled._refuse
+    __ior__ = __iand__ = __isub__ = __ixor__ = _Journaled._refuse
+
+
+#: The journaled container a contract attribute's list, dict or set becomes.
+_CONTAINERS = {
+    list: _JournaledList, _JournaledList: _JournaledList,
+    dict: _JournaledDict, _JournaledDict: _JournaledDict,
+    set: _JournaledSet, _JournaledSet: _JournaledSet,
+}
+
+#: The counters every record carries whole (absolute values, not deltas),
+#: and a savepoint copies.
+_RECORD_SCALARS = (
+    "fee_sink", "account_seq", "schedule_seq", "tx_seq",
+    "base_fee_wei", "burned", "pool_seq",
+)
+_scalars = operator.attrgetter(*_RECORD_SCALARS)
+
+
+# --------------------------------------------------------------------------- #
+# The store interface (and its in-memory reference backend)                   #
+# --------------------------------------------------------------------------- #
+
+
 class StateStore:
     """All mutable chain state, behind a commit hook the backends can log.
 
@@ -260,22 +400,26 @@ class StateStore:
     attributes.
     """
 
-    #: The keyed maps whose writes are journaled while a scope is open.
-    _KEYED_MAPS = ("balances", "nonces", "signer_keys", "mined_nonces", "pool")
+    #: The keyed maps: journaled while a scope is open, whole in a snapshot.
+    _KEYED_MAPS = (
+        "balances", "nonces", "signer_keys", "mined_nonces", "pool", "calls", "contracts",
+    )
 
     def __init__(self) -> None:
         self.time: float = 0.0
         self.blocks: list = []
-        self.balances: dict[str, int] = _JournaledDict(self, "balances")
-        self.contracts: dict[str, Any] = {}
-        self.scheduled: list = []
+        self.balances: dict[str, int] = _JournaledDict(self, "balances", same=operator.eq)
+        # Contracts by address; each one's storage is journaled too (``install``).
+        self.contracts: dict[str, Any] = _JournaledDict(self, "contracts")
+        # The schedule: pending calls by sequence (see ``scheduled``).
+        self.calls: dict[int, Any] = _JournaledDict(self, "calls")
         self.schedule_seq: int = 0
         self.events: list = []
         self.fee_sink: int = 0
         self.account_seq: int = 0
         self.tx_seq: int = 0
-        self.signer_keys: dict[str, bytes] = _JournaledDict(self, "signer_keys")
-        self.nonces: dict[str, int] = _JournaledDict(self, "nonces")
+        self.signer_keys: dict[str, bytes] = _JournaledDict(self, "signer_keys", same=operator.eq)
+        self.nonces: dict[str, int] = _JournaledDict(self, "nonces", same=operator.eq)
         # Fee-market / mempool state (zero until a Mempool is attached).
         # ``base_fee_wei`` and ``burned`` are ledger state (hashed); the
         # pending pool itself is admission-queue state, fingerprinted
@@ -285,16 +429,53 @@ class StateStore:
         self.burned: int = 0
         # (sender, nonce) -> PendingEntry.  Entries are frozen, so identity
         # is an exact change detector (covers replace-by-fee rewrites).
-        self.pool: dict = _JournaledDict(self, "pool", same=operator.is_)
+        self.pool: dict = _JournaledDict(self, "pool")
         self.pool_seq: int = 0
-        self.mined_nonces: dict[str, int] = _JournaledDict(self, "mined_nonces")
-        # Commit bookkeeping: the open scope's write-set journal, the
-        # contracts it touched and where its events start.
+        self.mined_nonces: dict[str, int] = _JournaledDict(self, "mined_nonces", same=operator.eq)
+        # Commit bookkeeping: the open scope's journal and where its events start.
         self._tx_depth = 0
-        self._journal: list[tuple[tuple[str, Any], _JournaledDict, Any]] = []
-        self._touched: set[str] = set()
+        self._journal: list[tuple[tuple[Any, Any], Any, Any]] = []
         self._events_mark = 0
         self._sealed_chain, self._events_chain = _HashChain(), _HashChain()
+
+    @property
+    def scheduled(self) -> list:
+        """The pending calls in firing order: by due time, then sequence."""
+        return sorted(self.calls.values(), key=operator.attrgetter("due_time", "sequence"))
+
+    # -- contract storage ----------------------------------------------------
+
+    def install(self, contract: Any) -> None:
+        """Deploy ``contract`` at its ``address``: its attributes must obey
+        the storage rule (:func:`_storable`), and from here on
+        :meth:`write_storage` takes their writes."""
+        self._adopt(contract, _storable)
+        self.contracts[contract.address] = contract
+
+    def _adopt(self, contract: Any, check: Callable = lambda value: value) -> None:
+        state = vars(contract)
+        for name, value in state.items():
+            if name not in _TRANSIENT_ATTRS:
+                state[name] = self._wrap(contract.address, name, check(value))
+
+    def _wrap(self, address: str, name: str, value: Any) -> Any:
+        """``value``, or its journaled copy if it is a list, dict or set."""
+        container = _CONTAINERS.get(type(value))
+        return value if container is None else container(self, (address, name), value)
+
+    def write_storage(self, contract: Any, name: str, value: Any = _MISSING) -> None:
+        """Set an installed contract's attribute, or delete it given no
+        value.  The value must obey the storage rule, and inside a scope the
+        write is journaled (``(address, attribute)``, by identity)."""
+        state = vars(contract)
+        if name not in _TRANSIENT_ATTRS:
+            if value is not _MISSING:
+                value = self._wrap(contract.address, name, _storable(value))
+            elif name not in state:
+                raise AttributeError(name)
+            if self._tx_depth:
+                self._journal.append(((contract.address, name), state, _peek(state, name)))
+        _poke(state, name, value)
 
     # -- commit protocol ----------------------------------------------------
 
@@ -302,58 +483,74 @@ class StateStore:
         """Open a mutation scope (nestable; only the outermost commits)."""
         self._tx_depth += 1
         if self._tx_depth == 1:
-            self._touched = set()
             self._journal.clear()
             self._events_mark = len(self.events)
-
-    def touch_contract(self, address: str) -> None:
-        """Mark a contract as possibly mutated inside the open scope."""
-        if self._tx_depth:
-            self._touched.add(address)
 
     def commit(self, kind: str, **payload: Any) -> None:
         """Close the innermost scope; the outermost one logs a record."""
         assert self._tx_depth > 0, "commit without begin"
         self._tx_depth -= 1
         if self._tx_depth == 0:
-            self._commit_hook(kind, payload, frozenset(self._touched))
-            self._touched = set()
+            self._commit_hook(kind, payload)
             self._journal.clear()
 
-    def savepoint(self) -> int:
-        """A mark in the open scope's journal that :meth:`rollback` returns to."""
-        return len(self._journal)
+    def savepoint(self) -> tuple:
+        """A mark in the open scope that :meth:`rollback` returns to."""
+        return len(self._journal), _scalars(self)
 
-    def rollback(self, mark: int) -> None:
-        """Undo every keyed-map write made since ``savepoint()`` gave ``mark``."""
+    def rollback(self, mark: tuple) -> None:
+        """Undo every write made since ``savepoint()`` gave ``mark``: keyed
+        maps, the schedule, contract storage and the counters."""
+        length, scalars = mark
         journal = self._journal
-        while len(journal) > mark:
+        while len(journal) > length:
             (_, key), target, previous = journal.pop()
-            if previous is _MISSING:
-                dict.pop(target, key, None)
-            else:
-                dict.__setitem__(target, key, previous)
+            _poke(target, key, previous)
+        for name, value in zip(_RECORD_SCALARS, scalars):
+            setattr(self, name, value)
 
-    def delta(self) -> tuple[dict[str, dict], dict[str, list]]:
-        """What the open scope did to the keyed maps, read off its journal:
-        ``{map name: {key: value now}}`` for the keys it left holding something
-        other than before it opened, and ``{map name: [keys it removed]}``."""
-        now: dict[str, dict] = {}
-        gone: dict[str, list] = {}
+    def delta(self) -> tuple[dict[Any, dict], dict[Any, list]]:
+        """What the open scope changed, read off its journal: ``{name: {key:
+        value now}}`` for keys now holding something else than before, and
+        ``{name: [keys removed]}``.  A name is a keyed map's, a contract's
+        address (its attributes) or ``(address, attribute)``.  Order is
+        contract state too: keys a storage dict gained (back) in the scope
+        sit at its end, so they come in its order, removed first if they
+        were there before."""
+        journal = self._journal
+        now: dict[Any, dict] = {}
+        gone: dict[Any, list] = {}
+        appended: dict[tuple, list] = {}
+        contracts = self.contracts
         # Read backwards, so that each key keeps its *first* entry: the one
         # holding the value it had before the scope opened.
-        first = {entry[0]: entry for entry in reversed(self._journal)}
+        first = {entry[0]: entry for entry in reversed(journal)}
+        inserted = {entry[0] for entry in journal if entry[2] is _MISSING}
         for (name, key), target, previous in first.values():
-            if key not in target:
+            if type(name) is tuple and vars(contracts[name[0]]).get(name[1]) is not target:
+                continue  # a container no attribute holds any more
+            value = _peek(target, key)
+            if (
+                type(name) is tuple and type(target) is _JournaledDict
+                and value is not _MISSING and (name, key) in inserted
+            ):
                 if previous is not _MISSING:
                     gone.setdefault(name, []).append(key)
-            elif not target.same(target[key], previous):
-                now.setdefault(name, {})[key] = target[key]
+                appended.setdefault(name, [target, 0])[1] += 1
+            elif value is _MISSING:
+                if previous is not _MISSING:
+                    gone.setdefault(name, []).append(key)
+            elif value is not previous and (
+                type(target) is dict or not target.same(value, previous)
+            ):
+                now.setdefault(name, {})[key] = value
+        for name, (target, count) in appended.items():
+            values = now.setdefault(name, {})
+            for key in reversed(list(islice(reversed(target), count))):
+                values[key] = dict.__getitem__(target, key)
         return now, gone
 
-    def _commit_hook(
-        self, kind: str, payload: dict, touched: frozenset
-    ) -> None:  # pragma: no cover - trivial
+    def _commit_hook(self, kind: str, payload: dict) -> None:  # pragma: no cover - trivial
         pass
 
     # -- durability ----------------------------------------------------------
@@ -391,7 +588,7 @@ class StateStore:
                 "balances": self.balances,
                 "nonces": self.nonces,
                 "signer_keys": self.signer_keys,
-                "scheduled": list(self.scheduled),
+                "scheduled": self.scheduled,
                 "sealed_blocks": self._sealed_chain.fold(self.blocks, sealed),
                 "pending_block": self.blocks[sealed] if self.blocks else None,
                 "events": self._events_chain.fold(self.events, len(self.events)),
@@ -435,208 +632,16 @@ class MemoryStateStore(StateStore):
 # --------------------------------------------------------------------------- #
 
 
-def _contract_state(contract: Any) -> tuple[type, dict]:
-    """(class, attribute dict) with the chain back-reference stripped."""
-    state = {
-        name: attr
-        for name, attr in vars(contract).items()
-        if name not in _CONTRACT_SKIP_ATTRS
-    }
-    return type(contract), state
-
-
-def _restore_contract(cls: type, state: dict, existing: Any = None) -> Any:
-    contract = existing if existing is not None else cls.__new__(cls)
-    for stale in [k for k in vars(contract) if k not in _CONTRACT_SKIP_ATTRS]:
-        delattr(contract, stale)
-    contract.__dict__.update(state)
-    contract.chain = None
-    return contract
-
-
-#: Types whose values never change once built.
-_SCALAR_TYPES = frozenset({type(None), bool, int, float, complex, str, bytes})
-
-
-def _immutable(value: Any) -> bool:
-    """Whether ``value`` can never change once built, so that the log holding
-    it once is enough: a scalar, an enum member, a tuple or frozenset of such
-    values, a frozen dataclass whose attributes are all such values, or an
-    instance of a class that says so with ``_immutable_value = True`` (the
-    curve and field elements, whose constructors are their only writers
-    apart from a memo the state digest skips)."""
-    kind = type(value)
-    if kind in _SCALAR_TYPES or getattr(kind, "_immutable_value", False):
-        return True
-    if kind is tuple or kind is frozenset:
-        return all(map(_immutable, value))
-    if isinstance(value, enum.Enum):
-        return True
-    params = getattr(kind, "__dataclass_params__", None)
-    if params is not None and params.frozen:
-        attrs = _object_attrs(value)
-        return attrs is not None and all(map(_immutable, attrs.values()))
-    return False
-
-
-#: What a shadow holds for a value the log must carry on every write-set:
-#: nothing is ever identical to it.
-_CARRY = object()
-
-# The attribute writes a record carries, by their first item.
-_SET, _DEL, _LIST, _DICT = range(4)
-
-
-def _held(value: Any) -> Any:
-    """A shadow's entry for ``value``: the value itself when it is immutable,
-    an :class:`_Entries` for a list or a dict with immutable keys, else
-    :data:`_CARRY`."""
-    kind = type(value)
-    if kind is list:
-        return _Entries(value, [item if _immutable(item) else _CARRY for item in value])
-    if kind is dict and all(map(_immutable, value)):
-        return _Entries(
-            value,
-            {key: item if _immutable(item) else _CARRY for key, item in value.items()},
-        )
-    return value if _immutable(value) else _CARRY
-
-
-class _Entries:
-    """The log's copy of one list or dict attribute: the container it was
-    taken from, and per entry what :func:`_held` makes of it."""
-
-    __slots__ = ("container", "entries")
-
-    def __init__(self, container, entries) -> None:
-        self.container = container
-        self.entries = entries
-
-    def write(self, value) -> tuple | None:
-        """The patch that brings the log's copy to ``value`` (the same
-        container) and updates the copy to match; ``None`` when it already
-        matches, or a ``_SET`` (the copy is then stale) when only the whole
-        value says it exactly."""
-        entries = self.entries
-        if type(entries) is list:
-            held = len(entries)
-            changed = {
-                index: item
-                for index, (item, old) in enumerate(zip(value, entries))
-                if item is not old
-            }
-            if len(value) > held:
-                changed.update(enumerate(value[held:], held))
-            elif len(value) == held and not changed:
-                return None
-            del entries[len(value):]
-            for index, item in changed.items():
-                item = item if _immutable(item) else _CARRY
-                if index < held:
-                    entries[index] = item
-                else:
-                    entries.append(item)
-            return (_LIST, len(value), changed)
-        changed = {
-            key: item for key, item in value.items() if entries.get(key, _CARRY) is not item
-        }
-        added = [key for key in changed if key not in entries]
-        removed = ()
-        if len(entries) + len(added) != len(value):
-            removed = tuple(key for key in entries if key not in value)
-        if not all(map(_immutable, added)):
-            return (_SET, value)
-        for key in removed:
-            del entries[key]
-        for key, item in changed.items():
-            entries[key] = item if _immutable(item) else _CARRY
-        # Iteration order is state too, and a delete and re-insert between
-        # two records moves a key that the patch would leave in place.
-        if list(entries) != list(value):
-            return (_SET, value)
-        if not changed and not removed:
-            return None
-        return (_DICT, changed, removed)
-
-
-class _Shadow:
-    """What the log holds of one contract: the object it was taken from and,
-    per attribute, what :func:`_held` makes of the value the log holds."""
-
-    __slots__ = ("contract", "attrs")
-
-    def __init__(self, contract: Any) -> None:
-        self.contract = contract
-        self.attrs = {
-            name: _held(value)
-            for name, value in vars(contract).items()
-            if name not in _CONTRACT_SKIP_ATTRS
-        }
-
-    def writes(self) -> dict[str, tuple]:
-        """The attribute writes that bring the log to the contract's present
-        state, by attribute name; updates the shadow to match."""
-        attrs, state = self.attrs, vars(self.contract)
-        writes: dict[str, tuple] = {}
-        present = 0
-        for name, value in state.items():
-            if name in _CONTRACT_SKIP_ATTRS:
-                continue
-            present += 1
-            held = attrs.get(name, _CARRY)
-            if value is held:
-                continue
-            if type(held) is _Entries and held.container is value:
-                write = held.write(value)
-                if write is None:
-                    continue
-                if write[0] != _SET:
-                    writes[name] = write
-                    continue
-            writes[name] = (_SET, value)
-            attrs[name] = _held(value)
-        if len(attrs) != present:
-            for name in [name for name in attrs if name not in state]:
-                writes[name] = (_DEL,)
-                del attrs[name]
-        return writes
-
-
-def _patch_contract(contract: Any, writes: dict[str, tuple]) -> None:
-    """Apply :meth:`_Shadow.writes` to the replayed copy of a contract."""
-    state = vars(contract)
-    for name, write in writes.items():
-        op = write[0]
-        if op == _SET:
-            state[name] = write[1]
-        elif op == _DEL:
-            del state[name]
-        elif op == _LIST:
-            target, length = state[name], write[1]
-            del target[length:]
-            target.extend([None] * (length - len(target)))
-            for index, item in write[2].items():
-                target[index] = item
-        else:
-            target = state[name]
-            for key in write[2]:
-                del target[key]
-            target.update(write[1])
-
-
 @dataclass
 class _WalRecord:
-    """One committed mutation: the write-set of its scope, as a patch to the
-    state the log held after the previous record.
-
-    ``snapshot()`` writes the same record with every map, the event list,
-    the schedule and every contract whole, so one ``_apply`` restores both
-    and a field missing from either is an error.
-    """
+    """One committed mutation: its scope's write-set (:meth:`StateStore.delta`).
+    ``snapshot()`` writes the same record with every keyed map and the event
+    list whole, so one ``_apply`` restores both and a missing field is an
+    error."""
 
     kind: str                     # "account" | "deploy" | "tx" | "block" | "snapshot"
-    now: dict[str, dict]          # ``StateStore.delta()``: values the keyed maps hold now
-    gone: dict[str, list]         # ... and the keys they lost
+    now: dict[Any, dict]          # values the scope left, by map / contract / container
+    gone: dict[Any, list]         # ... and the keys it removed
     fee_sink: int
     account_seq: int
     schedule_seq: int
@@ -644,21 +649,11 @@ class _WalRecord:
     base_fee_wei: int
     burned: int
     pool_seq: int
-    scheduled: list               # scheduled calls the log did not hold yet
-    unscheduled: list             # sequences of logged calls since removed
     events_tail: list             # events appended in this scope
-    contracts: dict[str, tuple[type, dict]]   # contracts new to the log, whole
-    writes: dict[str, dict[str, tuple]]       # ... and the others' attribute writes
     payload: dict
 
 #: Seal of ``snapshot.pkl`` (see :mod:`repro.durable`).
 _SNAPSHOT_MAGIC = b"CHAINSNP"
-
-#: The counters every record carries whole (absolute values, not deltas).
-_RECORD_SCALARS = (
-    "fee_sink", "account_seq", "schedule_seq", "tx_seq",
-    "base_fee_wei", "burned", "pool_seq",
-)
 
 
 class WalStateStore(StateStore):
@@ -689,10 +684,6 @@ class WalStateStore(StateStore):
         self.replayed_records = 0
         #: Sequence number of the last frame written, replayed or folded.
         self._seq = 0
-        #: What the log holds of each contract it has carried since the
-        #: last snapshot or reopen, and of the schedule (by sequence).
-        self._shadows: dict[str, _Shadow] = {}
-        self._logged_calls: dict[int, Any] = {}
         # Drop a torn tail frame (crash mid-append) before appending:
         # otherwise new records would land *behind* the garbage and be
         # unreachable to every future recovery.
@@ -701,80 +692,10 @@ class WalStateStore(StateStore):
 
     # -- commit hook ----------------------------------------------------------
 
-    def _record(
-        self,
-        kind: str,
-        now: dict,
-        gone: dict,
-        events_tail: list,
-        scheduled: list,
-        unscheduled: list,
-        contracts: dict,
-        writes: dict,
-        payload: dict,
-    ) -> _WalRecord:
-        """One record: the store's counters plus the given write-set."""
-        # Spelled out, not ``**``-unpacked from ``_RECORD_SCALARS``: this runs
-        # once per transaction and a starred call takes the slow call path.
-        return _WalRecord(
-            kind=kind,
-            now=now,
-            gone=gone,
-            fee_sink=self.fee_sink,
-            account_seq=self.account_seq,
-            schedule_seq=self.schedule_seq,
-            tx_seq=self.tx_seq,
-            base_fee_wei=self.base_fee_wei,
-            burned=self.burned,
-            pool_seq=self.pool_seq,
-            scheduled=scheduled,
-            unscheduled=unscheduled,
-            events_tail=events_tail,
-            contracts=contracts,
-            writes=writes,
-            payload=payload,
-        )
-
-    def _schedule_writes(self) -> tuple[list, list]:
-        """``(calls the log lacks, sequences of logged calls now gone)``;
-        updates the log's copy to match."""
-        logged = self._logged_calls
-        scheduled = self.scheduled
-        if not (scheduled or logged):
-            return [], []
-        added = [call for call in scheduled if logged.get(call.sequence) is not call]
-        unscheduled = []
-        # Without removals or replacements the counts add up exactly.
-        if len(logged) + len(added) != len(scheduled):
-            current = {call.sequence for call in scheduled}
-            unscheduled = [sequence for sequence in logged if sequence not in current]
-            for sequence in unscheduled:
-                del logged[sequence]
-        for call in added:
-            logged[call.sequence] = call
-        return added, unscheduled
-
-    def _commit_hook(self, kind: str, payload: dict, touched: frozenset) -> None:
+    def _commit_hook(self, kind: str, payload: dict) -> None:
         now, gone = self.delta()
-        contracts: dict[str, tuple[type, dict]] = {}
-        writes: dict[str, dict[str, tuple]] = {}
-        for address in sorted(touched):
-            contract = self.contracts.get(address)
-            if contract is None:
-                continue
-            shadow = self._shadows.get(address)
-            if shadow is not None and shadow.contract is contract:
-                changed = shadow.writes()
-                if changed:
-                    writes[address] = changed
-            else:
-                contracts[address] = _contract_state(contract)
-                self._shadows[address] = _Shadow(contract)
-        scheduled, unscheduled = self._schedule_writes()
-        record = self._record(
-            kind, now, gone, self.events[self._events_mark :], scheduled, unscheduled,
-            contracts, writes, payload,
-        )
+        events = self.events[self._events_mark :]
+        record = _WalRecord(kind, now, gone, *_scalars(self), events, payload)
         self._seq += 1
         self._wal.write(
             durable.frame(
@@ -805,41 +726,46 @@ class WalStateStore(StateStore):
                     self._apply(pickle.loads(payload))
                     self._seq = sequence
                     self.replayed_records += 1
-        # The log now holds the schedule as replayed.  Contracts have no
-        # shadow yet, so the first record to touch one carries it whole.
-        self._logged_calls = {call.sequence: call for call in self.scheduled}
         return valid
 
+    def _target(self, name: Any) -> Any:
+        """What a record's ``name`` writes: a keyed map, a contract's
+        attributes, or one of its containers."""
+        if type(name) is tuple:
+            return vars(self.contracts[name[0]])[name[1]]
+        return vars(self.contracts[name]) if name.startswith("0x") else getattr(self, name)
+
     def _apply(self, record: _WalRecord) -> None:
-        # Replay runs outside any scope, so there is nothing to journal:
-        # keyed-map writes go straight to the builtin (thousands per reopen).
+        # Replay runs outside any scope, so nothing here is journaled.
+        # Removals first; then the keyed maps (the contracts among them),
+        # then contract attributes, then container entries.
         for name, keys in record.gone.items():
-            target = getattr(self, name)
+            target = self._target(name)
             for key in keys:
-                dict.pop(target, key, None)
+                _poke(target, key, _MISSING)
+        storage = []
         for name, values in record.now.items():
-            dict.update(getattr(self, name), values)
-        # Every record carries every field (``_record`` sets them all, and
+            if type(name) is tuple or name.startswith("0x"):
+                storage.append(name)
+                continue
+            for contract in values.values() if name == "contracts" else ():
+                contract.__dict__["chain"] = None  # the owning chain rebinds it
+                self._adopt(contract)
+            dict.update(getattr(self, name), values)  # thousands of keys on a reopen
+        for name in sorted(storage, key=lambda name: type(name) is tuple):
+            target, values = self._target(name), record.now[name]
+            if type(target) is _JournaledList:
+                values = dict(sorted(values.items()))  # appended in index order
+            elif type(name) is str:
+                values = {attr: self._wrap(name, attr, value) for attr, value in values.items()}
+            for key, value in values.items():
+                _poke(target, key, value)
+        # Every record carries every field (its writer sets them all, and
         # ``durable`` refuses frames and snapshots from other formats), so a
         # missing one is a damaged record: fail on it, never skip it.
         for name in _RECORD_SCALARS:
             setattr(self, name, getattr(record, name))
-        if record.scheduled or record.unscheduled:
-            # Kept sorted, as ``Blockchain`` keeps the live schedule; a call
-            # carried again under a logged sequence replaces it.
-            dropped = set(record.unscheduled)
-            dropped.update(call.sequence for call in record.scheduled)
-            calls = [call for call in self.scheduled if call.sequence not in dropped]
-            calls.extend(record.scheduled)
-            calls.sort()
-            self.scheduled = calls
         self.events.extend(record.events_tail)
-        for address, (cls, attrs) in record.contracts.items():
-            self.contracts[address] = _restore_contract(
-                cls, attrs, existing=self.contracts.get(address)
-            )
-        for address, changed in record.writes.items():
-            _patch_contract(self.contracts[address], changed)
         payload = record.payload
         if record.kind == "tx":
             pending = self.blocks[-1]
@@ -867,20 +793,9 @@ class WalStateStore(StateStore):
 
     def snapshot(self) -> None:
         """Fold the log into a fresh snapshot and truncate the WAL."""
-        record = self._record(
-            "snapshot",
-            {name: getattr(self, name) for name in self._KEYED_MAPS},
-            {},
-            self.events,
-            list(self.scheduled),
-            [],
-            {
-                address: _contract_state(contract)
-                for address, contract in self.contracts.items()
-            },
-            {},
-            {"wal_seq": self._seq, "time": self.time, "blocks": self.blocks},
-        )
+        maps = {name: getattr(self, name) for name in self._KEYED_MAPS}
+        payload = {"wal_seq": self._seq, "time": self.time, "blocks": self.blocks}
+        record = _WalRecord("snapshot", maps, {}, *_scalars(self), self.events, payload)
         durable.publish(
             self.directory / self._SNAPSHOT_NAME,
             _SNAPSHOT_MAGIC,
@@ -891,11 +806,6 @@ class WalStateStore(StateStore):
         # them by the ``wal_seq`` recorded above.
         self._wal.close()
         self._wal = open(self.wal_path, "wb")
-        # The log is the snapshot now: later records are diffs against it.
-        self._shadows = {
-            address: _Shadow(contract) for address, contract in self.contracts.items()
-        }
-        self._logged_calls = {call.sequence: call for call in self.scheduled}
 
     def close(self) -> None:
         if not self._wal.closed:

@@ -414,8 +414,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   f"layers {probe.layers}")
             if probe.metrics_lines is not None:
                 print(f"probe /metrics: {probe.metrics_lines} lines")
-            print(f"probe hostile tx: {probe.hostile_error or 'NOT REFUSED'}; "
-                  f"height {probe.heights[0]} -> {probe.heights[1]}")
+            for error in probe.hostile_errors:
+                print(f"probe hostile tx: {error or 'NOT REFUSED'}")
+            print(f"probe height {probe.heights[0]} -> {probe.heights[1]}")
             print(f"probe: {'OK' if probe.ok else 'FAILED'}; shutting down")
             return 0 if probe.ok else 1
         deadline = time.time() + args.duration if args.duration > 0 else None

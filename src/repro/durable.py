@@ -32,9 +32,12 @@ from typing import Iterator
 #: 2: ``chain.state._WalRecord`` carries ``delta()``'s maps by name and
 #: ``snapshot.pkl`` holds one such record.  3: a record carries its scope's
 #: write-set (scheduled calls added and removed, contract attribute patches)
-#: instead of the whole schedule and every touched contract.  Files of any
-#: other version are refused.
-FORMAT_VERSION = 3
+#: instead of the whole schedule and every touched contract.  4: that
+#: write-set is read off the store's one journal, so it is ``now`` / ``gone``
+#: alone, naming contract attributes and container entries beside the keyed
+#: maps (the schedule and the contracts among them).  Files of any other
+#: version are refused.
+FORMAT_VERSION = 4
 
 _MAGIC_LEN = 8
 #: Bytes before a sealed file's payload (magic, version, sha256).

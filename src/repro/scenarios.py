@@ -53,6 +53,7 @@ from .chain import (
     deploy_audit_contract,
     run_contract_to_completion,
 )
+from .chain.contracts.checkpoint_contract import CheckpointContract
 from .chain.mempool import (
     GasSinkContract,
     MempoolConfig,
@@ -665,57 +666,67 @@ class ProbeReport:
     instruments: int
     layers: list[str]
     metrics_lines: int | None   # /metrics line count, when exposed
-    hostile_error: str | None   # the hostile transaction's failed receipt
-    heights: tuple[int, int]    # node height before and after it was mined
+    hostile_errors: tuple[str | None, str | None]  # the hostile transactions' failed receipts
+    heights: tuple[int, int]    # node height before and after they were mined
     ok: bool
 
 
-#: The method the probe's hostile transaction names; no contract has it.
+#: The method the probe's first hostile transaction names; no contract has it.
 HOSTILE_METHOD = "probe_no_such_method"
 
+#: The probe's second hostile transaction: a string where bytes belong, as
+#: any JSON client can send one.
+WRONGLY_TYPED = ("register_instance", [1, "00ff", 3])
 
-def _hostile_receipt(service: AuditService, client: RpcClient) -> tuple[str | None, int, int]:
-    """Submit one transaction naming a method the first deployed contract
-    lacks, from an account funded in-process, and mine it: ``(its receipt's
-    error, or None when no such failed receipt exists, height before,
-    height after)``."""
-    lane, contract = next(
-        (lane, min(lane.store.contracts))
-        for lane in service.fabric.lanes
-        if lane.store.contracts
-    )
+
+def _hostile_receipts(
+    service: AuditService, client: RpcClient
+) -> tuple[tuple[str | None, str | None], int, int]:
+    """Submit two transactions from an account funded in-process and mine
+    them: one naming a method the first deployed contract lacks, one calling
+    a checkpoint contract with :data:`WRONGLY_TYPED` arguments.  Returns
+    ``((the first's failed receipt error, the second's TypeError), height
+    before, height after)``, with None for a failed receipt not found."""
+    lane = next(lane for lane in service.fabric.lanes if lane.store.contracts)
+    contracts = lane.store.contracts
+    rollup = min(a for a, c in contracts.items() if isinstance(c, CheckpointContract))
     sender = lane.create_account(1.0, label="probe-hostile")
     before = client.call("node_status")["height"]
-    client.call(
-        "submit_tx",
-        {"sender": sender, "to": contract, "method": HOSTILE_METHOD, "gas_limit": 100_000},
-    )
+    for to, (method, args) in ((min(contracts), (HOSTILE_METHOD, [])), (rollup, WRONGLY_TYPED)):
+        client.call(
+            "submit_tx",
+            {"sender": sender, "to": to, "method": method, "args": args, "gas_limit": 100_000},
+        )
     client.call("mine", {"blocks": 1})
     after = client.call("node_status")["height"]
     with lane.lock:
         errors = [
-            receipt.error
+            receipt.error or ""
             for block in lane.blocks
             for receipt in block.receipts
-            if not receipt.success and HOSTILE_METHOD in (receipt.error or "")
+            if not receipt.success
         ]
-    return (errors[0] if errors else None), before, after
+    missing = next((error for error in errors if HOSTILE_METHOD in error), None)
+    typed = next((error for error in errors if error.startswith("TypeError: ")), None)
+    return (missing, typed), before, after
 
 
 def probe_service(service: AuditService) -> ProbeReport:
     """Exercise a service through a real socket client.
 
-    Besides the reads, one hostile transaction — naming a method no
-    contract has — goes in and is mined; the service must record it as a
-    failed receipt and keep answering at a greater height.  Also scrapes
-    the Prometheus endpoint when the service exposes one.
+    Besides the reads, two hostile transactions go in and are mined: one
+    naming a method no contract has, one passing a string where a contract
+    wants bytes.  The service must record both as failed receipts, the
+    second with a ``TypeError`` reason, and keep answering at a greater
+    height.  Also scrapes the Prometheus endpoint when the service exposes
+    one.
     """
     with RpcClient(service.host, service.port) as client:
         status = client.call("node_status")
         suggestion = client.call("fee_suggest", {"tip_gwei": 1.0})
         checkpoint = client.call("checkpoint_get")
         snapshot = client.call("metrics_get")
-        hostile_error, before, after = _hostile_receipt(service, client)
+        hostile_errors, before, after = _hostile_receipts(service, client)
     layers = {name.split("_")[0] for name in snapshot}
     lanes = service.fabric.num_lanes
     ok = (
@@ -723,7 +734,7 @@ def probe_service(service: AuditService) -> ProbeReport:
         and suggestion["max_fee_gwei"] > 0
         and checkpoint["num_lanes"] == lanes
         and SERVED_LAYERS <= layers
-        and hostile_error is not None
+        and None not in hostile_errors
         and after > before
     )
     metrics_lines = None
@@ -739,7 +750,7 @@ def probe_service(service: AuditService) -> ProbeReport:
         instruments=len(snapshot),
         layers=sorted(layers),
         metrics_lines=metrics_lines,
-        hostile_error=hostile_error,
+        hostile_errors=hostile_errors,
         heights=(before, after),
         ok=ok,
     )

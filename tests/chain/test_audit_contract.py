@@ -203,6 +203,37 @@ class TestStateMachineGuards:
         )
         assert not receipt.success
 
+    def test_an_over_deposit_reverts_and_locks_nothing(
+        self, contract_params, beacon, package
+    ):
+        """A deposit 1 wei over the agreed amount reverts whole: the contract
+        records nothing, so the owner's own deposit cannot open the audit."""
+        chain, contract, address, owner, provider = self._bare_contract(
+            contract_params, beacon
+        )
+        chain.transact(
+            Transaction(
+                sender=owner, to=address, method="negotiate",
+                args=(package.public, package.name, package.num_chunks),
+            )
+        )
+        chain.transact(Transaction(sender=provider, to=address, method="acknowledge"))
+        terms = contract.terms
+        over = chain.transact(
+            Transaction(sender=provider, to=address, method="freeze",
+                        value=terms.provider_deposit_wei + 1)
+        )
+        assert not over.success and "exceeds" in over.error
+        assert contract.deposits == {owner: 0, provider: 0}
+        assert chain.balance_of(address) == 0
+        receipt = chain.transact(
+            Transaction(sender=owner, to=address, method="freeze",
+                        value=terms.owner_deposit_wei)
+        )
+        assert receipt.success, receipt.error
+        assert contract.state is State.FREEZE
+        assert contract.deposits == {owner: terms.owner_deposit_wei, provider: 0}
+
     def test_provider_can_reject(self, contract_params, beacon, package):
         chain, contract, address, owner, provider = self._bare_contract(
             contract_params, beacon

@@ -84,6 +84,11 @@ class _Counter(Contract):
     def fail(self, ctx):
         self.require(False, "always fails")
 
+    def bump_then_fail(self, ctx):
+        self.count += 1
+        ctx.chain.schedule_call(self.address, "bump", 0.0)
+        self.require(False, "fails after writing")
+
     def burn(self, ctx):
         ctx.gas.consume(10**9)
 
@@ -123,6 +128,13 @@ class TestBlockchain:
         assert counter.count == 0
         # Value refunded; only the gas fee was lost.
         assert chain.balance_of(user) > before - 10**17
+        # Storage and schedule writes made before the failure are undone too.
+        receipt = chain.transact(
+            Transaction(sender=user, to=address, method="bump_then_fail", value=10**17)
+        )
+        assert not receipt.success and "fails after writing" in receipt.error
+        assert counter.count == 0
+        assert chain.store.scheduled == [] and chain.store.schedule_seq == 0
 
     def test_out_of_gas(self):
         chain = Blockchain()

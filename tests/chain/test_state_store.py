@@ -278,6 +278,25 @@ class TestWalRoundTrip:
         recovered = Blockchain.open(tmp_path / "chain")
         assert recovered.state_hash() == live
 
+    def test_a_failed_deploy_installs_nothing(self, tmp_path):
+        """The deploy's writes are rolled back before its record commits: no
+        contract in the store or the log, no fee taken."""
+        from repro.chain.mempool import GasSinkContract
+        from repro.chain.transaction import RevertError
+
+        chain = Blockchain.open(tmp_path / "chain")
+        pauper = chain.create_account(0.0, label="pauper")
+        sink, supply = chain.fee_sink, chain.total_supply()
+        with pytest.raises(RevertError):
+            chain.deploy(GasSinkContract(), deployer=pauper, deposit_bytes=1000)
+        assert chain.store.contracts == {}
+        assert chain.balance_of(pauper) == 0 and chain.fee_sink == sink
+        assert chain.total_supply() == supply
+        live = chain.state_hash()
+        chain.close()
+        reopened = Blockchain.open(tmp_path / "chain")
+        assert reopened.store.contracts == {} and reopened.state_hash() == live
+
     def test_crash_between_schedule_pop_and_call_refires_the_call(
         self, tmp_path, params
     ):

@@ -1,24 +1,26 @@
 """WAL frames carry write-sets, and every prefix of the log still replays.
 
-A frame holds what its scope changed: keyed-map entries, events, the
-scheduled calls added and removed, and per touched contract the attributes,
-list entries and dict entries that differ from what the log already holds.
-An unchanged value is left out only when it can never change in place; a
-mutable one is carried every time.  So the log stays exact for any contract
-while a settled round costs the same bytes late in a contract's life as
-early.
+A frame holds what its scope changed, read off the store's journal:
+keyed-map entries (the schedule and the contracts among them), events, and
+the contract attributes and container entries it wrote.  Contract storage
+holds only immutable values, or lists, dicts and sets of them, so the
+journal sees every write, a revert undoes them all, and a settled round
+costs the same bytes late in a contract's life as early.
 
 * The differential drives random traffic over a 2-lane WAL fabric — audit
   contracts wired to a reputation registry (rounds that pass and fail,
   early triggers that revert, disputes), checkpoint commitments that
   finalize or are slashed, a gas sink fed by the scheduler, value
-  transfers, calls that revert or name no method, and fabric snapshots —
-  and records each lane's live ``state_hash`` after every frame.  Every
-  frame boundary is then cut out of a copy of the log and reopened: the
-  replayed hash must equal the live one recorded there.
+  transfers, calls that revert or name no method, calls that write storage
+  and schedule a call before they fail, and fabric snapshots — and records
+  each lane's live ``state_hash`` after every frame.  Every frame boundary
+  is then cut out of a copy of the log and reopened: the replayed hash must
+  equal the live one recorded there.  A call that fails leaves every
+  contract and the schedule as they were.
 * A toy contract mutates the shapes a write-set must not miss: an entry
-  edited inside a list, a plain object edited in place, a dict key
-  deleted and re-inserted, an attribute deleted.
+  rewritten inside a list, a dict key deleted and re-inserted, a set
+  member added, an attribute deleted; a mutable value it tries to store is
+  refused.
 * A 41-round contract pins the cost shape.
 """
 
@@ -32,6 +34,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import durable
@@ -41,7 +44,7 @@ from repro.chain.contracts.checkpoint_contract import CheckpointContract
 from repro.chain.contracts.reputation import ReputationRegistry
 from repro.chain.fabric import ShardedChainFabric
 from repro.chain.mempool import GasSinkContract
-from repro.chain.state import WalStateStore
+from repro.chain.state import WalStateStore, canonical_state_digest
 from repro.core import DataOwner, ProtocolParams, StorageProvider
 from repro.crypto.merkle import MerkleTree
 from repro.randomness import HashChainBeacon
@@ -71,6 +74,7 @@ class _Lane:
         self.bob = chain.create_account(5.0, label=f"bob-{index}")
         self.registry = chain.deploy(ReputationRegistry(min_stake_wei=STAKE), self.alice)
         self.sink = chain.deploy(GasSinkContract(), self.alice)
+        self.pad = chain.deploy(Scratchpad(), self.alice)
         self.rollup = chain.deploy(
             CheckpointContract(
                 HashChainBeacon(b"rollup-%d" % index), PARAMS,
@@ -152,6 +156,30 @@ class _Lane:
             self.call(self.bob, self.sink, "no_such_method", value=7)
         elif kind == "transfer":
             self.chain.transact(Transaction(sender=self.alice, to=self.bob, value=op[2] + 1))
+        elif kind == "revert":
+            self.revert(op[2] % 3)
+
+    def storage(self) -> tuple[dict, list]:
+        """Every contract's digest and the schedule."""
+        store = self.chain.store
+        digests = {address: canonical_state_digest(contract)
+                   for address, contract in store.contracts.items()}
+        return digests, store.scheduled
+
+    def revert(self, choice: int) -> None:
+        """A call that fails, most after writing storage: nothing may stay."""
+        before = self.storage()
+        rollup = self.chain.contract_at(self.rollup)
+        if choice == 1:  # a string where bytes belong
+            receipt = self.call(self.alice, self.rollup, "register_instance", 99, "00ff", 3)
+        elif choice == 2 and rollup.checkpoints:  # books gas on the entry, then refuses
+            entry = rollup.checkpoints[-1]
+            receipt = self.call(self.bob, self.rollup, "challenge_counts", entry.checkpoint_id,
+                                _leaves(entry.commitment.epoch)[:2], value=10**15)
+        else:
+            receipt = self.call(self.bob, self.pad, "write_then_fail")
+        assert not receipt.success
+        assert self.storage() == before, receipt.error
 
 
 class _FrameLog:
@@ -166,8 +194,8 @@ class _FrameLog:
     def _watch(self, index: int, store: WalStateStore) -> None:
         commit = store._commit_hook
 
-        def recorded(kind, payload, touched):
-            commit(kind, payload, touched)
+        def recorded(kind, payload):
+            commit(kind, payload)
             self.boundaries[index].append(
                 (os.path.getsize(store.wal_path), store.state_hash())
             )
@@ -200,7 +228,7 @@ class _FrameLog:
 LANE_OP = st.tuples(
     st.sampled_from(
         ["audit", "dispute", "early", "registry", "post", "settle", "sink", "schedule",
-         "bogus", "transfer"]
+         "bogus", "transfer", "revert"]
     ),
     st.integers(0, 1),
     st.integers(0, 11),
@@ -253,21 +281,38 @@ class Box:
 
 
 class Scratchpad(Contract):
-    """Module-level (hence picklable) contract with mutable storage."""
+    """Module-level (hence picklable) contract with every kind of storage."""
 
     def __init__(self) -> None:
         super().__init__()
         self.label = "fixed"
-        self.notes: list = [{"n": 0}, 1]
+        self.notes: list = [0, 1]
         self.table: dict = {"a": 1, "b": 2, "c": 3}
-        self.box = Box()
+        self.tags: set = {"x"}
         self.spare = (1, 2)
 
     def edit_entry(self, ctx):
-        self.notes[0]["n"] += 1  # a mutable list entry, edited in place
+        self.notes[0] += 1  # a list entry, rewritten in place
 
-    def edit_box(self, ctx):
-        self.box.value += 1
+    def tag(self, ctx, value):
+        self.tags.add(value)
+
+    def store_box(self, ctx):
+        self.box = Box()  # a plain mutable object: refused
+
+    def edit_nested(self, ctx):
+        self.table["nested"] = {"n": 0}  # a mutable entry: refused
+
+    def write_then_fail(self, ctx):
+        self.label = "changed"
+        self.notes[0] = -1
+        self.notes.append(9)
+        self.table.pop("b", None)
+        self.table["z"] = 0
+        self.tags.add("y")
+        self.spare = None
+        ctx.chain.schedule_call(self.address, "grow", 0.0, args=(7,))
+        raise ValueError("fails after writing")
 
     def move_key(self, ctx):
         value = self.table.pop("a")
@@ -292,8 +337,8 @@ def test_in_place_edits_reorders_and_deletes_all_replay(tmp_path):
     alice = chain.create_account(1.0, label="alice")
     address = chain.deploy(Scratchpad(), alice)
     for method, args in [
-        ("edit_entry", ()), ("edit_box", ()), ("move_key", ()), ("grow", (5,)),
-        ("edit_entry", ()), ("drop_spare", ()), ("edit_box", ()), ("grow", (6,)),
+        ("edit_entry", ()), ("tag", ("y",)), ("move_key", ()), ("grow", (5,)),
+        ("edit_entry", ()), ("drop_spare", ()), ("tag", ("z",)), ("grow", (6,)),
     ]:
         receipt = chain.transact(Transaction(sender=alice, to=address, method=method, args=args))
         assert receipt.success, receipt.error
@@ -313,13 +358,40 @@ def test_an_unchanged_immutable_attribute_is_not_logged_again(tmp_path):
     alice = chain.create_account(1.0, label="alice")
     address = chain.deploy(Scratchpad(), alice)
     chain.transact(Transaction(sender=alice, to=address, method="grow", args=(3,)))
-    writes = _last_record(tmp_path).writes[address]
-    # The label, the spare tuple and the unchanged immutable list entry stay
-    # out; mutable values (the box, the dict inside ``notes``) are carried
-    # on every write-set that touches the contract.
-    assert set(writes) == {"notes", "table", "box"}
-    assert writes["notes"][1:] == (3, {0: {"n": 0}, 2: 3})
-    assert writes["table"][1] == {"k3": 3} and writes["table"][2] == ()
+    record = _last_record(tmp_path)
+    # No attribute is logged (the label, the spare tuple, the containers
+    # themselves), only the two entries the call wrote.
+    assert address not in record.now and not record.gone
+    assert record.now[(address, "notes")] == {2: 3}
+    assert record.now[(address, "table")] == {"k3": 3}
+    chain.close()
+
+
+class Boxed(Scratchpad):
+    def __init__(self) -> None:
+        super().__init__()
+        self.box = Box()
+
+
+def test_a_mutable_value_is_refused_where_it_is_written(tmp_path):
+    chain = Blockchain.open(tmp_path)
+    alice = chain.create_account(1.0, label="alice")
+    address = chain.deploy(Scratchpad(), alice)
+    pad = chain.contract_at(address)
+    before = canonical_state_digest(pad)
+    for method in ("store_box", "edit_nested"):
+        receipt = chain.transact(Transaction(sender=alice, to=address, method=method))
+        assert not receipt.success and receipt.error.startswith("TypeError"), receipt.error
+    assert canonical_state_digest(pad) == before
+    contracts = dict(chain.store.contracts)
+    with pytest.raises(TypeError):
+        chain.deploy(Boxed(), alice)  # refused at deploy, and nothing installed
+    assert chain.store.contracts == contracts
+    reopened = WalStateStore(tmp_path)
+    try:
+        assert reopened.state_hash() == chain.state_hash()
+    finally:
+        reopened.close()
     chain.close()
 
 

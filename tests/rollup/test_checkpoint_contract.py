@@ -525,6 +525,25 @@ class TestSlanderAndCounts:
         assert not receipt.success
         assert "do not rebuild the committed root" in receipt.error
 
+    def test_a_partial_leaf_set_reverts_its_booked_gas(self, rollup_env, deployed):
+        """The counts challenge books its hashing gas on the entry before the
+        root check refuses a partial set: the revert takes the booking back."""
+        chain, contract, address, aggregator, challenger = deployed
+        bundle = rollup_env["bundles"][0]
+        checkpoint_id = _post(chain, contract, address, aggregator, bundle)
+        entry = contract.checkpoints[checkpoint_id]
+        partial = tuple(r.to_bytes() for r in bundle.records)[:-1]
+        receipt = chain.transact(
+            Transaction(
+                sender=challenger, to=address, method="challenge_counts",
+                args=(checkpoint_id, partial),
+                value=contract.challenge_bond_wei,
+            )
+        )
+        assert not receipt.success and "partial-leaf-set" in receipt.error
+        assert contract.checkpoints[checkpoint_id] is entry
+        assert contract.checkpoints[checkpoint_id].gas_used == entry.gas_used
+
     def test_frivolous_counts_challenge_forfeits_bond(
         self, rollup_env, deployed
     ):

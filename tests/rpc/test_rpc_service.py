@@ -4,18 +4,22 @@ One server per fixture scope, real sockets throughout.  Covers the
 ingress path (``submit_tx`` success and every reachable rejection code),
 the read family (state, explorer, fee suggestions), the audit layer
 (``audit_status`` / ``checkpoint_get`` / ``fabric_proof_get`` against a
-settled aggregator), and the per-method metrics counters.
+settled aggregator), the per-method metrics counters, and transactions
+whose arguments a contract cannot use.
 """
 
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
-from repro.chain import Blockchain
+from repro.chain import Blockchain, Transaction
+from repro.chain.contracts.checkpoint_contract import CheckpointContract
 from repro.chain.fabric import ShardedChainFabric
 from repro.chain.mempool import FeeMarketConfig, MempoolConfig
+from repro.chain.state import canonical_state_digest
 from repro.core import DataOwner, ProtocolParams
 from repro.engine import AuditExecutor, AuditInstance
 from repro.randomness import HashChainBeacon
@@ -145,6 +149,81 @@ class TestIngress:
         assert suggestion["base_fee_wei"] == chain.base_fee_wei
         assert suggestion["priority_fee_gwei"] == pytest.approx(2.0)
         assert suggestion["max_fee_gwei"] > 2.0
+
+
+#: Arguments of the wrong type, as a JSON client can send them: JSON has
+#: no bytes type, and nothing types an id.
+WRONGLY_TYPED = [("register_instance", [1, "00ff", 3]), ("finalize_checkpoint", ["x"])]
+
+
+def _rollup_chain(**kwargs) -> tuple[Blockchain, str, str]:
+    chain = Blockchain(**kwargs)
+    alice = chain.create_account(10.0, label="alice")
+    contract = CheckpointContract(HashChainBeacon(b"typed"), ProtocolParams(s=2, k=2))
+    return chain, alice, chain.deploy(contract, alice)
+
+
+class TestWronglyTypedArguments:
+    """Whatever a contract raises is a revert: a failed receipt with the
+    exception's type and message, never a fault out of the miner."""
+
+    @pytest.mark.parametrize("method, args", WRONGLY_TYPED)
+    def test_direct_transaction_reverts(self, method, args):
+        chain, alice, rollup = _rollup_chain()
+        contract = chain.contract_at(rollup)
+        before, supply = canonical_state_digest(contract), chain.total_supply()
+        receipt = chain.transact(
+            Transaction(sender=alice, to=rollup, method=method, args=tuple(args), value=5)
+        )
+        assert not receipt.success and receipt.error.startswith("TypeError: "), receipt.error
+        assert canonical_state_digest(contract) == before
+        assert chain.balance_of(rollup) == 0 and chain.total_supply() == supply
+        assert chain.mine_block().receipts == [receipt]
+
+    @pytest.mark.parametrize("method, args", WRONGLY_TYPED)
+    def test_pooled_transaction_fails_in_its_block(self, method, args):
+        chain, alice, rollup = _rollup_chain(mempool=MempoolConfig())
+        chain.submit(
+            Transaction(sender=alice, to=rollup, method=method, args=tuple(args),
+                        gas_limit=100_000)
+        )
+        [receipt] = chain.mine_block().receipts  # must not raise
+        assert not receipt.success and receipt.error.startswith("TypeError: ")
+
+    def test_served_node_keeps_mining(self):
+        chain, alice, rollup = _rollup_chain(mempool=MempoolConfig())
+        node = ServiceNode(chain)
+        server = _serve(node)
+        node.start_auto_mine(0.01)
+        try:
+            with RpcClient(*server.address) as client:
+                for method, args in WRONGLY_TYPED:
+                    client.call(
+                        "submit_tx",
+                        {"sender": alice, "to": rollup, "method": method, "args": args,
+                         "gas_limit": 100_000},
+                    )
+                deadline = time.monotonic() + 10.0
+                failed: list = []
+                while time.monotonic() < deadline and len(failed) < 2:
+                    time.sleep(0.02)
+                    with chain.lock:
+                        failed = [
+                            receipt.error
+                            for block in chain.blocks
+                            for receipt in block.receipts
+                            if not receipt.success
+                        ]
+                assert [error.split(":")[0] for error in failed] == ["TypeError"] * 2
+                heights = {client.call("node_status")["height"]}
+                while time.monotonic() < deadline and len(heights) < 3:
+                    time.sleep(0.02)
+                    heights.add(client.call("node_status")["height"])
+                assert len(heights) >= 3, heights  # the miner is still mining
+                assert client.call("mine", {"blocks": 1})["height"] > max(heights)
+        finally:
+            node.stop_auto_mine()
+            server.close()
 
 
 class TestMetaAndMetrics:

@@ -23,7 +23,10 @@ raises where it happens.
 
 ``state_hash()`` digests a deterministic recursive encoding of the whole
 logical state — *not* pickles — so live and replayed stores compare across
-processes; sealed blocks and events enter as running hash chains.
+processes; sealed blocks and events enter as running hash chains.  The one
+encoder, :func:`_encode_canonical`, lays each class out once per attribute
+set (:func:`_layout`).  A reopened store folds both chains from scratch:
+no digest or cursor is read off disk.
 """
 
 from __future__ import annotations
@@ -65,97 +68,150 @@ _TRANSIENT_ATTRS = _CONTRACT_SKIP_ATTRS | {"_pending_events"}
 # --------------------------------------------------------------------------- #
 
 
+_pack_len = struct.Struct(">I").pack
+
+#: What the encoding tags by kind; an instance of none of them is an object.
+_TAGGED = (int, float, str, bytes, bytearray, enum.Enum, list, tuple, set, frozenset, dict)
+
+
 def _encode_canonical(value: Any, hasher, depth: int = 0) -> None:
     """Feed a deterministic, type-tagged encoding of ``value`` into ``hasher``.
 
     Dicts are encoded sorted by their keys' encodings, objects as
-    ``module.qualname`` plus their sorted attribute dict, floats via
-    ``repr`` (exact round-trip), so the digest is a pure function of the
-    logical state — independent of dict insertion order, pickle protocol
-    or process identity.
+    ``module.qualname`` plus their sorted attribute dict (laid out once per
+    class and attribute set: :func:`_layout`), floats via ``repr`` (exact
+    round-trip), so the digest is a pure function of the logical state —
+    independent of dict insertion order, pickle protocol or process
+    identity.  The common exact types are dispatched first; subclasses,
+    enums, sets and objects take the ``isinstance`` chain below them.
     """
     if depth > 64:
         raise ValueError("state encoding recursion too deep (cycle?)")
-    if value is None:
-        hasher.update(b"N")
-    elif isinstance(value, bool):
-        hasher.update(b"b1" if value else b"b0")
-    elif isinstance(value, int):
-        encoded = str(value).encode()
-        hasher.update(b"i" + struct.pack(">I", len(encoded)) + encoded)
-    elif isinstance(value, float):
-        encoded = repr(value).encode()
-        hasher.update(b"f" + struct.pack(">I", len(encoded)) + encoded)
-    elif isinstance(value, str):
+    kind = type(value)
+    if kind is str:
         encoded = value.encode("utf-8")
-        hasher.update(b"s" + struct.pack(">I", len(encoded)) + encoded)
-    elif isinstance(value, (bytes, bytearray)):
-        hasher.update(b"y" + struct.pack(">I", len(value)) + bytes(value))
-    elif isinstance(value, enum.Enum):
-        _encode_canonical(
-            f"{type(value).__module__}.{type(value).__qualname__}", hasher, depth + 1
-        )
-        _encode_canonical(value.value, hasher, depth + 1)
-    elif isinstance(value, (list, tuple)):
-        hasher.update(b"l" + struct.pack(">I", len(value)))
+        hasher.update(b"s" + _pack_len(len(encoded)) + encoded)
+    elif kind is int:
+        encoded = str(value).encode()
+        hasher.update(b"i" + _pack_len(len(encoded)) + encoded)
+    elif value is None:
+        hasher.update(b"N")
+    elif kind is bool:
+        hasher.update(b"b1" if value else b"b0")
+    elif kind is list or kind is tuple or kind is _JournaledList:
+        hasher.update(b"l" + _pack_len(len(value)))
         for item in value:
             _encode_canonical(item, hasher, depth + 1)
-    elif isinstance(value, (set, frozenset)):
-        digests = sorted(canonical_state_digest(item) for item in value)
-        hasher.update(b"e" + struct.pack(">I", len(digests)))
-        for digest in digests:
-            hasher.update(digest)
-    elif isinstance(value, dict):
-        entries = sorted(
-            (canonical_state_digest(key), key, val) for key, val in value.items()
-        )
-        hasher.update(b"d" + struct.pack(">I", len(entries)))
+    elif kind is dict or kind is _JournaledDict:
+        entries = sorted((_digest(key, depth + 1), key, val) for key, val in value.items())
+        hasher.update(b"d" + _pack_len(len(entries)))
         for key_digest, _, val in entries:
             hasher.update(key_digest)
             _encode_canonical(val, hasher, depth + 1)
-    else:
-        attrs = _object_attrs(value)
-        if attrs is None:
-            raise TypeError(f"cannot canonically encode {type(value)!r}")
-        hasher.update(b"o")
-        _encode_canonical(
-            f"{type(value).__module__}.{type(value).__qualname__}", hasher, depth + 1
-        )
-        _encode_canonical(attrs, hasher, depth + 1)
+    elif kind is bytes:
+        hasher.update(b"y" + _pack_len(len(value)) + value)
+    elif kind is float:
+        encoded = repr(value).encode()
+        hasher.update(b"f" + _pack_len(len(encoded)) + encoded)
+    elif not isinstance(value, _TAGGED):
+        # An object is ``o``, its qualname (one level down) and its
+        # attribute dict (one level down), whose values sit two levels down.
+        prefix, entries, state = _layout(value)
+        if depth >= 64:
+            raise ValueError("state encoding recursion too deep (cycle?)")
+        hasher.update(prefix)
+        for name_digest, name, held in entries:
+            hasher.update(name_digest)
+            _encode_canonical(state[name] if held else getattr(value, name), hasher, depth + 2)
+    elif isinstance(value, int):
+        encoded = str(value).encode()
+        hasher.update(b"i" + _pack_len(len(encoded)) + encoded)
+    elif isinstance(value, float):
+        encoded = repr(value).encode()
+        hasher.update(b"f" + _pack_len(len(encoded)) + encoded)
+    elif isinstance(value, str):
+        encoded = value.encode("utf-8")
+        hasher.update(b"s" + _pack_len(len(encoded)) + encoded)
+    elif isinstance(value, (bytes, bytearray)):
+        hasher.update(b"y" + _pack_len(len(value)) + bytes(value))
+    elif isinstance(value, enum.Enum):
+        _encode_canonical(f"{kind.__module__}.{kind.__qualname__}", hasher, depth + 1)
+        _encode_canonical(value.value, hasher, depth + 1)
+    elif isinstance(value, (list, tuple)):
+        hasher.update(b"l" + _pack_len(len(value)))
+        for item in value:
+            _encode_canonical(item, hasher, depth + 1)
+    elif isinstance(value, (set, frozenset)):
+        digests = sorted(_digest(item, depth + 1) for item in value)
+        hasher.update(b"e" + _pack_len(len(digests)))
+        for digest in digests:
+            hasher.update(digest)
+    else:  # a dict subclass
+        entries = sorted((_digest(key, depth + 1), key, val) for key, val in value.items())
+        hasher.update(b"d" + _pack_len(len(entries)))
+        for key_digest, _, val in entries:
+            hasher.update(key_digest)
+            _encode_canonical(val, hasher, depth + 1)
 
 
-def _object_attrs(value: Any) -> dict | None:
-    """An object's state dict (``__dict__`` and/or ``__slots__`` members).
+#: Per class: ``(its _canonical_state_slots or None, the __slots__ of its
+#: MRO, whether it may hold state)``; per ``(class, __dict__ names, slots
+#: set)`` (or ``(class,)`` given ``_canonical_state_slots``): the layout its
+#: objects encode with.  See :func:`_layout`.
+_LAYOUTS: dict = {}
 
-    A class may publish ``_canonical_state_slots`` naming exactly the
-    attributes that define its logical state; anything else (memoized
-    derived values like a curve point's cached affine form) would make the
-    digest depend on *usage history* instead of state.
+
+def _layout(value: Any) -> tuple[bytes, list, dict | None]:
+    """How ``value`` encodes as an object, worked out once per class and
+    attribute set: the bytes that open it (``o``, its tagged qualname, ``d``
+    and its attribute count), and ``(name digest, name, in __dict__)`` per
+    attribute in the order the encoding sorts them; then its ``__dict__``.
+
+    The attributes are the ``__dict__`` entries (but ``chain``) and the
+    ``__slots__`` that are set, unless the class publishes
+    ``_canonical_state_slots`` naming exactly the attributes that define
+    its logical state: anything else (memoized derived values like a curve
+    point's cached affine form) would make the digest depend on *usage
+    history* instead of state.
     """
-    explicit = getattr(type(value), "_canonical_state_slots", None)
+    kind = type(value)
+    plan = _LAYOUTS.get(kind)
+    if plan is None:
+        slots = tuple(slot for klass in kind.__mro__ for slot in getattr(klass, "__slots__", ()))
+        explicit = getattr(kind, "_canonical_state_slots", None)
+        plan = _LAYOUTS[kind] = (explicit, slots, bool(slots) or hasattr(value, "__dict__"))
+    explicit, slots, found = plan
     if explicit is not None:
-        return {name: getattr(value, name) for name in explicit}
-    attrs: dict[str, Any] = {}
-    found = False
-    if hasattr(value, "__dict__"):
-        found = True
-        attrs.update(
-            (name, attr)
-            for name, attr in vars(value).items()
-            if name not in _CONTRACT_SKIP_ATTRS
-        )
-    for klass in type(value).__mro__:
-        for slot in getattr(klass, "__slots__", ()):
-            found = True
-            if hasattr(value, slot):
-                attrs[slot] = getattr(value, slot)
-    return attrs if found else None
+        state, key = None, (kind,)  # the names are the class's
+    else:
+        state = getattr(value, "__dict__", None)
+        key = (kind, tuple(state or ()), tuple(slot for slot in slots if hasattr(value, slot)))
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        if explicit is not None:
+            held = dict.fromkeys(explicit, False)
+        elif found:
+            held = {name: True for name in key[1] if name not in _CONTRACT_SKIP_ATTRS}
+            held.update(dict.fromkeys(key[2], False))
+        else:
+            raise TypeError(f"cannot canonically encode {kind!r}")
+        qualname = f"{kind.__module__}.{kind.__qualname__}".encode()
+        prefix = b"os" + _pack_len(len(qualname)) + qualname + b"d" + _pack_len(len(held))
+        entries = sorted((canonical_state_digest(name), name, flag) for name, flag in held.items())
+        layout = _LAYOUTS[key] = (prefix, entries)
+    return (*layout, state)
 
 
 def canonical_state_digest(value: Any) -> bytes:
     """SHA-256 over the canonical encoding of one value."""
+    return _digest(value, 0)
+
+
+def _digest(value: Any, depth: int) -> bytes:
+    """:func:`canonical_state_digest` of a set member or dict key met at
+    ``depth``: the depth carries on, so a cycle through one is caught."""
     hasher = hashlib.sha256()
-    _encode_canonical(value, hasher)
+    _encode_canonical(value, hasher, depth)
     return hasher.digest()
 
 
@@ -207,8 +263,10 @@ def _immutable(value: Any) -> bool:
         return True
     params = getattr(kind, "__dataclass_params__", None)
     if params is not None and params.frozen:
-        attrs = _object_attrs(value)
-        return attrs is not None and all(map(_immutable, attrs.values()))
+        _, entries, state = _layout(value)
+        return all(
+            _immutable(state[name] if held else getattr(value, name)) for _, name, held in entries
+        )
     return False
 
 

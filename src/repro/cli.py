@@ -90,8 +90,12 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
     """Epoch rollup: settle an owners x files fleet, one commitment per lane-epoch."""
-    if args.epochs < 1 or args.owners < 1 or args.files < 1 or args.lanes < 1:
-        print("checkpoint: --epochs, --owners, --files and --lanes must be >= 1",
+    if min(args.epochs, args.owners, args.files, args.lanes, args.s, args.k) < 1:
+        print("checkpoint: --epochs, --owners, --files, --lanes, --s and --k "
+              "must be >= 1", file=sys.stderr)
+        return 2
+    if args.workers < 0:
+        print("checkpoint: --workers must be >= 0 (0 = one per CPU core)",
               file=sys.stderr)
         return 2
     rng = random.Random(args.seed)
@@ -243,6 +247,10 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
         if not persist:
             print("lifecycle: --resume requires --persist DIR", file=sys.stderr)
             return 2
+        if args.workers < 0:
+            print("lifecycle: --workers must be >= 0 (0 = one per CPU core)",
+                  file=sys.stderr)
+            return 2
         try:
             engine = LifecycleEngine.open(persist, workers=args.workers)
         except (LifecycleResumeError, OSError) as exc:
@@ -374,9 +382,9 @@ def _cmd_congest(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Host the long-lived JSON-RPC audit service over a sharded fabric."""
-    if args.lanes < 1 or args.fleet < 1 or args.epochs < 0:
-        print("serve: --lanes and --fleet must be >= 1, --epochs >= 0",
-              file=sys.stderr)
+    if min(args.lanes, args.fleet, args.s, args.k) < 1 or min(args.epochs, args.workers) < 0:
+        print("serve: --lanes, --fleet, --s and --k must be >= 1, "
+              "--epochs and --workers >= 0", file=sys.stderr)
         return 2
     rng = random.Random(args.seed)
     params = ProtocolParams(s=args.s, k=args.k)

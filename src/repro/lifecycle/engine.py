@@ -115,6 +115,8 @@ class LifecycleConfig:
             raise ValueError("need at least erasure_n + 1 providers for repair")
         if self.lanes < 1 or self.files < 1:
             raise ValueError("lanes and files must be >= 1")
+        if self.workers < 0:
+            raise ValueError("workers must be >= 0 (0 = one per CPU core)")
 
     @property
     def total_epochs(self) -> int:
@@ -290,8 +292,13 @@ class LifecycleEngine:
         if config.persist_dir:
             # A fresh run must never build on top of a previous run's WALs:
             # WalStateStore replays whatever the directory holds, which
-            # would silently break the same-seed determinism contract.
-            if (Path(config.persist_dir) / ENGINE_SNAPSHOT).exists():
+            # would silently break the same-seed determinism contract.  A
+            # run that failed before its first snapshot leaves lane state
+            # and no engine.pkl; that is refused too.
+            directory = Path(config.persist_dir)
+            if (directory / ENGINE_SNAPSHOT).exists() or any(
+                directory.glob("lanes/*/*")
+            ):
                 raise ValueError(
                     f"{config.persist_dir} already holds a persisted "
                     "lifecycle run; reopen it with LifecycleEngine.open / "

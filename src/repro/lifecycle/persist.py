@@ -135,5 +135,9 @@ def load_engine(persist_dir: str, **overrides):
         raise LifecycleResumeError(
             "reopened fabric state does not match the engine snapshot"
         )
-    engine._build_aggregator()
+    try:
+        engine._build_aggregator()
+    except BaseException:
+        engine.fabric.close()
+        raise
     return engine

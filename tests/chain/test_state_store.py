@@ -77,6 +77,18 @@ class TestCanonicalEncoding:
             G1Point.generator()
         )
 
+    def test_a_cycle_through_a_set_member_or_dict_key_is_named(self):
+        class Node:
+            pass
+
+        looped = Node()
+        looped.members = {looped}
+        keyed = Node()
+        keyed.index = {keyed: 1}
+        for value in (looped, keyed):
+            with pytest.raises(ValueError, match="recursion too deep"):
+                canonical_state_digest(value)
+
     def test_memory_store_hash_tracks_mutations(self):
         chain = Blockchain()
         before = chain.state_hash()

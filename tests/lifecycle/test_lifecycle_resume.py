@@ -182,6 +182,16 @@ def test_fresh_run_refuses_a_dirty_persist_dir(tmp_path):
     engine.close()
     with pytest.raises(ValueError, match="already holds"):
         LifecycleEngine(config)
+    # A bad worker count is refused before anything is written ...
+    fresh = tmp_path / "fresh"
+    with pytest.raises(ValueError, match="workers"):
+        LifecycleConfig(persist_dir=str(fresh), workers=-1, **BASE)
+    assert not fresh.exists()
+    # ... and lane state with no engine snapshot (a first build that
+    # failed before its first boundary) is refused like a finished run.
+    (tmp_path / "state" / ENGINE_SNAPSHOT).unlink()
+    with pytest.raises(ValueError, match="already holds"):
+        LifecycleEngine(config)
 
 
 def test_determinism_override_refused_on_resume(tmp_path):

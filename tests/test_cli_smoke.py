@@ -224,6 +224,11 @@ def test_bad_arguments_exit_nonzero():
     assert main(["checkpoint", "--lanes", "0"]) == 2
     assert main(["lifecycle", "--years", "-1"]) == 2
     assert main(["congest", "--blocks", "0"]) == 2
+    for command in ("checkpoint", "serve"):
+        assert main([command, "--workers", "-1"]) == 2
+        assert main([command, "--s", "0"]) == 2
+        assert main([command, "--k", "0"]) == 2
+    assert main(["lifecycle", "--persist", "unused", "--resume", "--workers", "-1"]) == 2
 
 
 def test_lifecycle_resume_without_persist_is_rejected(capsys):

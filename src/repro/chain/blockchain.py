@@ -34,7 +34,7 @@ import inspect
 import math
 import threading
 from contextlib import AbstractContextManager, ExitStack, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from .gas import GasSchedule
@@ -60,7 +60,7 @@ class Block:
     gas_used: int = 0
     byte_size: int = 0
     # wei/gas every transaction in this block paid as base fee; stays 0
-    # on chains without a mempool (legacy direct-transact path).
+    # on chains without a mempool, whose transactions are all direct.
     base_fee_wei: int = 0
 
     @property
@@ -149,6 +149,18 @@ class Contract:
         assert self.chain is not None
         return self.chain.balance_of(self.address)
 
+    def _call_contract(self, ctx: "CallContext", address: str, method: str, *args: Any) -> Any:
+        """EVM-style internal call, sent by this contract on the caller's gas:
+        the callee's events land in this transaction's receipt."""
+        assert self.chain is not None
+        callee = self.chain.contract_at(address)
+        try:
+            result = getattr(callee, method)(replace(ctx, sender=self.address, value=0), *args)
+            self._pending_events.extend(callee._pending_events)
+            return result
+        finally:
+            callee._pending_events.clear()
+
     @classmethod
     def due_calls_scope(
         cls, calls: list[tuple["Contract", ScheduledCall]]
@@ -214,9 +226,11 @@ class Blockchain:
 
     ``store`` defaults to a fresh :class:`MemoryStateStore`; pass a
     :class:`WalStateStore` (or use :meth:`Blockchain.open`) for a chain
-    that survives its process.  All mutating entry points run inside the
-    store's ``begin``/``commit`` brackets so durable backends can log
-    exactly one record per logical mutation.
+    that survives its process.  Every mutating entry point runs inside
+    one :meth:`StateStore.scope <repro.chain.state.StateStore.scope>`, so
+    a durable backend logs exactly one record per logical mutation and a
+    mutation that raises is rolled back, not logged.  Direct, scheduled and
+    pooled transactions share one transaction scope (``_transact``).
     """
 
     def __init__(
@@ -249,10 +263,9 @@ class Blockchain:
         self._firing: tuple[ScheduledCall, Transaction] | None = None
         self.store = store or MemoryStateStore()
         if not self.store.blocks:
-            genesis = Block(number=0, timestamp=0.0, parent_hash="0" * 64)
-            self.store.begin()
-            self.store.blocks.append(genesis)
-            self.store.commit("genesis", block=genesis)
+            with self.store.scope("genesis") as record:
+                record["block"] = Block(number=0, timestamp=0.0, parent_hash="0" * 64)
+                self.store.blocks.append(record["block"])
         for contract in self.store.contracts.values():
             contract.chain = self  # rebind after a restore
         # Optional admission path: pass a MempoolConfig to give the chain
@@ -307,14 +320,6 @@ class Blockchain:
         return self.store.scheduled
 
     @property
-    def _nonces(self) -> dict[str, int]:
-        return self.store.nonces
-
-    @property
-    def _signer_keys(self) -> dict[str, bytes]:
-        return self.store.signer_keys
-
-    @property
     def base_fee_wei(self) -> int:
         return self.store.base_fee_wei
 
@@ -338,20 +343,17 @@ class Blockchain:
     # -- accounts -------------------------------------------------------------
 
     def create_account(self, balance_eth: float = 0.0, label: str = "") -> str:
-        # Every mutating entry point commits in a finally block: whatever
-        # mutated before an exception is still logged, so a durable store
-        # never silently desynchronizes from the live state.
-        with self.lock:
-            self.store.begin()
-            try:
-                self.store.account_seq += 1
-                tag = f":{self.chain_id}" if self.chain_id else ""
-                material = f"account{tag}:{self.store.account_seq}:{label}".encode()
-                address = "0x" + hashlib.sha256(material).hexdigest()[:40]
-                self.store.balances[address] = int(balance_eth * WEI_PER_ETH)
-            finally:
-                self.store.commit("account")
-            return address
+        with self.lock, self.store.scope("account"):
+            address = self._next_address("0x", "account", f":{label}")
+            self.store.balances[address] = int(balance_eth * WEI_PER_ETH)
+        return address
+
+    def _next_address(self, prefix: str, kind: str, suffix: str = "") -> str:
+        """A fresh 42-character address off the next account sequence number."""
+        self.store.account_seq += 1
+        tag = f":{self.chain_id}" if self.chain_id else ""
+        material = f"{kind}{tag}:{self.store.account_seq}{suffix}".encode()
+        return prefix + hashlib.sha256(material).hexdigest()[: 42 - len(prefix)]
 
     def register_signer(self, verifying_key_bytes: bytes, balance_eth: float = 0.0) -> str:
         """Create an account whose transactions must be Schnorr-signed.
@@ -363,16 +365,12 @@ class Blockchain:
         from ..crypto.schnorr import VerifyingKey
 
         address = VerifyingKey.from_bytes(verifying_key_bytes).address()
-        with self.lock:
-            self.store.begin()
-            try:
-                self.store.balances.setdefault(address, 0)
-                self.store.balances[address] += int(balance_eth * WEI_PER_ETH)
-                self.store.signer_keys[address] = bytes(verifying_key_bytes)
-                self.store.nonces.setdefault(address, 0)
-            finally:
-                self.store.commit("account")
-            return address
+        with self.lock, self.store.scope("account"):
+            self.store.balances.setdefault(address, 0)
+            self.store.balances[address] += int(balance_eth * WEI_PER_ETH)
+            self.store.signer_keys[address] = bytes(verifying_key_bytes)
+            self.store.nonces.setdefault(address, 0)
+        return address
 
     def nonce_of(self, address: str) -> int:
         return self.store.nonces.get(address, 0)
@@ -383,15 +381,16 @@ class Blockchain:
 
         if self._firing is not None and tx is self._firing[1]:
             return None  # a scheduled call: trusted by the path it came in on
-        expected_key = self._signer_keys.get(tx.sender)
+        expected_key = self.store.signer_keys.get(tx.sender)
         if expected_key is None:
             return f"unknown signer account {tx.sender[:10]}"
         if tx.public_key != expected_key:
             return "public key does not match the sender address"
         if tx.signature is None:
             return "missing signature"
-        if tx.nonce != self._nonces.get(tx.sender, 0):
-            return f"bad nonce {tx.nonce} (expected {self._nonces.get(tx.sender, 0)})"
+        expected_nonce = self.store.nonces.get(tx.sender, 0)
+        if tx.nonce != expected_nonce:
+            return f"bad nonce {tx.nonce} (expected {expected_nonce})"
         try:
             signature = Signature.from_bytes(tx.signature)
         except ValueError as exc:
@@ -440,33 +439,18 @@ class Blockchain:
     def deploy(self, contract: Contract, deployer: str, deposit_bytes: int = 0) -> str:
         """Install a contract; charges the deployer for its on-chain size.
         A deploy that fails installs nothing and charges nothing."""
-        with self.lock:
-            self.store.begin()
-            mark = self.store.savepoint()
-            try:
-                self.store.account_seq += 1
-                tag = f":{self.chain_id}" if self.chain_id else ""
-                address = (
-                    "0xc"
-                    + hashlib.sha256(
-                        f"contract{tag}:{self.store.account_seq}".encode()
-                    ).hexdigest()[:39]
-                )
-                contract.address = address
-                self.store.install(contract)
-                self.store.balances.setdefault(address, 0)
-                if deposit_bytes:
-                    gas = self.schedule.storage_gas(deposit_bytes)
-                    fee = int(gas * 5 * WEI_PER_GWEI)
-                    self._debit(deployer, fee)
-                    self.store.fee_sink += fee
-            except BaseException:
-                self.store.rollback(mark)
-                raise
-            finally:
-                self.store.commit("deploy")
+        with self.lock, self.store.scope("deploy"):
+            address = self._next_address("0xc", "contract")
+            contract.address = address
+            self.store.install(contract)
+            self.store.balances.setdefault(address, 0)
+            if deposit_bytes:
+                gas = self.schedule.storage_gas(deposit_bytes)
+                fee = int(gas * 5 * WEI_PER_GWEI)
+                self._debit(deployer, fee)
+                self.store.fee_sink += fee
             contract.chain = self
-            return address
+        return address
 
     def contract_at(self, address: str) -> Contract:
         return self.store.contracts[address]
@@ -478,33 +462,32 @@ class Blockchain:
 
         ``payload_bytes`` sizes the calldata for gas and chain-growth
         accounting when the args are Python objects rather than real ABI
-        bytes.
+        bytes.  It pays no base fee: its whole gas price is the tip.
         """
-        with self.lock:
-            self.store.begin()
-            try:
-                if self._firing is not None and tx is self._firing[1]:
-                    # A fired call leaves the schedule in its own record.
-                    del self.store.calls[self._firing[0].sequence]
-                receipt = self._execute(tx, payload_bytes)
-            except BaseException:
-                # An unexpected fault (not a modelled revert): log whatever
-                # state mutated so a durable store never silently diverges.
-                pending = self.blocks[-1]
-                self.store.commit(
-                    "tx-abort",
-                    pending_gas=pending.gas_used,
-                    pending_bytes=pending.byte_size,
-                )
-                raise
+
+        def unschedule() -> None:
+            # A fired call leaves the schedule in its own transaction's record.
+            if self._firing is not None and tx is self._firing[1]:
+                del self.store.calls[self._firing[0].sequence]
+
+        tip_wei = int(tx.gas_price_gwei * WEI_PER_GWEI)
+        return self._transact(tx, payload_bytes, unschedule, 0, tip_wei)
+
+    def _transact(
+        self, tx: Transaction, payload_bytes: int, claim: Callable[[], None],
+        base_fee_wei: int, tip_wei: int, burn_base: bool = True,
+    ) -> Receipt:
+        """The one transaction scope, direct, scheduled or pooled: ``claim()``
+        (unschedule a fired call, pop a pooled entry), then execute, as one
+        ``tx`` record with the receipt and the pending block's gas and bytes."""
+        with self.lock, self.store.scope("tx") as record:
+            claim()
+            receipt = self._execute(tx, payload_bytes, base_fee_wei, tip_wei, burn_base)
             pending = self.blocks[-1]
-            self.store.commit(
-                "tx",
-                receipt=receipt,
-                pending_gas=pending.gas_used,
-                pending_bytes=pending.byte_size,
+            record.update(
+                receipt=receipt, pending_gas=pending.gas_used, pending_bytes=pending.byte_size
             )
-            return receipt
+        return receipt
 
     def submit(self, tx: Transaction, payload_bytes: int = 0, *, replace: bool = False):
         """Queue a transaction through the mempool admission path.
@@ -537,33 +520,28 @@ class Blockchain:
         return hashlib.sha256(material).hexdigest()
 
     def _execute(
-        self,
-        tx: Transaction,
-        payload_bytes: int,
-        base_fee_wei: int | None = None,
-        tip_wei: int = 0,
-        burn_base: bool = True,
+        self, tx: Transaction, payload_bytes: int, base_fee_wei: int, tip_wei: int, burn_base: bool
     ) -> Receipt:
         self.store.tx_seq += 1
         tx_hash = self._tx_hash(tx)
         meter = GasMeter(tx.gas_limit)
-        meter.consume(self.schedule.tx_intrinsic)
-        meter.consume(payload_bytes * self.schedule.calldata_nonzero_byte)
-        if self.require_signatures:
-            auth_error = self._authenticate(tx)
-            if auth_error is not None:
-                receipt = Receipt(
-                    tx_hash=tx_hash,
-                    success=False,
-                    gas_used=meter.used,
-                    error=f"authentication: {auth_error}",
-                    block_number=len(self.blocks),
-                )
-                self.blocks[-1].receipts.append(receipt)
-                return receipt
-            if tx.sender in self.store.nonces:
-                self.store.nonces[tx.sender] += 1
-        contract = None
+        meter.used = self.schedule.tx_intrinsic
+        meter.used += payload_bytes * self.schedule.calldata_nonzero_byte
+        refused = None
+        if meter.used > tx.gas_limit:
+            refused = f"intrinsic gas {meter.used} exceeds the gas limit {tx.gas_limit}"
+        elif self.require_signatures and (auth_error := self._authenticate(tx)) is not None:
+            refused = f"authentication: {auth_error}"
+        if refused is not None:
+            # Refused before it runs: a failed receipt, no fee, no block gas.
+            receipt = Receipt(
+                tx_hash, False, meter.used, error=refused, block_number=len(self.blocks)
+            )
+            self.blocks[-1].receipts.append(receipt)
+            return receipt
+        if self.require_signatures and tx.sender in self.store.nonces:
+            self.store.nonces[tx.sender] += 1
+        events: list[Event] = []
         mark = self.store.savepoint()
         try:
             if tx.value:
@@ -596,38 +574,29 @@ class Blockchain:
                         # Whatever a contract raises is a revert, so that
                         # badly typed arguments cannot fault the chain.
                         raise RevertError(f"{type(exc).__name__}: {exc}") from exc
+                    finally:
+                        events = contract._pending_events[:]
+                        contract._pending_events.clear()
             success, error = True, None
         except _REVERTS as exc:
             self.store.rollback(mark)  # revert state changes
-            if contract is not None:
-                contract._pending_events.clear()
             success, error, return_value = False, str(exc), None
-        if base_fee_wei is None:
-            # Legacy direct path: the whole gas price goes to the sink.
-            fee = int(meter.used * tx.gas_price_gwei * WEI_PER_GWEI)
-            try:
-                self._debit(tx.sender, fee)
-            except RevertError:
-                fee = self.store.balances.get(tx.sender, 0)
-                self.store.balances[tx.sender] = 0
-            self.store.fee_sink += fee
+        # The base fee is burned (or sunk when the market runs with burn
+        # disabled), the tip pays the miner.
+        burn = meter.used * base_fee_wei
+        tip = meter.used * tip_wei
+        try:
+            self._debit(tx.sender, burn + tip)
+        except RevertError:
+            available = self.store.balances.get(tx.sender, 0)
+            self.store.balances[tx.sender] = 0
+            burn = min(burn, available)
+            tip = available - burn
+        if burn_base:
+            self.store.burned += burn
+            self.store.fee_sink += tip
         else:
-            # Fee-market path: base fee is burned (or sunk when the
-            # market runs with burn disabled), the tip pays the miner.
-            burn = meter.used * base_fee_wei
-            tip = meter.used * tip_wei
-            try:
-                self._debit(tx.sender, burn + tip)
-            except RevertError:
-                available = self.store.balances.get(tx.sender, 0)
-                self.store.balances[tx.sender] = 0
-                burn = min(burn, available)
-                tip = available - burn
-            if burn_base:
-                self.store.burned += burn
-                self.store.fee_sink += tip
-            else:
-                self.store.fee_sink += burn + tip
+            self.store.fee_sink += burn + tip
         receipt = Receipt(
             tx_hash=tx_hash,
             success=success,
@@ -636,11 +605,9 @@ class Blockchain:
             return_value=return_value,
             block_number=len(self.blocks),
         )
-        if success and contract is not None:
-            receipt.events = list(contract._pending_events)
-            for event in receipt.events:
-                self.store.events.append(event)
-            contract._pending_events.clear()
+        if success:
+            receipt.events = events
+            self.store.events.extend(events)
         pending = self.blocks[-1]
         pending.receipts.append(receipt)
         pending.gas_used += meter.used
@@ -666,19 +633,15 @@ class Blockchain:
     def schedule_call(
         self, contract: str, method: str, delay: float, args: tuple = ()
     ) -> None:
-        with self.lock:
-            self.store.begin()
-            try:
-                self.store.schedule_seq += 1
-                self.store.calls[self.store.schedule_seq] = ScheduledCall(
-                    due_time=self.time + delay,
-                    sequence=self.store.schedule_seq,
-                    contract=contract,
-                    method=method,
-                    args=args,
-                )
-            finally:
-                self.store.commit("schedule")
+        with self.lock, self.store.scope("schedule"):
+            self.store.schedule_seq += 1
+            self.store.calls[self.store.schedule_seq] = ScheduledCall(
+                due_time=self.time + delay,
+                sequence=self.store.schedule_seq,
+                contract=contract,
+                method=method,
+                args=args,
+            )
 
     # -- block production ------------------------------------------------------------
 
@@ -687,21 +650,22 @@ class Blockchain:
 
         On a mempool chain the pool first expires stale entries and then
         drains its best-priced transactions into the pending block (each
-        drained execution commits its own WAL record), and the sealing
-        commit stamps the block's base fee and rolls the fee market one
+        drained execution is its own transaction scope), and the seal's
+        scope stamps the block's base fee and rolls the fee market one
         step — so a crash anywhere in between recovers mid-drain exactly.
         """
         with self.lock:
             if self.pool is not None:
                 self.pool.expire()
                 self.pool.drain_into_block()
-            self.store.begin()
-            try:
+            with self.store.scope("block") as record:
                 sealed = self.blocks[-1]
+                # The seal's one call that can raise, before any write the
+                # scope could not roll back.
+                base_fee = 0 if self.pool is None else self.pool.on_block_sealed(sealed)
                 sealed.timestamp = self.time
                 sealed.byte_size += self.base_block_bytes
-                if self.pool is not None:
-                    self.pool.on_block_sealed(sealed)
+                sealed.base_fee_wei = base_fee
                 self.store.time += self.block_time
                 new_block = Block(
                     number=len(self.blocks),
@@ -709,14 +673,9 @@ class Blockchain:
                     parent_hash=sealed.block_hash,
                 )
                 self.blocks.append(new_block)
-            finally:
-                self.store.commit(
-                    "block",
-                    sealed_timestamp=sealed.timestamp,
-                    sealed_bytes=sealed.byte_size,
-                    sealed_base_fee=sealed.base_fee_wei,
-                    time=self.time,
-                    new_block=new_block,
+                record.update(
+                    sealed_timestamp=sealed.timestamp, sealed_bytes=sealed.byte_size,
+                    sealed_base_fee=base_fee, time=self.time, new_block=new_block,
                 )
             self._fire_due_calls()
             return sealed
@@ -737,11 +696,8 @@ class Blockchain:
         if not due:
             return
         # The scheduler account is ensured in its own record.
-        self.store.begin()
-        try:
+        with self.store.scope("account"):
             self.store.balances.setdefault(SCHEDULER, 0)
-        finally:
-            self.store.commit("account")
         # Each contract class sees its instances' due calls together before
         # any of them fires (a read: nothing here touches the store).
         by_class: dict[type[Contract], list[tuple[Contract, ScheduledCall]]] = {}

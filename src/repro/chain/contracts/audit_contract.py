@@ -411,33 +411,14 @@ class AuditContract(Contract):
     # Dispute / arbitration (docs/PROTOCOL.md section 7)                  #
     # ------------------------------------------------------------------ #
 
-    def _call_registry(self, ctx: CallContext, method: str, *args):
-        """EVM-style internal call into the wired reputation registry.
-
-        Events the registry emits are hoisted into this transaction's
-        pending list so they land in the same receipt.
-        """
-        assert self.chain is not None and self.registry_address is not None
-        registry = self.chain.contract_at(self.registry_address)
-        sub_ctx = CallContext(
-            sender=self.address,
-            value=0,
-            timestamp=ctx.timestamp,
-            block_number=ctx.block_number,
-            gas=ctx.gas,
-            chain=self.chain,
-        )
-        result = getattr(registry, method)(sub_ctx, *args)
-        self._pending_events.extend(registry._pending_events)
-        registry._pending_events.clear()
-        return result
-
     def _report_to_registry(self, ctx: CallContext, passed: bool) -> None:
         """Best-effort inline outcome report (no-op when not wired)."""
         if self.registry_address is None:
             return
         try:
-            self._call_registry(ctx, "report_audit", self.provider, passed)
+            self._call_contract(
+                ctx, self.registry_address, "report_audit", self.provider, passed
+            )
         except RevertError:
             pass  # provider unregistered / contract unauthorized: skip
 
@@ -531,8 +512,9 @@ class AuditContract(Contract):
                 )
             if self.registry_address is not None:
                 try:
-                    self._call_registry(
-                        ctx, "slash_stake", self.provider, 0.2, self.owner
+                    self._call_contract(
+                        ctx, self.registry_address, "slash_stake",
+                        self.provider, 0.2, self.owner,
                     )
                 except RevertError:
                     pass

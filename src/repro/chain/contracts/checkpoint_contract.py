@@ -516,22 +516,12 @@ class CheckpointContract(Contract):
         """Best-effort reputation slash for a fraudulent aggregator."""
         if self.registry_address is None:
             return
-        assert self.chain is not None
-        registry = self.chain.contract_at(self.registry_address)
-        sub_ctx = CallContext(
-            sender=self.address,
-            value=0,
-            timestamp=ctx.timestamp,
-            block_number=ctx.block_number,
-            gas=ctx.gas,
-            chain=self.chain,
-        )
         try:
-            registry.slash_stake(sub_ctx, poster, 0.2, ctx.sender)
+            self._call_contract(
+                ctx, self.registry_address, "slash_stake", poster, 0.2, ctx.sender
+            )
         except RevertError:
-            return  # poster unregistered / contract unauthorized: skip
-        self._pending_events.extend(registry._pending_events)
-        registry._pending_events.clear()
+            pass  # poster unregistered / contract unauthorized: skip
 
     # ------------------------------------------------------------------ #
     # Finalization                                                        #

@@ -31,7 +31,10 @@ real Ethereum clients enforce:
 All pool state (entries, sequence counters, mined nonces, the base fee,
 the burn total) lives on the chain's :class:`~repro.chain.state.StateStore`,
 so a :class:`~repro.chain.state.WalStateStore` persists the pool and crash
-recovery replays it bit-identically (``StateStore.pool_hash``).
+recovery replays it bit-identically (``StateStore.pool_hash``).  Admission
+and expiry each run in one :meth:`~repro.chain.state.StateStore.scope`; a
+drained transaction runs in the chain's own transaction scope
+(``Blockchain._transact``), which alone writes the ``tx`` record.
 """
 
 from __future__ import annotations
@@ -159,17 +162,11 @@ class Mempool:
             # seed the base fee.  On a WAL reopen the account (and the
             # evolved base fee) are already durable, so this is skipped
             # and recovery stays bit-identical.
-            store.begin()
-            try:
+            with store.scope("mempool-init"):
                 store.balances[ESCROW_ACCOUNT] = 0
                 store.base_fee_wei = self.config.fee_market.initial_base_fee_wei
-            finally:
-                store.commit("mempool-init")
-        # Derived index (rebuilt on reopen) and in-memory telemetry; none
-        # of this is persisted state — ``StateStore.pool_hash`` is.
-        self._pending_count: dict[str, int] = {}
-        for sender, _nonce in store.pool:
-            self._pending_count[sender] = self._pending_count.get(sender, 0) + 1
+        # In-memory telemetry; none of this is persisted state —
+        # ``StateStore.pool_hash`` is.
         self.stats = {
             "submitted": 0,
             "drained": 0,
@@ -207,7 +204,12 @@ class Mempool:
         return len(self.store.pool)
 
     def pending_count(self, sender: str) -> int:
-        return self._pending_count.get(sender, 0)
+        """How many nonces ``sender`` has pending: a gapless run from its mined one."""
+        pool = self.store.pool
+        first = nonce = self.store.mined_nonces.get(sender, 0)
+        while (sender, nonce) in pool:
+            nonce += 1
+        return nonce - first
 
     def tip_floor_wei(self) -> int:
         """The cheapest resident effective tip (admission floor when full)."""
@@ -352,8 +354,7 @@ class Mempool:
             seq=store.pool_seq,
             submitted_at=self.chain.time,
         )
-        store.begin()
-        try:
+        with store.scope("pool-submit"):
             if old is not None:
                 self._remove_entry(sender, nonce)
                 self._bump("replaced")
@@ -371,9 +372,6 @@ class Mempool:
             store.balances[sender] = store.balances.get(sender, 0) - entry.escrow_wei
             store.balances[ESCROW_ACCOUNT] += entry.escrow_wei
             store.pool[(sender, nonce)] = entry
-            self._pending_count[sender] = self.pending_count(sender) + 1
-        finally:
-            store.commit("pool-submit")
         self._bump("submitted")
         return entry
 
@@ -385,11 +383,6 @@ class Mempool:
         entry = store.pool.pop((sender, nonce))
         store.balances[ESCROW_ACCOUNT] -= entry.escrow_wei
         store.balances[sender] = store.balances.get(sender, 0) + entry.escrow_wei
-        remaining = self.pending_count(sender) - 1
-        if remaining:
-            self._pending_count[sender] = remaining
-        else:
-            self._pending_count.pop(sender, None)
 
     def _evict_tail(self, sender: str, from_nonce: int) -> int:
         """Evict ``(sender, from_nonce)`` and every higher pending nonce.
@@ -398,14 +391,10 @@ class Mempool:
         hole in the middle of a sender's sequence would strand everything
         behind it forever.
         """
-        store = self.store
-        top = store.mined_nonces.get(sender, 0) + self.pending_count(sender)
-        removed = 0
+        top = self.store.mined_nonces.get(sender, 0) + self.pending_count(sender)
         for nonce in range(top - 1, from_nonce - 1, -1):
-            if (sender, nonce) in store.pool:
-                self._remove_entry(sender, nonce)
-                removed += 1
-        return removed
+            self._remove_entry(sender, nonce)
+        return top - from_nonce
 
     def _evict_down_to(self, target: int, stat: str, *, protect: str | None = None) -> int:
         """Evict cheapest tails until ``len(pool) <= target``.
@@ -443,12 +432,9 @@ class Mempool:
         if not stale:
             return 0
         expired = 0
-        store.begin()
-        try:
+        with store.scope("pool-expire"):
             for sender in sorted(stale):
                 expired += self._evict_tail(sender, stale[sender])
-        finally:
-            store.commit("pool-expire")
         self._bump("expired", expired)
         self.eviction_series.append((self.chain.time, "expired", expired))
         return expired
@@ -508,39 +494,19 @@ class Mempool:
     def _execute_entry(
         self, entry: PendingEntry, sender: str, nonce: int, base: int, tip: int
     ) -> Receipt:
-        """Pop + refund escrow + execute as one atomic WAL unit.
+        """Pop + refund escrow + execute, in the chain's one transaction scope.
 
-        Mirrors the scheduled-call contract: a crash before this record
-        commits recovers with the entry still pending, and the next mined
+        Mirrors the scheduled-call contract: a crash (or a fault) before
+        that scope commits leaves the entry pending, and the next mined
         block re-drains it deterministically.
         """
-        chain = self.chain
-        store = self.store
-        store.begin()
-        try:
+
+        def claim() -> None:
             self._remove_entry(sender, nonce)
-            store.mined_nonces[sender] = nonce + 1
-            receipt = chain._execute(
-                entry.tx,
-                entry.payload_bytes,
-                base_fee_wei=base,
-                tip_wei=tip,
-                burn_base=self.config.fee_market.burn_base_fee,
-            )
-        except BaseException:
-            pending_block = chain.blocks[-1]
-            store.commit(
-                "tx-abort",
-                pending_gas=pending_block.gas_used,
-                pending_bytes=pending_block.byte_size,
-            )
-            raise
-        pending_block = chain.blocks[-1]
-        store.commit(
-            "tx",
-            receipt=receipt,
-            pending_gas=pending_block.gas_used,
-            pending_bytes=pending_block.byte_size,
+            self.store.mined_nonces[sender] = nonce + 1
+
+        receipt = self.chain._transact(
+            entry.tx, entry.payload_bytes, claim, base, tip, self.config.fee_market.burn_base_fee
         )
         self._bump("drained")
         self.drained_gas_by_sender[sender] = (
@@ -552,14 +518,13 @@ class Mempool:
             self._m_tips.inc(tip * receipt.gas_used)
         return receipt
 
-    def on_block_sealed(self, sealed) -> None:
-        """Stamp the sealed block's base fee and roll it for the next block.
-
-        Runs inside ``mine_block``'s block-commit scope so the base-fee
-        step is durable in the same WAL record as the seal itself.
-        """
+    def on_block_sealed(self, sealed) -> int:
+        """Roll the base fee one step on the sealed block's gas (inside the
+        seal's scope, so in its WAL record); returns the base fee the block's
+        transactions paid, which ``mine_block`` stamps on it."""
         store = self.store
-        sealed.base_fee_wei = store.base_fee_wei
+        paid = store.base_fee_wei
         store.base_fee_wei = self.config.fee_market.next_base_fee(
-            store.base_fee_wei, sealed.gas_used, self.chain.block_gas_limit
+            paid, sealed.gas_used, self.chain.block_gas_limit
         )
+        return paid

@@ -8,7 +8,8 @@ calls, the clock), apart from the chain *behaviour* of
 one record per committed mutation holding its write-set, and reopening
 replays ``snapshot + WAL tail`` **bit-identically** (checked by
 :meth:`StateStore.state_hash`), even after a crash between ``transact``
-and ``mine_block``.
+and ``mine_block``.  Every mutation runs in one :meth:`StateStore.scope`,
+which commits its record or, if the body raises, rolls it back unlogged.
 
 One journal records every write a scope makes: to the keyed maps
 (balances, nonces, the schedule by sequence, the contracts by address,
@@ -451,11 +452,11 @@ class StateStore:
     """All mutable chain state, behind a commit hook the backends can log.
 
     The base class *is* the in-memory representation; subclasses override
-    ``_commit_hook`` to add durability.  The owning
-    :class:`~repro.chain.blockchain.Blockchain` brackets every mutating
-    entry point (account creation, deploy, transact, block seal) with one
-    ``begin()`` / ``commit(kind, ...)`` pair; reads go straight at the
-    attributes.
+    ``_commit_hook`` to add durability.  Every mutating entry point of the
+    owning :class:`~repro.chain.blockchain.Blockchain` and its
+    :class:`~repro.chain.mempool.Mempool` runs inside one :meth:`scope`,
+    which brackets it with ``begin()`` / ``commit(kind, ...)`` and applies
+    the one fault rule; reads go straight at the attributes.
     """
 
     #: The keyed maps: journaled while a scope is open, whole in a snapshot.
@@ -536,6 +537,11 @@ class StateStore:
         _poke(state, name, value)
 
     # -- commit protocol ----------------------------------------------------
+
+    def scope(self, kind: str) -> "_Scope":
+        """A mutation scope that always closes, under the one fault rule
+        (:class:`_Scope`); ``with`` hands the body its record's payload."""
+        return _Scope(self, kind)
 
     def begin(self) -> None:
         """Open a mutation scope (nestable; only the outermost commits)."""
@@ -681,6 +687,36 @@ class StateStore:
         return hasher.hexdigest()
 
 
+class _Scope:
+    """One :meth:`StateStore.scope`, the only caller of ``begin`` / ``commit``.
+
+    A clean exit commits one ``kind`` record (a nested scope folds into the
+    outermost one's).  The fault rule: a body that raises is rolled back and
+    logs nothing.  Rollback covers the journal and the counters, so a body
+    writes anything else (the clock, blocks, events) only after its last
+    call that can raise.
+    """
+
+    __slots__ = ("store", "kind", "payload", "mark")
+
+    def __init__(self, store: StateStore, kind: str) -> None:
+        self.store, self.kind, self.payload = store, kind, {}
+
+    def __enter__(self) -> dict:
+        store = self.store
+        store.begin()
+        self.mark = store.savepoint()
+        return self.payload
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        store = self.store
+        if exc is None:
+            store.commit(self.kind, **self.payload)
+        else:
+            store.rollback(self.mark)
+            store._tx_depth -= 1
+
+
 class MemoryStateStore(StateStore):
     """The original behaviour: everything in process memory, nothing on disk."""
 
@@ -697,7 +733,7 @@ class _WalRecord:
     list whole, so one ``_apply`` restores both and a missing field is an
     error."""
 
-    kind: str                     # "account" | "deploy" | "tx" | "block" | "snapshot"
+    kind: str                     # the scope's: "tx", "block", "account", ... | "snapshot"
     now: dict[Any, dict]          # values the scope left, by map / contract / container
     gone: dict[Any, list]         # ... and the keys it removed
     fee_sink: int

@@ -294,15 +294,18 @@ class LifecycleEngine:
             # WalStateStore replays whatever the directory holds, which
             # would silently break the same-seed determinism contract.  A
             # run that failed before its first snapshot leaves lane state
-            # and no engine.pkl; that is refused too.
+            # and no engine.pkl; that is refused too, and cannot be resumed.
             directory = Path(config.persist_dir)
-            if (directory / ENGINE_SNAPSHOT).exists() or any(
-                directory.glob("lanes/*/*")
-            ):
+            if (directory / ENGINE_SNAPSHOT).exists():
+                advice = "reopen it with LifecycleEngine.open / --resume, or point"
+            elif any(directory.glob("lanes/*/*")):
+                advice = f"it has no {ENGINE_SNAPSHOT} to resume from; point"
+            else:
+                advice = None
+            if advice:
                 raise ValueError(
-                    f"{config.persist_dir} already holds a persisted "
-                    "lifecycle run; reopen it with LifecycleEngine.open / "
-                    "--resume, or point --persist at a fresh directory"
+                    f"{config.persist_dir} already holds a persisted lifecycle "
+                    f"run; {advice} --persist at a fresh directory"
                 )
         self.cluster = DsnCluster(
             network=SimulatedNetwork(

@@ -72,8 +72,8 @@ def save_engine(engine) -> Path:
 
 
 class LifecycleResumeError(RuntimeError):
-    """The persisted run is damaged, or its chain state does not match
-    the engine snapshot."""
+    """The persisted run is missing its engine snapshot, is damaged, or its
+    chain state does not match the engine snapshot."""
 
 
 def load_engine(persist_dir: str, **overrides):
@@ -98,6 +98,10 @@ def load_engine(persist_dir: str, **overrides):
     directory = Path(persist_dir)
     try:
         state = pickle.loads(durable.read_sealed(directory / ENGINE_SNAPSHOT, _MAGIC))
+    except FileNotFoundError as exc:
+        raise LifecycleResumeError(
+            f"no {ENGINE_SNAPSHOT} to resume from: {type(exc).__name__}: {exc}"
+        ) from exc
     except durable.WalCorruption as exc:
         raise LifecycleResumeError(f"{ENGINE_SNAPSHOT}: {exc}") from exc
     if state["version"] != SNAPSHOT_VERSION:

@@ -194,6 +194,20 @@ def test_fresh_run_refuses_a_dirty_persist_dir(tmp_path):
         LifecycleEngine(config)
 
 
+def test_lane_state_without_an_engine_snapshot_names_what_is_missing(tmp_path):
+    """A first build that failed before its first boundary leaves lane logs
+    and no engine snapshot: a resume names the missing file, and a fresh
+    run refuses the directory without advising a resume that cannot work."""
+    config = _persisted_config(tmp_path)
+    LifecycleEngine(config).close()
+    (tmp_path / "state" / ENGINE_SNAPSHOT).unlink()
+    with pytest.raises(LifecycleResumeError, match=f"no {ENGINE_SNAPSHOT} to resume from"):
+        LifecycleEngine.open(config.persist_dir)
+    with pytest.raises(ValueError, match="already holds") as refused:
+        LifecycleEngine(config)
+    assert "--resume" not in str(refused.value)
+
+
 def test_determinism_override_refused_on_resume(tmp_path):
     config = _persisted_config(tmp_path)
     engine = LifecycleEngine(config)

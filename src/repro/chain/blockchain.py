@@ -112,9 +112,11 @@ class Contract:
     transaction's event list.
     """
 
+    #: ``None`` until deployed, and in a restored copy until its chain rebinds it.
+    chain: "Blockchain | None" = None
+
     def __init__(self) -> None:
         self.address: str = ""
-        self.chain: "Blockchain | None" = None
         self._pending_events: list[Event] = []
 
     def __setattr__(self, name: str, value: Any) -> None:
@@ -263,9 +265,8 @@ class Blockchain:
         self._firing: tuple[ScheduledCall, Transaction] | None = None
         self.store = store or MemoryStateStore()
         if not self.store.blocks:
-            with self.store.scope("genesis") as record:
-                record["block"] = Block(number=0, timestamp=0.0, parent_hash="0" * 64)
-                self.store.blocks.append(record["block"])
+            with self.store.scope("genesis"):
+                self.store.add_block(Block(number=0, timestamp=0.0, parent_hash="0" * 64))
         for contract in self.store.contracts.values():
             contract.chain = self  # rebind after a restore
         # Optional admission path: pass a MempoolConfig to give the chain
@@ -479,15 +480,10 @@ class Blockchain:
     ) -> Receipt:
         """The one transaction scope, direct, scheduled or pooled: ``claim()``
         (unschedule a fired call, pop a pooled entry), then execute, as one
-        ``tx`` record with the receipt and the pending block's gas and bytes."""
-        with self.lock, self.store.scope("tx") as record:
+        ``tx`` record."""
+        with self.lock, self.store.scope("tx"):
             claim()
-            receipt = self._execute(tx, payload_bytes, base_fee_wei, tip_wei, burn_base)
-            pending = self.blocks[-1]
-            record.update(
-                receipt=receipt, pending_gas=pending.gas_used, pending_bytes=pending.byte_size
-            )
-        return receipt
+            return self._execute(tx, payload_bytes, base_fee_wei, tip_wei, burn_base)
 
     def submit(self, tx: Transaction, payload_bytes: int = 0, *, replace: bool = False):
         """Queue a transaction through the mempool admission path.
@@ -580,7 +576,7 @@ class Blockchain:
             success, error = True, None
         except _REVERTS as exc:
             self.store.rollback(mark)  # revert state changes
-            success, error, return_value = False, str(exc), None
+            success, error, return_value, events = False, str(exc), None, []
         # The base fee is burned (or sunk when the market runs with burn
         # disabled), the tip pays the miner.
         burn = meter.used * base_fee_wei
@@ -597,21 +593,14 @@ class Blockchain:
             self.store.fee_sink += tip
         else:
             self.store.fee_sink += burn + tip
-        receipt = Receipt(
-            tx_hash=tx_hash,
-            success=success,
-            gas_used=meter.used,
-            error=error,
-            return_value=return_value,
-            block_number=len(self.blocks),
-        )
-        if success:
-            receipt.events = events
-            self.store.events.extend(events)
         pending = self.blocks[-1]
+        receipt = Receipt(tx_hash, success, meter.used, events, return_value, error,
+                          len(self.blocks))
         pending.receipts.append(receipt)
-        pending.gas_used += meter.used
-        pending.byte_size += payload_bytes + 110  # tx envelope overhead
+        self.store.events.extend(events)
+        self.store.write_block(pending, "gas_used", pending.gas_used + meter.used)
+        # 110: the transaction envelope's overhead.
+        self.store.write_block(pending, "byte_size", pending.byte_size + payload_bytes + 110)
         return receipt
 
     def call(self, address: str, method: str, *args: Any) -> Any:
@@ -658,24 +647,14 @@ class Blockchain:
             if self.pool is not None:
                 self.pool.expire()
                 self.pool.drain_into_block()
-            with self.store.scope("block") as record:
-                sealed = self.blocks[-1]
-                # The seal's one call that can raise, before any write the
-                # scope could not roll back.
+            with self.store.scope("block"):
+                sealed = self.blocks[-1]  # stamped with the time it is sealed at
                 base_fee = 0 if self.pool is None else self.pool.on_block_sealed(sealed)
-                sealed.timestamp = self.time
-                sealed.byte_size += self.base_block_bytes
-                sealed.base_fee_wei = base_fee
-                self.store.time += self.block_time
-                new_block = Block(
-                    number=len(self.blocks),
-                    timestamp=self.time,
-                    parent_hash=sealed.block_hash,
-                )
-                self.blocks.append(new_block)
-                record.update(
-                    sealed_timestamp=sealed.timestamp, sealed_bytes=sealed.byte_size,
-                    sealed_base_fee=base_fee, time=self.time, new_block=new_block,
+                size = sealed.byte_size + self.base_block_bytes
+                self.store.write_block(sealed, "byte_size", size)
+                self.store.write_block(sealed, "base_fee_wei", base_fee)
+                self.store.add_block(
+                    Block(len(self.blocks), self.time + self.block_time, sealed.block_hash)
                 )
             self._fire_due_calls()
             return sealed

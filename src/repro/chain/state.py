@@ -1,26 +1,25 @@
 """Pluggable chain state persistence: where a lane's world lives.
 
-Chain *state* (accounts, nonces, contract storage, receipts, scheduled
-calls, the clock), apart from the chain *behaviour* of
+Chain *state* (accounts, nonces, contract storage, blocks, receipts,
+events, scheduled calls, the clock), apart from the chain *behaviour* of
 :class:`~repro.chain.blockchain.Blockchain`.  Two backends:
 :class:`MemoryStateStore` keeps it in process memory;
 :class:`WalStateStore` adds an append-only write-ahead log plus snapshots,
 one record per committed mutation holding its write-set, and reopening
 replays ``snapshot + WAL tail`` **bit-identically** (checked by
-:meth:`StateStore.state_hash`), even after a crash between ``transact``
-and ``mine_block``.  Every mutation runs in one :meth:`StateStore.scope`,
-which commits its record or, if the body raises, rolls it back unlogged.
+:meth:`StateStore.state_hash`).  Every mutation runs in one
+:meth:`StateStore.scope`, which commits its record or, if the body or the
+log append raises, rolls the whole scope back unlogged.
 
-One journal records every write a scope makes: to the keyed maps
-(balances, nonces, the schedule by sequence, the contracts by address,
-...), to contract attributes and to the entries of contract lists, dicts
-and sets.  A revert (:meth:`StateStore.rollback`) undoes it entry by
-entry, and a WAL record is read off it (:meth:`StateStore.delta`).  For
-that to be exact, contract storage obeys one rule, as an EVM storage slot
-does: an attribute holds an immutable value, or a list, dict or set of
-immutable values, so a record such as a round is rewritten by
-replacement (``dataclasses.replace``).  A write that breaks the rule
-raises where it happens.
+One journal records every write a scope makes: to the keyed maps and the
+lists of the store (blocks, events), to the attributes of the owners in
+them (a contract by address, a block by number) and to the entries of
+their lists, dicts and sets; a savepoint copies the counters and the
+clock.  A revert (:meth:`StateStore.rollback`) undoes it all, and a WAL
+record is read off it (:meth:`StateStore.delta`).  Contract storage obeys
+one rule, as an EVM storage slot does: an attribute holds an immutable
+value, or a list, dict or set of immutable values (a round is rewritten by
+``dataclasses.replace``); a write that breaks it raises where it happens.
 
 ``state_hash()`` digests a deterministic recursive encoding of the whole
 logical state — *not* pickles — so live and replayed stores compare across
@@ -348,7 +347,7 @@ class _Journaled:
             store._journal.append(((self.name, key), self, _peek(self, key)))
 
     def _refuse(self, *args, **kwargs):
-        raise TypeError(f"contract storage {self._base.__name__}s {self._writes}")
+        raise TypeError(f"journaled {self._base.__name__}s {self._writes}")
 
 
 class _JournaledDict(_Journaled, dict):
@@ -361,7 +360,9 @@ class _JournaledDict(_Journaled, dict):
     def __setitem__(self, key, value) -> None:
         if type(self.name) is tuple:  # a contract's: the storage rule
             key, value = _entry(key), _entry(value)
-        self._note(key)
+        store = self._store
+        if store._tx_depth:  # ``_note``, inlined: the hottest write there is
+            store._journal.append(((self.name, key), self, dict.get(self, key, _MISSING)))
         dict.__setitem__(self, key, value)
 
     def __delitem__(self, key) -> None:
@@ -385,28 +386,45 @@ class _JournaledDict(_Journaled, dict):
 
 
 class _JournaledList(_Journaled, list):
-    """A contract's list attribute, journaled as a map from index to entry:
-    immutable entries, appended one at a time or written in place."""
+    """A list of the store, a block's receipts or a contract's list,
+    journaled as a map from index to entry."""
 
     __slots__ = ("_store", "name", "same")
     _base = list
-    _writes = "are appended to or written in place, one entry at a time"
+    _writes = "are appended to, written in place or cut back at the tail, one entry at a time"
 
     def __setitem__(self, index, value) -> None:
         if isinstance(index, slice):
             self._refuse()
-        value = _entry(value)
+        if type(self.name) is tuple and type(self.name[0]) is str:  # a contract's
+            value = _entry(value)
         index = range(len(self))[index]
         self._note(index)
         list.__setitem__(self, index, value)
 
     def append(self, value) -> None:
-        value = _entry(value)
-        self._note(len(self))
+        if type(self.name) is tuple and type(self.name[0]) is str:  # a contract's
+            value = _entry(value)
+        store = self._store
+        if store._tx_depth:  # ``_note``, knowing that nothing is there yet
+            store._journal.append(((self.name, len(self)), self, _MISSING))
         list.append(self, value)
 
-    __delitem__ = __iadd__ = __imul__ = extend = insert = pop = remove = _Journaled._refuse
-    reverse = sort = clear = _Journaled._refuse
+    def extend(self, values) -> None:
+        for value in values:
+            self.append(value)
+
+    def __delitem__(self, index) -> None:  # ``del items[start:]`` alone
+        if not isinstance(index, slice) or index.stop is not None or index.step is not None:
+            self._refuse()
+        for key in reversed(range(len(self))[index]):  # so a rollback re-appends in order
+            self._note(key)
+        list.__delitem__(self, index)
+
+    def clear(self) -> None:
+        del self[:]
+
+    __iadd__ = __imul__ = insert = pop = remove = reverse = sort = _Journaled._refuse
 
 
 class _JournaledSet(_Journaled, set):
@@ -427,6 +445,9 @@ class _JournaledSet(_Journaled, set):
     __ior__ = __iand__ = __isub__ = __ixor__ = _Journaled._refuse
 
 
+#: Journal targets read as plain dicts (an owner's attributes, a keyed map).
+_DICTS = (dict, _JournaledDict)
+
 #: The journaled container a contract attribute's list, dict or set becomes.
 _CONTAINERS = {
     list: _JournaledList, _JournaledList: _JournaledList,
@@ -438,7 +459,7 @@ _CONTAINERS = {
 #: and a savepoint copies.
 _RECORD_SCALARS = (
     "fee_sink", "account_seq", "schedule_seq", "tx_seq",
-    "base_fee_wei", "burned", "pool_seq",
+    "base_fee_wei", "burned", "pool_seq", "time",
 )
 _scalars = operator.attrgetter(*_RECORD_SCALARS)
 
@@ -459,42 +480,37 @@ class StateStore:
     the one fault rule; reads go straight at the attributes.
     """
 
-    #: The keyed maps: journaled while a scope is open, whole in a snapshot.
+    #: The keyed maps and lists: journaled while a scope is open, whole in a snapshot.
     _KEYED_MAPS = (
         "balances", "nonces", "signer_keys", "mined_nonces", "pool", "calls", "contracts",
     )
+    _LISTS = ("blocks", "events")
 
     def __init__(self) -> None:
         self.time: float = 0.0
-        self.blocks: list = []
+        self.blocks: list = _JournaledList(self, "blocks")  # by number (``add_block``)
         self.balances: dict[str, int] = _JournaledDict(self, "balances", same=operator.eq)
         # Contracts by address; each one's storage is journaled too (``install``).
         self.contracts: dict[str, Any] = _JournaledDict(self, "contracts")
         # The schedule: pending calls by sequence (see ``scheduled``).
         self.calls: dict[int, Any] = _JournaledDict(self, "calls")
         self.schedule_seq: int = 0
-        self.events: list = []
+        self.events: list = _JournaledList(self, "events")
         self.fee_sink: int = 0
         self.account_seq: int = 0
         self.tx_seq: int = 0
         self.signer_keys: dict[str, bytes] = _JournaledDict(self, "signer_keys", same=operator.eq)
         self.nonces: dict[str, int] = _JournaledDict(self, "nonces", same=operator.eq)
-        # Fee-market / mempool state (zero until a Mempool is attached).
-        # ``base_fee_wei`` and ``burned`` are ledger state (hashed); the
-        # pending pool itself is admission-queue state, fingerprinted
-        # separately by :meth:`pool_hash` so a drained pool-fed chain can
-        # be compared hash-for-hash against a direct-transact chain.
+        # Fee-market / mempool state (zero until a Mempool is attached):
+        # the pool is admission-queue state, fingerprinted by ``pool_hash``.
         self.base_fee_wei: int = 0
         self.burned: int = 0
-        # (sender, nonce) -> PendingEntry.  Entries are frozen, so identity
-        # is an exact change detector (covers replace-by-fee rewrites).
+        # (sender, nonce) -> PendingEntry (frozen: identity detects a change).
         self.pool: dict = _JournaledDict(self, "pool")
         self.pool_seq: int = 0
         self.mined_nonces: dict[str, int] = _JournaledDict(self, "mined_nonces", same=operator.eq)
-        # Commit bookkeeping: the open scope's journal and where its events start.
-        self._tx_depth = 0
+        self._tx_depth = 0  # the open scope's depth and journal
         self._journal: list[tuple[tuple[Any, Any], Any, Any]] = []
-        self._events_mark = 0
         self._sealed_chain, self._events_chain = _HashChain(), _HashChain()
 
     @property
@@ -502,25 +518,35 @@ class StateStore:
         """The pending calls in firing order: by due time, then sequence."""
         return sorted(self.calls.values(), key=operator.attrgetter("due_time", "sequence"))
 
-    # -- contract storage ----------------------------------------------------
+    # -- owners: contracts and blocks ----------------------------------------
 
     def install(self, contract: Any) -> None:
         """Deploy ``contract`` at its ``address``: its attributes must obey
         the storage rule (:func:`_storable`), and from here on
         :meth:`write_storage` takes their writes."""
-        self._adopt(contract, _storable)
+        self._adopt(contract.address, contract, _storable)
         self.contracts[contract.address] = contract
 
-    def _adopt(self, contract: Any, check: Callable = lambda value: value) -> None:
-        state = vars(contract)
+    def add_block(self, block: Any) -> None:
+        """Append ``block`` (see :meth:`write_block`); the clock moves to its timestamp."""
+        self._adopt(block.number, block)
+        self.blocks.append(block)
+        self.time = block.timestamp
+
+    def _adopt(self, key: Any, owner: Any, check: Callable = lambda value: value) -> None:
+        state = vars(owner)
         for name, value in state.items():
             if name not in _TRANSIENT_ATTRS:
-                state[name] = self._wrap(contract.address, name, check(value))
+                state[name] = self._wrap(key, name, check(value))
 
-    def _wrap(self, address: str, name: str, value: Any) -> Any:
+    def _wrap(self, key: Any, name: str, value: Any) -> Any:
         """``value``, or its journaled copy if it is a list, dict or set."""
         container = _CONTAINERS.get(type(value))
-        return value if container is None else container(self, (address, name), value)
+        return value if container is None else container(self, (key, name), value)
+
+    def _owner(self, key: Any) -> Any:
+        """The contract at an address, or the block with a number."""
+        return self.contracts[key] if type(key) is str else self.blocks[key]
 
     def write_storage(self, contract: Any, name: str, value: Any = _MISSING) -> None:
         """Set an installed contract's attribute, or delete it given no
@@ -536,11 +562,17 @@ class StateStore:
                 self._journal.append(((contract.address, name), state, _peek(state, name)))
         _poke(state, name, value)
 
+    def write_block(self, block: Any, name: str, value: Any) -> None:
+        """Set an added block's field, journaled (``(number, field)``) in a scope."""
+        state = vars(block)
+        if self._tx_depth:
+            self._journal.append(((block.number, name), state, state[name]))
+        state[name] = value
+
     # -- commit protocol ----------------------------------------------------
 
     def scope(self, kind: str) -> "_Scope":
-        """A mutation scope that always closes, under the one fault rule
-        (:class:`_Scope`); ``with`` hands the body its record's payload."""
+        """A mutation scope under the one fault rule (:class:`_Scope`)."""
         return _Scope(self, kind)
 
     def begin(self) -> None:
@@ -548,15 +580,14 @@ class StateStore:
         self._tx_depth += 1
         if self._tx_depth == 1:
             self._journal.clear()
-            self._events_mark = len(self.events)
 
     def commit(self, kind: str, **payload: Any) -> None:
-        """Close the innermost scope; the outermost one logs a record."""
+        """Close the innermost scope; the outermost logs first (a raise leaves it open)."""
         assert self._tx_depth > 0, "commit without begin"
-        self._tx_depth -= 1
-        if self._tx_depth == 0:
+        if self._tx_depth == 1:
             self._commit_hook(kind, payload)
             self._journal.clear()
+        self._tx_depth -= 1
 
     def savepoint(self) -> tuple:
         """A mark in the open scope that :meth:`rollback` returns to."""
@@ -564,7 +595,7 @@ class StateStore:
 
     def rollback(self, mark: tuple) -> None:
         """Undo every write made since ``savepoint()`` gave ``mark``: keyed
-        maps, the schedule, contract storage and the counters."""
+        maps and lists, owners' attributes and containers, and the counters."""
         length, scalars = mark
         journal = self._journal
         while len(journal) > length:
@@ -576,37 +607,34 @@ class StateStore:
     def delta(self) -> tuple[dict[Any, dict], dict[Any, list]]:
         """What the open scope changed, read off its journal: ``{name: {key:
         value now}}`` for keys now holding something else than before, and
-        ``{name: [keys removed]}``.  A name is a keyed map's, a contract's
-        address (its attributes) or ``(address, attribute)``.  Order is
+        ``{name: [keys removed]}``.  A name is a keyed map's or list's, an
+        owner's (its attributes) or ``(owner, attribute)``.  Order is
         contract state too: keys a storage dict gained (back) in the scope
         sit at its end, so they come in its order, removed first if they
         were there before."""
-        journal = self._journal
-        now: dict[Any, dict] = {}
-        gone: dict[Any, list] = {}
-        appended: dict[tuple, list] = {}
-        contracts = self.contracts
+        journal, now, gone, appended = self._journal, {}, {}, {}
         # Read backwards, so that each key keeps its *first* entry: the one
         # holding the value it had before the scope opened.
-        first = {entry[0]: entry for entry in reversed(journal)}
-        inserted = {entry[0] for entry in journal if entry[2] is _MISSING}
+        first = dict(zip(map(operator.itemgetter(0), reversed(journal)), reversed(journal)))
+        inserted = None  # keys that were missing at some point, once needed
         for (name, key), target, previous in first.values():
-            if type(name) is tuple and vars(contracts[name[0]]).get(name[1]) is not target:
-                continue  # a container no attribute holds any more
-            value = _peek(target, key)
-            if (
-                type(name) is tuple and type(target) is _JournaledDict
-                and value is not _MISSING and (name, key) in inserted
-            ):
+            kind = type(target)
+            value = dict.get(target, key, _MISSING) if kind in _DICTS else _peek(target, key)
+            if type(name) is tuple:
+                if vars(self._owner(name[0])).get(name[1]) is not target:
+                    continue  # a container no attribute holds any more
+                if kind is _JournaledDict and value is not _MISSING:
+                    if inserted is None:
+                        inserted = {entry[0] for entry in journal if entry[2] is _MISSING}
+                    if (name, key) in inserted:
+                        if previous is not _MISSING:
+                            gone.setdefault(name, []).append(key)
+                        appended.setdefault(name, [target, 0])[1] += 1
+                        continue
+            if value is _MISSING:
                 if previous is not _MISSING:
                     gone.setdefault(name, []).append(key)
-                appended.setdefault(name, [target, 0])[1] += 1
-            elif value is _MISSING:
-                if previous is not _MISSING:
-                    gone.setdefault(name, []).append(key)
-            elif value is not previous and (
-                type(target) is dict or not target.same(value, previous)
-            ):
+            elif value is not previous and (kind is dict or not target.same(value, previous)):
                 now.setdefault(name, {})[key] = value
         for name, (target, count) in appended.items():
             values = now.setdefault(name, {})
@@ -691,30 +719,29 @@ class _Scope:
     """One :meth:`StateStore.scope`, the only caller of ``begin`` / ``commit``.
 
     A clean exit commits one ``kind`` record (a nested scope folds into the
-    outermost one's).  The fault rule: a body that raises is rolled back and
-    logs nothing.  Rollback covers the journal and the counters, so a body
-    writes anything else (the clock, blocks, events) only after its last
-    call that can raise.
+    outermost one's).  The fault rule: a scope whose body or log append
+    raises is rolled back whole (journal and savepoint) and logs nothing.
     """
 
-    __slots__ = ("store", "kind", "payload", "mark")
+    __slots__ = ("store", "kind", "mark")
 
     def __init__(self, store: StateStore, kind: str) -> None:
-        self.store, self.kind, self.payload = store, kind, {}
+        self.store, self.kind = store, kind
 
-    def __enter__(self) -> dict:
-        store = self.store
-        store.begin()
-        self.mark = store.savepoint()
-        return self.payload
+    def __enter__(self) -> None:
+        self.store.begin()
+        self.mark = self.store.savepoint()
 
     def __exit__(self, exc_type, exc, traceback) -> None:
-        store = self.store
-        if exc is None:
-            store.commit(self.kind, **self.payload)
-        else:
-            store.rollback(self.mark)
-            store._tx_depth -= 1
+        store, committed = self.store, False
+        try:
+            if exc is None:
+                store.commit(self.kind)
+                committed = True
+        finally:
+            if not committed:
+                store.rollback(self.mark)
+                store._tx_depth -= 1
 
 
 class MemoryStateStore(StateStore):
@@ -728,13 +755,11 @@ class MemoryStateStore(StateStore):
 
 @dataclass
 class _WalRecord:
-    """One committed mutation: its scope's write-set (:meth:`StateStore.delta`).
-    ``snapshot()`` writes the same record with every keyed map and the event
-    list whole, so one ``_apply`` restores both and a missing field is an
-    error."""
+    """A scope's write-set (:meth:`StateStore.delta`) and the counters, or a
+    snapshot's every map and list whole; a missing field is an error."""
 
     kind: str                     # the scope's: "tx", "block", "account", ... | "snapshot"
-    now: dict[Any, dict]          # values the scope left, by map / contract / container
+    now: dict[Any, dict]          # values the scope left, by map / list / owner / container
     gone: dict[Any, list]         # ... and the keys it removed
     fee_sink: int
     account_seq: int
@@ -743,8 +768,19 @@ class _WalRecord:
     base_fee_wei: int
     burned: int
     pool_seq: int
-    events_tail: list             # events appended in this scope
-    payload: dict
+    time: float
+    payload: dict                 # a snapshot's ``wal_seq``
+
+
+def _fill(target: Any, values: dict) -> None:
+    """Write a record's entries into a map, a set or a list (in index order)."""
+    kind = type(target)
+    if kind is _JournaledList:
+        for key in sorted(values):
+            _poke(target, key, values[key])
+    else:
+        (set.update if kind is _JournaledSet else dict.update)(target, values)
+
 
 #: Seal of ``snapshot.pkl`` (see :mod:`repro.durable`).
 _SNAPSHOT_MAGIC = b"CHAINSNP"
@@ -763,8 +799,9 @@ class WalStateStore(StateStore):
     after it is applied in order.  A torn final frame (crash mid-append) is
     ignored, exactly like a database would; a complete frame or snapshot
     that fails its checksum, version or sequence raises
-    :class:`WalCorruption`.  ``snapshot()`` folds the log into a fresh
-    snapshot and truncates it.
+    :class:`WalCorruption`.  An append that raises is cut off the log; if
+    the cut fails too, every later commit raises :class:`WalCorruption`.
+    ``snapshot()`` folds the log into a fresh snapshot and truncates it.
     """
 
     _SNAPSHOT_NAME = "snapshot.pkl"
@@ -778,27 +815,35 @@ class WalStateStore(StateStore):
         self.replayed_records = 0
         #: Sequence number of the last frame written, replayed or folded.
         self._seq = 0
+        self._torn: int | None = None  # where a failed append that stuck starts
         # Drop a torn tail frame (crash mid-append) before appending:
         # otherwise new records would land *behind* the garbage and be
         # unreachable to every future recovery.
-        self.truncate_wal(self.directory, self._recover())
-        self._wal = open(self.wal_path, "ab")
+        self._size = self._recover()  # the log's whole frames, in bytes
+        self.truncate_wal(self.directory, self._size)
+        self._wal = open(self.wal_path, "ab", buffering=0)  # no buffer holds a torn frame
 
     # -- commit hook ----------------------------------------------------------
 
     def _commit_hook(self, kind: str, payload: dict) -> None:
-        now, gone = self.delta()
-        events = self.events[self._events_mark :]
-        record = _WalRecord(kind, now, gone, *_scalars(self), events, payload)
+        if self._torn is not None:
+            raise WalCorruption(self._torn, "a failed append could not be cut off the log")
+        record = _WalRecord(kind, *self.delta(), *_scalars(self), payload)
+        data = durable.frame(self._seq + 1, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+        try:
+            written = self._wal.write(data)
+            while written < len(data):  # a short write: the rest, or the error that stopped it
+                written += self._wal.write(data[written:])
+            if self.fsync:
+                os.fsync(self._wal.fileno())
+        except BaseException:
+            try:
+                self._wal.truncate(self._size)
+            except BaseException:
+                self._torn = self._size
+            raise
         self._seq += 1
-        self._wal.write(
-            durable.frame(
-                self._seq, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-        )
-        self._wal.flush()
-        if self.fsync:
-            os.fsync(self._wal.fileno())
+        self._size += len(data)
 
     # -- recovery -------------------------------------------------------------
 
@@ -807,6 +852,10 @@ class WalStateStore(StateStore):
         snapshot_path = self.directory / self._SNAPSHOT_NAME
         if snapshot_path.exists():
             record = pickle.loads(durable.read_sealed(snapshot_path, _SNAPSHOT_MAGIC))
+            # A delta names what its scope wrote; a snapshot holds it all.
+            missing = sorted({*self._KEYED_MAPS, *self._LISTS} - record.now.keys())
+            if missing:
+                raise WalCorruption(0, f"snapshot lacks {missing}")
             self._apply(record)
             self._seq = record.payload["wal_seq"]
         valid = 0
@@ -823,73 +872,48 @@ class WalStateStore(StateStore):
         return valid
 
     def _target(self, name: Any) -> Any:
-        """What a record's ``name`` writes: a keyed map, a contract's
-        attributes, or one of its containers."""
+        """What a record's ``name`` writes: a map, list, owner or container."""
         if type(name) is tuple:
-            return vars(self.contracts[name[0]])[name[1]]
-        return vars(self.contracts[name]) if name.startswith("0x") else getattr(self, name)
+            return vars(self._owner(name[0]))[name[1]]
+        owned = type(name) is int or name.startswith("0x")
+        return vars(self._owner(name)) if owned else getattr(self, name)
 
     def _apply(self, record: _WalRecord) -> None:
-        # Replay runs outside any scope, so nothing here is journaled.
-        # Removals first; then the keyed maps (the contracts among them),
-        # then contract attributes, then container entries.
+        # Unjournaled: removals, maps and lists (new owners adopted), attributes, containers.
         for name, keys in record.gone.items():
             target = self._target(name)
             for key in keys:
                 _poke(target, key, _MISSING)
-        storage = []
-        for name, values in record.now.items():
-            if type(name) is tuple or name.startswith("0x"):
-                storage.append(name)
-                continue
-            for contract in values.values() if name == "contracts" else ():
-                contract.__dict__["chain"] = None  # the owning chain rebinds it
-                self._adopt(contract)
-            dict.update(getattr(self, name), values)  # thousands of keys on a reopen
-        for name in sorted(storage, key=lambda name: type(name) is tuple):
-            target, values = self._target(name), record.now[name]
-            if type(target) is _JournaledList:
-                values = dict(sorted(values.items()))  # appended in index order
-            elif type(name) is str:
-                values = {attr: self._wrap(name, attr, value) for attr, value in values.items()}
-            for key, value in values.items():
-                _poke(target, key, value)
+        now, attributes, containers = record.now, [], []
+        for name, values in now.items():
+            if type(name) is tuple:
+                containers.append(name)
+            elif type(name) is int or name.startswith("0x"):
+                attributes.append(name)
+            else:
+                for key, owner in values.items() if name in ("contracts", "blocks") else ():
+                    self._adopt(key, owner)
+                _fill(getattr(self, name), values)
+        for name in attributes:
+            state = vars(self._owner(name))
+            for attr, value in now[name].items():
+                state[attr] = self._wrap(name, attr, value)
+        for name in containers:
+            _fill(vars(self._owner(name[0]))[name[1]], now[name])
         # Every record carries every field (its writer sets them all, and
         # ``durable`` refuses frames and snapshots from other formats), so a
         # missing one is a damaged record: fail on it, never skip it.
-        for name in _RECORD_SCALARS:
-            setattr(self, name, getattr(record, name))
-        self.events.extend(record.events_tail)
-        payload = record.payload
-        if record.kind == "tx":
-            pending = self.blocks[-1]
-            pending.receipts.append(payload["receipt"])
-            pending.gas_used = payload["pending_gas"]
-            pending.byte_size = payload["pending_bytes"]
-        elif record.kind == "block":
-            sealed = self.blocks[-1]
-            sealed.timestamp = payload["sealed_timestamp"]
-            sealed.byte_size = payload["sealed_bytes"]
-            sealed.base_fee_wei = payload["sealed_base_fee"]
-            self.time = payload["time"]
-            self.blocks.append(payload["new_block"])
-        elif record.kind == "genesis":
-            self.blocks = [payload["block"]]
-        elif record.kind == "snapshot":
-            # A delta names the maps its scope wrote; a snapshot holds them all.
-            missing = sorted(set(self._KEYED_MAPS) - record.now.keys())
-            if missing:
-                raise WalCorruption(0, f"snapshot lacks {missing}")
-            self.time = payload["time"]
-            self.blocks = payload["blocks"]
+        vars(self).update(zip(_RECORD_SCALARS, _scalars(record)))
 
     # -- snapshot / lifecycle --------------------------------------------------
 
     def snapshot(self) -> None:
         """Fold the log into a fresh snapshot and truncate the WAL."""
-        maps = {name: getattr(self, name) for name in self._KEYED_MAPS}
-        payload = {"wal_seq": self._seq, "time": self.time, "blocks": self.blocks}
-        record = _WalRecord("snapshot", maps, {}, *_scalars(self), self.events, payload)
+        now = {name: getattr(self, name) for name in self._KEYED_MAPS}
+        now.update((name, dict(enumerate(getattr(self, name)))) for name in self._LISTS)
+        # Each list ends where it ends here, whatever a store it lands on holds.
+        gone = {name: [len(getattr(self, name))] for name in self._LISTS}
+        record = _WalRecord("snapshot", now, gone, *_scalars(self), {"wal_seq": self._seq})
         durable.publish(
             self.directory / self._SNAPSHOT_NAME,
             _SNAPSHOT_MAGIC,
@@ -899,11 +923,11 @@ class WalStateStore(StateStore):
         # between leaves frames the snapshot already holds; recovery skips
         # them by the ``wal_seq`` recorded above.
         self._wal.close()
-        self._wal = open(self.wal_path, "wb")
+        self._wal = open(self.wal_path, "wb", buffering=0)
+        self._torn, self._size = None, 0
 
     def close(self) -> None:
-        if not self._wal.closed:
-            self._wal.close()
+        self._wal.close()
 
     # -- log introspection (lifecycle checkpointing) -------------------------
 
@@ -914,16 +938,12 @@ class WalStateStore(StateStore):
     def wal_size(self) -> int:
         """Durable size of the log: a safe cut point for this store.
 
-        The lifecycle engine records this at each epoch boundary; on a
-        crash-reopen it truncates the log back to the recorded size, which
-        rewinds the chain exactly to that boundary (every commit is one
-        whole frame, so a recorded size always falls on a frame boundary).
-        The log is fsynced first — a recorded cut point must never exceed
-        what actually survives an OS crash, or the truncate-and-replay
-        recovery would come up short and refuse to resume.
+        The lifecycle engine records this at each epoch boundary and, on a
+        crash-reopen, truncates the log back to it (every commit is one
+        whole frame).  The log is fsynced first: a recorded cut point must
+        never exceed what survives an OS crash.
         """
         if not self._wal.closed:
-            self._wal.flush()
             os.fsync(self._wal.fileno())
         return self.wal_path.stat().st_size if self.wal_path.exists() else 0
 

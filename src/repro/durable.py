@@ -35,9 +35,11 @@ from typing import Iterator
 #: instead of the whole schedule and every touched contract.  4: that
 #: write-set is read off the store's one journal, so it is ``now`` / ``gone``
 #: alone, naming contract attributes and container entries beside the keyed
-#: maps (the schedule and the contracts among them).  Files of any other
-#: version are refused.
-FORMAT_VERSION = 4
+#: maps (the schedule and the contracts among them).  5: blocks, receipts,
+#: events and the clock join that journal, so a record is the write-set and
+#: the counters alone, with no per-kind payload keys and no events field.
+#: Files of any other version are refused.
+FORMAT_VERSION = 5
 
 _MAGIC_LEN = 8
 #: Bytes before a sealed file's payload (magic, version, sha256).

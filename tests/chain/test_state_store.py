@@ -191,8 +191,8 @@ class TestWalRoundTrip:
         """Every frame ``durable.frames`` lets through was written by
         ``_commit_hook``, which sets every field; a record without
         ``pool_seq`` is damage, and replay must raise on it rather than
-        keep whatever value the store held before.  The same holds inside
-        a block record's payload: the sealed base fee is hashed into
+        keep whatever value the store held before.  The same holds for the
+        clock, which every record carries: it is hashed into
         ``state_hash``, so a default would replay to a different hash.
         And the same for ``snapshot.pkl``: it is one more record, restored
         by the same ``_apply``, so re-sealing it without a field is refused
@@ -204,21 +204,21 @@ class TestWalRoundTrip:
         def strip_base_fee(record):
             del record.__dict__["base_fee_wei"]
 
-        def strip_sealed_base_fee(record):
-            record.payload.pop("sealed_base_fee", None)
+        def strip_time(record):
+            del record.__dict__["time"]
 
         def strip_blocks(record):
-            del record.payload["blocks"]
+            del record.now["blocks"]
 
         def strip_balances(record):
             del record.now["balances"]
 
         for snapshot, strip, error, field in (
             (False, strip_pool_seq, AttributeError, "pool_seq"),
-            (False, strip_sealed_base_fee, KeyError, "sealed_base_fee"),
+            (False, strip_time, AttributeError, "time"),
             (True, strip_pool_seq, AttributeError, "pool_seq"),
             (True, strip_base_fee, AttributeError, "base_fee_wei"),
-            (True, strip_blocks, KeyError, "blocks"),
+            (True, strip_blocks, WalCorruption, "blocks"),
             (True, strip_balances, WalCorruption, "balances"),
         ):
             directory = tmp_path / f"{field}-{snapshot}"

@@ -16,7 +16,12 @@ costs the same bytes late in a contract's life as early.
   each lane's live ``state_hash`` after every frame.  Every frame boundary
   is then cut out of a copy of the log and reopened: the replayed hash must
   equal the live one recorded there.  A call that fails leaves every
-  contract and the schedule as they were.
+  contract and the schedule as they were.  Faults join the traffic: a call
+  whose body raises past the revert handling, and a log append that fails
+  with nothing, half or all of its frame written (under a transfer, a
+  storage write or a block seal).  A faulted op leaves its lane's
+  ``state_hash`` and log as they were, and after every op each lane equals
+  a from-scratch reopen of its directory.
 * A toy contract mutates the shapes a write-set must not miss: an entry
   rewritten inside a list, a dict key deleted and re-inserted, a set
   member added, an attribute deleted; a mutable value it tries to store is
@@ -49,6 +54,7 @@ from repro.core import DataOwner, ProtocolParams, StorageProvider
 from repro.crypto.merkle import MerkleTree
 from repro.randomness import HashChainBeacon
 from repro.rollup.checkpoint import Checkpoint
+from test_scope_faults import FullDisk
 
 PARAMS = ProtocolParams(s=2, k=2)
 STAKE = 10**15
@@ -158,6 +164,27 @@ class _Lane:
             self.chain.transact(Transaction(sender=self.alice, to=self.bob, value=op[2] + 1))
         elif kind == "revert":
             self.revert(op[2] % 3)
+        elif kind in ("crash", "full"):
+            self.fault(op)
+
+    def fault(self, op: tuple) -> None:
+        """A body fault, or a failed log append under one of three scopes:
+        the op raises, and the lane's state and log stay as they were."""
+        store = self.chain.store
+        before = store.state_hash(), store._seq, os.path.getsize(store.wal_path)
+        if op[0] == "crash":
+            with pytest.raises(Crash):
+                self.call(self.bob, self.pad, "write_then_crash")
+        else:
+            FullDisk(store, landed=op[2] % 3 / 2)
+            action = (
+                lambda: self.chain.transact(Transaction(sender=self.alice, to=self.bob, value=1)),
+                lambda: self.call(self.bob, self.pad, "grow", op[2]),
+                self.chain.mine_block,
+            )[op[2] // 4]
+            with pytest.raises(OSError):
+                action()
+        assert (store.state_hash(), store._seq, os.path.getsize(store.wal_path)) == before
 
     def storage(self) -> tuple[dict, list]:
         """Every contract's digest and the schedule."""
@@ -180,6 +207,17 @@ class _Lane:
             receipt = self.call(self.bob, self.pad, "write_then_fail")
         assert not receipt.success
         assert self.storage() == before, receipt.error
+
+
+def _reopened_hash(store: WalStateStore, scratch: Path) -> str:
+    """The ``state_hash`` of a fresh store recovered from a copy of the directory."""
+    shutil.rmtree(scratch, ignore_errors=True)
+    shutil.copytree(store.directory, scratch)
+    reopened = WalStateStore(scratch)
+    try:
+        return reopened.state_hash()
+    finally:
+        reopened.close()
 
 
 class _FrameLog:
@@ -228,7 +266,7 @@ class _FrameLog:
 LANE_OP = st.tuples(
     st.sampled_from(
         ["audit", "dispute", "early", "registry", "post", "settle", "sink", "schedule",
-         "bogus", "transfer", "revert"]
+         "bogus", "transfer", "revert", "crash", "full"]
     ),
     st.integers(0, 1),
     st.integers(0, 11),
@@ -262,6 +300,8 @@ def test_every_frame_boundary_of_every_lane_replays_to_the_live_state(ops):
                     fabric.snapshot()
                 else:
                     lanes[op[1]].apply(op)
+                for lane in fabric.lanes:
+                    assert _reopened_hash(lane.store, base / "reopen") == lane.state_hash(), op
             checked += frames.check(fabric, base / "cuts")
             assert checked > 0
         finally:
@@ -271,6 +311,10 @@ def test_every_frame_boundary_of_every_lane_replays_to_the_live_state(ops):
 # --------------------------------------------------------------------------- #
 # Shapes a write-set must not miss                                            #
 # --------------------------------------------------------------------------- #
+
+
+class Crash(BaseException):
+    """Not a modelled revert: it escapes the chain's revert handling."""
 
 
 class Box:
@@ -313,6 +357,13 @@ class Scratchpad(Contract):
         self.spare = None
         ctx.chain.schedule_call(self.address, "grow", 0.0, args=(7,))
         raise ValueError("fails after writing")
+
+    def write_then_crash(self, ctx):
+        self.emit("crashing")
+        try:
+            self.write_then_fail(ctx)
+        except ValueError:
+            raise Crash("a fault, not a revert") from None
 
     def move_key(self, ctx):
         value = self.table.pop("a")

@@ -837,7 +837,7 @@ class WalStateStore(StateStore):
             if self.fsync:
                 os.fsync(self._wal.fileno())
         except BaseException:
-            try:
+            try:  # opened for append, so the next write lands at the cut
                 self._wal.truncate(self._size)
             except BaseException:
                 self._torn = self._size
@@ -923,7 +923,8 @@ class WalStateStore(StateStore):
         # between leaves frames the snapshot already holds; recovery skips
         # them by the ``wal_seq`` recorded above.
         self._wal.close()
-        self._wal = open(self.wal_path, "wb", buffering=0)
+        self._wal = open(self.wal_path, "ab", buffering=0)
+        self._wal.truncate(0)
         self._torn, self._size = None, 0
 
     def close(self) -> None:

@@ -265,6 +265,27 @@ def test_a_failed_log_append_rolls_the_whole_scope_back(
     _assert_recovers(chain, tmp_path / "chain")
 
 
+@pytest.mark.parametrize("landed", [0.5, 1.0], ids=["half", "whole"])
+def test_a_failed_append_to_a_log_a_snapshot_just_started_is_cut_back_whole(
+    chain, tmp_path, monkeypatch, landed
+):
+    """The fresh log a snapshot opens appends at its end too: after the cut
+    the next frame starts at byte 0, with no hole where the torn one was."""
+    chain.transact(_ping(chain))
+    chain.snapshot()
+    store = chain.store
+    before = _fail_next_append(monkeypatch, store, "tx", landed)
+    with pytest.raises(OSError):
+        chain.transact(_ping(chain))
+    assert [(chain.state_hash(), store.pool_hash())] == before
+    assert store.wal_path.stat().st_size == 0
+    monkeypatch.undo()
+    _assert_next_mutation_logged(chain, lambda: chain.transact(_ping(chain)))
+    log = store.wal_path.read_bytes()
+    assert [end for _sequence, _payload, end in durable.frames(log)] == [len(log)]
+    _assert_recovers(chain, tmp_path / "chain")
+
+
 def test_a_log_that_cannot_cut_a_failed_append_takes_no_more_records(
     chain, tmp_path, monkeypatch
 ):

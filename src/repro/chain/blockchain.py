@@ -22,8 +22,9 @@ State lives behind a pluggable :class:`~repro.chain.state.StateStore`:
 the default :class:`~repro.chain.state.MemoryStateStore` keeps the
 original in-process behaviour, while
 :class:`~repro.chain.state.WalStateStore` gives the chain an append-only
-write-ahead log + snapshots, so ``Blockchain.open(directory)`` recovers a
-crashed chain bit-identically (checked via :meth:`Blockchain.state_hash`).
+write-ahead log (a snapshot restarts it), so ``Blockchain.open(directory)``
+recovers a crashed chain bit-identically (checked via
+:meth:`Blockchain.state_hash`).
 """
 
 from __future__ import annotations
@@ -265,7 +266,7 @@ class Blockchain:
         self._firing: tuple[ScheduledCall, Transaction] | None = None
         self.store = store or MemoryStateStore()
         if not self.store.blocks:
-            with self.store.scope("genesis"):
+            with self.store.scope():
                 self.store.add_block(Block(number=0, timestamp=0.0, parent_hash="0" * 64))
         for contract in self.store.contracts.values():
             contract.chain = self  # rebind after a restore
@@ -284,7 +285,7 @@ class Blockchain:
     def open(cls, directory, **kwargs) -> "Blockchain":
         """Open (or create) a WAL-persisted chain under ``directory``.
 
-        Recovery replays ``snapshot + WAL``; a chain reopened after a
+        Recovery replays the WAL; a chain reopened after a
         crash — even one between ``transact`` and ``mine_block`` — reports
         the same :meth:`state_hash` the lost process would have.
         """
@@ -334,7 +335,7 @@ class Blockchain:
             return self.store.state_hash()
 
     def snapshot(self) -> None:
-        """Checkpoint the backing store (folds a WAL into its snapshot)."""
+        """Checkpoint the backing store (a WAL restarts from one full-state frame)."""
         with self.lock:
             self.store.snapshot()
 
@@ -344,7 +345,7 @@ class Blockchain:
     # -- accounts -------------------------------------------------------------
 
     def create_account(self, balance_eth: float = 0.0, label: str = "") -> str:
-        with self.lock, self.store.scope("account"):
+        with self.lock, self.store.scope():
             address = self._next_address("0x", "account", f":{label}")
             self.store.balances[address] = int(balance_eth * WEI_PER_ETH)
         return address
@@ -366,7 +367,7 @@ class Blockchain:
         from ..crypto.schnorr import VerifyingKey
 
         address = VerifyingKey.from_bytes(verifying_key_bytes).address()
-        with self.lock, self.store.scope("account"):
+        with self.lock, self.store.scope():
             self.store.balances.setdefault(address, 0)
             self.store.balances[address] += int(balance_eth * WEI_PER_ETH)
             self.store.signer_keys[address] = bytes(verifying_key_bytes)
@@ -440,7 +441,7 @@ class Blockchain:
     def deploy(self, contract: Contract, deployer: str, deposit_bytes: int = 0) -> str:
         """Install a contract; charges the deployer for its on-chain size.
         A deploy that fails installs nothing and charges nothing."""
-        with self.lock, self.store.scope("deploy"):
+        with self.lock, self.store.scope():
             address = self._next_address("0xc", "contract")
             contract.address = address
             self.store.install(contract)
@@ -480,8 +481,8 @@ class Blockchain:
     ) -> Receipt:
         """The one transaction scope, direct, scheduled or pooled: ``claim()``
         (unschedule a fired call, pop a pooled entry), then execute, as one
-        ``tx`` record."""
-        with self.lock, self.store.scope("tx"):
+        record."""
+        with self.lock, self.store.scope():
             claim()
             return self._execute(tx, payload_bytes, base_fee_wei, tip_wei, burn_base)
 
@@ -622,7 +623,7 @@ class Blockchain:
     def schedule_call(
         self, contract: str, method: str, delay: float, args: tuple = ()
     ) -> None:
-        with self.lock, self.store.scope("schedule"):
+        with self.lock, self.store.scope():
             self.store.schedule_seq += 1
             self.store.calls[self.store.schedule_seq] = ScheduledCall(
                 due_time=self.time + delay,
@@ -647,7 +648,7 @@ class Blockchain:
             if self.pool is not None:
                 self.pool.expire()
                 self.pool.drain_into_block()
-            with self.store.scope("block"):
+            with self.store.scope():
                 sealed = self.blocks[-1]  # stamped with the time it is sealed at
                 base_fee = 0 if self.pool is None else self.pool.on_block_sealed(sealed)
                 size = sealed.byte_size + self.base_block_bytes
@@ -675,7 +676,7 @@ class Blockchain:
         if not due:
             return
         # The scheduler account is ensured in its own record.
-        with self.store.scope("account"):
+        with self.store.scope():
             self.store.balances.setdefault(SCHEDULER, 0)
         # Each contract class sees its instances' due calls together before
         # any of them fires (a read: nothing here touches the store).

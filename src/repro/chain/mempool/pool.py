@@ -34,7 +34,7 @@ so a :class:`~repro.chain.state.WalStateStore` persists the pool and crash
 recovery replays it bit-identically (``StateStore.pool_hash``).  Admission
 and expiry each run in one :meth:`~repro.chain.state.StateStore.scope`; a
 drained transaction runs in the chain's own transaction scope
-(``Blockchain._transact``), which alone writes the ``tx`` record.
+(``Blockchain._transact``), which alone writes the transaction's record.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ class Mempool:
             # seed the base fee.  On a WAL reopen the account (and the
             # evolved base fee) are already durable, so this is skipped
             # and recovery stays bit-identical.
-            with store.scope("mempool-init"):
+            with store.scope():
                 store.balances[ESCROW_ACCOUNT] = 0
                 store.base_fee_wei = self.config.fee_market.initial_base_fee_wei
         # In-memory telemetry; none of this is persisted state —
@@ -354,7 +354,7 @@ class Mempool:
             seq=store.pool_seq,
             submitted_at=self.chain.time,
         )
-        with store.scope("pool-submit"):
+        with store.scope():
             if old is not None:
                 self._remove_entry(sender, nonce)
                 self._bump("replaced")
@@ -432,7 +432,7 @@ class Mempool:
         if not stale:
             return 0
         expired = 0
-        with store.scope("pool-expire"):
+        with store.scope():
             for sender in sorted(stale):
                 expired += self._evict_tail(sender, stale[sender])
         self._bump("expired", expired)

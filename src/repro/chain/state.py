@@ -4,19 +4,19 @@ Chain *state* (accounts, nonces, contract storage, blocks, receipts,
 events, scheduled calls, the clock), apart from the chain *behaviour* of
 :class:`~repro.chain.blockchain.Blockchain`.  Two backends:
 :class:`MemoryStateStore` keeps it in process memory;
-:class:`WalStateStore` adds an append-only write-ahead log plus snapshots,
-one record per committed mutation holding its write-set, and reopening
-replays ``snapshot + WAL tail`` **bit-identically** (checked by
-:meth:`StateStore.state_hash`).  Every mutation runs in one
-:meth:`StateStore.scope`, which commits its record or, if the body or the
-log append raises, rolls the whole scope back unlogged.
+:class:`WalStateStore` adds one append-only write-ahead log, one frame per
+committed mutation holding its write-set and counters, which a snapshot
+replaces with one frame holding the whole state; reopening replays the log
+**bit-identically** (checked by :meth:`StateStore.state_hash`).  Every
+mutation runs in one :meth:`StateStore.scope`, which commits its frame or,
+if the body or the log append raises, rolls the whole scope back unlogged.
 
 One journal records every write a scope makes: to the keyed maps and the
 lists of the store (blocks, events), to the attributes of the owners in
 them (a contract by address, a block by number) and to the entries of
 their lists, dicts and sets; a savepoint copies the counters and the
 clock.  A revert (:meth:`StateStore.rollback`) undoes it all, and a WAL
-record is read off it (:meth:`StateStore.delta`).  Contract storage obeys
+frame's write-set is read off it (:meth:`StateStore.delta`).  Contract storage obeys
 one rule, as an EVM storage slot does: an attribute holds an immutable
 value, or a list, dict or set of immutable values (a round is rewritten by
 ``dataclasses.replace``); a write that breaks it raises where it happens.
@@ -38,7 +38,6 @@ import os
 import pickle
 import struct
 from collections.abc import MutableMapping
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Any, Callable
@@ -455,7 +454,7 @@ _CONTAINERS = {
     set: _JournaledSet, _JournaledSet: _JournaledSet,
 }
 
-#: The counters every record carries whole (absolute values, not deltas),
+#: The counters every frame carries whole (absolute values, not deltas),
 #: and a savepoint copies.
 _RECORD_SCALARS = (
     "fee_sink", "account_seq", "schedule_seq", "tx_seq",
@@ -476,7 +475,7 @@ class StateStore:
     ``_commit_hook`` to add durability.  Every mutating entry point of the
     owning :class:`~repro.chain.blockchain.Blockchain` and its
     :class:`~repro.chain.mempool.Mempool` runs inside one :meth:`scope`,
-    which brackets it with ``begin()`` / ``commit(kind, ...)`` and applies
+    which brackets it with ``begin()`` / ``commit()`` and applies
     the one fault rule; reads go straight at the attributes.
     """
 
@@ -571,9 +570,9 @@ class StateStore:
 
     # -- commit protocol ----------------------------------------------------
 
-    def scope(self, kind: str) -> "_Scope":
+    def scope(self) -> "_Scope":
         """A mutation scope under the one fault rule (:class:`_Scope`)."""
-        return _Scope(self, kind)
+        return _Scope(self)
 
     def begin(self) -> None:
         """Open a mutation scope (nestable; only the outermost commits)."""
@@ -581,11 +580,11 @@ class StateStore:
         if self._tx_depth == 1:
             self._journal.clear()
 
-    def commit(self, kind: str, **payload: Any) -> None:
+    def commit(self) -> None:
         """Close the innermost scope; the outermost logs first (a raise leaves it open)."""
         assert self._tx_depth > 0, "commit without begin"
         if self._tx_depth == 1:
-            self._commit_hook(kind, payload)
+            self._commit_hook()
             self._journal.clear()
         self._tx_depth -= 1
 
@@ -642,7 +641,7 @@ class StateStore:
                 values[key] = dict.__getitem__(target, key)
         return now, gone
 
-    def _commit_hook(self, kind: str, payload: dict) -> None:  # pragma: no cover - trivial
+    def _commit_hook(self) -> None:  # pragma: no cover - trivial
         pass
 
     # -- durability ----------------------------------------------------------
@@ -718,15 +717,15 @@ class StateStore:
 class _Scope:
     """One :meth:`StateStore.scope`, the only caller of ``begin`` / ``commit``.
 
-    A clean exit commits one ``kind`` record (a nested scope folds into the
-    outermost one's).  The fault rule: a scope whose body or log append
-    raises is rolled back whole (journal and savepoint) and logs nothing.
+    A clean exit commits one frame (a nested scope folds into the outermost
+    one's).  The fault rule: a scope whose body or log append raises is
+    rolled back whole (journal and savepoint) and logs nothing.
     """
 
-    __slots__ = ("store", "kind", "mark")
+    __slots__ = ("store", "mark")
 
-    def __init__(self, store: StateStore, kind: str) -> None:
-        self.store, self.kind = store, kind
+    def __init__(self, store: StateStore) -> None:
+        self.store = store
 
     def __enter__(self) -> None:
         self.store.begin()
@@ -736,7 +735,7 @@ class _Scope:
         store, committed = self.store, False
         try:
             if exc is None:
-                store.commit(self.kind)
+                store.commit()
                 committed = True
         finally:
             if not committed:
@@ -753,27 +752,8 @@ class MemoryStateStore(StateStore):
 # --------------------------------------------------------------------------- #
 
 
-@dataclass
-class _WalRecord:
-    """A scope's write-set (:meth:`StateStore.delta`) and the counters, or a
-    snapshot's every map and list whole; a missing field is an error."""
-
-    kind: str                     # the scope's: "tx", "block", "account", ... | "snapshot"
-    now: dict[Any, dict]          # values the scope left, by map / list / owner / container
-    gone: dict[Any, list]         # ... and the keys it removed
-    fee_sink: int
-    account_seq: int
-    schedule_seq: int
-    tx_seq: int
-    base_fee_wei: int
-    burned: int
-    pool_seq: int
-    time: float
-    payload: dict                 # a snapshot's ``wal_seq``
-
-
 def _fill(target: Any, values: dict) -> None:
-    """Write a record's entries into a map, a set or a list (in index order)."""
+    """Write a frame's entries into a map, a set or a list (in index order)."""
     kind = type(target)
     if kind is _JournaledList:
         for key in sorted(values):
@@ -782,29 +762,24 @@ def _fill(target: Any, values: dict) -> None:
         (set.update if kind is _JournaledSet else dict.update)(target, values)
 
 
-#: Seal of ``snapshot.pkl`` (see :mod:`repro.durable`).
-_SNAPSHOT_MAGIC = b"CHAINSNP"
-
-
 class WalStateStore(StateStore):
-    """Append-only write-ahead log + snapshots under one directory.
+    """One append-only write-ahead log, ``<dir>/wal.log`` (a :mod:`repro.durable`
+    frame log): one frame per committed scope, the pickled tuple ``(now,
+    gone, counters)`` of its write-set (:meth:`StateStore.delta`) and the
+    counters whole.
 
-    Layout (both in the :mod:`repro.durable` formats)::
-
-        <dir>/snapshot.pkl   sealed full-state snapshot (optional)
-        <dir>/wal.log        frame log, one pickled _WalRecord per frame
-
-    ``WalStateStore(path)`` recovers whatever the directory holds: the
-    snapshot (if any) is loaded, then every complete WAL frame numbered
-    after it is applied in order.  A torn final frame (crash mid-append) is
-    ignored, exactly like a database would; a complete frame or snapshot
+    ``WalStateStore(path)`` recovers whatever the directory holds by
+    applying every complete frame in order.  A torn final frame (crash
+    mid-append) is ignored, exactly like a database would; a complete frame
     that fails its checksum, version or sequence raises
-    :class:`WalCorruption`.  An append that raises is cut off the log; if
-    the cut fails too, every later commit raises :class:`WalCorruption`.
-    ``snapshot()`` folds the log into a fresh snapshot and truncates it.
+    :class:`WalCorruption`.  ``snapshot()`` replaces the log with one
+    published frame, numbered after the last one written, whose write-set
+    is every keyed map and list whole; a log whose first frame is numbered
+    above 1 must be such a frame, whole.  An append that raises is cut off
+    the log; if the cut fails too, every later commit raises
+    :class:`WalCorruption` until a snapshot replaces the log.
     """
 
-    _SNAPSHOT_NAME = "snapshot.pkl"
     _WAL_NAME = "wal.log"
 
     def __init__(self, directory: str | os.PathLike, fsync: bool = False):
@@ -813,11 +788,11 @@ class WalStateStore(StateStore):
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self.replayed_records = 0
-        #: Sequence number of the last frame written, replayed or folded.
+        #: Sequence number of the last frame written or replayed.
         self._seq = 0
         self._torn: int | None = None  # where a failed append that stuck starts
         # Drop a torn tail frame (crash mid-append) before appending:
-        # otherwise new records would land *behind* the garbage and be
+        # otherwise new frames would land *behind* the garbage and be
         # unreachable to every future recovery.
         self._size = self._recover()  # the log's whole frames, in bytes
         self.truncate_wal(self.directory, self._size)
@@ -825,10 +800,10 @@ class WalStateStore(StateStore):
 
     # -- commit hook ----------------------------------------------------------
 
-    def _commit_hook(self, kind: str, payload: dict) -> None:
+    def _commit_hook(self) -> None:
         if self._torn is not None:
             raise WalCorruption(self._torn, "a failed append could not be cut off the log")
-        record = _WalRecord(kind, *self.delta(), *_scalars(self), payload)
+        record = (*self.delta(), _scalars(self))
         data = durable.frame(self._seq + 1, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
         try:
             written = self._wal.write(data)
@@ -848,43 +823,43 @@ class WalStateStore(StateStore):
     # -- recovery -------------------------------------------------------------
 
     def _recover(self) -> int:
-        """Load snapshot + log; returns the log's length up to its last whole frame."""
-        snapshot_path = self.directory / self._SNAPSHOT_NAME
-        if snapshot_path.exists():
-            record = pickle.loads(durable.read_sealed(snapshot_path, _SNAPSHOT_MAGIC))
-            # A delta names what its scope wrote; a snapshot holds it all.
-            missing = sorted({*self._KEYED_MAPS, *self._LISTS} - record.now.keys())
-            if missing:
-                raise WalCorruption(0, f"snapshot lacks {missing}")
-            self._apply(record)
-            self._seq = record.payload["wal_seq"]
+        """Apply the log; returns its length up to its last whole frame."""
+        if (self.directory / "snapshot.pkl").exists():
+            raise WalCorruption(0, "snapshot.pkl is a format-5 snapshot this build cannot read")
         valid = 0
-        if self.wal_path.exists():
-            log = self.wal_path.read_bytes()
-            for sequence, payload, valid in durable.frames(log, after=self._seq):
-                # A frame at or below the snapshot's sequence was folded
-                # into it: the crash fell between publishing the snapshot
-                # and cutting the log, and replaying it would double-apply.
-                if sequence > self._seq:
-                    self._apply(pickle.loads(payload))
-                    self._seq = sequence
-                    self.replayed_records += 1
+        log = self.wal_path.read_bytes() if self.wal_path.exists() else b""
+        for sequence, payload, end in durable.frames(log):
+            now, gone, counters = pickle.loads(payload)
+            if not valid and sequence > 1:  # a snapshot: it holds every map and list
+                missing = sorted({*self._KEYED_MAPS, *self._LISTS} - now.keys())
+                if missing:
+                    raise WalCorruption(0, f"snapshot frame {sequence} lacks {missing}")
+            # Every frame carries every counter, and ``durable`` refuses
+            # frames from other formats, so a short tuple is damage: fail on
+            # it, never keep what the store held before.
+            if len(counters) != len(_RECORD_SCALARS):
+                raise WalCorruption(
+                    valid, f"frame {sequence} carries {len(counters)} counters, not 8"
+                )
+            self._apply(now, gone, counters)
+            self._seq, valid = sequence, end
+            self.replayed_records += 1
         return valid
 
     def _target(self, name: Any) -> Any:
-        """What a record's ``name`` writes: a map, list, owner or container."""
+        """What a frame's ``name`` writes: a map, list, owner or container."""
         if type(name) is tuple:
             return vars(self._owner(name[0]))[name[1]]
         owned = type(name) is int or name.startswith("0x")
         return vars(self._owner(name)) if owned else getattr(self, name)
 
-    def _apply(self, record: _WalRecord) -> None:
+    def _apply(self, now: dict, gone: dict, counters: tuple) -> None:
         # Unjournaled: removals, maps and lists (new owners adopted), attributes, containers.
-        for name, keys in record.gone.items():
+        for name, keys in gone.items():
             target = self._target(name)
             for key in keys:
                 _poke(target, key, _MISSING)
-        now, attributes, containers = record.now, [], []
+        attributes, containers = [], []
         for name, values in now.items():
             if type(name) is tuple:
                 containers.append(name)
@@ -900,32 +875,24 @@ class WalStateStore(StateStore):
                 state[attr] = self._wrap(name, attr, value)
         for name in containers:
             _fill(vars(self._owner(name[0]))[name[1]], now[name])
-        # Every record carries every field (its writer sets them all, and
-        # ``durable`` refuses frames and snapshots from other formats), so a
-        # missing one is a damaged record: fail on it, never skip it.
-        vars(self).update(zip(_RECORD_SCALARS, _scalars(record)))
+        vars(self).update(zip(_RECORD_SCALARS, counters))
 
     # -- snapshot / lifecycle --------------------------------------------------
 
     def snapshot(self) -> None:
-        """Fold the log into a fresh snapshot and truncate the WAL."""
+        """Replace the log with one published frame holding the whole state."""
         now = {name: getattr(self, name) for name in self._KEYED_MAPS}
         now.update((name, dict(enumerate(getattr(self, name)))) for name in self._LISTS)
         # Each list ends where it ends here, whatever a store it lands on holds.
         gone = {name: [len(getattr(self, name))] for name in self._LISTS}
-        record = _WalRecord("snapshot", now, gone, *_scalars(self), {"wal_seq": self._seq})
-        durable.publish(
-            self.directory / self._SNAPSHOT_NAME,
-            _SNAPSHOT_MAGIC,
-            pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL),
+        record = (now, gone, _scalars(self))
+        size = durable.publish_log(
+            self.wal_path, self._seq + 1, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
         )
-        # Cut the log only after the snapshot is durable.  A crash in
-        # between leaves frames the snapshot already holds; recovery skips
-        # them by the ``wal_seq`` recorded above.
-        self._wal.close()
-        self._wal = open(self.wal_path, "ab", buffering=0)
-        self._wal.truncate(0)
-        self._torn, self._size = None, 0
+        # The old log's handle names the replaced file: append to the new one.
+        stale, self._wal = self._wal, open(self.wal_path, "ab", buffering=0)
+        stale.close()
+        self._seq, self._size, self._torn = self._seq + 1, size, None
 
     def close(self) -> None:
         self._wal.close()

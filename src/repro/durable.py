@@ -6,14 +6,19 @@ Two shapes, both carrying opaque payload bytes (callers choose the codec):
   || payload``, published whole: written to a temp file beside the target,
   fsynced, then ``os.replace``d over it, so a reader sees the old file or
   the new one, never a mixture;
-* a **frame log**, appended to one frame at a time, each ``FORMAT_VERSION (2)
-  || length (4) || sequence (8) || crc32(payload) (4) || crc32(those 18
-  bytes) (4) || payload``.  The header has its own checksum so that a
-  damaged *length* cannot pass for a short file: fewer bytes than a header,
-  or than a verified header's length, is a **torn tail** (the crash
-  interrupted that append) and iteration stops there; a complete frame that
-  fails a checksum, names another version or breaks the ``+1`` sequence
-  raises :class:`WalCorruption`.
+* a **frame log**, frames ``published (1) || FORMAT_VERSION (1) || length
+  (4) || sequence (8) || crc32(payload) (4) || crc32(those 18 bytes) (4) ||
+  payload`` appended one at a time.  Its first frame is appended too
+  (number 1) or *published*: :func:`publish_log` replaces the whole log
+  with it, like a sealed file, under any number.  The header has its own
+  checksum so that a damaged *length* cannot pass for a short file: fewer
+  bytes than a header, or than a verified header's length, is a **torn
+  tail** (the crash interrupted that append) and iteration stops there.
+  No crash tears a published frame, so a log cut inside one raises
+  :class:`WalCorruption` (its first byte says so); so does a complete
+  frame that fails a checksum or names another version, a published frame
+  past the first, or a sequence that does not rise by one from 1 or from
+  the published frame's number.
 
 Nothing here unpickles: a payload reaches its caller only after its
 checksum passed, so no caller deserializes bytes that nobody sealed.
@@ -38,15 +43,19 @@ from typing import Iterator
 #: maps (the schedule and the contracts among them).  5: blocks, receipts,
 #: events and the clock join that journal, so a record is the write-set and
 #: the counters alone, with no per-kind payload keys and no events field.
-#: Files of any other version are refused.
-FORMAT_VERSION = 5
+#: 6: a record is the plain tuple ``(now, gone, counters)``, a snapshot is
+#: the published first frame of a fresh log (no ``snapshot.pkl``), and a
+#: frame header flags a published frame.  Files of any other version are
+#: refused.
+FORMAT_VERSION = 6
 
 _MAGIC_LEN = 8
 #: Bytes before a sealed file's payload (magic, version, sha256).
 HEADER_LEN = _MAGIC_LEN + 2 + 32
 
-_CHECKED = struct.Struct(">HIQI")  # version, payload length, sequence, crc32(payload)
-_FRAME = struct.Struct(">HIQII")  # ... and crc32 of those 18 bytes: the whole header
+# published, version, payload length, sequence, crc32(payload)
+_CHECKED = struct.Struct(">BBIQI")
+_FRAME = struct.Struct(">BBIQII")  # ... and crc32 of those 18 bytes: the whole header
 
 
 class WalCorruption(ValueError):
@@ -58,15 +67,12 @@ class WalCorruption(ValueError):
         self.reason = reason
 
 
-def publish(path: str | os.PathLike, magic: bytes, payload: bytes) -> None:
-    """Atomically replace ``path`` with a sealed file; failures leave no partial file."""
-    assert len(magic) == _MAGIC_LEN
-    path = Path(path)
-    version = FORMAT_VERSION.to_bytes(2, "big")
+def _replace(path: Path, data: bytes) -> None:
+    """Atomically replace ``path`` with ``data``; failures leave no partial file."""
     fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(magic + version + hashlib.sha256(payload).digest() + payload)
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -76,6 +82,13 @@ def publish(path: str | os.PathLike, magic: bytes, payload: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def publish(path: str | os.PathLike, magic: bytes, payload: bytes) -> None:
+    """Atomically replace ``path`` with a sealed file."""
+    assert len(magic) == _MAGIC_LEN
+    version = FORMAT_VERSION.to_bytes(2, "big")
+    _replace(Path(path), magic + version + hashlib.sha256(payload).digest() + payload)
 
 
 def read_sealed(path: str | os.PathLike, magic: bytes) -> bytes:
@@ -98,37 +111,41 @@ def read_sealed(path: str | os.PathLike, magic: bytes) -> bytes:
     return payload
 
 
-def frame(sequence: int, payload: bytes) -> bytes:
-    """One log frame, ready to append."""
-    checked = _CHECKED.pack(FORMAT_VERSION, len(payload), sequence, zlib.crc32(payload))
+def frame(sequence: int, payload: bytes, published: bool = False) -> bytes:
+    """One log frame, ready to append (or, ``published``, to start a log)."""
+    checked = _CHECKED.pack(published, FORMAT_VERSION, len(payload), sequence, zlib.crc32(payload))
     return checked + zlib.crc32(checked).to_bytes(4, "big") + payload
 
 
-def frames(data: bytes, after: int | None = None) -> Iterator[tuple[int, bytes, int]]:
-    """``(sequence, payload, end offset)`` for each whole frame of a log.
+def publish_log(path: str | os.PathLike, sequence: int, payload: bytes) -> int:
+    """Atomically replace the log at ``path`` with one published frame; its length."""
+    data = frame(sequence, payload, published=True)
+    _replace(Path(path), data)
+    return len(data)
 
-    Sequences must rise by one; given ``after`` (the last sequence the
-    reader already holds) the first frame may overlap it but not skip past.
-    """
-    offset, size, expected = 0, len(data), None
+
+def frames(data: bytes) -> Iterator[tuple[int, bytes, int]]:
+    """``(sequence, payload, end offset)`` for each whole frame of a log."""
+    offset, size, expected = 0, len(data), 1
     unpack, crc32, header_len = _FRAME.unpack_from, zlib.crc32, _FRAME.size  # hot loop
     while size - offset >= header_len:
-        version, length, sequence, payload_crc, header_crc = unpack(data, offset)
+        published, version, length, sequence, payload_crc, header_crc = unpack(data, offset)
         if crc32(data[offset : offset + _CHECKED.size]) != header_crc:
             raise WalCorruption(offset, "frame header checksum mismatch")
         if version != FORMAT_VERSION:
             raise WalCorruption(offset, f"unsupported frame version {version}")
         start = offset + header_len
         if size - start < length:
-            return  # torn frame: the crash interrupted this append
+            break  # torn frame: the crash interrupted this append
         payload = data[start : start + length]
         if crc32(payload) != payload_crc:
             raise WalCorruption(start, "frame payload checksum mismatch")
-        if sequence != expected:
-            if expected is not None:
-                raise WalCorruption(offset, f"frame {sequence} where {expected} should follow")
-            if after is not None and sequence > after + 1:
-                raise WalCorruption(offset, f"frames {after + 1}..{sequence - 1} are missing")
+        if published and offset:
+            raise WalCorruption(offset, f"published frame {sequence} is not the log's first")
+        if sequence != expected and not published:
+            raise WalCorruption(offset, f"frame {sequence} where {expected} should follow")
         expected = sequence + 1
         offset = start + length
         yield sequence, payload, offset
+    if offset == 0 and size and data[0]:  # the first byte flags a published frame
+        raise WalCorruption(size, "the log's published first frame is cut short")

@@ -75,6 +75,12 @@ from .persist import ENGINE_SNAPSHOT, load_engine, save_engine
 
 #: Seconds a posted lane checkpoint stays open to fraud proofs.
 FRAUD_WINDOW = 10.0
+#: A provider whose reputation score falls below this is evicted.
+EVICTION_THRESHOLD = 0.42
+#: The lowest reputation score at which placement still picks a provider.
+MIN_PLACEMENT_SCORE = 0.3
+#: The share of its stake an evicted provider is slashed.
+SLASH_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -100,10 +106,7 @@ class LifecycleConfig:
     s: int = 4
     k: int = 3
     workers: int = 1
-    eviction_threshold: float = 0.42
-    min_placement_score: float = 0.3
     stake_eth: float = 1.0
-    slash_fraction: float = 0.5
     persist_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -267,7 +270,7 @@ class LifecycleEngine:
             num_lanes=config.lanes, persist_dir=lanes_dir
         )
         self.placement = ReputationWeightedPlacement(
-            score_of=self._score_of, minimum_score=config.min_placement_score
+            score_of=self._score_of, minimum_score=MIN_PLACEMENT_SCORE
         )
 
     def _build_aggregator(self) -> None:
@@ -674,7 +677,7 @@ class LifecycleEngine:
             record = registry.providers.get(state.name)
             if record is None:
                 continue
-            below = self._score_of(state.name) < self.config.eviction_threshold
+            below = self._score_of(state.name) < EVICTION_THRESHOLD
             if not (state.dead or record.banned or below):
                 continue
             self._evict(epoch, state)
@@ -687,7 +690,7 @@ class LifecycleEngine:
             self.oracle,
             self.registry_address,
             "slash_stake",
-            (state.name, self.config.slash_fraction, self.oracle),
+            (state.name, SLASH_FRACTION, self.oracle),
         )
         slashed_wei = 0
         if receipt.success:

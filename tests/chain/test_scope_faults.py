@@ -11,7 +11,9 @@ frame, the whole frame).  After each one no scope is left open, the live
 state is the one before the scope, the next mutation is logged, and a store
 reopened from the directory reports the live ``state_hash`` and
 ``pool_hash``.  A log that cannot even cut a failed append back off takes
-no more records.
+no more records, until a snapshot replaces it.  A snapshot whose temp
+write, fsync or replace fails leaves the log it would have replaced as it
+was, byte for byte.
 
 The second half holds the design in place: only the scope helper calls a
 store's ``begin`` / ``commit``, ``Blockchain._execute`` has one caller,
@@ -194,10 +196,10 @@ class FullDisk:
         return getattr(self.log, name)
 
 
-def _fail_next_append(monkeypatch, store, kind: str, landed: float, stuck: bool = False):
-    """Make the append of the next ``kind`` record fail (:class:`FullDisk`);
+def _fail_append(monkeypatch, store, nth: int, landed: float, stuck: bool = False):
+    """Make the ``nth`` log append from here on fail (:class:`FullDisk`);
     returns a list that ends up holding ``(state_hash, pool_hash)`` as they
-    were when that record's scope opened."""
+    were when that append's scope opened."""
     before: list = []
     begin, hook = store.begin, store._commit_hook
 
@@ -206,11 +208,13 @@ def _fail_next_append(monkeypatch, store, kind: str, landed: float, stuck: bool 
             before[:] = [(store.state_hash(), store.pool_hash())]
         begin()
 
-    def failing_hook(record_kind, payload) -> None:
-        if record_kind == kind:
+    def failing_hook() -> None:
+        nonlocal nth
+        nth -= 1
+        if not nth:
             monkeypatch.setattr(store, "_commit_hook", hook)
             FullDisk(store, landed, stuck)
-        hook(record_kind, payload)
+        hook()
 
     monkeypatch.setattr(store, "begin", watched_begin)
     monkeypatch.setattr(store, "_commit_hook", failing_hook)
@@ -218,28 +222,32 @@ def _fail_next_append(monkeypatch, store, kind: str, landed: float, stuck: bool 
 
 
 def _torn_bytes(store) -> int:
-    """Bytes of the log past its last whole frame; the frames number ``_seq``."""
+    """Bytes of the log past its last whole frame, which is number ``_seq``."""
     log = store.wal_path.read_bytes()
-    ends = [end for _sequence, _payload, end in durable.frames(log)]
-    assert len(ends) == store._seq
-    return len(log) - (ends[-1] if ends else 0)
+    sequence, end = 0, 0
+    for sequence, _payload, end in durable.frames(log):
+        pass
+    assert sequence == store._seq
+    return len(log) - end
 
 
 def _deploy(chain) -> None:
     chain.deploy(Pinger(), deployer=chain.alice, deposit_bytes=64)
 
 
-#: Each scope with its record kind, how to set it up, and how to run it.
+#: Each scope with which of its run's appends is its own (the pooled drain
+#: comes before the seal; a fired call after the seal and the scheduler
+#: account), how to set it up, and how to run it.
 APPEND_FAULTS = {
-    "direct": ("tx", lambda chain: None, lambda chain: chain.transact(_ping(chain))),
-    "pooled": ("tx", lambda chain: chain.submit(_ping(chain)), lambda chain: chain.mine_block()),
+    "direct": (1, lambda chain: None, lambda chain: chain.transact(_ping(chain))),
+    "pooled": (1, lambda chain: chain.submit(_ping(chain)), lambda chain: chain.mine_block()),
     "scheduled": (
-        "tx",
+        3,
         lambda chain: chain.schedule_call(chain.pinger, "ping", delay=0.0),
         lambda chain: chain.mine_block(),
     ),
-    "seal": ("block", lambda chain: chain.submit(_ping(chain)), lambda chain: chain.mine_block()),
-    "deploy": ("deploy", lambda chain: None, _deploy),
+    "seal": (2, lambda chain: chain.submit(_ping(chain)), lambda chain: chain.mine_block()),
+    "deploy": (1, lambda chain: None, _deploy),
 }
 
 
@@ -248,10 +256,10 @@ APPEND_FAULTS = {
 def test_a_failed_log_append_rolls_the_whole_scope_back(
     chain, tmp_path, monkeypatch, scope, landed
 ):
-    kind, setup, run = APPEND_FAULTS[scope]
+    nth, setup, run = APPEND_FAULTS[scope]
     setup(chain)
     store = chain.store
-    before = _fail_next_append(monkeypatch, store, kind, landed)
+    before = _fail_append(monkeypatch, store, nth, landed)
     with pytest.raises(OSError) as fault:
         run(chain)
     assert fault.value.errno == errno.ENOSPC
@@ -269,20 +277,23 @@ def test_a_failed_log_append_rolls_the_whole_scope_back(
 def test_a_failed_append_to_a_log_a_snapshot_just_started_is_cut_back_whole(
     chain, tmp_path, monkeypatch, landed
 ):
-    """The fresh log a snapshot opens appends at its end too: after the cut
-    the next frame starts at byte 0, with no hole where the torn one was."""
+    """The fresh log a snapshot publishes is appended to at its end too:
+    after the cut the next frame starts right after the snapshot frame,
+    with no hole where the torn one was."""
     chain.transact(_ping(chain))
     chain.snapshot()
     store = chain.store
-    before = _fail_next_append(monkeypatch, store, "tx", landed)
+    published = store.wal_path.stat().st_size
+    before = _fail_append(monkeypatch, store, 1, landed)
     with pytest.raises(OSError):
         chain.transact(_ping(chain))
     assert [(chain.state_hash(), store.pool_hash())] == before
-    assert store.wal_path.stat().st_size == 0
+    assert store.wal_path.stat().st_size == published
     monkeypatch.undo()
     _assert_next_mutation_logged(chain, lambda: chain.transact(_ping(chain)))
     log = store.wal_path.read_bytes()
-    assert [end for _sequence, _payload, end in durable.frames(log)] == [len(log)]
+    ends = [end for _sequence, _payload, end in durable.frames(log)]
+    assert ends == [published, len(log)]
     _assert_recovers(chain, tmp_path / "chain")
 
 
@@ -290,7 +301,7 @@ def test_a_log_that_cannot_cut_a_failed_append_takes_no_more_records(
     chain, tmp_path, monkeypatch
 ):
     store = chain.store
-    before = _fail_next_append(monkeypatch, store, "tx", 0.5, stuck=True)
+    before = _fail_append(monkeypatch, store, 1, 0.5, stuck=True)
     with pytest.raises(OSError):
         chain.transact(_ping(chain))
     assert [(chain.state_hash(), store.pool_hash())] == before
@@ -304,10 +315,71 @@ def test_a_log_that_cannot_cut_a_failed_append_takes_no_more_records(
         assert [(chain.state_hash(), store.pool_hash())] == before
         assert _torn_bytes(store) == torn > 0
     _assert_recovers(chain, tmp_path / "chain")
-    # A snapshot holds the live state whole and starts a fresh log.
+    # A snapshot holds the live state whole and replaces the log, torn
+    # bytes and all, with its one frame; the refusal is lifted.
     chain.snapshot()
+    log = store.wal_path.read_bytes()
+    assert store._torn is None
+    assert [(sequence, end) for sequence, _payload, end in durable.frames(log)] == [
+        (store._seq, len(log))
+    ]
+    _assert_recovers(chain, tmp_path / "chain")
     _assert_next_mutation_logged(chain, lambda: chain.transact(_ping(chain)))
     _assert_recovers(chain, tmp_path / "chain")
+
+
+class HalfWritten:
+    """Stands in for a snapshot's temp file: half of what it is handed
+    lands, then the disk is full."""
+
+    def __init__(self, handle) -> None:
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.handle.close()
+
+    def write(self, data) -> int:
+        self.handle.write(data[: len(data) // 2])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _raise(code: int):
+    def fail(*args, **kwargs):
+        raise OSError(code, "injected")
+
+    return fail
+
+
+#: Each step of publishing a snapshot's log, made to fail.
+SNAPSHOT_FAULTS = {
+    "write": lambda patch, fdopen=durable.os.fdopen: patch.setattr(
+        durable.os, "fdopen", lambda fd, mode: HalfWritten(fdopen(fd, mode))
+    ),
+    "fsync": lambda patch: patch.setattr(durable.os, "fsync", _raise(errno.EIO)),
+    "replace": lambda patch: patch.setattr(durable.os, "replace", _raise(errno.EXDEV)),
+}
+
+
+@pytest.mark.parametrize("step", sorted(SNAPSHOT_FAULTS))
+def test_a_failed_snapshot_leaves_the_log_it_would_replace_as_it_was(
+    chain, tmp_path, monkeypatch, step
+):
+    directory = tmp_path / "chain"
+    log, live, written = (directory / "wal.log").read_bytes(), chain.state_hash(), chain.store._seq
+    with monkeypatch.context() as patch:
+        SNAPSHOT_FAULTS[step](patch)
+        with pytest.raises(OSError):
+            chain.snapshot()
+    assert [path.name for path in directory.iterdir()] == ["wal.log"]  # no temp file left
+    assert (directory / "wal.log").read_bytes() == log
+    assert (chain.state_hash(), chain.store._seq) == (live, written)
+    _assert_recovers(chain, directory)
+    _assert_next_mutation_logged(chain, lambda: chain.transact(_ping(chain)))
+    _assert_recovers(chain, directory)
 
 
 # --------------------------------------------------------------------------- #
@@ -351,9 +423,9 @@ def test_execute_has_one_caller_the_transaction_scope():
 
 
 def test_the_mempool_writes_no_record_the_wal_replays():
-    """``_apply`` replays every record the same way: it reads neither a
-    record's kind nor its payload, so there is no kind or payload key for
-    the mempool (or the chain) to write.  No scope hands its body one."""
+    """``_apply`` replays every frame the same way: it reads no kind and no
+    payload, so there is no kind or payload key for the mempool (or the
+    chain) to write.  No scope is named a kind or hands its body one."""
     state = ast.parse((SRC / "chain/state.py").read_text())
     apply = next(
         node for node in ast.walk(state)
@@ -366,12 +438,12 @@ def test_the_mempool_writes_no_record_the_wal_replays():
     ]
     assert read == []
     for module in ("chain/blockchain.py", "chain/mempool/pool.py"):
-        bound = [
+        scopes = [
             ast.unparse(item) for node in ast.walk(ast.parse((SRC / module).read_text()))
             if isinstance(node, ast.With) for item in node.items
-            if "scope(" in ast.unparse(item.context_expr) and item.optional_vars is not None
+            if "scope(" in ast.unparse(item.context_expr)
         ]
-        assert bound == [], module
+        assert scopes and all(scope.endswith("store.scope()") for scope in scopes), module
 
 
 def test_only_the_store_writes_blocks_events_and_the_clock():

@@ -25,7 +25,7 @@ from repro.chain import state as chain_state
 from repro.chain.blockchain import Block
 from repro.chain.state import StateStore, WalStateStore
 from repro.chain.transaction import Event
-from repro.durable import read_sealed
+from repro.durable import frames
 from state_oracles import state_hash_v1, state_hash_v2
 
 GAS = 200_000
@@ -147,14 +147,15 @@ def test_a_snapshot_apply_that_replaces_the_blocks_list_restarts_the_fold(tmp_pa
     chain = _wal_chain(tmp_path)
     chain.snapshot()
     at_snapshot = chain.state_hash()
-    record = pickle.loads(read_sealed(tmp_path / "snapshot.pkl", b"CHAINSNP"))
+    [(_sequence, payload, _end)] = frames((tmp_path / "wal.log").read_bytes())
+    now, gone, counters = pickle.loads(payload)
     for _ in range(3):
         chain.mine_block()
     assert chain.state_hash() != at_snapshot   # the cursor now covers six sealed blocks
     store = chain.store
     store.events.clear()                       # ``_apply`` extends the (replayed) events
-    store._apply(record)
-    assert list(map(id, store.blocks)) == list(map(id, record.now["blocks"].values()))
+    store._apply(now, gone, counters)
+    assert list(map(id, store.blocks)) == list(map(id, now["blocks"].values()))
     assert store.state_hash() == at_snapshot == state_hash_v2(store)
     chain.close()
 

@@ -94,7 +94,7 @@ def test_journal_matches_copy_and_restore(before, inside):
         assert sorted(gone.get(name, [])) == sorted(
             key for key in opened[name] if key not in model[name]
         )
-    store.commit("test")
+    store.commit()
     assert not store._journal and store.delta() == ({}, {})
 
 
@@ -118,7 +118,8 @@ def _transfer_profile(directory, accounts: int) -> tuple[float, int, dict]:
         best = min(best, time.perf_counter() - start)
     chain.close()
     *_, (_sequence, payload, _end) = frames((directory / "wal.log").read_bytes())
-    return best, len(payload), pickle.loads(payload).now["balances"]
+    now, _gone, _counters = pickle.loads(payload)
+    return best, len(payload), now["balances"]
 
 
 def test_transfer_cost_does_not_grow_with_the_account_count(tmp_path):

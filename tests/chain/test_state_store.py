@@ -7,8 +7,9 @@ Acceptance properties (ISSUE 4 tentpole, part 1):
   and ``mine_block`` (the mid-epoch case),
 * a recovered chain is functionally live: agents, scheduled calls and
   contracts keep working after reopen,
-* snapshots fold the log without changing the hash, and a torn final WAL
-  frame (killed mid-append) is ignored rather than corrupting recovery.
+* a snapshot replaces the log with one full-state frame without changing
+  the hash, and a torn final WAL frame (killed mid-append) is ignored
+  rather than corrupting recovery.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class Pinger(Contract):
         self.pings += 1
 from repro.chain.contracts.audit_contract import State
 from repro.chain.state import canonical_state_digest
-from repro.durable import WalCorruption, frame, frames, publish, read_sealed
+from repro.durable import WalCorruption, frame, frames, publish_log
 from repro.core import DataOwner, ProtocolParams, StorageProvider
 from repro.randomness import HashChainBeacon
 
@@ -162,10 +163,18 @@ class TestWalRoundTrip:
             chain, package, provider, TERMS, HashChainBeacon(b"snap"), params
         )
         chain.mine_block()
+        written = chain.store._seq
         chain.snapshot()
-        assert (tmp_path / "chain" / "snapshot.pkl").exists()
-        assert (tmp_path / "chain" / "wal.log").stat().st_size == 0
+        # One file: the log, whose one frame is the snapshot, numbered next.
+        assert [path.name for path in (tmp_path / "chain").iterdir()] == ["wal.log"]
+        log = (tmp_path / "chain" / "wal.log").read_bytes()
+        assert [(sequence, end) for sequence, _payload, end in frames(log)] == [
+            (written + 1, len(log))
+        ]
         pre_hash = chain.state_hash()
+        reopened = WalStateStore(tmp_path / "chain")
+        assert reopened.state_hash() == pre_hash and reopened.replayed_records == 1
+        reopened.close()
         # Post-snapshot traffic lands in the (fresh) WAL tail.
         chain.mine_block()
         chain.mine_block()
@@ -189,39 +198,33 @@ class TestWalRoundTrip:
 
     def test_wal_record_missing_a_field_is_refused(self, tmp_path):
         """Every frame ``durable.frames`` lets through was written by
-        ``_commit_hook``, which sets every field; a record without
-        ``pool_seq`` is damage, and replay must raise on it rather than
-        keep whatever value the store held before.  The same holds for the
-        clock, which every record carries: it is hashed into
-        ``state_hash``, so a default would replay to a different hash.
-        And the same for ``snapshot.pkl``: it is one more record, restored
-        by the same ``_apply``, so re-sealing it without a field is refused
-        too (the parent reopened it to a different hash, silently)."""
+        ``_commit_hook``, which writes every counter; a frame whose counter
+        tuple is short is damage, and replay must raise on it rather than
+        keep whatever value the store held before (``time`` last among
+        them: it is hashed into ``state_hash``, so a default would replay
+        to a different hash).  The same holds for the snapshot frame that
+        starts the log after ``snapshot()``, which must also hold every
+        keyed map and list whole."""
 
-        def strip_pool_seq(record):
-            del record.__dict__["pool_seq"]
-
-        def strip_base_fee(record):
-            del record.__dict__["base_fee_wei"]
-
-        def strip_time(record):
-            del record.__dict__["time"]
+        def strip_last_counter(record):
+            now, gone, counters = record
+            return now, gone, counters[:-1]
 
         def strip_blocks(record):
-            del record.now["blocks"]
+            del record[0]["blocks"]
+            return record
 
         def strip_balances(record):
-            del record.now["balances"]
+            del record[0]["balances"]
+            return record
 
-        for snapshot, strip, error, field in (
-            (False, strip_pool_seq, AttributeError, "pool_seq"),
-            (False, strip_time, AttributeError, "time"),
-            (True, strip_pool_seq, AttributeError, "pool_seq"),
-            (True, strip_base_fee, AttributeError, "base_fee_wei"),
-            (True, strip_blocks, WalCorruption, "blocks"),
-            (True, strip_balances, WalCorruption, "balances"),
+        for snapshot, strip, field in (
+            (False, strip_last_counter, "counters"),
+            (True, strip_last_counter, "counters"),
+            (True, strip_blocks, "blocks"),
+            (True, strip_balances, "balances"),
         ):
-            directory = tmp_path / f"{field}-{snapshot}"
+            directory = tmp_path / f"{strip.__name__}-{snapshot}"
             chain = Blockchain.open(directory)
             alice = chain.create_account(2.0, label="alice")
             bob = chain.create_account(1.0, label="bob")
@@ -231,26 +234,20 @@ class TestWalRoundTrip:
             chain.mine_block()
             if snapshot:
                 chain.snapshot()
-                chain.close()
-                path = directory / "snapshot.pkl"
-                record = pickle.loads(read_sealed(path, b"CHAINSNP"))
-                strip(record)
-                publish(path, b"CHAINSNP", pickle.dumps(record))
+            chain.close()
+            wal_path = directory / "wal.log"
+            records = [
+                (sequence, strip(pickle.loads(payload)))
+                for sequence, payload, _end in frames(wal_path.read_bytes())
+            ]
+            if snapshot:
+                [(sequence, record)] = records
+                publish_log(wal_path, sequence, pickle.dumps(record))
             else:
-                chain.close()
-                wal_path = directory / "wal.log"
-                rewritten = []
-                for sequence, payload, _end in frames(wal_path.read_bytes()):
-                    record = pickle.loads(payload)
-                    strip(record)
-                    rewritten.append(
-                        frame(
-                            sequence,
-                            pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL),
-                        )
-                    )
-                wal_path.write_bytes(b"".join(rewritten))
-            with pytest.raises(error, match=field):
+                wal_path.write_bytes(b"".join(
+                    frame(sequence, pickle.dumps(record)) for sequence, record in records
+                ))
+            with pytest.raises(WalCorruption, match=field):
                 Blockchain.open(directory)
 
     def test_writes_after_torn_tail_recovery_survive_the_next_reopen(

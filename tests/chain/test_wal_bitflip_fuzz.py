@@ -6,14 +6,14 @@ single bit of it is flipped in turn.  A flipped bit is damage *inside* what
 the store was told is durable, so recovery may refuse
 (:class:`~repro.durable.WalCorruption`) or, where the bit carries no
 meaning, come up identical — it may never come up with a different state.
-The same holds for the folded snapshot, and the sequence numbers that
-close the fold's crash window are checked at the edges a bit-flip cannot
-reach (a whole frame missing, a whole stale log left behind).
+The same holds for a log that a snapshot started, and the sequence numbers
+are checked at the edges a bit-flip cannot reach (a whole frame missing, a
+log that lost the snapshot frame it started with).
 """
 
 from __future__ import annotations
 
-import shutil
+import pickle
 
 import pytest
 
@@ -69,35 +69,45 @@ def test_every_single_bit_flip_of_the_log_is_refused_or_harmless(tmp_path):
 
 
 def test_every_single_bit_flip_of_the_snapshot_is_refused_or_harmless(tmp_path):
+    """The log a snapshot started: its snapshot frame, then one more."""
     chain = Blockchain.open(tmp_path)
     alice = chain.create_account(2.0, label="alice")
     bob = chain.create_account(1.0, label="bob")
     chain.transact(Transaction(sender=alice, to=bob, value=10**16))
     chain.mine_block()
     chain.snapshot()
-    chain.create_account(1.0, label="after-the-fold")
+    chain.create_account(1.0, label="after-the-snapshot")
     expected = chain.state_hash()
     chain.close()
-    refused, identical = _sweep(tmp_path / "snapshot.pkl", expected)
-    assert refused > 0 and identical == 0  # sha256 covers every payload bit
+    assert len(list(frames((tmp_path / "wal.log").read_bytes()))) == 2
+    refused, identical = _sweep(tmp_path / "wal.log", expected)
+    assert refused > 0 and identical == 0  # crc32 catches every single-bit error
 
 
 def test_files_framed_by_the_previous_format_are_refused_by_name(tmp_path, monkeypatch):
-    """Each ``FORMAT_VERSION`` changed what a record holds; a log or snapshot
-    the previous build wrote is refused whole, never half-applied."""
+    """Each ``FORMAT_VERSION`` changed what a record holds; a log the
+    previous build wrote is refused whole, never half-applied.  Format 5
+    kept a snapshot beside the log in a sealed ``snapshot.pkl``: a lane
+    directory still holding one is refused by that name, even when its log
+    is empty (which would otherwise reopen as a fresh chain)."""
     previous_version = durable.FORMAT_VERSION - 1
     with monkeypatch.context() as previous:
         previous.setattr(durable, "FORMAT_VERSION", previous_version)
         chain = _build_reference(tmp_path)
         chain.close()
-        folded = Blockchain.open(tmp_path / "folded")
-        folded.create_account(1.0, label="alice")
-        folded.snapshot()
-        folded.close()
-    with pytest.raises(WalCorruption, match=f"unsupported frame version {previous_version}$"):
-        WalStateStore(tmp_path)
-    with pytest.raises(WalCorruption, match=f"unsupported format version {previous_version}$"):
-        WalStateStore(tmp_path / "folded")
+        started = Blockchain.open(tmp_path / "started")
+        started.create_account(1.0, label="alice")
+        started.snapshot()
+        started.close()
+        folded = tmp_path / "folded"
+        folded.mkdir()
+        durable.publish(folded / "snapshot.pkl", b"CHAINSNP", pickle.dumps({}))
+        (folded / "wal.log").write_bytes(b"")
+    for directory in (tmp_path, tmp_path / "started"):
+        with pytest.raises(WalCorruption, match=f"unsupported frame version {previous_version}$"):
+            WalStateStore(directory)
+    with pytest.raises(WalCorruption, match="snapshot.pkl"):
+        WalStateStore(folded)
 
 
 def test_a_missing_frame_is_corruption_not_a_shorter_history(tmp_path):
@@ -114,47 +124,24 @@ def test_a_missing_frame_is_corruption_not_a_shorter_history(tmp_path):
 def test_a_log_that_starts_after_a_lost_snapshot_is_corruption(tmp_path):
     chain = _build_reference(tmp_path)
     chain.snapshot()
-    chain.create_account(1.0, label="after-the-fold")
+    chain.create_account(1.0, label="after-the-snapshot")
+    snapshot_seq = chain.store._seq - 1
     chain.close()
-    (tmp_path / "snapshot.pkl").unlink()
-    with pytest.raises(WalCorruption, match="are missing"):
+    wal = tmp_path / "wal.log"
+    data = wal.read_bytes()
+    [snapshot_end, _] = [end for _sequence, _payload, end in frames(data)]
+    wal.write_bytes(data[snapshot_end:])  # the snapshot frame is gone
+    with pytest.raises(WalCorruption, match=f"frame {snapshot_seq + 1} where 1 should follow"):
         WalStateStore(tmp_path)
 
 
-def test_crash_between_snapshot_publish_and_log_cut_replays_nothing_twice(tmp_path):
-    """Fold, 3 transfers + blocks, fold again but keep the pre-fold log.
-
-    ``snapshot()`` publishes the snapshot and then cuts the log; a crash in
-    between leaves both.  Receipts, events and blocks are appended, not
-    overwritten, so replaying the stale frames on top of the snapshot that
-    already holds them used to grow the chain (10 blocks instead of 7).
-    """
-    live = tmp_path / "live"
-    chain = Blockchain.open(live)
-    alice = chain.create_account(5.0, label="alice")
-    bob = chain.create_account(1.0, label="bob")
-    chain.mine_block()
+def test_a_snapshot_frame_spliced_behind_the_log_it_replaced_is_corruption(tmp_path):
+    """The snapshot frame is numbered right after the log it replaces, so
+    only its published flag tells the two apart from one longer log."""
+    chain = _build_reference(tmp_path)
+    replaced = (tmp_path / "wal.log").read_bytes()
     chain.snapshot()
-    for _ in range(3):
-        chain.transact(Transaction(sender=alice, to=bob, value=10**15))
-        chain.mine_block()
-    stale_log = (live / "wal.log").read_bytes()
-    assert stale_log
-    chain.snapshot()
-    expected_hash, expected_blocks = chain.state_hash(), len(chain.blocks)
     chain.close()
-    assert (live / "wal.log").stat().st_size == 0
-
-    crashed = tmp_path / "crashed"
-    shutil.copytree(live, crashed)
-    (crashed / "wal.log").write_bytes(stale_log)  # the cut never happened
-    recovered = Blockchain.open(crashed)
-    assert recovered.store.replayed_records == 0
-    assert len(recovered.blocks) == expected_blocks
-    assert recovered.state_hash() == expected_hash
-    # The survivor appends after the stale frames and still re-recovers.
-    recovered.transact(Transaction(sender=alice, to=bob, value=10**15))
-    recovered.mine_block()
-    after = recovered.state_hash()
-    recovered.close()
-    assert _reopen_hash(crashed) == after
+    (tmp_path / "wal.log").write_bytes(replaced + (tmp_path / "wal.log").read_bytes())
+    with pytest.raises(WalCorruption, match="is not the log's first"):
+        WalStateStore(tmp_path)

@@ -5,7 +5,9 @@ transfers, contract calls, sealed blocks), then reopens the store from a
 copy truncated at *every* byte offset of the log.  Recovery must always
 equal the state after the largest whole-frame prefix that survived — and
 the reopened store must keep working (torn tail cleanly cut, appends
-land where recovery can see them).
+land where recovery can see them).  The same sweep runs over a log that a
+snapshot started: its snapshot frame is published whole, never appended,
+so a cut inside it is :class:`WalCorruption`, not a shorter history.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import pytest
 
 from repro.chain import Blockchain, Transaction
 from repro.chain.contracts.reputation import ReputationRegistry
-from repro.chain.state import WalStateStore
+from repro.chain.state import WalCorruption, WalStateStore
 from repro.durable import frames
 
 
@@ -48,11 +50,19 @@ def _frame_boundaries(wal_bytes: bytes) -> list[int]:
     return boundaries
 
 
-@pytest.fixture(scope="module")
-def reference(tmp_path_factory):
-    base = tmp_path_factory.mktemp("wal-fuzz")
-    ref_dir = base / "reference"
-    chain = _build_reference(ref_dir)
+def _build_snapshotted(directory) -> Blockchain:
+    """The reference chain, snapshotted, then an account and a block more."""
+    chain = _build_reference(directory)
+    chain.snapshot()
+    chain.create_account(1.0, label="after-the-snapshot")
+    chain.mine_block()
+    return chain
+
+
+def _prefixes(base, build, name):
+    """``(base, log bytes, whole-frame boundaries, state_hash per boundary)``."""
+    ref_dir = base / name
+    chain = build(ref_dir)
     final_hash = chain.state_hash()
     chain.close()
     wal_bytes = (ref_dir / "wal.log").read_bytes()
@@ -60,7 +70,7 @@ def reference(tmp_path_factory):
     # State hash after each whole-frame prefix.
     prefix_hash = {}
     for index, boundary in enumerate(boundaries):
-        prefix_dir = base / f"prefix-{index}"
+        prefix_dir = base / f"{name}-prefix-{index}"
         prefix_dir.mkdir()
         (prefix_dir / "wal.log").write_bytes(wal_bytes[:boundary])
         store = WalStateStore(prefix_dir)
@@ -70,33 +80,53 @@ def reference(tmp_path_factory):
     return base, wal_bytes, boundaries, prefix_hash
 
 
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory):
+    return _prefixes(tmp_path_factory.mktemp("wal-fuzz"), _build_reference, "reference")
+
+
+@pytest.fixture(scope="module")
+def snapshotted(tmp_path_factory):
+    return _prefixes(tmp_path_factory.mktemp("wal-fuzz"), _build_snapshotted, "snapshotted")
+
+
 def test_reference_wal_is_interesting(reference):
     _, wal_bytes, boundaries, prefix_hash = reference
     assert len(boundaries) >= 8  # genesis + accounts + deploy + txs + blocks
     assert len(set(prefix_hash.values())) == len(boundaries)  # each frame matters
 
 
-def test_recovery_at_every_byte_truncation_offset(reference):
-    """The exhaustive sweep: every cut point, one reopened store each."""
-    base, wal_bytes, boundaries, prefix_hash = reference
-    work = base / "cut"
-    replayed = 0
-    for offset in range(len(wal_bytes) + 1):
-        floor = max(b for b in boundaries if b <= offset)
-        if work.exists():
-            shutil.rmtree(work)
-        work.mkdir()
-        (work / "wal.log").write_bytes(wal_bytes[:offset])
-        store = WalStateStore(work)
-        assert store.state_hash() == prefix_hash[floor], (
-            f"truncation at byte {offset} did not recover the state of the "
-            f"{floor}-byte whole-frame prefix"
-        )
-        # Clean torn-tail contract: the garbage tail is gone from disk.
-        assert store.wal_size() == floor
-        store.close()
-        replayed += 1
-    assert replayed == len(wal_bytes) + 1
+def test_recovery_at_every_byte_truncation_offset(reference, snapshotted):
+    """The exhaustive sweep: every cut point of both logs, one reopened
+    store each.  In the log a snapshot started, a cut inside the snapshot
+    frame (past byte 0, before its end) is refused."""
+    for (base, wal_bytes, boundaries, prefix_hash), published in (
+        (reference, 0), (snapshotted, snapshotted[2][1])
+    ):
+        work = base / "cut"
+        replayed = refused = 0
+        for offset in range(len(wal_bytes) + 1):
+            floor = max(b for b in boundaries if b <= offset)
+            if work.exists():
+                shutil.rmtree(work)
+            work.mkdir()
+            (work / "wal.log").write_bytes(wal_bytes[:offset])
+            if 0 < offset < published:
+                with pytest.raises(WalCorruption, match="published first frame is cut short"):
+                    WalStateStore(work)
+                refused += 1
+                continue
+            store = WalStateStore(work)
+            assert store.state_hash() == prefix_hash[floor], (
+                f"truncation at byte {offset} did not recover the state of the "
+                f"{floor}-byte whole-frame prefix"
+            )
+            # Clean torn-tail contract: the garbage tail is gone from disk.
+            assert store.wal_size() == floor
+            store.close()
+            replayed += 1
+        assert replayed + refused == len(wal_bytes) + 1
+        assert refused == max(published - 1, 0)
 
 
 def test_reopened_store_accepts_new_appends_after_any_tear(reference):
@@ -125,31 +155,16 @@ def test_reopened_store_accepts_new_appends_after_any_tear(reference):
         again.close()
 
 
-def test_snapshot_plus_torn_wal(reference, tmp_path):
-    """A folded snapshot underneath a torn WAL tail still recovers."""
-    chain = _build_reference(tmp_path / "snap")
-    chain.snapshot()  # folds the WAL into snapshot.pkl, truncates the log
-    chain.create_account(5.0, label="after-snapshot")
-    chain.mine_block()
-    expected = chain.state_hash()
-    chain.close()
-    wal = tmp_path / "snap" / "wal.log"
-    tail = wal.read_bytes()
-    assert tail  # post-snapshot traffic
+def test_snapshot_plus_torn_wal(snapshotted, tmp_path):
+    """A log a snapshot started, under a torn tail, still recovers."""
+    _, tail, boundaries, prefix_hash = snapshotted
+    assert len(boundaries) >= 3  # the snapshot frame, then post-snapshot traffic
     # Tear the final frame in half: recovery must keep everything before it.
-    boundaries = _frame_boundaries(tail)
     cut = (boundaries[-2] + boundaries[-1]) // 2
-    wal.write_bytes(tail[:cut])
-    store = WalStateStore(tmp_path / "snap")
+    (tmp_path / "wal.log").write_bytes(tail[:cut])
+    store = WalStateStore(tmp_path)
     recovered = store.state_hash()
     store.close()
-    assert recovered != expected  # the torn frame is gone...
-    (tmp_path / "replay").mkdir()
+    assert recovered != prefix_hash[boundaries[-1]]  # the torn frame is gone...
     # ...but matches the exact whole-frame prefix state.
-    shutil.copyfile(
-        tmp_path / "snap" / "snapshot.pkl", tmp_path / "replay" / "snapshot.pkl"
-    )
-    (tmp_path / "replay" / "wal.log").write_bytes(tail[: boundaries[-2]])
-    store = WalStateStore(tmp_path / "replay")
-    assert store.state_hash() == recovered
-    store.close()
+    assert recovered == prefix_hash[boundaries[-2]]

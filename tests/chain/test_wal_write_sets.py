@@ -222,7 +222,7 @@ def _reopened_hash(store: WalStateStore, scratch: Path) -> str:
 
 class _FrameLog:
     """Each lane's ``(log size, live state_hash)`` after every frame since
-    the lane's last snapshot."""
+    the lane's last snapshot, the snapshot's own frame first."""
 
     def __init__(self, fabric: ShardedChainFabric):
         self.boundaries: list[list[tuple[int, str]]] = [[] for _ in fabric.lanes]
@@ -232,13 +232,14 @@ class _FrameLog:
     def _watch(self, index: int, store: WalStateStore) -> None:
         commit = store._commit_hook
 
-        def recorded(kind, payload):
-            commit(kind, payload)
-            self.boundaries[index].append(
-                (os.path.getsize(store.wal_path), store.state_hash())
-            )
+        def recorded():
+            commit()
+            self.mark(index, store)
 
         store._commit_hook = recorded
+
+    def mark(self, index: int, store: WalStateStore) -> None:
+        self.boundaries[index].append((os.path.getsize(store.wal_path), store.state_hash()))
 
     def check(self, fabric: ShardedChainFabric, scratch: Path) -> int:
         """Reopen every recorded cut of every lane's log; returns the count."""
@@ -298,6 +299,8 @@ def test_every_frame_boundary_of_every_lane_replays_to_the_live_state(ops):
                 elif op[0] == "snapshot":
                     checked += frames.check(fabric, base / "cuts")
                     fabric.snapshot()
+                    for index, lane in enumerate(fabric.lanes):
+                        frames.mark(index, lane.store)
                 else:
                     lanes[op[1]].apply(op)
                 for lane in fabric.lanes:
@@ -377,10 +380,11 @@ class Scratchpad(Contract):
         self.table[f"k{value}"] = value
 
 
-def _last_record(directory: Path):
+def _last_write_set(directory: Path) -> tuple[dict, dict]:
     log = (directory / "wal.log").read_bytes()
     *_, (_sequence, payload, _end) = durable.frames(log)
-    return pickle.loads(payload)
+    now, gone, _counters = pickle.loads(payload)
+    return now, gone
 
 
 def test_in_place_edits_reorders_and_deletes_all_replay(tmp_path):
@@ -409,12 +413,12 @@ def test_an_unchanged_immutable_attribute_is_not_logged_again(tmp_path):
     alice = chain.create_account(1.0, label="alice")
     address = chain.deploy(Scratchpad(), alice)
     chain.transact(Transaction(sender=alice, to=address, method="grow", args=(3,)))
-    record = _last_record(tmp_path)
+    now, gone = _last_write_set(tmp_path)
     # No attribute is logged (the label, the spare tuple, the containers
     # themselves), only the two entries the call wrote.
-    assert address not in record.now and not record.gone
-    assert record.now[(address, "notes")] == {2: 3}
-    assert record.now[(address, "table")] == {"k3": 3}
+    assert address not in now and not gone
+    assert now[(address, "notes")] == {2: 3}
+    assert now[(address, "table")] == {"k3": 3}
     chain.close()
 
 

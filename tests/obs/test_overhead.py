@@ -12,10 +12,12 @@ Two guards, both against the ≤3% budget the issue sets:
 Timings interleave the two sides per call, park the GC, and compare the
 minimum total over repeats: the minimum is the noise-robust estimator
 for "how fast can this go", and per-call interleaving makes frequency
-and scheduler drift hit both sides equally.  A 3 % wall-clock budget is
-still inside one scheduler hiccup on a shared host, so a miss is measured
-again, up to three times in all: noise passes one of them, a real
-regression fails every one.
+and scheduler drift hit both sides equally.  Both sides are timed on the
+CPU clock of the calling thread (``time.thread_time``): everything timed
+runs on it (the pipeline proves inline, ``workers=1``), so time the
+thread waits while other processes hold the host's cores counts against
+neither side.  A miss is still measured again, up to three times in all:
+noise passes one of them, a real regression fails every one.
 """
 
 from __future__ import annotations
@@ -50,12 +52,12 @@ def _paired_min(fn_a, fn_b, calls=1, repeats=REPEATS):
         for _ in range(repeats):
             total_a = total_b = 0.0
             for _ in range(calls):
-                t0 = time.perf_counter()
+                t0 = time.thread_time()
                 fn_a()
-                total_a += time.perf_counter() - t0
-                t0 = time.perf_counter()
+                total_a += time.thread_time() - t0
+                t0 = time.thread_time()
                 fn_b()
-                total_b += time.perf_counter() - t0
+                total_b += time.thread_time() - t0
             best_a, best_b = min(best_a, total_a), min(best_b, total_b)
     finally:
         gc.enable()

@@ -111,18 +111,13 @@ def detect_fee_griefers(
     """
     pool = chain.pool
     assert pool is not None, "detection reads mempool telemetry"
-    total_gas = sum(pool.drained_gas_by_sender.values())
+    total_gas = sum(drained.gas for drained in pool.drained_by_sender.values())
     if not total_gas:
         return []
-    tip_sum: dict[str, float] = {}
-    tip_count: dict[str, int] = {}
-    for (sender, _nonce), tip in pool.drained_tips.items():
-        tip_sum[sender] = tip_sum.get(sender, 0.0) + tip
-        tip_count[sender] = tip_count.get(sender, 0) + 1
     reports = []
-    for sender, gas in sorted(pool.drained_gas_by_sender.items()):
-        share = gas / total_gas
-        mean_tip = tip_sum.get(sender, 0.0) / max(1, tip_count.get(sender, 0))
+    for sender, drained in sorted(pool.drained_by_sender.items()):
+        share = drained.gas / total_gas
+        mean_tip = drained.tips / drained.count
         flagged = (
             share > gas_share_threshold
             and mean_tip > tip_premium_threshold * honest_tip_wei

@@ -146,6 +146,16 @@ class PendingEntry:
         return effective_tip_wei(self.max_fee_wei, self.tip_cap_wei, base_fee_wei)
 
 
+@dataclass
+class SenderDrain:
+    """One sender's drained transactions: gas used, tips paid (wei/gas,
+    summed) and how many — telemetry that grows with senders, not traffic."""
+
+    gas: int = 0
+    tips: int = 0
+    count: int = 0
+
+
 class Mempool:
     """Behaviour over the store-resident pool of one chain (lane)."""
 
@@ -176,10 +186,9 @@ class Mempool:
         }
         self.rejections: dict[str, int] = {}
         self.priority_inversions = 0
-        self.drained_gas_by_sender: dict[str, int] = {}
+        self.drained_by_sender: dict[str, SenderDrain] = {}
         self.eviction_series: list[tuple[float, str, int]] = []
         self.block_tips: dict[int, list[int]] = {}  # block number -> tips (wei/gas)
-        self.drained_tips: dict[tuple[str, int], int] = {}  # (sender, nonce) -> tip
         # Process-wide registry mirror (aggregated across lanes; the
         # per-pool dicts above stay the per-lane source of truth).
         registry = get_registry()
@@ -509,11 +518,11 @@ class Mempool:
             entry.tx, entry.payload_bytes, claim, base, tip, self.config.fee_market.burn_base_fee
         )
         self._bump("drained")
-        self.drained_gas_by_sender[sender] = (
-            self.drained_gas_by_sender.get(sender, 0) + receipt.gas_used
-        )
+        drained = self.drained_by_sender.setdefault(sender, SenderDrain())
+        drained.gas += receipt.gas_used
+        drained.tips += tip
+        drained.count += 1
         self.block_tips.setdefault(receipt.block_number, []).append(tip)
-        self.drained_tips[(sender, nonce)] = tip
         if tip:
             self._m_tips.inc(tip * receipt.gas_used)
         return receipt

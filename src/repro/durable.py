@@ -1,24 +1,23 @@
 """Durable files: the one place that knows how this repo lays bytes on disk.
 
-Two shapes, both carrying opaque payload bytes (callers choose the codec):
-
-* a **sealed file**, ``MAGIC (8) || FORMAT_VERSION (2 BE) || sha256(payload)
-  || payload``, published whole: written to a temp file beside the target,
-  fsynced, then ``os.replace``d over it, so a reader sees the old file or
-  the new one, never a mixture;
-* a **frame log**, frames ``published (1) || FORMAT_VERSION (1) || length
-  (4) || sequence (8) || crc32(payload) (4) || crc32(those 18 bytes) (4) ||
-  payload`` appended one at a time.  Its first frame is appended too
-  (number 1) or *published*: :func:`publish_log` replaces the whole log
-  with it, like a sealed file, under any number.  The header has its own
-  checksum so that a damaged *length* cannot pass for a short file: fewer
-  bytes than a header, or than a verified header's length, is a **torn
-  tail** (the crash interrupted that append) and iteration stops there.
-  No crash tears a published frame, so a log cut inside one raises
-  :class:`WalCorruption` (its first byte says so); so does a complete
-  frame that fails a checksum or names another version, a published frame
-  past the first, or a sequence that does not rise by one from 1 or from
-  the published frame's number.
+One shape, a **frame log**, carrying opaque payload bytes (callers choose
+the codec): frames ``published (1) || FORMAT_VERSION (1) || length (4) ||
+sequence (8) || crc32(payload) (4) || crc32(those 18 bytes) (4) ||
+payload`` appended one at a time.  Its first frame is appended too
+(number 1) or *published*: :func:`publish_log` replaces the whole file
+with it under any number, written to a temp file beside the target,
+fsynced, then ``os.replace``d over it, so a reader sees the old file or
+the new one, never a mixture.  A file that is one published frame and
+nothing else (the lifecycle ``engine.pkl``) is read whole by
+:func:`read_published`.  The header has its own checksum so that a
+damaged *length* cannot pass for a short file: fewer bytes than a
+header, or than a verified header's length, is a **torn tail** (the
+crash interrupted that append) and iteration stops there.  No crash
+tears a published frame, so a log cut inside one raises
+:class:`WalCorruption` (its first byte says so); so does a complete
+frame that fails a checksum or names another version, a published frame
+past the first, or a sequence that does not rise by one from 1 or from
+the published frame's number.
 
 Nothing here unpickles: a payload reaches its caller only after its
 checksum passed, so no caller deserializes bytes that nobody sealed.
@@ -26,7 +25,6 @@ checksum passed, so no caller deserializes bytes that nobody sealed.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 import tempfile
@@ -48,10 +46,6 @@ from typing import Iterator
 #: frame header flags a published frame.  Files of any other version are
 #: refused.
 FORMAT_VERSION = 6
-
-_MAGIC_LEN = 8
-#: Bytes before a sealed file's payload (magic, version, sha256).
-HEADER_LEN = _MAGIC_LEN + 2 + 32
 
 # published, version, payload length, sequence, crc32(payload)
 _CHECKED = struct.Struct(">BBIQI")
@@ -84,33 +78,6 @@ def _replace(path: Path, data: bytes) -> None:
         raise
 
 
-def publish(path: str | os.PathLike, magic: bytes, payload: bytes) -> None:
-    """Atomically replace ``path`` with a sealed file."""
-    assert len(magic) == _MAGIC_LEN
-    version = FORMAT_VERSION.to_bytes(2, "big")
-    _replace(Path(path), magic + version + hashlib.sha256(payload).digest() + payload)
-
-
-def read_sealed(path: str | os.PathLike, magic: bytes) -> bytes:
-    """The checksum-verified payload of a sealed file.
-
-    A missing or unreadable file raises ``OSError``; anything else that is
-    not exactly what :func:`publish` wrote raises :class:`WalCorruption`.
-    """
-    blob = Path(path).read_bytes()
-    if len(blob) < HEADER_LEN:
-        raise WalCorruption(len(blob), "file shorter than its header")
-    if not blob.startswith(magic):
-        raise WalCorruption(0, f"magic is not {magic!r}")
-    version = int.from_bytes(blob[_MAGIC_LEN : _MAGIC_LEN + 2], "big")
-    if version != FORMAT_VERSION:
-        raise WalCorruption(_MAGIC_LEN, f"unsupported format version {version}")
-    payload = blob[HEADER_LEN:]
-    if hashlib.sha256(payload).digest() != blob[_MAGIC_LEN + 2 : HEADER_LEN]:
-        raise WalCorruption(HEADER_LEN, "payload checksum mismatch")
-    return payload
-
-
 def frame(sequence: int, payload: bytes, published: bool = False) -> bytes:
     """One log frame, ready to append (or, ``published``, to start a log)."""
     checked = _CHECKED.pack(published, FORMAT_VERSION, len(payload), sequence, zlib.crc32(payload))
@@ -122,6 +89,22 @@ def publish_log(path: str | os.PathLike, sequence: int, payload: bytes) -> int:
     data = frame(sequence, payload, published=True)
     _replace(Path(path), data)
     return len(data)
+
+
+def read_published(path: str | os.PathLike) -> tuple[int, bytes]:
+    """``(sequence, payload)`` of the file at ``path``, one published frame.
+
+    A missing or unreadable file raises ``OSError``; anything else that is
+    not exactly what :func:`publish_log` wrote raises :class:`WalCorruption`.
+    """
+    data = Path(path).read_bytes()
+    for sequence, payload, end in frames(data):
+        if not data[0]:
+            raise WalCorruption(0, f"frame {sequence} is appended, not published")
+        if end != len(data):
+            raise WalCorruption(end, "bytes follow the published frame")
+        return sequence, payload
+    raise WalCorruption(len(data), "no whole published frame")
 
 
 def frames(data: bytes) -> Iterator[tuple[int, bytes, int]]:

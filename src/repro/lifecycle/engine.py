@@ -218,12 +218,6 @@ class LifecycleEngine:
         self._init_observability(tracer)
         self.trail = EventTrail()
         self.summaries: list[EpochSummary] = []
-        self.next_epoch = 1
-        self.node_seq = 0
-        self.total_commitment_gas = 0
-        self.total_repairs = 0
-        self.total_evictions = 0
-        self.wall_seconds = 0.0
         self.params = ProtocolParams(s=config.s, k=config.k)
         self.beacon = HashChainBeacon(f"lifecycle-{config.seed}".encode())
         self._churn = ChurnModel(
@@ -360,8 +354,7 @@ class LifecycleEngine:
             self.checkpoint_state()
 
     def _add_provider(self, epoch: int) -> ProviderState:
-        name = f"node-{self.node_seq:03d}"
-        self.node_seq += 1
+        name = f"node-{len(self.providers):03d}"  # never forgotten, so never reused
         self.cluster.add_node(name)
         account = self._registry_lane.create_account(
             self.config.stake_eth + 1.0, label=f"stake-{name}"
@@ -422,6 +415,17 @@ class LifecycleEngine:
     # The epoch loop                                                      #
     # ------------------------------------------------------------------ #
 
+    @property
+    def next_epoch(self) -> int:
+        return len(self.summaries) + 1
+
+    @property
+    def last_fabric_bundle(self):
+        """The last settled epoch's fabric bundle (None before one settles
+        in this process)."""
+        settled = self.aggregator.settled
+        return settled[-1].fabric if settled else None
+
     def run(self) -> LifecycleOutcome:
         """Run every remaining epoch and return the final outcome."""
         while self.next_epoch <= self.config.total_epochs:
@@ -466,15 +470,10 @@ class LifecycleEngine:
             min_healthy_shards=self.min_healthy_shards(),
         )
         self.summaries.append(summary)
-        self.total_commitment_gas += commitment_gas
-        self.total_repairs += repaired
-        self.total_evictions += evicted
-        self.wall_seconds += wall
         self._m_epochs.inc()
         self._m_epoch_seconds.observe(wall)
         for event in epoch_events:
             self._m_events.labels(event.kind).inc()
-        self.next_epoch = epoch + 1
         if self.config.persist_dir:
             self.checkpoint_state()
         return summary
@@ -520,20 +519,29 @@ class LifecycleEngine:
             name for name, shard in self._shards.items() if shard.provider == provider
         )
 
+    def _migrate_off(self, epoch: int, state: ProviderState, reason: str) -> int | None:
+        """Repair every shard off a provider, then drop it from the ring.
+
+        Returns how many shards moved; None when a repair was deferred (no
+        eligible replacement this epoch), and the provider stays.
+        """
+        held = self._names_held_by(state.name)
+        moved = [self._repair_shard(epoch, name, reason=reason) for name in held]
+        if not all(moved):
+            return None
+        if state.alive:
+            state.alive = False
+            self.cluster.remove_node(state.name)
+        return len(held)
+
     def _graceful_leave(self, epoch: int, provider: str) -> None:
         """Migrate everything off a politely departing provider, then part."""
         state = self.providers[provider]
-        migrated = True
-        for name in self._names_held_by(provider):
-            if not self._repair_shard(epoch, name, reason="leave"):
-                migrated = False
-        if not migrated:
+        if self._migrate_off(epoch, state, "leave") is None:
             # Not enough eligible replacements this epoch: the departure is
             # postponed (the provider keeps serving; churn may redraw it).
             self.trail.emit(epoch, "deferred", provider, what="departure")
             return
-        state.alive = False
-        self.cluster.remove_node(provider)
         receipt = self._transact(
             state.account, self.registry_address, "deregister", (provider,)
         )
@@ -572,7 +580,6 @@ class LifecycleEngine:
             aggregator.set_override(name, self._withheld_override)
         settlement = aggregator.settle_epoch(epoch)
         fabric_bundle = settlement.fabric
-        self.last_fabric_bundle = fabric_bundle
         records = sorted(
             (record for _, bundle in fabric_bundle.lanes for record in bundle.records),
             key=lambda record: record.name,
@@ -670,7 +677,8 @@ class LifecycleEngine:
                 # An earlier eviction may have deferred part of its
                 # migration (no eligible replacements that epoch); keep
                 # draining the leftovers until the provider holds nothing.
-                self._drain_evicted(epoch, state)
+                if state.alive:
+                    self._migrate_off(epoch, state, "eviction")
                 continue
             if state.deregistered:
                 continue
@@ -700,34 +708,14 @@ class LifecycleEngine:
             self.trail.emit(
                 epoch, "slashed", state.name, slashed_wei=slashed_wei
             )
-        leftovers = self._names_held_by(state.name)
-        fully_migrated = True
-        for name in leftovers:
-            if not self._repair_shard(epoch, name, reason="eviction"):
-                fully_migrated = False
+        migrated = self._migrate_off(epoch, state, "eviction")
         state.evicted = True
         self.trail.emit(
             epoch, "evicted", state.name,
             cause="crash" if state.dead else "reputation",
             slashed_wei=slashed_wei,
-            migrated=len(leftovers) if fully_migrated else "partial",
+            migrated="partial" if migrated is None else migrated,
         )
-        if state.alive and fully_migrated:
-            state.alive = False
-            self.cluster.remove_node(state.name)
-
-    def _drain_evicted(self, epoch: int, state: ProviderState) -> None:
-        """Finish a partially-deferred eviction: migrate, then drop the node."""
-        if not state.alive:
-            return
-        leftovers = self._names_held_by(state.name)
-        fully_migrated = True
-        for name in leftovers:
-            if not self._repair_shard(epoch, name, reason="eviction"):
-                fully_migrated = False
-        if fully_migrated:
-            state.alive = False
-            self.cluster.remove_node(state.name)
 
     # -- phase 6: finalize + bookkeeping ------------------------------------ #
 
@@ -745,22 +733,16 @@ class LifecycleEngine:
 
     def min_healthy_shards(self) -> int:
         """The weakest file's live shard count (durability floor)."""
-        from ..storage.node import _checksum
-
-        worst = None
-        for file_id, manifest in self.manifests.items():
-            healthy = 0
-            for location in manifest.shards:
-                node = self.cluster.nodes.get(location.provider)
-                data = (
-                    node.get(file_id, location.shard_index)
-                    if node is not None
-                    else None
+        return min(
+            (
+                sum(
+                    self.cluster.healthy_shard(file_id, location) is not None
+                    for location in manifest.shards
                 )
-                if data is not None and _checksum(data) == location.checksum:
-                    healthy += 1
-            worst = healthy if worst is None else min(worst, healthy)
-        return worst or 0
+                for file_id, manifest in self.manifests.items()
+            ),
+            default=0,
+        )
 
     def files_intact(self) -> bool:
         """End-to-end retrievability of every stored file."""
@@ -773,17 +755,18 @@ class LifecycleEngine:
         return True
 
     def outcome(self) -> LifecycleOutcome:
+        summaries = self.summaries
         return LifecycleOutcome(
-            epochs_run=self.next_epoch - 1,
+            epochs_run=len(summaries),
             trail=self.trail,
             state_hash=self.fabric.state_hash(),
             trail_digest=self.trail.digest(),
             files_intact=self.files_intact(),
-            summaries=list(self.summaries),
-            total_commitment_gas=self.total_commitment_gas,
-            total_repairs=self.total_repairs,
-            total_evictions=self.total_evictions,
-            wall_seconds=self.wall_seconds,
+            summaries=list(summaries),
+            total_commitment_gas=sum(s.commitment_gas for s in summaries),
+            total_repairs=sum(s.repaired for s in summaries),
+            total_evictions=sum(s.evicted for s in summaries),
+            wall_seconds=sum(s.wall_seconds for s in summaries),
         )
 
     # ------------------------------------------------------------------ #

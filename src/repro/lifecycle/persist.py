@@ -7,9 +7,11 @@ the event trail — equally durable, and knits the two together so a crash
 at **any** point resumes bit-identically:
 
 * After every epoch the engine publishes one atomic snapshot
-  (``<dir>/engine.pkl``, a :mod:`repro.durable` sealed file) that records,
-  along with its own state, each lane's WAL size at that boundary and the
-  fabric's canonical ``state_hash``.
+  (``<dir>/engine.pkl``: one :mod:`repro.durable` published frame,
+  numbered by the next epoch) that records, along with its own state,
+  each lane's WAL size at that boundary and the fabric's canonical
+  ``state_hash``.  What the engine can count (the next epoch, the
+  provider sequence, the outcome's totals) is counted, not stored.
 * :func:`load_engine` truncates every lane WAL back to the recorded size —
   every commit is one whole frame, so the cut lands on a frame boundary
   and discards exactly the partial epoch a crash may have written — then
@@ -33,17 +35,16 @@ from pathlib import Path
 from .. import durable
 
 ENGINE_SNAPSHOT = "engine.pkl"
-#: 6: ``fabric_state_hash`` is a ``chain-state-v2`` digest.
-SNAPSHOT_VERSION = 6
-_MAGIC = b"LIFECYCL"
+#: 6: ``fabric_state_hash`` is a ``chain-state-v2`` digest.  7: the file is
+#: one published frame numbered by the next epoch, and the next epoch, the
+#: provider sequence and the outcome's totals are recounted, not stored.
+SNAPSHOT_VERSION = 7
 
 #: Engine attributes that are plain picklable values, saved and restored
 #: as-is.  One pickle holds them all, so the restored storage clients share
 #: the restored cluster.
 _PLAIN_FIELDS = (
-    "next_epoch", "node_seq", "summaries", "providers", "payloads",
-    "total_commitment_gas", "total_repairs", "total_evictions", "wall_seconds",
-    "registry_address", "oracle", "lane_settlement",
+    "summaries", "providers", "payloads", "registry_address", "oracle", "lane_settlement",
     "cluster", "clients", "manifests", "_shards",
 )
 
@@ -65,8 +66,8 @@ def save_engine(engine) -> Path:
         "fabric_state_hash": engine.fabric.state_hash(),
     }
     final_path = directory / ENGINE_SNAPSHOT
-    durable.publish(
-        final_path, _MAGIC, pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    durable.publish_log(
+        final_path, engine.next_epoch, pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
     )
     return final_path
 
@@ -97,7 +98,8 @@ def load_engine(persist_dir: str, **overrides):
         )
     directory = Path(persist_dir)
     try:
-        state = pickle.loads(durable.read_sealed(directory / ENGINE_SNAPSHOT, _MAGIC))
+        boundary, payload = durable.read_published(directory / ENGINE_SNAPSHOT)
+        state = pickle.loads(payload)
     except FileNotFoundError as exc:
         raise LifecycleResumeError(
             f"no {ENGINE_SNAPSHOT} to resume from: {type(exc).__name__}: {exc}"
@@ -107,6 +109,12 @@ def load_engine(persist_dir: str, **overrides):
     if state["version"] != SNAPSHOT_VERSION:
         raise LifecycleResumeError(
             f"unsupported engine snapshot version {state['version']}"
+        )
+    epochs = len(state["plain"]["summaries"])
+    if boundary != epochs + 1:
+        raise LifecycleResumeError(
+            f"{ENGINE_SNAPSHOT}: frame {boundary} holds {epochs} epoch "
+            f"summaries; it must be frame {epochs + 1}"
         )
     config = dataclasses.replace(
         state["config"], persist_dir=str(directory), **overrides

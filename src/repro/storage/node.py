@@ -116,6 +116,13 @@ class DsnCluster:
     def node(self, name: str) -> StorageNode:
         return self.nodes[name]
 
+    def healthy_shard(self, file_id: str, location: ShardLocation) -> bytes | None:
+        """The shard ``location`` names, if its node still holds it and its
+        checksum matches the manifest's; None if it is lost or corrupted."""
+        node = self.nodes.get(location.provider)
+        data = node.get(file_id, location.shard_index) if node else None
+        return data if data is not None and _checksum(data) == location.checksum else None
+
 
 class DsnClient:
     """The data owner's storage client."""
@@ -207,9 +214,8 @@ class DsnClient:
                 )
             except NetworkError:
                 continue
-            node = self.cluster.nodes.get(location.provider)
-            data = node.get(manifest.file_id, location.shard_index) if node else None
-            if data is None or _checksum(data) != location.checksum:
+            data = self.cluster.healthy_shard(manifest.file_id, location)
+            if data is None:
                 continue  # lost or corrupted shard: skip it
             self.cluster.network.send(location.provider, self.owner_name, len(data))
             collected.append(Shard(index=location.shard_index, data=data))
@@ -240,9 +246,8 @@ class DsnClient:
         survivors: list[Shard] = []
         held_by_failed = 0
         for location in manifest.shards:
-            node = self.cluster.nodes.get(location.provider)
-            data = node.get(manifest.file_id, location.shard_index) if node else None
-            if data is None or _checksum(data) != location.checksum:
+            data = self.cluster.healthy_shard(manifest.file_id, location)
+            if data is None:
                 continue
             if location.provider == provider:
                 # Never a repair source, but the file is still retrievable

@@ -144,6 +144,22 @@ def test_fee_griefers_detected_without_false_positives():
     assert all(g.spent_wei > 0 for g in griefers)
 
 
+def test_drain_telemetry_grows_with_senders_not_transactions():
+    """One record per sender: more drained transactions from the same
+    senders add to the records, never to their number."""
+    chain, _sink, storm = _storm_world(num_senders=3, seed=4)
+    pool = chain.pool
+    seen = []
+    for _ in range(2):
+        for _ in range(3):
+            _storm_block(chain, storm, load=1.0)
+            chain.mine_block()
+        seen.append((len(pool.drained_by_sender), pool.stats["drained"]))
+    (senders, drained), (senders_later, drained_later) = seen
+    assert drained_later > drained > senders_later == senders == 3
+    assert sum(d.count for d in pool.drained_by_sender.values()) == drained_later
+
+
 def test_base_fee_decays_to_floor_within_model_envelope():
     chain, _sink, storm = _storm_world(seed=2)
     market = chain.pool.config.fee_market

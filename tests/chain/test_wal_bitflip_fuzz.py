@@ -13,6 +13,7 @@ log that lost the snapshot frame it started with).
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import pytest
@@ -101,7 +102,12 @@ def test_files_framed_by_the_previous_format_are_refused_by_name(tmp_path, monke
         started.close()
         folded = tmp_path / "folded"
         folded.mkdir()
-        durable.publish(folded / "snapshot.pkl", b"CHAINSNP", pickle.dumps({}))
+        # Format 5's sealed file: magic, version (2 bytes), sha256, payload.
+        payload = pickle.dumps({})
+        sealed = hashlib.sha256(payload).digest() + payload
+        (folded / "snapshot.pkl").write_bytes(
+            b"CHAINSNP" + previous_version.to_bytes(2, "big") + sealed
+        )
         (folded / "wal.log").write_bytes(b"")
     for directory in (tmp_path, tmp_path / "started"):
         with pytest.raises(WalCorruption, match=f"unsupported frame version {previous_version}$"):

@@ -238,10 +238,67 @@ def test_snapshot_of_an_older_version_is_refused_not_half_loaded(tmp_path):
     config = _persisted_config(tmp_path)
     LifecycleEngine(config).close()      # setup publishes the first snapshot
     path = tmp_path / "state" / ENGINE_SNAPSHOT
-    state = pickle.loads(durable.read_sealed(path, b"LIFECYCL"))
+    boundary, payload = durable.read_published(path)
+    state = pickle.loads(payload)
     state["version"] = SNAPSHOT_VERSION - 1
-    durable.publish(path, b"LIFECYCL", pickle.dumps(state))
+    durable.publish_log(path, boundary, pickle.dumps(state))
     with pytest.raises(
         LifecycleResumeError, match=f"snapshot version {SNAPSHOT_VERSION - 1}"
     ):
         LifecycleEngine.open(config.persist_dir)
+
+
+def _recounted(outcome) -> tuple:
+    """What ``outcome()`` counts over the summaries instead of storing."""
+    return (
+        outcome.epochs_run,
+        outcome.total_commitment_gas,
+        outcome.total_repairs,
+        outcome.total_evictions,
+    )
+
+
+def _settled(bundle) -> tuple:
+    return bundle.checkpoint, [
+        (lane_id, lane.checkpoint, [record.to_bytes() for record in lane.records])
+        for lane_id, lane in bundle.lanes
+    ]
+
+
+def _reopen_recounts_like_the_uninterrupted_run(tmp_path, mid_epoch: bool) -> None:
+    config = _persisted_config(tmp_path)
+    live = LifecycleEngine(LifecycleConfig(**BASE))
+    engine = LifecycleEngine(config)
+    for _ in range(2):
+        live.run_epoch()
+        engine.run_epoch()
+    measured = engine.outcome().wall_seconds
+    if mid_epoch:
+        engine._churn_step(engine.next_epoch)
+        engine._settle_step(engine.next_epoch)
+    engine.fabric.close()
+
+    reopened = LifecycleEngine.open(config.persist_dir)
+    try:
+        assert reopened.next_epoch == live.next_epoch == 3
+        assert _recounted(reopened.outcome()) == _recounted(live.outcome())
+        # Measured, not simulated: the reopened run reports the seconds the
+        # killed process measured, epoch by epoch.
+        assert reopened.outcome().wall_seconds == measured
+        assert reopened.last_fabric_bundle is None  # nothing settled since the reopen
+        live.run_epoch()
+        reopened.run_epoch()
+        assert reopened.next_epoch == live.next_epoch == 4
+        assert _recounted(reopened.outcome()) == _recounted(live.outcome())
+        assert _settled(reopened.last_fabric_bundle) == _settled(live.last_fabric_bundle)
+    finally:
+        reopened.close()
+        live.close()
+
+
+def test_reopen_at_a_boundary_recounts_the_uninterrupted_totals(tmp_path):
+    _reopen_recounts_like_the_uninterrupted_run(tmp_path, mid_epoch=False)
+
+
+def test_reopen_after_a_mid_epoch_kill_recounts_the_uninterrupted_totals(tmp_path):
+    _reopen_recounts_like_the_uninterrupted_run(tmp_path, mid_epoch=True)

@@ -1,23 +1,32 @@
 """The observability layer must be (nearly) free when idle.
 
-Two guards, both against the ≤3% budget the issue sets:
+Two guards, both against a 3% budget:
 
 * the crypto hot-path gate, disabled (the production default), must cost
   no more than one attribute check per call — measured by timing each
   decorated entry point ``f`` against the body it wraps, ``f.__wrapped__``;
 * a fully instrumented epoch pipeline (registry instruments live, tracer
-  attached) must stay within budget of the same pipeline run bare
-  (NULL tracer, profiler off).
+  attached, hot-path profiling on) must stay within budget of the same
+  pipeline run bare (NULL tracer, profiler off).
 
-Timings interleave the two sides per call, park the GC, and compare the
-minimum total over repeats: the minimum is the noise-robust estimator
-for "how fast can this go", and per-call interleaving makes frequency
-and scheduler drift hit both sides equally.  Both sides are timed on the
-CPU clock of the calling thread (``time.thread_time``): everything timed
-runs on it (the pipeline proves inline, ``workers=1``), so time the
-thread waits while other processes hold the host's cores counts against
-neither side.  A miss is still measured again, up to three times in all:
-noise passes one of them, a real regression fails every one.
+The gate timings interleave the two sides per call, park the GC, and
+compare the minimum total over repeats: the minimum is the noise-robust
+estimator for "how fast can this go", and per-call interleaving makes
+frequency and scheduler drift hit both sides equally.  A miss is measured
+again, up to three times in all: noise passes one of them, a real
+regression fails every one.
+
+The pipeline is too short for that: one run is ~20 ms of thread CPU time
+that swings by half from run to run on a shared VM, so a paired reading
+of a 6% regression still lands under 3% in some attempts.  Its guard
+instead counts what the instrumentation adds to one run (spans opened,
+profiled calls timed), times each of those operations over many
+iterations, and charges their exact counts against the bare run.  The
+registry instruments are live on both sides and so not charged.  All
+times are CPU time of the calling thread (``time.thread_time``):
+everything timed runs on it (the pipeline proves inline, ``workers=1``),
+so time the thread waits while other processes hold the host's cores
+counts against nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from repro.crypto.bn254.pairing import miller_loop, miller_loop_product, prepare
 from repro.engine import AuditExecutor, AuditInstance
 from repro.engine.scheduler import EpochScheduler
 from repro.obs import Tracer
-from repro.obs.hotpath import HOTPATH
+from repro.obs.hotpath import HOTPATH, profiled
 from repro.randomness import HashChainBeacon
 from repro.sim.workloads import archive_file
 
@@ -130,6 +139,21 @@ def test_hotpath_reports_prepared_miller_loop_leg():
     assert leg["calls"] == 1 and leg["seconds"] > 0.0
 
 
+def _best_per_call(fn, calls, repeats=REPEATS):
+    """Least thread CPU seconds one ``fn()`` took, over ``calls`` in a row."""
+    best = float("inf")
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            t0 = time.thread_time()
+            for _ in range(calls):
+                fn()
+            best = min(best, time.thread_time() - t0)
+    finally:
+        gc.enable()
+    return best / calls
+
+
 def test_instrumented_epoch_pipeline_is_within_budget():
     params = ProtocolParams(s=3, k=2)
     owner = DataOwner(params, rng=random.Random(5))
@@ -145,29 +169,43 @@ def test_instrumented_epoch_pipeline_is_within_budget():
     with AuditExecutor(instances, workers=1) as executor:
         beacon = HashChainBeacon(b"overhead")
 
-        def run(tracer, profiled):
-            if profiled:
-                HOTPATH.enable()
-            try:
-                scheduler = EpochScheduler(
-                    executor,
-                    params,
-                    beacon,
-                    deterministic=True,
-                    tracer=tracer,
-                )
-                scheduler.run(2)
-            finally:
-                HOTPATH.disable()
+        def run(tracer=None):
+            EpochScheduler(
+                executor, params, beacon, deterministic=True, tracer=tracer
+            ).run(2)
 
-        overhead = _overhead(
-            lambda: run(None, profiled=False),
-            lambda: run(Tracer(deterministic=True), profiled=True),
-            repeats=9,
-        )
+        # What the instrumented run adds, counted on one such run.
+        tracer = Tracer(deterministic=True)
+        HOTPATH.reset()
+        HOTPATH.enable()
+        try:
+            run(tracer)
+            timed = sum(leg["calls"] for leg in HOTPATH.snapshot().values())
+        finally:
+            HOTPATH.disable()
+        spans = tracer.span_count
+        assert spans and timed, "the pipeline must open spans and time hot-path calls"
+        bare_s = _best_per_call(run, calls=1, repeats=9)
+
+    span = Tracer(deterministic=True).span
+
+    def one_span():
+        with span("prove", epoch=1):
+            pass
+
+    gate = profiled("bn254.msm")(lambda: None)
+    span_s = _best_per_call(one_span, calls=1000)
+    HOTPATH.enable()
+    try:
+        gate_s = _best_per_call(gate, calls=1000)
+    finally:
+        HOTPATH.disable()
+        HOTPATH.reset()
+    overhead = (spans * span_s + timed * gate_s) / bare_s
     assert overhead <= OVERHEAD_BUDGET, (
-        f"instrumented pipeline costs {overhead:.1%} over bare "
-        f"(budget {OVERHEAD_BUDGET:.0%})"
+        f"instrumented pipeline costs {overhead:.1%} over bare: {spans} spans "
+        f"x {span_s * 1e6:.1f} us + {timed} profiled calls x {gate_s * 1e6:.1f} us "
+        f"against {bare_s * 1e3:.1f} ms (budget {OVERHEAD_BUDGET:.0%})"
     )
 
 

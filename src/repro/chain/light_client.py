@@ -20,6 +20,11 @@ Two trails exist since the epoch rollup landed, and both are covered:
   whole checkpoints from their published leaf sets — a disagreement here
   is exactly the opening a fraud-proof challenger submits on chain
   (:mod:`~repro.chain.contracts.checkpoint_contract`).
+
+On a sharded fabric the published leaf sets are the aggregator's one
+history of settled epochs,
+:attr:`~repro.rollup.fabric.CrossShardAggregator.settled` — the record
+the RPC service serves — so the replay audits exactly what is published.
 """
 
 from __future__ import annotations
@@ -401,18 +406,19 @@ class CheckpointLightClient:
 
 
 def audit_the_auditor_checkpoints(
-    contract, bundles, params: ProtocolParams | None = None
+    contract, records_by_epoch, params: ProtocolParams | None = None
 ) -> CheckpointReplayReport:
     """Replay every live checkpoint a contract has settled.
 
     ``contract`` is a
     :class:`~repro.chain.contracts.checkpoint_contract.CheckpointContract`;
-    ``bundles`` maps epoch -> record tuple (or an object with
-    ``bundle_for_epoch``, e.g. a
-    :class:`~repro.rollup.pipeline.CheckpointPipeline` — the aggregator's
-    data-availability obligation).  Slashed checkpoints are skipped: the
-    chain already voided them.
+    ``records_by_epoch`` maps epoch -> that epoch's published record
+    tuple (the aggregator's data-availability obligation); a live
+    checkpoint with no entry there raises
+    :class:`~repro.rollup.fabric.EpochNotSettled`.  Slashed checkpoints
+    are skipped: the chain already voided them.
     """
+    from ..rollup.fabric import EpochNotSettled
     from .contracts.checkpoint_contract import CheckpointStatus
 
     client = CheckpointLightClient(
@@ -424,13 +430,9 @@ def audit_the_auditor_checkpoints(
     for entry in contract.checkpoints:
         if entry.status is CheckpointStatus.SLASHED:
             continue
-        epoch = entry.commitment.epoch
-        if hasattr(bundles, "bundle_for_epoch"):
-            records = bundles.bundle_for_epoch(epoch).records
-        else:
-            records = bundles[epoch]
-            if hasattr(records, "records"):  # a CheckpointBundle
-                records = records.records
+        records = records_by_epoch.get(entry.commitment.epoch)
+        if records is None:
+            raise EpochNotSettled(entry.commitment.epoch)
         client.replay_checkpoint(entry.commitment, tuple(records), report)
     return report
 
@@ -440,10 +442,11 @@ def audit_the_auditor_fabric(aggregator) -> CheckpointReplayReport:
 
     ``aggregator`` is a
     :class:`~repro.rollup.fabric.CrossShardAggregator`; each lane's
-    bonded contract is replayed against that lane's published leaf sets
-    (the per-lane data-availability obligation) into one merged report.
-    A settled epoch whose served super-commitment is not the roll-up of
-    what the lane contracts hold for it lands in ``root_mismatches``.
+    bonded contract is replayed against the leaf sets that lane published
+    in ``aggregator.settled`` (the one history of settled epochs, which
+    the RPC service serves too) into one merged report.  A settled epoch
+    whose served super-commitment is not the roll-up of what the lane
+    contracts hold for it lands in ``root_mismatches``.
     """
     report = CheckpointReplayReport()
     lanes = sorted(aggregator.pipelines.items())
@@ -458,9 +461,15 @@ def audit_the_auditor_fabric(aggregator) -> CheckpointReplayReport:
             settlement.fabric.checkpoint, [c for c in on_chain if c is not None]
         ):
             report.root_mismatches.append(settlement.epoch)
-    for _, pipeline in lanes:
+    for lane_id, pipeline in lanes:
         lane_report = audit_the_auditor_checkpoints(
-            pipeline.contract, pipeline, params=aggregator.params
+            pipeline.contract,
+            {
+                settlement.epoch: settlement.lanes[lane_id].bundle.records
+                for settlement in aggregator.settled
+                if lane_id in settlement.lanes
+            },
+            params=aggregator.params,
         )
         report.checkpoints_checked += lane_report.checkpoints_checked
         report.rounds_checked += lane_report.rounds_checked

@@ -238,10 +238,6 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
     from .lifecycle import LifecycleConfig, LifecycleEngine, LifecycleResumeError
     from .sim.throughput import LifecycleCapacityModel
 
-    if args.years <= 0 or args.epochs_per_year < 1:
-        print("lifecycle: --years and --epochs-per-year must be positive",
-              file=sys.stderr)
-        return 2
     persist = args.persist or None
     if args.resume:
         if not persist:

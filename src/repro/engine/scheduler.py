@@ -225,6 +225,3 @@ class EpochScheduler:
         self._m_prove.observe(result.prove_seconds)
         self._m_verify.observe(result.verify_seconds)
         return result
-
-    def run(self, epochs: int, start_epoch: int = 0) -> list[EpochResult]:
-        return [self.run_epoch(start_epoch + i) for i in range(epochs)]

@@ -120,6 +120,7 @@ class LifecycleConfig:
             raise ValueError("lanes and files must be >= 1")
         if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 = one per CPU core)")
+        self.hazard_config()  # rejects bad hazard rates before any world is built
 
     @property
     def total_epochs(self) -> int:

@@ -49,6 +49,9 @@ class HazardConfig:
     weibull_shape: float = 2.0
 
     def __post_init__(self) -> None:
+        for label, rate in (("churn", self.churn), ("flake_rate", self.flake_rate)):
+            if not 0.0 <= rate < 1.0:
+                raise ValueError(f"{label} must be an annual probability in [0, 1)")
         if self.hazard not in HAZARD_SHAPES:
             raise ValueError(f"hazard must be one of {HAZARD_SHAPES}")
         if not 0.0 <= self.crash_fraction <= 1.0:

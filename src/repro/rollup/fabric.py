@@ -23,6 +23,10 @@ exactly the lane commitments that sit on chain under bonds, so a lying
 lane is slashed by the ordinary :meth:`challenge_leaf` path and the
 fabric commitment for that epoch is void with it (the byte layout and the
 proof format are specified in ``docs/PROTOCOL.md`` section 10).
+
+:attr:`CrossShardAggregator.settled` is the one history of settled
+epochs: the RPC service, DA serving, the light-client replay and the
+lifecycle engine read it, and the per-lane pipelines keep none.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Sequence
 
 from ..crypto.merkle import MerkleProof, MerkleTree, verify_merkle_proof
 from .checkpoint import Checkpoint, CheckpointBundle
-from .pipeline import CheckpointPipeline, EpochNotSettled, SettledEpoch
+from .pipeline import CheckpointPipeline, SettledEpoch
 
 FABRIC_CHECKPOINT_VERSION = 0x01
 
@@ -235,6 +239,25 @@ def build_fabric_checkpoint(
 # --------------------------------------------------------------------------- #
 
 
+class EpochNotSettled(KeyError):
+    """Lookup of an epoch this aggregator never settled.
+
+    Subclasses :class:`KeyError` so ``except KeyError`` callers keep
+    working, but carries the epoch as structured data and, unlike a bare
+    KeyError (whose ``str()`` wraps the message in quotes), renders its
+    message verbatim for RPC/CLI surfaces.
+    """
+
+    code = "epoch-not-settled"
+
+    def __init__(self, epoch: int):
+        super().__init__(f"epoch {epoch} not settled by this aggregator")
+        self.epoch = epoch
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
 @dataclass
 class FabricSettlement:
     """One epoch settled on every lane, plus the fabric super-commitment."""
@@ -422,7 +445,7 @@ class CrossShardAggregator:
         """Serve the data-availability obligation for one fabric epoch."""
         index = self._settled_by_epoch.get(epoch)
         if index is None:
-            raise EpochNotSettled(epoch, role="aggregator")
+            raise EpochNotSettled(epoch)
         return self.settled[index]
 
     def export_instance_registry(self) -> dict[int, tuple[bytes, int]]:

@@ -10,12 +10,12 @@ Glue between the three layers the rollup spans:
   reached through :class:`~repro.rollup.client.CheckpointClient`) records
   the commitment under a bonded fraud-proof window.
 
-The pipeline plays the *aggregator* role: it posts commitments from its
-own funded account, retains every epoch's
-:class:`~.checkpoint.CheckpointBundle` (the data-availability obligation —
-leaves must be servable to challengers and light clients), and exposes the
-per-epoch on-chain receipts so callers can compare measured bytes/gas
-against the per-round path.
+The pipeline plays the *aggregator* role on one lane: it posts
+commitments from its own funded account and returns each epoch as a
+:class:`SettledEpoch` (bundle, receipts, DA bundle).  It keeps none of
+them: :attr:`~repro.rollup.fabric.CrossShardAggregator.settled` is the
+one history of settled epochs, which the RPC reads, DA serving, the
+light-client replay and the lifecycle engine all read.
 
 With ``da_params`` set, the pipeline additionally erasure-codes each
 settled epoch's leaf set into a :class:`~repro.da.commit.DaBundle`
@@ -33,26 +33,6 @@ from ..chain.transaction import Receipt, Transaction
 from . import checkpoint as checkpoint_module
 from .checkpoint import CheckpointBundle
 from .client import CheckpointClient
-
-
-class EpochNotSettled(KeyError):
-    """Lookup of an epoch this pipeline/aggregator never settled.
-
-    Subclasses :class:`KeyError` so long-standing ``except KeyError``
-    callers keep working, but carries the epoch as structured data and —
-    unlike a bare KeyError, whose ``str()`` wraps the message in quotes —
-    renders its message verbatim for RPC/CLI surfaces.
-    """
-
-    code = "epoch-not-settled"
-
-    def __init__(self, epoch: int, role: str = "pipeline"):
-        super().__init__(f"epoch {epoch} not settled by this {role}")
-        self.epoch = epoch
-        self.role = role
-
-    def __str__(self) -> str:
-        return self.args[0]
 
 
 @dataclass
@@ -87,11 +67,6 @@ class CheckpointPipeline:
         self.aggregator = aggregator_account
         self.da_params = da_params
         self.lane_id = lane_id
-        self.settled: list[SettledEpoch] = []
-        # Settled epochs indexed by number: lookups used to linear-scan
-        # `settled` and leak bare KeyErrors; the index keeps serving O(1)
-        # as histories grow and the structured error names the miss.
-        self._by_epoch: dict[int, int] = {}
         self.client = CheckpointClient(
             self._transact, contract_address, self.contract
         )
@@ -171,7 +146,7 @@ class CheckpointPipeline:
                 raise RuntimeError(
                     f"DA commitment posting failed: {da_receipt.error}"
                 )
-        settled = SettledEpoch(
+        return SettledEpoch(
             epoch=epoch,
             result=result,
             bundle=bundle,
@@ -181,33 +156,3 @@ class CheckpointPipeline:
             da=da_bundle,
             da_receipt=da_receipt,
         )
-        self._by_epoch[epoch] = len(self.settled)
-        self.settled.append(settled)
-        return settled
-
-    def run(self, epochs: int, start_epoch: int = 0) -> list[SettledEpoch]:
-        return [self.settle_epoch(start_epoch + i) for i in range(epochs)]
-
-    def settled_for_epoch(self, epoch: int) -> SettledEpoch:
-        """One settled epoch by number, or a structured miss."""
-        index = self._by_epoch.get(epoch)
-        if index is None:
-            raise EpochNotSettled(epoch)
-        return self.settled[index]
-
-    def bundle_for_epoch(self, epoch: int) -> CheckpointBundle:
-        """Serve the data-availability bundle for one settled epoch."""
-        return self.settled_for_epoch(epoch).bundle
-
-    def da_bundle_for_epoch(self, epoch: int):
-        """Serve the erasure-coded DA bundle for one settled epoch.
-
-        Raises :class:`EpochNotSettled` for unknown epochs and
-        :class:`ValueError` when the pipeline runs without DA enabled.
-        """
-        settled = self.settled_for_epoch(epoch)
-        if settled.da is None:
-            raise ValueError(
-                "pipeline settled this epoch without DA (da_params unset)"
-            )
-        return settled.da

@@ -1,13 +1,14 @@
 """End-to-end DA over the real stack: pipeline, contract, light client.
 
 Settles real engine epochs through a :class:`CheckpointPipeline` with DA
-enabled, then exercises the full availability story the ISSUE promises:
-the 119-byte commitment lands on chain bound to its checkpoint, sampling
-catches withholding, a k-of-n reconstruction drives ``challenge_counts``
-against a counts-forging aggregator without trusting it, and every miss
-(unknown epoch, partial leaf set, unverified reconstruction) surfaces as
-a structured, actionable error instead of a bare KeyError or an opaque
-revert.
+enabled and works on the :class:`SettledEpoch` values it returns (the
+pipeline keeps no history; the cross-shard aggregator does), then
+exercises the full availability story: the 119-byte commitment lands on
+chain bound to its checkpoint, sampling catches withholding, a k-of-n
+reconstruction drives ``challenge_counts`` against a counts-forging
+aggregator without trusting it, and every miss (unknown epoch, partial
+leaf set, unverified reconstruction) surfaces as a structured,
+actionable error instead of a bare KeyError or an opaque revert.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.chain import (
     Blockchain,
     CheckpointContract,
     CheckpointStatus,
+    ShardedChainFabric,
     Transaction,
 )
 from repro.chain.light_client import CheckpointLightClient
@@ -37,8 +39,9 @@ from repro.da import (
 from repro.engine import AuditExecutor, AuditInstance, EpochScheduler
 from repro.obs import MetricsRegistry
 from repro.randomness import HashChainBeacon
-from repro.rollup import Checkpoint
-from repro.rollup.pipeline import CheckpointPipeline, EpochNotSettled
+from repro.rollup import Checkpoint, CrossShardAggregator
+from repro.rollup.fabric import EpochNotSettled
+from repro.rollup.pipeline import CheckpointPipeline
 from repro.sim.workloads import archive_file
 
 DA_PARAMS = DaParams(n=12, k=4)
@@ -73,9 +76,9 @@ def da_env(params):
             da_params=DA_PARAMS, lane_id=0,
         )
         pipeline.register_fleet()
-        settled = pipeline.run(2)
-        # A second aggregator on the same contract, DA disabled: the
-        # configuration the availability sweep's errors must name clearly.
+        settled = [pipeline.settle_epoch(epoch) for epoch in range(2)]
+        # A second aggregator on the same contract, DA disabled: a live
+        # checkpoint with no DA root, for the view and post_da_root tests.
         plain = CheckpointPipeline(scheduler, chain, address, aggregator)
         plain_settled = plain.settle_epoch(2)
         # One more engine epoch, kept OFF chain: the counts-fraud test
@@ -92,8 +95,8 @@ def da_env(params):
         "aggregator": aggregator,
         "challenger": challenger,
         "pipeline": pipeline,
+        "executor": executor,
         "settled": settled,
-        "plain": plain,
         "plain_settled": plain_settled,
     }
 
@@ -106,7 +109,7 @@ def _registry_of(env):
 
 
 def _sampler_for(env, epoch):
-    settled = env["pipeline"].settled_for_epoch(epoch)
+    settled = env["settled"][epoch]
     fetch = bundle_fetch({(0, epoch): settled.da})
     return DaSampler(fetch, registry=MetricsRegistry()), settled
 
@@ -135,25 +138,24 @@ def test_da_commitment_view(da_env):
 
 
 def test_epoch_lookup_is_indexed_and_structured(da_env):
-    pipeline = da_env["pipeline"]
-    assert pipeline.bundle_for_epoch(1) is pipeline.settled[1].bundle
+    # The aggregator holds the one history of settled epochs; a pipeline
+    # only returns what it settled.
+    aggregator = CrossShardAggregator(
+        ShardedChainFabric(num_lanes=1),
+        da_env["executor"],
+        da_env["params"],
+        da_env["beacon"],
+        da_params=DA_PARAMS,
+    )
+    assert aggregator.settled == []
     with pytest.raises(EpochNotSettled) as excinfo:
-        pipeline.settled_for_epoch(99)
+        aggregator.settlement_for_epoch(99)
     err = excinfo.value
     assert isinstance(err, KeyError)  # legacy except-KeyError callers
     assert err.epoch == 99
     assert err.code == "epoch-not-settled"
     # Unlike a bare KeyError, the message renders without quote-wrapping.
-    assert str(err) == "epoch 99 not settled by this pipeline"
-
-
-def test_da_bundle_lookup_names_the_da_less_configuration(da_env):
-    plain = da_env["plain"]
-    assert plain.settled_for_epoch(2).da is None
-    with pytest.raises(ValueError, match="da_params unset"):
-        plain.da_bundle_for_epoch(2)
-    with pytest.raises(EpochNotSettled):
-        plain.da_bundle_for_epoch(0)  # epoch 0 settled by the *other* pipeline
+    assert str(err) == "epoch 99 not settled by this aggregator"
 
 
 # --------------------------------------------------------------------- #
@@ -255,7 +257,7 @@ def test_replay_refuses_unverified_or_mismatched_reconstructions(da_env):
     )
     with pytest.raises(DaUnreconstructed, match="sample and"):
         client.replay_reconstructed(settled.bundle.checkpoint, shaky)
-    other = da_env["pipeline"].settled_for_epoch(1)
+    other = da_env["settled"][1]
     with pytest.raises(DaReconstructionMismatch, match="different checkpoint"):
         client.replay_reconstructed(other.bundle.checkpoint, reconstruction)
 
@@ -291,7 +293,7 @@ def test_partial_leaf_set_gets_a_structured_refusal(da_env):
 
 def test_equal_size_wrong_leaves_keep_the_legacy_revert(da_env):
     settled = da_env["settled"][0]
-    other = da_env["pipeline"].settled_for_epoch(1)
+    other = da_env["settled"][1]
     wrong = [r.to_bytes() for r in other.bundle.records]
     assert len(wrong) == settled.bundle.checkpoint.num_leaves
     receipt = _challenge_counts(da_env, settled.checkpoint_id, wrong)

@@ -97,7 +97,7 @@ class TestDeterminism:
                 deterministic=True,
                 rng=random.Random(2),
             )
-            first, second = scheduler.run(2)
+            first, second = scheduler.run_epoch(0), scheduler.run_epoch(1)
         assert first.batch_ok and second.batch_ok
         assert first.proof_bytes() != second.proof_bytes()
 

@@ -105,6 +105,12 @@ class TestHazard:
         with pytest.raises(ValueError):
             HazardConfig(hazard="lognormal")
 
+    def test_rates_outside_a_probability_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="churn"):
+            HazardConfig(churn=1.0)
+        with pytest.raises(ValueError, match="flake_rate"):
+            HazardConfig(flake_rate=-0.1)
+
     def test_draws_are_seed_deterministic(self):
         providers = [(f"n{i}", i) for i in range(20)]
         draws_a = ChurnModel(

@@ -356,6 +356,28 @@ class TestFabricInclusion:
         assert report.root_mismatches == [settlement.epoch]
         assert not report.consistent and not report.disagreements
 
+    def test_fabric_replay_audits_the_aggregators_published_leaf_sets(
+        self, equivalence_run
+    ):
+        """The replay reads ``aggregator.settled``, the record the RPC
+        service serves: a leaf set swapped there is what gets audited."""
+        aggregator = equivalence_run["aggregator"]
+        settlement = aggregator.settled[0]
+        lane_id = min(settlement.lanes)
+        honest = settlement.lanes[lane_id]
+        records = list(honest.bundle.records)
+        records[0] = records[0].flipped()
+        settlement.lanes[lane_id] = dataclasses.replace(
+            honest, bundle=build_checkpoint(settlement.epoch, tuple(records))
+        )
+        try:
+            report = audit_the_auditor_fabric(aggregator)
+        finally:
+            settlement.lanes[lane_id] = honest
+        assert not report.consistent
+        assert report.root_mismatches == [settlement.epoch]
+        assert report.disagreements == [(settlement.epoch, records[0].name)]
+
 
 class TestPerLaneFraudGrounds:
     def test_forged_lane_checkpoint_is_slashed_on_its_lane(

@@ -223,12 +223,22 @@ def test_bad_arguments_exit_nonzero():
     assert main(["checkpoint", "--epochs", "0"]) == 2
     assert main(["checkpoint", "--lanes", "0"]) == 2
     assert main(["lifecycle", "--years", "-1"]) == 2
+    assert main(["lifecycle", "--churn", "1.0"]) == 2
+    assert main(["lifecycle", "--flake", "1.0"]) == 2
     assert main(["congest", "--blocks", "0"]) == 2
     for command in ("checkpoint", "serve"):
         assert main([command, "--workers", "-1"]) == 2
         assert main([command, "--s", "0"]) == 2
         assert main([command, "--k", "0"]) == 2
     assert main(["lifecycle", "--persist", "unused", "--resume", "--workers", "-1"]) == 2
+
+
+def test_bad_hazard_rate_writes_nothing_under_persist(tmp_path, capsys):
+    persist = tmp_path / "run"
+    assert main(["lifecycle", "--churn", "1.0", "--persist", str(persist)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "churn" in err
+    assert not persist.exists() or not any(persist.rglob("*"))
 
 
 def test_lifecycle_resume_without_persist_is_rejected(capsys):

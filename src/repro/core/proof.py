@@ -71,6 +71,11 @@ class PrivateProof:
     commitment: Fp12  # R = e(g1, epsilon)^z
 
     def to_bytes(self) -> bytes:
+        # One shared inversion normalises sigma and psi; g1_to_bytes then
+        # reads the memoised affine pairs.
+        G1Point.to_affine_batch(
+            [point for point in (self.sigma, self.psi) if not point.is_infinity()]
+        )
         return (
             g1_to_bytes(self.sigma)
             + (self.y_masked % R).to_bytes(FP_BYTES, "big")

@@ -18,7 +18,11 @@
  * Reentrant: there is no mutable static state.  Scratch lives on the stack or
  * comes from malloc, and the constants Python derives (Frobenius
  * coefficients, the GLV beta) arrive as arguments.  Entry points returning
- * int give 0 on success and -1 when an inversion meets zero or malloc fails.
+ * int give 0 on success and -1 when an inversion meets zero, malloc fails or
+ * the GT codec refuses an input.
+ *
+ * The last section is byte work, not field work: SHA-256, HMAC-SHA256 and
+ * the challenge expansion of crypto/prf.py built on them.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -54,9 +58,6 @@ static const fp R2 = {{0xf32cfc5b538afa89ULL, 0xb5e71911d44501fbULL,
 static const fp ONE = {{0xd35d438dc58f0d9dULL, 0x0a78eb28f5c70b3dULL,
                         0x666ea36f7879462cULL, 0x0e0a77c19a07df2fULL}};
 static const fp ZERO = {{0, 0, 0, 0}};
-/* p - 2: the Fermat inversion exponent. */
-static const uint64_t P_MINUS_2[4] = {0x3c208c16d87cfd45ULL, 0x97816a916871ca8dULL,
-                                      0xb85045b68181585dULL, 0x30644e72e131a029ULL};
 /* (p + 1)/4, (p - 3)/4 and (p - 1)/2: the square-root exponents of
  * fields.fp_sqrt and Fp2.sqrt (p = 3 mod 4). */
 static const uint64_t P_PLUS_1_DIV_4[4] = {0x4f082305b61f3f52ULL, 0x65e05aa45a1c72a3ULL,
@@ -179,8 +180,89 @@ static void fp_pow(fp *r, const fp *a, const uint64_t e[4])
     *r = acc;
 }
 
-/* a^(p-2); zero maps to zero. */
-static void fp_inv(fp *r, const fp *a) { fp_pow(r, a, P_MINUS_2); }
+/* Plain four-limb helpers of fp_inv's Euclidean loop. */
+static inline int limbs_are_one(const fp *a)
+{
+    return a->l[0] == 1 && (a->l[1] | a->l[2] | a->l[3]) == 0;
+}
+
+static inline int limbs_geq(const fp *a, const fp *b)
+{
+    for (int i = 3; i > 0; i--)
+        if (a->l[i] != b->l[i])
+            return a->l[i] > b->l[i];
+    return a->l[0] >= b->l[0];
+}
+
+static inline void limbs_sub(fp *r, const fp *a, const fp *b)
+{
+    uint64_t borrow = 0;
+    UNROLL4
+    for (int i = 0; i < 4; i++) {
+        u128 t = (u128)a->l[i] - b->l[i] - borrow;
+        r->l[i] = (uint64_t)t;
+        borrow = (uint64_t)(t >> 127);
+    }
+}
+
+static inline void limbs_shr1(fp *a)
+{
+    a->l[0] = a->l[0] >> 1 | a->l[1] << 63;
+    a->l[1] = a->l[1] >> 1 | a->l[2] << 63;
+    a->l[2] = a->l[2] >> 1 | a->l[3] << 63;
+    a->l[3] >>= 1;
+}
+
+/* x/2 mod p for x < p: an odd x takes p first (x + p < 2^255, no carry). */
+static inline void half_mod_p(fp *x)
+{
+    if (x->l[0] & 1) {
+        uint64_t carry = 0;
+        UNROLL4
+        for (int i = 0; i < 4; i++) {
+            u128 t = (u128)x->l[i] + P.l[i] + carry;
+            x->l[i] = (uint64_t)t;
+            carry = (uint64_t)(t >> 64);
+        }
+    }
+    limbs_shr1(x);
+}
+
+/* R^3 mod p: fp_mul by it takes a plain inverse (aR)^-1 to a^-1 R. */
+static const fp R3 = {{0xb1cd6dafda1530dfULL, 0x62f210e6a7283db6ULL,
+                       0xef7f0b0c0ada0afbULL, 0x20fd6e902d592544ULL}};
+
+/* a^-1; zero maps to zero, as a^(p-2) does.  The binary extended Euclidean
+ * algorithm on the limbs of aR keeps x1 aR = u and x2 aR = v mod p until u
+ * or v is 1: shifts and subtractions in place of the ~380 multiplications
+ * of a^(p-2), about 3x faster.  The inverse is unique, so the value is
+ * a^(p-2)'s. */
+static void fp_inv(fp *r, const fp *a)
+{
+    if (fp_is_zero(a)) {
+        *r = ZERO;
+        return;
+    }
+    fp u = *a, v = P, x1 = {{1, 0, 0, 0}}, x2 = ZERO;
+    while (!limbs_are_one(&u) && !limbs_are_one(&v)) {
+        while (!(u.l[0] & 1)) {
+            limbs_shr1(&u);
+            half_mod_p(&x1);
+        }
+        while (!(v.l[0] & 1)) {
+            limbs_shr1(&v);
+            half_mod_p(&x2);
+        }
+        if (limbs_geq(&u, &v)) {
+            limbs_sub(&u, &u, &v);
+            fp_sub(&x1, &x1, &x2);
+        } else {
+            limbs_sub(&v, &v, &u);
+            fp_sub(&x2, &x2, &x1);
+        }
+    }
+    fp_mul(r, limbs_are_one(&u) ? &x1 : &x2, &R3);
+}
 
 /* Boundary: canonical bytes <-> Montgomery limbs (little-endian host; the
  * Python probe refuses the kernel anywhere that does not hold). */
@@ -870,6 +952,107 @@ void bn_gt_fixed_pow(const uint8_t *table, unsigned window, size_t rows,
         have = 1;
     }
     fp12_store(out, &result);
+}
+
+/* ------------------------------------------------------------ GT codec -- */
+
+/* The wire format of serialization.py: a coordinate is 32 big-endian
+ * bytes.  fp_load_be refuses (-1) a value >= p, as _int_from_bytes does. */
+static int fp_load_be(fp *r, const uint8_t *src)
+{
+    fp t;
+    for (int i = 0; i < 4; i++) {
+        uint64_t limb = 0;
+        for (int b = 0; b < 8; b++)
+            limb = limb << 8 | src[(3 - i) * 8 + b];
+        t.l[i] = limb;
+    }
+    for (int i = 3; i >= 0; i--) {
+        if (t.l[i] != P.l[i]) {
+            if (t.l[i] > P.l[i])
+                return -1;
+            fp_mul(r, &t, &R2);
+            return 0;
+        }
+    }
+    return -1;  /* t == p */
+}
+
+static void fp_store_be(uint8_t *dst, const fp *a)
+{
+    uint8_t le[FP_BYTES];
+    fp_store(le, a);
+    for (int i = 0; i < FP_BYTES; i++)
+        dst[i] = le[FP_BYTES - 1 - i];
+}
+
+static inline int fp6_is_zero(const fp6 *a)
+{
+    const fp *limbs = (const fp *)a;
+    for (int i = 0; i < 6; i++)
+        if (!fp_is_zero(&limbs[i]))
+            return 0;
+    return 1;
+}
+
+/* serialization._gt_to_bytes_ref: the torus image m = (1 + g0)/g1 of the
+ * Fp12 g = g0 + g1 w (canonical, little-endian, as Fp12._flat12), written
+ * as 192 wire bytes; the all-zero encoding for one.  -1 when g1 = 0 and
+ * g != 1 (not compressible). */
+int bn_gt_compress(const uint8_t *in, uint8_t *out)
+{
+    fp12 g, one;
+    fp6 m, inv;
+    fp12_load(&g, in);
+    if (fp6_is_zero(&g.c1)) {
+        fp12_one(&one);
+        if (memcmp(&g, &one, sizeof g) != 0)
+            return -1;
+        memset(out, 0, 6 * FP_BYTES);
+        return 0;
+    }
+    if (fp6_inv(&inv, &g.c1))
+        return -1;
+    m = g.c0;
+    fp_add(&m.c0.c0, &m.c0.c0, &ONE);
+    fp6_mul(&m, &m, &inv);
+    const fp *limbs = (const fp *)&m;
+    for (int i = 0; i < 6; i++)
+        fp_store_be(out + i * FP_BYTES, &limbs[i]);
+    return 0;
+}
+
+/* serialization._gt_from_bytes_ref on 192 wire bytes: all zero is one,
+ * else g = (m^2 + v)/(m^2 - v) + 2m/(m^2 - v) w.  out: Fp12, canonical
+ * little-endian.  -1 where the reference raises: a coordinate >= p, or
+ * m^2 = v (degenerate). */
+int bn_gt_decompress(const uint8_t *in, uint8_t *out)
+{
+    fp12 g;
+    fp6 m, square, d, inv;
+    int zero = 1;
+    for (int i = 0; i < 6 * FP_BYTES; i++)
+        zero &= in[i] == 0;
+    if (zero) {
+        fp12_one(&g);
+        fp12_store(out, &g);
+        return 0;
+    }
+    fp *limbs = (fp *)&m;
+    for (int i = 0; i < 6; i++)
+        if (fp_load_be(&limbs[i], in + i * FP_BYTES))
+            return -1;
+    fp6_mul(&square, &m, &m);
+    d = square;
+    fp_sub(&d.c1.c0, &d.c1.c0, &ONE);  /* v = (0, 1, 0) */
+    if (fp6_inv(&inv, &d))  /* -1 exactly when d = 0 */
+        return -1;
+    fp_add(&square.c1.c0, &square.c1.c0, &ONE);
+    fp6_mul(&g.c0, &square, &inv);
+    fp6_add(&m, &m, &m);
+    fp6_mul(&g.c1, &m, &inv);
+    fp12_store(out, &g);
+    return 0;
 }
 
 /* ----------------------------------------------------------------- wNAF -- */
@@ -1594,4 +1777,188 @@ int bn_g2_prepare(const uint8_t *q, const uint8_t *bits, size_t nbits,
     }
     free(slopes);
     return 0;
+}
+
+/* ------------------------------------------------------ SHA-256 and PRP -- */
+
+/* FIPS 180-4 SHA-256 and RFC 2104 HMAC-SHA256 over it: the challenge
+ * expansion of crypto/prf.py.  A key is hashed first when longer than one
+ * block; its inner and outer pads are compressed once (the midstates), so
+ * each message then costs only the blocks of its own tail. */
+
+static const uint32_t SHA256_K[64] = {
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
+    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
+    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
+    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
+    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
+    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
+    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
+    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+
+static const uint32_t SHA256_IV[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                                      0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+static inline uint32_t rotr(uint32_t x, unsigned n) { return x >> n | x << (32 - n); }
+
+static void sha256_compress(uint32_t state[8], const uint8_t block[64])
+{
+    uint32_t w[64];
+    for (int i = 0; i < 16; i++)
+        w[i] = (uint32_t)block[4 * i] << 24 | (uint32_t)block[4 * i + 1] << 16 |
+               (uint32_t)block[4 * i + 2] << 8 | block[4 * i + 3];
+    for (int i = 16; i < 64; i++) {
+        uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ w[i - 15] >> 3;
+        uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ w[i - 2] >> 10;
+        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; i++) {
+        uint32_t t1 = h + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) + ((e & f) ^ (~e & g)) +
+                      SHA256_K[i] + w[i];
+        uint32_t t2 = (rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)) + ((a & b) ^ (a & c) ^ (b & c));
+        h = g;
+        g = f;
+        f = e;
+        e = d + t1;
+        d = c;
+        c = b;
+        b = a;
+        a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+}
+
+/* The digest of a message whose first `done` bytes (whole blocks) `start`
+ * has absorbed and whose rest is data[0..len). */
+static void sha256_finish(const uint32_t start[8], uint64_t done, const uint8_t *data,
+                          size_t len, uint8_t out[32])
+{
+    uint32_t state[8];
+    uint8_t tail[128] = {0};
+    memcpy(state, start, sizeof state);
+    size_t whole = len - len % 64;
+    for (size_t i = 0; i < whole; i += 64)
+        sha256_compress(state, data + i);
+    size_t rest = len - whole, blocks = rest < 56 ? 1 : 2;
+    if (rest)
+        memcpy(tail, data + whole, rest);
+    tail[rest] = 0x80;
+    uint64_t bits = (done + len) * 8;
+    for (int i = 0; i < 8; i++)
+        tail[64 * blocks - 1 - i] = (uint8_t)(bits >> (8 * i));
+    for (size_t i = 0; i < blocks; i++)
+        sha256_compress(state, tail + 64 * i);
+    for (int i = 0; i < 8; i++) {
+        out[4 * i] = (uint8_t)(state[i] >> 24);
+        out[4 * i + 1] = (uint8_t)(state[i] >> 16);
+        out[4 * i + 2] = (uint8_t)(state[i] >> 8);
+        out[4 * i + 3] = (uint8_t)state[i];
+    }
+}
+
+typedef struct { uint32_t inner[8], outer[8]; } hmac_key;
+
+static void hmac_init(hmac_key *k, const uint8_t *key, size_t len)
+{
+    uint8_t pad[64] = {0}, block[64];
+    if (len > 64)
+        sha256_finish(SHA256_IV, 0, key, len, pad);
+    else if (len)
+        memcpy(pad, key, len);
+    for (int i = 0; i < 64; i++)
+        block[i] = pad[i] ^ 0x36;
+    memcpy(k->inner, SHA256_IV, sizeof k->inner);
+    sha256_compress(k->inner, block);
+    for (int i = 0; i < 64; i++)
+        block[i] = pad[i] ^ 0x5c;
+    memcpy(k->outer, SHA256_IV, sizeof k->outer);
+    sha256_compress(k->outer, block);
+}
+
+static void hmac(const hmac_key *k, const uint8_t *msg, size_t len, uint8_t out[32])
+{
+    uint8_t inner[32];
+    sha256_finish(k->inner, 64, msg, len, inner);
+    sha256_finish(k->outer, 64, inner, 32, out);
+}
+
+static inline void store_be64(uint8_t *dst, uint64_t v)
+{
+    for (int i = 0; i < 8; i++)
+        dst[i] = (uint8_t)(v >> (56 - 8 * i));
+}
+
+void bn_sha256(const uint8_t *data, size_t len, uint8_t *out)
+{
+    sha256_finish(SHA256_IV, 0, data, len, out);
+}
+
+void bn_hmac_sha256(const uint8_t *key, size_t keylen, const uint8_t *msg, size_t len,
+                    uint8_t *out)
+{
+    hmac_key k;
+    hmac_init(&k, key, keylen);
+    hmac(&k, msg, len, out);
+}
+
+/* FeistelPrp.sample_indices(count) for count <= domain: out[i] is the image
+ * of i under the 4-round Feistel network on 2 x half_bits bits (half_bits
+ * <= 32), cycle-walked into [0, domain).  Round j maps (L, R) to
+ * (R, L ^ F), F the first 8 digest bytes of HMAC(key, j || R as 8 bytes),
+ * big-endian, masked to half_bits, as FeistelPrp._round. */
+void bn_prp_sample(const uint8_t *key, size_t keylen, uint64_t domain, unsigned half_bits,
+                   size_t count, uint64_t *out)
+{
+    hmac_key k;
+    hmac_init(&k, key, keylen);
+    uint64_t mask = ((uint64_t)1 << half_bits) - 1;
+    for (size_t i = 0; i < count; i++) {
+        uint64_t value = i;
+        do {
+            uint64_t left = value >> half_bits, right = value & mask;
+            for (uint8_t round = 0; round < 4; round++) {
+                uint8_t msg[9], digest[32];
+                uint64_t f = 0;
+                msg[0] = round;
+                store_be64(msg + 1, right);
+                hmac(&k, msg, sizeof msg, digest);
+                for (int b = 0; b < 8; b++)
+                    f = f << 8 | digest[b];
+                f = left ^ (f & mask);
+                left = right;
+                right = f;
+            }
+            value = left << half_bits | right;
+        } while (value >= domain);
+        out[i] = value;
+    }
+}
+
+/* Prf.scalar's wide digests for indices 0..count-1: 64 bytes each,
+ * HMAC(key, i as 8 bytes || 0) || HMAC(key, i as 8 bytes || 1).  Python
+ * reduces them mod r. */
+void bn_prf_wide(const uint8_t *key, size_t keylen, size_t count, uint8_t *out)
+{
+    hmac_key k;
+    hmac_init(&k, key, keylen);
+    for (size_t i = 0; i < count; i++) {
+        uint8_t msg[9];
+        store_be64(msg, i);
+        for (uint8_t half = 0; half < 2; half++) {
+            msg[8] = half;
+            hmac(&k, msg, sizeof msg, out + 64 * i + 32 * half);
+        }
+    }
 }

@@ -6,15 +6,20 @@ Miller loop over prepared lines and the preparation of those lines, the
 final exponentiation, the two GT exponentiation chains, the G1 wNAF
 chain (recoding included), fixed-base and table-building chains, the
 generic G1 and G2 scalar multiplications of ``G1Point.__mul__`` /
-``G2Point.__mul__``, and the Fp and Fp2 square roots behind point
-decompression and hashing to G1.  :func:`repro.native.load_library`
+``G2Point.__mul__``, the Fp and Fp2 square roots behind point
+decompression and hashing to G1, and the T2-torus compression and
+decompression of GT behind the 288-byte proof.  Its last section is byte
+work: SHA-256 and HMAC-SHA256, the Feistel cycle walk of
+``FeistelPrp.sample_indices`` and the wide digests of ``Prf.scalars``, so
+expanding a fresh challenge is one call each.  :func:`repro.native.load_library`
 builds it once per host; :func:`backend` opens it on first use and keeps
 it only when a known-answer probe finds every entry point equal to its
 pure-Python reference, else the references run and the reason is
 recorded.  Nothing else selects the backend.
 
 The dispatching functions in :mod:`.pairing`, :mod:`.gt`, :mod:`.msm`,
-:mod:`.curve` and :mod:`.fields` ask :func:`active` and run their
+:mod:`.curve`, :mod:`.fields`, :mod:`.serialization` and
+:mod:`repro.crypto.prf` ask :func:`active` and run their
 pure-Python reference when it returns ``None``.  Results are
 bit-identical either way, Jacobian triples included.  Field elements
 cross the boundary as 32-byte little-endian canonical integers; tables
@@ -28,13 +33,15 @@ lane threads run it concurrently.
 from __future__ import annotations
 
 import ctypes
+import hashlib
+import hmac
 import threading
 from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
 from ... import native
-from .constants import BN_T, FIELD_MODULUS, GLV_BETA
+from .constants import BN_T, CURVE_ORDER, FIELD_MODULUS, GLV_BETA
 
 #: The kernel source shipped beside this module (``setup.py`` package data).
 SOURCE = "bn254_kernel.c"
@@ -68,6 +75,12 @@ _SIGNATURES = {
     "bn_g1_fixed_mul": ([_PTR, _UINT, _SIZE, _PTR, _PTR], None),
     "bn_g1_mul": ([_PTR, _PTR, _PTR], None),
     "bn_g2_mul": ([_PTR, _PTR, _PTR], None),
+    "bn_gt_compress": ([_PTR, _PTR], _INT),
+    "bn_gt_decompress": ([_PTR, _PTR], _INT),
+    "bn_sha256": ([_PTR, _SIZE, _PTR], None),
+    "bn_hmac_sha256": ([_PTR, _SIZE, _PTR, _SIZE, _PTR], None),
+    "bn_prp_sample": ([_PTR, _SIZE, ctypes.c_uint64, _UINT, _SIZE, _PTR], None),
+    "bn_prf_wide": ([_PTR, _SIZE, _SIZE, _PTR], None),
 }
 
 
@@ -280,6 +293,63 @@ class Kernel:
         self._lib.bn_g2_mul(_pack(coordinates), scalar.to_bytes(_FP, "little"), out)
         return _unpack(out.raw)
 
+    # -- the GT codec ------------------------------------------------------
+
+    def gt_compress(self, flat: Sequence[int]) -> bytes | None:
+        """``serialization._gt_to_bytes_ref``'s 192 bytes for the Fp12
+        ``flat``; ``None`` where the reference raises."""
+        out = ctypes.create_string_buffer(6 * _FP)
+        if self._lib.bn_gt_compress(_pack(flat), out):
+            return None
+        return out.raw
+
+    def gt_decompress(self, data: bytes) -> tuple[int, ...] | None:
+        """``serialization._gt_from_bytes_ref`` of 192 bytes, as its
+        ``_flat12``; ``None`` where the reference raises."""
+        if len(data) != 6 * _FP:
+            raise ValueError("a torus-compressed GT element is 192 bytes")
+        out = ctypes.create_string_buffer(_FP12)
+        if self._lib.bn_gt_decompress(bytes(data), out):
+            return None
+        return _unpack(out.raw)
+
+    # -- hashing and challenge expansion -----------------------------------
+
+    def sha256(self, data: bytes) -> bytes:
+        out = ctypes.create_string_buffer(32)
+        self._lib.bn_sha256(bytes(data), len(data), out)
+        return out.raw
+
+    def hmac_sha256(self, key: bytes, message: bytes) -> bytes:
+        out = ctypes.create_string_buffer(32)
+        self._lib.bn_hmac_sha256(bytes(key), len(key), bytes(message), len(message), out)
+        return out.raw
+
+    def prp_sample(self, key: bytes, domain: int, half_bits: int, count: int) -> list[int]:
+        """``FeistelPrp._sample_indices_ref(count)`` for 0 <= count <=
+        domain and half_bits <= 32 (every value fits 64 bits).  A start
+        outside the domain could sit on a cycle that never enters it."""
+        if not (
+            0 <= count <= domain < 1 << 64
+            and 1 <= half_bits <= 32
+            and domain <= 1 << 2 * half_bits
+        ):
+            raise ValueError(
+                "the walk needs 0 <= count <= domain < 2^64, domain <= "
+                "2^(2 half_bits) and 1 <= half_bits <= 32"
+            )
+        out = ctypes.create_string_buffer(8 * count)
+        self._lib.bn_prp_sample(bytes(key), len(key), domain, half_bits, count, out)
+        return array("Q", out.raw).tolist()
+
+    def prf_wide(self, key: bytes, count: int) -> list[bytes]:
+        """The 64-byte digests ``Prf.scalar`` reduces mod r, for indices
+        0..count-1."""
+        out = ctypes.create_string_buffer(64 * count)
+        self._lib.bn_prf_wide(bytes(key), len(key), count, out)
+        raw = out.raw
+        return [raw[i : i + 64] for i in range(0, len(raw), 64)]
+
 
 @dataclass(frozen=True)
 class Backend:
@@ -305,6 +375,7 @@ def _probe_agrees(kernel: Kernel) -> bool:
     (the lock is not reentrant): the references are the ``_ref`` functions,
     and ``G2Prepared`` builds nothing until a Miller loop asks for it."""
     # The references' modules import this one.
+    from ..prf import FeistelPrp, Prf
     from .curve import G1Point, G2Point, _wnaf, _wnaf_mul_ref
     from .fields import Fp2, _fp_sqrt_ref
     from .gt import _gt_fixed_pow_ref, _gt_fixed_table_ref, _gt_multi_pow_ref
@@ -323,6 +394,7 @@ def _probe_agrees(kernel: Kernel) -> bool:
         _miller_loop_ref,
         _prepare_ref,
     )
+    from .serialization import _gt_from_bytes_ref, _gt_to_bytes_ref
 
     g1 = G1Point.generator()
     g2 = G2Point.generator()
@@ -351,6 +423,11 @@ def _probe_agrees(kernel: Kernel) -> bool:
     scalar = 0x9E3779B17F4A7C15
     g1_product = _wnaf_mul_ref(point, scalar)
     g2_product = _wnaf_mul_ref(twist, scalar)
+    # A key longer than one SHA-256 block is hashed first; a domain of 677
+    # walks cycles (its Feistel width is 4,096).
+    long_key = bytes(range(65))
+    prp = FeistelPrp(long_key[:16], 677)
+    torus = _gt_to_bytes_ref(target)
     # Residues 4 and 3 + 0u (every Fp element is a square in Fp2), and the
     # non-residues -1 and xi = 9 + u.
     return (
@@ -386,6 +463,16 @@ def _probe_agrees(kernel: Kernel) -> bool:
             == (None if (root := a._sqrt_ref()) is None else (root.c0, root.c1))
             for a in (Fp2(3, 0), Fp2(9, 1))
         )
+        and kernel.gt_compress(target._flat12()) == torus
+        and kernel.gt_decompress(torus) == _gt_from_bytes_ref(torus)._flat12()
+        and kernel.gt_decompress(bytes([0xFF]) * 192) is None
+        and kernel.sha256(long_key) == hashlib.sha256(long_key).digest()
+        and kernel.hmac_sha256(long_key, b"probe")
+        == hmac.new(long_key, b"probe", hashlib.sha256).digest()
+        and kernel.prp_sample(prp.key, prp.domain, prp.half_bits, 8)
+        == prp._sample_indices_ref(8)
+        and [int.from_bytes(w, "big") % CURVE_ORDER for w in kernel.prf_wide(long_key, 2)]
+        == Prf(long_key)._scalars_ref(2)
     )
 
 

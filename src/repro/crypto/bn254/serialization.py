@@ -25,6 +25,7 @@ from .constants import (
 )
 from .curve import G1Point, G2Point, TWIST_B
 from .fields import Fp2, Fp6, Fp12, fp_sqrt
+from .kernel import active
 
 _INFINITY_FLAG = 0x80
 _SIGN_FLAG = 0x40
@@ -177,7 +178,19 @@ def gt_to_bytes(element: Fp12) -> bytes:
     The compression map is ``m = (1 + g0) / g1`` for ``g = g0 + g1*w``; the
     identity (where ``g1 = 0``) gets the reserved all-zero encoding, which no
     compressible element can produce (``m = 0`` would force ``g1 = 0``).
+
+    The native kernel encodes when it is in use; an element it refuses goes
+    to :func:`_gt_to_bytes_ref`, which raises with the reference's error.
     """
+    kernel = active()
+    if kernel is not None:
+        encoded = kernel.gt_compress(element._flat12())
+        if encoded is not None:
+            return encoded
+    return _gt_to_bytes_ref(element)
+
+
+def _gt_to_bytes_ref(element: Fp12) -> bytes:
     if element.is_one():
         return bytes(GT_COMPRESSED_BYTES)
     if element.c1.is_zero():
@@ -189,8 +202,19 @@ def gt_to_bytes(element: Fp12) -> bytes:
 def gt_from_bytes(data: bytes) -> Fp12:
     """Inverse of :func:`gt_to_bytes`: ``g = (m + w) / (m - w)``.
 
-    Decompressed elements are unitary by construction.
+    Decompressed elements are unitary by construction.  The native kernel
+    decodes when it is in use; bytes it refuses go to
+    :func:`_gt_from_bytes_ref`, which raises with the reference's error.
     """
+    kernel = active()
+    if kernel is not None and len(data) == GT_COMPRESSED_BYTES:
+        flat = kernel.gt_decompress(data)
+        if flat is not None:
+            return Fp12._from_flat12(flat)
+    return _gt_from_bytes_ref(data)
+
+
+def _gt_from_bytes_ref(data: bytes) -> Fp12:
     if len(data) != GT_COMPRESSED_BYTES:
         raise DeserializationError(f"GT element must be {GT_COMPRESSED_BYTES} bytes")
     if not any(data):

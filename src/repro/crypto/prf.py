@@ -10,6 +10,12 @@ deterministically:
   ``[0, domain)`` for any domain size.
 * ``f : {0,1}^lambda -> Zp^k`` — an HMAC-SHA256 PRF keyed by ``C2`` deriving
   the challenge coefficients ``c_i``.
+
+:meth:`FeistelPrp.sample_indices` and :meth:`Prf.scalars` run in the native
+BN254 kernel (:mod:`.bn254.kernel`) when it is in use: one call walks every
+cycle, or derives every wide digest, with the key's HMAC midstates computed
+once.  :meth:`FeistelPrp._sample_indices_ref` and :meth:`Prf._scalars_ref`
+are their references and return the same values.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import hashlib
 import hmac
 
 from .bn254.constants import CURVE_ORDER as R
+from .bn254.kernel import active
 
 
 class Prf:
@@ -35,6 +42,17 @@ class Prf:
         return int.from_bytes(wide, "big") % R
 
     def scalars(self, count: int) -> list[int]:
+        """c_0 .. c_{count-1}: the kernel's wide digests reduced here, or
+        :meth:`_scalars_ref`."""
+        kernel = active()
+        if kernel is not None:
+            return [
+                int.from_bytes(wide, "big") % R
+                for wide in kernel.prf_wide(self.key, max(count, 0))
+            ]
+        return self._scalars_ref(count)
+
+    def _scalars_ref(self, count: int) -> list[int]:
         return [self.scalar(index) for index in range(count)]
 
 
@@ -80,6 +98,17 @@ class FeistelPrp:
                 return value
 
     def sample_indices(self, count: int) -> list[int]:
-        """The first ``count`` images: k distinct indices in [0, domain)."""
+        """The first ``count`` images: k distinct indices in [0, domain).
+
+        The kernel walks them when it is in use and every Feistel value
+        fits 64 bits (any domain up to 2^62), else :meth:`_sample_indices_ref`."""
+        kernel = active()
+        if kernel is not None and self.half_bits <= 32:
+            return kernel.prp_sample(
+                self.key, self.domain, self.half_bits, max(min(count, self.domain), 0)
+            )
+        return self._sample_indices_ref(count)
+
+    def _sample_indices_ref(self, count: int) -> list[int]:
         count = min(count, self.domain)
         return [self.permute(i) for i in range(count)]

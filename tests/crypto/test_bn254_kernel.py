@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import hmac
 import importlib
 import random
 import shutil
@@ -31,9 +32,10 @@ from repro.chain import Blockchain, CheckpointContract, Transaction
 from repro.chain.state import canonical_state_digest
 from repro.core import DataOwner, StorageProvider, keys
 from repro.core.authenticator import generate_authenticators
-from repro.core.challenge import random_challenge
+from repro.core.challenge import _expand_challenge, random_challenge
 from repro.core.chunking import chunk_file
 from repro.core.params import ProtocolParams
+from repro.core.proof import PrivateProof
 from repro.crypto.bn254 import (
     BN_T,
     CURVE_ORDER,
@@ -62,7 +64,9 @@ from repro.crypto.bn254.curve import (
     _wnaf,
     _wnaf_mul_ref,
 )
+from repro.crypto.bn254.fields import Fp6
 from repro.crypto.bn254.msm import _msm_wnaf_g1_ref, _wnaf_table_g1_ref
+from repro.crypto.prf import FeistelPrp
 from repro.randomness import HashChainBeacon
 from repro.sim.workloads import archive_file
 
@@ -519,6 +523,38 @@ def test_a_fresh_key_runs_no_python_crypto(params, monkeypatch):
     challenge = random_challenge(params, rng=rng)
     proof = provider.respond(package.name, challenge)
     assert verifier.verify_private(challenge, proof)
+
+
+@pytest.mark.skipif(kernel.backend().kernel is None, reason=kernel.backend().describe())
+def test_a_fresh_audit_expands_and_encodes_on_kernel_calls(params, monkeypatch):
+    """A fresh challenge expanded (the Feistel walk and the PRF), a proof
+    encoded to its 288 bytes and decoded back (the GT torus map both ways),
+    and a verify: on the native backend none of that reaches ``hmac.new``,
+    ``FeistelPrp._round`` or ``Fp6.inverse``."""
+    rng = random.Random(0xE4C0)
+    owner = DataOwner(params, rng=rng)
+    package = owner.prepare(archive_file(600, tag="fresh-audit").data)
+    provider = StorageProvider(rng=rng)
+    assert provider.accept(package, validate=False)
+    verifier = owner.verifier_for(package)
+    challenge = random_challenge(params, rng=rng)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Python byte work ran on the audit path")
+
+    for owner_of, name in ((hmac, "new"), (FeistelPrp, "_round"), (Fp6, "inverse")):
+        monkeypatch.setattr(owner_of, name, forbidden)
+    with pytest.raises(AssertionError):
+        FeistelPrp(b"live", 5).permute(0)  # the patch is live
+    _expand_challenge.cache_clear()
+    expanded = challenge.expand(package.num_chunks)
+    assert expanded.k == min(params.k, package.num_chunks)
+    _expand_challenge.cache_clear()
+    proof = provider.respond(package.name, challenge)
+    decoded = PrivateProof.from_bytes(proof.to_bytes())
+    assert decoded == proof
+    _expand_challenge.cache_clear()
+    assert verifier.verify_private(challenge, decoded)
 
 
 # --------------------------------------------------------------------- #

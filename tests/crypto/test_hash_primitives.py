@@ -7,7 +7,13 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.bn254 import CURVE_ORDER, hash_gt_to_scalar, hash_to_g1, hash_to_scalar
+from repro.crypto.bn254 import (
+    CURVE_ORDER,
+    hash_gt_to_scalar,
+    hash_to_g1,
+    hash_to_scalar,
+    kernel,
+)
 from repro.crypto.bn254.curve import G1Point, G2Point
 from repro.crypto.bn254.pairing import pairing
 from repro.crypto.chacha20 import chacha20_block, chacha20_xor, convergent_key
@@ -81,6 +87,26 @@ class TestFeistelPrp:
     def test_invalid_domain(self):
         with pytest.raises(ValueError):
             FeistelPrp(b"k", 0)
+
+    def test_round_hmacs_at_the_paper_point(self, monkeypatch):
+        """What one expansion at s = 50, k = 300 on a 1 MiB file costs in
+        round HMACs, counted on the Python reference: the 677 chunks sit in
+        a 4,096-wide Feistel domain, so each index takes about six passes.
+        A domain that fits n more tightly moves this count."""
+        rounds = []
+        original = FeistelPrp._round
+
+        def counted(self, round_index, value):
+            rounds.append(round_index)
+            return original(self, round_index, value)
+
+        monkeypatch.setattr(FeistelPrp, "_round", counted)
+        monkeypatch.setattr(kernel, "_backend", kernel.Backend("python"))
+        prp = FeistelPrp(bytes(range(16)), 677)
+        indices = prp.sample_indices(300)
+        assert prp.width == 4096
+        assert len(set(indices)) == 300
+        assert len(rounds) == 7240
 
 
 class TestChaCha20:

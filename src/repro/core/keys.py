@@ -127,8 +127,9 @@ class PublicKey:
 
 @cache
 def pairing_generator_table() -> GTFixedBase:
-    """The one window table over ``e(g1, g2)``, built on first use: key
-    generation raises it to ``x`` for ``pairing_base``."""
+    """The one comb over ``e(g1, g2)``, built on first use (about two
+    variable-base powers): key generation raises it to ``x`` for
+    ``pairing_base``."""
     return GTFixedBase(pairing(G1Point.generator(), G2Point.generator()))
 
 

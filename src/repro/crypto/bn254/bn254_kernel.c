@@ -9,11 +9,11 @@
  * Each entry point runs a whole inner loop, so one ctypes call replaces
  * thousands of Python big-int operations.  At the boundary a field element is
  * a 32-byte little-endian integer: a canonical residue in [0, p), except in
- * the buffers documented as "Montgomery" (prepared Miller lines and fixed-base
- * tables, which Python holds as opaque bytes).  Every loop runs the formulas
- * of its pure-Python reference in the same order, and mod-p arithmetic is
- * exact, so outputs equal the reference bit for bit, Jacobian triples
- * included.
+ * the buffers documented as "Montgomery" (prepared Miller lines, the GT comb
+ * and the G1 fixed-base windows, which Python holds as opaque bytes).  Every
+ * loop runs the formulas of its pure-Python reference in the same order, and
+ * mod-p arithmetic is exact, so outputs equal the reference bit for bit,
+ * Jacobian triples included.
  *
  * Reentrant: there is no mutable static state.  Scratch lives on the stack or
  * comes from malloc, and the constants Python derives (Frobenius
@@ -165,17 +165,40 @@ static inline int fp_eq(const fp *a, const fp *b)
     return memcmp(a->l, b->l, sizeof a->l) == 0;
 }
 
-/* a^e for a 256-bit little-endian exponent, square and multiply from the
- * top bit. */
+/* `width` bits of the 256-bit little-endian e from bit `pos` up. */
+static inline unsigned window_at(const uint64_t e[4], size_t pos, unsigned width)
+{
+    size_t limb = pos / 64, shift = pos % 64;
+    if (limb >= 4)
+        return 0;
+    uint64_t v = e[limb] >> shift;
+    if (shift + width > 64 && limb + 1 < 4)
+        v |= e[limb + 1] << (64 - shift);
+    return (unsigned)(v & ((1u << width) - 1));
+}
+
+/* a^e for a 256-bit little-endian exponent over fixed 4-bit windows from the
+ * top: a^1..a^15 on the stack, four squarings and at most one product per
+ * window (~329 products for the square-root exponents). */
 static void fp_pow(fp *r, const fp *a, const uint64_t e[4])
 {
-    fp acc = ONE;
-    for (int i = 3; i >= 0; i--) {
-        for (int bit = 63; bit >= 0; bit--) {
-            fp_sqr(&acc, &acc);
-            if ((e[i] >> bit) & 1)
-                fp_mul(&acc, &acc, a);
-        }
+    fp table[15], acc = ONE;
+    table[0] = *a;
+    for (int k = 1; k < 15; k++)
+        fp_mul(&table[k], &table[k - 1], a);
+    int have = 0;
+    for (int pos = 252; pos >= 0; pos -= 4) {
+        if (have)
+            for (int s = 0; s < 4; s++)
+                fp_sqr(&acc, &acc);
+        unsigned digit = window_at(e, (size_t)pos, 4);
+        if (digit == 0)
+            continue;
+        if (have)
+            fp_mul(&acc, &acc, &table[digit - 1]);
+        else
+            acc = table[digit - 1];
+        have = 1;
     }
     *r = acc;
 }
@@ -381,13 +404,23 @@ static inline int fp2_eq(const fp2 *a, const fp2 *b)
 /* a^e for a 256-bit little-endian exponent, as fp_pow. */
 static void fp2_pow(fp2 *r, const fp2 *a, const uint64_t e[4])
 {
-    fp2 acc = {ONE, ZERO};
-    for (int i = 3; i >= 0; i--) {
-        for (int bit = 63; bit >= 0; bit--) {
-            fp2_sqr(&acc, &acc);
-            if ((e[i] >> bit) & 1)
-                fp2_mul(&acc, &acc, a);
-        }
+    fp2 table[15], acc = {ONE, ZERO};
+    table[0] = *a;
+    for (int k = 1; k < 15; k++)
+        fp2_mul(&table[k], &table[k - 1], a);
+    int have = 0;
+    for (int pos = 252; pos >= 0; pos -= 4) {
+        if (have)
+            for (int s = 0; s < 4; s++)
+                fp2_sqr(&acc, &acc);
+        unsigned digit = window_at(e, (size_t)pos, 4);
+        if (digit == 0)
+            continue;
+        if (have)
+            fp2_mul(&acc, &acc, &table[digit - 1]);
+        else
+            acc = table[digit - 1];
+        have = 1;
     }
     *r = acc;
 }
@@ -857,18 +890,6 @@ int bn_final_exponentiation(const uint8_t *in, const uint8_t *frobenius, uint64_
 
 /* ------------------------------------------------------------------- GT -- */
 
-/* `width` bits of the 256-bit little-endian e from bit `pos` up. */
-static inline unsigned window_at(const uint64_t e[4], size_t pos, unsigned width)
-{
-    size_t limb = pos / 64, shift = pos % 64;
-    if (limb >= 4)
-        return 0;
-    uint64_t v = e[limb] >> shift;
-    if (shift + width > 64 && limb + 1 < 4)
-        v |= e[limb + 1] << (64 - shift);
-    return (unsigned)(v & ((1u << width) - 1));
-}
-
 /* prod_j bases[j]^e_j on one shared cyclotomic chain, as
  * gt._gt_multi_pow_ref.  digits: n rows of `top` width-4 NAF digits, low
  * digit first, zero-padded. */
@@ -911,40 +932,57 @@ int bn_gt_multi_pow(const uint8_t *bases, const int8_t *digits, size_t n, size_t
     return 0;
 }
 
-/* Fixed-base window table, as gt._gt_fixed_table_ref: rows x (2^window - 1)
- * Montgomery Fp12 entries, row r holding base^(d * 2^(r*window)). */
-void bn_gt_fixed_table(const uint8_t *base, unsigned window, size_t rows, uint8_t *table)
+/* Lim-Lee comb over a fixed base, as gt._gt_fixed_table_ref: `teeth` rows
+ * of `columns` exponent bits, and 2^teeth - 1 Montgomery Fp12 entries, entry
+ * u - 1 holding prod_{t in bits(u)} base^(2^(t * columns)).  The single-tooth
+ * entries take (teeth - 1) * columns cyclotomic squarings, every other entry
+ * one product. */
+void bn_gt_fixed_table(const uint8_t *base, unsigned teeth, unsigned columns,
+                       uint8_t *table)
 {
-    size_t size = ((size_t)1 << window) - 1;
-    fp12 row_base, entry;
-    fp12_load(&row_base, base);
-    for (size_t r = 0; r < rows; r++) {
-        entry = row_base;
-        memcpy(table + r * size * FP12_BYTES, &entry, FP12_BYTES);
-        for (size_t k = 1; k < size; k++) {
-            fp12_mul(&entry, &entry, &row_base);
-            memcpy(table + (r * size + k) * FP12_BYTES, &entry, FP12_BYTES);
+    size_t size = ((size_t)1 << teeth) - 1;
+    fp12 tooth, entry, low;
+    fp12_load(&tooth, base);
+    memcpy(table, &tooth, FP12_BYTES);
+    for (unsigned t = 1; t < teeth; t++) {
+        for (unsigned s = 0; s < columns; s++)
+            fp12_cyclo_sqr(&tooth, &tooth);
+        memcpy(table + (((size_t)1 << t) - 1) * FP12_BYTES, &tooth, FP12_BYTES);
+    }
+    size_t top = 2;
+    for (size_t u = 3; u <= size; u++) {
+        if ((u & (u - 1)) == 0) {
+            top = u;
+            continue;
         }
-        for (unsigned s = 0; s < window; s++)
-            fp12_cyclo_sqr(&row_base, &row_base);
+        memcpy(&low, table + (u - top - 1) * FP12_BYTES, FP12_BYTES);
+        memcpy(&tooth, table + (top - 1) * FP12_BYTES, FP12_BYTES);
+        fp12_mul(&entry, &low, &tooth);
+        memcpy(table + (u - 1) * FP12_BYTES, &entry, FP12_BYTES);
     }
 }
 
-/* As gt._gt_fixed_pow_ref over a bn_gt_fixed_table table; e nonzero. */
-void bn_gt_fixed_pow(const uint8_t *table, unsigned window, size_t rows,
+/* As gt._gt_fixed_pow_ref over a bn_gt_fixed_table table; e nonzero and below
+ * 2^(teeth * columns).  Column c, high to low, reads bit t * columns + c of e
+ * into bit t of the entry index: one cyclotomic squaring per column after the
+ * first nonzero one, and at most one product. */
+void bn_gt_fixed_pow(const uint8_t *table, unsigned teeth, unsigned columns,
                      const uint8_t *exponent, uint8_t *out)
 {
-    size_t size = ((size_t)1 << window) - 1;
     uint64_t e[4];
     memcpy(e, exponent, sizeof e);
     fp12 result, entry;
     int have = 0;
     fp12_one(&result);
-    for (size_t r = 0; r < rows; r++) {
-        unsigned digit = window_at(e, r * window, window);
-        if (digit == 0)
+    for (unsigned c = columns; c-- > 0;) {
+        if (have)
+            fp12_cyclo_sqr(&result, &result);
+        unsigned u = 0;
+        for (unsigned t = 0; t < teeth; t++)
+            u |= window_at(e, (size_t)t * columns + c, 1) << t;
+        if (u == 0)
             continue;
-        memcpy(&entry, table + (r * size + digit - 1) * FP12_BYTES, FP12_BYTES);
+        memcpy(&entry, table + (size_t)(u - 1) * FP12_BYTES, FP12_BYTES);
         if (have)
             fp12_mul(&result, &result, &entry);
         else

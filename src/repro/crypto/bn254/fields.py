@@ -121,7 +121,7 @@ def _f6sub(a, b):
 # Unlike the 2/6 kernels these return REDUCED tuples, so outputs can feed
 # straight back in.  They are the one Python copy of the Fp12 product and
 # cyclotomic square: Fp12.__mul__, cyclotomic_square and pow_t wrap them,
-# and the GT exponentiation chains (fixed-base windows, shared multi-pow
+# and the GT exponentiation chains (the fixed-base comb, shared multi-pow
 # ladders) run entirely on them and only materialize an Fp12 object at
 # the end.  The kernel's fp12_mul / fp12_cyclo_sqr mirror them.
 # --------------------------------------------------------------------------

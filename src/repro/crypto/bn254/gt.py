@@ -2,15 +2,16 @@
 
 The privacy layer's only extra prover cost is one GT exponentiation
 ``R = e(g1, epsilon)^z`` (paper Fig. 3).  Since the base ``e(g1, epsilon)``
-is fixed per contract, a windowed fixed-base table turns the exponentiation
-into ~64 multiplications — this is why the "+ security" overhead in the
-paper's Figs. 8/9 stays small
-(``benchmarks/bench_ablations.py::test_ablation_gt_fixed_base`` measures the
-win).
+is fixed per key, a Lim–Lee comb over it turns the exponentiation into at
+most 31 cyclotomic squarings and 32 multiplications, and the comb costs
+about two variable-base powers to build — this is why the "+ security"
+overhead in the paper's Figs. 8/9 stays small even when keys turn over
+(``benchmarks/bench_ablations.py::test_ablation_gt_fixed_base`` measures
+both).
 
 Two chains live here, the shared multi-pow ladder (variable bases, which
-:func:`gt_pow` runs with one term) and the fixed-base windows.  Both run
-on the flat 12-int layout of :meth:`Fp12._flat12`: in the native kernel
+:func:`gt_pow` runs with one term) and the fixed-base comb.  Both run on
+the flat 12-int layout of :meth:`Fp12._flat12`: in the native kernel
 when :func:`.kernel.active` returns one, else in the pure-Python
 references below over :func:`_f12mul` / :func:`_f12sqr_cyclo` (raw tuples
 in, one :class:`Fp12` constructed at the end).  The ladder's digits come
@@ -24,6 +25,11 @@ from .constants import CURVE_ORDER
 from .curve import _wnaf
 from .fields import Fp12, _f12conj, _f12mul, _f12sqr_cyclo
 from .kernel import active
+
+#: The comb's one shape: ``TEETH`` rows of ``COLUMNS`` exponent bits cover
+#: 256 bits, so any exponent mod r fits, in a table of 2^8 - 1 = 255 entries.
+TEETH = 8
+COLUMNS = 32
 
 
 def gt_pow(base: Fp12, exponent: int) -> Fp12:
@@ -88,62 +94,64 @@ def _gt_multi_pow_ref(bases: list[tuple], nafs: list[list[int]]) -> tuple:
 
 
 class GTFixedBase:
-    """Fixed-base GT exponentiation with a precomputed window table.
+    """Fixed-base GT exponentiation over a Lim–Lee comb (Lim and Lee, "More
+    Flexible Exponentiation with Precomputation", CRYPTO '94).
 
-    ``window`` bits per digit; the table holds ``ceil(256/window)`` rows of
-    ``2^window - 1`` entries.  With the default window of 4 an exponentiation
-    costs ~64 GT multiplications and no squarings.  The table has one
-    representation, fixed when it is built: the native kernel's Montgomery
-    buffer when the kernel is in use, else rows of flat 12-int tuples, so
-    :meth:`pow` never allocates tower objects mid-chain.
+    The exponent's 256 bits are ``TEETH`` rows of ``COLUMNS`` bits; entry
+    ``u - 1`` of the table is the product of ``base^(2^(COLUMNS * t))``
+    over the bits ``t`` of ``u``, for u = 1..255.  Building it costs
+    ``(TEETH - 1) * COLUMNS`` = 224 cyclotomic squarings and 247
+    products; :meth:`pow` walks the columns from the top, one squaring and
+    at most one product each (at most 31 and 32).  Valid only for unitary
+    bases (pairing outputs).  The table has one representation, fixed when
+    it is built: the native kernel's Montgomery buffer when the kernel is in
+    use, else a flat list of 255 flat 12-int tuples, so :meth:`pow` never
+    allocates tower objects mid-chain.
     """
 
-    def __init__(self, base: Fp12, window: int = 4):
-        if window < 1 or window > 8:
-            raise ValueError("window must be between 1 and 8")
+    def __init__(self, base: Fp12):
         self.base = base
-        self.window = window
-        self._rows = (CURVE_ORDER.bit_length() + window - 1) // window
         self._kernel = active()
         build = _gt_fixed_table_ref if self._kernel is None else self._kernel.gt_fixed_table
-        self._table = build(base._flat12(), window, self._rows)
+        self._table = build(base._flat12(), TEETH, COLUMNS)
 
     def pow(self, exponent: int) -> Fp12:
         exponent %= CURVE_ORDER
         if exponent == 0:
             return Fp12.one()
         if self._kernel is None:
-            flat = _gt_fixed_pow_ref(self._table, self.window, exponent)
+            flat = _gt_fixed_pow_ref(self._table, TEETH, COLUMNS, exponent)
         else:
-            flat = self._kernel.gt_fixed_pow(
-                self._table, self.window, self._rows, exponent
-            )
+            flat = self._kernel.gt_fixed_pow(self._table, TEETH, COLUMNS, exponent)
         return Fp12._from_flat12(flat)
 
 
-def _gt_fixed_table_ref(flat: tuple, window: int, rows: int) -> list[list[tuple]]:
-    table: list[list[tuple]] = []
-    row_base = flat
-    for _ in range(rows):
-        row = [row_base]
-        for _ in range((1 << window) - 2):
-            row.append(_f12mul(row[-1], row_base))
-        table.append(row)
-        for _ in range(window):
-            row_base = _f12sqr_cyclo(row_base)
+def _gt_fixed_table_ref(flat: tuple, teeth: int, columns: int) -> list[tuple]:
+    table: list[tuple] = [flat]
+    tooth = flat
+    for t in range(1, teeth):
+        for _ in range(columns):
+            tooth = _f12sqr_cyclo(tooth)
+        # Entries 2^t .. 2^(t+1) - 1: the new tooth alone, then times each
+        # entry below it.
+        table.append(tooth)
+        table.extend(_f12mul(entry, tooth) for entry in table[: (1 << t) - 1])
     return table
 
 
-def _gt_fixed_pow_ref(table: list[list[tuple]], window: int, exponent: int) -> tuple:
-    """One table entry per nonzero digit, low digit first; ``exponent`` > 0."""
+def _gt_fixed_pow_ref(table: list[tuple], teeth: int, columns: int, exponent: int) -> tuple:
+    """Columns high to low, bit ``t * columns + c`` of ``exponent`` giving
+    bit ``t`` of column ``c``'s entry index; 0 < ``exponent`` <
+    2^(teeth * columns)."""
+    rows = [(exponent >> (t * columns)) & ((1 << columns) - 1) for t in range(teeth)]
     result = None
-    mask = (1 << window) - 1
-    row_index = 0
-    while exponent:
-        digit = exponent & mask
-        if digit:
-            entry = table[row_index][digit - 1]
+    for c in range(columns - 1, -1, -1):
+        if result is not None:
+            result = _f12sqr_cyclo(result)
+        u = 0
+        for t, row in enumerate(rows):
+            u |= ((row >> c) & 1) << t
+        if u:
+            entry = table[u - 1]
             result = entry if result is None else _f12mul(result, entry)
-        exponent >>= window
-        row_index += 1
     return result

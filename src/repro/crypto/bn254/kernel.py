@@ -23,7 +23,7 @@ The dispatching functions in :mod:`.pairing`, :mod:`.gt`, :mod:`.msm`,
 pure-Python reference when it returns ``None``.  Results are
 bit-identical either way, Jacobian triples included.  Field elements
 cross the boundary as 32-byte little-endian canonical integers; tables
-the kernel owns (prepared lines, cached wNAF tables, fixed-base windows)
+the kernel owns (prepared lines, cached wNAF tables, fixed-base tables)
 stay in its Montgomery form as opaque ``bytes``, which
 :func:`decode_montgomery` reads back in pure Python.  ``ctypes`` releases
 the GIL for every call and the kernel keeps no mutable static state, so
@@ -64,8 +64,8 @@ _SIGNATURES = {
     "bn_miller_loop": ([_PTR, _PTR, _SIZE, _PTR, _SIZE, _PTR], _INT),
     "bn_final_exponentiation": ([_PTR, _PTR, ctypes.c_uint64, _PTR], _INT),
     "bn_gt_multi_pow": ([_PTR, _PTR, _SIZE, _SIZE, _PTR], _INT),
-    "bn_gt_fixed_table": ([_PTR, _UINT, _SIZE, _PTR], None),
-    "bn_gt_fixed_pow": ([_PTR, _UINT, _SIZE, _PTR, _PTR], None),
+    "bn_gt_fixed_table": ([_PTR, _UINT, _UINT, _PTR], None),
+    "bn_gt_fixed_pow": ([_PTR, _UINT, _UINT, _PTR, _PTR], None),
     "bn_g1_wnaf_tables": ([_PTR, _SIZE, _SIZE, _PTR], _INT),
     "bn_wnaf": ([_PTR, _UINT, _PTR], _SIZE),
     "bn_g1_wnaf_msm": (
@@ -212,15 +212,18 @@ class Kernel:
         _allocated(status, "bn_gt_multi_pow")
         return _unpack(out.raw)
 
-    def gt_fixed_table(self, flat: Sequence[int], window: int, rows: int) -> bytes:
-        out = ctypes.create_string_buffer(rows * ((1 << window) - 1) * _FP12)
-        self._lib.bn_gt_fixed_table(_pack(flat), window, rows, out)
+    def gt_fixed_table(self, flat: Sequence[int], teeth: int, columns: int) -> bytes:
+        """The comb of ``gt._gt_fixed_table_ref``: 2^teeth - 1 Montgomery
+        Fp12 entries."""
+        out = ctypes.create_string_buffer(((1 << teeth) - 1) * _FP12)
+        self._lib.bn_gt_fixed_table(_pack(flat), teeth, columns, out)
         return out.raw
 
-    def gt_fixed_pow(self, table: bytes, window: int, rows: int, exponent: int) -> tuple:
+    def gt_fixed_pow(self, table: bytes, teeth: int, columns: int, exponent: int) -> tuple:
+        """``gt._gt_fixed_pow_ref`` for 0 < exponent < 2^(teeth * columns)."""
         out = ctypes.create_string_buffer(_FP12)
         self._lib.bn_gt_fixed_pow(
-            table, window, rows, exponent.to_bytes(_FP, "little"), out
+            table, teeth, columns, exponent.to_bytes(_FP, "little"), out
         )
         return _unpack(out.raw)
 
@@ -411,8 +414,9 @@ def _probe_agrees(kernel: Kernel) -> bool:
     exponent = 0x9E3779B97F4A7C15
     bases = [target._flat12(), miller._flat12()]
     nafs = [_wnaf(exponent, 4), _wnaf(exponent >> 17, 4)]
-    windows = _gt_fixed_table_ref(bases[0], 3, 2)
-    native_windows = kernel.gt_fixed_table(bases[0], 3, 2)
+    # A 3-tooth, 2-column comb; 0b101110 reads entry 7 (every tooth) and 2.
+    gt_comb = _gt_fixed_table_ref(bases[0], 3, 2)
+    native_gt_comb = kernel.gt_fixed_table(bases[0], 3, 2)
     # Width 4 built here, width 6 cached in the kernel's form.
     pairs = [(point, exponent << 100), (g1, 0x9E3779B17F4A7C15 << 60)]
     native_tables = [None, kernel.g1_wnaf_table((g1.x, g1.y, g1.z), 16)]
@@ -437,10 +441,10 @@ def _probe_agrees(kernel: Kernel) -> bool:
         == tuple(v for s, c in _prepare_ref(xq, yq) for v in (s.c0, s.c1, c.c0, c.c1))
         and kernel.final_exponentiation(miller._flat12()) == target._flat12()
         and kernel.gt_multi_pow(bases, nafs) == _gt_multi_pow_ref(bases, nafs)
-        and kernel.from_montgomery(native_windows)
-        == tuple(v for row in windows for entry in row for v in entry)
-        and kernel.gt_fixed_pow(native_windows, 3, 2, 0b101110)
-        == _gt_fixed_pow_ref(windows, 3, 0b101110)
+        and kernel.from_montgomery(native_gt_comb)
+        == tuple(v for entry in gt_comb for v in entry)
+        and kernel.gt_fixed_pow(native_gt_comb, 3, 2, 0b101110)
+        == _gt_fixed_pow_ref(gt_comb, 3, 2, 0b101110)
         and kernel.g1_wnaf_table(triple, 8) is not None
         and decode_montgomery(kernel.g1_wnaf_table(triple, 8))
         == tuple(v for entry in _wnaf_table_g1_ref(point, 5) for v in entry)

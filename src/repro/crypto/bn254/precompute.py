@@ -36,12 +36,6 @@ class CacheStats:
     misses: int = 0
 
 
-#: GT commitment window: one step wider than ``GTFixedBase``'s default 4 —
-#: the flat Fp12 kernels made table builds cheap enough that the warm-path win
-#: (64 -> 51 multiplications per exponentiation) dominates.
-GT_WINDOW = 5
-
-
 @dataclass
 class PrecomputeCache:
     """Registry of fixed-base tables and digest points.
@@ -65,11 +59,11 @@ class PrecomputeCache:
     # -- GT fixed-base contexts (Sigma-protocol masking) --------------------
 
     def gt_context(self, base: Fp12) -> GTFixedBase:
-        """Windowed table over a pairing output, shared across proofs."""
+        """Comb over a pairing output, shared across proofs."""
         table = self._gt.get(base)
         if table is None:
             self.stats.misses += 1
-            table = self._gt[base] = GTFixedBase(base, window=GT_WINDOW)
+            table = self._gt[base] = GTFixedBase(base)
         else:
             self.stats.hits += 1
         return table
@@ -93,7 +87,7 @@ class PrecomputeCache:
     def g1_wnaf_table(self, point: G1Point) -> Table:
         """Odd-multiple table for a fixed G1 point, shared across epochs, in
         the form the MSM reads without converting (the kernel's Montgomery
-        bytes when it is in use, as ``GTFixedBase`` keeps its windows)."""
+        bytes when it is in use, as ``GTFixedBase`` keeps its comb)."""
         table = self._wnaf.get(point)
         if table is None:
             self.stats.misses += 1

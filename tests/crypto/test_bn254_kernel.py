@@ -70,15 +70,15 @@ from repro.crypto.prf import FeistelPrp
 from repro.randomness import HashChainBeacon
 from repro.sim.workloads import archive_file
 
-#: The module (the package's ``pairing`` attribute is the function).
+#: The modules (the package's ``pairing`` attribute is the function).
 pairing_module = importlib.import_module("repro.crypto.bn254.pairing")
+gt_module = importlib.import_module("repro.crypto.bn254.gt")
 
 PYTHON = kernel.Backend("python")
 G1 = G1Point.generator()
 G2 = G2Point.generator()
 GT = pairing(G1, G2)
 GT_BASES = (GT, GT.conjugate(), pairing(G1 * 3, G2 * 5))
-GT_WINDOWS = (1, 3, 5)
 
 
 def _on_both(run):
@@ -180,8 +180,8 @@ def test_mul_edge_cases_match():
 
 @pytest.fixture()
 def cold_tables():
-    """The process-wide comb over g1 and window table over e(g1, g2), built
-    on the backend under test and dropped again afterwards."""
+    """The process-wide tables over g1 and e(g1, g2), built on the backend
+    under test and dropped again afterwards."""
     msm.generator_table.cache_clear()
     keys.pairing_generator_table.cache_clear()
     yield
@@ -320,7 +320,7 @@ def test_prepared_lines_are_encoded_once():
 
 
 # --------------------------------------------------------------------- #
-# GT: variable base, shared multi-pow chain, fixed-base windows         #
+# GT: variable base, shared multi-pow chain, fixed-base comb            #
 # --------------------------------------------------------------------- #
 
 @settings(max_examples=15, deadline=None)
@@ -335,38 +335,80 @@ def test_gt_pow_and_multi_pow_match(items):
     assert chosen == reference
 
 
+#: Exponents at the comb's seams: 0, the ends of Z_r and either side of r,
+#: a negative one, and powers of two at column 31 / 32 of a row, the row
+#: boundaries 64 and 224 and the top of the last tooth that r reaches.
+COMB_EDGES = (
+    0, 1, 2, CURVE_ORDER - 1, CURVE_ORDER, CURVE_ORDER + 1, -1,
+    *(2**j for j in (31, 32, 63, 64, 223, 224, 253)),
+)
+
+
 @pytest.fixture(scope="module")
 def gt_tables():
-    """One window table per window on each backend, built once (the
-    reference build costs ~80 ms at window 5)."""
-    return _on_both(lambda: {window: GTFixedBase(GT, window) for window in GT_WINDOWS})
+    """A comb over each pairing output of ``GT_BASES`` on each backend,
+    built once."""
+    return _on_both(lambda: [GTFixedBase(base) for base in GT_BASES])
 
 
 @settings(max_examples=20, deadline=None)
-@given(window=st.sampled_from(GT_WINDOWS), exponent=exponents)
-def test_gt_fixed_base_pow_matches(gt_tables, window, exponent):
-    reference, chosen = (tables[window].pow(exponent)._flat12() for tables in gt_tables)
-    assert chosen == reference
+@given(index=st.sampled_from(range(len(GT_BASES))), exponent=exponents)
+def test_gt_fixed_base_pow_matches(gt_tables, index, exponent):
+    reference, chosen = (tables[index].pow(exponent)._flat12() for tables in gt_tables)
+    assert chosen == reference == gt_pow(GT_BASES[index], exponent)._flat12()
+
+
+def test_gt_comb_meets_gt_pow_at_every_seam(gt_tables):
+    for tables in gt_tables:
+        for exponent in COMB_EDGES:
+            for base, table in zip(GT_BASES, tables):
+                assert table.pow(exponent) == gt_pow(base, exponent), exponent
 
 
 def test_gt_table_has_one_representation_and_stores_the_reference_format(gt_tables):
+    """A flat list of 255 entries, entry u - 1 the product of the teeth in
+    u; the kernel's buffer is those entries Montgomery-encoded."""
     reference, chosen = gt_tables
     native = kernel.backend().kernel
-    for window in GT_WINDOWS:
-        rows = reference[window]._table
-        assert isinstance(rows, list)
-        assert all(
-            isinstance(entry, tuple) and len(entry) == 12 for row in rows for entry in row
-        )
-        table = chosen[window]._table
+    for base, ours, theirs in zip(GT_BASES, reference, chosen):
+        entries = ours._table
+        assert isinstance(entries, list) and len(entries) == 255
+        assert all(isinstance(entry, tuple) and len(entry) == 12 for entry in entries)
+        assert entries[0] == base._flat12()
+        assert entries[254] == gt_pow(base, sum(1 << 32 * t for t in range(8)))._flat12()
+        table = theirs._table
         if native is None:
-            assert table == rows
+            assert table == entries
         else:
-            # The native buffer holds the reference rows, Montgomery-encoded.
-            assert isinstance(table, bytes)
+            assert isinstance(table, bytes) and len(table) == 255 * 384
             assert native.from_montgomery(table) == tuple(
-                v for row in rows for entry in row for v in entry
+                v for entry in entries for v in entry
             )
+
+
+def test_gt_comb_costs_what_lim_lee_promise(monkeypatch):
+    """Counted on the references, so on no host's clock: a build is 224
+    cyclotomic squarings and 247 products, a pow of r - 1 at most 31 and
+    32.  The kernel runs the same chain over a 255-entry buffer."""
+    counts = {"_f12mul": 0, "_f12sqr_cyclo": 0}
+    for name in counts:
+        real = getattr(gt_module, name)
+
+        def counted(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(gt_module, name, counted)
+    monkeypatch.setattr(kernel, "_backend", PYTHON)
+    comb = GTFixedBase(GT)
+    assert counts == {"_f12mul": 247, "_f12sqr_cyclo": 224}
+    counts.update(dict.fromkeys(counts, 0))
+    assert comb.pow(CURVE_ORDER - 1) == GT.conjugate()
+    assert counts["_f12mul"] <= 32 and counts["_f12sqr_cyclo"] <= 31
+    monkeypatch.undo()
+    native = kernel.backend().kernel
+    if native is not None:
+        assert len(GTFixedBase(GT)._table) == 255 * 384
 
 
 # --------------------------------------------------------------------- #
@@ -458,13 +500,13 @@ def test_one_copy_of_each_formula():
 
 def test_threads_sharing_tables_agree_with_one_thread():
     prepared = G2Prepared(G2 * 11)
-    window = GTFixedBase(GT, 4)
+    comb = GTFixedBase(GT)
     points = [G1 * (i + 2) for i in range(4)]
 
     def work(i):
         f = final_exponentiation(miller_loop_product([(points[i % 4], prepared)]))
         msm = multi_scalar_mul(points, [i + 1, 2, 3, 4])
-        return f._flat12(), window.pow(i + 1)._flat12(), _triple(msm)
+        return f._flat12(), comb.pow(i + 1)._flat12(), _triple(msm)
 
     expected = [work(i) for i in range(8)]
     prepared._lines = None  # the threads race to encode the lines

@@ -8,7 +8,8 @@ on the pure-Python references and once on the chosen backend, so both
 stay pinned without renaming any original test id.
 
 The differentials below cover what a new key costs: G2 line preparation,
-both square roots (and the decoders and ``hash_to_g1`` built on them) and
+both square roots (their windowed powers on residues and non-residues,
+and the decoders and ``hash_to_g1`` built on them) and
 the kernel's wNAF recoding, each against its pure-Python reference.  Then
 what each audit costs: the challenge expansion (the Feistel PRP walk and
 the PRF, over the kernel's SHA-256 / HMAC-SHA256, which are checked
@@ -157,6 +158,26 @@ def test_square_root_edge_cases_match_the_reference(crypto_backend):
     for value in (0, 1, 4, P - 1, P + 4):
         assert fp_sqrt(value) == _fp_sqrt_ref(value)
     for element in (Fp2(P - 1, 0), Fp2(0, 1), Fp2(0, P - 1), Fp2(9, 1)):
+        assert element.sqrt() == element._sqrt_ref()
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.integers(1, P - 1), b=field_elements)
+def test_windowed_powers_give_the_reference_roots(crypto_backend, a, b):
+    """The kernel's square roots raise to their constant exponents over
+    4-bit windows: residues a^2, non-residues -a^2 (-1 is one, as p = 3
+    mod 4) and xi * a^2 in Fp2 (xi = 9 + u is one), 0 and p - 1 give the
+    references' roots and refusals."""
+    square = a * a % P
+    assert fp_sqrt(square) == _fp_sqrt_ref(square) is not None
+    assert fp_sqrt(P - square) == _fp_sqrt_ref(P - square) is None
+    for value in (0, P - 1):
+        assert fp_sqrt(value) == _fp_sqrt_ref(value)
+    residue = Fp2(a, b).square()
+    xi = Fp2(9, 1)
+    assert residue.sqrt() == residue._sqrt_ref() is not None
+    assert (xi * residue).sqrt() == (xi * residue)._sqrt_ref() is None
+    for element in (xi, Fp2(0, 0), Fp2(P - 1, 0), Fp2(P - 1, P - 1)):
         assert element.sqrt() == element._sqrt_ref()
 
 

@@ -220,3 +220,26 @@ def test_da_sample_kernel(benchmark):
     run = lambda: sampler.sample(bundle.commitment, b"\x05" * 8)
     assert run().available
     benchmark.pedantic(run, rounds=3 if QUICK else 10, iterations=1)
+
+
+def test_da_light_client_path(benchmark):
+    """Wall-clock of one light-client epoch at the e2e benchmark's shape:
+    commit 4,000 paper-shaped records, extend and NMT-commit them at
+    (n, k) = (240, 80), run one default-budget sampling pass and rebuild
+    the leaf set from k verified chunks."""
+    wide = DaParams(n=240, k=80)
+    records = _records(4, 4_000)
+    served = {}
+    sampler = DaSampler(bundle_fetch(served), registry=MetricsRegistry())
+
+    def epoch():
+        checkpoint = build_checkpoint(4, records)
+        bundle = build_da_bundle(0, 4, checkpoint, wide)
+        served[(0, 4)] = bundle
+        report = sampler.sample(bundle.commitment, b"\x06" * 8)
+        return checkpoint, report, sampler.reconstruct(bundle.commitment, b"\x06" * 8)
+
+    checkpoint, report, rebuilt = epoch()
+    assert report.available
+    assert rebuilt.verified and rebuilt.records == checkpoint.records
+    benchmark.pedantic(epoch, rounds=3 if QUICK else 10, iterations=1)

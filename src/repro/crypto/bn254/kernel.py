@@ -372,7 +372,8 @@ class Backend:
 
 def _probe_agrees(kernel: Kernel) -> bool:
     """Known answer: every entry point equals its pure-Python reference on
-    a small input (about 60 ms of reference arithmetic, once per process).
+    a small input, and the GT comb at its production shape (about 75 ms of
+    reference arithmetic, once per process).
 
     It runs under ``_backend_lock``, so nothing here may ask :func:`active`
     (the lock is not reentrant): the references are the ``_ref`` functions,
@@ -381,7 +382,7 @@ def _probe_agrees(kernel: Kernel) -> bool:
     from ..prf import FeistelPrp, Prf
     from .curve import G1Point, G2Point, _wnaf, _wnaf_mul_ref
     from .fields import Fp2, _fp_sqrt_ref
-    from .gt import _gt_fixed_pow_ref, _gt_fixed_table_ref, _gt_multi_pow_ref
+    from .gt import COLUMNS, TEETH, _gt_fixed_pow_ref, _gt_fixed_table_ref, _gt_multi_pow_ref
     from .msm import (
         _fixed_mul_g1_ref,
         _fixed_table_g1_ref,
@@ -414,9 +415,14 @@ def _probe_agrees(kernel: Kernel) -> bool:
     exponent = 0x9E3779B97F4A7C15
     bases = [target._flat12(), miller._flat12()]
     nafs = [_wnaf(exponent, 4), _wnaf(exponent >> 17, 4)]
-    # A 3-tooth, 2-column comb; 0b101110 reads entry 7 (every tooth) and 2.
-    gt_comb = _gt_fixed_table_ref(bases[0], 3, 2)
-    native_gt_comb = kernel.gt_fixed_table(bases[0], 3, 2)
+    # The one comb shape production builds.  The exponent sets tooth
+    # c % TEETH of every column c and every tooth of the top column, so each
+    # column's step multiplies and the all-teeth entry is read.
+    gt_comb = _gt_fixed_table_ref(bases[0], TEETH, COLUMNS)
+    native_gt_comb = kernel.gt_fixed_table(bases[0], TEETH, COLUMNS)
+    comb_exponent = sum(
+        1 << COLUMNS * (c % TEETH) + c for c in range(COLUMNS - 1)
+    ) + sum(1 << COLUMNS * t + COLUMNS - 1 for t in range(TEETH))
     # Width 4 built here, width 6 cached in the kernel's form.
     pairs = [(point, exponent << 100), (g1, 0x9E3779B17F4A7C15 << 60)]
     native_tables = [None, kernel.g1_wnaf_table((g1.x, g1.y, g1.z), 16)]
@@ -443,8 +449,8 @@ def _probe_agrees(kernel: Kernel) -> bool:
         and kernel.gt_multi_pow(bases, nafs) == _gt_multi_pow_ref(bases, nafs)
         and kernel.from_montgomery(native_gt_comb)
         == tuple(v for entry in gt_comb for v in entry)
-        and kernel.gt_fixed_pow(native_gt_comb, 3, 2, 0b101110)
-        == _gt_fixed_pow_ref(gt_comb, 3, 2, 0b101110)
+        and kernel.gt_fixed_pow(native_gt_comb, TEETH, COLUMNS, comb_exponent)
+        == _gt_fixed_pow_ref(gt_comb, TEETH, COLUMNS, comb_exponent)
         and kernel.g1_wnaf_table(triple, 8) is not None
         and decode_montgomery(kernel.g1_wnaf_table(triple, 8))
         == tuple(v for entry in _wnaf_table_g1_ref(point, 5) for v in entry)

@@ -155,23 +155,27 @@ class DaCommitment:
         return DA_COMMITMENT_BYTES
 
 
-def records_blob(records: tuple[RoundRecord, ...]) -> bytes:
-    """Serialize a sorted record set into the length-framed DA blob."""
-    parts = [len(records).to_bytes(4, "big")]
-    for record in records:
-        encoded = record.to_bytes()
+def _frame(encodings: list[bytes]) -> bytes:
+    """The length-framed DA blob over already-encoded records."""
+    parts = [len(encodings).to_bytes(4, "big")]
+    for encoded in encodings:
         parts.append(len(encoded).to_bytes(4, "big"))
         parts.append(encoded)
     return b"".join(parts)
 
 
-def records_from_blob(blob: bytes) -> tuple[RoundRecord, ...]:
-    """Strict inverse of :func:`records_blob` (rejects trailing garbage)."""
+def records_blob(records: tuple[RoundRecord, ...]) -> bytes:
+    """Serialize a sorted record set into the length-framed DA blob."""
+    return _frame([record.to_bytes() for record in records])
+
+
+def _record_slices(blob: bytes) -> list[bytes]:
+    """Cut a DA blob into its framed record encodings, strictly."""
     if len(blob) < 4:
         raise ValueError("DA blob too short")
     count = int.from_bytes(blob[:4], "big")
     offset = 4
-    records = []
+    leaves = []
     for _ in range(count):
         if offset + 4 > len(blob):
             raise ValueError("truncated DA blob: missing record length")
@@ -179,11 +183,16 @@ def records_from_blob(blob: bytes) -> tuple[RoundRecord, ...]:
         offset += 4
         if offset + length > len(blob):
             raise ValueError("truncated DA blob: missing record bytes")
-        records.append(RoundRecord.from_bytes(blob[offset : offset + length]))
+        leaves.append(blob[offset : offset + length])
         offset += length
     if offset != len(blob):
         raise ValueError("trailing bytes after DA blob records")
-    return tuple(records)
+    return leaves
+
+
+def records_from_blob(blob: bytes) -> tuple[RoundRecord, ...]:
+    """Strict inverse of :func:`records_blob` (rejects trailing garbage)."""
+    return tuple(map(RoundRecord.from_bytes, _record_slices(blob)))
 
 
 @dataclass
@@ -234,7 +243,8 @@ def build_da_bundle(
     """Extend one settled checkpoint's leaf set into committed DA chunks."""
     if bundle.checkpoint.epoch != epoch:
         raise ValueError("bundle does not belong to the requested epoch")
-    blob = records_blob(bundle.records)
+    # The checkpoint tree's leaves are the records' canonical encodings.
+    blob = _frame(bundle.tree.leaves)
     shards = rs_code(params).encode_framed(blob)
     chunks = tuple(shard.data for shard in shards)
     namespace = make_namespace(lane_id, epoch)
@@ -304,15 +314,17 @@ def reconstruct_records(
         shards.append(Shard(index=index, data=data))
     code = rs_code(commitment.params)
     try:
-        blob = code.decode_framed(shards)
-        records = records_from_blob(blob)
+        leaves = _record_slices(code.decode_framed(shards))
+        records = tuple(map(RoundRecord.from_bytes, leaves))
     except ValueError as exc:
         raise DaReconstructionMismatch(
             f"decoded chunk set does not parse as a record blob: {exc}"
         ) from exc
     if not records:
         raise DaReconstructionMismatch("decoded blob holds no records")
-    tree = MerkleTree([record.to_bytes() for record in records])
+    # The record codec is canonical (every encoding it accepts re-encodes
+    # to itself), so the framed bytes are the checkpoint tree's leaves.
+    tree = MerkleTree(leaves)
     if tree.root != commitment.checkpoint_root:
         raise DaReconstructionMismatch(
             "reconstructed leaf set does not rebuild the committed "

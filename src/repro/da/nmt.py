@@ -32,6 +32,7 @@ a sampling light client verifies chunks at hash speed.
 from __future__ import annotations
 
 import hashlib
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -73,22 +74,14 @@ def _hash_leaf(namespace: bytes, data: bytes) -> bytes:
     return hashlib.sha256(_LEAF_PREFIX + namespace + data).digest()
 
 
-@dataclass(frozen=True)
-class _Node:
-    """One interior/leaf node: namespace range plus digest."""
-
-    min_ns: bytes
-    max_ns: bytes
-    digest: bytes
+#: One leaf or interior node: ``(min_ns, max_ns, digest)``, the same
+#: triple a proof carries per sibling.
+Node = tuple[bytes, bytes, bytes]
 
 
-def _hash_node(left: _Node, right: _Node) -> _Node:
-    digest = hashlib.sha256(
-        _NODE_PREFIX
-        + left.min_ns + left.max_ns + left.digest
-        + right.min_ns + right.max_ns + right.digest
-    ).digest()
-    return _Node(min_ns=left.min_ns, max_ns=right.max_ns, digest=digest)
+def _hash_node(left: Node, right: Node) -> Node:
+    digest = hashlib.sha256(b"".join((_NODE_PREFIX, *left, *right))).digest()
+    return (left[0], right[1], digest)
 
 
 @dataclass(frozen=True)
@@ -162,15 +155,24 @@ class NmtProof:
 
     @staticmethod
     def from_object(obj: dict) -> "NmtProof":
+        """Inverse of :meth:`to_object`.  A missing key, a wrong type or a
+        bad hex string raises one ``ValueError`` naming the field."""
+
+        def decoded(key, decode):
+            try:
+                return decode(obj[key])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"NMT proof field {key!r}: {exc!r}") from None
+
         return NmtProof(
-            leaf_index=int(obj["leaf_index"]),
-            namespace=bytes.fromhex(obj["namespace"]),
-            leaf_data=bytes.fromhex(obj["leaf_data"]),
-            siblings=tuple(
+            leaf_index=decoded("leaf_index", operator.index),
+            namespace=decoded("namespace", bytes.fromhex),
+            leaf_data=decoded("leaf_data", bytes.fromhex),
+            siblings=decoded("siblings", lambda rows: tuple(
                 (bytes.fromhex(mn), bytes.fromhex(mx), bytes.fromhex(digest))
-                for mn, mx, digest in obj["siblings"]
-            ),
-            directions=tuple(bool(d) for d in obj["directions"]),
+                for mn, mx, digest in rows
+            )),
+            directions=decoded("directions", lambda bits: tuple(map(bool, bits))),
         )
 
 
@@ -217,16 +219,10 @@ class NamespacedMerkleTree:
         self._leaves: list[tuple[bytes, bytes]] = list(leaves) + [
             (NS_PAD, b"") for _ in range(padded_size - len(leaves))
         ]
-        level = [
-            _Node(min_ns=ns, max_ns=ns, digest=_hash_leaf(ns, data))
-            for ns, data in self._leaves
-        ]
-        self.levels: list[list[_Node]] = [level]
+        level = [(ns, ns, _hash_leaf(ns, data)) for ns, data in self._leaves]
+        self.levels: list[list[Node]] = [level]
         while len(level) > 1:
-            level = [
-                _hash_node(level[i], level[i + 1])
-                for i in range(0, len(level), 2)
-            ]
+            level = list(map(_hash_node, level[::2], level[1::2]))
             self.levels.append(level)
 
     @property
@@ -239,8 +235,7 @@ class NamespacedMerkleTree:
 
     @property
     def root(self) -> NmtRoot:
-        top = self.levels[-1][0]
-        return NmtRoot(min_ns=top.min_ns, max_ns=top.max_ns, digest=top.digest)
+        return NmtRoot(*self.levels[-1][0])
 
     def prove(self, leaf_index: int) -> NmtProof:
         """Position-bound inclusion proof (pad leaves are provable too)."""
@@ -251,8 +246,7 @@ class NamespacedMerkleTree:
         directions = []
         index = leaf_index
         for level in self.levels[:-1]:
-            sibling = level[index ^ 1]
-            siblings.append((sibling.min_ns, sibling.max_ns, sibling.digest))
+            siblings.append(level[index ^ 1])
             directions.append(bool(index & 1))
             index >>= 1
         return NmtProof(
@@ -309,32 +303,23 @@ def verify_nmt_proof(root: NmtRoot, proof: NmtProof) -> bool:
         return False
     if _index_of(proof.directions) != proof.leaf_index:
         return False
-    current = _Node(
-        min_ns=proof.namespace,
-        max_ns=proof.namespace,
-        digest=_hash_leaf(proof.namespace, proof.leaf_data),
-    )
-    for (sib_min, sib_max, sib_digest), is_right in zip(
-        proof.siblings, proof.directions
-    ):
+    namespace = proof.namespace
+    current = (namespace, namespace, _hash_leaf(namespace, proof.leaf_data))
+    for sibling, is_right in zip(proof.siblings, proof.directions):
+        sib_min, sib_max, sib_digest = sibling
         if len(sib_min) != NAMESPACE_BYTES or len(sib_max) != NAMESPACE_BYTES:
             return False
         if sib_min > sib_max or len(sib_digest) != 32:
             return False
-        sibling = _Node(min_ns=sib_min, max_ns=sib_max, digest=sib_digest)
         if is_right:
-            if sibling.max_ns > current.min_ns:
+            if sib_max > current[0]:
                 return False  # left sibling must not exceed our range
             current = _hash_node(sibling, current)
         else:
-            if current.max_ns > sibling.min_ns:
+            if current[1] > sib_min:
                 return False  # right sibling must not undercut our range
             current = _hash_node(current, sibling)
-    return (
-        current.min_ns == root.min_ns
-        and current.max_ns == root.max_ns
-        and current.digest == root.digest
-    )
+    return current == (root.min_ns, root.max_ns, root.digest)
 
 
 def verify_nmt_absence(root: NmtRoot, proof: NmtAbsenceProof) -> bool:

@@ -51,10 +51,11 @@ DEFAULT_SAMPLE_BUDGET = 18
 _SAMPLE_DOMAIN = b"da-sample-v1"
 
 #: ``fetch(lane_id, epoch, indices) -> {index: (chunk, proof) | None}``.
-#: ``None`` (or a missing key) means the server declined that index.
+#: ``None`` (or a missing key) means the server declined that index; a
+#: ``None`` proof means its answer did not decode (a bad-proof sample).
 FetchFn = Callable[
     [int, int, "tuple[int, ...]"],
-    "dict[int, tuple[bytes, NmtProof] | None]",
+    "dict[int, tuple[bytes, NmtProof | None] | None]",
 ]
 
 
@@ -185,9 +186,10 @@ class DaSampler:
         if response is None:
             return SampleOutcome(index=index, ok=False, reason="missing", bytes_fetched=0)
         chunk, proof = response
-        fetched = len(chunk) + proof.byte_size()
+        fetched = len(chunk) + (0 if proof is None else proof.byte_size())
         ok = (
-            len(chunk) == commitment.chunk_bytes
+            proof is not None
+            and len(chunk) == commitment.chunk_bytes
             and proof.leaf_index == index
             and proof.namespace == commitment.namespace
             and proof.leaf_data == chunk

@@ -815,21 +815,33 @@ class DaSamplingReport:
 
 
 def _rpc_chunk_fetch(client: RpcClient):
-    """A :class:`DaSampler` fetch function over ``da_sample_get``."""
+    """A :class:`DaSampler` fetch function over ``da_sample_get``.
+
+    The server is not trusted to send well-formed rows: a row that does not
+    decode answers ``(b"", None)`` for its index, a bad-proof sample, and a
+    row naming no integer index (or a reply with no row list) is dropped,
+    so its indices read missing."""
 
     def fetch(lane_id, epoch, indices):
         reply = client.call(
             "da_sample_get",
             {"epoch": epoch, "lane": lane_id, "indices": list(indices)},
         )
-        return {
-            row["index"]: (
-                (bytes.fromhex(row["data"]), NmtProof.from_object(row["proof"]))
-                if row["available"]
-                else None
-            )
-            for row in reply["chunks"]
-        }
+        rows = reply.get("chunks") if isinstance(reply, dict) else None
+        responses = {}
+        for row in rows if isinstance(rows, list) else ():
+            index = row.get("index") if isinstance(row, dict) else None
+            if not isinstance(index, int):
+                continue
+            try:
+                responses[index] = (
+                    (bytes.fromhex(row["data"]), NmtProof.from_object(row["proof"]))
+                    if row["available"]
+                    else None
+                )
+            except (KeyError, TypeError, ValueError):
+                responses[index] = (b"", None)
+        return responses
 
     return fetch
 

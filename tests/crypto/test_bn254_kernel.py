@@ -672,6 +672,31 @@ def test_probe_disagreement_falls_back_to_python(monkeypatch):
     assert selected.reason == "known-answer probe disagrees with the pure-Python reference"
 
 
+def test_probe_refuses_a_comb_fault_above_the_second_column():
+    """A kernel whose comb pow errs only when a set exponent bit sits at
+    column 3 or above: a probe over a 3-tooth, 2-column comb never sees
+    it; the probe over the production shape must."""
+    real = kernel.active()
+    if real is None:
+        pytest.skip("the native kernel is not in use on this host")
+
+    class HighColumnFault:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def gt_fixed_pow(self, table, teeth, columns, exponent):
+            value = real.gt_fixed_pow(table, teeth, columns, exponent)
+            high = any(
+                exponent >> (columns * t + c) & 1
+                for t in range(teeth)
+                for c in range(3, columns)
+            )
+            return (value[0] ^ 1, *value[1:]) if high else value
+
+    assert kernel._probe_agrees(real)
+    assert not kernel._probe_agrees(HighColumnFault())
+
+
 # --------------------------------------------------------------------- #
 # Packaging                                                             #
 # --------------------------------------------------------------------- #

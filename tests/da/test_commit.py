@@ -30,6 +30,7 @@ from repro.da import (
     rs_code,
 )
 from repro.rollup import RoundRecord, build_checkpoint
+from repro.storage import gf256
 
 
 def synthetic_records(epoch: int, count: int) -> tuple[RoundRecord, ...]:
@@ -125,6 +126,85 @@ def test_build_da_bundle_shape():
     assert bundle.commitment.root == bundle.tree.root
     assert bundle.available_indices() == tuple(range(PARAMS.n))
     assert bundle.chunk_payload_bytes() == sum(len(c) for c in bundle.chunks)
+
+
+def test_one_record_encoding_per_epoch(monkeypatch):
+    """Checkpoint and DA bundle share one encoding of each record, and the
+    rebuild hashes the blob's record bytes without encoding again."""
+    encode = RoundRecord.to_bytes
+    encoded = []
+    monkeypatch.setattr(
+        RoundRecord, "to_bytes", lambda record: encoded.append(record.name) or encode(record)
+    )
+    records = synthetic_records(9, 6)
+    checkpoint_bundle = build_checkpoint(9, records)
+    bundle = build_da_bundle(2, 9, checkpoint_bundle, PARAMS)
+    assert sorted(encoded) == sorted(record.name for record in records)
+    encoded.clear()
+    rebuilt = reconstruct_records(
+        bundle.commitment, {i: bundle.chunks[i] for i in range(PARAMS.k)}
+    )
+    assert rebuilt.verified and rebuilt.records == checkpoint_bundle.records
+    assert encoded == []
+
+
+def _kat_records() -> tuple[RoundRecord, ...]:
+    rng = random.Random(60)
+    records = []
+    for i in range(6):
+        accepted = i % 3 != 2
+        records.append(
+            RoundRecord(
+                name=rng.getrandbits(254),
+                epoch=9,
+                challenge_bytes=rng.randbytes(48),
+                proof_bytes=rng.randbytes(288) if accepted else b"",
+                verdict=accepted,
+                reject_code="" if accepted else "no-proof",
+            )
+        )
+    return tuple(records)
+
+
+_NS = "00000000000000030000000000000009"
+
+
+@pytest.mark.parametrize("backend", ["numpy", "chosen"])
+def test_da_commit_path_known_answers(backend, monkeypatch):
+    """Pinned bytes for a fixed epoch on either GF(256) backend: the
+    checkpoint root, the DA commitment (which carries the NMT root) and
+    one NMT proof's sibling triples."""
+    monkeypatch.setattr(
+        gf256,
+        "_backend",
+        gf256.Backend("numpy", gf256._matmul_numpy)
+        if backend == "numpy"
+        else gf256.backend(),
+    )
+    checkpoint_bundle = build_checkpoint(9, _kat_records())
+    bundle = build_da_bundle(3, 9, checkpoint_bundle, DaParams(n=12, k=4))
+    assert checkpoint_bundle.checkpoint.root.hex() == (
+        "cac50c9528615402c619bd3923ac8c29242820c3065ffc3f0acbed9be3ea9b18"
+    )
+    assert bundle.commitment.to_bytes().hex() == (
+        "01" "0000000000000003" "0000000000000009" "0c04" "000001bc"
+        "cac50c9528615402c619bd3923ac8c29242820c3065ffc3f0acbed9be3ea9b18"
+        + _NS + "ff" * 16
+        + "88a355f2754b13def98469e016314bfdadd8e0eb1a94c14cee725e9bb7167dac"
+    )
+    assert [
+        tuple(part.hex() for part in sibling)
+        for sibling in bundle.tree.prove(5).siblings
+    ] == [
+        (_NS, _NS, "5be35184014aa0c0ee125f7b64b99545a54ece6f19ffed6a15752818894a5280"),
+        (_NS, _NS, "f6cb52eb35daee5be5968a7cef3aaef898bc9e542c25f9ec2ae43b3936dd31cc"),
+        (_NS, _NS, "58c6df9f431e2bcd16fd78f7f02f05dd229f07481ef4e061d37855491a22d0f6"),
+        (_NS, "ff" * 16, "0a4243513a510acf2bf8ccb521addf0f0aa8b65b2c4664d5f64a45561a16ed38"),
+    ]
+    rebuilt = reconstruct_records(
+        bundle.commitment, {i: bundle.chunks[i] for i in (11, 7, 5, 2)}
+    )
+    assert rebuilt.verified and rebuilt.records == checkpoint_bundle.records
 
 
 def test_build_da_bundle_epoch_mismatch():

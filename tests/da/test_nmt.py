@@ -133,6 +133,29 @@ def test_proof_json_roundtrip():
     assert restored.byte_size() == proof.byte_size()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("leaf_index", "3"),
+        ("leaf_index", None),
+        ("namespace", "zz"),
+        ("leaf_data", 17),
+        ("siblings", 7),
+        ("siblings", [["00", "00"]]),
+        ("siblings", [["00", "00", "not hex"]]),
+        ("directions", None),
+    ],
+)
+def test_malformed_proof_object_names_the_field(field, value):
+    obj = NamespacedMerkleTree(leaves_for([(0, 0), (0, 1)])).prove(1).to_object()
+    obj[field] = value
+    with pytest.raises(ValueError, match=field):
+        NmtProof.from_object(obj)
+    del obj[field]
+    with pytest.raises(ValueError, match=field):
+        NmtProof.from_object(obj)
+
+
 def test_root_wire_roundtrip():
     tree = NamespacedMerkleTree(leaves_for([(4, 2), (4, 3)]))
     root = tree.root

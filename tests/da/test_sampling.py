@@ -10,6 +10,7 @@ when the epoch's data is unrecoverable.
 from __future__ import annotations
 
 import dataclasses
+import types
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.da import (
 )
 from repro.obs import MetricsRegistry
 from repro.rollup import RoundRecord, build_checkpoint
+from repro.scenarios import _rpc_chunk_fetch
 
 PARAMS = DaParams(n=16, k=4)
 SEED = b"\x00" * 7 + b"\x2a"
@@ -193,6 +195,85 @@ def test_truncated_chunk_reads_as_bad_proof():
     sampler = DaSampler(truncating, registry=MetricsRegistry())
     report = sampler.sample(bundle.commitment, SEED, budget=4)
     assert {o.reason for o in report.outcomes} == {"bad-proof"}
+
+
+class _RowServingClient:
+    """``da_sample_get`` over one bundle, rows shaped as the service sends
+    them, with the row for ``bad_index`` passed through ``corrupt``."""
+
+    def __init__(self, bundle, bad_index, corrupt):
+        self.bundle, self.bad_index, self.corrupt = bundle, bad_index, corrupt
+
+    def call(self, method, params):
+        assert method == "da_sample_get"
+        rows = []
+        for index in params["indices"]:
+            chunk, proof = self.bundle.chunk_with_proof(index)
+            row = {"index": index, "available": True, "data": chunk.hex(),
+                   "proof": proof.to_object()}
+            if index == self.bad_index:
+                self.corrupt(row)
+            rows.append(row)
+        return {"chunks": rows}
+
+
+_DELETE = object()
+
+
+def _corrupt(*path, value=_DELETE):
+    """Set the entry at ``path`` of a row to ``value``, or delete it."""
+
+    def corrupt(row):
+        *parents, last = path
+        for key in parents:
+            row = row[key]
+        if value is _DELETE:
+            del row[last]
+        else:
+            row[last] = value
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _corrupt("data", value="zz"),                  # bad hex
+        _corrupt("proof", "namespace", value="0g"),
+        _corrupt("proof", "siblings", 0, 2, value="not hex"),
+        _corrupt("data"),                              # missing key
+        _corrupt("proof"),
+        _corrupt("available"),
+        _corrupt("proof", "directions"),
+        _corrupt("data", value=12),                    # wrong type
+        _corrupt("proof", value="proof"),
+        _corrupt("proof", "leaf_index", value="0"),
+        _corrupt("proof", "siblings", value=7),
+    ],
+    ids=[
+        "data-bad-hex", "namespace-bad-hex", "sibling-bad-hex", "no-data",
+        "no-proof", "no-available", "no-directions", "data-int", "proof-str",
+        "leaf-index-str", "siblings-int",
+    ],
+)
+def test_undecodable_rpc_row_is_a_bad_proof_sample(corrupt):
+    bundle = make_bundle()
+    bad = sample_indices(SEED, bundle.commitment.root, PARAMS.n, 6)[2]
+    client = _RowServingClient(bundle, bad, corrupt)
+    sampler = DaSampler(_rpc_chunk_fetch(client), registry=MetricsRegistry())
+    report = sampler.sample(bundle.commitment, SEED, budget=6)
+    assert not report.available
+    reasons = {o.index: o.reason for o in report.outcomes}
+    assert reasons.pop(bad) == "bad-proof"
+    assert set(reasons.values()) == {"ok"} and len(reasons) == 5
+
+
+@pytest.mark.parametrize("reply", [{"chunks": 5}, {}, ["chunks"], None])
+def test_rpc_reply_without_rows_samples_as_missing(reply):
+    client = types.SimpleNamespace(call=lambda method, params: reply)
+    sampler = DaSampler(_rpc_chunk_fetch(client), registry=MetricsRegistry())
+    report = sampler.sample(make_bundle().commitment, SEED, budget=4)
+    assert {o.reason for o in report.outcomes} == {"missing"}
 
 
 def test_unknown_epoch_samples_as_missing():

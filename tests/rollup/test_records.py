@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.chain.gas import CHECKPOINT_COMMITMENT_BYTES as GAS_COMMITMENT_BYTES
 from repro.rollup import (
@@ -24,6 +25,52 @@ def _record(name=7, epoch=3, verdict=True, code="", proof=b"\xab" * 288):
         verdict=verdict,
         reject_code=code,
     )
+
+
+@st.composite
+def drawn_records(draw):
+    verdict = draw(st.booleans())
+    return RoundRecord(
+        name=draw(st.integers(0, 2**256 - 1)),
+        epoch=draw(st.integers(0, 2**64 - 1)),
+        challenge_bytes=draw(st.binary(max_size=64)),
+        proof_bytes=draw(st.binary(max_size=300)),
+        verdict=verdict,
+        reject_code="" if verdict else draw(
+            st.text(st.characters(codec="utf-8"), min_size=1, max_size=20)
+        ),
+    )
+
+
+class TestCanonicalCodec:
+    """Every encoding the decoder accepts is the one ``to_bytes`` makes, so
+    the DA reconstruction may hash a blob's record bytes as they stand."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(record=drawn_records())
+    def test_decode_inverts_encode(self, record):
+        assert RoundRecord.from_bytes(record.to_bytes()) == record
+
+    @settings(max_examples=400, deadline=None)
+    @given(record=drawn_records(), data=st.data())
+    def test_every_accepted_mutation_reencodes_to_itself(self, record, data):
+        encoded = bytearray(record.to_bytes())
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            edit = data.draw(st.sampled_from(("flip", "insert", "delete")))
+            if edit == "insert":
+                at = data.draw(st.integers(0, len(encoded)))
+                encoded[at:at] = data.draw(st.binary(min_size=1, max_size=3))
+            elif encoded:
+                at = data.draw(st.integers(0, len(encoded) - 1))
+                if edit == "flip":
+                    encoded[at] ^= data.draw(st.integers(1, 255))
+                else:
+                    del encoded[at]
+        try:
+            decoded = RoundRecord.from_bytes(bytes(encoded))
+        except ValueError:
+            return
+        assert decoded.to_bytes() == bytes(encoded)
 
 
 class TestRoundRecord:

@@ -17,10 +17,13 @@ Four sweeps, one per rebuilt kernel family:
   multiplication and a whole ``generate_keypair(s=10)``, each on the
   pure-Python references and on the native kernel, outputs required equal
   (raw Jacobian triples for the points, the state digest for the key).
-* **GF(256)** — `gf_matmul` on the native kernel and on the numpy
-  table-gather fallback over block sizes of a 4x8 coding matrix and the
-  240x80 DA encode, both required equal to each other and to the
-  per-element scalar reference on a column prefix.
+* **GF(256)** — `gf_matmul` on every loop this CPU can select (the
+  kernel's AVX2, SSSE3 and scalar loops) and on the numpy table-gather
+  fallback, over block sizes of a 4x8 coding matrix and the 160x80 parity
+  product of the (240, 80) DA encode, all required equal to each other and
+  to the per-element scalar reference on a column prefix; and a whole
+  (240, 80) decode with 53 data rows missing on each, required to give the
+  data back.
 
 ``BENCH_QUICK=1`` (the CI bench-smoke job) shrinks every sweep so all
 code paths run under a tight timeout; full-scale numbers are committed
@@ -141,18 +144,21 @@ def test_crypto_speed_sweep(report):
     # -- GF(256) sweep -----------------------------------------------------
     lines.append("")
     lines.append(
-        f"GF(256): gf_matmul on both backends (this host: "
+        f"GF(256): gf_matmul on every selectable loop (this host: "
         f"{gf256.backend().describe()}), checked against gf_matmul_ref"
     )
     np_rng = np.random.default_rng(7)
     coding = [[int(np_rng.integers(1, 256)) for _ in range(8)] for _ in range(4)]
     shapes = [("4x8 coding", coding, block, 256) for block in GF_BLOCK_SIZES]
-    # The da_light_client encode: RS(240, 80) over an ~18 KiB chunk.  The
-    # reference costs 19,200 gf_mul calls per column, so it sees 16.
-    shapes.append(("240x80 DA encode", ReedSolomonCode(240, 80).matrix, 18_432, 16))
+    # The da_light_client encode computes RS(240, 80)'s 160 parity rows over
+    # an ~18 KiB chunk.  The reference costs 12,800 gf_mul calls per column,
+    # so it sees 16.
+    code = ReedSolomonCode(240, 80)
+    shapes.append(("160x80 DA parity", code.matrix[80:], 18_432, 16))
     for label, matrix, block, columns in shapes:
         shards = np_rng.integers(0, 256, size=(len(matrix[0]), block), dtype=np.uint8)
         lines.append(_gf_line(label, matrix, shards, columns))
+    lines.append(_gf_decode_line(code, np_rng, missing=53))
 
     report("bench_crypto_speed", "\n".join(lines))
 
@@ -219,19 +225,30 @@ def _raw(point):
     return point.x, point.y, point.z
 
 
-def _gf_line(label, matrix, shards, columns):
-    """Time both backends on the same shards and require equal outputs;
-    the per-element reference checks (and is timed on) the first
-    ``columns`` columns, each column being an independent product."""
-    backends = {"numpy": gf256.Backend("numpy", gf256._matmul_numpy)}
-    if gf256.backend().name != "numpy":
-        backends["native"] = gf256.backend()
+def _gf_timings(run):
+    """Best-of times and outputs of ``run`` on every loop this host can
+    select, best loop first, numpy last."""
     timings, outputs = {}, {}
-    for name, backend in backends.items():
-        with mock.patch.object(gf256, "_backend", backend):
-            timings[name], outputs[name] = _best_of(lambda: gf_matmul(matrix, shards))
+    for loop in gf256.selectable():
+        with mock.patch.object(gf256, "_backend", loop):
+            timings[loop.name], outputs[loop.name] = _best_of(run)
+    return timings, outputs
+
+
+def _gf_speedup(timings):
+    """numpy's time over the fastest loop's, when a kernel loop ran."""
+    if len(timings) == 1:
+        return ""
+    return f" -> {timings['numpy'] / min(timings.values()):.1f}x"
+
+
+def _gf_line(label, matrix, shards, columns):
+    """Time every loop on the same shards and require equal outputs; the
+    per-element reference checks (and is timed on) the first ``columns``
+    columns, each column being an independent product."""
+    timings, outputs = _gf_timings(lambda: gf_matmul(matrix, shards))
     ref_s, reference = _best_of(
-        lambda: gf_matmul_ref(matrix, shards[:, :columns]), repeats=1
+        lambda: gf_matmul_ref(np.asarray(matrix).tolist(), shards[:, :columns]), repeats=1
     )
     for name, out in outputs.items():
         assert np.array_equal(out, outputs["numpy"]), f"{name} != numpy ({label})"
@@ -240,6 +257,20 @@ def _gf_line(label, matrix, shards, columns):
         f" {name} {seconds * 1e3:8.2f} ms ({shards.size / seconds / 1e6:7.1f} MB/s in)"
         for name, seconds in timings.items()
     )
-    if "native" in timings:
-        line += f" -> {timings['numpy'] / timings['native']:.1f}x"
-    return line + f"; ref {ref_s * 1e3:.1f} ms on {columns} columns"
+    return line + _gf_speedup(timings) + f"; ref {ref_s * 1e3:.1f} ms on {columns} columns"
+
+
+def _gf_decode_line(code, np_rng, missing):
+    """A whole decode from ``code.k - missing`` data chunks and ``missing``
+    parity chunks: one ``missing``-square inversion and one
+    ``missing``-row product over the k chunks, on every loop."""
+    data = np_rng.integers(0, 256, size=code.k * 18_432, dtype=np.uint8).tobytes()
+    shards = code.encode(data)
+    chosen = shards[missing : code.k] + shards[code.k : code.k + missing]
+    timings, outputs = _gf_timings(lambda: code.decode(chosen, len(data)))
+    for name, out in outputs.items():
+        assert out == data, f"{name} decode != data"
+    line = f"  ({code.n}, {code.k}) decode, {missing} missing:" + "".join(
+        f" {name} {seconds * 1e3:8.2f} ms" for name, seconds in timings.items()
+    )
+    return line + _gf_speedup(timings)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from ..crypto.merkle import MerkleTree
 from ..rollup.checkpoint import CheckpointBundle
@@ -272,12 +271,10 @@ class DaReconstruction:
 
     commitment: DaCommitment
     records: tuple[RoundRecord, ...]
+    #: The records' canonical encodings, as the decoded blob framed them.
+    leaf_bytes: tuple[bytes, ...]
     chunks_used: int
     verified: bool
-
-    @cached_property
-    def leaf_bytes(self) -> tuple[bytes, ...]:
-        return tuple(record.to_bytes() for record in self.records)
 
     def counts_challenge_leaves(self) -> tuple[bytes, ...]:
         """The full leaf set, ready for ``challenge_counts``."""
@@ -333,6 +330,7 @@ def reconstruct_records(
     return DaReconstruction(
         commitment=commitment,
         records=records,
+        leaf_bytes=tuple(leaves),
         chunks_used=len(shards),
         verified=True,
     )

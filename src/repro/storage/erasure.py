@@ -8,8 +8,12 @@ covers any (n, k).
 
 Construction: an n x k Vandermonde matrix over GF(256) is multiplied by the
 inverse of its top k x k block, so that block becomes the identity
-(systematic form).  Encoding is a matrix-vector product per byte column;
-decoding inverts the k x k submatrix of surviving rows.
+(systematic form).  The data shards are the padded input itself, so encoding
+computes only the n - k parity rows, one matrix-vector product per byte
+column.  Decoding computes only the data rows it lacks: with S the chosen
+systematic rows, P the chosen parity rows and M the missing data rows,
+d_M = G[P,M]^-1 * (y_P + G[P,S] * d_S), one |M| x |M| inversion and one
+|M|-row product over the chosen shards.
 """
 
 from __future__ import annotations
@@ -71,12 +75,16 @@ class ReedSolomonCode:
         length = self.shard_length(len(data))
         padded = data.ljust(self.k * length, b"\x00")
         stack = np.frombuffer(padded, dtype=np.uint8).reshape(self.k, length)
-        encoded = gf_matmul(self.matrix, stack)
-        return [Shard(index=i, data=encoded[i].tobytes()) for i in range(self.n)]
+        parity = gf_matmul(self.matrix[self.k :], stack)
+        return [
+            Shard(index=i, data=padded[i * length : (i + 1) * length])
+            for i in range(self.k)
+        ] + [Shard(index=self.k + i, data=row.tobytes()) for i, row in enumerate(parity)]
 
     @profiled("gf256.decode")
     def decode(self, shards: list[Shard], data_length: int) -> bytes:
-        """Reconstruct from any >= k distinct shards."""
+        """Reconstruct from any >= k distinct shards; the first k by index
+        decide the output."""
         unique: dict[int, Shard] = {}
         for shard in shards:
             if not 0 <= shard.index < self.n:
@@ -96,12 +104,25 @@ class ReedSolomonCode:
                 f"data_length {data_length} exceeds the {self.k * length} bytes "
                 f"that {self.k} shards of {length} B hold"
             )
-        inverse = gf_matrix_invert(self.matrix[[s.index for s in chosen]])
+        # The first k distinct shards decide the output, as a full inversion
+        # of their rows would: that square system has one solution, so the
+        # result is the same bytes for every input, codeword or not.
         stack = np.stack(
             [np.frombuffer(s.data, dtype=np.uint8) for s in chosen]
         )
-        recovered = gf_matmul(inverse, stack)
-        return recovered.reshape(-1).tobytes()[:data_length]
+        known = [s.index for s in chosen if s.index < self.k]
+        solved = [s.index for s in chosen[len(known) :]]
+        missing = sorted(set(range(self.k)).difference(known))
+        data = np.empty((self.k, length), dtype=np.uint8)
+        data[known] = stack[: len(known)]
+        if missing:
+            # y_P = G[P,S] d_S + G[P,M] d_M, and the stack is [d_S; y_P].
+            inverse = gf_matrix_invert(self.matrix[np.ix_(solved, missing)])
+            through_known = gf_matmul(inverse, self.matrix[np.ix_(solved, known)])
+            data[missing] = gf_matmul(
+                np.concatenate([through_known, inverse], axis=1), stack
+            )
+        return data.tobytes()[:data_length]
 
     def encode_framed(self, data: bytes) -> list[Shard]:
         """Encode with a self-describing length header.

@@ -12,11 +12,13 @@ row — no log/antilog index arithmetic, no zero-masking pass, no per-element
 Python.  The log-table scalar helpers stay as the reference the
 differential tests check the table path against.
 
-:func:`gf_matmul`, the erasure codec's one bulk operation, runs its row
-loop in ``gf256_kernel.c`` (SIMD split-nibble lookups) when
-:mod:`repro.native` can build it and a known-answer probe against
-:func:`gf_matmul_ref` agrees; otherwise in the numpy table-gather loop.
-Both produce the same bytes; :func:`backend` names the one that runs.
+:func:`gf_matmul`, the erasure codec's one bulk operation, runs in
+``gf256_kernel.c`` when :mod:`repro.native` can build it and a known-answer
+probe of every loop this CPU can run agrees with :func:`gf_matmul_ref`:
+the best of a row-blocked split-nibble loop for AVX2 or SSSE3 (four output
+rows per pass over the inputs) and a scalar table loop.  Otherwise it runs
+the numpy table-gather loop.  All produce the same bytes; :func:`backend`
+names the one that runs and :func:`selectable` lists them all.
 """
 
 from __future__ import annotations
@@ -96,9 +98,9 @@ def gf_mul_vector_ref(scalar: int, vector: np.ndarray) -> np.ndarray:
 class Backend:
     """The row loop :func:`gf_matmul` runs, and why.
 
-    ``name`` is ``native-ssse3`` or ``native-scalar`` (the C kernel, by the
-    path it takes on this CPU) or ``numpy`` (the table-gather loop), with
-    ``reason`` saying why the kernel is not in use.
+    ``name`` is ``native-avx2``, ``native-ssse3`` or ``native-scalar`` (one
+    of the C kernel's loops, by instruction set) or ``numpy`` (the
+    table-gather loop), with ``reason`` saying why the kernel is not in use.
     """
 
     name: str
@@ -118,31 +120,45 @@ def _matmul_numpy(coefficients: np.ndarray, shards: np.ndarray, out: np.ndarray)
                 accumulator ^= _MUL_TABLE[coefficient].take(shard)
 
 
-def _native_matmul(lib) -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
+#: The kernel's loops by the ``isa`` value ``gf_matmul`` takes, as
+#: ``gf_kernel_isa`` numbers them (``GF_SCALAR``, ``GF_SSSE3``, ``GF_AVX2``).
+_ISA_NAMES = ("native-scalar", "native-ssse3", "native-avx2")
+
+
+def _native_loops(lib) -> list[Backend]:
+    """The kernel's loops this CPU can run, best first."""
+    lib.gf_kernel_isa.argtypes = []
+    lib.gf_kernel_isa.restype = ctypes.c_int
     kernel = lib.gf_matmul
     kernel.argtypes = [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
-        ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p,
+        ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t,
+        ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p,
     ]
     kernel.restype = None
     table = _MUL_TABLE.ctypes.data  # module-lifetime array: the pointer stays valid
 
-    def matmul(coefficients: np.ndarray, shards: np.ndarray, out: np.ndarray) -> None:
-        rows, k = coefficients.shape
-        kernel(table, coefficients.ctypes.data, rows, k,
-               shards.ctypes.data, shards.shape[1], out.ctypes.data)
+    def loop(isa: int) -> Backend:
+        def matmul(coefficients: np.ndarray, shards: np.ndarray, out: np.ndarray) -> None:
+            rows, k = coefficients.shape
+            kernel(isa, table, coefficients.ctypes.data, rows, k,
+                   shards.ctypes.data, shards.shape[1], out.ctypes.data)
 
-    return matmul
+        return Backend(_ISA_NAMES[isa], matmul)
+
+    return [loop(isa) for isa in range(lib.gf_kernel_isa(), -1, -1)]
 
 
 def _probe_agrees(matmul) -> bool:
-    """Known answer: the kernel equals :func:`gf_matmul_ref` on shapes that
-    cover the 16-byte body, the scalar tail and coefficients 0 and 1."""
+    """Known answer: a loop equals :func:`gf_matmul_ref` on shapes that cover
+    the row blocks' edges (1, 3, 4 and 5 rows), the 16- and 32-byte bodies
+    and their scalar tails, k = 1, and coefficients 0 and 1."""
     # stdlib random: numpy.random would cost this process ~2 MB of RSS.
     rng = random.Random(0x11D)
-    for rows, k, length in ((3, 4, 37), (2, 3, 16), (1, 2, 5)):
+    shapes = ((5, 4, 37), (4, 3, 32), (3, 2, 33), (1, 1, 31), (4, 1, 16), (1, 2, 5))
+    for rows, k, length in shapes:
         coefficients = bytearray(rng.randbytes(rows * k))
-        coefficients[:2] = b"\x00\x01"
+        if rows * k > 2:
+            coefficients[:2] = b"\x00\x01"
         matrix = np.frombuffer(bytes(coefficients), dtype=np.uint8).reshape(rows, k)
         shards = np.frombuffer(rng.randbytes(k * length), dtype=np.uint8).reshape(k, length)
         out = np.zeros((rows, length), dtype=np.uint8)
@@ -152,19 +168,27 @@ def _probe_agrees(matmul) -> bool:
     return True
 
 
-def _select_backend() -> Backend:
+def selectable() -> list[Backend]:
+    """Every loop this host may run, best first: the kernel's loops for this
+    CPU when the kernel builds and each passes the probe, then numpy.  When
+    the kernel is out, the one numpy entry carries the reason.  The
+    differential tests and the crypto-speed bench compare them all."""
     try:
         lib = native.load_library(__package__, "gf256_kernel.c")
     except native.NativeUnavailable as exc:
-        return Backend("numpy", _matmul_numpy, str(exc))
-    lib.gf_kernel_ssse3.argtypes = []
-    lib.gf_kernel_ssse3.restype = ctypes.c_int
-    matmul = _native_matmul(lib)
-    if not _probe_agrees(matmul):
-        return Backend(
-            "numpy", _matmul_numpy, "known-answer probe disagrees with gf_matmul_ref"
-        )
-    return Backend("native-ssse3" if lib.gf_kernel_ssse3() else "native-scalar", matmul)
+        return [Backend("numpy", _matmul_numpy, str(exc))]
+    loops = _native_loops(lib)
+    for loop in loops:
+        if not _probe_agrees(loop.matmul):
+            return [Backend(
+                "numpy", _matmul_numpy,
+                f"known-answer probe: {loop.name} disagrees with gf_matmul_ref",
+            )]
+    return [*loops, Backend("numpy", _matmul_numpy)]
+
+
+def _select_backend() -> Backend:
+    return selectable()[0]
 
 
 #: The process's backend, chosen on first use (building the kernel is file
@@ -174,8 +198,9 @@ _backend_lock = threading.Lock()
 
 
 def backend() -> Backend:
-    """The row loop this process runs: the C kernel when it builds and
-    passes the probe, else the numpy fallback with the reason."""
+    """The row loop this process runs: the best kernel loop for this CPU when
+    the kernel builds and every loop passes the probe, else the numpy
+    fallback with the reason."""
     global _backend
     with _backend_lock:
         if _backend is None:

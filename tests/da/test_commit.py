@@ -10,6 +10,7 @@ acceptance.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -19,7 +20,6 @@ from repro.da import (
     DA_COMMITMENT_BYTES,
     DaCommitment,
     DaParams,
-    DaReconstruction,
     DaReconstructionMismatch,
     DaUnreconstructed,
     build_da_bundle,
@@ -130,7 +130,8 @@ def test_build_da_bundle_shape():
 
 def test_one_record_encoding_per_epoch(monkeypatch):
     """Checkpoint and DA bundle share one encoding of each record, and the
-    rebuild hashes the blob's record bytes without encoding again."""
+    rebuild hashes, and backs a counts challenge with, the blob's record
+    bytes without encoding again."""
     encode = RoundRecord.to_bytes
     encoded = []
     monkeypatch.setattr(
@@ -145,6 +146,7 @@ def test_one_record_encoding_per_epoch(monkeypatch):
         bundle.commitment, {i: bundle.chunks[i] for i in range(PARAMS.k)}
     )
     assert rebuilt.verified and rebuilt.records == checkpoint_bundle.records
+    assert rebuilt.counts_challenge_leaves() == tuple(checkpoint_bundle.tree.leaves)
     assert encoded == []
 
 
@@ -303,11 +305,6 @@ def test_unverified_reconstruction_refuses_to_back_a_challenge():
     honest = reconstruct_records(
         bundle.commitment, {i: bundle.chunks[i] for i in range(PARAMS.k)}
     )
-    shaky = DaReconstruction(
-        commitment=honest.commitment,
-        records=honest.records,
-        chunks_used=honest.chunks_used,
-        verified=False,
-    )
+    shaky = dataclasses.replace(honest, verified=False)
     with pytest.raises(DaUnreconstructed, match="unverified"):
         shaky.counts_challenge_leaves()

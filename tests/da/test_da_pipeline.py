@@ -13,6 +13,7 @@ actionable error instead of a bare KeyError or an opaque revert.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -28,7 +29,6 @@ from repro.chain.light_client import CheckpointLightClient
 from repro.core import DataOwner
 from repro.da import (
     DaParams,
-    DaReconstruction,
     DaReconstructionMismatch,
     DaSampler,
     DaUnreconstructed,
@@ -249,12 +249,7 @@ def test_replay_refuses_unverified_or_mismatched_reconstructions(da_env):
     client = CheckpointLightClient(
         _registry_of(da_env), da_env["params"], da_env["beacon"]
     )
-    shaky = DaReconstruction(
-        commitment=reconstruction.commitment,
-        records=reconstruction.records,
-        chunks_used=reconstruction.chunks_used,
-        verified=False,
-    )
+    shaky = dataclasses.replace(reconstruction, verified=False)
     with pytest.raises(DaUnreconstructed, match="sample and"):
         client.replay_reconstructed(settled.bundle.checkpoint, shaky)
     other = da_env["settled"][1]

@@ -1,17 +1,19 @@
 """The GF(256) row loop: native kernel, numpy fallback and the loader.
 
-``gf_matmul`` runs whichever backend ``gf256.backend()`` chose: the C
-kernel ``gf256_kernel.c`` when ``repro.native`` builds it and the
-known-answer probe agrees, else the numpy table-gather loop.  Every
-property here runs on both — the ``backend`` fixture patches the module's
-handle — and the numpy run is the only one a compiler-less host has (its
-"native" run then repeats the fallback rather than skipping).
+``gf_matmul`` runs whichever backend ``gf256.backend()`` chose: the best
+loop of the C kernel ``gf256_kernel.c`` for this CPU when ``repro.native``
+builds it and the known-answer probe agrees, else the numpy table-gather
+loop.  Every property here runs on numpy, on the chosen loop and on each
+further kernel loop this CPU can run — the ``backend`` fixture patches the
+module's handle — and the numpy run is the only one a compiler-less host has
+(its "native" run then repeats the fallback, and the per-loop runs skip).
 ``gf_matmul_ref`` is the oracle throughout.
 """
 
 from __future__ import annotations
 
 import ast
+import ctypes
 import fnmatch
 import shutil
 import types
@@ -25,20 +27,26 @@ from hypothesis import given, settings, strategies as st
 from repro import native
 from repro.chain import Blockchain
 from repro.rpc import ServiceNode
-from repro.storage import gf256
-from repro.storage.erasure import ReedSolomonCode
+from repro.storage import erasure, gf256
+from repro.storage.erasure import ReedSolomonCode, Shard
 from repro.storage.gf256 import gf_inv, gf_matmul, gf_matmul_ref, gf_matrix_invert, gf_mul
 
 REPO = Path(__file__).resolve().parents[2]
 
 
-@pytest.fixture(scope="module", params=["numpy", "native"])
+@pytest.fixture(
+    scope="module", params=["numpy", "native", "native-ssse3", "native-scalar"]
+)
 def backend(request):
-    chosen = (
-        gf256.Backend("numpy", gf256._matmul_numpy)
-        if request.param == "numpy"
-        else gf256.backend()
-    )
+    if request.param == "numpy":
+        chosen = gf256.Backend("numpy", gf256._matmul_numpy)
+    elif request.param == "native":
+        chosen = gf256.backend()
+    else:
+        loops = {loop.name: loop for loop in gf256.selectable()}
+        if request.param not in loops or request.param == gf256.backend().name:
+            pytest.skip(f"{request.param} is not a further loop on this host")
+        chosen = loops[request.param]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gf256, "_backend", chosen)
         yield chosen
@@ -69,6 +77,13 @@ def test_matmul_equals_reference_over_shapes(backend):
                 assert np.array_equal(
                     gf_matmul(matrix, shards), gf_matmul_ref(matrix, shards)
                 ), (backend.name, rows, k, length)
+    # The widest product a GF(256) code needs, and one wider than that.
+    for rows, k, length in ((5, 255, 37), (3, 300, 33)):
+        matrix = _coefficients(rng, rows, k)
+        shards = rng.integers(0, 256, size=(k, length), dtype=np.uint8)
+        assert np.array_equal(
+            gf_matmul(matrix, shards), gf_matmul_ref(matrix, shards)
+        ), (backend.name, rows, k, length)
 
 
 def test_matmul_takes_non_contiguous_shards(backend):
@@ -109,6 +124,76 @@ def test_any_k_shards_in_any_order_with_duplicates_decode(backend, data, k, extr
     duplicates = draw.draw(st.lists(st.sampled_from(kept), max_size=4))
     selection = draw.draw(st.permutations(kept + duplicates))
     assert code.decode([shards[i] for i in selection], len(data)) == data
+
+
+# --------------------------------------------------------------------- #
+# The codec computes only the rows it lacks                             #
+# --------------------------------------------------------------------- #
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    extra=st.integers(0, 7),
+    pattern=st.sampled_from(["systematic", "parity", "mixed"]),
+    tampered=st.booleans(),
+    draw=st.data(),
+)
+def test_codec_equals_full_inversion_on_every_erasure_pattern(
+    backend, k, extra, pattern, tampered, draw
+):
+    """``encode`` is the whole generator times the data; ``decode`` is the
+    inverse of the first k chosen rows times those chunks — on codewords,
+    and on sets whose parity chunks are XOR-ed with 0x5A, which are not."""
+    n = k + extra
+    if pattern == "parity" and extra < k:
+        n = 2 * k
+    code = ReedSolomonCode(n, k)
+    data = draw.draw(st.binary(min_size=1, max_size=48))
+    shards = code.encode(data)
+    length = code.shard_length(len(data))
+    stack = np.frombuffer(data.ljust(k * length, b"\x00"), dtype=np.uint8).reshape(k, length)
+    encoded = gf_matmul_ref(code.matrix.tolist(), stack)
+    assert [shard.data for shard in shards] == [row.tobytes() for row in encoded]
+
+    pool = {"systematic": range(k), "parity": range(k, n), "mixed": range(n)}[pattern]
+    indices = draw.draw(st.lists(st.sampled_from(pool), min_size=k, unique=True))
+    chosen = [
+        Shard(i, bytes(b ^ 0x5A for b in shards[i].data) if tampered and i >= k else shards[i].data)
+        for i in indices
+    ]
+    first = sorted(chosen, key=lambda shard: shard.index)[:k]
+    inverse = gf_matrix_invert(code.matrix[[shard.index for shard in first]])
+    expected = gf_matmul_ref(
+        inverse.tolist(),
+        np.array([np.frombuffer(shard.data, dtype=np.uint8) for shard in first]),
+    )
+    assert code.decode(chosen, k * length) == expected.tobytes()
+    if not tampered:
+        assert code.decode(chosen, len(data)) == data
+
+
+@pytest.mark.parametrize("systematic", [0, 1, 27, 79, 80])
+def test_codec_inverts_only_the_missing_rows(monkeypatch, systematic):
+    """At the DA shape (240, 80): ``encode`` asks ``gf_matmul`` for the 160
+    parity rows only, and a decode from s systematic chunks inverts one
+    (80 - s)-square matrix — none when every data row is there."""
+    code = ReedSolomonCode(240, 80)
+    inverted, products = [], []
+    monkeypatch.setattr(
+        erasure, "gf_matrix_invert",
+        lambda matrix: inverted.append(np.shape(matrix)) or gf_matrix_invert(matrix),
+    )
+    monkeypatch.setattr(
+        erasure, "gf_matmul",
+        lambda matrix, shards: products.append(len(matrix)) or gf_matmul(matrix, shards),
+    )
+    data = bytes(range(256)) * 5
+    shards = code.encode(data)
+    assert products == [160]
+    chosen = shards[80 - systematic : 80] + shards[80 : 160 - systematic]
+    assert code.decode(chosen[::-1], len(data)) == data
+    missing = 80 - systematic
+    assert inverted == ([(missing, missing)] if missing else [])
 
 
 # --------------------------------------------------------------------- #
@@ -212,7 +297,7 @@ def test_kernel_builds_and_is_chosen_wherever_a_compiler_exists(tmp_path, monkey
     if shutil.which("cc") is None:
         assert selected.name == "numpy" and "no C compiler" in selected.reason
         return
-    assert selected.name in ("native-ssse3", "native-scalar")
+    assert selected.name in ("native-avx2", "native-ssse3", "native-scalar")
     assert selected.reason == "" and selected.describe() == selected.name
     built = list(tmp_path.glob("gf256_kernel-*.so"))
     assert len(built) == 1
@@ -249,15 +334,67 @@ def test_missing_source_is_a_named_reason(tmp_path, monkeypatch):
         native.load_library("repro.storage", "absent.c")
 
 
-def test_probe_disagreement_falls_back_to_numpy(monkeypatch):
-    def wrong_kernel(table, coefficients, rows, k, shards, length, out):
-        """Returns without writing: every product reads as zero."""
+def _faulty_kernel(faulty_isa: int, fault: str):
+    """A stand-in for ``lib.gf_matmul``: right on every loop but
+    ``faulty_isa``, which gets ``fault`` wrong — where a row-blocked loop
+    can go wrong while the bulk of its output stays right."""
 
-    fake = types.SimpleNamespace(gf_matmul=wrong_kernel, gf_kernel_ssse3=lambda: 1)
+    def gf_matmul(isa, table, coefficients, rows, k, shards, length, out):
+        matrix = np.ctypeslib.as_array(
+            (ctypes.c_uint8 * (rows * k)).from_address(coefficients)
+        ).reshape(rows, k)
+        stack = np.ctypeslib.as_array(
+            (ctypes.c_uint8 * (k * length)).from_address(shards)
+        ).reshape(k, length)
+        result = np.ctypeslib.as_array(
+            (ctypes.c_uint8 * (rows * length)).from_address(out)
+        ).reshape(rows, length)
+        if isa == faulty_isa:
+            if fault == "no output":
+                return
+            if fault == "coefficient 1 read as 0":
+                matrix = np.where(matrix == 1, 0, matrix)
+        result[:] = gf_matmul_ref(matrix.tolist(), stack)
+        if isa != faulty_isa:
+            return
+        if fault == "fifth row dropped" and rows == 5:
+            result[4] = 0
+        elif fault == "tail past 32 B dropped" and length % 32:
+            result[:, length - length % 32 :] = 0
+        elif fault == "k = 1 dropped" and k == 1:
+            result[:] = 0
+
+    return gf_matmul
+
+
+def test_probe_disagreement_falls_back_to_numpy(monkeypatch):
+    """The probe runs every loop the CPU can pick, on shapes at the row
+    blocks' and the vector widths' edges: one wrong loop, wrong only there,
+    sends the process to numpy with a reason that names the loop."""
+    faults = ["no output", "fifth row dropped", "tail past 32 B dropped",
+              "k = 1 dropped", "coefficient 1 read as 0"]
+    for faulty_isa, loop in enumerate(("native-scalar", "native-ssse3", "native-avx2")):
+        for fault in faults:
+            fake = types.SimpleNamespace(
+                gf_matmul=_faulty_kernel(faulty_isa, fault), gf_kernel_isa=lambda: 2
+            )
+            monkeypatch.setattr(native, "load_library", lambda package, filename: fake)
+            selected = gf256._select_backend()
+            assert selected.name == "numpy", (loop, fault)
+            assert selected.reason == (
+                f"known-answer probe: {loop} disagrees with gf_matmul_ref"
+            ), (loop, fault)
+
+
+def test_probe_runs_only_the_loops_the_cpu_can_pick(monkeypatch):
+    fake = types.SimpleNamespace(
+        gf_matmul=_faulty_kernel(2, "no output"), gf_kernel_isa=lambda: 1
+    )
     monkeypatch.setattr(native, "load_library", lambda package, filename: fake)
-    selected = gf256._select_backend()
-    assert selected.name == "numpy"
-    assert selected.reason == "known-answer probe disagrees with gf_matmul_ref"
+    assert gf256._select_backend().name == "native-ssse3"
+    assert [loop.name for loop in gf256.selectable()] == [
+        "native-ssse3", "native-scalar", "numpy"
+    ]
 
 
 def test_node_status_names_the_backend(backend):
